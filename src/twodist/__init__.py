@@ -10,9 +10,6 @@ graphs, and cross-checks everything against a brute-force chromatic oracle.
 from .classify import (
     VertexClass,
     classify_all,
-    classify_vertex,
-    is_bad4,
-    is_bad5,
     is_special_vertex,
     neighbor_profile,
 )
@@ -39,6 +36,7 @@ from .errors import (
     DegreeBudgetExceeded,
     EmbeddingInvalid,
     GenerationFailed,
+    InvariantViolated,
     NoSafeColor,
     NotACutVertex,
     NotConnected,
@@ -72,17 +70,6 @@ from .reductions import (
     check_properness,
     find_reduction,
     match_case,
-    match_L2_1,
-    match_L2_2,
-    match_L2_3,
-    match_L2_4,
-    match_L2_5,
-    match_L2_6,
-    match_L2_7,
-    match_L2_8,
-    match_L2_9,
-    match_L2_10,
-    match_L2_11,
 )
 from .workbench import (
     HuntReport,

@@ -61,11 +61,6 @@ def charge_after_r1_r2(
     return charge
 
 
-def classify_vertex(g: PlanarGraph, faces: tuple[Face, ...], v: int) -> VertexClass:
-    """Profile a single vertex; see classify_all for whole-graph use."""
-    return _classify(g, faces, v, g.max_degree())
-
-
 def classify_all(g: PlanarGraph, faces: tuple[Face, ...]) -> dict[int, VertexClass]:
     """Profile every vertex against one traced embedding."""
     delta = g.max_degree()
@@ -113,16 +108,6 @@ def is_special_vertex(g: PlanarGraph, faces: tuple[Face, ...], v: int) -> bool:
     return True
 
 
-def is_bad4(g: PlanarGraph, faces: tuple[Face, ...], v: int) -> bool:
-    """4-vertex still negative after the triangle payments and the 5+-face
-    income only."""
-    return classify_vertex(g, faces, v).bad4
-
-
-def is_bad5(g: PlanarGraph, faces: tuple[Face, ...], v: int) -> bool:
-    return classify_vertex(g, faces, v).bad5
-
-
 def neighbor_profile(
     g: PlanarGraph, faces: tuple[Face, ...], v: int
 ) -> list[VertexClass]:
@@ -135,7 +120,7 @@ def count_incidences(
     g: PlanarGraph, faces: tuple[Face, ...]
 ) -> tuple[int, int]:
     """(sum of t3 over vertices, number of 3-faces) for invariant checks."""
-    t3_total = sum(classify_vertex(g, faces, v).t3 for v in g.vertices())
+    t3_total = sum(vc.t3 for vc in classify_all(g, faces).values())
     triangles = sum(1 for f in faces if f.degree == 3)
     return t3_total, triangles
 
@@ -143,11 +128,8 @@ def count_incidences(
 __all__ = [
     "VertexClass",
     "charge_after_r1_r2",
-    "classify_vertex",
     "classify_all",
     "is_special_vertex",
-    "is_bad4",
-    "is_bad5",
     "neighbor_profile",
     "count_incidences",
 ]

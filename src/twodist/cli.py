@@ -23,6 +23,7 @@ from .workbench import (
     format_audit_tsv,
     gen_planar,
     hunt,
+    id_list,
     parse_coloring,
     parse_graph,
     write_coloring,
@@ -75,6 +76,10 @@ def _cmd_verify(args) -> int:
     if report.valid:
         print(f"valid: {report.colors_used} colors within budget {report.budget}")
         return 0
+    if report.uncolored:
+        print(f"uncolored vertices: {id_list(report.uncolored)}")
+    if report.unknown:
+        print(f"colored ids not in 1..{g.n}: {id_list(report.unknown)}")
     for (u, v, dist, col) in report.violations[:20]:
         if dist == 0:
             print(f"color {col} at vertex {u} outside 1..{report.budget}")

@@ -53,6 +53,8 @@ class Coloring:
 class ColorReport:
     valid: bool
     violations: list[tuple[int, int, int, int]]  # (u, v, dist, shared color)
+    uncolored: list[int]  # vertices of g without a color
+    unknown: list[int]  # colored ids that are not vertices of g
     colors_used: int
     budget: int
 
@@ -74,7 +76,13 @@ class RunTrace:
 
 
 def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
-    """Exhaustive distance-2 check, independent of how c was produced."""
+    """Exhaustive distance-2 check, independent of how c was produced.
+
+    Valid means total on the vertices of g and nothing else, every color in
+    1..budget, and no two vertices within distance 2 sharing a color.
+    """
+    uncolored = [v for v in g.vertices() if v not in c.assignment]
+    unknown = sorted(v for v in c.assignment if not 1 <= v <= g.n)
     violations: list[tuple[int, int, int, int]] = []
     for v in sorted(c.assignment):
         col = c.assignment[v]
@@ -92,8 +100,10 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
                 dist = 1 if g.has_edge(u, w) else 2
                 violations.append((u, w, dist, cu))
     return ColorReport(
-        valid=not violations,
+        valid=not (violations or uncolored or unknown),
         violations=violations,
+        uncolored=uncolored,
+        unknown=unknown,
         colors_used=c.colors_used,
         budget=c.budget,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classify import VertexClass, classify_all
+from .errors import InvariantViolated
 from .planar import Face, PlanarGraph, trace_faces
 
 # Every amount any rule may move.
@@ -100,8 +101,8 @@ def initial_charges(g: PlanarGraph, faces: tuple[Face, ...]) -> ChargeLedger:
             keys[i]: Fraction(f.degree - 4) for i, f in enumerate(faces)
         },
     )
-    if g.m >= 1:
-        assert ledger.total() == Fraction(-8), ledger.total()
+    if g.m >= 1 and ledger.total() != -8:
+        raise InvariantViolated(f"initial charges total {ledger.total()}, not -8")
     return ledger
 
 

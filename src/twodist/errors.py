@@ -52,6 +52,11 @@ class BudgetExhausted(TwodistError):
         self.gap = gap
 
 
+class InvariantViolated(TwodistError):
+    """A library invariant failed: a reduction did not shrink the graph, or
+    the initial charges do not total -8.  Points at a bug, not bad input."""
+
+
 class ParseError(TwodistError):
     """Malformed graph or coloring file."""
 

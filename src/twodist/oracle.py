@@ -40,19 +40,6 @@ class _Budget:
         return True
 
 
-def _square_of(g: PlanarGraph | Adjacency) -> Adjacency:
-    if isinstance(g, PlanarGraph):
-        return square(g)
-    sq: Adjacency = {}
-    for v in g:
-        reach = set(g[v])
-        for u in g[v]:
-            reach.update(g[u])
-        reach.discard(v)
-        sq[v] = reach
-    return sq
-
-
 def greedy_clique(adj: Adjacency) -> list[int]:
     """Largest clique found by seeded greedy growth; a valid lower bound."""
     best: list[int] = []
@@ -90,10 +77,10 @@ def _greedy_colors(adj: Adjacency) -> dict[int, int]:
     return colors
 
 
-def greedy_square(g: PlanarGraph | Adjacency) -> Coloring:
+def greedy_square(g: PlanarGraph) -> Coloring:
     """Valid 2-distance coloring by greedy on the square; never more colors
     than max d2(v) + 1."""
-    sq = _square_of(g)
+    sq = square(g)
     if not sq:
         return Coloring({}, budget=0)
     colors = _greedy_colors(sq)
@@ -155,14 +142,14 @@ def _feasible(
 
 
 def chi2_exact(
-    g: PlanarGraph | Adjacency, node_budget: int = DEFAULT_NODE_BUDGET
+    g: PlanarGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
     """chi2(g) by branch and bound on the square graph.
 
     When the node budget runs out the result carries exact=False and the
     best coloring found so far.
     """
-    sq = _square_of(g)
+    sq = square(g)
     n = len(sq)
     if n == 0:
         return OracleResult(0, Coloring({}, budget=0), 0, True)

@@ -9,7 +9,7 @@ planar embedding of a connected graph.  Vertex ids are dense 1..n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DegreeBudgetExceeded,
@@ -26,6 +26,22 @@ Edge = tuple[int, int]
 
 def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def reachable(
+    nbrs: Callable[[int], Iterable[int]], n: int, start: int, avoid: int = 0
+) -> list[int]:
+    """Vertices reachable from start without passing through avoid, in
+    breadth-first order; every id involved lies in 1..n."""
+    seen = [False] * (n + 1)
+    seen[avoid] = seen[start] = True
+    order = [start]
+    for v in order:  # order grows while it is walked: a breadth-first queue
+        for u in nbrs(v):
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+    return order
 
 
 def _trace_rotation(rot: Mapping[int, Sequence[int]]) -> list[list[Edge]]:
@@ -130,7 +146,7 @@ class PlanarGraph:
                     raise EmbeddingInvalid(
                         f"asymmetric adjacency: {v} lists {u} but not vice versa"
                     )
-        if n and not self._is_connected():
+        if n and len(reachable(lambda v: rot[v - 1], n, 1)) != n:
             raise NotConnected("graph is not connected")
         self._faces: tuple[Face, ...] | None = None
         self._dart_face: dict[Edge, int] | None = None
@@ -193,25 +209,6 @@ class PlanarGraph:
 
     def __repr__(self) -> str:
         return f"PlanarGraph(n={self.n}, m={self.m})"
-
-    # -- connectivity ------------------------------------------------------
-
-    def _is_connected(self) -> bool:
-        n = self.n
-        if n <= 1:
-            return True
-        seen = [False] * (n + 1)
-        stack = [1]
-        seen[1] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u in self.rotation[v - 1]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == n
 
     # -- faces -------------------------------------------------------------
 
@@ -353,7 +350,7 @@ def surgery(
             raise SurgeryNotPlanar("cannot add a self-loop")
         additions.append((a, b))
 
-    if rot and not _connected(rot):
+    if rot and len(reachable(rot.__getitem__, g.n, next(iter(rot)))) != len(rot):
         raise SurgeryDisconnects(
             f"deleting {sorted(dels)} / {sorted(del_edges)} disconnects the graph"
         )
@@ -375,19 +372,6 @@ def surgery(
         tuple(old_to_new[u] for u in rot[old]) for old in survivors
     ]
     return SurgeryResult(graph=PlanarGraph(new_rotation), old_to_new=old_to_new)
-
-
-def _connected(rot: Mapping[int, Sequence[int]]) -> bool:
-    start = next(iter(rot))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in rot[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(rot)
 
 
 def _insert_edge(
@@ -426,15 +410,7 @@ def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
     if n <= 2:
         return False
     start = 1 if v != 1 else 2
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for u in g.adj(w):
-            if u != v and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) != n - 1
+    return len(reachable(g.adj, n, start, avoid=v)) != n - 1
 
 
 def articulation_points(g: PlanarGraph) -> set[int]:
@@ -492,7 +468,11 @@ def split_at(g: PlanarGraph, v: int) -> SplitParts:
     smallest vertex id, g2 keeps the rest; both keep v and inherit the
     induced rotation order."""
     g._check_vertex(v)
-    comps = _components_without(g, v)
+    comps = []
+    left = set(g.vertices()) - {v}
+    while left:
+        comps.append(set(reachable(g.adj, g.n, min(left), avoid=v)))
+        left -= comps[-1]
     if len(comps) < 2:
         raise NotACutVertex(f"{v} is not a cut vertex")
     comps.sort(key=min)
@@ -502,24 +482,6 @@ def split_at(g: PlanarGraph, v: int) -> SplitParts:
         *_induce(g, side1),
         *_induce(g, side2),
     )
-
-
-def _components_without(g: PlanarGraph, v: int) -> list[set[int]]:
-    left = set(g.vertices()) - {v}
-    comps = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for u in g.adj(w):
-                if u != v and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(comp)
-        left -= comp
-    return comps
 
 
 def _induce(g: PlanarGraph, keep: set[int]) -> tuple[PlanarGraph, dict[int, int]]:

@@ -7,6 +7,10 @@ the maximum degree never grows.  Vertices the surgery removes from the
 coloring (usually the center) are listed as pending, together with an upper
 bound on how many colors can be forbidden when they are re-colored.
 
+Most rules are rows of the RULES table: a vertex shape, a test on the
+neighbors, an anchor that labels them and a chord template.  L2.1, L2.2,
+L2.3.1 and L2.11 do not fit that mould and keep a scan of their own.
+
 Neighbor labels v1..vk always follow the rotation order around the center,
 anchored so the pattern's face layout matches; among valid anchors the one
 starting at the smallest neighbor id wins, which makes matching
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .classify import is_special_vertex
+from .errors import InvariantViolated
 from .planar import (
     Edge,
     Face,
@@ -76,30 +81,15 @@ class _Ctx:
             self._corner_degs[v] = cd
         return cd
 
-    def t3(self, v: int) -> int:
-        return self.corner_degrees(v).count(3)
-
     def is_kd(self, v: int, k: int, d: int) -> bool:
-        return self.g.degree(v) == k and self.t3(v) == d
+        return self.g.degree(v) == k and self.corner_degrees(v).count(3) == d
 
     def special(self, v: int) -> bool:
         return is_special_vertex(self.g, self.faces, v)
 
 
-def _labels(g: PlanarGraph, v: int, offset: int) -> tuple[int, ...]:
-    rot = g.neighbors(v)
-    k = len(rot)
-    return tuple(rot[(offset + j) % k] for j in range(k))
-
-
-def _best_offset(g: PlanarGraph, v: int, offsets: list[int]) -> int:
-    rot = g.neighbors(v)
-    return min(offsets, key=lambda r: rot[r])
-
-
 # --------------------------------------------------------------------------
-# individual matchers; each scans vertices in ascending id and returns the
-# first hit
+# the irregular rules: one hand-written scan each
 # --------------------------------------------------------------------------
 
 
@@ -109,17 +99,7 @@ def _m_L2_1(ctx: _Ctx) -> Reduction | None:
     if not cuts:
         return None
     v = min(cuts)
-    return Reduction(
-        lemma="L2.1",
-        case=None,
-        vertex=v,
-        pending=(),
-        delete_vertices=(),
-        delete_edges=(),
-        add_edges=(),
-        d2_bound=None,
-        split=v,
-    )
+    return Reduction("L2.1", None, v, (), (), (), (), None, split=v)
 
 
 def _m_L2_2(ctx: _Ctx) -> Reduction | None:
@@ -160,431 +140,15 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
     return None
 
 
-def _m_L2_3_2(ctx: _Ctx) -> Reduction | None:
-    """3-vertex on a 3-face: one chord across the non-triangle side."""
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 3:
-            continue
-        cd = ctx.corner_degrees(v)
-        offsets = [r for r in range(3) if cd[r] == 3]
-        if not offsets:
-            continue
-        r = _best_offset(g, v, offsets)
-        v1, _, v3 = _labels(g, v, r)
-        return Reduction(
-            "L2.3.2", None, v, (v,), (v,), (), (edge_key(v1, v3),),
-            3 * ctx.delta + 1,
-        )
-    return None
-
-
-def _m_L2_3_3(ctx: _Ctx) -> Reduction | None:
-    """3-vertex on two 4-faces."""
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 3:
-            continue
-        cd = ctx.corner_degrees(v)
-        offsets = [r for r in range(3) if cd[r] == 4 and cd[(r + 1) % 3] == 4]
-        if not offsets:
-            continue
-        r = _best_offset(g, v, offsets)
-        v1, _, v3 = _labels(g, v, r)
-        return Reduction(
-            "L2.3.3", None, v, (v,), (v,), (), (edge_key(v1, v3),),
-            3 * ctx.delta + 1,
-        )
-    return None
-
-
-def _m_L2_4(ctx: _Ctx) -> Reduction | None:
-    """(4,4)-vertex with a neighbor of degree at most 9: its neighbors
-    already form a 4-cycle, so plain deletion is proper."""
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 4 or ctx.t3(v) != 4:
-            continue
-        if any(g.degree(u) <= 9 for u in g.neighbors(v)):
-            return Reduction(
-                "L2.4", None, v, (v,), (v,), (), (), 3 * ctx.delta + 1
-            )
-    return None
-
-
-def _four_three_layout(ctx: _Ctx, v: int) -> tuple[int, ...] | None:
-    """Labels for a (4,3)-vertex: triangles at corners (v1,v2),(v2,v3),(v3,v4)."""
-    if ctx.g.degree(v) != 4:
-        return None
-    cd = ctx.corner_degrees(v)
-    if cd.count(3) != 3:
-        return None
-    offsets = [
-        r
-        for r in range(4)
-        if cd[r] == 3 and cd[(r + 1) % 4] == 3 and cd[(r + 2) % 4] == 3
-    ]
-    return _labels(ctx.g, v, _best_offset(ctx.g, v, offsets))
-
-
-def _m_L2_5_1(ctx: _Ctx) -> Reduction | None:
-    g = ctx.g
-    for v in g.vertices():
-        lab = _four_three_layout(ctx, v)
-        if lab is None:
-            continue
-        if any(g.degree(u) <= 7 for u in g.neighbors(v)):
-            v1, _, _, v4 = lab
-            return Reduction(
-                "L2.5.1", None, v, (v,), (v,), (), (edge_key(v1, v4),),
-                3 * ctx.delta + 1,
-            )
-    return None
-
-
-def _m_L2_5_2(ctx: _Ctx) -> Reduction | None:
-    """(4,3)-vertex whose last corner is a 4-face: the 4-face's far corner
-    keeps v1 and v4 at distance 2, so deletion alone is proper."""
-    g = ctx.g
-    for v in g.vertices():
-        lab = _four_three_layout(ctx, v)
-        if lab is None:
-            continue
-        if ctx.corner_degrees(v).count(4) != 1:
-            continue
-        if any(g.degree(u) <= 8 for u in g.neighbors(v)):
-            return Reduction(
-                "L2.5.2", None, v, (v,), (v,), (), (), 3 * ctx.delta + 1
-            )
-    return None
-
-
-def _four_two_layout(ctx: _Ctx, v: int) -> tuple[str, tuple[int, ...]] | None:
-    """(4,2)-vertex labels plus whether its two 3-faces share an edge at v.
-
-    Adjacent: triangles at corners (v1,v2),(v2,v3).  Otherwise triangles at
-    (v1,v2),(v3,v4).
-    """
-    if ctx.g.degree(v) != 4:
-        return None
-    cd = ctx.corner_degrees(v)
-    if cd.count(3) != 2:
-        return None
-    adj_offsets = [r for r in range(4) if cd[r] == 3 and cd[(r + 1) % 4] == 3]
-    if adj_offsets:
-        return "adjacent", _labels(ctx.g, v, _best_offset(ctx.g, v, adj_offsets))
-    opp_offsets = [r for r in range(4) if cd[r] == 3 and cd[(r + 2) % 4] == 3]
-    return "nonadjacent", _labels(ctx.g, v, _best_offset(ctx.g, v, opp_offsets))
-
-
-def _four_two_surgery(case: str, lab: tuple[int, ...]) -> tuple[Edge, ...]:
-    v1, v2, v3, v4 = lab
-    if case == "adjacent":
-        return (edge_key(v2, v4),)
-    return (edge_key(v1, v4), edge_key(v2, v3))
-
-
-def _m_four_two(
-    ctx: _Ctx, tag: str, condition: Callable[[_Ctx, int], bool],
-    t4_required: int | None = None,
-) -> Reduction | None:
-    g = ctx.g
-    for v in g.vertices():
-        layout = _four_two_layout(ctx, v)
-        if layout is None:
-            continue
-        if t4_required is not None and ctx.corner_degrees(v).count(4) != t4_required:
-            continue
-        if not condition(ctx, v):
-            continue
-        case, lab = layout
-        return Reduction(
-            tag, case, v, (v,), (v,), (), _four_two_surgery(case, lab),
-            3 * ctx.delta + 1,
-        )
-    return None
-
-
-def _m_L2_6_1(ctx: _Ctx) -> Reduction | None:
-    return _m_four_two(
-        ctx, "L2.6.1",
-        lambda c, v: any(c.g.degree(u) <= 5 for u in c.g.neighbors(v)),
-    )
-
-
-def _m_L2_6_2(ctx: _Ctx) -> Reduction | None:
-    return _m_four_two(
-        ctx, "L2.6.2",
-        lambda c, v: any(c.g.degree(u) == 6 for u in c.g.neighbors(v))
-        and not c.special(v),
-    )
-
-
-def _m_L2_6_3(ctx: _Ctx) -> Reduction | None:
-    return _m_four_two(
-        ctx, "L2.6.3",
-        lambda c, v: any(c.g.degree(u) <= 7 for u in c.g.neighbors(v)),
-        t4_required=2,
-    )
-
-
-def _m_L2_6_4(ctx: _Ctx) -> Reduction | None:
-    return _m_four_two(
-        ctx, "L2.6.4",
-        lambda c, v: any(c.g.degree(u) <= 6 for u in c.g.neighbors(v)),
-        t4_required=1,
-    )
-
-
-def _m_L2_6_5(ctx: _Ctx) -> Reduction | None:
-    return _m_four_two(
-        ctx, "L2.6.5",
-        lambda c, v: any(c.g.degree(u) == 7 for u in c.g.neighbors(v))
-        and not c.special(v),
-        t4_required=1,
-    )
-
-
-def _four_one_layout(ctx: _Ctx, v: int) -> tuple[int, ...] | None:
-    """(4,1)-vertex labels: the single triangle sits at corner (v1,v2)."""
-    if ctx.g.degree(v) != 4:
-        return None
-    cd = ctx.corner_degrees(v)
-    if cd.count(3) != 1:
-        return None
-    r = cd.index(3)
-    return _labels(ctx.g, v, r)
-
-
-# Two chords from one fan center restore every broken neighbor pair of a
-# deleted (4,1)-vertex; the center gains one net edge, so it needs degree
-# headroom below the maximum.
-_FAN_CHORDS = {
-    0: ((0, 2), (0, 3)),
-    1: ((1, 2), (1, 3)),
-    2: ((1, 2), (2, 3)),
-    3: ((0, 3), (2, 3)),
-}
-
-
-def _m_L2_7_1(ctx: _Ctx) -> Reduction | None:
-    """(4,1,3)-vertex next to a 6-vertex or smaller.
-
-    A single chord cannot reconnect both diagonal neighbor pairs here, so
-    the surgery fans two chords from the first neighbor with degree
-    headroom; the rule declines when no neighbor has any.
-    """
-    g = ctx.g
-    for v in g.vertices():
-        lab = _four_one_layout(ctx, v)
-        if lab is None or ctx.corner_degrees(v).count(4) != 3:
-            continue
-        if not any(g.degree(u) <= 6 for u in g.neighbors(v)):
-            continue
-        center = next(
-            (i for i in range(4) if g.degree(lab[i]) <= ctx.delta - 1), None
-        )
-        if center is None:
-            continue
-        adds = tuple(edge_key(lab[i], lab[j]) for i, j in _FAN_CHORDS[center])
-        return Reduction(
-            "L2.7.1", f"fan-v{center + 1}", v, (v,), (v,), (), adds,
-            3 * ctx.delta + 1,
-        )
-    return None
-
-
-def _m_L2_7_2(ctx: _Ctx) -> Reduction | None:
-    """(4,1,2)-vertex next to a 5-vertex or smaller, split on whether the two
-    4-faces touch."""
-    g = ctx.g
-    for v in g.vertices():
-        lab = _four_one_layout(ctx, v)
-        if lab is None:
-            continue
-        cd = ctx.corner_degrees(v)
-        if cd.count(4) != 2:
-            continue
-        if not any(g.degree(u) <= 5 for u in g.neighbors(v)):
-            continue
-        r = cd.index(3)
-        four_at = sorted(
-            ((i - r) % 4 for i in range(4) if cd[i] == 4)
-        )  # corner positions relative to the triangle
-        v1, v2, v3, v4 = lab
-        if four_at == [1, 2]:
-            adds = (edge_key(v2, v3), edge_key(v1, v4))
-            case = "adjacent"
-        elif four_at == [2, 3]:
-            # mirror image of the adjacent case
-            adds = (edge_key(v1, v4), edge_key(v2, v3))
-            case = "adjacent"
-        else:  # [1, 3]: the 4-faces are separated by the big face
-            if g.degree(v1) <= 5:
-                adds = (edge_key(v1, v3), edge_key(v1, v4))
-            elif g.degree(v2) <= 5:
-                adds = (edge_key(v2, v4), edge_key(v2, v3))
-            elif g.degree(v4) <= 5:
-                adds = (edge_key(v1, v4), edge_key(v3, v4))
-            else:
-                adds = (edge_key(v2, v3), edge_key(v3, v4))
-            case = "nonadjacent"
-        return Reduction(
-            "L2.7.2", case, v, (v,), (v,), (), adds, 3 * ctx.delta + 1
-        )
-    return None
-
-
-def _m_five_five(
-    ctx: _Ctx, tag: str, condition: Callable[[_Ctx, int], bool]
-) -> Reduction | None:
-    """(5,5)-vertices: the neighbors form a 5-cycle, so deletion is proper."""
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 5 or ctx.t3(v) != 5:
-            continue
-        if condition(ctx, v):
-            return Reduction(
-                tag, None, v, (v,), (v,), (), (), 3 * ctx.delta + 1
-            )
-    return None
-
-
-def _m_L2_8_1(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = sorted(c.g.degree(u) for u in c.g.neighbors(v))
-        return degs[0] <= 5 and degs[1] <= 6
-
-    return _m_five_five(ctx, "L2.8.1", cond)
-
-
-def _m_L2_8_2(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = [c.g.degree(u) for u in c.g.neighbors(v)]
-        return 5 in degs and 7 in degs and not c.special(v)
-
-    return _m_five_five(ctx, "L2.8.2", cond)
-
-
-def _m_L2_8_3(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = [c.g.degree(u) for u in c.g.neighbors(v)]
-        return degs.count(6) >= 2 and not c.special(v)
-
-    return _m_five_five(ctx, "L2.8.3", cond)
-
-
-def _five_four_layout(ctx: _Ctx, v: int, t4: int) -> tuple[int, ...] | None:
-    """(5,4,t4)-vertex labels: triangles at the four corners (v1,v2)..(v4,v5)."""
-    g = ctx.g
-    if g.degree(v) != 5:
-        return None
-    cd = ctx.corner_degrees(v)
-    if cd.count(3) != 4:
-        return None
-    q = next(i for i in range(5) if cd[i] != 3)
-    if t4 == 1 and cd[q] != 4:
-        return None
-    if t4 == 0 and cd[q] < 5:
-        return None
-    return _labels(g, v, (q + 1) % 5)
-
-
-def _m_five_four(
-    ctx: _Ctx, tag: str, t4: int, condition: Callable[[_Ctx, int], bool],
-    bound: Callable[[int], int],
-) -> Reduction | None:
-    g = ctx.g
-    for v in g.vertices():
-        lab = _five_four_layout(ctx, v, t4)
-        if lab is None:
-            continue
-        if condition(ctx, v):
-            return Reduction(
-                tag, None, v, (v,), (v,), (),
-                (edge_key(lab[0], lab[4]),), bound(ctx.delta),
-            )
-    return None
-
-
-def _count_66_neighbors(ctx: _Ctx, v: int) -> int:
-    return sum(1 for u in ctx.g.neighbors(v) if ctx.is_kd(u, 6, 6))
-
-
-def _default_bound(delta: int) -> int:
-    return 3 * delta + 1
-
-
-def _m_L2_9_1(ctx: _Ctx) -> Reduction | None:
-    return _m_five_four(
-        ctx, "L2.9.1", 1,
-        lambda c, v: sum(1 for u in c.g.neighbors(v) if c.g.degree(u) <= 5) >= 2,
-        _default_bound,
-    )
-
-
-def _m_L2_9_2(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = [c.g.degree(u) for u in c.g.neighbors(v)]
-        return 6 in degs and 5 in degs and not c.special(v)
-
-    return _m_five_four(ctx, "L2.9.2", 1, cond, _default_bound)
-
-
-def _m_L2_9_3(ctx: _Ctx) -> Reduction | None:
-    return _m_five_four(
-        ctx, "L2.9.3", 1,
-        lambda c, v: _count_66_neighbors(c, v) >= 2,
-        _default_bound,
-    )
-
-
-def _m_L2_10_1(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = sorted(c.g.degree(u) for u in c.g.neighbors(v))
-        return degs[0] <= 5 and degs[1] <= 5 and degs[2] <= 6
-
-    return _m_five_four(ctx, "L2.10.1", 0, cond, _default_bound)
-
-
-def _m_L2_10_2(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        degs = [c.g.degree(u) for u in c.g.neighbors(v)]
-        return (
-            sum(1 for d in degs if d <= 5) >= 2
-            and 7 in degs
-            and not c.special(v)
-        )
-
-    return _m_five_four(ctx, "L2.10.2", 0, cond, _default_bound)
-
-
-def _m_L2_10_3(ctx: _Ctx) -> Reduction | None:
-    return _m_five_four(
-        ctx, "L2.10.3", 0,
-        lambda c, v: _count_66_neighbors(c, v) >= 3,
-        lambda delta: 2 * delta + 6,
-    )
-
-
-def _m_L2_10_4(ctx: _Ctx) -> Reduction | None:
-    def cond(c: _Ctx, v: int) -> bool:
-        return (
-            any(c.g.degree(u) <= 5 for u in c.g.neighbors(v))
-            and _count_66_neighbors(c, v) >= 2
-        )
-
-    return _m_five_four(ctx, "L2.10.4", 0, cond, _default_bound)
-
-
 def _m_L2_11(ctx: _Ctx) -> Reduction | None:
     """(6,5)-vertex with two non-adjacent fully-triangulated 5-neighbors and
     a (5,4)-neighbor across the big face.
 
-    With maximum degree 6 there is no room to rewire, so only the spoke to
-    one (5,5)-neighbor is deleted and both its endpoints are re-colored.
-    From maximum degree 7 on, the center is deleted and three chords fanned
-    from that neighbor, which gains two net edges.
+    The labels run either way round from the big face, so both readings are
+    tried.  With maximum degree 6 there is no room to rewire, so only the
+    spoke to one (5,5)-neighbor is deleted and both its endpoints are
+    re-colored.  From maximum degree 7 on, the center is deleted and three
+    chords fanned from that neighbor, which gains two net edges.
     """
     g = ctx.g
     for v in g.vertices():
@@ -619,6 +183,186 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
 
 
 # --------------------------------------------------------------------------
+# the regular rules: one table row each
+# --------------------------------------------------------------------------
+
+Chords = tuple[tuple[int, int], ...]  # pairs of label indices, 0 is v1
+ChordHook = Callable[[_Ctx, tuple[int, ...]], tuple[str, Chords] | None]
+
+# (case, corner pattern, chords).  pattern[j] is the face degree required at
+# corner (r + j) % k, the corner between rotation neighbors r + j and
+# r + j + 1 (None: any); label v{j+1} is rot[(r + j) % k].  Among the
+# offsets r that fit, the smallest rot[r] wins.  A hook in place of the
+# chords picks them, and the case, from the labels' degrees; when it
+# returns None the rule declines at this vertex and the scan goes on.
+Anchor = tuple[str | None, tuple[int | None, ...], Chords | ChordHook]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A catalog rule that deletes the center v, adds chords among its
+    neighbors and re-colors v.
+
+    v must have the shape (degree, 3-face corners, 4-face corners; None
+    matches any count), its sorted neighbor degrees must pass ``degrees``,
+    at least ``six_six`` neighbors must be (6,6)-vertices, and v must not be
+    special when ``nonspecial`` is set.  The first anchor whose pattern fits
+    labels the neighbors.  At most ``a * Delta + b`` colors are forbidden at
+    v, for ``(a, b) = bound``.
+    """
+
+    tag: str
+    shape: tuple[int, int | None, int | None]
+    anchors: tuple[Anchor, ...]
+    degrees: Callable[[list[int]], bool] | None = None
+    six_six: int = 0
+    nonspecial: bool = False
+    bound: tuple[int, int] = (3, 1)
+
+    def match(self, ctx: _Ctx) -> Reduction | None:
+        """The first vertex, in ascending id, where the rule fires."""
+        rotation = ctx.g.rotation
+        k, t3, t4 = self.shape
+        for v, rot in enumerate(rotation, 1):
+            if len(rot) != k:
+                continue
+            cd = ctx.corner_degrees(v)
+            if t3 is not None and cd.count(3) != t3:
+                continue
+            if t4 is not None and cd.count(4) != t4:
+                continue
+            if self.degrees is not None and not self.degrees(
+                sorted(len(rotation[u - 1]) for u in rot)
+            ):
+                continue
+            if self.six_six and (
+                sum(1 for u in rot if ctx.is_kd(u, 6, 6)) < self.six_six
+            ):
+                continue
+            if self.nonspecial and ctx.special(v):
+                continue
+            hit = self._emit(ctx, v, rot, cd)
+            if hit is not None:
+                return hit
+        return None
+
+    def _emit(
+        self, ctx: _Ctx, v: int, rot: tuple[int, ...], cd: tuple[int, ...]
+    ) -> Reduction | None:
+        k = len(rot)
+        for case, pattern, chords in self.anchors:
+            offsets = [
+                r
+                for r in range(k)
+                if all(
+                    want is None or cd[(r + j) % k] == want
+                    for j, want in enumerate(pattern)
+                )
+            ]
+            if not offsets:
+                continue
+            r = min(offsets, key=lambda r: rot[r])
+            lab = rot[r:] + rot[:r]
+            if callable(chords):
+                picked = chords(ctx, lab)
+                if picked is None:
+                    return None
+                case, chords = picked
+            a, b = self.bound
+            return Reduction(
+                self.tag, case, v, (v,), (v,), (),
+                tuple(edge_key(lab[i], lab[j]) for i, j in chords),
+                a * ctx.delta + b,
+            )
+        return None
+
+
+# Two chords from one fan center restore every broken neighbor pair of a
+# deleted (4,1)-vertex; the center gains one net edge, so it needs degree
+# headroom below the maximum.
+_FAN_CHORDS: tuple[Chords, ...] = (
+    ((0, 2), (0, 3)),
+    ((1, 2), (1, 3)),
+    ((1, 2), (2, 3)),
+    ((0, 3), (2, 3)),
+)
+
+
+def _fan_center(ctx: _Ctx, lab: tuple[int, ...]) -> tuple[str, Chords] | None:
+    """L2.7.1: a single chord cannot reconnect both diagonal neighbor pairs,
+    so two are fanned from the first neighbor with degree headroom."""
+    for i, chords in enumerate(_FAN_CHORDS):
+        if ctx.g.degree(lab[i]) <= ctx.delta - 1:
+            return f"fan-v{i + 1}", chords
+    return None
+
+
+_FAR_SIDE_FANS: tuple[tuple[int, Chords], ...] = (
+    (0, ((0, 2), (0, 3))),
+    (1, ((1, 3), (1, 2))),
+    (3, ((0, 3), (2, 3))),
+)
+
+
+def _far_side(ctx: _Ctx, lab: tuple[int, ...]) -> tuple[str, Chords]:
+    """L2.7.2 with the two 4-faces separated by the big face: fan from the
+    first of v1, v2, v4 of degree at most 5, else from v3."""
+    for i, chords in _FAR_SIDE_FANS:
+        if ctx.g.degree(lab[i]) <= 5:
+            return "nonadjacent", chords
+    return "nonadjacent", ((1, 2), (2, 3))
+
+
+# The neighbors of a (4,4)-, (4,3,1)- or (5,5)-vertex stay within distance
+# 2 of each other without it, so plain deletion is proper.
+_DELETE: tuple[Anchor, ...] = ((None, (), ()),)
+# (4,2)-vertex: its two 3-faces share an edge at v, or sit opposite.
+_FOUR_TWO: tuple[Anchor, ...] = (
+    ("adjacent", (3, 3), ((1, 3),)),
+    ("nonadjacent", (3, None, 3), ((0, 3), (1, 2))),
+)
+# (5,4)-vertex: one chord across the corner that is not a 3-face.
+_FIVE_FOUR: tuple[Anchor, ...] = ((None, (3, 3, 3, 3), ((0, 4),)),)
+
+RULES: tuple[Rule, ...] = (
+    Rule("L2.3.2", (3, None, None), ((None, (3,), ((0, 2),)),)),
+    Rule("L2.3.3", (3, None, None), ((None, (4, 4), ((0, 2),)),)),
+    Rule("L2.4", (4, 4, None), _DELETE, lambda d: d[0] <= 9),
+    Rule("L2.5.1", (4, 3, None), ((None, (3, 3, 3), ((0, 3),)),), lambda d: d[0] <= 7),
+    Rule("L2.5.2", (4, 3, 1), _DELETE, lambda d: d[0] <= 8),
+    Rule("L2.6.1", (4, 2, None), _FOUR_TWO, lambda d: d[0] <= 5),
+    Rule("L2.6.2", (4, 2, None), _FOUR_TWO, lambda d: 6 in d, nonspecial=True),
+    Rule("L2.6.3", (4, 2, 2), _FOUR_TWO, lambda d: d[0] <= 7),
+    Rule("L2.6.4", (4, 2, 1), _FOUR_TWO, lambda d: d[0] <= 6),
+    Rule("L2.6.5", (4, 2, 1), _FOUR_TWO, lambda d: 7 in d, nonspecial=True),
+    Rule("L2.7.1", (4, 1, 3), ((None, (3,), _fan_center),), lambda d: d[0] <= 6),
+    Rule(
+        "L2.7.2",
+        (4, 1, 2),
+        (
+            ("adjacent", (3, 4, 4), ((1, 2), (0, 3))),
+            ("adjacent", (3, None, 4, 4), ((0, 3), (1, 2))),
+            (None, (3, 4, None, 4), _far_side),
+        ),
+        lambda d: d[0] <= 5,
+    ),
+    Rule("L2.8.1", (5, 5, None), _DELETE, lambda d: d[0] <= 5 and d[1] <= 6),
+    Rule("L2.8.2", (5, 5, None), _DELETE, lambda d: 5 in d and 7 in d, nonspecial=True),
+    Rule("L2.8.3", (5, 5, None), _DELETE, lambda d: d.count(6) >= 2, nonspecial=True),
+    Rule("L2.9.1", (5, 4, 1), _FIVE_FOUR, lambda d: d[1] <= 5),
+    Rule("L2.9.2", (5, 4, 1), _FIVE_FOUR, lambda d: 5 in d and 6 in d, nonspecial=True),
+    Rule("L2.9.3", (5, 4, 1), _FIVE_FOUR, six_six=2),
+    Rule("L2.10.1", (5, 4, 0), _FIVE_FOUR, lambda d: d[1] <= 5 and d[2] <= 6),
+    Rule(
+        "L2.10.2", (5, 4, 0), _FIVE_FOUR, lambda d: d[1] <= 5 and 7 in d,
+        nonspecial=True,
+    ),
+    Rule("L2.10.3", (5, 4, 0), _FIVE_FOUR, six_six=3, bound=(2, 6)),
+    Rule("L2.10.4", (5, 4, 0), _FIVE_FOUR, lambda d: d[0] <= 5, six_six=2),
+)
+
+
+# --------------------------------------------------------------------------
 # dispatch
 # --------------------------------------------------------------------------
 
@@ -626,28 +370,7 @@ MATCHER_ORDER: tuple[tuple[str, Callable[[_Ctx], Reduction | None]], ...] = (
     ("L2.1", _m_L2_1),
     ("L2.2", _m_L2_2),
     ("L2.3.1", _m_L2_3_1),
-    ("L2.3.2", _m_L2_3_2),
-    ("L2.3.3", _m_L2_3_3),
-    ("L2.4", _m_L2_4),
-    ("L2.5.1", _m_L2_5_1),
-    ("L2.5.2", _m_L2_5_2),
-    ("L2.6.1", _m_L2_6_1),
-    ("L2.6.2", _m_L2_6_2),
-    ("L2.6.3", _m_L2_6_3),
-    ("L2.6.4", _m_L2_6_4),
-    ("L2.6.5", _m_L2_6_5),
-    ("L2.7.1", _m_L2_7_1),
-    ("L2.7.2", _m_L2_7_2),
-    ("L2.8.1", _m_L2_8_1),
-    ("L2.8.2", _m_L2_8_2),
-    ("L2.8.3", _m_L2_8_3),
-    ("L2.9.1", _m_L2_9_1),
-    ("L2.9.2", _m_L2_9_2),
-    ("L2.9.3", _m_L2_9_3),
-    ("L2.10.1", _m_L2_10_1),
-    ("L2.10.2", _m_L2_10_2),
-    ("L2.10.3", _m_L2_10_3),
-    ("L2.10.4", _m_L2_10_4),
+    *((rule.tag, rule.match) for rule in RULES),
     ("L2.11", _m_L2_11),
 )
 
@@ -659,39 +382,6 @@ def match_case(tag: str, g: PlanarGraph, faces: tuple[Face, ...] | None = None):
         if t == tag:
             return fn(ctx)
     raise KeyError(tag)
-
-
-def match_L2_1(g: PlanarGraph) -> Reduction | None:
-    return _m_L2_1(_Ctx(g, trace_faces(g)))
-
-
-def match_L2_2(g: PlanarGraph) -> Reduction | None:
-    return _m_L2_2(_Ctx(g, trace_faces(g)))
-
-
-def _combined(tags: tuple[str, ...]):
-    table = dict(MATCHER_ORDER)
-
-    def run(g: PlanarGraph, faces: tuple[Face, ...] | None = None):
-        ctx = _Ctx(g, faces if faces is not None else trace_faces(g))
-        for tag in tags:
-            hit = table[tag](ctx)
-            if hit is not None:
-                return hit
-        return None
-
-    return run
-
-
-match_L2_3 = _combined(("L2.3.1", "L2.3.2", "L2.3.3"))
-match_L2_4 = _combined(("L2.4",))
-match_L2_5 = _combined(("L2.5.1", "L2.5.2"))
-match_L2_6 = _combined(("L2.6.1", "L2.6.2", "L2.6.3", "L2.6.4", "L2.6.5"))
-match_L2_7 = _combined(("L2.7.1", "L2.7.2"))
-match_L2_8 = _combined(("L2.8.1", "L2.8.2", "L2.8.3"))
-match_L2_9 = _combined(("L2.9.1", "L2.9.2", "L2.9.3"))
-match_L2_10 = _combined(("L2.10.1", "L2.10.2", "L2.10.3", "L2.10.4"))
-match_L2_11 = _combined(("L2.11",))
 
 
 def find_reduction(
@@ -726,13 +416,8 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
         ("L2.2", f"minimum degree {g.min_degree() if g.n else 0}"),
     ]
     shapes = {
-        "(4,4)": sum(1 for v in g.vertices() if ctx.is_kd(v, 4, 4)),
-        "(4,3)": sum(1 for v in g.vertices() if ctx.is_kd(v, 4, 3)),
-        "(4,2)": sum(1 for v in g.vertices() if ctx.is_kd(v, 4, 2)),
-        "(4,1)": sum(1 for v in g.vertices() if ctx.is_kd(v, 4, 1)),
-        "(5,5)": sum(1 for v in g.vertices() if ctx.is_kd(v, 5, 5)),
-        "(5,4)": sum(1 for v in g.vertices() if ctx.is_kd(v, 5, 4)),
-        "(6,5)": sum(1 for v in g.vertices() if ctx.is_kd(v, 6, 5)),
+        f"({k},{t3})": sum(1 for v in g.vertices() if ctx.is_kd(v, k, t3))
+        for k, t3 in ((4, 4), (4, 3), (4, 2), (4, 1), (5, 5), (5, 4), (6, 5))
     }
     notes.append(
         ("shapes", ", ".join(f"{s}:{c}" for s, c in shapes.items() if c))
@@ -754,7 +439,8 @@ def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
         add_edges=r.add_edges,
         max_degree=g.max_degree(),
     )
-    assert result.graph.size() < g.size(), "reduction failed to shrink the graph"
+    if result.graph.size() >= g.size():
+        raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
     return result
 
 

@@ -15,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable
 
 from .colorer import Coloring, RunTrace, color, verify_coloring
 from .discharge import audit
 from .errors import GenerationFailed, ParseError
-from .planar import PlanarGraph
+from .planar import PlanarGraph, reachable
 from .reductions import ProofGapReport
 
 # -- graph files -----------------------------------------------------------
@@ -43,6 +45,8 @@ def parse_graph(text: str) -> PlanarGraph:
                 header = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ParseError("header fields must be integers", lineno)
+            if min(header) < 0:
+                raise ParseError("header counts must be non-negative", lineno)
         elif parts[0] == "r":
             if header is None:
                 raise ParseError("rotation line before header", lineno)
@@ -68,13 +72,25 @@ def parse_graph(text: str) -> PlanarGraph:
     if header is None:
         raise ParseError("missing 'p' header")
     n, m = header
-    missing = [v for v in range(1, n + 1) if v not in rotations]
-    if missing:
-        raise ParseError(f"missing rotation lines for {missing}")
+    if len(rotations) != n:
+        # every 'r' line names a distinct vertex in 1..n, so some are missing
+        missing = (v for v in range(1, n + 1) if v not in rotations)
+        raise ParseError(
+            f"missing rotation lines for {id_list(missing, n - len(rotations))}"
+        )
     g = PlanarGraph([rotations[v] for v in range(1, n + 1)])
     if g.m != m:
         raise ParseError(f"header says m={m} but rotations define m={g.m}")
     return g
+
+
+def id_list(ids: Iterable[int], count: int | None = None) -> str:
+    """The first five of `count` ids (default: len(ids)), for messages about
+    lists of any length."""
+    if count is None:
+        count = len(ids)
+    text = ", ".join(map(str, islice(ids, 5)))
+    return text if count <= 5 else f"{text}, ... ({count} in all)"
 
 
 def write_graph(g: PlanarGraph, comment: str | None = None) -> str:
@@ -183,7 +199,7 @@ def _try_generate(
         iv = rot[v].index(u)
         rot[u].pop(iu)
         rot[v].pop(iv)
-        if _connected(rot):
+        if len(reachable(rot.__getitem__, n, 1)) == n:
             degree[u] -= 1
             degree[v] -= 1
             edges.remove((u, v))
@@ -206,19 +222,6 @@ def _max_degree_after(degree: dict[int, int], u: int, v: int) -> int:
         if d > best:
             best = d
     return best
-
-
-def _connected(rot: dict[int, list[int]]) -> bool:
-    start = next(iter(rot))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in rot[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(rot)
 
 
 # -- the hunter ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from twodist import (
     find_reduction,
     gen_planar,
     hunt,
+    match_case,
     parse_graph,
     split_at,
     trace_faces,
@@ -207,8 +208,6 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
 
     for tag, build, lemma, _ in tr.CONFIG_CASES:
         g = build()
-        from twodist import match_case
-
         r = match_case(tag, g)
         res = apply_reduction(g, r)
         reductions_checked += 1
@@ -217,10 +216,8 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
         assert res.graph.size() < g.size()
         assert res.graph.max_degree() <= g.max_degree()
     for build in (lambda: gadgets.g_L2_11(), lambda: gadgets.g_L2_11(delta7=True)):
-        from twodist import match_L2_11
-
         g = build()
-        r = match_L2_11(g)
+        r = match_case("L2.11", g)
         res = apply_reduction(g, r)
         reductions_checked += 1
         lemmas_seen.add(r.lemma)

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 import gadgets
 from twodist import (
     classify_all,
-    classify_vertex,
     gen_planar,
-    is_bad4,
-    is_bad5,
     is_special_vertex,
     neighbor_profile,
     articulation_points,
@@ -22,7 +19,7 @@ seeds = st.integers(min_value=0, max_value=10**6)
 
 
 def prof(g, v):
-    return classify_vertex(g, trace_faces(g), v)
+    return classify_all(g, trace_faces(g))[v]
 
 
 class TestClassifyVertex:
@@ -52,16 +49,14 @@ class TestClassifyVertex:
     def test_counts_sum_to_degree_without_cut_vertices(self):
         for g in (gadgets.octahedron(), gadgets.wheel(6), gadgets.cube()):
             assert not articulation_points(g)
-            faces = trace_faces(g)
-            for v in g.vertices():
-                vc = classify_vertex(g, faces, v)
+            for vc in classify_all(g, trace_faces(g)).values():
                 assert vc.t3 + vc.t4 + vc.t5p == vc.k
 
 
 class TestBadFlags:
     def test_44_vertex_is_bad(self):
         g = gadgets.octahedron()
-        assert is_bad4(g, trace_faces(g), 1)
+        assert prof(g, 1).bad4
         assert charge_after_r1_r2(4, 4, 0, delta=4) == Fraction(-4, 3)
 
     def test_40_vertex_is_not_bad(self):
@@ -77,17 +72,17 @@ class TestBadFlags:
         h = res.graph
         vc = prof(h, 1)
         assert vc.is_kd(5, 3)
-        assert not is_bad5(h, trace_faces(h), 1)
+        assert not vc.bad5
 
     def test_54_vertex_is_bad(self):
         g = gadgets.g_L2_9_or_10(True)
-        assert is_bad5(g, trace_faces(g), 1)
+        assert prof(g, 1).bad5
 
     def test_bad_flags_only_for_matching_degree(self):
         g = gadgets.wheel(6)
-        faces = trace_faces(g)
-        assert not is_bad4(g, faces, 1)  # hub has degree 6
-        assert not is_bad5(g, faces, 1)
+        vc = prof(g, 1)
+        assert not vc.bad4  # hub has degree 6
+        assert not vc.bad5
 
 
 class TestNeighborProfile:
@@ -118,7 +113,7 @@ class TestInvariants:
         faces = trace_faces(g)
         t3_total, triangles = count_incidences(g, faces)
         assert t3_total == 3 * triangles
-        t4_total = sum(classify_vertex(g, faces, v).t4 for v in g.vertices())
+        t4_total = sum(vc.t4 for vc in classify_all(g, faces).values())
         assert t4_total == 4 * sum(1 for f in faces if f.degree == 4)
 
     def test_special_monotone_under_triangle_edge_removal(self):

@@ -13,6 +13,7 @@ from twodist import (
     extend,
     find_reduction,
     gen_planar,
+    match_case,
     merge_at_cut,
     split_at,
     surgery,
@@ -44,9 +45,14 @@ class TestVerifyColoring:
         assert not report.valid
         assert report.violations[0][2] == 0  # budget violation marker
 
-    def test_partial_coloring_can_be_valid(self):
+    def test_partial_coloring_is_invalid(self):
+        # no two colored vertices clash, but four are missing and 9 is no vertex
         g = gadgets.cycle(6)
-        assert verify_coloring(g, Coloring({1: 1, 4: 1}, budget=3)).valid
+        report = verify_coloring(g, Coloring({1: 1, 4: 1, 9: 2}, budget=3))
+        assert not report.valid
+        assert report.violations == []
+        assert report.uncolored == [2, 3, 5, 6]
+        assert report.unknown == [9]
 
 
 class TestColor:
@@ -153,10 +159,7 @@ class TestExtend:
         # apply the spoke deletion by hand, color the rest, then extend both
         # pending vertices; they are distance-2 in the host so must differ
         g = gadgets.g_L2_11()
-        r = find_reduction(g)  # L2.2 would fire first; force the deep rule
-        from twodist import match_L2_11
-
-        r = match_L2_11(g)
+        r = match_case("L2.11", g)  # find_reduction would pick L2.2 first
         assert r.lemma == "L2.11.case1" and r.pending == (1, 5)
         h = surgery(g, delete_edges=r.delete_edges).graph
         base = color(h, k=20)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 import gadgets
+import twodist
 from twodist import (
     ProofGapReport,
     Reduction,
@@ -12,10 +18,6 @@ from twodist import (
     find_reduction,
     gen_planar,
     match_case,
-    match_L2_1,
-    match_L2_2,
-    match_L2_3,
-    match_L2_11,
     split_at,
     surgery,
 )
@@ -49,29 +51,29 @@ def applied(g, reduction):
 
 class TestEarlyMatchers:
     def test_cut_vertex_match(self):
-        r = match_L2_1(gadgets.two_triangles())
+        r = match_case("L2.1", gadgets.two_triangles())
         assert r is not None and r.lemma == "L2.1" and r.split == 1
 
     def test_no_cut_vertex_in_cycle(self):
-        assert match_L2_1(gadgets.cycle(5)) is None
+        assert match_case("L2.1", gadgets.cycle(5)) is None
 
     def test_path_matches_smallest_internal(self):
-        r = match_L2_1(gadgets.path(4))
+        r = match_case("L2.1", gadgets.path(4))
         assert r.split == 2
 
     def test_degree_two_on_cycle(self):
         g = gadgets.cycle(6)
-        r = match_L2_2(g)
+        r = match_case("L2.2", g)
         assert r.lemma == "L2.2" and r.vertex == 1
         assert r.add_edges == ((2, 6),)  # chord closing the path
         assert r.d2_bound == 2 * g.max_degree()
         applied(g, r)
 
     def test_octahedron_has_min_degree_four(self):
-        assert match_L2_2(gadgets.octahedron()) is None
+        assert match_case("L2.2", gadgets.octahedron()) is None
 
     def test_leaf_of_star(self):
-        r = match_L2_2(gadgets.star(6))
+        r = match_case("L2.2", gadgets.star(6))
         assert r.delete_vertices == (2,) and r.add_edges == ()
 
     def test_3vertex_cases_on_wheel_and_cube(self):
@@ -86,7 +88,7 @@ class TestEarlyMatchers:
 
     def test_combined_l2_3_priority(self):
         # a wheel rim vertex satisfies both case 1 and case 2; case 1 wins
-        assert match_L2_3(gadgets.wheel(6)).lemma == "L2.3.1"
+        assert find_reduction(gadgets.wheel(6)).lemma == "L2.3.1"
 
 
 CONFIG_CASES = [
@@ -157,7 +159,7 @@ class TestConfigurationCatalog:
 class TestL2_11:
     def test_delta6_deletes_one_spoke(self):
         g = gadgets.g_L2_11()
-        r = match_L2_11(g)
+        r = match_case("L2.11", g)
         assert r.lemma == "L2.11.case1"
         assert r.pending == (1, 5)  # center first, then the (5,5)-neighbor
         assert r.delete_vertices == () and r.delete_edges == ((1, 5),)
@@ -166,7 +168,7 @@ class TestL2_11:
 
     def test_delta7_rewires_through_v4(self):
         g = gadgets.g_L2_11(delta7=True)
-        r = match_L2_11(g)
+        r = match_case("L2.11", g)
         assert r.lemma == "L2.11.case2"
         assert r.pending == (1,)
         assert r.add_edges == ((2, 5), (3, 5), (5, 7))
@@ -174,7 +176,7 @@ class TestL2_11:
         applied(g, r)
 
     def test_without_54_neighbor_no_match(self):
-        assert match_L2_11(gadgets.g_L2_11(drop_54=True)) is None
+        assert match_case("L2.11", gadgets.g_L2_11(drop_54=True)) is None
 
 
 class TestFindReduction:
@@ -251,10 +253,33 @@ class TestDegreeCap:
             assert c.colors_used <= c.budget
 
 
+class TestShrinkInvariant:
+    def test_holds_under_python_O(self):
+        # a reduction that deletes and adds nothing must be refused even when
+        # asserts are stripped
+        code = (
+            "from twodist import InvariantViolated, Reduction, apply_reduction\n"
+            "from twodist import gen_planar\n"
+            "g = gen_planar(12, min_delta=6, seed=1)\n"
+            "r = Reduction('L2.2', None, 1, (), (), (), (), 0)\n"
+            "try:\n"
+            "    apply_reduction(g, r)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = str(Path(twodist.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.startswith("refused: L2.2 at 1 did not shrink the graph")
+
+
 class TestProperness:
     def test_l2_2_on_c6(self):
         g = gadgets.cycle(6)
-        r = match_L2_2(g)
+        r = match_case("L2.2", g)
         res = apply_reduction(g, r)
         assert check_properness(g, r, res.graph, res.old_to_new)
 

@@ -69,6 +69,10 @@ class TestGraphFiles:
         with pytest.raises(ParseError):
             parse_graph("p 2 1\nr 1 1 2\n")
 
+    def test_negative_header_rejected(self):
+        with pytest.raises(ParseError):
+            parse_graph("p -1 0\n")
+
     def test_duplicate_vertex(self):
         with pytest.raises(ParseError):
             parse_graph("p 2 1\nr 1 1 2\nr 1 1 2\n")
@@ -183,6 +187,27 @@ class TestCli:
         assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "gap count: 0" in out
+
+    def test_verify_rejects_incomplete_coloring(self, tmp_path, capsys):
+        # colors vertex 1 only, and names a vertex the graph does not have
+        gfile = tmp_path / "g.graph"
+        cfile = tmp_path / "partial.colors"
+        gfile.write_text(write_graph(gen_planar(30, min_delta=6, seed=3)))
+        cfile.write_text("1 1\n999 2\n")
+        assert main(["verify", str(gfile), str(cfile)]) == 1
+        out = capsys.readouterr().out
+        assert "valid:" not in out
+        assert "uncolored vertices: 2, 3, 4, 5, 6, ... (29 in all)" in out
+        assert "colored ids not in 1..30: 999" in out
+
+    def test_huge_header_gives_a_short_error(self, tmp_path, capsys):
+        gfile = tmp_path / "huge.graph"
+        gfile.write_text("p 5000000 0\n")
+        assert main(["audit", str(gfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(5000000 in all)" in captured.err
+        assert len(captured.err) < 200
 
     def test_missing_file_exits_2(self):
         assert main(["color", "/nonexistent/file.graph"]) == 2
