@@ -6,6 +6,7 @@ and enforces the stated tolerance: exact rational equality for charges,
 and bit-for-bit determinism.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from twodist import (
     split_at,
     trace_faces,
     verify_coloring,
+    write_coloring,
     write_graph,
 )
 from twodist.discharge import apply_rules, face_keys, initial_charges
@@ -299,3 +301,22 @@ def test_criterion_8_round_trip_and_determinism(corpus, colorings):
         f"{len(specs)} seeds reproduce graphs, reductions, colorings and "
         f"audits bit-for-bit"
     )
+
+
+# sha256 of the traced audits and the corpus colorings, recorded before the
+# audit and the engine were refactored; any change to a charge, a transfer,
+# a color or a reduction step shows up here.
+AUDIT_AND_COLORING_DIGEST = "58060bf03a24725c50e7fb6504e12798fad2d862c5f900217e0aa452585669ba"
+
+
+def test_audits_and_colorings_match_recorded_digest(corpus, colorings):
+    digest = hashlib.sha256()
+    for i, g in enumerate(hand_corpus() + corpus[:100]):
+        digest.update(f"audit {i}\n".encode())
+        digest.update(format_audit_tsv(g, with_trace=True).encode())
+    results, _ = colorings
+    for i, (_, c, trace) in enumerate(results):
+        digest.update(f"coloring {i} budget {c.budget}\n".encode())
+        digest.update(write_coloring(c).encode())
+        digest.update(f"{trace.steps!r}\n".encode())
+    assert digest.hexdigest() == AUDIT_AND_COLORING_DIGEST
