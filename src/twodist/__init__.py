@@ -7,12 +7,7 @@ the exact-rational discharging argument behind that bound on concrete
 graphs, and cross-checks everything against a brute-force chromatic oracle.
 """
 
-from .classify import (
-    VertexClass,
-    classify_all,
-    is_special_vertex,
-    neighbor_profile,
-)
+from .classify import VertexClass, classify_all, is_special_vertex
 from .colorer import (
     ColorReport,
     Coloring,
@@ -49,7 +44,6 @@ from .errors import (
 )
 from .oracle import OracleResult, chi2_exact, greedy_square
 from .planar import (
-    DistanceProfile,
     Face,
     PlanarGraph,
     SplitParts,

@@ -12,7 +12,7 @@ from pathlib import Path
 from .colorer import color, verify_coloring
 from .errors import BudgetExhausted, TwodistError
 from .oracle import DEFAULT_NODE_BUDGET, chi2_exact
-from .planar import split_at, trace_faces
+from .planar import split_at
 from .reductions import (
     Reduction,
     apply_reduction,
@@ -29,6 +29,18 @@ from .workbench import (
     write_coloring,
     write_graph,
 )
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
 
 
 def _read_graph(path: str):
@@ -70,7 +82,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    budget = args.k if args.k else 3 * g.max_degree() + 2
+    budget = args.k if args.k is not None else 3 * g.max_degree() + 2
     c = parse_coloring(Path(args.coloring).read_text(), budget)
     report = verify_coloring(g, c)
     if report.valid:
@@ -110,7 +122,7 @@ def _cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
     ok = True
     for step in range(args.steps):
-        outcome = find_reduction(g, trace_faces(g))
+        outcome = find_reduction(g)
         if not isinstance(outcome, Reduction):
             print(f"step {step}: no rule fires (delta={outcome.delta})")
             for tag, note in outcome.nearest_miss:
@@ -172,14 +184,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("color", help="2-distance color a graph file")
     p.add_argument("graph")
-    p.add_argument("-k", type=int, default=None, help="color budget (default 3*Delta+2)")
+    p.add_argument("-k", type=_int_at_least(1), help="color budget (default 3*Delta+2)")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_color)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=_int_at_least(1))
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("audit", help="exact discharging audit (TSV)")
@@ -189,18 +201,18 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("oracle", help="exact 2-distance chromatic number")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_NODE_BUDGET)
     p.add_argument("-o", "--output", help="write the witness coloring here")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("reduce", help="show which catalog rules fire")
     p.add_argument("graph")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_int_at_least(1), default=1)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("hunt", help="color random graphs, audit intermediates, count gaps")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-delta", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -210,10 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwodistError as exc:
+    except (OSError, UnicodeDecodeError, TwodistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

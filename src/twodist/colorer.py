@@ -22,7 +22,7 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import Face, PlanarGraph, distance_profile, split_at, square, trace_faces
+from .planar import PlanarGraph, distance_profile, split_at, square
 from .reductions import (
     ProofGapReport,
     Reduction,
@@ -45,9 +45,6 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
 
-    def copy(self) -> "Coloring":
-        return Coloring(dict(self.assignment), self.budget)
-
 
 @dataclass
 class ColorReport:
@@ -66,7 +63,7 @@ class RunTrace:
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
     extensions: list[tuple[int, str, int, int | None]] = field(default_factory=list)
     gaps: list[ProofGapReport] = field(default_factory=list)
-    graph_hook: Callable[[PlanarGraph, tuple[Face, ...], object], None] | None = None
+    graph_hook: Callable[[PlanarGraph, object], None] | None = None
 
     def lemma_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -123,7 +120,7 @@ def extend(
     for v in pending:
         forbidden = {
             assignment[u]
-            for u in distance_profile(g, v).n2
+            for u in distance_profile(g, v)
             if u in assignment
         }
         if trace is not None:
@@ -223,20 +220,19 @@ def color(
 
 
 def _color(g: PlanarGraph, k: int, trace: RunTrace | None) -> Coloring:
-    faces = trace_faces(g)
     if g.n <= BASE_N:
         if trace is not None and trace.graph_hook is not None:
-            trace.graph_hook(g, faces, None)
+            trace.graph_hook(g, None)
         return _base_color(g, k)
 
-    outcome = find_reduction(g, faces)
+    outcome = find_reduction(g)
     if trace is not None:
         if isinstance(outcome, Reduction):
             trace.steps.append((outcome.lemma, g.n, g.m, g.max_degree()))
         else:
             trace.gaps.append(outcome)
         if trace.graph_hook is not None:
-            trace.graph_hook(g, faces, outcome)
+            trace.graph_hook(g, outcome)
 
     if isinstance(outcome, ProofGapReport):
         # outside the guarantee the catalog may run dry; fall back to greedy

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .classify import VertexClass, classify_all
 from .errors import InvariantViolated
-from .planar import Face, PlanarGraph, trace_faces
+from .planar import PlanarGraph, trace_faces
 
 # Every amount any rule may move.
 RULE_AMOUNTS = {
@@ -79,12 +79,13 @@ class ChargeLedger:
         )
 
 
-def face_keys(faces: tuple[Face, ...]) -> list[FaceKey]:
-    """Stable ledger keys: canonical boundary rotation, deduplicated by an
-    occurrence counter in the rare case two faces trace identically."""
+def face_keys(g: PlanarGraph) -> list[FaceKey]:
+    """Stable ledger keys, in face order: canonical boundary rotation,
+    deduplicated by an occurrence counter in the rare case two faces trace
+    identically."""
     keys: list[FaceKey] = []
     seen: dict[tuple, int] = {}
-    for f in faces:
+    for f in trace_faces(g):
         base = f.canonical_key()
         times = seen.get(base, 0)
         seen[base] = times + 1
@@ -92,35 +93,34 @@ def face_keys(faces: tuple[Face, ...]) -> list[FaceKey]:
     return keys
 
 
-def initial_charges(g: PlanarGraph, faces: tuple[Face, ...]) -> ChargeLedger:
-    """d(v) - 4 on vertices, d(f) - 4 on faces; totals -8 when m >= 1."""
-    keys = face_keys(faces)
+def initial_charges(g: PlanarGraph) -> ChargeLedger:
+    """d(v) - 4 on vertices, d(f) - 4 on faces (keyed in face order);
+    totals -8 when m >= 1."""
     ledger = ChargeLedger(
         vertex_charge={v: Fraction(g.degree(v) - 4) for v in g.vertices()},
         face_charge={
-            keys[i]: Fraction(f.degree - 4) for i, f in enumerate(faces)
+            key: Fraction(f.degree - 4)
+            for key, f in zip(face_keys(g), trace_faces(g))
         },
     )
-    if g.m >= 1 and ledger.total() != -8:
-        raise InvariantViolated(f"initial charges total {ledger.total()}, not -8")
+    total = ledger.total()
+    if g.m >= 1 and total != -8:
+        raise InvariantViolated(f"initial charges total {total}, not -8")
     return ledger
 
 
 def apply_rules(
-    g: PlanarGraph,
-    faces: tuple[Face, ...],
-    ledger: ChargeLedger,
-    classes: dict[int, VertexClass] | None = None,
+    g: PlanarGraph, ledger: ChargeLedger, classes: dict[int, VertexClass]
 ) -> ChargeLedger:
-    """Apply all fourteen rules at once against the initial classification.
+    """Apply all fourteen rules at once to a copy of ``ledger``.
 
-    Rules read the graph, never intermediate charges.  A vertex that meets
-    the same face twice pays or receives once per incidence.
+    ``ledger`` holds the initial charges of g (from ``initial_charges``),
+    whose face entries are in face order, and ``classes`` is
+    ``classify_all(g)``.  Rules read the graph and that classification,
+    never intermediate charges.  A vertex that meets the same face twice
+    pays or receives once per incidence.
     """
-    if classes is None:
-        classes = classify_all(g, faces)
     delta = g.max_degree()
-    keys = face_keys(faces)
     out = ledger.copy()
 
     def move(rule: str, src, dst, amount: Fraction) -> None:
@@ -136,8 +136,8 @@ def apply_rules(
             out.face_charge[id_t] += amount
         out.transfers.append(Transfer(rule, src, dst, amount))
 
-    for i, f in enumerate(faces):
-        fkey = ("face", keys[i])
+    for key, f in zip(ledger.face_charge, trace_faces(g), strict=True):
+        fkey = ("face", key)
         if f.degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.
             for v in f.boundary:
@@ -207,16 +207,16 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     """
     from .reductions import Reduction, find_reduction
 
-    faces = trace_faces(g)
-    classes = classify_all(g, faces)
-    ledger = apply_rules(g, faces, initial_charges(g, faces), classes)
+    classes = classify_all(g)
+    initial = initial_charges(g)
+    ledger = apply_rules(g, initial, classes)
 
     negatives: list[tuple[str, object, Fraction, str]] = []
     for v in sorted(ledger.vertex_charge):
         c = ledger.vertex_charge[v]
         if c < 0:
             vc = classes[v]
-            label = f"({vc.k},{vc.t3},{vc.t4})-vertex"
+            label = str(vc)
             if vc.bad4:
                 label += " bad4"
             if vc.bad5:
@@ -230,14 +230,13 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
 
     lemma = None
     if cross_reference:
-        outcome = find_reduction(g, faces)
+        outcome = find_reduction(g)
         lemma = outcome.lemma if isinstance(outcome, Reduction) else None
     delta = g.max_degree()
     consistent = not (
         cross_reference and delta >= 6 and negatives and lemma is None
     )
 
-    initial = initial_charges(g, faces)
     return AuditReport(
         total=ledger.total(),
         initial_vertex=initial.vertex_charge,

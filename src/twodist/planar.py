@@ -93,21 +93,6 @@ class Face:
         n = len(b)
         return min(tuple(b[i:] + b[:i]) for i in range(n))
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.boundary
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Vertices within distance 2 of a center vertex."""
-
-    center: int
-    n2: frozenset[int]
-
-    @property
-    def d2(self) -> int:
-        return len(self.n2)
-
 
 class PlanarGraph:
     """Immutable embedded planar graph.
@@ -264,7 +249,7 @@ def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
     return g._trace()
 
 
-def distance_profile(g: PlanarGraph, v: int) -> DistanceProfile:
+def distance_profile(g: PlanarGraph, v: int) -> frozenset[int]:
     """Exact set of vertices at distance 1 or 2 from v."""
     g._check_vertex(v)
     first = g.adj(v)
@@ -272,7 +257,7 @@ def distance_profile(g: PlanarGraph, v: int) -> DistanceProfile:
     for u in first:
         reach.update(g.adj(u))
     reach.discard(v)
-    return DistanceProfile(center=v, n2=frozenset(reach))
+    return frozenset(reach)
 
 
 def square(g: PlanarGraph) -> dict[int, set[int]]:
@@ -284,7 +269,7 @@ def square(g: PlanarGraph) -> dict[int, set[int]]:
     if g._square is None:
         sq: dict[int, frozenset[int]] = {}
         for v in g.vertices():
-            sq[v] = distance_profile(g, v).n2
+            sq[v] = distance_profile(g, v)
         g._square = sq
     return {v: set(n2) for v, n2 in g._square.items()}
 
@@ -295,10 +280,6 @@ class SurgeryResult:
 
     graph: PlanarGraph
     old_to_new: dict[int, int]
-
-    @property
-    def new_to_old(self) -> dict[int, int]:
-        return {new: old for old, new in self.old_to_new.items()}
 
 
 def surgery(

@@ -26,7 +26,6 @@ from .classify import is_special_vertex
 from .errors import InvariantViolated
 from .planar import (
     Edge,
-    Face,
     PlanarGraph,
     SurgeryResult,
     articulation_points,
@@ -68,9 +67,9 @@ class _Ctx:
 
     __slots__ = ("g", "faces", "delta", "_corner_degs")
 
-    def __init__(self, g: PlanarGraph, faces: tuple[Face, ...]):
+    def __init__(self, g: PlanarGraph):
         self.g = g
-        self.faces = faces
+        self.faces = trace_faces(g)
         self.delta = g.max_degree()
         self._corner_degs: dict[int, tuple[int, ...]] = {}
 
@@ -85,7 +84,7 @@ class _Ctx:
         return self.g.degree(v) == k and self.corner_degrees(v).count(3) == d
 
     def special(self, v: int) -> bool:
-        return is_special_vertex(self.g, self.faces, v)
+        return is_special_vertex(self.g, v)
 
 
 # --------------------------------------------------------------------------
@@ -375,25 +374,23 @@ MATCHER_ORDER: tuple[tuple[str, Callable[[_Ctx], Reduction | None]], ...] = (
 )
 
 
-def match_case(tag: str, g: PlanarGraph, faces: tuple[Face, ...] | None = None):
+def match_case(tag: str, g: PlanarGraph):
     """Run a single catalog matcher by tag ("L2.6.3", "L2.11", ...)."""
-    ctx = _Ctx(g, faces if faces is not None else trace_faces(g))
+    ctx = _Ctx(g)
     for t, fn in MATCHER_ORDER:
         if t == tag:
             return fn(ctx)
     raise KeyError(tag)
 
 
-def find_reduction(
-    g: PlanarGraph, faces: tuple[Face, ...] | None = None
-) -> Reduction | ProofGapReport:
+def find_reduction(g: PlanarGraph) -> Reduction | ProofGapReport:
     """First catalog hit in fixed priority order, or a gap report.
 
     The order runs cheapest and strongest rules first; within a rule,
     vertices are scanned in ascending id, so identical graphs always yield
     identical reductions.
     """
-    ctx = _Ctx(g, faces if faces is not None else trace_faces(g))
+    ctx = _Ctx(g)
     for _, fn in MATCHER_ORDER:
         hit = fn(ctx)
         if hit is not None:
@@ -445,10 +442,7 @@ def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
 
 
 def check_properness(
-    g: PlanarGraph,
-    r: Reduction,
-    h: PlanarGraph,
-    old_to_new: dict[int, int] | None = None,
+    g: PlanarGraph, r: Reduction, h: PlanarGraph, old_to_new: dict[int, int]
 ) -> bool:
     """Is h proper with respect to g under reduction r?
 
@@ -460,8 +454,6 @@ def check_properness(
     """
     if h.max_degree() > g.max_degree():
         return False
-    if old_to_new is None:
-        old_to_new = {v: v for v in g.vertices()}
 
     touched = set(r.delete_vertices)
     for (a, b) in r.delete_edges:
@@ -473,15 +465,15 @@ def check_properness(
     ball: set[int] = set()
     for t in touched:
         ball.add(t)
-        ball.update(distance_profile(g, t).n2)
+        ball.update(distance_profile(g, t))
     pending = set(r.pending)
     candidates = sorted(
         v for v in ball if v in old_to_new and v not in pending
     )
 
     for i, a in enumerate(candidates):
-        near_a = distance_profile(g, a).n2
-        near_a_h = distance_profile(h, old_to_new[a]).n2
+        near_a = distance_profile(g, a)
+        near_a_h = distance_profile(h, old_to_new[a])
         for b in candidates[i + 1:]:
             if b in near_a and old_to_new[b] not in near_a_h:
                 return False

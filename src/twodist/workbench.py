@@ -275,7 +275,7 @@ def hunt(
         seeds=tuple(seed + t for t in range(trials)),
     )
 
-    def hook(graph: PlanarGraph, faces, outcome) -> None:
+    def hook(graph: PlanarGraph, outcome) -> None:
         if audit_each and graph.n >= 2:
             total = audit(graph, cross_reference=False).total
             key = str(total)

@@ -1,0 +1,41 @@
+"""The benchmark's tracer (bench/layers.py) wraps twodist functions by module
+and name, reads ``.transfers`` from what ``apply_rules`` returns and rebinds
+``reductions.MATCHER_ORDER``.  Running it here makes a renamed or deleted
+name fail the tests instead of the benchmark."""
+
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+import layers  # noqa: E402
+from twodist import colorer, discharge, gen_planar, planar, reductions  # noqa: E402
+
+
+def _bindings():
+    found = [
+        (module, name)
+        for module in layers.MODULES
+        for _, name in layers.SPANS
+        if hasattr(module, name)
+    ]
+    found += [(planar.PlanarGraph, "__init__"), (reductions, "MATCHER_ORDER")]
+    return [(owner, name, getattr(owner, name)) for owner, name in found]
+
+
+def test_tracer_wraps_and_restores_every_binding():
+    before = _bindings()
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        g = gen_planar(40, 6, 1)
+        trace = colorer.RunTrace()
+        colorer.color(g, trace=trace)
+        discharge.audit(g, cross_reference=False)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["colorer.steps"] == len(trace.steps) > 0
+    assert tracer.counts["reductions.matcher_calls"] > 0
+    assert tracer.counts["discharge.transfers"] > 0
+    assert tracer.calls["classify.classify_all"] > 0
+    assert all(getattr(owner, name) is value for owner, name, value in before)

@@ -8,18 +8,23 @@ from twodist import (
     classify_all,
     gen_planar,
     is_special_vertex,
-    neighbor_profile,
     articulation_points,
     surgery,
     trace_faces,
 )
-from twodist.classify import charge_after_r1_r2, count_incidences
+from twodist.classify import charge_after_r1_r2
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
 def prof(g, v):
-    return classify_all(g, trace_faces(g))[v]
+    return classify_all(g)[v]
+
+
+def neighbor_profiles(g, v):
+    """Profiles of N(v), in rotation order around v."""
+    classes = classify_all(g)
+    return [classes[u] for u in g.neighbors(v)]
 
 
 class TestClassifyVertex:
@@ -36,7 +41,7 @@ class TestClassifyVertex:
     def test_c6_vertices(self):
         vc = prof(gadgets.cycle(6), 1)
         assert (vc.k, vc.t3, vc.t4, vc.t5p) == (2, 0, 0, 2)
-        assert vc.special
+        assert is_special_vertex(gadgets.cycle(6), 1)
 
     def test_icosahedron_not_special(self):
         # every neighborhood edge lies in two triangles
@@ -44,12 +49,12 @@ class TestClassifyVertex:
         for v in g.vertices():
             vc = prof(g, v)
             assert vc.is_kd(5, 5)
-            assert not vc.special
+            assert not is_special_vertex(g, v)
 
     def test_counts_sum_to_degree_without_cut_vertices(self):
         for g in (gadgets.octahedron(), gadgets.wheel(6), gadgets.cube()):
             assert not articulation_points(g)
-            for vc in classify_all(g, trace_faces(g)).values():
+            for vc in classify_all(g).values():
                 assert vc.t3 + vc.t4 + vc.t5p == vc.k
 
 
@@ -88,18 +93,19 @@ class TestBadFlags:
 class TestNeighborProfile:
     def test_wheel6_hub_sees_six_32(self):
         g = gadgets.wheel(6)
-        profiles = neighbor_profile(g, trace_faces(g), 1)
+        profiles = neighbor_profiles(g, 1)
         assert len(profiles) == 6
         assert all(vc.is_kd(3, 2) for vc in profiles)
 
     def test_octahedron_sees_four_44(self):
         g = gadgets.octahedron()
-        profiles = neighbor_profile(g, trace_faces(g), 1)
-        assert [vc.signature for vc in profiles] == [(4, 4, 0)] * 4
+        profiles = neighbor_profiles(g, 1)
+        assert [(vc.k, vc.t3, vc.t4) for vc in profiles] == [(4, 4, 0)] * 4
 
     def test_k4_sees_three_33(self):
         g = gadgets.complete4()
-        profiles = neighbor_profile(g, trace_faces(g), 1)
+        profiles = neighbor_profiles(g, 1)
+        assert len(profiles) == 3
         assert all(vc.is_kd(3, 3) for vc in profiles)
 
 
@@ -111,26 +117,25 @@ class TestInvariants:
         if articulation_points(g):
             return
         faces = trace_faces(g)
-        t3_total, triangles = count_incidences(g, faces)
-        assert t3_total == 3 * triangles
-        t4_total = sum(vc.t4 for vc in classify_all(g, faces).values())
+        classes = classify_all(g).values()
+        t3_total = sum(vc.t3 for vc in classes)
+        assert t3_total == 3 * sum(1 for f in faces if f.degree == 3)
+        t4_total = sum(vc.t4 for vc in classes)
         assert t4_total == 4 * sum(1 for f in faces if f.degree == 4)
 
     def test_special_monotone_under_triangle_edge_removal(self):
         # deleting an edge only merges faces, so a special vertex stays special
         g = gadgets.icosahedron()
-        before = {v: prof(g, v).special for v in g.vertices()}
+        before = {v: is_special_vertex(g, v) for v in g.vertices()}
         res = surgery(g, delete_edges=[(2, 3)])
         h = res.graph
-        faces_h = trace_faces(h)
         for v in h.vertices():
             if before[v]:
-                assert is_special_vertex(h, faces_h, v)
+                assert is_special_vertex(h, v)
 
     def test_classification_ignores_colorings(self):
-        # classify depends only on the (graph, faces) pair: recomputing from
-        # an equal graph gives identical profiles
+        # classify depends only on the embedding: recomputing from an equal
+        # graph gives identical profiles
         g1 = gadgets.g_L2_10_3()
         g2 = gadgets.g_L2_10_3()
-        f1, f2 = trace_faces(g1), trace_faces(g2)
-        assert classify_all(g1, f1) == classify_all(g2, f2)
+        assert classify_all(g1) == classify_all(g2)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgets
+from twodist import classify, discharge, reductions
 from twodist import (
     apply_rules,
     audit,
@@ -19,21 +20,20 @@ F = Fraction
 
 
 def full_ledger(g):
-    faces = trace_faces(g)
-    return apply_rules(g, faces, initial_charges(g, faces))
+    return apply_rules(g, initial_charges(g), classify_all(g))
 
 
 class TestInitialCharges:
     def test_octahedron(self):
         g = gadgets.octahedron()
-        ledger = initial_charges(g, trace_faces(g))
+        ledger = initial_charges(g)
         assert all(c == 0 for c in ledger.vertex_charge.values())
         assert all(c == -1 for c in ledger.face_charge.values())
         assert ledger.total() == -8
 
     def test_c6(self):
         g = gadgets.cycle(6)
-        ledger = initial_charges(g, trace_faces(g))
+        ledger = initial_charges(g)
         assert all(c == -2 for c in ledger.vertex_charge.values())
         assert all(c == 2 for c in ledger.face_charge.values())
         assert ledger.total() == -8
@@ -41,7 +41,7 @@ class TestInitialCharges:
     def test_wheel6(self):
         # hub +2, rim -1 each, six 3-faces -1 each, outer 6-face +2
         g = gadgets.wheel(6)
-        ledger = initial_charges(g, trace_faces(g))
+        ledger = initial_charges(g)
         assert ledger.vertex_charge[1] == 2
         assert all(ledger.vertex_charge[v] == -1 for v in range(2, 8))
         assert sorted(ledger.face_charge.values()) == [-1] * 6 + [2]
@@ -51,12 +51,10 @@ class TestInitialCharges:
 class TestApplyRules:
     def test_three_faces_end_at_zero(self, small_corpus):
         for g in small_corpus[:15]:
-            faces = trace_faces(g)
-            ledger = apply_rules(g, faces, initial_charges(g, faces))
-            keys = face_keys(faces)
-            for i, f in enumerate(faces):
+            ledger = full_ledger(g)
+            for key, f in zip(face_keys(g), trace_faces(g)):
                 if f.degree == 3:
-                    assert ledger.face_charge[keys[i]] == 0
+                    assert ledger.face_charge[key] == 0
 
     def test_octahedron_final(self):
         # R1 drains 4/3 from each vertex; R4 income and outgo cancel on a
@@ -93,9 +91,8 @@ class TestApplyRules:
     def test_final_recomputable_from_log(self, small_corpus):
         # conservation: initial + logged transfers reproduces the final state
         for g in small_corpus[:10]:
-            faces = trace_faces(g)
-            start = initial_charges(g, faces)
-            ledger = apply_rules(g, faces, start)
+            start = initial_charges(g)
+            ledger = apply_rules(g, start, classify_all(g))
             v = dict(start.vertex_charge)
             f = dict(start.face_charge)
             for t in ledger.transfers:
@@ -131,7 +128,7 @@ class TestApplyRules:
 
         g2 = gadgets.g_L2_10_3()
         ledger2 = full_ledger(g2)
-        classes = classify_all(g2, trace_faces(g2))
+        classes = classify_all(g2)
         sixsix = {v for v, vc in classes.items() if vc.is_kd(6, 6)}
         for t in ledger2.transfers:
             if t.rule in ("R12", "R13", "R14"):
@@ -160,6 +157,27 @@ class TestAudit:
             if g.max_degree() >= 6 and rep.negative_elements:
                 assert rep.reduction_lemma is not None
 
+    def test_each_input_computed_once(self, small_corpus, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("initial_charges", "face_keys", "classify_all"):
+            counted(discharge, name)
+        counted(classify, "is_special_vertex")
+        counted(reductions, "is_special_vertex")
+        for g in small_corpus[:5]:
+            calls.clear()
+            audit(g, cross_reference=False)
+            assert calls == {"initial_charges": 1, "face_keys": 1, "classify_all": 1}
+
     @settings(max_examples=20, deadline=None)
     @given(seeds)
     def test_total_identity_property(self, seed):
@@ -168,10 +186,9 @@ class TestAudit:
 
     def test_bad_flags_match_post_r1_r2_recomputation(self, small_corpus):
         for g in small_corpus[:10]:
-            faces = trace_faces(g)
-            classes = classify_all(g, faces)
-            start = initial_charges(g, faces)
-            ledger = apply_rules(g, faces, start, classes)
+            classes = classify_all(g)
+            start = initial_charges(g)
+            ledger = apply_rules(g, start, classes)
             partial = dict(start.vertex_charge)
             for t in ledger.transfers:
                 if t.rule not in ("R1", "R2"):

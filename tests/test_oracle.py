@@ -87,7 +87,7 @@ class TestGreedySquare:
             assert verify_coloring(g, c).valid
             from twodist import distance_profile
 
-            cap = max(distance_profile(g, v).d2 for v in g.vertices()) + 1
+            cap = max(len(distance_profile(g, v)) for v in g.vertices()) + 1
             assert c.colors_used <= cap
 
     def test_c5_uses_five(self):

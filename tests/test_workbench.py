@@ -216,3 +216,37 @@ class TestCli:
         gfile = tmp_path / "bad.graph"
         gfile.write_text("p 2 1\nr 1 1 2\n")
         assert main(["color", str(gfile)]) == 2
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["color", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        gfile = tmp_path / "binary.graph"
+        gfile.write_bytes(b"\xff\xfe\n" + K4_TEXT.encode())
+        assert main(["audit", str(gfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "g.graph", "c.colors", "-k", "0"],
+            ["color", "g.graph", "-k", "-3"],
+            ["reduce", "g.graph", "--steps", "0"],
+            ["reduce", "g.graph", "--steps", "-1"],
+            ["oracle", "g.graph", "--budget", "-5"],
+            ["hunt", "--trials", "0", "--n", "20"],
+            ["hunt", "--trials", "-1", "--n", "20"],
+        ],
+    )
+    def test_out_of_range_counts_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_zero_oracle_budget_is_accepted(self, tmp_path, capsys):
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(K4_TEXT)
+        assert main(["oracle", str(gfile), "--budget", "0"]) == 0
+        assert "chi2 = 4" in capsys.readouterr().out
