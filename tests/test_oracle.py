@@ -1,8 +1,26 @@
+import hashlib
+
 import pytest
 
 import bruteforce
 import gadgets
+from conftest import corpus_specs
 from twodist import chi2_exact, gen_planar, greedy_square, surgery, verify_coloring
+
+ZOO = [
+    gadgets.cycle(5),
+    gadgets.cycle(6),
+    gadgets.cycle(7),
+    gadgets.path(4),
+    gadgets.path(8),
+    gadgets.star(6),
+    gadgets.wheel(6),
+    gadgets.complete4(),
+    gadgets.octahedron(),
+    gadgets.two_triangles(),
+    gadgets.cube(),
+    gadgets.grid_plus(),
+]
 
 
 class TestChi2Exact:
@@ -25,21 +43,7 @@ class TestChi2Exact:
         assert result.chi2 == expected
 
     def test_agrees_with_exhaustive_search_up_to_nine(self):
-        zoo = [
-            gadgets.cycle(5),
-            gadgets.cycle(6),
-            gadgets.cycle(7),
-            gadgets.path(4),
-            gadgets.path(8),
-            gadgets.star(6),
-            gadgets.wheel(6),
-            gadgets.complete4(),
-            gadgets.octahedron(),
-            gadgets.two_triangles(),
-            gadgets.cube(),
-            gadgets.grid_plus(),
-        ]
-        for g in zoo:
+        for g in ZOO:
             assert chi2_exact(g).chi2 == bruteforce.brute_chi2(g)
 
     def test_witness_is_valid_and_tight(self):
@@ -92,3 +96,32 @@ class TestGreedySquare:
 
     def test_c5_uses_five(self):
         assert greedy_square(gadgets.cycle(5)).colors_used == 5
+
+
+# sha256 of chi2, exactness, search nodes and witness, recorded from the
+# recursive search before it became a loop over an explicit stack.
+ORACLE_DIGEST = "4c71d2dde9a89dfd9d43105c7e3d591b56afbaa9db2318c3cbc979cadc459b04"
+
+
+def _oracle_inputs():
+    yield from ((g, None) for g in ZOO)
+    # cycles whose length is not a multiple of 3 backtrack out of k = 3
+    yield from ((gadgets.cycle(n), None) for n in (8, 11, 14))
+    # the first 28 corpus graphs with n <= 20, plus the two with
+    # n <= 40 whose clique and greedy bounds differ, so the search runs
+    specs = corpus_specs()
+    small = [i for i, (n, _) in enumerate(specs) if n <= 20][:28] + [562, 751]
+    for i in small:
+        n, seed = specs[i]
+        yield gen_planar(n, min_delta=6, seed=seed), None
+    for budget in (1, 10, 100):
+        yield gen_planar(18, min_delta=6, seed=39), budget
+
+
+def test_results_match_recorded_digest():
+    digest = hashlib.sha256()
+    for g, budget in _oracle_inputs():
+        r = chi2_exact(g) if budget is None else chi2_exact(g, node_budget=budget)
+        record = (r.chi2, r.exact, r.nodes_explored, sorted(r.witness.assignment.items()))
+        digest.update(f"{record!r}\n".encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
