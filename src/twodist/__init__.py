@@ -46,7 +46,6 @@ from .oracle import OracleResult, chi2_exact, greedy_square
 from .planar import (
     Face,
     PlanarGraph,
-    SplitParts,
     SurgeryResult,
     articulation_points,
     distance_profile,

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .colorer import color, verify_coloring
-from .errors import BudgetExhausted, TwodistError
+from .errors import BudgetExhausted, NoSafeColor, PermutationInfeasible, TwodistError
 from .oracle import DEFAULT_NODE_BUDGET, chi2_exact
 from .planar import split_at
 from .reductions import (
@@ -67,7 +67,7 @@ def _cmd_color(args) -> int:
     g = _read_graph(args.graph)
     try:
         c = color(g, args.k)
-    except BudgetExhausted as exc:
+    except (BudgetExhausted, NoSafeColor, PermutationInfeasible) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 1
     report = verify_coloring(g, c)
@@ -130,12 +130,12 @@ def _cmd_reduce(args) -> int:
             break
         r = outcome
         if r.split is not None:
-            parts = split_at(g, r.split)
+            first, second = split_at(g, r.split)
             print(
                 f"step {step}: {r.lemma} split at {r.split} -> "
-                f"n={parts.g1.n}+{parts.g2.n}; following first part"
+                f"n={first.graph.n}+{second.graph.n}; following first part"
             )
-            g = parts.g1
+            g = first.graph
             continue
         res = apply_reduction(g, r)
         proper = check_properness(g, r, res.graph, res.old_to_new)

@@ -1,18 +1,18 @@
-"""Recursive 2-distance coloring engine.
+"""2-distance coloring engine: the induction of the proof, run as a loop.
 
 Shrink the graph with the first catalog reduction, color the smaller graph
 with the same palette, pull the coloring back and give every pending vertex
 the smallest safe color.  Cut vertices split the graph in two; the halves
 are colored independently and reconciled by a color permutation.  Tiny
-graphs are colored directly by the exact oracle.
+graphs are colored directly by the exact oracle.  Steps waiting for their
+smaller graphs sit on an explicit stack, so depth costs no recursion.
 
-The palette stays fixed at 3*Delta + 2 throughout the recursion (properness
-keeps the maximum degree from growing, so the budget never needs to).
+The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
+maximum degree from growing, so the budget never needs to).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +22,7 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import PlanarGraph, distance_profile, split_at, square
+from .planar import PlanarGraph, SurgeryResult, distance_profile, split_at, square
 from .reductions import (
     ProofGapReport,
     Reduction,
@@ -208,18 +208,46 @@ def color(
     """
     if k is None:
         k = 3 * g.max_degree() + 2
-    depth = 4 * g.size() + 1000
-    old_limit = sys.getrecursionlimit()
-    if depth > old_limit:
-        sys.setrecursionlimit(depth)
-    try:
-        return _color(g, k, trace)
-    finally:
-        if depth > old_limit:
-            sys.setrecursionlimit(old_limit)
+    # open steps, innermost last: (graph, reduction, parts, part colorings)
+    stack: list[
+        tuple[PlanarGraph, Reduction, tuple[SurgeryResult, ...], list[Coloring]]
+    ] = []
+    out = _step(g, k, trace)
+    while True:
+        if isinstance(out, Coloring):
+            if not stack:
+                return out
+            stack[-1][3].append(out)
+        else:
+            stack.append((*out, []))
+        g, r, parts, done = stack[-1]
+        if len(done) < len(parts):
+            out = _step(parts[len(done)].graph, k, trace)
+            continue
+        stack.pop()
+        pulled = [
+            Coloring(
+                {
+                    old: c.assignment[new]
+                    for old, new in part.old_to_new.items()
+                    if old not in r.pending
+                },
+                k,
+            )
+            for part, c in zip(parts, done)
+        ]
+        if r.split is not None:
+            out = merge_at_cut(*pulled, r.split, g)
+        else:
+            out = extend(pulled[0], g, r.pending, reduction=r, trace=trace)
 
 
-def _color(g: PlanarGraph, k: int, trace: RunTrace | None) -> Coloring:
+def _step(
+    g: PlanarGraph, k: int, trace: RunTrace | None
+) -> Coloring | tuple[PlanarGraph, Reduction, tuple[SurgeryResult, ...]]:
+    """One induction step: g colored directly (base case or greedy
+    fallback), or the reduction that fires on g with the smaller graphs
+    that must be colored first, in order."""
     if g.n <= BASE_N:
         if trace is not None and trace.graph_hook is not None:
             trace.graph_hook(g, None)
@@ -240,34 +268,15 @@ def _color(g: PlanarGraph, k: int, trace: RunTrace | None) -> Coloring:
 
     r = outcome
     if r.split is not None:
-        parts = split_at(g, r.split)
-        c1 = _color(parts.g1, k, trace)
-        c2 = _color(parts.g2, k, trace)
-        back1 = {new: old for old, new in parts.map1.items()}
-        back2 = {new: old for old, new in parts.map2.items()}
-        c1g = Coloring({back1[u]: col for u, col in c1.assignment.items()}, k)
-        c2g = Coloring({back2[u]: col for u, col in c2.assignment.items()}, k)
-        return merge_at_cut(c1g, c2g, r.split, g)
-
+        return g, r, split_at(g, r.split)
     try:
-        res = apply_reduction(g, r)
+        return g, r, (apply_reduction(g, r),)
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
         # may sit at the maximum degree already; never with Delta >= 6
         if g.max_degree() >= 6:
             raise
         return _greedy_fallback(g, k, None)
-    sub = _color(res.graph, k, trace)
-    pending = set(r.pending)
-    partial = Coloring(
-        {
-            old: sub.assignment[new]
-            for old, new in res.old_to_new.items()
-            if old not in pending
-        },
-        k,
-    )
-    return extend(partial, g, r.pending, reduction=r, trace=trace)
 
 
 def _greedy_fallback(

@@ -94,51 +94,44 @@ def _feasible(
     """Search for a proper k-coloring of adj.
 
     Returns ("found", coloring), ("infeasible", None) or ("abort", None).
-    Branches on the most saturated vertex, ties toward higher degree then
-    smaller id; only colors up to one past the current maximum are tried.
+    Depth first over an explicit stack of choices, so deep searches need no
+    recursion.  Branches on the most saturated vertex, ties toward higher
+    degree then smaller id; only colors up to one past the current maximum
+    are tried.
     """
     colors: dict[int, int] = {}
     neighbor_colors: dict[int, set[int]] = {v: set() for v in adj}
-
-    def choose() -> int:
-        return min(
-            (v for v in adj if v not in colors),
+    max_used = 0
+    # one entry per colored vertex: (vertex, color, newly blocked, max before)
+    stack: list[tuple[int, int, list[int], int]] = []
+    while len(colors) < len(adj):
+        v = min(
+            (u for u in adj if u not in colors),
             key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
         )
-
-    max_used = 0
-
-    def walk() -> str:
-        nonlocal max_used
-        if len(colors) == len(adj):
-            return "found"
-        v = choose()
-        forbidden = neighbor_colors[v]
-        if len(forbidden) >= k:
-            return "infeasible"
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
-            if c in forbidden:
-                continue
-            if not budget.spend():
-                return "abort"
-            colors[v] = c
-            bumped = [u for u in adj[v] if c not in neighbor_colors[u]]
-            for u in bumped:
-                neighbor_colors[u].add(c)
-            prev_max = max_used
-            max_used = max(max_used, c)
-            verdict = walk()
-            if verdict != "infeasible":
-                return verdict
+        c = 1
+        while True:  # next color for v, undoing earlier choices when none is left
+            limit = min(k, max_used + 1)
+            while c <= limit and c in neighbor_colors[v]:
+                c += 1
+            if c <= limit:
+                break
+            if not stack:
+                return ("infeasible", None)
+            v, c, bumped, max_used = stack.pop()
             del colors[v]
             for u in bumped:
                 neighbor_colors[u].discard(c)
-            max_used = prev_max
-        return "infeasible"
-
-    verdict = walk()
-    return (verdict, dict(colors) if verdict == "found" else None)
+            c += 1
+        if not budget.spend():
+            return ("abort", None)
+        colors[v] = c
+        bumped = [u for u in adj[v] if c not in neighbor_colors[u]]
+        for u in bumped:
+            neighbor_colors[u].add(c)
+        stack.append((v, c, bumped, max_used))
+        max_used = max(max_used, c)
+    return ("found", dict(colors))
 
 
 def chi2_exact(

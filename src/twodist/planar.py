@@ -434,42 +434,14 @@ def articulation_points(g: PlanarGraph) -> set[int]:
     return cuts
 
 
-@dataclass(frozen=True)
-class SplitParts:
-    """The two halves of a cut-vertex split, with their dense-id renames."""
-
-    g1: PlanarGraph
-    map1: dict[int, int]  # original id -> id in g1
-    g2: PlanarGraph
-    map2: dict[int, int]
-
-
-def split_at(g: PlanarGraph, v: int) -> SplitParts:
-    """Split at a cut vertex: g1 keeps the component of G - v containing the
-    smallest vertex id, g2 keeps the rest; both keep v and inherit the
-    induced rotation order."""
+def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:
+    """Split at a cut vertex into two surgery results: the first keeps the
+    component of G - v containing the smallest vertex id, the second keeps
+    the rest; both keep v and inherit the induced rotation order."""
     g._check_vertex(v)
-    comps = []
-    left = set(g.vertices()) - {v}
-    while left:
-        comps.append(set(reachable(g.adj, g.n, min(left), avoid=v)))
-        left -= comps[-1]
-    if len(comps) < 2:
+    rest = set(g.vertices()) - {v}
+    first = set(reachable(g.adj, g.n, min(rest), avoid=v)) if rest else set()
+    rest -= first
+    if not rest:
         raise NotACutVertex(f"{v} is not a cut vertex")
-    comps.sort(key=min)
-    side1 = comps[0] | {v}
-    side2 = set().union(*comps[1:]) | {v}
-    return SplitParts(
-        *_induce(g, side1),
-        *_induce(g, side2),
-    )
-
-
-def _induce(g: PlanarGraph, keep: set[int]) -> tuple[PlanarGraph, dict[int, int]]:
-    order = sorted(keep)
-    old_to_new = {old: i + 1 for i, old in enumerate(order)}
-    rotation = [
-        tuple(old_to_new[u] for u in g.rotation[old - 1] if u in keep)
-        for old in order
-    ]
-    return PlanarGraph(rotation), old_to_new
+    return surgery(g, delete_vertices=rest), surgery(g, delete_vertices=first)

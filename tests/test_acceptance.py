@@ -93,7 +93,7 @@ def test_criterion_1_euler_charge_identity(corpus):
     elapsed = time.perf_counter() - start
     assert elapsed <= 60.0, f"audit sweep took {elapsed:.1f}s"
 
-    # the hunter audits every intermediate graph of every recursion too
+    # the hunter audits every intermediate graph of every run too
     report = hunt(trials=8, n=48, min_delta=6, seed=2400)
     assert set(report.audit_totals) == {"-8"}
     print(
@@ -191,10 +191,10 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
                 outcome.d2_bound <= 3 * g.max_degree() + 1
             )
             if outcome.split is not None:
-                parts = split_at(g, outcome.split)
-                assert parts.g1.size() < g.size()
-                assert parts.g2.size() < g.size()
-                stack += [parts.g1, parts.g2]
+                g1, g2 = (part.graph for part in split_at(g, outcome.split))
+                assert g1.size() < g.size()
+                assert g2.size() < g.size()
+                stack += [g1, g2]
                 continue
             res = apply_reduction(g, outcome)
             reductions_checked += 1

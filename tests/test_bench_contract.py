@@ -35,6 +35,10 @@ def test_tracer_wraps_and_restores_every_binding():
     finally:
         tracer.uninstall()
     assert tracer.counts["colorer.steps"] == len(trace.steps) > 0
+    # the one L2.1 split goes through the module attributes like every step
+    assert tracer.calls["planar.split_at"] == tracer.counts["colorer.splits"] == 1
+    assert tracer.calls["colorer.merge_at_cut"] == 1
+    assert tracer.calls["colorer.extend"] == len(trace.steps) - 1
     assert tracer.counts["reductions.matcher_calls"] > 0
     assert tracer.counts["discharge.transfers"] > 0
     assert tracer.calls["classify.classify_all"] > 0

@@ -3,7 +3,7 @@
 Every catalog rule is run on its own (``match_case``) against a fixed set of
 graphs: the hand-built gadgets, their mirror images, copies whose vertex-1
 neighbours are raised to each degree from 4 to 11, and every intermediate
-graph the colouring recursion visits on a few seeded random graphs.  The
+graph the colouring engine visits on a few seeded random graphs.  The
 repr of each result is hashed; the digest below was recorded from the
 hand-written matchers, so any change to what a rule matches, where it
 anchors, which chords it emits or which bound it claims shows up here.

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,16 @@ class TestColor:
             assert bound is None or forbidden <= bound
             assert forbidden < c.budget
 
+    def test_leaves_the_recursion_limit_alone(self):
+        limit = sys.getrecursionlimit()
+        seen = []
+        trace = RunTrace(graph_hook=lambda g, outcome: seen.append(sys.getrecursionlimit()))
+        color(gen_planar(200, min_delta=6, seed=1), trace=trace)
+        assert seen and set(seen) == {limit}
+        # about 1200 steps deep, past the default recursion limit of 1000
+        g = gadgets.cycle(1201)
+        assert verify_coloring(g, color(g)).valid
+
     @settings(max_examples=20, deadline=None)
     @given(seeds)
     def test_guarantee_on_random_graphs(self, seed):
@@ -175,12 +187,11 @@ class TestExtend:
 class TestMergeAtCut:
     def test_two_triangles(self):
         g = gadgets.two_triangles()
-        parts = split_at(g, 1)
-        back1 = {n: o for o, n in parts.map1.items()}
-        back2 = {n: o for o, n in parts.map2.items()}
-        c1 = Coloring({back1[v]: c for v, c in color(parts.g1, k=20).assignment.items()}, 20)
-        c2 = Coloring({back2[v]: c for v, c in color(parts.g2, k=20).assignment.items()}, 20)
-        merged = merge_at_cut(c1, c2, 1, g)
+        sides = []
+        for part in split_at(g, 1):
+            sub = color(part.graph, k=20).assignment
+            sides.append(Coloring({old: sub[new] for old, new in part.old_to_new.items()}, 20))
+        merged = merge_at_cut(*sides, 1, g)
         assert verify_coloring(g, merged).valid
 
     def test_identical_colorings_get_repaired(self):

@@ -72,6 +72,13 @@ class TestChi2Exact:
         h = surgery(g, add_edges=[(1, 3)]).graph
         assert chi2_exact(h).chi2 >= before
 
+    def test_deep_search_needs_no_recursion(self):
+        # one search node per vertex colored before the cycle closes
+        result = chi2_exact(gadgets.cycle(1201))
+        assert result.exact
+        assert result.chi2 == 4
+        assert result.nodes_explored == 1200
+
     def test_empty_and_singleton(self):
         from twodist import PlanarGraph
 

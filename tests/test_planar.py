@@ -233,8 +233,8 @@ class TestCutVertices:
         g = gadgets.path(3)
         assert is_cut_vertex(g, 2)
         assert not is_cut_vertex(g, 1)
-        parts = split_at(g, 2)
-        assert parts.g1.n == 2 and parts.g2.n == 2
+        first, second = split_at(g, 2)
+        assert first.graph.n == 2 and second.graph.n == 2
 
     def test_cycle_has_none(self):
         g = gadgets.cycle(5)
@@ -244,13 +244,13 @@ class TestCutVertices:
     def test_two_triangles(self):
         g = gadgets.two_triangles()
         assert articulation_points(g) == {1}
-        parts = split_at(g, 1)
-        for part in (parts.g1, parts.g2):
+        first, second = split_at(g, 1)
+        for part in (first.graph, second.graph):
             assert part.n == 3 and part.m == 3
         # both parts contain the cut vertex and are strictly smaller
-        assert 1 in parts.map1 and 1 in parts.map2
-        assert parts.g1.size() < g.size() and parts.g2.size() < g.size()
-        assert (parts.g1.n - 1) + (parts.g2.n - 1) == g.n - 1
+        assert 1 in first.old_to_new and 1 in second.old_to_new
+        assert first.graph.size() < g.size() and second.graph.size() < g.size()
+        assert (first.graph.n - 1) + (second.graph.n - 1) == g.n - 1
 
     def test_not_a_cut_vertex(self):
         with pytest.raises(NotACutVertex):

@@ -328,10 +328,10 @@ class TestProperness:
             outcome = find_reduction(g)
             assert isinstance(outcome, Reduction)
             if outcome.split is not None:
-                parts = split_at(g, outcome.split)
-                assert parts.g1.size() < g.size()
-                assert parts.g2.size() < g.size()
-                g = parts.g1 if parts.g1.n >= parts.g2.n else parts.g2
+                g1, g2 = (part.graph for part in split_at(g, outcome.split))
+                assert g1.size() < g.size()
+                assert g2.size() < g.size()
+                g = g1 if g1.n >= g2.n else g2
                 continue
             res = apply_reduction(g, outcome)
             assert check_properness(g, outcome, res.graph, res.old_to_new)

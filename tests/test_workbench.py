@@ -176,6 +176,26 @@ class TestCli:
         assert main(["oracle", str(gfile)]) == 0
         assert "chi2 = 4 (exact)" in capsys.readouterr().out
 
+    def test_oracle_on_a_long_cycle(self, tmp_path, capsys):
+        gfile = tmp_path / "c1201.graph"
+        gfile.write_text(write_graph(gadgets.cycle(1201)))
+        assert main(["oracle", str(gfile)]) == 0
+        assert "chi2 = 4 (exact)" in capsys.readouterr().out
+
+    def test_color_below_the_guarantee_exits_1(self, tmp_path, capsys):
+        # with -k 8 every color is forbidden at a pending vertex
+        gfile = tmp_path / "g.graph"
+        assert main(["gen", "--n", "60", "--min-delta", "6", "--seed", "7",
+                     "-o", str(gfile)]) == 0
+        assert main(["color", str(gfile), "-k", "8"]) == 1
+        assert "all 8 colors forbidden" in capsys.readouterr().err
+
+    def test_audit_total_of_one_vertex(self, tmp_path, capsys):
+        gfile = tmp_path / "one.graph"
+        gfile.write_text("p 1 0\nr 1 0\n")
+        assert main(["audit", str(gfile)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "total\t-\t-4\t-4"
+
     def test_reduce_command(self, tmp_path, capsys):
         gfile = tmp_path / "g.graph"
         gfile.write_text((DATA / "octahedron.graph").read_text())
