@@ -84,16 +84,14 @@ def classify_all(g: PlanarGraph) -> dict[int, VertexClass]:
 
 
 def is_special_vertex(g: PlanarGraph, v: int) -> bool:
-    """No edge of the subgraph induced on N(v) lies in two 3-faces."""
-    faces = trace_faces(g)
-    dart_face = g.dart_face_map()
-    nbrs = g.neighbors(v)
+    """No edge of the subgraph induced on N(v) lies in two 3-faces.
+
+    Also answers on the engine's Embedding.  Both darts of an edge never
+    border one 3-face of a simple graph, so two 3-face sides are two faces.
+    """
     nbr_set = g.adj(v)
-    for a in nbrs:
+    for a in g.neighbors(v):
         for b in g.adj(a):
-            if b <= a or b not in nbr_set:
-                continue
-            sides = {dart_face[(a, b)], dart_face[(b, a)]}
-            if len(sides) == 2 and all(faces[f].degree == 3 for f in sides):
+            if b > a and b in nbr_set and g.face_degree(a, b) == 3 == g.face_degree(b, a):
                 return False
     return True

@@ -1,11 +1,17 @@
 """2-distance coloring engine: the induction of the proof, run as a loop.
 
 Shrink the graph with the first catalog reduction, color the smaller graph
-with the same palette, pull the coloring back and give every pending vertex
+with the same palette, undo the reduction and give every pending vertex
 the smallest safe color.  Cut vertices split the graph in two; the halves
 are colored independently and reconciled by a color permutation.  Tiny
 graphs are colored directly by the exact oracle.  Steps waiting for their
 smaller graphs sit on an explicit stack, so depth costs no recursion.
+
+The whole run works on one Embedding of the input: each step changes it
+locally and undoes the change afterwards, so vertex ids never change and a
+step costs time for what it touches, not for the size of the graph.  A
+PlanarGraph is built only where one is needed: for base cases, the greedy
+fallback and the graph hook.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -13,7 +19,7 @@ maximum degree from growing, so the budget never needs to).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import (
@@ -22,12 +28,12 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import PlanarGraph, SurgeryResult, distance_profile, split_at, square
+from .planar import Embedding, PlanarGraph, SurgeryResult, distance_profile, square
 from .reductions import (
     ProofGapReport,
     Reduction,
-    apply_reduction,
     find_reduction,
+    reduce_in_place,
 )
 
 BASE_N = 10  # below this the oracle colors directly
@@ -58,7 +64,12 @@ class ColorReport:
 
 @dataclass
 class RunTrace:
-    """Optional instrumentation for one color() run."""
+    """Optional instrumentation for one color() run.
+
+    ``extensions`` name vertices by their ids in the input graph.  The hook
+    sees every intermediate graph renamed to dense ids 1..n, with the
+    catalog's outcome on it in those ids (None for a base case).
+    """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
     extensions: list[tuple[int, str, int, int | None]] = field(default_factory=list)
@@ -108,14 +119,15 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
 
 def extend(
     partial: Coloring,
-    g: PlanarGraph,
+    g: PlanarGraph | Embedding,
     pending: tuple[int, ...],
     reduction: Reduction | None = None,
     trace: RunTrace | None = None,
 ) -> Coloring:
     """Color each pending vertex with the smallest color unused within
-    distance 2, in order; later pending vertices see the earlier choices."""
-    assignment = dict(partial.assignment)
+    distance 2, in order; later pending vertices see the earlier choices.
+    The colors are added to partial in place, which is returned."""
+    assignment = partial.assignment
     k = partial.budget
     for v in pending:
         forbidden = {
@@ -140,11 +152,11 @@ def extend(
         while c in forbidden:
             c += 1
         assignment[v] = c
-    return Coloring(assignment, k)
+    return partial
 
 
 def merge_at_cut(
-    c1: Coloring, c2: Coloring, v: int, g: PlanarGraph
+    c1: Coloring, c2: Coloring, v: int, g: PlanarGraph | Embedding
 ) -> Coloring:
     """Combine colorings of the two sides of a cut vertex.
 
@@ -208,88 +220,116 @@ def color(
     """
     if k is None:
         k = 3 * g.max_degree() + 2
-    # open steps, innermost last: (graph, reduction, parts, part colorings)
-    stack: list[
-        tuple[PlanarGraph, Reduction, tuple[SurgeryResult, ...], list[Coloring]]
-    ] = []
-    out = _step(g, k, trace)
+    e = Embedding(g)
+    # open steps, innermost last: (reduction, sides still to delete, part
+    # colorings); the surgery of the part being colored is in force on e
+    stack: list[tuple[Reduction, list[list[int]], list[Coloring]]] = []
+    out = _step(e, k, trace)
     while True:
-        if isinstance(out, Coloring):
-            if not stack:
-                return out
-            stack[-1][3].append(out)
-        else:
+        if not isinstance(out, Coloring):
             stack.append((*out, []))
-        g, r, parts, done = stack[-1]
-        if len(done) < len(parts):
-            out = _step(parts[len(done)].graph, k, trace)
+            out = _step(e, k, trace)
+            continue
+        if not stack:
+            return out
+        r, todo, done = stack[-1]
+        e.undo()
+        done.append(out)
+        if todo:
+            e.apply(delete_vertices=todo.pop())
+            out = _step(e, k, trace)
             continue
         stack.pop()
-        pulled = [
-            Coloring(
-                {
-                    old: c.assignment[new]
-                    for old, new in part.old_to_new.items()
-                    if old not in r.pending
-                },
-                k,
-            )
-            for part, c in zip(parts, done)
-        ]
         if r.split is not None:
-            out = merge_at_cut(*pulled, r.split, g)
+            out = merge_at_cut(*done, r.split, e)
         else:
-            out = extend(pulled[0], g, r.pending, reduction=r, trace=trace)
+            (c,) = done
+            for v in r.pending:
+                c.assignment.pop(v, None)
+            out = extend(c, e, r.pending, reduction=r, trace=trace)
 
 
 def _step(
-    g: PlanarGraph, k: int, trace: RunTrace | None
-) -> Coloring | tuple[PlanarGraph, Reduction, tuple[SurgeryResult, ...]]:
-    """One induction step: g colored directly (base case or greedy
-    fallback), or the reduction that fires on g with the smaller graphs
-    that must be colored first, in order."""
-    if g.n <= BASE_N:
-        if trace is not None and trace.graph_hook is not None:
-            trace.graph_hook(g, None)
-        return _base_color(g, k)
+    e: Embedding, k: int, trace: RunTrace | None
+) -> Coloring | tuple[Reduction, list[list[int]]]:
+    """One induction step: e colored directly (base case or greedy
+    fallback), or the reduction that fires on e with its first part's
+    surgery applied and the sides still to delete for the later parts."""
+    hook = trace.graph_hook if trace is not None else None
+    if e.n <= BASE_N:
+        part = e.snapshot()
+        if hook is not None:
+            hook(part.graph, None)
+        return _renamed_back(_base_color(part.graph, k), part)
 
-    outcome = find_reduction(g)
+    outcome = find_reduction(e)
     if trace is not None:
         if isinstance(outcome, Reduction):
-            trace.steps.append((outcome.lemma, g.n, g.m, g.max_degree()))
+            trace.steps.append((outcome.lemma, e.n, e.m, e.max_degree()))
         else:
             trace.gaps.append(outcome)
-        if trace.graph_hook is not None:
-            trace.graph_hook(g, outcome)
+        if hook is not None:
+            part = e.snapshot()
+            hook(part.graph, _renamed(outcome, part.old_to_new))
 
     if isinstance(outcome, ProofGapReport):
         # outside the guarantee the catalog may run dry; fall back to greedy
-        return _greedy_fallback(g, k, outcome)
+        return _greedy_fallback(e, k, outcome)
 
     r = outcome
     if r.split is not None:
-        return g, r, split_at(g, r.split)
+        first, rest = e.split_sides(r.split)
+        e.apply(delete_vertices=rest)
+        return r, [first]
     try:
-        return g, r, (apply_reduction(g, r),)
+        reduce_in_place(e, r)
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
         # may sit at the maximum degree already; never with Delta >= 6
-        if g.max_degree() >= 6:
+        if e.max_degree() >= 6:
             raise
-        return _greedy_fallback(g, k, None)
+        return _greedy_fallback(e, k, None)
+    return r, []
+
+
+def _renamed(outcome, old_to_new: dict[int, int]):
+    """A reduction in the dense ids of a snapshot; gap reports carry none."""
+    if not isinstance(outcome, Reduction):
+        return outcome
+    ids = old_to_new.__getitem__
+
+    def edges(es):
+        return tuple((ids(a), ids(b)) for a, b in es)
+
+    return replace(
+        outcome,
+        vertex=ids(outcome.vertex),
+        pending=tuple(map(ids, outcome.pending)),
+        delete_vertices=tuple(map(ids, outcome.delete_vertices)),
+        delete_edges=edges(outcome.delete_edges),
+        add_edges=edges(outcome.add_edges),
+        split=None if outcome.split is None else ids(outcome.split),
+    )
+
+
+def _renamed_back(c: Coloring, part: SurgeryResult) -> Coloring:
+    """A coloring of a snapshot, in the embedding's ids."""
+    live = list(part.old_to_new)  # ascending, so live[i - 1] became i
+    return Coloring({live[v - 1]: col for v, col in c.assignment.items()}, c.budget)
 
 
 def _greedy_fallback(
-    g: PlanarGraph, k: int, gap: ProofGapReport | None
+    e: Embedding, k: int, gap: ProofGapReport | None
 ) -> Coloring:
     from .oracle import greedy_square
 
-    greedy = greedy_square(g)
+    part = e.snapshot()
+    greedy = greedy_square(part.graph)
     if greedy.colors_used <= k:
-        return Coloring(greedy.assignment, k)
+        return _renamed_back(Coloring(greedy.assignment, k), part)
     detail = f" (catalog gap, delta={gap.delta})" if gap is not None else ""
     raise BudgetExhausted(
-        f"greedy needs {greedy.colors_used} > {k} colors on n={g.n}{detail}",
+        f"greedy needs {greedy.colors_used} > {k} colors on n={e.n}{detail}",
         gap=gap,
     )
 

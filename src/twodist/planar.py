@@ -1,9 +1,12 @@
 """Connected simple planar graphs carried as rotation systems.
 
-A graph is stored as one counterclockwise neighbor cycle per vertex.  Faces
-are derived by tracing the rotation system, never stored as ground truth;
-the Euler count n - m + f == 2 is what certifies that the input really is a
-planar embedding of a connected graph.  Vertex ids are dense 1..n.
+A graph is stored as one counterclockwise neighbor cycle per vertex.  In a
+PlanarGraph faces are derived by tracing the rotation system, never stored
+as ground truth; the Euler count n - m + f == 2 is what certifies that the
+input really is a planar embedding of a connected graph.  Vertex ids are
+dense 1..n.  The coloring engine works on an Embedding instead: a mutable
+copy with stable ids that keeps its faces, degrees and cut vertices up to
+date locally as surgery changes it, and undoes each surgery exactly.
 """
 
 from __future__ import annotations
@@ -233,6 +236,10 @@ class PlanarGraph:
         assert self._dart_face is not None
         return self._dart_face
 
+    def face_degree(self, u: int, v: int) -> int:
+        """Degree of the face that dart (u, v) borders."""
+        return self._trace()[self.dart_face_map()[(u, v)]].degree
+
     def corner_faces(self, v: int) -> tuple[int, ...]:
         """Face indices around v; entry i sits between rotation neighbors
         i and i+1 (cyclically)."""
@@ -282,6 +289,420 @@ class SurgeryResult:
     old_to_new: dict[int, int]
 
 
+# One undo-log entry per change, newest last:
+#   ("rot", v, rotation, faces)  v's rotation list and dart-face dict were
+#                                these objects (v was live)
+#   ("face", [(x, y, f), ...])   dart (x, y) bordered face f
+#   ("deg", f, d)                face f had degree d (None: no face f)
+#   ("link", a, ia, b, ib)       edge a-b entered rot[a] at ia, rot[b] at ib
+#   ("m", m)                     the edge count was m
+#   ("gone", {f: d, ...})        faces f of degree d were there
+#   ("state", rot, face, fdeg, m, bydeg, deg, cuts)
+#                                all of the embedding was these objects
+LogEntry = tuple
+
+
+class Embedding:
+    """A mutable working copy of a PlanarGraph, private to the engine.
+
+    Vertex ids stay those of the graph it was built from.  Alongside the
+    rotation lists it keeps, up to date after every change:
+
+    - ``face[v][u]``: the face that dart (v, u) borders, and ``fdeg`` the
+      degree of every face (so ``len(fdeg)`` is the face count f);
+    - ``bydeg``: the vertices of each degree;
+    - ``cuts``: the cut vertices.  In a connected plane graph a vertex is a
+      cut vertex exactly when it repeats on some face boundary walk, that is
+      when two of its corners lie in one face (Mohar and Thomassen,
+      *Graphs on Surfaces*);
+    - ``m``, the edge count (n is the number of live vertices).
+
+    Deleting vertices and edges walks only the faces they bordered, as
+    they close up again; adding an edge walks the smaller of the two faces
+    it splits.  ``apply`` logs how to undo itself, and ``undo`` restores the
+    embedding exactly, rotation order included.
+    """
+
+    __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "top", "_deg", "_faces", "_frames")
+
+    def __init__(self, g: PlanarGraph):
+        dart_face = g.dart_face_map()
+        self.rot: dict[int, list[int]] = {
+            v: list(r) for v, r in enumerate(g.rotation, 1)
+        }
+        self.face: dict[int, dict[int, int]] = {
+            v: {u: dart_face[(v, u)] for u in r} for v, r in self.rot.items()
+        }
+        self.fdeg: dict[int, int] = {i: f.degree for i, f in enumerate(g._trace())}
+        self.m = g.m
+        self.top = g.n  # every id lies in 1..top
+        self.bydeg: dict[int, set[int]] = {}
+        self.cuts: set[int] = set()
+        self._deg: dict[int, int] = {}
+        self._faces = len(self.fdeg)  # face ids handed out so far
+        self._frames: list[tuple[list[LogEntry], set[int]]] = []
+        self._refresh(self.rot)
+
+    # -- reads, shaped like PlanarGraph's ----------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.rot)
+
+    def of_degree(self, k: int) -> list[int]:
+        return sorted(self.bydeg.get(k, ()))
+
+    def neighbors(self, v: int) -> list[int]:
+        return self.rot[v]
+
+    def adj(self, v: int):
+        return self.face[v].keys()
+
+    def degree(self, v: int) -> int:
+        return len(self.rot[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.face[u]
+
+    def max_degree(self) -> int:
+        return max(self.bydeg, default=0)
+
+    def min_degree(self) -> int:
+        return min(self.bydeg, default=0)
+
+    def face_degree(self, u: int, v: int) -> int:
+        return self.fdeg[self.face[u][v]]
+
+    def corner_degrees(self, v: int) -> tuple[int, ...]:
+        """Face degrees around v; entry i sits between rotation neighbors i
+        and i+1, as in PlanarGraph.corner_faces."""
+        r, fv, fdeg = self.rot[v], self.face[v], self.fdeg
+        return tuple(fdeg[fv[u]] for u in r[1:] + r[:1])
+
+    def _check_vertex(self, v: int) -> None:
+        if not (isinstance(v, int) and v in self.rot):
+            raise UnknownVertex(f"vertex {v} not in the graph")
+
+    def snapshot(self) -> SurgeryResult:
+        """The current graph with survivors renamed to dense ids 1..n in
+        ascending order, fully validated."""
+        old_to_new = {v: i for i, v in enumerate(sorted(self.rot), 1)}
+        rotation = [[old_to_new[u] for u in self.rot[v]] for v in old_to_new]
+        return SurgeryResult(PlanarGraph(rotation), old_to_new)
+
+    def split_sides(self, v: int) -> tuple[list[int], set[int]]:
+        """The two sides of cut vertex v: the component of G - v holding the
+        smallest other id, then every other vertex but v."""
+        self._check_vertex(v)
+        rest = self.rot.keys() - {v}
+        first = reachable(self.rot.__getitem__, self.top, min(rest), avoid=v) if rest else []
+        rest.difference_update(first)
+        if not rest:
+            raise NotACutVertex(f"{v} is not a cut vertex")
+        return first, rest
+
+    # -- surgery -----------------------------------------------------------
+
+    def apply(
+        self,
+        delete_vertices: Iterable[int] = (),
+        delete_edges: Iterable[Edge] = (),
+        add_edges: Iterable[Edge] = (),
+        max_degree: int | None = None,
+    ) -> None:
+        """Delete vertices and edges, then draw new edges into shared faces,
+        as ``surgery`` describes.  On error nothing has changed; otherwise
+        ``undo`` reverts the whole call."""
+        rot, face = self.rot, self.face
+        dels = set(delete_vertices)
+        if not dels <= rot.keys():
+            for v in dels:
+                self._check_vertex(v)
+        del_edges = {edge_key(u, v) for (u, v) in delete_edges}
+        for (u, v) in del_edges:
+            self._check_vertex(u)
+            self._check_vertex(v)
+            if v not in face[u]:
+                raise UnknownVertex(f"edge {u}-{v} not in graph")
+        additions = list(add_edges)
+        for (a, b) in additions:
+            if a in dels or b in dels or a not in rot or b not in rot:
+                raise UnknownVertex(f"added edge {a}-{b} touches a missing vertex")
+            if a == b:
+                raise SurgeryNotPlanar("cannot add a self-loop")
+
+        log: list[LogEntry] = []
+        touched: set[int] = set()
+        self._frames.append((log, touched))
+        try:
+            scarred = self._remove(dels, del_edges, log, touched)
+            rot, face = self.rot, self.face
+            n = len(rot)
+            if n > 1 and (
+                n - self.m + len(self.fdeg) != 2
+                or any(not rot[v] for v in scarred)
+            ):
+                # an isolated survivor or a second component: each component
+                # with edges counts 2 in n - m + f, an isolated vertex 1
+                raise SurgeryDisconnects(
+                    f"deleting {sorted(dels)} / {sorted(del_edges)} "
+                    "disconnects the graph"
+                )
+            for (a, b) in additions:
+                if b in face[a]:
+                    continue  # already adjacent: the distance requirement is met
+                self._link(a, b, scarred, log, touched)
+                if max_degree is not None and (
+                    len(rot[a]) > max_degree or len(rot[b]) > max_degree
+                ):
+                    raise DegreeBudgetExceeded(
+                        f"adding {a}-{b} exceeds the degree cap {max_degree}"
+                    )
+        except BaseException:
+            self.undo()
+            raise
+        self._refresh(touched)
+
+    def undo(self) -> None:
+        """Revert the latest apply that is still in force."""
+        log, touched = self._frames.pop()
+        rot, face, fdeg = self.rot, self.face, self.fdeg
+        for entry in reversed(log):
+            kind = entry[0]
+            if kind == "face":
+                for x, y, f in entry[1]:
+                    face[x][y] = f
+            elif kind == "deg":
+                _, f, d = entry
+                if d is None:
+                    del fdeg[f]
+                else:
+                    fdeg[f] = d
+            elif kind == "rot":
+                _, v, rot[v], face[v] = entry
+            elif kind == "gone":
+                fdeg.update(entry[1])
+            elif kind == "state":
+                (_, self.rot, self.face, self.fdeg, self.m,
+                 self.bydeg, self._deg, self.cuts) = entry
+                rot, face, fdeg = self.rot, self.face, self.fdeg
+            elif kind == "link":
+                _, a, ia, b, ib = entry
+                del rot[a][ia], rot[b][ib], face[a][b], face[b][a]
+                self.m -= 1
+            else:
+                self.m = entry[1]
+        self._refresh(touched)
+
+    # -- primitives ----------------------------------------------------------
+
+    def _succ(self, x: int, y: int) -> Edge:
+        """The dart after (x, y) on its face."""
+        r = self.rot[y]
+        return y, r[(r.index(x) + 1) % len(r)]
+
+    def _walk(self, dart: Edge) -> list[Edge]:
+        """The boundary walk of dart's face, as darts, starting at dart."""
+        darts = [dart]
+        nxt = self._succ(*dart)
+        while nxt != dart:
+            darts.append(nxt)
+            nxt = self._succ(*nxt)
+        return darts
+
+    def _smaller_face(self, p: Edge, q: Edge) -> list[Edge]:
+        """Walk the faces of darts p and q in lockstep; the darts of the one
+        that closes first."""
+        side_p, side_q = [p], [q]
+        x, y = self._succ(*p), self._succ(*q)
+        while x != p and y != q:
+            side_p.append(x)
+            side_q.append(y)
+            x, y = self._succ(*x), self._succ(*y)
+        return side_p if x == p else side_q
+
+    def _set_degree(self, f: int, d: int, log: list[LogEntry]) -> None:
+        log.append(("deg", f, self.fdeg.get(f)))
+        if d:
+            self.fdeg[f] = d
+        else:
+            del self.fdeg[f]
+
+    def _new_face(
+        self, darts: list[Edge], log: list[LogEntry], touched: set[int]
+    ) -> None:
+        """Give the darts of one face boundary a fresh face id."""
+        face = self.face
+        new = self._faces
+        self._faces += 1
+        log.append(("face", [(x, y, face[x][y]) for x, y in darts]))
+        for x, y in darts:
+            face[x][y] = new
+            touched.add(x)
+        self._set_degree(new, len(darts), log)
+
+    def _remove(
+        self,
+        dels: set[int],
+        del_edges: set[Edge],
+        log: list[LogEntry],
+        touched: set[int],
+    ) -> set[int]:
+        """Delete vertices and edges, then walk the faces that form from
+        the faces they bordered.  Returns the survivors that lost a
+        neighbor."""
+        if not del_edges and 2 * len(dels) > len(self.rot):
+            return self._keep(self.rot.keys() - dels, log, touched)
+        rot, face, fdeg = self.rot, self.face, self.fdeg
+        lost: dict[int, set[int]] = {}  # survivor -> neighbors it loses
+        for (u, v) in del_edges:
+            if u not in dels and v not in dels:
+                lost.setdefault(u, set()).add(v)
+                lost.setdefault(v, set()).add(u)
+        for s in dels:
+            for u in rot[s]:
+                if u not in dels:
+                    lost.setdefault(u, set()).add(s)
+        old: set[int] = set()  # faces that lose a dart
+        darts = 0
+        for s in dels:
+            old.update(face[s].values())
+            darts += len(rot[s])
+        for x, gone in lost.items():
+            fx = face[x]
+            old.update(fx[u] for u in gone)
+            darts += len(gone)
+        log.append(("m", self.m))
+        self.m -= darts // 2
+        for s in dels:
+            log.append(("rot", s, rot.pop(s), face.pop(s)))
+        for x, gone in lost.items():
+            log.append(("rot", x, rot[x], face[x]))
+            rot[x] = [u for u in rot[x] if u not in gone]
+            face[x] = {u: f for u, f in face[x].items() if u not in gone}
+        touched.update(dels)  # the survivors that lost a neighbor lie on new faces
+        log.append(("gone", {f: fdeg.pop(f) for f in old}))
+        self._close_faces(lost, old, log, touched)
+        return set(lost)
+
+    def _keep(self, kept: set[int], log: list[LogEntry], touched: set[int]) -> set[int]:
+        """_remove for deleting more vertices than survive: build the
+        survivors' structures afresh, in time for the survivors alone, and
+        keep the old ones whole for undo."""
+        rot, face, fdeg = self.rot, self.face, self.fdeg
+        lost: dict[int, set[int]] = {}
+        for x in kept:
+            gone = face[x].keys() - kept
+            if gone:
+                lost[x] = gone
+        old = {f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])}
+        log.append(("state", rot, face, fdeg, self.m, self.bydeg, self._deg, self.cuts))
+        self.rot = rot = {x: rot[x] for x in kept}
+        self.face = face = {x: face[x] for x in kept}
+        for x, gone in lost.items():
+            rot[x] = [u for u in rot[x] if u not in gone]
+            face[x] = {u: f for u, f in face[x].items() if u not in gone}
+        self.fdeg = {f: fdeg[f] for fx in face.values() for f in fx.values() if f not in old}
+        self.m = sum(map(len, rot.values())) // 2
+        self.bydeg, self._deg, self.cuts = {}, {}, set()
+        self._close_faces(lost, old, log, touched)
+        self._refresh(kept)
+        return set(lost)
+
+    def _close_faces(
+        self, lost: dict[int, set[int]], old: set[int], log: list[LogEntry], touched: set[int]
+    ) -> None:
+        """Walk the faces that replace the old ones; each passes a survivor
+        that lost a neighbor."""
+        rot, face = self.rot, self.face
+        for x in lost:
+            fx = face[x]
+            for y in rot[x]:
+                if fx[y] in old:
+                    self._new_face(self._walk((x, y)), log, touched)
+
+    def _split(
+        self, f: int, p: Edge, q: Edge, total: int, log: list[LogEntry], touched: set[int]
+    ) -> None:
+        """Face f has become the two faces of darts p and q, of total degree
+        total: the smaller one gets a fresh id."""
+        side = self._smaller_face(p, q)
+        self._new_face(side, log, touched)
+        self._set_degree(f, total - len(side), log)
+
+    def _link(
+        self,
+        a: int,
+        b: int,
+        scarred: set[int],
+        log: list[LogEntry],
+        touched: set[int],
+    ) -> None:
+        """Draw edge a-b into a face shared by a and b, splitting it.
+
+        The face touched by the deletions wins (most scarred vertices on its
+        boundary), then the face whose smallest dart (v, position in rot[v])
+        comes first, which is the order in which a full trace meets faces.
+        In each endpoint's rotation the new neighbor goes right after the
+        boundary predecessor at its first visit on the walk from that
+        smallest dart: the position that splits the face instead of breaking
+        the map.
+        """
+        rot, face = self.rot, self.face
+        fa = [face[a][u] for u in rot[a]]
+        fb = [face[b][u] for u in rot[b]]
+        shared = set(fa).intersection(fb)
+        if not shared:
+            raise SurgeryNotPlanar(f"{a} and {b} share no face; cannot add edge")
+        f = next(iter(shared))
+        if len(shared) == 1 and fa.count(f) == 1 == fb.count(f):
+            # one visit each: the predecessor precedes the corner lying in f
+            pred_a = rot[a][fa.index(f) - 1]
+            pred_b = rot[b][fb.index(f) - 1]
+        else:
+            ranked = []
+            for g in shared:
+                walk = self._walk((a, rot[a][fa.index(g)]))
+                ranks = [(x, rot[x].index(y)) for x, y in walk]
+                first = ranks.index(min(ranks))
+                scars = len(scarred.intersection(x for x, _ in walk))
+                ranked.append((-scars, ranks[first], g, walk[first:] + walk[:first]))
+            _, _, f, walk = min(ranked)
+            pred_a = next(x for x, y in walk if y == a)
+            pred_b = next(x for x, y in walk if y == b)
+        ia = rot[a].index(pred_a) + 1
+        ib = rot[b].index(pred_b) + 1
+        rot[a].insert(ia, b)
+        rot[b].insert(ib, a)
+        face[a][b] = face[b][a] = f
+        log.append(("link", a, ia, b, ib))
+        self.m += 1
+        touched.update((a, b))
+        self._split(f, (a, b), (b, a), self.fdeg[f] + 2, log, touched)
+
+    def _refresh(self, vertices: Iterable[int]) -> None:
+        """Re-derive the degree buckets and cut flags of these vertices."""
+        rot, face, bydeg, deg, cuts = self.rot, self.face, self.bydeg, self._deg, self.cuts
+        for v in vertices:
+            old = deg.pop(v, None)
+            if old is not None:
+                bucket = bydeg[old]
+                bucket.discard(v)
+                if not bucket:
+                    del bydeg[old]
+            if v not in rot:
+                cuts.discard(v)
+                continue
+            k = len(rot[v])
+            deg[v] = k
+            bydeg.setdefault(k, set()).add(v)
+            corners = face[v]
+            if len(set(corners.values())) < k:
+                cuts.add(v)
+            else:
+                cuts.discard(v)
+
+
 def surgery(
     g: PlanarGraph,
     delete_vertices: Iterable[int] = (),
@@ -299,89 +720,9 @@ def surgery(
     neighbor), with the smallest face index breaking ties.  Survivors are
     renamed to dense ids 1..n'; the rename map is returned alongside.
     """
-    dels = set(delete_vertices)
-    for v in dels:
-        g._check_vertex(v)
-    del_edges = {edge_key(u, v) for (u, v) in delete_edges}
-    for (u, v) in del_edges:
-        g._check_vertex(u)
-        g._check_vertex(v)
-        if not g.has_edge(u, v):
-            raise UnknownVertex(f"edge {u}-{v} not in graph")
-
-    rot: dict[int, list[int]] = {}
-    scarred: set[int] = set()
-    for v in g.vertices():
-        if v in dels:
-            continue
-        kept = [
-            u
-            for u in g.rotation[v - 1]
-            if u not in dels and edge_key(u, v) not in del_edges
-        ]
-        if len(kept) != g.degree(v):
-            scarred.add(v)
-        rot[v] = kept
-
-    additions = []
-    for (a, b) in add_edges:
-        if a in dels or b in dels or a not in rot or b not in rot:
-            raise UnknownVertex(f"added edge {a}-{b} touches a missing vertex")
-        if a == b:
-            raise SurgeryNotPlanar("cannot add a self-loop")
-        additions.append((a, b))
-
-    if rot and len(reachable(rot.__getitem__, g.n, next(iter(rot)))) != len(rot):
-        raise SurgeryDisconnects(
-            f"deleting {sorted(dels)} / {sorted(del_edges)} disconnects the graph"
-        )
-
-    for (a, b) in additions:
-        if b in rot[a]:
-            continue  # already adjacent: the distance requirement is met
-        _insert_edge(rot, a, b, scarred)
-        if max_degree is not None and (
-            len(rot[a]) > max_degree or len(rot[b]) > max_degree
-        ):
-            raise DegreeBudgetExceeded(
-                f"adding {a}-{b} exceeds the degree cap {max_degree}"
-            )
-
-    survivors = sorted(rot)
-    old_to_new = {old: i + 1 for i, old in enumerate(survivors)}
-    new_rotation = [
-        tuple(old_to_new[u] for u in rot[old]) for old in survivors
-    ]
-    return SurgeryResult(graph=PlanarGraph(new_rotation), old_to_new=old_to_new)
-
-
-def _insert_edge(
-    rot: dict[int, list[int]], a: int, b: int, scarred: set[int]
-) -> None:
-    """Insert edge a-b into a face shared by a and b.
-
-    The new neighbor goes immediately after the boundary predecessor of the
-    chosen face in each endpoint's rotation; that is the unique position
-    that splits the face instead of breaking the map.
-    """
-    faces = _trace_rotation(rot)
-    candidates = []
-    for idx, cycle in enumerate(faces):
-        tails = [u for (u, _) in cycle]
-        if a in tails and b in tails:
-            scar_count = len(scarred.intersection(tails))
-            candidates.append((-scar_count, idx, cycle))
-    if not candidates:
-        raise SurgeryNotPlanar(f"{a} and {b} share no face; cannot add edge")
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    cycle = candidates[0][2]
-
-    pred_a = next(u for (u, w) in cycle if w == a)
-    pred_b = next(u for (u, w) in cycle if w == b)
-    if not rot[a] or not rot[b]:
-        raise SurgeryNotPlanar(f"cannot attach edge {a}-{b} to an isolated vertex")
-    rot[a].insert(rot[a].index(pred_a) + 1, b)
-    rot[b].insert(rot[b].index(pred_b) + 1, a)
+    e = Embedding(g)
+    e.apply(delete_vertices, delete_edges, add_edges, max_degree)
+    return e.snapshot()
 
 
 def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
@@ -395,42 +736,15 @@ def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
 
 
 def articulation_points(g: PlanarGraph) -> set[int]:
-    """All cut vertices, via one iterative lowpoint DFS."""
-    n = g.n
-    if n <= 2:
-        return set()
-    disc = [0] * (n + 1)
-    low = [0] * (n + 1)
-    parent = [0] * (n + 1)
+    """All cut vertices: in a connected plane graph, exactly the vertices
+    that repeat on some face boundary walk."""
     cuts: set[int] = set()
-    timer = 1
-    disc[1] = low[1] = timer
-    root_children = 0
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        v, i = stack[-1]
-        nbrs = g.rotation[v - 1]
-        if i < len(nbrs):
-            stack[-1] = (v, i + 1)
-            u = nbrs[i]
-            if not disc[u]:
-                parent[u] = v
-                if v == 1:
-                    root_children += 1
-                timer += 1
-                disc[u] = low[u] = timer
-                stack.append((u, 0))
-            elif u != parent[v]:
-                low[v] = min(low[v], disc[u])
-        else:
-            stack.pop()
-            p = parent[v]
-            if p:
-                low[p] = min(low[p], low[v])
-                if p != 1 and low[v] >= disc[p]:
-                    cuts.add(p)
-    if root_children >= 2:
-        cuts.add(1)
+    for face in trace_faces(g):
+        seen: set[int] = set()
+        for v in face.boundary:
+            if v in seen:
+                cuts.add(v)
+            seen.add(v)
     return cuts
 
 
@@ -438,10 +752,11 @@ def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:
     """Split at a cut vertex into two surgery results: the first keeps the
     component of G - v containing the smallest vertex id, the second keeps
     the rest; both keep v and inherit the induced rotation order."""
-    g._check_vertex(v)
-    rest = set(g.vertices()) - {v}
-    first = set(reachable(g.adj, g.n, min(rest), avoid=v)) if rest else set()
-    rest -= first
-    if not rest:
-        raise NotACutVertex(f"{v} is not a cut vertex")
-    return surgery(g, delete_vertices=rest), surgery(g, delete_vertices=first)
+    e = Embedding(g)
+    first, rest = e.split_sides(v)
+    parts = []
+    for side in (rest, first):
+        e.apply(delete_vertices=side)
+        parts.append(e.snapshot())
+        e.undo()
+    return parts[0], parts[1]

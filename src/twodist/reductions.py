@@ -26,13 +26,11 @@ from .classify import is_special_vertex
 from .errors import InvariantViolated
 from .planar import (
     Edge,
+    Embedding,
     PlanarGraph,
     SurgeryResult,
-    articulation_points,
     distance_profile,
     edge_key,
-    surgery,
-    trace_faces,
 )
 
 
@@ -63,28 +61,34 @@ class ProofGapReport:
 
 
 class _Ctx:
-    """Shared per-graph scratch for the matchers."""
+    """Shared per-step scratch for the matchers, read off the embedding."""
 
-    __slots__ = ("g", "faces", "delta", "_corner_degs")
+    __slots__ = ("e", "delta", "_corner_degs", "_of_degree")
 
-    def __init__(self, g: PlanarGraph):
-        self.g = g
-        self.faces = trace_faces(g)
-        self.delta = g.max_degree()
+    def __init__(self, e: Embedding):
+        self.e = e
+        self.delta = e.max_degree()
         self._corner_degs: dict[int, tuple[int, ...]] = {}
+        self._of_degree: dict[int, list[int]] = {}
+
+    def of_degree(self, k: int) -> list[int]:
+        """The vertices of degree k, ascending."""
+        vs = self._of_degree.get(k)
+        if vs is None:
+            vs = self._of_degree[k] = self.e.of_degree(k)
+        return vs
 
     def corner_degrees(self, v: int) -> tuple[int, ...]:
         cd = self._corner_degs.get(v)
         if cd is None:
-            cd = tuple(self.faces[i].degree for i in self.g.corner_faces(v))
-            self._corner_degs[v] = cd
+            cd = self._corner_degs[v] = self.e.corner_degrees(v)
         return cd
 
     def is_kd(self, v: int, k: int, d: int) -> bool:
-        return self.g.degree(v) == k and self.corner_degrees(v).count(3) == d
+        return self.e.degree(v) == k and self.corner_degrees(v).count(3) == d
 
     def special(self, v: int) -> bool:
-        return is_special_vertex(self.g, v)
+        return is_special_vertex(self.e, v)
 
 
 # --------------------------------------------------------------------------
@@ -94,7 +98,7 @@ class _Ctx:
 
 def _m_L2_1(ctx: _Ctx) -> Reduction | None:
     """Cut vertex: split the graph and merge the colorings afterwards."""
-    cuts = articulation_points(ctx.g)
+    cuts = ctx.e.cuts
     if not cuts:
         return None
     v = min(cuts)
@@ -103,16 +107,16 @@ def _m_L2_1(ctx: _Ctx) -> Reduction | None:
 
 def _m_L2_2(ctx: _Ctx) -> Reduction | None:
     """A vertex of degree at most 2: delete it, close the gap with an edge."""
-    g = ctx.g
-    if g.n == 0:
+    e = ctx.e
+    if e.n == 0:
         return None
-    dmin = g.min_degree()
+    dmin = e.min_degree()
     if dmin > 2:
         return None
-    v = next(u for u in g.vertices() if g.degree(u) == dmin)
+    v = ctx.of_degree(dmin)[0]
     adds: tuple[Edge, ...] = ()
     if dmin == 2:
-        a, b = g.neighbors(v)
+        a, b = e.neighbors(v)
         adds = (edge_key(a, b),)
     return Reduction(
         "L2.2", None, v, (v,), (v,), (), adds, d2_bound=2 * ctx.delta
@@ -123,15 +127,13 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
     """3-vertex with a neighbor below the maximum degree: route the two
     replacement edges through that low-degree neighbor (it alone has the
     headroom to gain an edge)."""
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 3:
-            continue
-        small = [u for u in g.neighbors(v) if g.degree(u) <= ctx.delta - 1]
+    e = ctx.e
+    for v in ctx.of_degree(3):
+        small = [u for u in e.neighbors(v) if e.degree(u) <= ctx.delta - 1]
         if not small:
             continue
         v2 = min(small)
-        others = [u for u in g.neighbors(v) if u != v2]
+        others = [u for u in e.neighbors(v) if u != v2]
         adds = tuple(edge_key(v2, u) for u in others)
         return Reduction(
             "L2.3.1", None, v, (v,), (v,), (), adds, 3 * ctx.delta - 1
@@ -149,15 +151,12 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
     re-colored.  From maximum degree 7 on, the center is deleted and three
     chords fanned from that neighbor, which gains two net edges.
     """
-    g = ctx.g
-    for v in g.vertices():
-        if g.degree(v) != 6:
-            continue
+    for v in ctx.of_degree(6):
         cd = ctx.corner_degrees(v)
         if cd.count(3) != 5:
             continue
         q = next(i for i in range(6) if cd[i] != 3)
-        rot = g.neighbors(v)
+        rot = ctx.e.neighbors(v)
         for reading in ("ccw", "cw"):
             if reading == "ccw":
                 lab = tuple(rot[(q + 1 + j) % 6] for j in range(6))
@@ -186,7 +185,7 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
 # --------------------------------------------------------------------------
 
 Chords = tuple[tuple[int, int], ...]  # pairs of label indices, 0 is v1
-ChordHook = Callable[[_Ctx, tuple[int, ...]], tuple[str, Chords] | None]
+ChordHook = Callable[[_Ctx, list[int]], tuple[str, Chords] | None]
 
 # (case, corner pattern, chords).  pattern[j] is the face degree required at
 # corner (r + j) % k, the corner between rotation neighbors r + j and
@@ -220,18 +219,17 @@ class Rule:
 
     def match(self, ctx: _Ctx) -> Reduction | None:
         """The first vertex, in ascending id, where the rule fires."""
-        rotation = ctx.g.rotation
+        e = ctx.e
         k, t3, t4 = self.shape
-        for v, rot in enumerate(rotation, 1):
-            if len(rot) != k:
-                continue
+        for v in ctx.of_degree(k):
+            rot = e.neighbors(v)
             cd = ctx.corner_degrees(v)
             if t3 is not None and cd.count(3) != t3:
                 continue
             if t4 is not None and cd.count(4) != t4:
                 continue
             if self.degrees is not None and not self.degrees(
-                sorted(len(rotation[u - 1]) for u in rot)
+                sorted(e.degree(u) for u in rot)
             ):
                 continue
             if self.six_six and (
@@ -246,7 +244,7 @@ class Rule:
         return None
 
     def _emit(
-        self, ctx: _Ctx, v: int, rot: tuple[int, ...], cd: tuple[int, ...]
+        self, ctx: _Ctx, v: int, rot: list[int], cd: tuple[int, ...]
     ) -> Reduction | None:
         k = len(rot)
         for case, pattern, chords in self.anchors:
@@ -287,11 +285,11 @@ _FAN_CHORDS: tuple[Chords, ...] = (
 )
 
 
-def _fan_center(ctx: _Ctx, lab: tuple[int, ...]) -> tuple[str, Chords] | None:
+def _fan_center(ctx: _Ctx, lab: list[int]) -> tuple[str, Chords] | None:
     """L2.7.1: a single chord cannot reconnect both diagonal neighbor pairs,
     so two are fanned from the first neighbor with degree headroom."""
     for i, chords in enumerate(_FAN_CHORDS):
-        if ctx.g.degree(lab[i]) <= ctx.delta - 1:
+        if ctx.e.degree(lab[i]) <= ctx.delta - 1:
             return f"fan-v{i + 1}", chords
     return None
 
@@ -303,11 +301,11 @@ _FAR_SIDE_FANS: tuple[tuple[int, Chords], ...] = (
 )
 
 
-def _far_side(ctx: _Ctx, lab: tuple[int, ...]) -> tuple[str, Chords]:
+def _far_side(ctx: _Ctx, lab: list[int]) -> tuple[str, Chords]:
     """L2.7.2 with the two 4-faces separated by the big face: fan from the
     first of v1, v2, v4 of degree at most 5, else from v3."""
     for i, chords in _FAR_SIDE_FANS:
-        if ctx.g.degree(lab[i]) <= 5:
+        if ctx.e.degree(lab[i]) <= 5:
             return "nonadjacent", chords
     return "nonadjacent", ((1, 2), (2, 3))
 
@@ -374,29 +372,34 @@ MATCHER_ORDER: tuple[tuple[str, Callable[[_Ctx], Reduction | None]], ...] = (
 )
 
 
-def match_case(tag: str, g: PlanarGraph):
+def _embedding(g: PlanarGraph | Embedding) -> Embedding:
+    return g if isinstance(g, Embedding) else Embedding(g)
+
+
+def match_case(tag: str, g: PlanarGraph | Embedding):
     """Run a single catalog matcher by tag ("L2.6.3", "L2.11", ...)."""
-    ctx = _Ctx(g)
+    ctx = _Ctx(_embedding(g))
     for t, fn in MATCHER_ORDER:
         if t == tag:
             return fn(ctx)
     raise KeyError(tag)
 
 
-def find_reduction(g: PlanarGraph) -> Reduction | ProofGapReport:
+def find_reduction(g: PlanarGraph | Embedding) -> Reduction | ProofGapReport:
     """First catalog hit in fixed priority order, or a gap report.
 
     The order runs cheapest and strongest rules first; within a rule,
     vertices are scanned in ascending id, so identical graphs always yield
-    identical reductions.
+    identical reductions.  On an Embedding the reduction names its stable
+    ids, and a gap report carries the graph renamed to dense ids.
     """
-    ctx = _Ctx(g)
+    ctx = _Ctx(_embedding(g))
     for _, fn in MATCHER_ORDER:
         hit = fn(ctx)
         if hit is not None:
             return hit
     return ProofGapReport(
-        graph=g,
+        graph=g if isinstance(g, PlanarGraph) else g.snapshot().graph,
         delta=ctx.delta,
         reason="no catalog rule fired",
         nearest_miss=_nearest_miss(ctx),
@@ -404,16 +407,13 @@ def find_reduction(g: PlanarGraph) -> Reduction | ProofGapReport:
 
 
 def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
-    g = ctx.g
-    by_degree: dict[int, int] = {}
-    for v in g.vertices():
-        by_degree[g.degree(v)] = by_degree.get(g.degree(v), 0) + 1
+    e = ctx.e
     notes = [
-        ("degrees", ", ".join(f"{d}:{c}" for d, c in sorted(by_degree.items()))),
-        ("L2.2", f"minimum degree {g.min_degree() if g.n else 0}"),
+        ("degrees", ", ".join(f"{d}:{len(e.bydeg[d])}" for d in sorted(e.bydeg))),
+        ("L2.2", f"minimum degree {e.min_degree()}"),
     ]
     shapes = {
-        f"({k},{t3})": sum(1 for v in g.vertices() if ctx.is_kd(v, k, t3))
+        f"({k},{t3})": sum(1 for v in ctx.of_degree(k) if ctx.is_kd(v, k, t3))
         for k, t3 in ((4, 4), (4, 3), (4, 2), (4, 1), (5, 5), (5, 4), (6, 5))
     }
     notes.append(
@@ -427,18 +427,20 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
 def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
     """Perform the reduction's surgery with the degree cap pinned to the
     current maximum degree.  Split reductions go through split_at instead."""
+    e = Embedding(g)
+    reduce_in_place(e, r)
+    return e.snapshot()
+
+
+def reduce_in_place(e: Embedding, r: Reduction) -> None:
+    """apply_reduction on the engine's embedding; e.undo() reverts it."""
     if r.split is not None:
         raise ValueError("split reductions are applied via planar.split_at")
-    result = surgery(
-        g,
-        delete_vertices=r.delete_vertices,
-        delete_edges=r.delete_edges,
-        add_edges=r.add_edges,
-        max_degree=g.max_degree(),
-    )
-    if result.graph.size() >= g.size():
+    size = e.n + e.m
+    e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
+    if e.n + e.m >= size:
+        e.undo()
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
-    return result
 
 
 def check_properness(

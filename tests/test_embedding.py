@@ -1,0 +1,170 @@
+"""The engine's Embedding against recomputation from scratch.
+
+Every apply and every undo the engine makes while coloring a corpus slice
+and some flip graphs is followed by a full check: the rotation is rebuilt
+as a validated PlanarGraph, its faces traced and its cut vertices found by
+``is_cut_vertex``, and all of that must equal what the embedding kept up to
+date locally.  An undo must also restore the state before its apply
+exactly.  A failed apply must leave nothing changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import gadgets
+from twodist import (
+    DegreeBudgetExceeded,
+    InvariantViolated,
+    Reduction,
+    SurgeryDisconnects,
+    SurgeryNotPlanar,
+    UnknownVertex,
+    color,
+    gen_planar,
+    is_cut_vertex,
+    trace_faces,
+    verify_coloring,
+)
+from twodist.planar import Embedding
+from twodist.reductions import reduce_in_place
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import gen_flip  # noqa: E402
+
+
+def state(e):
+    """Everything an Embedding holds, copied."""
+    return (
+        {v: list(r) for v, r in e.rot.items()},
+        {v: dict(f) for v, f in e.face.items()},
+        dict(e.fdeg),
+        e.m,
+        {d: set(vs) for d, vs in e.bydeg.items()},
+        set(e.cuts),
+        len(e._frames),
+    )
+
+
+def check_against_scratch(e):
+    part = e.snapshot()  # a validated PlanarGraph: symmetric, connected, Euler
+    g, old_to_new = part.graph, part.old_to_new
+    live = list(old_to_new)
+    assert (e.n, e.m) == (g.n, g.m)
+    assert [[old_to_new[u] for u in e.rot[v]] for v in live] == list(map(list, g.rotation))
+
+    faces = trace_faces(g)
+    assert len(e.fdeg) == len(faces)
+    dart_face = g.dart_face_map()
+    ids = {}  # kept face id -> traced face index, which must be a bijection
+    for v in live:
+        for u in e.rot[v]:
+            traced = dart_face[(old_to_new[v], old_to_new[u])]
+            assert ids.setdefault(e.face[v][u], traced) == traced
+        assert e.corner_degrees(v) == tuple(
+            faces[i].degree for i in g.corner_faces(old_to_new[v])
+        )
+    assert len(set(ids.values())) == len(ids) == len(faces)
+    assert all(e.fdeg[f] == faces[i].degree for f, i in ids.items())
+
+    hist = {}
+    for v in live:
+        hist.setdefault(len(e.rot[v]), set()).add(v)
+    assert e.bydeg == hist
+    assert e.cuts == {v for v in live if is_cut_vertex(g, old_to_new[v])}
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Check the embedding after every apply and undo the engine makes;
+    returns the number of (apply, undo) calls seen."""
+    apply, undo = Embedding.apply, Embedding.undo
+    saved = []
+    seen = [0, 0]
+
+    def checked_apply(self, *args, **kwargs):
+        saved.append(state(self))
+        apply(self, *args, **kwargs)  # a failed one undoes itself, checked below
+        seen[0] += 1
+        check_against_scratch(self)
+
+    def checked_undo(self):
+        undo(self)
+        seen[1] += 1
+        assert state(self) == saved.pop()
+        check_against_scratch(self)
+
+    monkeypatch.setattr(Embedding, "apply", checked_apply)
+    monkeypatch.setattr(Embedding, "undo", checked_undo)
+    return seen
+
+
+def two_wheels():
+    """W6 (hub 1) and W8 (hub 8) sharing rim vertex 2, a cut vertex whose
+    sides both have a hub off the face that the split changes."""
+    coords = {1: (0.0, 0.0), 8: (0.0, 3.0)}
+    coords.update({i + 2: gadgets._pt(90 + 60 * i, 1.0) for i in range(6)})
+    rim = [2] + list(range(9, 16))
+    for i, v in enumerate(rim[1:], 1):
+        x, y = gadgets._pt(270 + 45 * i, 2.0)
+        coords[v] = (x, y + 3.0)
+    edges = [(1, v) for v in range(2, 8)] + [(v, v % 7 + 1 if v < 7 else 2) for v in range(2, 8)]
+    edges += [(8, v) for v in rim] + [(rim[i], rim[(i + 1) % 8]) for i in range(8)]
+    return gadgets.embed(coords, edges)
+
+
+def test_every_step_of_a_corpus_slice(small_corpus, checked):
+    graphs = [g for g in small_corpus if g.n <= 70][:8]
+    graphs += [gadgets.two_triangles(), two_wheels(), gadgets.g_L2_11(), gadgets.g_L2_7_1()]
+    for g in graphs:
+        assert verify_coloring(g, color(g)).valid
+    assert checked[0] == checked[1] > 100
+
+
+def test_every_step_of_flip_graphs(checked):
+    for seed in (101000, 101001):
+        g = gen_flip(80, seed)
+        assert verify_coloring(g, color(g)).valid
+    assert checked[0] == checked[1] > 50
+
+
+def test_shrinking_to_one_vertex_and_back():
+    g = gadgets.wheel(6)
+    e = Embedding(g)
+    before = state(e)
+    e.apply(delete_vertices=range(2, 8))
+    assert (e.n, e.m, e.fdeg, e.cuts) == (1, 0, {}, set())
+    e.undo()
+    assert state(e) == before
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, error",
+    [
+        # the rim vertex goes before the cap trips on the added edge
+        (lambda: gadgets.wheel(6), dict(delete_vertices=[2], add_edges=[(3, 7)], max_degree=2),
+         DegreeBudgetExceeded),
+        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
+        (gadgets.two_triangles, dict(delete_vertices=[1]), SurgeryDisconnects),
+        (lambda: gadgets.path(4), dict(delete_edges=[(2, 3)]), SurgeryDisconnects),
+        (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
+        (lambda: gadgets.cycle(4), dict(add_edges=[(1, 9)]), UnknownVertex),
+    ],
+)
+def test_failed_apply_changes_nothing(build, kwargs, error):
+    e = Embedding(build())
+    before = state(e)
+    with pytest.raises(error):
+        e.apply(**kwargs)
+    assert state(e) == before
+    check_against_scratch(e)
+
+
+def test_a_reduction_that_does_not_shrink_is_rolled_back():
+    e = Embedding(gen_planar(12, min_delta=6, seed=1))
+    before = state(e)
+    with pytest.raises(InvariantViolated):
+        reduce_in_place(e, Reduction("L2.2", None, 1, (), (), (), (), 0))
+    assert state(e) == before

@@ -263,3 +263,27 @@ class TestCutVertices:
         cuts = articulation_points(g)
         for v in g.vertices():
             assert (v in cuts) == is_cut_vertex(g, v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds)
+    def test_articulation_matches_on_corpus_graphs(self, seed):
+        # the acceptance corpus generator: Delta >= 6, edges deleted
+        g = gen_planar(14 + seed % 60, min_delta=6, seed=seed)
+        cuts = articulation_points(g)
+        assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_articulation_matches_on_trees(self, data):
+        # every rotation system of a tree is planar, with one face
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        nbrs = {v: [] for v in range(1, n + 1)}
+        for v in range(2, n + 1):
+            p = data.draw(st.integers(min_value=1, max_value=v - 1))
+            nbrs[v].append(p)
+            nbrs[p].append(v)
+        g = PlanarGraph([data.draw(st.permutations(nbrs[v])) for v in range(1, n + 1)])
+        assert len(trace_faces(g)) == (1 if n > 1 else 0)
+        cuts = articulation_points(g)
+        assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
+        assert cuts == {v for v in g.vertices() if g.degree(v) > 1}

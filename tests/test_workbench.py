@@ -1,6 +1,9 @@
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gadgets
 from twodist import (
@@ -8,6 +11,7 @@ from twodist import (
     EmbeddingInvalid,
     GenerationFailed,
     ParseError,
+    TwodistError,
     gen_planar,
     hunt,
     parse_coloring,
@@ -270,3 +274,72 @@ class TestCli:
         gfile.write_text(K4_TEXT)
         assert main(["oracle", str(gfile), "--budget", "0"]) == 0
         assert "chi2 = 4" in capsys.readouterr().out
+
+
+# -- fuzzing the boundaries ------------------------------------------------
+
+_numbers = st.one_of(
+    st.integers(min_value=-2, max_value=9),
+    st.sampled_from([10**9, 2**63, -(10**12)]),
+)
+_graph_lines = st.one_of(
+    st.builds(lambda a, b: f"p {a} {b}", _numbers, _numbers),
+    st.lists(_numbers, max_size=8).map(lambda xs: " ".join(["r", *map(str, xs)])),
+    st.sampled_from(K4_TEXT.splitlines() + ["p", "r", "p 4", "r 1 x", "q 1 2", ""]),
+    st.text(max_size=12),
+)
+_graph_texts = st.lists(_graph_lines, max_size=8).map("\n".join)
+_coloring_texts = st.lists(
+    st.one_of(
+        st.lists(_numbers, max_size=3).map(lambda xs: " ".join(map(str, xs))),
+        st.text(max_size=8),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+class TestFuzz:
+    """Malformed input ends in a TwodistError, or exit code 2 from the CLI,
+    never in a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_texts)
+    def test_parse_graph(self, text):
+        try:
+            g = parse_graph(text)
+        except TwodistError:
+            return
+        assert parse_graph(write_graph(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coloring_texts)
+    def test_parse_coloring(self, text):
+        try:
+            c = parse_coloring(text, budget=5)
+        except TwodistError:
+            return
+        assert parse_coloring(write_coloring(c), budget=5).assignment == c.assignment
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(_graph_texts.map(str.encode), st.binary(max_size=40)),
+        _coloring_texts,
+        st.sampled_from(["color", "verify", "audit", "oracle", "reduce"]),
+    )
+    def test_cli(self, graph_bytes, coloring_text, command):
+        try:
+            parse_graph(graph_bytes.decode())
+            malformed = False
+        except (UnicodeDecodeError, TwodistError):
+            malformed = True
+        with tempfile.TemporaryDirectory() as tmp:
+            gfile, cfile = Path(tmp, "g.graph"), Path(tmp, "c.colors")
+            gfile.write_bytes(graph_bytes)
+            cfile.write_text(coloring_text)
+            argv = {
+                "verify": ["verify", str(gfile), str(cfile)],
+                "oracle": ["oracle", str(gfile), "--budget", "1000"],
+                "reduce": ["reduce", str(gfile), "--steps", "3"],
+            }.get(command, [command, str(gfile)])
+            code = main(argv)
+        assert code == 2 if malformed else code in (0, 1, 2)
