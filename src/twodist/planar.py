@@ -318,9 +318,11 @@ class Embedding:
     - ``m``, the edge count (n is the number of live vertices).
 
     Deleting vertices and edges walks only the faces they bordered, as
-    they close up again; adding an edge walks the smaller of the two faces
-    it splits.  ``apply`` logs how to undo itself, and ``undo`` restores the
-    embedding exactly, rotation order included.
+    they close up again; deleting more vertices than survive (one side of
+    a split) builds the survivors' structures afresh instead.  Adding an
+    edge walks the smaller of the two faces it splits.  ``apply`` logs how
+    to undo itself, and ``undo`` restores the embedding exactly, rotation
+    order included.
     """
 
     __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "top", "_deg", "_faces", "_frames")
@@ -360,9 +362,6 @@ class Embedding:
 
     def degree(self, v: int) -> int:
         return len(self.rot[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.face[u]
 
     def max_degree(self) -> int:
         return max(self.bydeg, default=0)
@@ -621,15 +620,6 @@ class Embedding:
                 if fx[y] in old:
                     self._new_face(self._walk((x, y)), log, touched)
 
-    def _split(
-        self, f: int, p: Edge, q: Edge, total: int, log: list[LogEntry], touched: set[int]
-    ) -> None:
-        """Face f has become the two faces of darts p and q, of total degree
-        total: the smaller one gets a fresh id."""
-        side = self._smaller_face(p, q)
-        self._new_face(side, log, touched)
-        self._set_degree(f, total - len(side), log)
-
     def _link(
         self,
         a: int,
@@ -678,7 +668,11 @@ class Embedding:
         log.append(("link", a, ia, b, ib))
         self.m += 1
         touched.update((a, b))
-        self._split(f, (a, b), (b, a), self.fdeg[f] + 2, log, touched)
+        # f is now two faces, one on each side of a-b: the smaller gets a new id
+        total = self.fdeg[f] + 2
+        side = self._smaller_face((a, b), (b, a))
+        self._new_face(side, log, touched)
+        self._set_degree(f, total - len(side), log)
 
     def _refresh(self, vertices: Iterable[int]) -> None:
         """Re-derive the degree buckets and cut flags of these vertices."""
