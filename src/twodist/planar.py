@@ -551,6 +551,8 @@ class Embedding:
         the faces they bordered.  Returns the survivors that lost a
         neighbor."""
         if not del_edges and 2 * len(dels) > len(self.rot):
+            # the larger side of a split: dart by dart, this apply and its
+            # undo would cost the whole graph on every split
             return self._keep(self.rot.keys() - dels, log, touched)
         rot, face, fdeg = self.rot, self.face, self.fdeg
         lost: dict[int, set[int]] = {}  # survivor -> neighbors it loses

@@ -113,7 +113,7 @@ def _m_L2_2(ctx: _Ctx) -> Reduction | None:
     dmin = e.min_degree()
     if dmin > 2:
         return None
-    v = ctx.of_degree(dmin)[0]
+    v = min(e.bydeg[dmin])
     adds: tuple[Edge, ...] = ()
     if dmin == 2:
         a, b = e.neighbors(v)

@@ -158,8 +158,12 @@ class TestExtend:
     def test_changes_only_pending(self):
         g = gadgets.cycle(6)
         partial = Coloring({2: 1, 3: 2, 4: 1, 5: 2, 6: 3}, budget=8)
+        before = dict(partial.assignment)
         out = extend(partial, g, (1,))
-        assert {v: out.assignment[v] for v in partial.assignment} == partial.assignment
+        # extend colours in place and returns the colouring it was given
+        assert out is partial
+        assert {v: out.assignment[v] for v in before} == before
+        assert out.assignment.keys() == before.keys() | {1}
 
     def test_no_safe_color(self):
         g = gadgets.star(6)
