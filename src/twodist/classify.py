@@ -46,31 +46,39 @@ def charge_after_r1_r2(
     stream; every other vertex of degree at most delta-1 draws 1/5 per
     incident 5+-face.
     """
-    charge = Fraction(k - 4) - Fraction(t3, 3)
+    return Fraction(_fifteenths_after_r1_r2(k, t3, t5p, delta), 15)
+
+
+def _fifteenths_after_r1_r2(k: int, t3: int, t5p: int, delta: int) -> int:
+    """``charge_after_r1_r2`` in whole units of 1/15, the lcm of the 1/3
+    and 1/5 amounts, so that its sign test needs no Fraction."""
+    units = 15 * (k - 4) - 5 * t3
     if k == 3:
-        charge += Fraction(t5p, 3)
+        units += 5 * t5p
     elif k <= delta - 1:
-        charge += Fraction(t5p, 5)
-    return charge
+        units += 3 * t5p
+    return units
 
 
 def classify_all(g: PlanarGraph) -> dict[int, VertexClass]:
     """Profile every vertex of the embedding."""
-    faces = trace_faces(g)
+    face_degree = [f.degree for f in trace_faces(g)]
+    dart_face = g.dart_face_map()
     delta = g.max_degree()
     classes: dict[int, VertexClass] = {}
-    for v in g.vertices():
-        k = g.degree(v)
+    for v, nbrs in enumerate(g.rotation, 1):
+        k = len(nbrs)
         t3 = t4 = t5p = 0
-        for fid in g.corner_faces(v):
-            d = faces[fid].degree
+        # the corners of v lie in the faces of its darts (v, u), one each
+        for u in nbrs:
+            d = face_degree[dart_face[v, u]]
             if d == 3:
                 t3 += 1
             elif d == 4:
                 t4 += 1
             else:
                 t5p += 1
-        after = charge_after_r1_r2(k, t3, t5p, delta)
+        after = _fifteenths_after_r1_r2(k, t3, t5p, delta)
         classes[v] = VertexClass(
             v=v,
             k=k,

@@ -1,16 +1,27 @@
-"""Exact-rational charge bookkeeping: initial charges, the fourteen
-transfer rules, and the audit that ties the two together.
+"""Exact charge bookkeeping: initial charges, the fourteen transfer rules,
+and the audit that ties the two together.
 
 Every connected embedding satisfies sum(d(v) - 4) + sum(d(f) - 4) = -8, so
 the rules can only move charge around.  Rules are applied simultaneously
 against the initial classification; every transfer is logged so that
 per-rule conservation can be re-derived from the log alone.
+
+The arithmetic is exact.  Every rule amount is a whole number of units of
+1/UNIT, where UNIT = 180 is the lcm of the denominators in RULE_AMOUNTS,
+so inside this module charges and transfers are ints in those units and a
+transfer is one int subtraction plus one int addition.  ``Fraction`` is the
+type at the API: the ledger's and the report's charge views and their
+totals are Fractions built only when a caller reads them, and
+``Transfer.amount`` is the rule's amount as it stands in RULE_AMOUNTS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .classify import VertexClass, classify_all
 from .errors import InvariantViolated
@@ -30,53 +41,84 @@ RULE_AMOUNTS = {
     Fraction(2, 45),
 }
 
+UNIT = math.lcm(*(a.denominator for a in RULE_AMOUNTS))
+
+
+def _units(amount: Fraction) -> int:
+    """A rule amount as a whole number of units of 1/UNIT."""
+    if amount not in RULE_AMOUNTS:
+        raise InvariantViolated(f"{amount} is not in RULE_AMOUNTS")
+    return amount.numerator * (UNIT // amount.denominator)
+
+
+_R1 = _units(Fraction(1, 3))  # per corner of a 3-face
+_R2_TO_3_VERTEX = _units(Fraction(1, 3))
+_R2_TO_OTHER = _units(Fraction(1, 5))
+_R3 = _units(Fraction(1, 9))
+
 # Income per neighbor for the 4-vertex family, keyed by (t3, t4).
 _FOUR_VERTEX_INCOME = {
-    (4, 0): ("R4", Fraction(1, 3)),
-    (3, 1): ("R5", Fraction(1, 4)),
-    (3, 0): ("R6", Fraction(1, 5)),
-    (2, 2): ("R7", Fraction(1, 6)),
-    (2, 1): ("R8", Fraction(7, 60)),
-    (2, 0): ("R9", Fraction(1, 15)),
-    (1, 3): ("R10", Fraction(1, 12)),
-    (1, 2): ("R11", Fraction(1, 30)),
+    (4, 0): ("R4", _units(Fraction(1, 3))),
+    (3, 1): ("R5", _units(Fraction(1, 4))),
+    (3, 0): ("R6", _units(Fraction(1, 5))),
+    (2, 2): ("R7", _units(Fraction(1, 6))),
+    (2, 1): ("R8", _units(Fraction(7, 60))),
+    (2, 0): ("R9", _units(Fraction(1, 15))),
+    (1, 3): ("R10", _units(Fraction(1, 12))),
+    (1, 2): ("R11", _units(Fraction(1, 30))),
 }
 
 # Income per contributing 6+-neighbor for the 5-vertex family.
 _FIVE_VERTEX_INCOME = {
-    (5, 0): ("R12", Fraction(1, 6)),
-    (4, 1): ("R13", Fraction(1, 12)),
-    (4, 0): ("R14", Fraction(2, 45)),
+    (5, 0): ("R12", _units(Fraction(1, 6))),
+    (4, 1): ("R13", _units(Fraction(1, 12))),
+    (4, 0): ("R14", _units(Fraction(2, 45))),
 }
 
+# Transfer.amount reads each amount back from RULE_AMOUNTS.
+_AMOUNT_OF_UNITS = {_units(a): a for a in RULE_AMOUNTS}
+
 FaceKey = tuple
+Element = tuple[str, object]  # ("vertex", id) or ("face", key)
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
-    source: tuple[str, object]  # ("vertex", id) or ("face", key)
-    target: tuple[str, object]
-    amount: Fraction
+    source: Element
+    target: Element
+    units: int  # the amount in units of 1/UNIT
+
+    @property
+    def amount(self) -> Fraction:
+        return _AMOUNT_OF_UNITS[self.units]
 
 
 @dataclass
 class ChargeLedger:
-    """Exact per-element charges plus the full transfer log."""
+    """Exact per-element charges plus the full transfer log, kept in whole
+    units of 1/UNIT; the Fraction views are built on first read."""
 
-    vertex_charge: dict[int, Fraction]
-    face_charge: dict[FaceKey, Fraction]
-    transfers: list[Transfer] = field(default_factory=list)
+    vertex_units: dict[int, int]
+    face_units: dict[FaceKey, int]
+    log: list[tuple[str, Element, Element, int]]  # Transfer fields
+
+    @cached_property
+    def vertex_charge(self) -> dict[int, Fraction]:
+        return {v: Fraction(c, UNIT) for v, c in self.vertex_units.items()}
+
+    @cached_property
+    def face_charge(self) -> dict[FaceKey, Fraction]:
+        return {key: Fraction(c, UNIT) for key, c in self.face_units.items()}
+
+    @cached_property
+    def transfers(self) -> list[Transfer]:
+        return list(map(Transfer._make, self.log))
+
+    def total_units(self) -> int:
+        return sum(self.vertex_units.values()) + sum(self.face_units.values())
 
     def total(self) -> Fraction:
-        return sum(self.vertex_charge.values(), Fraction(0)) + sum(
-            self.face_charge.values(), Fraction(0)
-        )
-
-    def copy(self) -> "ChargeLedger":
-        return ChargeLedger(
-            dict(self.vertex_charge), dict(self.face_charge), list(self.transfers)
-        )
+        return Fraction(self.total_units(), UNIT)
 
 
 def face_keys(g: PlanarGraph) -> list[FaceKey]:
@@ -97,15 +139,15 @@ def initial_charges(g: PlanarGraph) -> ChargeLedger:
     """d(v) - 4 on vertices, d(f) - 4 on faces (keyed in face order);
     totals -8 when m >= 1."""
     ledger = ChargeLedger(
-        vertex_charge={v: Fraction(g.degree(v) - 4) for v in g.vertices()},
-        face_charge={
-            key: Fraction(f.degree - 4)
+        vertex_units={v: (len(r) - 4) * UNIT for v, r in enumerate(g.rotation, 1)},
+        face_units={
+            key: (f.degree - 4) * UNIT
             for key, f in zip(face_keys(g), trace_faces(g))
         },
+        log=[],
     )
-    total = ledger.total()
-    if g.m >= 1 and total != -8:
-        raise InvariantViolated(f"initial charges total {total}, not -8")
+    if g.m >= 1 and ledger.total_units() != -8 * UNIT:
+        raise InvariantViolated(f"initial charges total {ledger.total()}, not -8")
     return ledger
 
 
@@ -120,80 +162,111 @@ def apply_rules(
     never intermediate charges.  A vertex that meets the same face twice
     pays or receives once per incidence.
     """
+    rot = g.rotation
     delta = g.max_degree()
-    out = ledger.copy()
+    vertex = dict(ledger.vertex_units)
+    face = dict(ledger.face_units)
+    log = list(ledger.log)
+    record = log.append
 
-    def move(rule: str, src, dst, amount: Fraction) -> None:
-        kind_s, id_s = src
-        kind_t, id_t = dst
-        if kind_s == "vertex":
-            out.vertex_charge[id_s] -= amount
-        else:
-            out.face_charge[id_s] -= amount
-        if kind_t == "vertex":
-            out.vertex_charge[id_t] += amount
-        else:
-            out.face_charge[id_t] += amount
-        out.transfers.append(Transfer(rule, src, dst, amount))
-
-    for key, f in zip(ledger.face_charge, trace_faces(g), strict=True):
+    for key, f in zip(ledger.face_units, trace_faces(g), strict=True):
         fkey = ("face", key)
-        if f.degree == 3:
+        degree = f.degree
+        if degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.
+            face[key] += 3 * _R1
             for v in f.boundary:
-                move("R1", ("vertex", v), fkey, Fraction(1, 3))
-        elif f.degree >= 5:
+                vertex[v] -= _R1
+                record(("R1", ("vertex", v), fkey, _R1))
+        elif degree >= 5:
             # R2: 1/3 to each incident 3-vertex, 1/5 to every other vertex
             # of degree at most delta-1 (per incidence).
             for v in f.boundary:
-                k = g.degree(v)
+                k = len(rot[v - 1])
                 if k == 3:
-                    move("R2", fkey, ("vertex", v), Fraction(1, 3))
+                    amount = _R2_TO_3_VERTEX
                 elif k <= delta - 1:
-                    move("R2", fkey, ("vertex", v), Fraction(1, 5))
+                    amount = _R2_TO_OTHER
+                else:
+                    continue
+                face[key] -= amount
+                vertex[v] += amount
+                record(("R2", fkey, ("vertex", v), amount))
 
-    for v in g.vertices():
+    for v, nbrs in enumerate(rot, 1):
         vc = classes[v]
         if vc.k == 3:
             # R3: a 3-vertex receives 1/9 from each neighbor.
-            for w in g.neighbors(v):
-                move("R3", ("vertex", w), ("vertex", v), Fraction(1, 9))
-        elif vc.k == 4:
-            entry = _FOUR_VERTEX_INCOME.get((vc.t3, vc.t4))
-            if entry:
-                rule, amount = entry
-                for w in g.neighbors(v):
-                    move(rule, ("vertex", w), ("vertex", v), amount)
-        elif vc.k == 5:
-            entry = _FIVE_VERTEX_INCOME.get((vc.t3, vc.t4))
-            if entry:
-                rule, amount = entry
-                for w in g.neighbors(v):
-                    wc = classes[w]
-                    # contributions come from 6+-neighbors, except the
-                    # fully triangulated 6-vertex which has nothing to give
-                    if wc.k >= 6 and not wc.is_kd(6, 6):
-                        move(rule, ("vertex", w), ("vertex", v), amount)
-    return out
+            rule, amount, payers = "R3", _R3, nbrs
+        elif vc.k == 4 and (vc.t3, vc.t4) in _FOUR_VERTEX_INCOME:
+            rule, amount = _FOUR_VERTEX_INCOME[vc.t3, vc.t4]
+            payers = nbrs
+        elif vc.k == 5 and (vc.t3, vc.t4) in _FIVE_VERTEX_INCOME:
+            rule, amount = _FIVE_VERTEX_INCOME[vc.t3, vc.t4]
+            # contributions come from 6+-neighbors, except the fully
+            # triangulated 6-vertex which has nothing to give
+            payers = [
+                w for w in nbrs
+                if classes[w].k >= 6 and not classes[w].is_kd(6, 6)
+            ]
+        else:
+            continue
+        dst = ("vertex", v)
+        vertex[v] += amount * len(payers)
+        for w in payers:
+            vertex[w] -= amount
+            record((rule, ("vertex", w), dst, amount))
+    return ChargeLedger(vertex, face, log)
 
 
 @dataclass
 class AuditReport:
-    """Outcome of initial_charges + apply_rules on one graph."""
+    """Outcome of initial_charges + apply_rules on one graph.
 
-    total: Fraction
-    initial_vertex: dict[int, Fraction]
-    initial_face: dict[FaceKey, Fraction]
-    final_vertex: dict[int, Fraction]
-    final_face: dict[FaceKey, Fraction]
-    negative_elements: list[tuple[str, object, Fraction, str]]
-    rule_log: list[Transfer]
+    The ledgers hold the charges in units of 1/UNIT; every other charge
+    attribute is a Fraction view of them, built on first read.
+    """
+
+    initial: ChargeLedger
+    final: ChargeLedger
+    negative_units: list[tuple[str, object, int, str]]  # kind, id, units, label
     delta: int
     reduction_lemma: str | None  # catalog rule that fires on this graph, if any
     consistent: bool  # negatives on a Delta>=6 graph imply a fired rule
 
+    @property
+    def total(self) -> Fraction:
+        return self.final.total()
+
+    @property
+    def initial_vertex(self) -> dict[int, Fraction]:
+        return self.initial.vertex_charge
+
+    @property
+    def initial_face(self) -> dict[FaceKey, Fraction]:
+        return self.initial.face_charge
+
+    @property
+    def final_vertex(self) -> dict[int, Fraction]:
+        return self.final.vertex_charge
+
+    @property
+    def final_face(self) -> dict[FaceKey, Fraction]:
+        return self.final.face_charge
+
+    @property
+    def rule_log(self) -> list[Transfer]:
+        return self.final.transfers
+
+    @cached_property
+    def negative_elements(self) -> list[tuple[str, object, Fraction, str]]:
+        return [
+            (kind, key, Fraction(units, UNIT), label)
+            for kind, key, units, label in self.negative_units
+        ]
+
     def negative_count(self) -> int:
-        return len(self.negative_elements)
+        return len(self.negative_units)
 
 
 def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
@@ -211,22 +284,19 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     initial = initial_charges(g)
     ledger = apply_rules(g, initial, classes)
 
-    negatives: list[tuple[str, object, Fraction, str]] = []
-    for v in sorted(ledger.vertex_charge):
-        c = ledger.vertex_charge[v]
-        if c < 0:
-            vc = classes[v]
-            label = str(vc)
-            if vc.bad4:
-                label += " bad4"
-            if vc.bad5:
-                label += " bad5"
-            negatives.append(("vertex", v, c, label))
-    for key in sorted(ledger.face_charge):
-        c = ledger.face_charge[key]
-        if c < 0:
-            size = len([x for x in key if isinstance(x, int)])
-            negatives.append(("face", key, c, f"{size}-face"))
+    negatives: list[tuple[str, object, int, str]] = []
+    vertex, face = ledger.vertex_units, ledger.face_units
+    for v in sorted(v for v, c in vertex.items() if c < 0):
+        vc = classes[v]
+        label = str(vc)
+        if vc.bad4:
+            label += " bad4"
+        if vc.bad5:
+            label += " bad5"
+        negatives.append(("vertex", v, vertex[v], label))
+    for key in sorted(key for key, c in face.items() if c < 0):
+        size = len([x for x in key if isinstance(x, int)])
+        negatives.append(("face", key, face[key], f"{size}-face"))
 
     lemma = None
     if cross_reference:
@@ -238,13 +308,9 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     )
 
     return AuditReport(
-        total=ledger.total(),
-        initial_vertex=initial.vertex_charge,
-        initial_face=initial.face_charge,
-        final_vertex=ledger.vertex_charge,
-        final_face=ledger.face_charge,
-        negative_elements=negatives,
-        rule_log=ledger.transfers,
+        initial=initial,
+        final=ledger,
+        negative_units=negatives,
         delta=delta,
         reduction_lemma=lemma,
         consistent=consistent,
@@ -254,7 +320,7 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
 def rule_totals(transfers: list[Transfer]) -> dict[str, Fraction]:
     """Total amount moved per rule (outgoing equals incoming by construction;
     the audit tests re-derive both sides from the log)."""
-    totals: dict[str, Fraction] = {}
+    totals: dict[str, int] = {}
     for t in transfers:
-        totals[t.rule] = totals.get(t.rule, Fraction(0)) + t.amount
-    return totals
+        totals[t.rule] = totals.get(t.rule, 0) + t.units
+    return {rule: Fraction(units, UNIT) for rule, units in totals.items()}

@@ -91,10 +91,11 @@ class Face:
         return len(self.boundary)
 
     def canonical_key(self) -> tuple[int, ...]:
-        """Lexicographically smallest rotation of the boundary walk."""
+        """Lexicographically smallest rotation of the boundary walk; it
+        starts at an occurrence of the smallest vertex."""
         b = self.boundary
-        n = len(b)
-        return min(tuple(b[i:] + b[:i]) for i in range(n))
+        low = min(b)
+        return min(b[i:] + b[:i] for i, u in enumerate(b) if u == low)
 
 
 class PlanarGraph:

@@ -298,7 +298,7 @@ def hunt(
 
 def format_audit_tsv(g: PlanarGraph, with_trace: bool = False) -> str:
     """TSV dump of an audit: kind, id, initial, final (rationals as p/q)."""
-    rep = audit(g)
+    rep = audit(g, cross_reference=False)
     lines = ["kind\tid\tinitial\tfinal"]
     for v in sorted(rep.final_vertex):
         lines.append(
@@ -309,8 +309,7 @@ def format_audit_tsv(g: PlanarGraph, with_trace: bool = False) -> str:
         lines.append(
             f"face\t{fid}\t{rep.initial_face[key]}\t{rep.final_face[key]}"
         )
-    initial = sum(rep.initial_vertex.values()) + sum(rep.initial_face.values())
-    lines.append(f"total\t-\t{initial}\t{rep.total}")
+    lines.append(f"total\t-\t{rep.initial.total()}\t{rep.total}")
     if with_trace:
         for t in rep.rule_log:
             src = _element_id(t.source)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from twodist import (
     initial_charges,
     trace_faces,
 )
-from twodist.discharge import RULE_AMOUNTS, face_keys, rule_totals
+from twodist.discharge import RULE_AMOUNTS, UNIT, face_keys, rule_totals
 
 seeds = st.integers(min_value=0, max_value=10**6)
 F = Fraction
@@ -46,6 +47,23 @@ class TestInitialCharges:
         assert all(ledger.vertex_charge[v] == -1 for v in range(2, 8))
         assert sorted(ledger.face_charge.values()) == [-1] * 6 + [2]
         assert ledger.total() == -8
+
+
+class TestUnits:
+    def test_rule_amounts_are_whole_units(self):
+        # every denominator divides 180, so the ledger runs on ints
+        assert UNIT == math.lcm(*(a.denominator for a in RULE_AMOUNTS)) == 180
+        amounts = [
+            discharge._R1,
+            discharge._R2_TO_3_VERTEX,
+            discharge._R2_TO_OTHER,
+            discharge._R3,
+        ]
+        for table in (discharge._FOUR_VERTEX_INCOME, discharge._FIVE_VERTEX_INCOME):
+            amounts += [units for _, units in table.values()]
+        for units in amounts:
+            assert type(units) is int
+            assert F(units, UNIT) in RULE_AMOUNTS
 
 
 class TestApplyRules:
@@ -183,6 +201,45 @@ class TestAudit:
     def test_total_identity_property(self, seed):
         g = gen_planar(8 + seed % 40, seed=seed)
         assert audit(g, cross_reference=False).total == -8
+
+    def test_total_builds_no_fraction_per_transfer(self, monkeypatch):
+        made = [0]
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made[0] += 1
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(discharge, "Fraction", Counted)
+        monkeypatch.setattr(classify, "Fraction", Counted)
+        transfers = []
+        for n in (200, 400):
+            g = gen_planar(n, 6, 1)
+            made[0] = 0
+            rep = audit(g, cross_reference=False)
+            assert rep.total == -8
+            assert made[0] <= rep.negative_count() + 2
+            transfers.append(len(rep.final.log))
+        assert 1000 < transfers[0] < transfers[1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_report_views_replay_from_rule_log(self, seed):
+        rep = audit(gen_planar(8 + seed % 40, seed=seed), cross_reference=False)
+        views = {"vertex": dict(rep.initial_vertex), "face": dict(rep.initial_face)}
+        for t in rep.rule_log:
+            views[t.source[0]][t.source[1]] -= t.amount
+            views[t.target[0]][t.target[1]] += t.amount
+        assert views["vertex"] == rep.final_vertex
+        assert views["face"] == rep.final_face
+        assert rep.total == sum(rep.final_vertex.values()) + sum(rep.final_face.values())
+        negative = sorted(
+            (kind, key, c)
+            for kind in views
+            for key, c in views[kind].items()
+            if c < 0
+        )
+        assert sorted(e[:3] for e in rep.negative_elements) == negative
 
     def test_bad_flags_match_post_r1_r2_recomputation(self, small_corpus):
         for g in small_corpus[:10]:
