@@ -733,16 +733,8 @@ def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
 
 
 def articulation_points(g: PlanarGraph) -> set[int]:
-    """All cut vertices: in a connected plane graph, exactly the vertices
-    that repeat on some face boundary walk."""
-    cuts: set[int] = set()
-    for face in trace_faces(g):
-        seen: set[int] = set()
-        for v in face.boundary:
-            if v in seen:
-                cuts.add(v)
-            seen.add(v)
-    return cuts
+    """All cut vertices, as the Embedding keeps them."""
+    return set(Embedding(g).cuts)
 
 
 def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:

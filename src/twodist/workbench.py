@@ -13,6 +13,7 @@ pair per line, colors 1-based.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
@@ -20,7 +21,7 @@ from typing import Iterable
 from .colorer import Coloring, RunTrace, color, verify_coloring
 from .discharge import audit
 from .errors import GenerationFailed, ParseError
-from .planar import PlanarGraph, reachable
+from .planar import PlanarGraph
 from .reductions import ProofGapReport
 
 # -- graph files -----------------------------------------------------------
@@ -143,6 +144,13 @@ def gen_planar(
     uniformly chosen face, then delete random edges (about m/5 by default)
     rejecting any deletion that would disconnect the graph or pull the
     maximum degree under min_delta.  Fully determined by the seed.
+
+    Deleting edges only merges faces, so a union-find over the
+    triangulation's triangles knows the current face of every dart, and an
+    edge is a bridge exactly when one face lies on both of its sides.  A
+    count of the vertices of degree >= min_delta decides the degree test.
+    Each attempted deletion is thus decided before anything changes, in
+    near-constant time, and the whole generation is near-linear in n.
     """
     if n < 3:
         raise GenerationFailed("need n >= 3")
@@ -162,7 +170,6 @@ def _try_generate(
     rot: dict[int, list[int]] = {1: [2, 3], 2: [3, 1], 3: [1, 2]}
     # faces as oriented triangles (a, b, c): darts a->b, b->c, c->a
     faces: list[tuple[int, int, int]] = [(1, 2, 3), (2, 1, 3)]
-    degree = {1: 2, 2: 2, 3: 2}
 
     for w in range(4, n + 1):
         a, b, c = faces.pop(rng.randrange(len(faces)))
@@ -171,56 +178,46 @@ def _try_generate(
         rot[b].insert(rot[b].index(a) + 1, w)
         rot[c].insert(rot[c].index(b) + 1, w)
         rot[w] = [a, c, b]
-        degree[a] += 1
-        degree[b] += 1
-        degree[c] += 1
-        degree[w] = 3
         faces.extend([(a, b, w), (b, c, w), (c, a, w)])
 
-    if max(degree.values()) < min_delta:
+    # vertices of degree >= min_delta; the maximum degree reaches it while > 0
+    big = sum(len(r) >= min_delta for r in rot.values())
+    if not big:
         return None
 
-    m = sum(degree.values()) // 2
-    target = deletions if deletions is not None else m // 5
+    face: dict[tuple[int, int], int] = {}
+    for i, (a, b, c) in enumerate(faces):
+        face[a, b] = face[b, c] = face[c, a] = i
+    parent = list(range(len(faces)))
+    size = [1] * len(faces)
+
+    def find(f: int) -> int:
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
+
+    edges = sorted((v, u) for v in rot for u in rot[v] if v < u)
+    target = deletions if deletions is not None else len(edges) // 5
     removed = 0
     attempts = 0
-    edges = sorted(
-        (v, u) for v in rot for u in rot[v] if v < u
-    )
     while removed < target and attempts < 10 * target + 20:
         attempts += 1
         u, v = edges[rng.randrange(len(edges))]
-        if degree[u] <= 1 or degree[v] <= 1:
-            continue
-        if _max_degree_after(degree, u, v) < min_delta:
-            continue
-        iu = rot[u].index(v)
-        iv = rot[v].index(u)
-        rot[u].pop(iu)
-        rot[v].pop(iv)
-        if len(reachable(rot.__getitem__, n, 1)) == n:
-            degree[u] -= 1
-            degree[v] -= 1
-            edges.remove((u, v))
-            removed += 1
-        else:
-            rot[u].insert(iu, v)
-            rot[v].insert(iv, u)
+        fu, fv = find(face[u, v]), find(face[v, u])
+        lost = (len(rot[u]) == min_delta) + (len(rot[v]) == min_delta)
+        if fu == fv or lost == big:
+            continue  # a bridge, or the last vertices of degree >= min_delta
+        if size[fu] < size[fv]:
+            fu, fv = fv, fu
+        parent[fv] = fu
+        size[fu] += size[fv]
+        big -= lost
+        rot[u].remove(v)
+        rot[v].remove(u)
+        del edges[bisect_left(edges, (u, v))]
+        removed += 1
 
-    g = PlanarGraph([tuple(rot[v]) for v in range(1, n + 1)])
-    if g.max_degree() < min_delta:
-        return None
-    return g
-
-
-def _max_degree_after(degree: dict[int, int], u: int, v: int) -> int:
-    best = 0
-    for w, d in degree.items():
-        if w == u or w == v:
-            d -= 1
-        if d > best:
-            best = d
-    return best
+    return PlanarGraph([tuple(rot[v]) for v in range(1, n + 1)])
 
 
 # -- the hunter ---------------------------------------------------------------

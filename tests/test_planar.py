@@ -252,6 +252,18 @@ class TestCutVertices:
         assert first.graph.size() < g.size() and second.graph.size() < g.size()
         assert (first.graph.n - 1) + (second.graph.n - 1) == g.n - 1
 
+    def test_articulation_on_graphs_up_to_three_vertices(self):
+        for rotation, cuts in (
+            ([], set()),
+            ([()], set()),
+            ([(2,), (1,)], set()),
+            ([(2,), (1, 3), (2,)], {2}),
+            ([(2, 3), (3, 1), (1, 2)], set()),
+        ):
+            g = PlanarGraph(rotation)
+            assert articulation_points(g) == cuts
+            assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
+
     def test_not_a_cut_vertex(self):
         with pytest.raises(NotACutVertex):
             split_at(gadgets.cycle(5), 1)

@@ -124,6 +124,26 @@ class TestGenerator:
             g = gen_planar(40, min_delta=6, seed=seed)
             assert sum(f.degree for f in trace_faces(g)) == 2 * g.m
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=150),
+        st.integers(min_value=0, max_value=12),
+        st.integers(),
+        st.none() | st.integers(min_value=0, max_value=60),
+    )
+    def test_generated_graphs_round_trip_within_bounds(
+        self, n, min_delta, seed, deletions
+    ):
+        try:
+            g = gen_planar(n, min_delta, seed, deletions)
+        except GenerationFailed:
+            return
+        assert parse_graph(write_graph(g)) == g
+        assert g.max_degree() >= min_delta
+        full = 3 * n - 6  # the stacked triangulation's edge count
+        target = deletions if deletions is not None else full // 5
+        assert full - target <= g.m <= full
+
 
 class TestHunt:
     def test_small_hunt_is_clean(self):
