@@ -733,7 +733,8 @@ def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
 
 
 def articulation_points(g: PlanarGraph) -> set[int]:
-    """All cut vertices, as the Embedding keeps them."""
+    """All cut vertices: in a connected plane graph, exactly the vertices
+    that repeat on some face boundary walk, as the Embedding keeps them."""
     return set(Embedding(g).cuts)
 
 

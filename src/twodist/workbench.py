@@ -150,7 +150,9 @@ def gen_planar(
     edge is a bridge exactly when one face lies on both of its sides.  A
     count of the vertices of degree >= min_delta decides the degree test.
     Each attempted deletion is thus decided before anything changes, in
-    near-constant time, and the whole generation is near-linear in n.
+    near-constant amortised time.  Apart from the memmoves of list
+    deletions (a chosen face, an accepted edge), generation is near-linear
+    in n.
     """
     if n < 3:
         raise GenerationFailed("need n >= 3")
