@@ -55,9 +55,9 @@ class Coloring:
 @dataclass
 class ColorReport:
     valid: bool
-    violations: list[tuple[int, int, int, int]]  # (u, v, dist, shared color)
+    violations: list[tuple]  # (u, v, dist, shared color); dist 0: a bad color
     uncolored: list[int]  # vertices of g without a color
-    unknown: list[int]  # colored ids that are not vertices of g
+    unknown: list  # colored ids that are not vertices of g
     colors_used: int
     budget: int
 
@@ -86,25 +86,34 @@ class RunTrace:
 def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
     """Exhaustive distance-2 check, independent of how c was produced.
 
-    Valid means total on the vertices of g and nothing else, every color in
-    1..budget, and no two vertices within distance 2 sharing a color.
+    Valid means total on the vertices of g and nothing else, every color an
+    int in 1..budget, and no two vertices within distance 2 sharing a color.
+    Ids that are not int vertices of g go in ``unknown`` and colors that are
+    not ints in 1..budget are violations, whatever their type.
     """
-    uncolored = [v for v in g.vertices() if v not in c.assignment]
-    unknown = sorted(v for v in c.assignment if not 1 <= v <= g.n)
-    violations: list[tuple[int, int, int, int]] = []
-    for v in sorted(c.assignment):
-        col = c.assignment[v]
-        if not (1 <= col <= c.budget):
-            violations.append((v, v, 0, col))
+    colors = {}  # the assignment restricted to vertices of g
+    unknown = []
+    for v, col in c.assignment.items():
+        if isinstance(v, int) and 1 <= v <= g.n:
+            colors[v] = col
+        else:
+            unknown.append(v)
+    unknown.sort(key=_mixed_order)
+    uncolored = [v for v in g.vertices() if v not in colors]
+    bad = [
+        (v, col)
+        for v, col in c.assignment.items()
+        if not (isinstance(col, int) and 1 <= col <= c.budget)
+    ]
+    bad.sort(key=lambda vc: _mixed_order(vc[0]))
+    violations: list[tuple] = [(v, v, 0, col) for v, col in bad]
     sq = square(g)
     for u in sorted(sq):
-        cu = c.assignment.get(u)
+        cu = colors.get(u)
         if cu is None:
             continue
         for w in sorted(sq[u]):
-            if w <= u:
-                continue
-            if c.assignment.get(w) == cu:
+            if w > u and colors.get(w) == cu:
                 dist = 1 if g.has_edge(u, w) else 2
                 violations.append((u, w, dist, cu))
     return ColorReport(
@@ -115,6 +124,12 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
         colors_used=c.colors_used,
         budget=c.budget,
     )
+
+
+def _mixed_order(x: object) -> tuple:
+    """A total order on ids of any type: by type name, ints by value and
+    everything else by repr."""
+    return type(x).__name__, x if isinstance(x, int) else repr(x)
 
 
 def extend(

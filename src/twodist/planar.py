@@ -1,18 +1,20 @@
 """Connected simple planar graphs carried as rotation systems.
 
-A graph is stored as one counterclockwise neighbor cycle per vertex.  In a
-PlanarGraph faces are derived by tracing the rotation system, never stored
-as ground truth; the Euler count n - m + f == 2 is what certifies that the
-input really is a planar embedding of a connected graph.  Vertex ids are
-dense 1..n.  The coloring engine works on an Embedding instead: a mutable
-copy with stable ids that keeps its faces, degrees and cut vertices up to
-date locally as surgery changes it, and undoes each surgery exactly.
+A graph is stored as one counterclockwise neighbor cycle per vertex, and
+that rotation is the only ground truth.  A PlanarGraph traces its faces
+once, at construction, and keeps them as derived data; the Euler count
+n - m + f == 2 is what certifies that the input really is a planar
+embedding of a connected graph.  Vertex ids are dense 1..n.  The coloring
+engine works on an Embedding instead: a mutable copy with stable ids that
+keeps its faces, degrees and cut vertices up to date locally as surgery
+changes it.  It logs every change as the old value of one dict entry, so
+that undoing a surgery is writing those values back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeBudgetExceeded,
@@ -47,34 +49,6 @@ def reachable(
     return order
 
 
-def _trace_rotation(rot: Mapping[int, Sequence[int]]) -> list[list[Edge]]:
-    """Trace the faces of a rotation system given as vertex -> neighbor cycle.
-
-    Each face is returned as its dart cycle [(u, v), ...]; the successor of
-    dart (u, v) is (v, w) where w follows u in the cycle at v.  Every dart
-    belongs to exactly one face.
-    """
-    pos: dict[int, dict[int, int]] = {}
-    for v in rot:
-        pos[v] = {u: i for i, u in enumerate(rot[v])}
-    seen: set[Edge] = set()
-    faces: list[list[Edge]] = []
-    for start_v in sorted(rot):
-        for start_u in rot[start_v]:
-            dart = (start_v, start_u)
-            if dart in seen:
-                continue
-            cycle: list[Edge] = []
-            while dart not in seen:
-                seen.add(dart)
-                cycle.append(dart)
-                u, v = dart
-                nbrs = rot[v]
-                dart = (v, nbrs[(pos[v][u] + 1) % len(nbrs)])
-            faces.append(cycle)
-    return faces
-
-
 @dataclass(frozen=True)
 class Face:
     """One face of an embedding, as the closed walk of its boundary.
@@ -102,30 +76,34 @@ class PlanarGraph:
     """Immutable embedded planar graph.
 
     ``rotation[v - 1]`` is the counterclockwise cycle of neighbors of vertex
-    ``v``.  Construction validates symmetry, simplicity, connectivity and the
-    Euler face count, so every live instance is a certified embedding.
+    ``v``.  Construction validates symmetry, simplicity and connectivity,
+    traces the faces and checks the Euler face count, so every live instance
+    is a certified embedding.  ``faces`` lists the faces in the order the
+    trace meets them: vertex by vertex, each vertex's darts in rotation
+    order.  ``dart_face`` maps each dart (u, v) to the index of the face it
+    borders.
     """
 
-    __slots__ = ("rotation", "m", "_adj", "_faces", "_dart_face", "_square")
+    __slots__ = ("rotation", "m", "faces", "dart_face", "_adj", "_square")
 
     def __init__(self, rotation: Sequence[Sequence[int]]):
         rot = tuple(tuple(nbrs) for nbrs in rotation)
         self.rotation: tuple[tuple[int, ...], ...] = rot
         n = len(rot)
-        seen_edges = 0
-        for v in range(1, n + 1):
-            nbrs = rot[v - 1]
-            if len(set(nbrs)) != len(nbrs):
-                raise EmbeddingInvalid(f"repeated neighbor in rotation of {v}")
-            for u in nbrs:
-                if not (1 <= u <= n):
-                    raise EmbeddingInvalid(f"vertex {v} lists unknown neighbor {u}")
+        # the dart after (u, v) on its face is (v, w), w following u at v
+        succ: dict[Edge, Edge] = {}
+        for v, nbrs in enumerate(rot, 1):
+            for u, w in zip(nbrs, nbrs[1:] + nbrs[:1]):
+                if not (isinstance(u, int) and 1 <= u <= n):
+                    raise EmbeddingInvalid(f"vertex {v} lists unknown neighbor {u!r}")
                 if u == v:
                     raise EmbeddingInvalid(f"self-loop at {v}")
-            seen_edges += len(nbrs)
-        if seen_edges % 2:
+                succ[u, v] = v, w
+            if len(set(nbrs)) != len(nbrs):
+                raise EmbeddingInvalid(f"repeated neighbor in rotation of {v}")
+        if len(succ) % 2:
             raise EmbeddingInvalid("odd number of darts")
-        self.m: int = seen_edges // 2
+        self.m: int = len(succ) // 2
         self._adj: tuple[frozenset[int], ...] = tuple(
             frozenset(nbrs) for nbrs in rot
         )
@@ -137,10 +115,30 @@ class PlanarGraph:
                     )
         if n and len(reachable(lambda v: rot[v - 1], n, 1)) != n:
             raise NotConnected("graph is not connected")
-        self._faces: tuple[Face, ...] | None = None
-        self._dart_face: dict[Edge, int] | None = None
+        faces: list[Face] = []
+        dart_face: dict[Edge, int] = {}
+        for v, nbrs in enumerate(rot, 1):
+            for u in nbrs:
+                dart = (v, u)
+                if dart in dart_face:
+                    continue
+                idx, walk = len(faces), []
+                while dart not in dart_face:
+                    dart_face[dart] = idx
+                    walk.append(dart[0])
+                    dart = succ[dart]
+                faces.append(Face(tuple(walk)))
+        self.faces: tuple[Face, ...] = tuple(faces)
+        self.dart_face: dict[Edge, int] = dart_face
         self._square: dict[int, frozenset[int]] | None = None
-        self._check_euler()
+        # a single vertex (or the empty graph) carries no darts: the
+        # degenerate sphere embedding, with no traced faces
+        f = len(faces)
+        if n > 1 and n - self.m + f != 2:
+            raise EmbeddingInvalid(
+                f"Euler count failed: n={n} m={self.m} f={f} "
+                f"(n - m + f = {n - self.m + f}, expected 2)"
+            )
 
     # -- basic accessors -------------------------------------------------
 
@@ -201,51 +199,19 @@ class PlanarGraph:
 
     # -- faces -------------------------------------------------------------
 
-    def _check_euler(self) -> None:
-        n = self.n
-        if n <= 1:
-            # A single vertex (or the empty graph) carries no darts; treat it
-            # as the degenerate sphere embedding with no traced faces.
-            self._faces = ()
-            self._dart_face = {}
-            return
-        faces = self._trace()
-        f = len(faces)
-        if n - self.m + f != 2:
-            raise EmbeddingInvalid(
-                f"Euler count failed: n={n} m={self.m} f={f} "
-                f"(n - m + f = {n - self.m + f}, expected 2)"
-            )
-
-    def _trace(self) -> tuple[Face, ...]:
-        if self._faces is None:
-            rot = {v: self.rotation[v - 1] for v in self.vertices()}
-            cycles = _trace_rotation(rot)
-            faces = []
-            dart_face: dict[Edge, int] = {}
-            for idx, cycle in enumerate(cycles):
-                faces.append(Face(tuple(u for (u, _) in cycle)))
-                for dart in cycle:
-                    dart_face[dart] = idx
-            self._faces = tuple(faces)
-            self._dart_face = dart_face
-        return self._faces
-
     def dart_face_map(self) -> dict[Edge, int]:
         """Map each dart (u, v) to the index of the face it borders."""
-        self._trace()
-        assert self._dart_face is not None
-        return self._dart_face
+        return self.dart_face
 
     def face_degree(self, u: int, v: int) -> int:
         """Degree of the face that dart (u, v) borders."""
-        return self._trace()[self.dart_face_map()[(u, v)]].degree
+        return self.faces[self.dart_face[(u, v)]].degree
 
     def corner_faces(self, v: int) -> tuple[int, ...]:
         """Face indices around v; entry i sits between rotation neighbors
         i and i+1 (cyclically)."""
         self._check_vertex(v)
-        dart_face = self.dart_face_map()
+        dart_face = self.dart_face
         nbrs = self.rotation[v - 1]
         k = len(nbrs)
         return tuple(dart_face[(v, nbrs[(i + 1) % k])] for i in range(k))
@@ -254,7 +220,7 @@ class PlanarGraph:
 def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
     """All faces of the embedding.  Each directed edge lies on exactly one
     boundary and the face degrees sum to 2m."""
-    return g._trace()
+    return g.faces
 
 
 def distance_profile(g: PlanarGraph, v: int) -> frozenset[int]:
@@ -290,17 +256,12 @@ class SurgeryResult:
     old_to_new: dict[int, int]
 
 
-# One undo-log entry per change, newest last:
-#   ("rot", v, rotation, faces)  v's rotation list and dart-face dict were
-#                                these objects (v was live)
-#   ("face", [(x, y, f), ...])   dart (x, y) bordered face f
-#   ("deg", f, d)                face f had degree d (None: no face f)
-#   ("link", a, ia, b, ib)       edge a-b entered rot[a] at ia, rot[b] at ib
-#   ("m", m)                     the edge count was m
-#   ("gone", {f: d, ...})        faces f of degree d were there
-#   ("state", rot, face, fdeg, m, bydeg, deg, cuts)
-#                                all of the embedding was these objects
-LogEntry = tuple
+# One undo-log entry per change, newest last: (d, key, old) says that
+# d[key] was old, or that d had no key when old is None.  A change always
+# puts a new object under a key (a rotation list is replaced, never edited
+# in place), so these entries are all there is to undo.  The edge count and
+# the top-level structures are kept in the apply frame instead.
+LogEntry = tuple[dict, int, object]
 
 
 class Embedding:
@@ -321,29 +282,31 @@ class Embedding:
     Deleting vertices and edges walks only the faces they bordered, as
     they close up again; deleting more vertices than survive (one side of
     a split) builds the survivors' structures afresh instead.  Adding an
-    edge walks the smaller of the two faces it splits.  ``apply`` logs how
-    to undo itself, and ``undo`` restores the embedding exactly, rotation
-    order included.
+    edge walks the smaller of the two faces it splits.  ``apply`` logs the
+    old value of every dict entry it changes, and records m and the
+    structures it started from in its frame; ``undo`` writes the old
+    values back, newest first, and restores the frame, which brings the
+    embedding back exactly, rotation order included.
     """
 
     __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "top", "_deg", "_faces", "_frames")
 
     def __init__(self, g: PlanarGraph):
-        dart_face = g.dart_face_map()
+        dart_face = g.dart_face
         self.rot: dict[int, list[int]] = {
             v: list(r) for v, r in enumerate(g.rotation, 1)
         }
         self.face: dict[int, dict[int, int]] = {
             v: {u: dart_face[(v, u)] for u in r} for v, r in self.rot.items()
         }
-        self.fdeg: dict[int, int] = {i: f.degree for i, f in enumerate(g._trace())}
+        self.fdeg: dict[int, int] = {i: f.degree for i, f in enumerate(g.faces)}
         self.m = g.m
         self.top = g.n  # every id lies in 1..top
         self.bydeg: dict[int, set[int]] = {}
         self.cuts: set[int] = set()
         self._deg: dict[int, int] = {}
         self._faces = len(self.fdeg)  # face ids handed out so far
-        self._frames: list[tuple[list[LogEntry], set[int]]] = []
+        self._frames: list[tuple[list[LogEntry], set[int], tuple]] = []
         self._refresh(self.rot)
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
@@ -433,7 +396,8 @@ class Embedding:
 
         log: list[LogEntry] = []
         touched: set[int] = set()
-        self._frames.append((log, touched))
+        start = (self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts)
+        self._frames.append((log, touched, start))
         try:
             scarred = self._remove(dels, del_edges, log, touched)
             rot, face = self.rot, self.face
@@ -465,33 +429,13 @@ class Embedding:
 
     def undo(self) -> None:
         """Revert the latest apply that is still in force."""
-        log, touched = self._frames.pop()
-        rot, face, fdeg = self.rot, self.face, self.fdeg
-        for entry in reversed(log):
-            kind = entry[0]
-            if kind == "face":
-                for x, y, f in entry[1]:
-                    face[x][y] = f
-            elif kind == "deg":
-                _, f, d = entry
-                if d is None:
-                    del fdeg[f]
-                else:
-                    fdeg[f] = d
-            elif kind == "rot":
-                _, v, rot[v], face[v] = entry
-            elif kind == "gone":
-                fdeg.update(entry[1])
-            elif kind == "state":
-                (_, self.rot, self.face, self.fdeg, self.m,
-                 self.bydeg, self._deg, self.cuts) = entry
-                rot, face, fdeg = self.rot, self.face, self.fdeg
-            elif kind == "link":
-                _, a, ia, b, ib = entry
-                del rot[a][ia], rot[b][ib], face[a][b], face[b][a]
-                self.m -= 1
+        log, touched, start = self._frames.pop()
+        for d, key, old in reversed(log):
+            if old is None:
+                del d[key]
             else:
-                self.m = entry[1]
+                d[key] = old
+        self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts = start
         self._refresh(touched)
 
     # -- primitives ----------------------------------------------------------
@@ -521,25 +465,20 @@ class Embedding:
             x, y = self._succ(*x), self._succ(*y)
         return side_p if x == p else side_q
 
-    def _set_degree(self, f: int, d: int, log: list[LogEntry]) -> None:
-        log.append(("deg", f, self.fdeg.get(f)))
-        if d:
-            self.fdeg[f] = d
-        else:
-            del self.fdeg[f]
-
     def _new_face(
         self, darts: list[Edge], log: list[LogEntry], touched: set[int]
     ) -> None:
         """Give the darts of one face boundary a fresh face id."""
-        face = self.face
+        face, fdeg = self.face, self.fdeg
         new = self._faces
         self._faces += 1
-        log.append(("face", [(x, y, face[x][y]) for x, y in darts]))
         for x, y in darts:
-            face[x][y] = new
+            fx = face[x]
+            log.append((fx, y, fx[y]))
+            fx[y] = new
             touched.add(x)
-        self._set_degree(new, len(darts), log)
+        log.append((fdeg, new, None))
+        fdeg[new] = len(darts)
 
     def _remove(
         self,
@@ -574,23 +513,26 @@ class Embedding:
             fx = face[x]
             old.update(fx[u] for u in gone)
             darts += len(gone)
-        log.append(("m", self.m))
         self.m -= darts // 2
         for s in dels:
-            log.append(("rot", s, rot.pop(s), face.pop(s)))
+            log.append((rot, s, rot.pop(s)))
+            log.append((face, s, face.pop(s)))
         for x, gone in lost.items():
-            log.append(("rot", x, rot[x], face[x]))
+            log.append((rot, x, rot[x]))
+            log.append((face, x, face[x]))
             rot[x] = [u for u in rot[x] if u not in gone]
             face[x] = {u: f for u, f in face[x].items() if u not in gone}
         touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        log.append(("gone", {f: fdeg.pop(f) for f in old}))
+        log.extend((fdeg, f, fdeg.pop(f)) for f in old)
         self._close_faces(lost, old, log, touched)
         return set(lost)
 
     def _keep(self, kept: set[int], log: list[LogEntry], touched: set[int]) -> set[int]:
         """_remove for deleting more vertices than survive: build the
-        survivors' structures afresh, in time for the survivors alone, and
-        keep the old ones whole for undo."""
+        survivors' structures afresh, in time for the survivors alone.  The
+        old ones stay whole in the apply frame for undo; only the rotation
+        lists and dart-face dicts of survivors that lose no neighbor are
+        shared with them, and changes to those are logged as usual."""
         rot, face, fdeg = self.rot, self.face, self.fdeg
         lost: dict[int, set[int]] = {}
         for x in kept:
@@ -598,7 +540,6 @@ class Embedding:
             if gone:
                 lost[x] = gone
         old = {f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])}
-        log.append(("state", rot, face, fdeg, self.m, self.bydeg, self._deg, self.cuts))
         self.rot = rot = {x: rot[x] for x in kept}
         self.face = face = {x: face[x] for x in kept}
         for x, gone in lost.items():
@@ -663,19 +604,22 @@ class Embedding:
             _, _, f, walk = min(ranked)
             pred_a = next(x for x, y in walk if y == a)
             pred_b = next(x for x, y in walk if y == b)
-        ia = rot[a].index(pred_a) + 1
-        ib = rot[b].index(pred_b) + 1
-        rot[a].insert(ia, b)
-        rot[b].insert(ib, a)
-        face[a][b] = face[b][a] = f
-        log.append(("link", a, ia, b, ib))
+        for x, y, pred in ((a, b, pred_a), (b, a, pred_b)):
+            r = rot[x]
+            i = r.index(pred) + 1
+            log.append((rot, x, r))
+            rot[x] = r[:i] + [y] + r[i:]
+            log.append((face[x], y, None))
+            face[x][y] = f
         self.m += 1
         touched.update((a, b))
         # f is now two faces, one on each side of a-b: the smaller gets a new id
-        total = self.fdeg[f] + 2
+        fdeg = self.fdeg
+        total = fdeg[f] + 2
         side = self._smaller_face((a, b), (b, a))
         self._new_face(side, log, touched)
-        self._set_degree(f, total - len(side), log)
+        log.append((fdeg, f, fdeg[f]))
+        fdeg[f] = total - len(side)
 
     def _refresh(self, vertices: Iterable[int]) -> None:
         """Re-derive the degree buckets and cut flags of these vertices."""

@@ -56,6 +56,51 @@ class TestVerifyColoring:
         assert report.uncolored == [2, 3, 5, 6]
         assert report.unknown == [9]
 
+    def test_color_that_is_not_an_int_is_a_violation(self):
+        g = PlanarGraph([(2,), (1,)])
+        report = verify_coloring(g, Coloring({1: 1.5, 2: 2}, budget=3))
+        assert not report.valid and report.violations == [(1, 1, 0, 1.5)]
+        report = verify_coloring(g, Coloring({1: 1, 2: None}, budget=3))
+        assert not report.valid and report.violations == [(2, 2, 0, None)]
+
+    def test_id_that_is_not_an_int_is_unknown(self):
+        g = PlanarGraph([(2,), (1,)])
+        report = verify_coloring(g, Coloring({1.0: 1, 2: 2}, budget=3))
+        assert (report.valid, report.uncolored, report.unknown) == (False, [1], [1.0])
+        report = verify_coloring(g, Coloring({"x": 3, 1: 1, 2: 2}, budget=3))
+        assert (report.valid, report.uncolored, report.unknown) == (False, [], ["x"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(-1, 6), st.floats(allow_nan=False), st.none(), st.text(max_size=2)),
+            st.one_of(st.integers(-1, 4), st.floats(), st.none(), st.text(max_size=2)),
+            max_size=8,
+        )
+    )
+    def test_any_ids_and_colors_are_reported_in_a_fixed_order(self, assignment):
+        g = gadgets.path(4)
+        report = verify_coloring(g, Coloring(assignment, budget=3))
+
+        def is_vertex(v):
+            return isinstance(v, int) and 1 <= v <= g.n
+
+        def is_color(col):
+            return isinstance(col, int) and 1 <= col <= 3
+
+        assert sorted(map(repr, report.unknown)) == sorted(
+            repr(v) for v in assignment if not is_vertex(v)
+        )
+        colored = [v for v in assignment if is_vertex(v)]
+        assert report.uncolored == [v for v in g.vertices() if v not in colored]
+        bad = [(v, col) for v, col in assignment.items() if not is_color(col)]
+        assert sorted(repr((v, col)) for v, _, dist, col in report.violations if dist == 0) == sorted(
+            repr(vc) for vc in bad
+        )
+        assert report.valid == (not (report.unknown or report.uncolored or report.violations))
+        reordered = dict(reversed(list(assignment.items())))
+        assert verify_coloring(g, Coloring(reordered, budget=3)) == report
+
 
 class TestColor:
     def test_star_uses_exactly_seven(self):

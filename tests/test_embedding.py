@@ -140,6 +140,22 @@ def test_shrinking_to_one_vertex_and_back():
     assert state(e) == before
 
 
+def test_keeping_the_smaller_side_then_adding_an_edge():
+    # six of the eleven vertices go, so the survivors' structures are built
+    # afresh; rim vertices 3 and 4 lose no neighbor, so their rotation lists
+    # and dart-face dicts are shared with the state before the apply, and
+    # the added edge 3-5 and the face it splits change both
+    e = Embedding(gadgets.wheel(10))
+    before, rot = state(e), e.rot
+    e.apply(delete_vertices=range(6, 12), add_edges=[(3, 5)])
+    assert e.rot is not rot  # the survivors were rebuilt, not edited
+    assert 5 in e.rot[3] and (e.n, e.m) == (5, 8)
+    check_against_scratch(e)
+    e.undo()
+    assert state(e) == before
+    check_against_scratch(e)
+
+
 @pytest.mark.parametrize(
     "build, kwargs, error",
     [

@@ -44,6 +44,11 @@ class TestConstruction:
         with pytest.raises(EmbeddingInvalid):
             PlanarGraph([(2, 2), (1, 1)])
 
+    @pytest.mark.parametrize("rotation", [[(2.0,), (1,)], [("2",), (1,)]])
+    def test_rejects_neighbor_that_is_not_an_int(self, rotation):
+        with pytest.raises(EmbeddingInvalid):
+            PlanarGraph(rotation)
+
     def test_rejects_disconnected(self):
         with pytest.raises(NotConnected):
             PlanarGraph([(2,), (1,), (4,), (3,)])
