@@ -7,19 +7,23 @@ discharging rules key on that shape.  On top of it sit the flags
 payments and the big-face income alone).  The reduction catalog also asks
 whether a vertex is special (no edge among its neighbors lies in two
 3-faces), which ``is_special_vertex`` answers one vertex at a time.
+
+``classify_all`` reads a vertex's corners straight from the graph's face
+map: ``g.face[v]`` gives the face of each dart out of v, and ``g.fdeg``
+its degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .planar import PlanarGraph, trace_faces
+from .planar import PlanarGraph
 
 
-@dataclass(frozen=True)
-class VertexClass:
-    """Incidence profile of one vertex in one embedding."""
+class VertexClass(NamedTuple):
+    """Incidence profile of one vertex in one embedding.  A NamedTuple, as
+    the audit builds one per vertex of every graph it checks."""
 
     v: int
     k: int
@@ -62,31 +66,19 @@ def _fifteenths_after_r1_r2(k: int, t3: int, t5p: int, delta: int) -> int:
 
 def classify_all(g: PlanarGraph) -> dict[int, VertexClass]:
     """Profile every vertex of the embedding."""
-    face_degree = [f.degree for f in trace_faces(g)]
-    dart_face = g.dart_face_map()
+    fdeg = g.fdeg.__getitem__
     delta = g.max_degree()
     classes: dict[int, VertexClass] = {}
-    for v, nbrs in enumerate(g.rotation, 1):
-        k = len(nbrs)
-        t3 = t4 = t5p = 0
+    for v, fv in g.face.items():
         # the corners of v lie in the faces of its darts (v, u), one each
-        for u in nbrs:
-            d = face_degree[dart_face[v, u]]
-            if d == 3:
-                t3 += 1
-            elif d == 4:
-                t4 += 1
-            else:
-                t5p += 1
+        degrees = list(map(fdeg, fv.values()))
+        k = len(degrees)
+        t3 = degrees.count(3)
+        t4 = degrees.count(4)
+        t5p = k - t3 - t4
         after = _fifteenths_after_r1_r2(k, t3, t5p, delta)
         classes[v] = VertexClass(
-            v=v,
-            k=k,
-            t3=t3,
-            t4=t4,
-            t5p=t5p,
-            bad4=(k == 4 and after < 0),
-            bad5=(k == 5 and after < 0),
+            v, k, t3, t4, t5p, k == 4 and after < 0, k == 5 and after < 0
         )
     return classes
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .classify import VertexClass, classify_all
 from .errors import InvariantViolated
-from .planar import PlanarGraph, trace_faces
+from .planar import PlanarGraph
 
 # Every amount any rule may move.
 RULE_AMOUNTS = {
@@ -122,17 +122,10 @@ class ChargeLedger:
 
 
 def face_keys(g: PlanarGraph) -> list[FaceKey]:
-    """Stable ledger keys, in face order: canonical boundary rotation,
-    deduplicated by an occurrence counter in the rare case two faces trace
-    identically."""
-    keys: list[FaceKey] = []
-    seen: dict[tuple, int] = {}
-    for f in trace_faces(g):
-        base = f.canonical_key()
-        times = seen.get(base, 0)
-        seen[base] = times + 1
-        keys.append(base if times == 0 else base + (f"#{times}",))
-    return keys
+    """Stable ledger keys, in face order: each face's canonical boundary
+    rotation.  No two faces share one: a boundary walk determines the darts
+    of its face, and every dart borders exactly one face."""
+    return [f.canonical_key() for f in g.faces]
 
 
 def initial_charges(g: PlanarGraph) -> ChargeLedger:
@@ -141,8 +134,7 @@ def initial_charges(g: PlanarGraph) -> ChargeLedger:
     ledger = ChargeLedger(
         vertex_units={v: (len(r) - 4) * UNIT for v, r in enumerate(g.rotation, 1)},
         face_units={
-            key: (f.degree - 4) * UNIT
-            for key, f in zip(face_keys(g), trace_faces(g))
+            key: (d - 4) * UNIT for key, d in zip(face_keys(g), g.fdeg)
         },
         log=[],
     )
@@ -168,16 +160,16 @@ def apply_rules(
     face = dict(ledger.face_units)
     log = list(ledger.log)
     record = log.append
+    elem = [("vertex", v) for v in range(len(rot) + 1)]  # elem[v] for v >= 1
 
-    for key, f in zip(ledger.face_units, trace_faces(g), strict=True):
+    for key, f, degree in zip(ledger.face_units, g.faces, g.fdeg, strict=True):
         fkey = ("face", key)
-        degree = f.degree
         if degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.
             face[key] += 3 * _R1
             for v in f.boundary:
                 vertex[v] -= _R1
-                record(("R1", ("vertex", v), fkey, _R1))
+                record(("R1", elem[v], fkey, _R1))
         elif degree >= 5:
             # R2: 1/3 to each incident 3-vertex, 1/5 to every other vertex
             # of degree at most delta-1 (per incidence).
@@ -191,7 +183,7 @@ def apply_rules(
                     continue
                 face[key] -= amount
                 vertex[v] += amount
-                record(("R2", fkey, ("vertex", v), amount))
+                record(("R2", fkey, elem[v], amount))
 
     for v, nbrs in enumerate(rot, 1):
         vc = classes[v]
@@ -211,11 +203,11 @@ def apply_rules(
             ]
         else:
             continue
-        dst = ("vertex", v)
+        dst = elem[v]
         vertex[v] += amount * len(payers)
         for w in payers:
             vertex[w] -= amount
-            record((rule, ("vertex", w), dst, amount))
+            record((rule, elem[w], dst, amount))
     return ChargeLedger(vertex, face, log)
 
 
@@ -295,8 +287,7 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
             label += " bad5"
         negatives.append(("vertex", v, vertex[v], label))
     for key in sorted(key for key, c in face.items() if c < 0):
-        size = len([x for x in key if isinstance(x, int)])
-        negatives.append(("face", key, face[key], f"{size}-face"))
+        negatives.append(("face", key, face[key], f"{len(key)}-face"))
 
     lemma = None
     if cross_reference:

@@ -2,23 +2,27 @@
 
 A graph is stored as one counterclockwise neighbor cycle per vertex, and
 that rotation is the only ground truth.  A PlanarGraph traces its faces
-once, at construction, and keeps them as derived data; the Euler count
-n - m + f == 2 is what certifies that the input really is a planar
-embedding of a connected graph.  Vertex ids are dense 1..n.  The coloring
-engine works on an Embedding instead: a mutable copy with stable ids that
-keeps its faces, degrees and cut vertices up to date locally as surgery
-changes it.  It logs every change as the old value of one dict entry, so
-that undoing a surgery is writing those values back.
+once, at construction, and keeps them as derived data in the shape the
+Embedding uses too: ``face[v][u]``, the face of dart (v, u), and ``fdeg``,
+the degree of each face.  The trace doubles as the symmetry check, and the
+Euler count n - m + f == 2 is what certifies that the input really is a
+planar embedding of a connected graph.  Vertex ids are dense 1..n.  The
+coloring engine works on an Embedding instead: a mutable copy with stable
+ids that keeps its faces, degrees and cut vertices up to date locally as
+surgery changes it.  It logs every change as the old value of one dict
+entry, so that undoing a surgery is writing those values back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import (
     DegreeBudgetExceeded,
     EmbeddingInvalid,
+    InvariantViolated,
     NotACutVertex,
     NotConnected,
     SurgeryDisconnects,
@@ -69,71 +73,108 @@ class Face:
         starts at an occurrence of the smallest vertex."""
         b = self.boundary
         low = min(b)
+        if b.count(low) == 1:  # one candidate, as on every face of a 2-connected graph
+            i = b.index(low)
+            return b[i:] + b[:i]
         return min(b[i:] + b[:i] for i, u in enumerate(b) if u == low)
+
+
+_INT = {int}
+
+
+def _reject_rotations(rot: tuple) -> NoReturn:
+    """Name the first fault in the rotations, which a whole-graph test
+    found: vertex by vertex, per neighbor in rotation order an unknown id
+    (anything but an int in 1..n) or a self-loop, then a repeated
+    neighbor."""
+    n = len(rot)
+    for v, nbrs in enumerate(rot, 1):
+        for u in nbrs:
+            if type(u) is not int or not 1 <= u <= n:
+                raise EmbeddingInvalid(f"vertex {v} lists unknown neighbor {u!r}")
+            if u == v:
+                raise EmbeddingInvalid(f"self-loop at {v}")
+        if len(set(nbrs)) != len(nbrs):
+            raise EmbeddingInvalid(f"repeated neighbor in rotation of {v}")
+    raise InvariantViolated("a rotation test failed on valid rotations")
+
+
+def _reject_asymmetry(rot: tuple, adj: tuple[frozenset[int], ...]) -> NoReturn:
+    """Name the first dart (v, u), in vertex then rotation order, whose
+    reverse is missing; the face trace found that one exists."""
+    v, u = next(
+        (v, u) for v, nbrs in enumerate(rot, 1) for u in nbrs if v not in adj[u - 1]
+    )
+    raise EmbeddingInvalid(f"asymmetric adjacency: {v} lists {u} but not vice versa")
 
 
 class PlanarGraph:
     """Immutable embedded planar graph.
 
     ``rotation[v - 1]`` is the counterclockwise cycle of neighbors of vertex
-    ``v``.  Construction validates symmetry, simplicity and connectivity,
-    traces the faces and checks the Euler face count, so every live instance
-    is a certified embedding.  ``faces`` lists the faces in the order the
-    trace meets them: vertex by vertex, each vertex's darts in rotation
-    order.  ``dart_face`` maps each dart (u, v) to the index of the face it
-    borders.
+    ``v``.  Construction validates ids, simplicity, symmetry and
+    connectivity, traces the faces and checks the Euler face count, so
+    every live instance is a certified embedding.  The faces are kept in
+    the Embedding's shape: ``face[v][u]`` is the index of the face that
+    dart (v, u) borders and ``fdeg[i]`` the degree of face i.  ``faces``
+    lists the face boundaries in index order, which is the order the trace
+    meets them: vertex by vertex, each vertex's darts in rotation order.
     """
 
-    __slots__ = ("rotation", "m", "faces", "dart_face", "_adj", "_square")
+    __slots__ = ("rotation", "m", "faces", "face", "fdeg", "_adj", "_delta", "_square")
 
     def __init__(self, rotation: Sequence[Sequence[int]]):
-        rot = tuple(tuple(nbrs) for nbrs in rotation)
+        rot = tuple(map(tuple, rotation))
         self.rotation: tuple[tuple[int, ...], ...] = rot
         n = len(rot)
-        # the dart after (u, v) on its face is (v, w), w following u at v
-        succ: dict[Edge, Edge] = {}
-        for v, nbrs in enumerate(rot, 1):
-            for u, w in zip(nbrs, nbrs[1:] + nbrs[:1]):
-                if not (isinstance(u, int) and 1 <= u <= n):
-                    raise EmbeddingInvalid(f"vertex {v} lists unknown neighbor {u!r}")
-                if u == v:
-                    raise EmbeddingInvalid(f"self-loop at {v}")
-                succ[u, v] = v, w
-            if len(set(nbrs)) != len(nbrs):
-                raise EmbeddingInvalid(f"repeated neighbor in rotation of {v}")
-        if len(succ) % 2:
+        listed = list(chain.from_iterable(rot))  # every id in every rotation
+        if listed and not (
+            set(map(type, listed)) <= _INT and 1 <= min(listed) and max(listed) <= n
+        ):
+            _reject_rotations(rot)
+        adj = tuple(map(frozenset, rot))
+        degrees = list(map(len, rot))
+        # a repeated neighbor shrinks the set; a self-loop puts v in adj[v - 1]
+        if list(map(len, adj)) != degrees or any(
+            map(frozenset.__contains__, adj, range(1, n + 1))
+        ):
+            _reject_rotations(rot)
+        if len(listed) % 2:
             raise EmbeddingInvalid("odd number of darts")
-        self.m: int = len(succ) // 2
-        self._adj: tuple[frozenset[int], ...] = tuple(
-            frozenset(nbrs) for nbrs in rot
-        )
-        for v in range(1, n + 1):
-            for u in rot[v - 1]:
-                if v not in self._adj[u - 1]:
-                    raise EmbeddingInvalid(
-                        f"asymmetric adjacency: {v} lists {u} but not vice versa"
-                    )
-        if n and len(reachable(lambda v: rot[v - 1], n, 1)) != n:
+        self.m: int = len(listed) // 2
+        self._adj: tuple[frozenset[int], ...] = adj
+        self._delta = max(degrees, default=0)
+        # nxt[v][u] follows u in the rotation at v: the dart after (u, v)
+        # on its face is (v, nxt[v][u])
+        nxt = {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in enumerate(rot, 1)}
+        face: dict[int, dict[int, int]] = {v: {} for v in nxt}
+        walks: list[tuple[int, ...]] = []
+        try:
+            for v, nbrs in enumerate(rot, 1):
+                fv = face[v]
+                for u in nbrs:
+                    if u in fv:
+                        continue
+                    idx, walk = len(walks), []
+                    x, y, fx = v, u, fv
+                    while y not in fx:
+                        fx[y] = idx
+                        walk.append(x)
+                        # a missing reverse dart is the asymmetry check
+                        x, y = y, nxt[y][x]
+                        fx = face[x]
+                    walks.append(tuple(walk))
+        except KeyError:
+            _reject_asymmetry(rot, adj)
+        if n and len(reachable(nxt.__getitem__, n, 1)) != n:
             raise NotConnected("graph is not connected")
-        faces: list[Face] = []
-        dart_face: dict[Edge, int] = {}
-        for v, nbrs in enumerate(rot, 1):
-            for u in nbrs:
-                dart = (v, u)
-                if dart in dart_face:
-                    continue
-                idx, walk = len(faces), []
-                while dart not in dart_face:
-                    dart_face[dart] = idx
-                    walk.append(dart[0])
-                    dart = succ[dart]
-                faces.append(Face(tuple(walk)))
-        self.faces: tuple[Face, ...] = tuple(faces)
-        self.dart_face: dict[Edge, int] = dart_face
+        self.face: dict[int, dict[int, int]] = face
+        self.fdeg: tuple[int, ...] = tuple(map(len, walks))
+        self.faces: tuple[Face, ...] = tuple(map(Face, walks))
         self._square: dict[int, frozenset[int]] | None = None
         # a single vertex (or the empty graph) carries no darts: the
         # degenerate sphere embedding, with no traced faces
-        f = len(faces)
+        f = len(walks)
         if n > 1 and n - self.m + f != 2:
             raise EmbeddingInvalid(
                 f"Euler count failed: n={n} m={self.m} f={f} "
@@ -173,7 +214,7 @@ class PlanarGraph:
                     yield (v, u)
 
     def max_degree(self) -> int:
-        return max((len(r) for r in self.rotation), default=0)
+        return self._delta
 
     def min_degree(self) -> int:
         return min((len(r) for r in self.rotation), default=0)
@@ -200,21 +241,21 @@ class PlanarGraph:
     # -- faces -------------------------------------------------------------
 
     def dart_face_map(self) -> dict[Edge, int]:
-        """Map each dart (u, v) to the index of the face it borders."""
-        return self.dart_face
+        """A new dict mapping each dart (u, v) to the index of the face it
+        borders, built from ``face`` on each call."""
+        return {(v, u): f for v, fv in self.face.items() for u, f in fv.items()}
 
     def face_degree(self, u: int, v: int) -> int:
         """Degree of the face that dart (u, v) borders."""
-        return self.faces[self.dart_face[(u, v)]].degree
+        return self.fdeg[self.face[u][v]]
 
     def corner_faces(self, v: int) -> tuple[int, ...]:
         """Face indices around v; entry i sits between rotation neighbors
         i and i+1 (cyclically)."""
         self._check_vertex(v)
-        dart_face = self.dart_face
+        fv = self.face[v]
         nbrs = self.rotation[v - 1]
-        k = len(nbrs)
-        return tuple(dart_face[(v, nbrs[(i + 1) % k])] for i in range(k))
+        return tuple(fv[u] for u in nbrs[1:] + nbrs[:1])
 
 
 def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
@@ -292,14 +333,11 @@ class Embedding:
     __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "top", "_deg", "_faces", "_frames")
 
     def __init__(self, g: PlanarGraph):
-        dart_face = g.dart_face
         self.rot: dict[int, list[int]] = {
             v: list(r) for v, r in enumerate(g.rotation, 1)
         }
-        self.face: dict[int, dict[int, int]] = {
-            v: {u: dart_face[(v, u)] for u in r} for v, r in self.rot.items()
-        }
-        self.fdeg: dict[int, int] = {i: f.degree for i, f in enumerate(g.faces)}
+        self.face: dict[int, dict[int, int]] = {v: dict(fv) for v, fv in g.face.items()}
+        self.fdeg: dict[int, int] = dict(enumerate(g.fdeg))
         self.m = g.m
         self.top = g.n  # every id lies in 1..top
         self.bydeg: dict[int, set[int]] = {}

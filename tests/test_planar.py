@@ -7,6 +7,7 @@ import gadgets
 from twodist import (
     DegreeBudgetExceeded,
     EmbeddingInvalid,
+    Face,
     NotACutVertex,
     NotConnected,
     PlanarGraph,
@@ -44,7 +45,9 @@ class TestConstruction:
         with pytest.raises(EmbeddingInvalid):
             PlanarGraph([(2, 2), (1, 1)])
 
-    @pytest.mark.parametrize("rotation", [[(2.0,), (1,)], [("2",), (1,)]])
+    @pytest.mark.parametrize(
+        "rotation", [[(2.0,), (1,)], [("2",), (1,)], [(2,), (True,)]]
+    )
     def test_rejects_neighbor_that_is_not_an_int(self, rotation):
         with pytest.raises(EmbeddingInvalid):
             PlanarGraph(rotation)
@@ -99,6 +102,35 @@ class TestTraceFaces:
         assert len(darts) == 2 * g.m
         assert len(set(darts)) == 2 * g.m
         assert set(dart_face) == set(darts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, st.booleans())
+    def test_face_maps_agree_on_generated_graphs(self, seed, mirrored):
+        g = gen_planar(14 + seed % 80, min_delta=6, seed=seed)
+        if mirrored:  # every rotation reversed turns each face walk around
+            g = PlanarGraph([tuple(reversed(r)) for r in g.rotation])
+        walked: dict[tuple[int, int], int] = {}
+        for i, f in enumerate(trace_faces(g)):
+            b = f.boundary
+            assert g.fdeg[i] == f.degree
+            for j, x in enumerate(b):
+                dart = (x, b[(j + 1) % len(b)])
+                assert dart not in walked  # each dart lies in exactly one face
+                walked[dart] = i
+        assert len(g.fdeg) == len(g.faces)
+        assert sum(g.fdeg) == 2 * g.m == len(walked)
+        assert g.dart_face_map() == walked
+        assert g.face == {
+            v: {u: walked[v, u] for u in g.neighbors(v)} for v in g.vertices()
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    def test_canonical_key_is_the_least_rotation_from_the_minimum(self, walk):
+        # small ids make the minimum repeat often, as at a cut vertex
+        b = tuple(walk)
+        starts = [i for i, u in enumerate(b) if u == min(b)]
+        assert Face(b).canonical_key() == min(b[i:] + b[:i] for i in starts)
 
 
 class TestDistanceProfile:
