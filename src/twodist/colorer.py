@@ -88,23 +88,29 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
 
     Valid means total on the vertices of g and nothing else, every color an
     int in 1..budget, and no two vertices within distance 2 sharing a color.
-    Ids that are not int vertices of g go in ``unknown`` and colors that are
-    not ints in 1..budget are violations, whatever their type.
+    Ids and colors must be plain ints (a bool is not one), and so must the
+    budget.  Ids that are not vertices of g go in ``unknown`` and colors that
+    are not ints in 1..budget are violations, whatever their type; with a
+    budget that is no int, every color is one.  ``colors_used`` counts the
+    distinct colors that are not violations.
     """
     colors = {}  # the assignment restricted to vertices of g
     unknown = []
     for v, col in c.assignment.items():
-        if isinstance(v, int) and 1 <= v <= g.n:
+        if type(v) is int and 1 <= v <= g.n:
             colors[v] = col
         else:
             unknown.append(v)
     unknown.sort(key=_mixed_order)
     uncolored = [v for v in g.vertices() if v not in colors]
-    bad = [
-        (v, col)
-        for v, col in c.assignment.items()
-        if not (isinstance(col, int) and 1 <= col <= c.budget)
-    ]
+    budget = c.budget if type(c.budget) is int else 0
+    good: set[int] = set()
+    bad = []
+    for v, col in c.assignment.items():
+        if type(col) is int and 1 <= col <= budget:
+            good.add(col)
+        else:
+            bad.append((v, col))
     bad.sort(key=lambda vc: _mixed_order(vc[0]))
     violations: list[tuple] = [(v, v, 0, col) for v, col in bad]
     sq = square(g)
@@ -121,7 +127,7 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
         violations=violations,
         uncolored=uncolored,
         unknown=unknown,
-        colors_used=c.colors_used,
+        colors_used=len(good),
         budget=c.budget,
     )
 

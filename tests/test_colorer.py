@@ -70,11 +70,45 @@ class TestVerifyColoring:
         report = verify_coloring(g, Coloring({"x": 3, 1: 1, 2: 2}, budget=3))
         assert (report.valid, report.uncolored, report.unknown) == (False, [], ["x"])
 
+    def test_bool_id_is_unknown_and_bool_color_a_violation(self):
+        g = PlanarGraph([(2,), (1,)])
+        report = verify_coloring(g, Coloring({True: 1, 2: 2}, budget=3))
+        assert (report.valid, report.uncolored, report.unknown) == (False, [1], [True])
+        report = verify_coloring(g, Coloring({1: True, 2: 2}, budget=3))
+        assert not report.valid and report.violations == [(1, 1, 0, True)]
+
+    @pytest.mark.parametrize("budget", [2.5, True, "3", None])
+    def test_budget_that_is_not_an_int_makes_every_color_a_violation(self, budget):
+        g = PlanarGraph([(2,), (1,)])
+        report = verify_coloring(g, Coloring({1: 1, 2: 2}, budget=budget))
+        assert not report.valid
+        assert report.violations == [(1, 1, 0, 1), (2, 2, 0, 2)]
+        assert report.colors_used == 0
+
+    def test_unhashable_color_is_a_violation(self):
+        g = PlanarGraph([(2,), (1,)])
+        report = verify_coloring(g, Coloring({1: [1], 2: 2}, budget=3))
+        assert not report.valid and report.violations == [(1, 1, 0, [1])]
+        assert report.colors_used == 1
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.dictionaries(
-            st.one_of(st.integers(-1, 6), st.floats(allow_nan=False), st.none(), st.text(max_size=2)),
-            st.one_of(st.integers(-1, 4), st.floats(), st.none(), st.text(max_size=2)),
+            st.one_of(
+                st.integers(-1, 6),
+                st.booleans(),
+                st.floats(allow_nan=False),
+                st.none(),
+                st.text(max_size=2),
+            ),
+            st.one_of(
+                st.integers(-1, 4),
+                st.booleans(),
+                st.floats(),
+                st.none(),
+                st.text(max_size=2),
+                st.lists(st.integers(1, 3), max_size=2),
+            ),
             max_size=8,
         )
     )
@@ -83,10 +117,10 @@ class TestVerifyColoring:
         report = verify_coloring(g, Coloring(assignment, budget=3))
 
         def is_vertex(v):
-            return isinstance(v, int) and 1 <= v <= g.n
+            return type(v) is int and 1 <= v <= g.n
 
         def is_color(col):
-            return isinstance(col, int) and 1 <= col <= 3
+            return type(col) is int and 1 <= col <= 3
 
         assert sorted(map(repr, report.unknown)) == sorted(
             repr(v) for v in assignment if not is_vertex(v)
@@ -98,6 +132,7 @@ class TestVerifyColoring:
             repr(vc) for vc in bad
         )
         assert report.valid == (not (report.unknown or report.uncolored or report.violations))
+        assert report.colors_used == len({col for col in assignment.values() if is_color(col)})
         reordered = dict(reversed(list(assignment.items())))
         assert verify_coloring(g, Coloring(reordered, budget=3)) == report
 
