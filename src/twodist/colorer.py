@@ -90,9 +90,9 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
     int in 1..budget, and no two vertices within distance 2 sharing a color.
     Ids and colors must be plain ints (a bool is not one), and so must the
     budget.  Ids that are not vertices of g go in ``unknown`` and colors that
-    are not ints in 1..budget are violations, whatever their type; with a
-    budget that is no int, every color is one.  ``colors_used`` counts the
-    distinct colors that are not violations.
+    are not ints in 1..budget are violations, whatever their type; a budget
+    that is not an int makes every color a violation.  ``colors_used``
+    counts the distinct colors that are not violations.
     """
     colors = {}  # the assignment restricted to vertices of g
     unknown = []
