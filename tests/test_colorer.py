@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce
 import gadgets
 from twodist import (
     Coloring,
@@ -135,6 +136,40 @@ class TestVerifyColoring:
         assert report.colors_used == len({col for col in assignment.values() if is_color(col)})
         reordered = dict(reversed(list(assignment.items())))
         assert verify_coloring(g, Coloring(reordered, budget=3)) == report
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(lambda n, s: gen_planar(n, seed=s), st.integers(4, 18), seeds),
+            st.sampled_from(
+                [gadgets.wheel(6), gadgets.star(5), gadgets.cube(), gadgets.two_triangles()]
+            ),
+        ),
+        st.data(),
+    )
+    def test_clashes_are_the_brute_force_pairs(self, g, data):
+        # equal colors compare with ==, across types (1, 1.0, True) and for
+        # lists; a vertex may stay uncolored
+        colors = st.one_of(
+            st.integers(1, 4),
+            st.just(1.0),
+            st.just(True),
+            st.lists(st.integers(1, 2), max_size=2),
+        )
+        assignment = {}
+        for v in g.vertices():
+            col = data.draw(st.one_of(st.none(), colors))
+            if col is not None:
+                assignment[v] = col
+        report = verify_coloring(g, Coloring(assignment, budget=4))
+        expected = []
+        for u in g.vertices():
+            for w, d in sorted(bruteforce.bfs_distances(g, u).items()):
+                if u < w and d <= 2 and u in assignment and w in assignment:
+                    if assignment[w] == assignment[u]:
+                        expected.append((u, w, d, repr(assignment[u])))
+        clashes = [(u, w, d, repr(col)) for u, w, d, col in report.violations if d > 0]
+        assert clashes == expected
 
 
 class TestColor:

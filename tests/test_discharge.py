@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgets
+from test_acceptance import hand_corpus
 from twodist import classify, discharge, reductions
 from twodist import (
     apply_rules,
@@ -18,6 +20,9 @@ from twodist.discharge import RULE_AMOUNTS, UNIT, face_keys, rule_totals
 
 seeds = st.integers(min_value=0, max_value=10**6)
 F = Fraction
+
+# sha256 over the negative elements, labels included, of each hand graph
+NEGATIVE_ELEMENTS_DIGEST = "23fa80b186a7ee5b267d665f622ebafbf463950590998a2bbc9e912cc5dbbbb1"
 
 
 def full_ledger(g):
@@ -167,6 +172,13 @@ class TestAudit:
         assert "(4,4,0)-vertex bad4" in vertex_negatives[0][3]
         assert rep.reduction_lemma == "L2.4"
         assert rep.consistent
+
+    def test_negative_elements_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for i, g in enumerate(hand_corpus()):
+            negatives = audit(g, cross_reference=False).negative_elements
+            digest.update(f"graph {i} {negatives!r}\n".encode())
+        assert digest.hexdigest() == NEGATIVE_ELEMENTS_DIGEST
 
     def test_negative_elements_imply_fired_rule(self, small_corpus):
         for g in small_corpus[:20]:

@@ -21,13 +21,15 @@ from twodist import (
     SurgeryDisconnects,
     SurgeryNotPlanar,
     UnknownVertex,
+    NotACutVertex,
+    PlanarGraph,
     color,
     gen_planar,
     is_cut_vertex,
     trace_faces,
     verify_coloring,
 )
-from twodist.planar import Embedding
+from twodist.planar import Embedding, reachable
 from twodist.reductions import reduce_in_place
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -113,6 +115,42 @@ def two_wheels():
     edges = [(1, v) for v in range(2, 8)] + [(v, v % 7 + 1 if v < 7 else 2) for v in range(2, 8)]
     edges += [(8, v) for v in rim] + [(rim[i], rim[(i + 1) % 8]) for i in range(8)]
     return gadgets.embed(coords, edges)
+
+
+def wheel_with_tail():
+    """W6 (hub 1, rim 2..7) with the path 2-8-9-10 hanging off rim vertex
+    2: the side of cut vertex 2 holding the smallest other id, 1, is the
+    larger one."""
+    rotation = [tuple(gadgets.wheel(6).rotation[v]) for v in range(7)]
+    rotation[1] += (8,)
+    return PlanarGraph(rotation + [(2, 9), (8, 10), (9,)])
+
+
+def test_split_sides_equal_the_reachable_reference(small_corpus):
+    graphs = small_corpus[:30] + [two_wheels(), gadgets.star(5), wheel_with_tail()]
+    splits = 0
+    for g in graphs:
+        e = Embedding(g)
+        before = state(e)
+        for v in sorted(e.cuts):
+            first, rest = e.split_sides(v)
+            low = 1 if v != 1 else 2
+            side = set(reachable(g.adj, g.n, low, avoid=v))
+            assert set(first) == side
+            assert set(rest) == set(g.vertices()) - side - {v}
+            splits += 1
+        assert state(e) == before
+        for v in set(g.vertices()) - e.cuts:
+            with pytest.raises(NotACutVertex):
+                e.split_sides(v)
+    assert splits > 30
+
+
+def test_split_sides_of_a_star_centre_and_a_wheel_tail():
+    first, rest = Embedding(gadgets.star(5)).split_sides(1)
+    assert (set(first), set(rest)) == ({2}, {3, 4, 5, 6})
+    first, rest = Embedding(wheel_with_tail()).split_sides(2)
+    assert (set(first), set(rest)) == ({1, 3, 4, 5, 6, 7}, {8, 9, 10})
 
 
 def test_every_step_of_a_corpus_slice(small_corpus, checked):
