@@ -221,7 +221,8 @@ class AuditReport:
 
     initial: ChargeLedger
     final: ChargeLedger
-    negative_units: list[tuple[str, object, int, str]]  # kind, id, units, label
+    # kind, id, units, and for a vertex its class (None for a face)
+    negative_units: list[tuple[str, object, int, VertexClass | None]]
     delta: int
     reduction_lemma: str | None  # catalog rule that fires on this graph, if any
     consistent: bool  # negatives on a Delta>=6 graph imply a fired rule
@@ -252,9 +253,17 @@ class AuditReport:
 
     @cached_property
     def negative_elements(self) -> list[tuple[str, object, Fraction, str]]:
+        """(kind, id, charge, label) per negative element; the labels are
+        formatted here, on first read, not by ``audit``."""
         return [
-            (kind, key, Fraction(units, UNIT), label)
-            for kind, key, units, label in self.negative_units
+            (
+                kind,
+                key,
+                Fraction(units, UNIT),
+                f"{len(key)}-face" if vc is None
+                else f"{vc}{' bad4' * vc.bad4}{' bad5' * vc.bad5}",
+            )
+            for kind, key, units, vc in self.negative_units
         ]
 
     def negative_count(self) -> int:
@@ -276,18 +285,13 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     initial = initial_charges(g)
     ledger = apply_rules(g, initial, classes)
 
-    negatives: list[tuple[str, object, int, str]] = []
     vertex, face = ledger.vertex_units, ledger.face_units
-    for v in sorted(v for v, c in vertex.items() if c < 0):
-        vc = classes[v]
-        label = str(vc)
-        if vc.bad4:
-            label += " bad4"
-        if vc.bad5:
-            label += " bad5"
-        negatives.append(("vertex", v, vertex[v], label))
-    for key in sorted(key for key, c in face.items() if c < 0):
-        negatives.append(("face", key, face[key], f"{len(key)}-face"))
+    negatives: list[tuple[str, object, int, VertexClass | None]] = [
+        ("vertex", v, vertex[v], classes[v]) for v in sorted(v for v, c in vertex.items() if c < 0)
+    ]
+    negatives += [
+        ("face", key, face[key], None) for key in sorted(k for k, c in face.items() if c < 0)
+    ]
 
     lemma = None
     if cross_reference:

@@ -224,7 +224,7 @@ class PlanarGraph:
         return self.n + self.m
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 1 <= v <= self.n):
+        if not (type(v) is int and 1 <= v <= self.n):
             raise UnknownVertex(f"vertex {v} not in 1..{self.n}")
 
     # -- equality is structural ------------------------------------------
@@ -381,7 +381,7 @@ class Embedding:
         return tuple(fdeg[fv[u]] for u in r[1:] + r[:1])
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and v in self.rot):
+        if not (type(v) is int and v in self.rot):
             raise UnknownVertex(f"vertex {v} not in the graph")
 
     def snapshot(self) -> SurgeryResult:

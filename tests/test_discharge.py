@@ -180,6 +180,22 @@ class TestAudit:
             digest.update(f"graph {i} {negatives!r}\n".encode())
         assert digest.hexdigest() == NEGATIVE_ELEMENTS_DIGEST
 
+    def test_total_formats_no_label(self, small_corpus, monkeypatch):
+        formatted = [0]
+        to_str = classify.VertexClass.__str__
+
+        def counted(vc):
+            formatted[0] += 1
+            return to_str(vc)
+
+        monkeypatch.setattr(classify.VertexClass, "__str__", counted)
+        for g in small_corpus[:5]:
+            rep = audit(g, cross_reference=False)
+            assert rep.total == -8 and rep.negative_count() > 0
+        assert formatted[0] == 0
+        labels = [e[3] for e in rep.negative_elements if e[0] == "vertex"]
+        assert formatted[0] == len(labels) > 0
+
     def test_negative_elements_imply_fired_rule(self, small_corpus):
         for g in small_corpus[:20]:
             rep = audit(g)

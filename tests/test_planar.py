@@ -23,6 +23,7 @@ from twodist import (
     surgery,
     trace_faces,
 )
+from twodist.planar import Embedding
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -156,6 +157,23 @@ class TestDistanceProfile:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
             distance_profile(gadgets.cycle(4), 9)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: g.degree(True),
+            lambda g: g.has_edge(True, 2),
+            lambda g: g.has_edge(2, True),
+            lambda g: g.adj(True),
+            lambda g: g.neighbors(True),
+            lambda g: distance_profile(g, True),
+            lambda g: Embedding(g).split_sides(True),
+        ],
+    )
+    def test_bool_is_no_vertex(self, read):
+        # True == 1, but a bool is not a vertex id
+        with pytest.raises(UnknownVertex):
+            read(gadgets.cycle(3))
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
