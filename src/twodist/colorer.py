@@ -28,7 +28,7 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import Embedding, PlanarGraph, SurgeryResult, distance_profile, square
+from .planar import Embedding, PlanarGraph, SurgeryResult, distance_profile
 from .reductions import (
     ProofGapReport,
     Reduction,
@@ -93,6 +93,13 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
     are not ints in 1..budget are violations, whatever their type; a budget
     that is not an int makes every color a violation.  ``colors_used``
     counts the distinct colors that are not violations.
+
+    Two vertices are within distance 2 exactly when both lie in the closed
+    neighborhood N[x] of some vertex x, so checking every N[x] checks every
+    pair, in O(m) when the colors of each N[x] are distinct.  Only an N[x]
+    that repeats a color (or holds an unhashable one) is compared pairwise
+    with ``==``.  A clash is reported once, as (u, w) with u < w, in
+    ascending order, with u's color.
     """
     colors = {}  # the assignment restricted to vertices of g
     unknown = []
@@ -113,15 +120,24 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
             bad.append((v, col))
     bad.sort(key=lambda vc: _mixed_order(vc[0]))
     violations: list[tuple] = [(v, v, 0, col) for v, col in bad]
-    sq = square(g)
-    for u in sorted(sq):
-        cu = colors.get(u)
-        if cu is None:
-            continue
-        for w in sorted(sq[u]):
-            if w > u and colors.get(w) == cu:
-                dist = 1 if g.has_edge(u, w) else 2
-                violations.append((u, w, dist, cu))
+    clashes: set[tuple[int, int]] = set()
+    get = colors.get
+    for x, nbrs in enumerate(g.rotation, 1):
+        near = (x, *nbrs)  # N[x]: any two of these are within distance 2
+        cols = list(map(get, near))
+        try:
+            if len(set(cols)) == len(cols):
+                continue  # no two alike: no clash
+        except TypeError:
+            pass  # an unhashable color: compare pairwise below
+        for i, a in enumerate(near):
+            for b in near[i + 1:]:
+                u, w = (a, b) if a < b else (b, a)
+                cu = get(u)
+                if cu is not None and get(w) == cu:
+                    clashes.add((u, w))
+    for u, w in sorted(clashes):
+        violations.append((u, w, 1 if g.has_edge(u, w) else 2, colors[u]))
     return ColorReport(
         valid=not (violations or uncolored or unknown),
         violations=violations,
@@ -244,7 +260,7 @@ def color(
     e = Embedding(g)
     # open steps, innermost last: (reduction, sides still to delete, part
     # colorings); the surgery of the part being colored is in force on e
-    stack: list[tuple[Reduction, list[list[int]], list[Coloring]]] = []
+    stack: list[tuple[Reduction, list[set[int]], list[Coloring]]] = []
     out = _step(e, k, trace)
     while True:
         if not isinstance(out, Coloring):
@@ -272,7 +288,7 @@ def color(
 
 def _step(
     e: Embedding, k: int, trace: RunTrace | None
-) -> Coloring | tuple[Reduction, list[list[int]]]:
+) -> Coloring | tuple[Reduction, list[set[int]]]:
     """One induction step: e colored directly (base case or greedy
     fallback), or the reduction that fires on e with its first part's
     surgery applied and the sides still to delete for the later parts."""

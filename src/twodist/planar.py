@@ -10,7 +10,8 @@ planar embedding of a connected graph.  Vertex ids are dense 1..n.  The
 coloring engine works on an Embedding instead: a mutable copy with stable
 ids that keeps its faces, degrees and cut vertices up to date locally as
 surgery changes it.  It logs every change as the old value of one dict
-entry, so that undoing a surgery is writing those values back.
+entry, and the degree and cut flags it changes, so that undoing a
+surgery is writing those values back.
 """
 
 from __future__ import annotations
@@ -299,10 +300,14 @@ class SurgeryResult:
 
 # One undo-log entry per change, newest last: (d, key, old) says that
 # d[key] was old, or that d had no key when old is None.  A change always
-# puts a new object under a key (a rotation list is replaced, never edited
-# in place), so these entries are all there is to undo.  The edge count and
-# the top-level structures are kept in the apply frame instead.
+# puts a new object under a key (a rotation list is replaced by an edited
+# copy, never edited in place), so these entries are all there is to undo
+# in the dicts.  The edge count and the top-level structures are kept in
+# the apply frame instead, with the flags below.
 LogEntry = tuple[dict, int, object]
+# A vertex's degree (None once it is deleted) and cut flag, as the degree
+# buckets and the cut set hold them.
+Flags = tuple[int, "int | None", bool]
 
 
 class Embedding:
@@ -320,17 +325,28 @@ class Embedding:
       *Graphs on Surfaces*);
     - ``m``, the edge count (n is the number of live vertices).
 
-    Deleting vertices and edges walks only the faces they bordered, as
-    they close up again; deleting more vertices than survive (one side of
-    a split) builds the survivors' structures afresh instead.  Adding an
-    edge walks the smaller of the two faces it splits.  ``apply`` logs the
-    old value of every dict entry it changes, and records m and the
-    structures it started from in its frame; ``undo`` writes the old
-    values back, newest first, and restores the frame, which brings the
-    embedding back exactly, rotation order included.
+    What a change costs:
+
+    - Deleting a vertex or an edge edits a copy of each survivor's rotation
+      list and dart-face dict that loses a neighbor: the copy and the
+      deletions (``list.index``/``del``) run in C, so a hub costs O(deg) in
+      C and O(1) in Python per lost neighbor.  Only the faces that replace
+      the ones the deletion touched are walked, starting at the corners it
+      left.  Deleting more vertices than survive (one side of a split)
+      builds the survivors' structures afresh instead.
+    - Adding an edge walks the smaller of the two faces it splits.
+    - The degree buckets and cut flags are re-derived once per ``apply``,
+      for the vertices whose darts changed (the cut test is one C-level
+      set over a vertex's dart faces), and the flags that changed are saved.
+
+    ``apply`` logs the old value of every dict entry it changes, and
+    records m and the structures it started from in its frame; ``undo``
+    puts the saved flags back, writes the old values back, newest first,
+    and restores the frame, which brings the embedding back exactly,
+    rotation order included.  Undo never looks at a face.
     """
 
-    __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "top", "_deg", "_faces", "_frames")
+    __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "_deg", "_faces", "_frames")
 
     def __init__(self, g: PlanarGraph):
         self.rot: dict[int, list[int]] = {
@@ -339,12 +355,11 @@ class Embedding:
         self.face: dict[int, dict[int, int]] = {v: dict(fv) for v, fv in g.face.items()}
         self.fdeg: dict[int, int] = dict(enumerate(g.fdeg))
         self.m = g.m
-        self.top = g.n  # every id lies in 1..top
         self.bydeg: dict[int, set[int]] = {}
         self.cuts: set[int] = set()
         self._deg: dict[int, int] = {}
         self._faces = len(self.fdeg)  # face ids handed out so far
-        self._frames: list[tuple[list[LogEntry], set[int], tuple]] = []
+        self._frames: list[tuple[list[LogEntry], list[Flags], tuple]] = []
         self._refresh(self.rot)
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
@@ -391,13 +406,64 @@ class Embedding:
         rotation = [[old_to_new[u] for u in self.rot[v]] for v in old_to_new]
         return SurgeryResult(PlanarGraph(rotation), old_to_new)
 
-    def split_sides(self, v: int) -> tuple[list[int], set[int]]:
+    def split_sides(self, v: int) -> tuple[set[int], set[int]]:
         """The two sides of cut vertex v: the component of G - v holding the
-        smallest other id, then every other vertex but v."""
+        smallest other id, then every other vertex but v.
+
+        Breadth-first walks in G - v start from that smallest id and from
+        each neighbor of v, and take turns expanding one vertex each; two
+        walks that meet merge into one.  The walks stop when the smallest
+        id's walk runs out, which has then found its side, or when every
+        other walk has, which have then found the rest (Even and Shiloach,
+        "An on-line edge-deletion problem", JACM 1981).  So the Python work
+        is about deg(v) times the smaller side, and the larger side is a
+        set difference over the live ids.
+        """
         self._check_vertex(v)
-        rest = self.rot.keys() - {v}
-        first = reachable(self.rot.__getitem__, self.top, min(rest), avoid=v) if rest else []
-        rest.difference_update(first)
+        rot = self.rot
+        others = rot.keys() - {v}
+        if not others:
+            raise NotACutVertex(f"{v} is not a cut vertex")
+        low = min(others)
+        starts = [low] + [u for u in rot[v] if u != low]
+        owner = {x: i for i, x in enumerate(starts)}  # vertex -> walk that reached it
+        root = list(range(len(starts)))  # walk -> the walk it has merged into
+        members = [[i] for i in root]  # root walk -> the walks merged into it
+        queue = [[x] for x in starts]  # root walk -> breadth-first order
+        pos = [0] * len(starts)  # root walk -> its next vertex to expand
+        live = list(root)
+        while True:
+            live = [r for r in live if root[r] == r and pos[r] < len(queue[r])]
+            r0 = root[0]
+            if r0 not in live:
+                first = {x for x, w in owner.items() if root[w] == r0}
+                rest = others - first
+                break
+            if len(live) == 1:
+                rest = {x for x, w in owner.items() if root[w] != r0}
+                first = others - rest
+                break
+            for r in live:
+                if root[r] != r:
+                    continue  # merged into a walk that took its turn already
+                x = queue[r][pos[r]]
+                pos[r] += 1
+                for y in rot[x]:
+                    w = owner.get(y)
+                    if w is None:
+                        if y != v:
+                            owner[y] = r
+                            queue[r].append(y)
+                        continue
+                    o = root[w]
+                    if o != r:
+                        # merge; the walk with more left to expand keeps its queue
+                        if len(queue[o]) - pos[o] > len(queue[r]) - pos[r]:
+                            r, o = o, r
+                        queue[r] += queue[o][pos[o]:]
+                        for t in members[o]:
+                            root[t] = r
+                        members[r] += members[o]
         if not rest:
             raise NotACutVertex(f"{v} is not a cut vertex")
         return first, rest
@@ -434,15 +500,16 @@ class Embedding:
 
         log: list[LogEntry] = []
         touched: set[int] = set()
+        saved: list[Flags] = []  # the flags this apply's refresh replaces
         start = (self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts)
-        self._frames.append((log, touched, start))
+        self._frames.append((log, saved, start))
         try:
             scarred = self._remove(dels, del_edges, log, touched)
             rot, face = self.rot, self.face
             n = len(rot)
             if n > 1 and (
                 n - self.m + len(self.fdeg) != 2
-                or any(not rot[v] for v in scarred)
+                or not all(map(rot.__getitem__, scarred))
             ):
                 # an isolated survivor or a second component: each component
                 # with edges counts 2 in n - m + f, an isolated vertex 1
@@ -463,18 +530,24 @@ class Embedding:
         except BaseException:
             self.undo()
             raise
-        self._refresh(touched)
+        saved += self._refresh(touched)
 
     def undo(self) -> None:
-        """Revert the latest apply that is still in force."""
-        log, touched, start = self._frames.pop()
+        """Revert the latest apply that is still in force.
+
+        The degree buckets and cut flags that the apply refreshed are put
+        back from the flags it saved, with no look at the faces; then the
+        logged old values are written back, newest first, and the frame is
+        restored.  After an apply that rebuilt the structures (``_keep``),
+        the flags go back into the rebuilt ones, which the frame drops."""
+        log, saved, start = self._frames.pop()
+        self._place(saved)
         for d, key, old in reversed(log):
             if old is None:
                 del d[key]
             else:
                 d[key] = old
         self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts = start
-        self._refresh(touched)
 
     # -- primitives ----------------------------------------------------------
 
@@ -538,31 +611,24 @@ class Embedding:
             if u not in dels and v not in dels:
                 lost.setdefault(u, set()).add(v)
                 lost.setdefault(v, set()).add(u)
-        for s in dels:
-            for u in rot[s]:
-                if u not in dels:
-                    lost.setdefault(u, set()).add(s)
         old: set[int] = set()  # faces that lose a dart
         darts = 0
         for s in dels:
-            old.update(face[s].values())
-            darts += len(rot[s])
+            r, fs = rot.pop(s), face.pop(s)
+            log += ((rot, s, r), (face, s, fs))
+            old.update(fs.values())
+            darts += len(r)
+            for u in r:
+                if u not in dels:
+                    lost.setdefault(u, set()).add(s)
         for x, gone in lost.items():
-            fx = face[x]
-            old.update(fx[u] for u in gone)
+            old.update(map(face[x].__getitem__, gone))
             darts += len(gone)
         self.m -= darts // 2
-        for s in dels:
-            log.append((rot, s, rot.pop(s)))
-            log.append((face, s, face.pop(s)))
-        for x, gone in lost.items():
-            log.append((rot, x, rot[x]))
-            log.append((face, x, face[x]))
-            rot[x] = [u for u in rot[x] if u not in gone]
-            face[x] = {u: f for u, f in face[x].items() if u not in gone}
         touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        log.extend((fdeg, f, fdeg.pop(f)) for f in old)
-        self._close_faces(lost, old, log, touched)
+        for f in old:
+            log.append((fdeg, f, fdeg.pop(f)))
+        self._cut(lost, old, log, touched)
         return set(lost)
 
     def _keep(self, kept: set[int], log: list[LogEntry], touched: set[int]) -> set[int]:
@@ -578,29 +644,45 @@ class Embedding:
             if gone:
                 lost[x] = gone
         old = {f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])}
-        self.rot = rot = {x: rot[x] for x in kept}
+        self.rot = {x: rot[x] for x in kept}
         self.face = face = {x: face[x] for x in kept}
-        for x, gone in lost.items():
-            rot[x] = [u for u in rot[x] if u not in gone]
-            face[x] = {u: f for u, f in face[x].items() if u not in gone}
-        self.fdeg = {f: fdeg[f] for fx in face.values() for f in fx.values() if f not in old}
-        self.m = sum(map(len, rot.values())) // 2
+        live = set().union(*map(dict.values, face.values())) - old
+        self.fdeg = dict(zip(live, map(fdeg.__getitem__, live)))
         self.bydeg, self._deg, self.cuts = {}, {}, set()
-        self._close_faces(lost, old, log, touched)
+        self._cut(lost, old, log, touched)
+        self.m = sum(map(len, self.rot.values())) // 2
         self._refresh(kept)
         return set(lost)
 
-    def _close_faces(
+    def _cut(
         self, lost: dict[int, set[int]], old: set[int], log: list[LogEntry], touched: set[int]
     ) -> None:
-        """Walk the faces that replace the old ones; each passes a survivor
-        that lost a neighbor."""
+        """Take the gone neighbors out of a copy of each survivor's rotation
+        list and dart-face dict, then walk the faces that replace the old
+        ones.  Each such face passes a corner that a gone neighbor leaves,
+        so the walks start only from the dart to the next surviving neighbor
+        at those corners, and only while that dart's face is still old."""
         rot, face = self.rot, self.face
-        for x in lost:
-            fx = face[x]
-            for y in rot[x]:
-                if fx[y] in old:
-                    self._new_face(self._walk((x, y)), log, touched)
+        starts = []
+        for x, gone in lost.items():
+            r, fx = rot[x], face[x]
+            log += ((rot, x, r), (face, x, fx))
+            rot[x] = kept = r.copy()
+            face[x] = fx = fx.copy()
+            at = sorted(map(r.index, gone))
+            for i in reversed(at):
+                del kept[i]
+            for u in gone:
+                del fx[u]
+            if kept:
+                # j gone neighbors precede the one at r[i]: its successor in
+                # r, or the first survivor after it, now sits at i - j
+                k = len(kept)
+                for j, i in enumerate(at):
+                    starts.append((x, kept[(i - j) % k]))
+        for x, y in starts:
+            if face[x][y] in old:
+                self._new_face(self._walk((x, y)), log, touched)
 
     def _link(
         self,
@@ -621,8 +703,8 @@ class Embedding:
         the map.
         """
         rot, face = self.rot, self.face
-        fa = [face[a][u] for u in rot[a]]
-        fb = [face[b][u] for u in rot[b]]
+        fa = list(map(face[a].__getitem__, rot[a]))
+        fb = list(map(face[b].__getitem__, rot[b]))
         shared = set(fa).intersection(fb)
         if not shared:
             raise SurgeryNotPlanar(f"{a} and {b} share no face; cannot add edge")
@@ -659,27 +741,47 @@ class Embedding:
         log.append((fdeg, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
-    def _refresh(self, vertices: Iterable[int]) -> None:
-        """Re-derive the degree buckets and cut flags of these vertices."""
-        rot, face, bydeg, deg, cuts = self.rot, self.face, self.bydeg, self._deg, self.cuts
+    def _refresh(self, vertices: Iterable[int]) -> list[Flags]:
+        """Re-derive the degree buckets and cut flags of these vertices;
+        returns those that changed, as they were."""
+        rot, face = self.rot, self.face
+        flags = []
         for v in vertices:
-            old = deg.pop(v, None)
-            if old is not None:
-                bucket = bydeg[old]
-                bucket.discard(v)
-                if not bucket:
-                    del bydeg[old]
-            if v not in rot:
-                cuts.discard(v)
+            r = rot.get(v)
+            if r is None:
+                flags.append((v, None, False))
+            else:
+                k = len(r)
+                flags.append((v, k, len(set(face[v].values())) < k))
+        return self._place(flags)
+
+    def _place(self, flags: Iterable[Flags]) -> list[Flags]:
+        """Put each vertex in the bucket of its degree (in none when it is
+        gone) and set its cut flag; returns the flags that changed, as they
+        were."""
+        bydeg, deg, cuts = self.bydeg, self._deg, self.cuts
+        replaced = []
+        for v, k, cut in flags:
+            was, was_cut = deg.get(v), v in cuts
+            if was == k and was_cut == cut:
                 continue
-            k = len(rot[v])
-            deg[v] = k
-            bydeg.setdefault(k, set()).add(v)
-            corners = face[v]
-            if len(set(corners.values())) < k:
+            replaced.append((v, was, was_cut))
+            if was != k:
+                if was is not None:
+                    bucket = bydeg[was]
+                    bucket.discard(v)
+                    if not bucket:
+                        del bydeg[was]
+                if k is None:
+                    del deg[v]
+                else:
+                    deg[v] = k
+                    bydeg.setdefault(k, set()).add(v)
+            if cut:
                 cuts.add(v)
             else:
                 cuts.discard(v)
+        return replaced
 
 
 def surgery(
