@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gadgets
 from twodist import (
@@ -166,6 +168,26 @@ def test_every_step_of_flip_graphs(checked):
         g = gen_flip(80, seed)
         assert verify_coloring(g, color(g)).valid
     assert checked[0] == checked[1] > 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 40), st.integers(0, 10**6), st.data())
+def test_deleting_any_vertices_and_edges_then_undoing(n, seed, data):
+    # several neighbors of one survivor may go at once, adjacent in its
+    # rotation or not, wrapping round its end or not
+    g = gen_planar(n, seed=seed)
+    dels = data.draw(st.sets(st.sampled_from(range(1, n + 1)), max_size=n // 3))
+    edges = data.draw(st.sets(st.sampled_from(list(g.edges())), max_size=3))
+    e = Embedding(g)
+    before = state(e)
+    try:
+        e.apply(delete_vertices=dels, delete_edges=edges)
+    except SurgeryDisconnects:
+        assert state(e) == before
+        return
+    check_against_scratch(e)
+    e.undo()
+    assert state(e) == before
 
 
 def test_shrinking_to_one_vertex_and_back():
