@@ -10,7 +10,8 @@ whether a vertex is special (no edge among its neighbors lies in two
 
 ``classify_all`` reads a vertex's corners straight from the graph's face
 map: ``g.face[v]`` gives the face of each dart out of v, and ``g.fdeg``
-its degree.
+its degree.  A PlanarGraph and the engine's Embedding keep both in that
+shape, so it profiles either one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .planar import PlanarGraph
+from .planar import Embedding, PlanarGraph
 
 
 class VertexClass(NamedTuple):
@@ -64,8 +65,8 @@ def _fifteenths_after_r1_r2(k: int, t3: int, t5p: int, delta: int) -> int:
     return units
 
 
-def classify_all(g: PlanarGraph) -> dict[int, VertexClass]:
-    """Profile every vertex of the embedding."""
+def classify_all(g: PlanarGraph | Embedding) -> dict[int, VertexClass]:
+    """Profile every vertex of the embedding, keyed by its id in g."""
     fdeg = g.fdeg.__getitem__
     delta = g.max_degree()
     classes: dict[int, VertexClass] = {}

@@ -10,8 +10,8 @@ smaller graphs sit on an explicit stack, so depth costs no recursion.
 The whole run works on one Embedding of the input: each step changes it
 locally and undoes the change afterwards, so vertex ids never change and a
 step costs time for what it touches, not for the size of the graph.  A
-PlanarGraph is built only where one is needed: for base cases, the greedy
-fallback and the graph hook.
+PlanarGraph is built only where one is needed: for base cases and the
+greedy fallback.  A graph hook is handed the live Embedding itself.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -19,7 +19,7 @@ maximum degree from growing, so the budget never needs to).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import (
@@ -67,14 +67,16 @@ class RunTrace:
     """Optional instrumentation for one color() run.
 
     ``extensions`` name vertices by their ids in the input graph.  The hook
-    sees every intermediate graph renamed to dense ids 1..n, with the
-    catalog's outcome on it in those ids (None for a base case).
+    gets every intermediate graph as the engine's live Embedding, which
+    keeps those ids, with the catalog's outcome on it (None for a base
+    case).  It may read the Embedding only during the call; ``e.snapshot()``
+    gives it as a PlanarGraph with dense ids 1..n.
     """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
     extensions: list[tuple[int, str, int, int | None]] = field(default_factory=list)
     gaps: list[ProofGapReport] = field(default_factory=list)
-    graph_hook: Callable[[PlanarGraph, object], None] | None = None
+    graph_hook: Callable[[Embedding, object], None] | None = None
 
     def lemma_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -294,9 +296,9 @@ def _step(
     surgery applied and the sides still to delete for the later parts."""
     hook = trace.graph_hook if trace is not None else None
     if e.n <= BASE_N:
-        part = e.snapshot()
         if hook is not None:
-            hook(part.graph, None)
+            hook(e, None)
+        part = e.snapshot()
         return _renamed_back(_base_color(part.graph, k), part)
 
     outcome = find_reduction(e)
@@ -306,8 +308,7 @@ def _step(
         else:
             trace.gaps.append(outcome)
         if hook is not None:
-            part = e.snapshot()
-            hook(part.graph, _renamed(outcome, part.old_to_new))
+            hook(e, outcome)
 
     if isinstance(outcome, ProofGapReport):
         # outside the guarantee the catalog may run dry; fall back to greedy
@@ -327,26 +328,6 @@ def _step(
             raise
         return _greedy_fallback(e, k, None)
     return r, []
-
-
-def _renamed(outcome, old_to_new: dict[int, int]):
-    """A reduction in the dense ids of a snapshot; gap reports carry none."""
-    if not isinstance(outcome, Reduction):
-        return outcome
-    ids = old_to_new.__getitem__
-
-    def edges(es):
-        return tuple((ids(a), ids(b)) for a, b in es)
-
-    return replace(
-        outcome,
-        vertex=ids(outcome.vertex),
-        pending=tuple(map(ids, outcome.pending)),
-        delete_vertices=tuple(map(ids, outcome.delete_vertices)),
-        delete_edges=edges(outcome.delete_edges),
-        add_edges=edges(outcome.add_edges),
-        split=None if outcome.split is None else ids(outcome.split),
-    )
 
 
 def _renamed_back(c: Coloring, part: SurgeryResult) -> Coloring:

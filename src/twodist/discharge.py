@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import VertexClass, classify_all
 from .errors import InvariantViolated
-from .planar import PlanarGraph
+from .planar import Embedding, PlanarGraph
 
 # Every amount any rule may move.
 RULE_AMOUNTS = {
@@ -78,7 +78,7 @@ _FIVE_VERTEX_INCOME = {
 # Transfer.amount reads each amount back from RULE_AMOUNTS.
 _AMOUNT_OF_UNITS = {_units(a): a for a in RULE_AMOUNTS}
 
-FaceKey = tuple
+FaceKey = tuple[int, ...] | int  # a canonical boundary walk, or a face id
 Element = tuple[str, object]  # ("vertex", id) or ("face", key)
 
 
@@ -128,14 +128,32 @@ def face_keys(g: PlanarGraph) -> list[FaceKey]:
     return [f.canonical_key() for f in g.faces]
 
 
-def initial_charges(g: PlanarGraph) -> ChargeLedger:
+def _rotations(g: PlanarGraph | Embedding) -> dict[int, Sequence[int]]:
+    """Vertex id -> rotation; an Embedding's own dict, read only."""
+    return g.rot if isinstance(g, Embedding) else dict(enumerate(g.rotation, 1))
+
+
+def _corners(g: PlanarGraph | Embedding) -> Iterable[Sequence[int]]:
+    """Each face's corner vertices in face order, a vertex once per corner:
+    on an Embedding, the tails of the face's darts, in ``fdeg`` order."""
+    if isinstance(g, PlanarGraph):
+        return [f.boundary for f in g.faces]
+    corners: dict[int, list[int]] = {f: [] for f in g.fdeg}
+    for x, fx in g.face.items():
+        for f in fx.values():
+            corners[f].append(x)
+    return corners.values()
+
+
+def initial_charges(g: PlanarGraph | Embedding) -> ChargeLedger:
     """d(v) - 4 on vertices, d(f) - 4 on faces (keyed in face order);
-    totals -8 when m >= 1."""
+    totals -8 when m >= 1.  An Embedding's vertex ids have gaps where
+    vertices were deleted, and its face ids name faces only until it
+    changes."""
+    faces = g.fdeg.items() if isinstance(g, Embedding) else zip(face_keys(g), g.fdeg)
     ledger = ChargeLedger(
-        vertex_units={v: (len(r) - 4) * UNIT for v, r in enumerate(g.rotation, 1)},
-        face_units={
-            key: (d - 4) * UNIT for key, d in zip(face_keys(g), g.fdeg)
-        },
+        vertex_units={v: (len(r) - 4) * UNIT for v, r in _rotations(g).items()},
+        face_units={key: (d - 4) * UNIT for key, d in faces},
         log=[],
     )
     if g.m >= 1 and ledger.total_units() != -8 * UNIT:
@@ -144,7 +162,7 @@ def initial_charges(g: PlanarGraph) -> ChargeLedger:
 
 
 def apply_rules(
-    g: PlanarGraph, ledger: ChargeLedger, classes: dict[int, VertexClass]
+    g: PlanarGraph | Embedding, ledger: ChargeLedger, classes: dict[int, VertexClass]
 ) -> ChargeLedger:
     """Apply all fourteen rules at once to a copy of ``ledger``.
 
@@ -152,29 +170,31 @@ def apply_rules(
     whose face entries are in face order, and ``classes`` is
     ``classify_all(g)``.  Rules read the graph and that classification,
     never intermediate charges.  A vertex that meets the same face twice
-    pays or receives once per incidence.
+    pays or receives once per incidence.  Vertex and face keys are those
+    of ``initial_charges``.
     """
-    rot = g.rotation
+    rot = _rotations(g)
     delta = g.max_degree()
     vertex = dict(ledger.vertex_units)
     face = dict(ledger.face_units)
     log = list(ledger.log)
     record = log.append
-    elem = [("vertex", v) for v in range(len(rot) + 1)]  # elem[v] for v >= 1
+    elem = {v: ("vertex", v) for v in rot}
 
-    for key, f, degree in zip(ledger.face_units, g.faces, g.fdeg, strict=True):
+    for key, corners in zip(ledger.face_units, _corners(g), strict=True):
         fkey = ("face", key)
+        degree = len(corners)
         if degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.
             face[key] += 3 * _R1
-            for v in f.boundary:
+            for v in corners:
                 vertex[v] -= _R1
                 record(("R1", elem[v], fkey, _R1))
         elif degree >= 5:
             # R2: 1/3 to each incident 3-vertex, 1/5 to every other vertex
             # of degree at most delta-1 (per incidence).
-            for v in f.boundary:
-                k = len(rot[v - 1])
+            for v in corners:
+                k = len(rot[v])
                 if k == 3:
                     amount = _R2_TO_3_VERTEX
                 elif k <= delta - 1:
@@ -185,7 +205,7 @@ def apply_rules(
                 vertex[v] += amount
                 record(("R2", fkey, elem[v], amount))
 
-    for v, nbrs in enumerate(rot, 1):
+    for v, nbrs in rot.items():
         vc = classes[v]
         if vc.k == 3:
             # R3: a 3-vertex receives 1/9 from each neighbor.
@@ -260,7 +280,8 @@ class AuditReport:
                 kind,
                 key,
                 Fraction(units, UNIT),
-                f"{len(key)}-face" if vc is None
+                # a face's degree d, from its initial charge d - 4
+                f"{self.initial.face_units[key] // UNIT + 4}-face" if vc is None
                 else f"{vc}{' bad4' * vc.bad4}{' bad5' * vc.bad5}",
             )
             for kind, key, units, vc in self.negative_units
@@ -270,8 +291,11 @@ class AuditReport:
         return len(self.negative_units)
 
 
-def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
+def audit(g: PlanarGraph | Embedding, cross_reference: bool = True) -> AuditReport:
     """Run the whole charge pipeline and classify every negative element.
+
+    g may be the engine's live Embedding, which the audit only reads; the
+    report then names its vertex ids and face ids (see ``initial_charges``).
 
     On a graph with maximum degree at least 6, any element left negative
     must coexist with a configuration the reduction catalog can fire on; the

@@ -482,7 +482,8 @@ class Embedding:
         ``undo`` reverts the whole call."""
         rot, face = self.rot, self.face
         dels = set(delete_vertices)
-        if not dels <= rot.keys():
+        # the type test keeps True (== 1) out; both tests run in C
+        if not (_INT.issuperset(map(type, dels)) and dels <= rot.keys()):
             for v in dels:
                 self._check_vertex(v)
         del_edges = {edge_key(u, v) for (u, v) in delete_edges}
@@ -493,7 +494,8 @@ class Embedding:
                 raise UnknownVertex(f"edge {u}-{v} not in graph")
         additions = list(add_edges)
         for (a, b) in additions:
-            if a in dels or b in dels or a not in rot or b not in rot:
+            known = type(a) is type(b) is int and a in rot and b in rot
+            if not known or a in dels or b in dels:
                 raise UnknownVertex(f"added edge {a}-{b} touches a missing vertex")
             if a == b:
                 raise SurgeryNotPlanar("cannot add a self-loop")

@@ -21,7 +21,7 @@ from typing import Iterable
 from .colorer import Coloring, RunTrace, color, verify_coloring
 from .discharge import audit
 from .errors import GenerationFailed, ParseError
-from .planar import PlanarGraph
+from .planar import Embedding, PlanarGraph
 from .reductions import ProofGapReport
 
 # -- graph files -----------------------------------------------------------
@@ -265,7 +265,8 @@ def hunt(
 ) -> HuntReport:
     """Generate graphs, color each one while recording every reduction the
     engine takes, audit every intermediate graph, and count catalog gaps
-    on graphs with maximum degree >= 6 (the expected count is zero)."""
+    on graphs with maximum degree >= 6 (the expected count is zero).  Each
+    intermediate graph is audited in place, on the engine's Embedding."""
     report = HuntReport(
         trials=trials,
         n=n,
@@ -273,9 +274,9 @@ def hunt(
         seeds=tuple(seed + t for t in range(trials)),
     )
 
-    def hook(graph: PlanarGraph, outcome) -> None:
-        if audit_each and graph.n >= 2:
-            total = audit(graph, cross_reference=False).total
+    def hook(e: Embedding, outcome) -> None:
+        if audit_each and e.n >= 2:
+            total = audit(e, cross_reference=False).total
             key = str(total)
             report.audit_totals[key] = report.audit_totals.get(key, 0) + 1
 

@@ -238,6 +238,27 @@ def test_failed_apply_changes_nothing(build, kwargs, error):
     check_against_scratch(e)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(delete_vertices=[True]),
+        dict(delete_vertices=[2, 1.0]),
+        dict(add_edges=[(True, 3)]),
+        dict(add_edges=[(3, 1.0)]),
+        dict(delete_edges=[(True, 2)]),
+    ],
+)
+def test_an_id_that_is_not_an_int_is_refused(kwargs):
+    # True and 1.0 equal the hub's id 1, so a membership test alone lets
+    # them through: a deletion would take the hub, and an added edge to
+    # rim vertex 3 would be skipped as already there
+    e = Embedding(gadgets.wheel(6))
+    before = state(e)
+    with pytest.raises(UnknownVertex):
+        e.apply(**kwargs)
+    assert state(e) == before
+
+
 def test_a_reduction_that_does_not_shrink_is_rolled_back():
     e = Embedding(gen_planar(12, min_delta=6, seed=1))
     before = state(e)

@@ -1,9 +1,10 @@
 """Golden gate for the graphs the colouring engine hands to its hook.
 
-``RunTrace.graph_hook`` sees every intermediate graph of a run (dense ids,
-fully validated) together with the outcome of the catalog on it.  One
-sha256 over ``(graph.rotation, outcome)`` for every hook call, in call
-order, pins the whole induction: which rule fired where, the rotation
+``RunTrace.graph_hook`` sees every intermediate graph of a run, as the
+engine's live Embedding, together with the outcome of the catalog on it.
+The hook renames both to dense ids through ``snapshot`` (which also
+validates the graph).  One sha256 over ``(graph.rotation, outcome)`` for
+every hook call, in call order, pins the whole induction: which rule fired where, the rotation
 order each surgery leaves behind, the face chosen for every added edge,
 and the order in which split sides and base cases are visited.  The flip
 graphs fire L2.4-L2.8, whose added edges exercise the face tie-break.
@@ -11,10 +12,12 @@ graphs fire L2.4-L2.8, whose added edges exercise the face tie-break.
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from test_acceptance import hand_corpus
 from twodist import RunTrace, color
+from twodist.reductions import Reduction
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -32,10 +35,32 @@ def test_intermediate_graphs_match_recorded_digest(corpus):
     graphs += [gen_flip(n, seed) for n in FLIP_SIZES for seed in FLIP_SEEDS]
     digest = hashlib.sha256()
 
-    def hook(g, outcome):
-        digest.update(f"{g.rotation!r} {outcome!r}\n".encode())
+    def hook(e, outcome):
+        part = e.snapshot()
+        outcome = _renamed(outcome, part.old_to_new)
+        digest.update(f"{part.graph.rotation!r} {outcome!r}\n".encode())
 
     for i, g in enumerate(graphs):
         digest.update(f"graph {i}\n".encode())
         color(g, trace=RunTrace(graph_hook=hook))
     assert digest.hexdigest() == INTERMEDIATE_GRAPH_DIGEST
+
+
+def _renamed(outcome, old_to_new: dict[int, int]):
+    """A reduction in the dense ids of a snapshot; gap reports carry none."""
+    if not isinstance(outcome, Reduction):
+        return outcome
+    ids = old_to_new.__getitem__
+
+    def edges(es):
+        return tuple((ids(a), ids(b)) for a, b in es)
+
+    return replace(
+        outcome,
+        vertex=ids(outcome.vertex),
+        pending=tuple(map(ids, outcome.pending)),
+        delete_vertices=tuple(map(ids, outcome.delete_vertices)),
+        delete_edges=edges(outcome.delete_edges),
+        add_edges=edges(outcome.add_edges),
+        split=None if outcome.split is None else ids(outcome.split),
+    )

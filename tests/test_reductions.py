@@ -340,3 +340,19 @@ class TestProperness:
             g = res.graph
             if g.n <= 6:
                 break
+
+
+def test_l2_10_1_bound_on_its_model_graph():
+    """Pins what the catalog says today on the L2.10.1 model at Delta = 6
+    (tests/data/l2_10_1_model.graph): the row fires at the centre with
+    d2_bound 19 = 3*Delta + 1, yet the centre has 20 = 3*Delta + 2 vertices
+    within distance 2.  On a graph where the row fired first, giving those
+    20 distinct colors would leave the centre none.  Here L2.1 fires first,
+    on the pendants.  A fix to the row changes this test on purpose."""
+    text = (Path(__file__).parent / "data" / "l2_10_1_model.graph").read_text()
+    g = twodist.parse_graph(text)  # PlanarGraph accepts it
+    assert (g.n, g.max_degree(), g.degree(1)) == (21, 6, 5)
+    r = match_case("L2.10.1", g)
+    assert (r.vertex, r.d2_bound) == (1, 19)
+    assert len(twodist.distance_profile(g, 1)) == 20
+    assert find_reduction(g).lemma == "L2.1"
