@@ -4,10 +4,11 @@
 engine's live Embedding, together with the outcome of the catalog on it.
 The hook renames both to dense ids through ``snapshot`` (which also
 validates the graph).  One sha256 over ``(graph.rotation, outcome)`` for
-every hook call, in call order, pins the whole induction: which rule fired where, the rotation
-order each surgery leaves behind, the face chosen for every added edge,
-and the order in which split sides and base cases are visited.  The flip
-graphs fire L2.4-L2.8, whose added edges exercise the face tie-break.
+every hook call, in call order, pins the whole induction: which rule fired
+where, the rotation order each surgery leaves behind, the face chosen for
+every added edge, and the order in which split sides and base cases are
+visited.  The flip graphs fire L2.4-L2.8, whose added edges exercise the
+face tie-break.
 """
 
 import hashlib
