@@ -9,9 +9,10 @@ smaller graphs sit on an explicit stack, so depth costs no recursion.
 
 The whole run works on one Embedding of the input: each step changes it
 locally and undoes the change afterwards, so vertex ids never change and a
-step costs time for what it touches, not for the size of the graph.  A
-PlanarGraph is built only where one is needed: for base cases and the
-greedy fallback.  A graph hook is handed the live Embedding itself.
+step costs time for what it touches, not for the size of the graph.  Base
+cases and the greedy fallback are colored on that Embedding too, so a run
+builds no PlanarGraph of its own (only a catalog gap report holds one).  A
+graph hook is handed the live Embedding itself.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -28,7 +29,7 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import Embedding, PlanarGraph, SurgeryResult, distance_profile
+from .planar import Embedding, PlanarGraph, distance_profile
 from .reductions import (
     ProofGapReport,
     Reduction,
@@ -213,33 +214,20 @@ def merge_at_cut(
         {c2.assignment[u] for u in g.adj(v) if u in c2.assignment}
         - {c2.assignment[v]}
     )
-    blocked = nbr1_colors | {base}
-    perm: dict[int, int] = {c2.assignment[v]: base}
-    taken = {base}
-    free = [c for c in range(1, k + 1) if c not in blocked]
-    it = iter(free)
-    for src in nbr2_colors:
-        if src in perm:
-            continue
-        dst = next((t for t in it if t not in taken), None)
-        if dst is None:
-            raise PermutationInfeasible(
-                f"palette of {k} too small to merge at vertex {v}"
-            )
-        perm[src] = dst
-        taken.add(dst)
+    free = [c for c in range(1, k + 1) if c not in nbr1_colors and c != base]
+    if len(nbr2_colors) > len(free):
+        raise PermutationInfeasible(
+            f"palette of {k} too small to merge at vertex {v}"
+        )
+    perm = dict(zip(nbr2_colors, free))
+    perm[c2.assignment[v]] = base
 
-    # complete to a bijection on 1..k, keeping untouched colors fixed
-    remaining_targets = [c for c in range(1, k + 1) if c not in taken]
-    rt = set(remaining_targets)
-    unmapped = [c for c in range(1, k + 1) if c not in perm]
-    for c in unmapped:
-        if c in rt:
-            perm[c] = c
-            rt.remove(c)
-    spare = sorted(rt)
-    for c, t in zip([c for c in unmapped if c not in perm], spare):
-        perm[c] = t
+    # complete to a bijection on 1..k: every unmapped color that is still a
+    # free target stays fixed, the rest go to the spare targets in order
+    spare = set(range(1, k + 1)).difference(perm.values())
+    unmapped = set(range(1, k + 1)).difference(perm)
+    perm.update((c, c) for c in unmapped & spare)
+    perm.update(zip(sorted(unmapped - spare), sorted(spare - unmapped)))
 
     merged = dict(c1.assignment)
     for u, col in c2.assignment.items():
@@ -298,8 +286,7 @@ def _step(
     if e.n <= BASE_N:
         if hook is not None:
             hook(e, None)
-        part = e.snapshot()
-        return _renamed_back(_base_color(part.graph, k), part)
+        return _base_color(e, k)
 
     outcome = find_reduction(e)
     if trace is not None:
@@ -330,21 +317,14 @@ def _step(
     return r, []
 
 
-def _renamed_back(c: Coloring, part: SurgeryResult) -> Coloring:
-    """A coloring of a snapshot, in the embedding's ids."""
-    live = list(part.old_to_new)  # ascending, so live[i - 1] became i
-    return Coloring({live[v - 1]: col for v, col in c.assignment.items()}, c.budget)
-
-
 def _greedy_fallback(
     e: Embedding, k: int, gap: ProofGapReport | None
 ) -> Coloring:
     from .oracle import greedy_square
 
-    part = e.snapshot()
-    greedy = greedy_square(part.graph)
+    greedy = greedy_square(e)
     if greedy.colors_used <= k:
-        return _renamed_back(Coloring(greedy.assignment, k), part)
+        return Coloring(greedy.assignment, k)
     detail = f" (catalog gap, delta={gap.delta})" if gap is not None else ""
     raise BudgetExhausted(
         f"greedy needs {greedy.colors_used} > {k} colors on n={e.n}{detail}",
@@ -352,17 +332,17 @@ def _greedy_fallback(
     )
 
 
-def _base_color(g: PlanarGraph, k: int) -> Coloring:
+def _base_color(e: Embedding, k: int) -> Coloring:
     from .oracle import chi2_exact, greedy_square
 
-    if g.n == 0:
+    if e.n == 0:
         return Coloring({}, k)
-    result = chi2_exact(g, node_budget=BASE_ORACLE_BUDGET)
+    result = chi2_exact(e, node_budget=BASE_ORACLE_BUDGET)
     if result.witness.assignment and result.witness.colors_used <= k:
         return Coloring(dict(result.witness.assignment), k)
-    greedy = greedy_square(g)
+    greedy = greedy_square(e)
     if greedy.colors_used <= k:
         return Coloring(greedy.assignment, k)
     raise BudgetExhausted(
-        f"base case n={g.n} needs more than {k} colors"
+        f"base case n={e.n} needs more than {k} colors"
     )

@@ -235,8 +235,8 @@ def apply_rules(
 class AuditReport:
     """Outcome of initial_charges + apply_rules on one graph.
 
-    The ledgers hold the charges in units of 1/UNIT; every other charge
-    attribute is a Fraction view of them, built on first read.
+    The ledgers hold the charges in units of 1/UNIT, with Fraction views
+    built on first read (``rep.final.vertex_charge``, ``rep.final.transfers``).
     """
 
     initial: ChargeLedger
@@ -250,26 +250,6 @@ class AuditReport:
     @property
     def total(self) -> Fraction:
         return self.final.total()
-
-    @property
-    def initial_vertex(self) -> dict[int, Fraction]:
-        return self.initial.vertex_charge
-
-    @property
-    def initial_face(self) -> dict[FaceKey, Fraction]:
-        return self.initial.face_charge
-
-    @property
-    def final_vertex(self) -> dict[int, Fraction]:
-        return self.final.vertex_charge
-
-    @property
-    def final_face(self) -> dict[FaceKey, Fraction]:
-        return self.final.face_charge
-
-    @property
-    def rule_log(self) -> list[Transfer]:
-        return self.final.transfers
 
     @cached_property
     def negative_elements(self) -> list[tuple[str, object, Fraction, str]]:
@@ -286,9 +266,6 @@ class AuditReport:
             )
             for kind, key, units, vc in self.negative_units
         ]
-
-    def negative_count(self) -> int:
-        return len(self.negative_units)
 
 
 def audit(g: PlanarGraph | Embedding, cross_reference: bool = True) -> AuditReport:

@@ -3,6 +3,11 @@
 chi2 of a graph equals the chromatic number of its square, computed here by
 saturation-ordered branch and bound between a greedy clique lower bound and
 a greedy coloring upper bound, refined by bisection.
+
+chi2_exact and greedy_square read a PlanarGraph or the coloring engine's
+live Embedding, whose ids have gaps where vertices were deleted.  Every tie
+is broken toward the smaller id, so an ascending rename of the vertices
+renames the result and changes nothing else.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colorer import Coloring
-from .planar import PlanarGraph, square
+from .planar import Embedding, PlanarGraph, square
 
 Adjacency = dict[int, set[int]]
 
@@ -77,9 +82,9 @@ def _greedy_colors(adj: Adjacency) -> dict[int, int]:
     return colors
 
 
-def greedy_square(g: PlanarGraph) -> Coloring:
-    """Valid 2-distance coloring by greedy on the square; never more colors
-    than max d2(v) + 1."""
+def greedy_square(g: PlanarGraph | Embedding) -> Coloring:
+    """Valid 2-distance coloring by greedy on the square, in g's ids; never
+    more colors than max d2(v) + 1."""
     sq = square(g)
     if not sq:
         return Coloring({}, budget=0)
@@ -135,9 +140,10 @@ def _feasible(
 
 
 def chi2_exact(
-    g: PlanarGraph, node_budget: int = DEFAULT_NODE_BUDGET
+    g: PlanarGraph | Embedding, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
-    """chi2(g) by branch and bound on the square graph.
+    """chi2(g) by branch and bound on the square graph; the witness is in
+    g's ids.
 
     When the node budget runs out the result carries exact=False and the
     best coloring found so far.

@@ -122,7 +122,7 @@ class PlanarGraph:
     meets them: vertex by vertex, each vertex's darts in rotation order.
     """
 
-    __slots__ = ("rotation", "m", "faces", "face", "fdeg", "_adj", "_delta", "_square")
+    __slots__ = ("rotation", "m", "faces", "face", "fdeg", "_adj", "_delta")
 
     def __init__(self, rotation: Sequence[Sequence[int]]):
         rot = tuple(map(tuple, rotation))
@@ -172,7 +172,6 @@ class PlanarGraph:
         self.face: dict[int, dict[int, int]] = face
         self.fdeg: tuple[int, ...] = tuple(map(len, walks))
         self.faces: tuple[Face, ...] = tuple(map(Face, walks))
-        self._square: dict[int, frozenset[int]] | None = None
         # a single vertex (or the empty graph) carries no darts: the
         # degenerate sphere embedding, with no traced faces
         f = len(walks)
@@ -265,8 +264,8 @@ def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
     return g.faces
 
 
-def distance_profile(g: PlanarGraph, v: int) -> frozenset[int]:
-    """Exact set of vertices at distance 1 or 2 from v."""
+def distance_profile(g: PlanarGraph | Embedding, v: int) -> frozenset[int]:
+    """Exact set of vertices at distance 1 or 2 from v, in g's own ids."""
     g._check_vertex(v)
     first = g.adj(v)
     reach = set(first)
@@ -276,18 +275,14 @@ def distance_profile(g: PlanarGraph, v: int) -> frozenset[int]:
     return frozenset(reach)
 
 
-def square(g: PlanarGraph) -> dict[int, set[int]]:
+def square(g: PlanarGraph | Embedding) -> dict[int, set[int]]:
     """Adjacency of the square graph: u ~ v iff their distance in g is 1 or 2.
 
-    Plain adjacency only; the square of a planar graph is generally not
-    planar so no embedding is produced.
+    Keyed by g's own vertex ids (an Embedding keeps those of its input
+    graph).  Plain adjacency only; the square of a planar graph is
+    generally not planar so no embedding is produced.
     """
-    if g._square is None:
-        sq: dict[int, frozenset[int]] = {}
-        for v in g.vertices():
-            sq[v] = distance_profile(g, v)
-        g._square = sq
-    return {v: set(n2) for v, n2 in g._square.items()}
+    return {v: set(distance_profile(g, v)) for v in g.face}
 
 
 @dataclass(frozen=True)

@@ -299,19 +299,20 @@ def hunt(
 def format_audit_tsv(g: PlanarGraph, with_trace: bool = False) -> str:
     """TSV dump of an audit: kind, id, initial, final (rationals as p/q)."""
     rep = audit(g, cross_reference=False)
+    initial, final = rep.initial, rep.final
     lines = ["kind\tid\tinitial\tfinal"]
-    for v in sorted(rep.final_vertex):
+    for v in sorted(final.vertex_charge):
         lines.append(
-            f"vertex\t{v}\t{rep.initial_vertex[v]}\t{rep.final_vertex[v]}"
+            f"vertex\t{v}\t{initial.vertex_charge[v]}\t{final.vertex_charge[v]}"
         )
-    for key in sorted(rep.final_face):
+    for key in sorted(final.face_charge):
         fid = "-".join(str(x) for x in key)
         lines.append(
-            f"face\t{fid}\t{rep.initial_face[key]}\t{rep.final_face[key]}"
+            f"face\t{fid}\t{initial.face_charge[key]}\t{final.face_charge[key]}"
         )
-    lines.append(f"total\t-\t{rep.initial.total()}\t{rep.total}")
+    lines.append(f"total\t-\t{initial.total()}\t{rep.total}")
     if with_trace:
-        for t in rep.rule_log:
+        for t in final.transfers:
             src = _element_id(t.source)
             dst = _element_id(t.target)
             lines.append(f"transfer\t{t.rule}\t{src}->{dst}\t{t.amount}")

@@ -268,8 +268,8 @@ def test_criterion_7_octahedron_golden_audit():
     g = gadgets.octahedron()
     rep = audit(g)
     assert rep.total == MINUS_EIGHT
-    assert all(c == Fraction(-4, 3) for c in rep.final_vertex.values())
-    assert all(c == 0 for c in rep.final_face.values())
+    assert all(c == Fraction(-4, 3) for c in rep.final.vertex_charge.values())
+    assert all(c == 0 for c in rep.final.face_charge.values())
     assert len(rep.negative_elements) == 6
     assert rep.reduction_lemma == "L2.4"
     print("\n[criterion 7] PASS: octahedron audit matches the hand ledger")

@@ -9,6 +9,7 @@ import gadgets
 from twodist import (
     Coloring,
     NoSafeColor,
+    PermutationInfeasible,
     PlanarGraph,
     RunTrace,
     chi2_exact,
@@ -325,6 +326,15 @@ class TestMergeAtCut:
         assert {merged.assignment[2], merged.assignment[3]}.isdisjoint(
             {merged.assignment[4], merged.assignment[5]}
         )
+
+    def test_too_small_a_palette_is_infeasible(self):
+        # around the cut vertex the first side blocks {1, 2, 3} and the
+        # second side's two neighbor colors need two of what is left: {4}
+        g = gadgets.two_triangles()
+        c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=4)
+        c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=4)
+        with pytest.raises(PermutationInfeasible):
+            merge_at_cut(c1, c2, 1, g)
 
     def test_first_side_never_changes(self):
         g = gadgets.two_triangles()

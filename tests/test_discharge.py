@@ -191,7 +191,7 @@ class TestAudit:
         monkeypatch.setattr(classify.VertexClass, "__str__", counted)
         for g in small_corpus[:5]:
             rep = audit(g, cross_reference=False)
-            assert rep.total == -8 and rep.negative_count() > 0
+            assert rep.total == -8 and len(rep.negative_units) > 0
         assert formatted[0] == 0
         labels = [e[3] for e in rep.negative_elements if e[0] == "vertex"]
         assert formatted[0] == len(labels) > 0
@@ -246,7 +246,7 @@ class TestAudit:
             made[0] = 0
             rep = audit(g, cross_reference=False)
             assert rep.total == -8
-            assert made[0] <= rep.negative_count() + 2
+            assert made[0] <= len(rep.negative_units) + 2
             transfers.append(len(rep.final.log))
         assert 1000 < transfers[0] < transfers[1]
 
@@ -254,13 +254,14 @@ class TestAudit:
     @given(seeds)
     def test_report_views_replay_from_rule_log(self, seed):
         rep = audit(gen_planar(8 + seed % 40, seed=seed), cross_reference=False)
-        views = {"vertex": dict(rep.initial_vertex), "face": dict(rep.initial_face)}
-        for t in rep.rule_log:
+        start, final = rep.initial, rep.final
+        views = {"vertex": dict(start.vertex_charge), "face": dict(start.face_charge)}
+        for t in final.transfers:
             views[t.source[0]][t.source[1]] -= t.amount
             views[t.target[0]][t.target[1]] += t.amount
-        assert views["vertex"] == rep.final_vertex
-        assert views["face"] == rep.final_face
-        assert rep.total == sum(rep.final_vertex.values()) + sum(rep.final_face.values())
+        assert views["vertex"] == final.vertex_charge
+        assert views["face"] == final.face_charge
+        assert rep.total == sum(final.vertex_charge.values()) + sum(final.face_charge.values())
         negative = sorted(
             (kind, key, c)
             for kind in views

@@ -1,11 +1,29 @@
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
 import bruteforce
 import gadgets
 from conftest import corpus_specs
-from twodist import chi2_exact, gen_planar, greedy_square, surgery, verify_coloring
+from test_engine_golden import FLIP_SEEDS, FLIP_SIZES
+from twodist import (
+    PlanarGraph,
+    RunTrace,
+    chi2_exact,
+    color,
+    gen_planar,
+    greedy_square,
+    surgery,
+    verify_coloring,
+)
+from twodist.oracle import DEFAULT_NODE_BUDGET
+from twodist.planar import Embedding
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import gen_flip  # noqa: E402
 
 ZOO = [
     gadgets.cycle(5),
@@ -132,3 +150,67 @@ def test_results_match_recorded_digest():
         record = (r.chi2, r.exact, r.nodes_explored, sorted(r.witness.assignment.items()))
         digest.update(f"{record!r}\n".encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def _same_through_rename(e, node_budget=DEFAULT_NODE_BUDGET):
+    """The oracle on e's ids against the oracle on ``e.snapshot()``: the
+    results must be equal through the rename.  Returns the search nodes."""
+    part = e.snapshot()
+    rename = part.old_to_new
+
+    def renamed(c):
+        return {rename[v]: col for v, col in c.assignment.items()}, c.budget
+
+    live, ref = chi2_exact(e, node_budget), chi2_exact(part.graph, node_budget)
+    assert (live.chi2, live.exact, live.nodes_explored) == (
+        ref.chi2, ref.exact, ref.nodes_explored
+    )
+    assert renamed(live.witness) == (ref.witness.assignment, ref.witness.budget)
+    g_ref = greedy_square(part.graph)
+    assert renamed(greedy_square(e)) == (g_ref.assignment, g_ref.budget)
+    return live.nodes_explored
+
+
+class TestSparseIds:
+    """The engine hands its live Embedding, whose ids have gaps, to the
+    oracle at every base case and greedy fallback."""
+
+    @staticmethod
+    def base_cases(graphs):
+        calls = [0]
+
+        def hook(e, outcome):
+            if outcome is None:
+                _same_through_rename(e)
+                calls[0] += 1
+
+        for g in graphs:
+            color(g, trace=RunTrace(graph_hook=hook))
+        return calls[0]
+
+    def test_base_cases_on_a_corpus_slice(self, small_corpus):
+        assert self.base_cases(small_corpus[:20]) > 20
+
+    def test_base_cases_on_flip_graphs(self):
+        graphs = [gen_flip(n, seed) for n in FLIP_SIZES for seed in FLIP_SEEDS]
+        assert self.base_cases(graphs) >= len(graphs)
+
+    @pytest.mark.parametrize(
+        "g,budget",
+        [
+            (gadgets.cycle(8), DEFAULT_NODE_BUDGET),
+            (gadgets.cycle(11), DEFAULT_NODE_BUDGET),
+            (gen_planar(18, min_delta=6, seed=39), DEFAULT_NODE_BUDGET),
+            (gen_planar(18, min_delta=6, seed=39), 10),
+        ],
+        ids=["c8", "c11", "gen18", "gen18-budget10"],
+    )
+    def test_search_after_a_deleted_vertex(self, g, budget):
+        # vertex 1 is a pendant at g's vertex 1 and g's ids move up by one;
+        # deleting it leaves g on the ids 2..n+1
+        rotation = [(2,)] + [tuple(u + 1 for u in nbrs) for nbrs in g.rotation]
+        rotation[1] += (1,)
+        e = Embedding(PlanarGraph(rotation))
+        e.apply(delete_vertices=[1])
+        assert e.snapshot().graph == g
+        assert _same_through_rename(e, budget) > 0
