@@ -8,10 +8,11 @@ payments and the big-face income alone).  The reduction catalog also asks
 whether a vertex is special (no edge among its neighbors lies in two
 3-faces), which ``is_special_vertex`` answers one vertex at a time.
 
-``classify_all`` reads a vertex's corners straight from the graph's face
-map: ``g.face[v]`` gives the face of each dart out of v, and ``g.fdeg``
-its degree.  A PlanarGraph and the engine's Embedding keep both in that
-shape, so it profiles either one.
+``classify_vertex`` reads a vertex's corners straight from the graph's
+face map: ``g.face[v]`` gives the face of each dart out of v, and
+``g.fdeg`` its degree; ``classify_all`` calls it on every vertex.  A
+PlanarGraph and the engine's Embedding keep both in that shape, so it
+profiles either one.
 """
 
 from __future__ import annotations
@@ -67,28 +68,27 @@ def _fifteenths_after_r1_r2(k: int, t3: int, t5p: int, delta: int) -> int:
 
 def classify_all(g: PlanarGraph | Embedding) -> dict[int, VertexClass]:
     """Profile every vertex of the embedding, keyed by its id in g."""
-    fdeg = g.fdeg.__getitem__
     delta = g.max_degree()
-    classes: dict[int, VertexClass] = {}
-    for v, fv in g.face.items():
-        # the corners of v lie in the faces of its darts (v, u), one each
-        degrees = list(map(fdeg, fv.values()))
-        k = len(degrees)
-        t3 = degrees.count(3)
-        t4 = degrees.count(4)
-        t5p = k - t3 - t4
-        after = _fifteenths_after_r1_r2(k, t3, t5p, delta)
-        classes[v] = VertexClass(
-            v, k, t3, t4, t5p, k == 4 and after < 0, k == 5 and after < 0
-        )
-    return classes
+    return {v: classify_vertex(g, v, delta) for v in g.face}
 
 
-def is_special_vertex(g: PlanarGraph, v: int) -> bool:
+def classify_vertex(g: PlanarGraph | Embedding, v: int, delta: int) -> VertexClass:
+    """Profile vertex v of g, whose maximum degree is delta."""
+    # the corners of v lie in the faces of its darts (v, u), one each
+    degrees = list(map(g.fdeg.__getitem__, g.face[v].values()))
+    k = len(degrees)
+    t3 = degrees.count(3)
+    t4 = degrees.count(4)
+    t5p = k - t3 - t4
+    after = _fifteenths_after_r1_r2(k, t3, t5p, delta)
+    return VertexClass(v, k, t3, t4, t5p, k == 4 and after < 0, k == 5 and after < 0)
+
+
+def is_special_vertex(g: PlanarGraph | Embedding, v: int) -> bool:
     """No edge of the subgraph induced on N(v) lies in two 3-faces.
 
-    Also answers on the engine's Embedding.  Both darts of an edge never
-    border one 3-face of a simple graph, so two 3-face sides are two faces.
+    Both darts of an edge never border one 3-face of a simple graph, so
+    two 3-face sides are two faces.
     """
     nbr_set = g.adj(v)
     for a in g.neighbors(v):

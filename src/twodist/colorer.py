@@ -71,7 +71,10 @@ class RunTrace:
     gets every intermediate graph as the engine's live Embedding, which
     keeps those ids, with the catalog's outcome on it (None for a base
     case).  It may read the Embedding only during the call; ``e.snapshot()``
-    gives it as a PlanarGraph with dense ids 1..n.
+    gives it as a PlanarGraph with dense ids 1..n.  On its first call,
+    before the engine changes anything, it may attach a
+    ``discharge.LiveCharges`` as ``e.charges``, which the engine's changes
+    then keep current.
     """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)

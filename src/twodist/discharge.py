@@ -13,6 +13,13 @@ transfer is one int subtraction plus one int addition.  ``Fraction`` is the
 type at the API: the ledger's and the report's charge views and their
 totals are Fractions built only when a caller reads them, and
 ``Transfer.amount`` is the rule's amount as it stands in RULE_AMOUNTS.
+
+The rules are written once, per element: ``_r2_units`` (what a 5+-face
+gives one corner), the ``_INCOME`` table and the ``_pays_five`` payer test.
+``apply_rules`` runs them over a whole graph, logging every transfer, and
+``audit`` stays the from-scratch reference.  ``LiveCharges`` reads the same
+helpers to keep the final charges of the engine's Embedding current as it
+changes, re-deriving only what each change can reach.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .classify import VertexClass, classify_all
+from .classify import VertexClass, classify_all, classify_vertex
 from .errors import InvariantViolated
 from .planar import Embedding, PlanarGraph
 
@@ -54,26 +61,84 @@ def _units(amount: Fraction) -> int:
 _R1 = _units(Fraction(1, 3))  # per corner of a 3-face
 _R2_TO_3_VERTEX = _units(Fraction(1, 3))
 _R2_TO_OTHER = _units(Fraction(1, 5))
-_R3 = _units(Fraction(1, 9))
 
-# Income per neighbor for the 4-vertex family, keyed by (t3, t4).
-_FOUR_VERTEX_INCOME = {
-    (4, 0): ("R4", _units(Fraction(1, 3))),
-    (3, 1): ("R5", _units(Fraction(1, 4))),
-    (3, 0): ("R6", _units(Fraction(1, 5))),
-    (2, 2): ("R7", _units(Fraction(1, 6))),
-    (2, 1): ("R8", _units(Fraction(7, 60))),
-    (2, 0): ("R9", _units(Fraction(1, 15))),
-    (1, 3): ("R10", _units(Fraction(1, 12))),
-    (1, 2): ("R11", _units(Fraction(1, 30))),
+# R3-R14: the rule by which a vertex draws charge and the units each payer
+# gives, keyed by the vertex's (k, t3, t4).  A 3-vertex receives 1/9 from
+# each neighbor, and the 4-vertex family from each neighbor; the 5-vertex
+# family only from the neighbors that ``_pays_five``.
+_INCOME = {
+    (3, t3, t4): ("R3", _units(Fraction(1, 9))) for t3 in range(4) for t4 in range(4 - t3)
 }
+_INCOME.update({
+    (4, 4, 0): ("R4", _units(Fraction(1, 3))),
+    (4, 3, 1): ("R5", _units(Fraction(1, 4))),
+    (4, 3, 0): ("R6", _units(Fraction(1, 5))),
+    (4, 2, 2): ("R7", _units(Fraction(1, 6))),
+    (4, 2, 1): ("R8", _units(Fraction(7, 60))),
+    (4, 2, 0): ("R9", _units(Fraction(1, 15))),
+    (4, 1, 3): ("R10", _units(Fraction(1, 12))),
+    (4, 1, 2): ("R11", _units(Fraction(1, 30))),
+    (5, 5, 0): ("R12", _units(Fraction(1, 6))),
+    (5, 4, 1): ("R13", _units(Fraction(1, 12))),
+    (5, 4, 0): ("R14", _units(Fraction(2, 45))),
+})
 
-# Income per contributing 6+-neighbor for the 5-vertex family.
-_FIVE_VERTEX_INCOME = {
-    (5, 0): ("R12", _units(Fraction(1, 6))),
-    (4, 1): ("R13", _units(Fraction(1, 12))),
-    (4, 0): ("R14", _units(Fraction(2, 45))),
-}
+
+def _r2_units(k: int, delta: int) -> int:
+    """R2: what a 5+-face gives a corner at a k-vertex: 1/3 to a 3-vertex,
+    1/5 to any other vertex of degree at most delta-1, nothing to the rest."""
+    if k == 3:
+        return _R2_TO_3_VERTEX
+    return _R2_TO_OTHER if k <= delta - 1 else 0
+
+
+def _pays_five(vc: VertexClass) -> bool:
+    """Does a vertex of class vc pay a 5-vertex neighbor that draws income?
+    A 6+-vertex does, except the fully triangulated 6-vertex, which has
+    nothing to give."""
+    return vc.k >= 6 and not vc.is_kd(6, 6)
+
+
+# What R3-R14 read of a vertex: the units it draws from each payer (0 when
+# it draws nothing), whether only neighbors that ``_pays_five`` pay it (it
+# is a 5-vertex), and whether it pays such a neighbor itself.
+Stake = tuple[int, bool, bool]
+
+
+def _stake(vc: VertexClass) -> Stake:
+    income = _INCOME.get((vc.k, vc.t3, vc.t4))
+    return (income[1] if income else 0, vc.k == 5, _pays_five(vc))
+
+
+def _net(mine: Stake, theirs: Stake) -> int:
+    """R3-R14 between two neighbors: what the one with stake ``mine``
+    draws from the other, less what it gives the other."""
+    draw, picky, pays = mine
+    their_draw, their_picky, they_pay = theirs
+    return (draw if they_pay or not picky else 0) - (their_draw if pays or not their_picky else 0)
+
+
+def _vertex_units(
+    vc: VertexClass, nbrs: Sequence[int], stakes: dict[int, Stake], delta: int
+) -> int:
+    """The final units of a vertex of class vc with these neighbors: d(v) - 4
+    less R1 plus R2 at its corners, then its net under R3-R14 with each
+    neighbor."""
+    k, mine = vc.k, stakes[vc.v]
+    units = (k - 4) * UNIT - vc.t3 * _R1 + vc.t5p * _r2_units(k, delta)
+    return units + sum(_net(mine, stakes[w]) for w in nbrs)
+
+
+def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
+    """The final units of a face of degree d (R1, R2).  ``corners``, its
+    corner vertices with a vertex once per corner, is read only when d >= 5."""
+    if d == 3:
+        return 3 * _R1 - UNIT
+    units = (d - 4) * UNIT
+    if d >= 5:
+        units -= sum(_r2_units(len(rot[v]), delta) for v in corners)
+    return units
+
 
 # Transfer.amount reads each amount back from RULE_AMOUNTS.
 _AMOUNT_OF_UNITS = {_units(a): a for a in RULE_AMOUNTS}
@@ -194,12 +259,8 @@ def apply_rules(
             # R2: 1/3 to each incident 3-vertex, 1/5 to every other vertex
             # of degree at most delta-1 (per incidence).
             for v in corners:
-                k = len(rot[v])
-                if k == 3:
-                    amount = _R2_TO_3_VERTEX
-                elif k <= delta - 1:
-                    amount = _R2_TO_OTHER
-                else:
+                amount = _r2_units(len(rot[v]), delta)
+                if not amount:
                     continue
                 face[key] -= amount
                 vertex[v] += amount
@@ -207,28 +268,134 @@ def apply_rules(
 
     for v, nbrs in rot.items():
         vc = classes[v]
-        if vc.k == 3:
-            # R3: a 3-vertex receives 1/9 from each neighbor.
-            rule, amount, payers = "R3", _R3, nbrs
-        elif vc.k == 4 and (vc.t3, vc.t4) in _FOUR_VERTEX_INCOME:
-            rule, amount = _FOUR_VERTEX_INCOME[vc.t3, vc.t4]
-            payers = nbrs
-        elif vc.k == 5 and (vc.t3, vc.t4) in _FIVE_VERTEX_INCOME:
-            rule, amount = _FIVE_VERTEX_INCOME[vc.t3, vc.t4]
-            # contributions come from 6+-neighbors, except the fully
-            # triangulated 6-vertex which has nothing to give
-            payers = [
-                w for w in nbrs
-                if classes[w].k >= 6 and not classes[w].is_kd(6, 6)
-            ]
-        else:
+        income = _INCOME.get((vc.k, vc.t3, vc.t4))
+        if income is None:
             continue
+        rule, amount = income
+        payers = [w for w in nbrs if _pays_five(classes[w])] if vc.k == 5 else nbrs
         dst = elem[v]
         vertex[v] += amount * len(payers)
         for w in payers:
             vertex[w] -= amount
             record((rule, elem[w], dst, amount))
     return ChargeLedger(vertex, face, log)
+
+
+class LiveCharges:
+    """The final charges of one Embedding, kept current as it changes.
+
+    ``vertex_units`` and ``face_units`` hold what ``audit(e).final`` holds,
+    by vertex id and face id, ``total_units`` their sum, ``stakes`` each
+    vertex's ``Stake`` and ``delta`` the maximum degree.  Attached as
+    ``e.charges`` while no apply is in force (undoing an earlier one would
+    leave it stale), it follows every successful ``e.apply`` and logs its
+    old values in the apply's undo log, so that ``e.undo()`` restores them
+    with the rest.
+    """
+
+    def __init__(self, e: Embedding):
+        rot, delta = e.rot, e.max_degree()
+        classes = classify_all(e)
+        self.delta = delta
+        self.stakes = {v: _stake(vc) for v, vc in classes.items()}
+        self.vertex_units = {
+            v: _vertex_units(vc, rot[v], self.stakes, delta) for v, vc in classes.items()
+        }
+        self.face_units = {
+            f: _face_units(d, corners, rot, delta)
+            for (f, d), corners in zip(e.fdeg.items(), _corners(e))
+        }
+        self.total_units = sum(self.vertex_units.values()) + sum(self.face_units.values())
+
+    def total(self) -> Fraction:
+        return Fraction(self.total_units, UNIT)
+
+    def follow(self, e: Embedding, log: list, touched: set[int], rebuilt: bool) -> None:
+        """Update after an apply on e that logged its changes in ``log``,
+        changed the darts of the ``touched`` vertices and, if ``rebuilt``,
+        built e's structures afresh.
+
+        A vertex's class reads its degree and its corners' face degrees, so
+        it changes only at a touched vertex or at a corner of a resized
+        face (the face ``_link`` keeps shrinks without touching its other
+        corners, so it is walked).  R2 reads delta, so when delta moves,
+        the vertices of degree between the old and the new delta are redone
+        too.  Redone vertices get their final units afresh, and their
+        untouched neighbors trade their net with them; faces are redone
+        when new, resized, or at a corner whose R2 amount may have moved.
+        """
+        state = vars(self)
+        if rebuilt:
+            # the survivors are few: build afresh and swap, as the frame does
+            log += [(state, name, old) for name, old in state.items()]
+            self.__init__(e)
+            return
+        rot, face, fdeg = e.rot, e.face, e.fdeg
+        stakes, vertex, faces = self.stakes, self.vertex_units, self.face_units
+        delta, total = e.max_degree(), self.total_units
+
+        for v in touched - rot.keys():
+            log += ((stakes, v, stakes.pop(v)), (vertex, v, vertex[v]))
+            total -= vertex.pop(v)
+        changed = set()  # faces made or resized
+        for f in {f for d, f, _ in log if d is fdeg}:
+            if f in fdeg:
+                changed.add(f)
+            elif f in faces:
+                log.append((faces, f, faces[f]))
+                total -= faces.pop(f)
+        redo = touched & rot.keys()
+        darts = {}  # the faces to redo, each with a dart on it
+        corners = {}  # the corners of the faces walked here
+        for x in list(redo):
+            for y, f in face[x].items():
+                darts.setdefault(f, (x, y))
+                if f in changed and f in faces and f not in corners:
+                    corners[f] = [z for z, _ in e.walk((x, y))]
+                    redo.update(corners[f])
+        if delta != self.delta:
+            low, high = sorted((delta, self.delta))
+            band = set().union(*(e.bydeg.get(k, ()) for k in range(low, high) if k != 3))
+            for v in band - redo:
+                for y, f in face[v].items():
+                    darts.setdefault(f, (v, y))
+            redo |= band
+            log.append((state, "delta", self.delta))
+            self.delta = delta
+
+        classes = {v: classify_vertex(e, v, delta) for v in redo}
+        was = {}  # the stakes that changed, as they were
+        for v, vc in classes.items():
+            new = _stake(vc)
+            if new != stakes[v]:
+                was[v] = stakes[v]
+                log.append((stakes, v, was[v]))
+                stakes[v] = new
+        units = {v: _vertex_units(vc, rot[v], stakes, delta) for v, vc in classes.items()}
+        for c, old in was.items():
+            new = stakes[c]
+            for u in rot[c]:
+                if u not in redo:
+                    mine = stakes[u]
+                    units[u] = units.get(u, vertex[u]) + _net(mine, new) - _net(mine, old)
+        for v, new in units.items():
+            if new != vertex[v]:
+                log.append((vertex, v, vertex[v]))
+                total += new - vertex[v]
+                vertex[v] = new
+
+        for f, dart in darts.items():
+            d = fdeg[f]
+            if d >= 5 and f not in corners:
+                corners[f] = [z for z, _ in e.walk(dart)]
+            new = _face_units(d, corners.get(f, ()), rot, delta)
+            old = faces.get(f)
+            if new != old:
+                log.append((faces, f, old))
+                total += new - (old or 0)
+                faces[f] = new
+        log.append((state, "total_units", self.total_units))
+        self.total_units = total
 
 
 @dataclass

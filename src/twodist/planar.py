@@ -299,7 +299,7 @@ class SurgeryResult:
 # copy, never edited in place), so these entries are all there is to undo
 # in the dicts.  The edge count and the top-level structures are kept in
 # the apply frame instead, with the flags below.
-LogEntry = tuple[dict, int, object]
+LogEntry = tuple[dict, object, object]
 # A vertex's degree (None once it is deleted) and cut flag, as the degree
 # buckets and the cut set hold them.
 Flags = tuple[int, "int | None", bool]
@@ -318,7 +318,9 @@ class Embedding:
       cut vertex exactly when it repeats on some face boundary walk, that is
       when two of its corners lie in one face (Mohar and Thomassen,
       *Graphs on Surfaces*);
-    - ``m``, the edge count (n is the number of live vertices).
+    - ``m``, the edge count (n is the number of live vertices);
+    - ``charges``: None, or a ``discharge.LiveCharges`` that each apply
+      brings up to date, logging its old values with the rest.
 
     What a change costs:
 
@@ -341,7 +343,9 @@ class Embedding:
     rotation order included.  Undo never looks at a face.
     """
 
-    __slots__ = ("rot", "face", "fdeg", "m", "bydeg", "cuts", "_deg", "_faces", "_frames")
+    __slots__ = (
+        "rot", "face", "fdeg", "m", "bydeg", "cuts", "charges", "_deg", "_faces", "_frames"
+    )
 
     def __init__(self, g: PlanarGraph):
         self.rot: dict[int, list[int]] = {
@@ -355,6 +359,7 @@ class Embedding:
         self._deg: dict[int, int] = {}
         self._faces = len(self.fdeg)  # face ids handed out so far
         self._frames: list[tuple[list[LogEntry], list[Flags], tuple]] = []
+        self.charges = None  # a discharge.LiveCharges, when one is attached
         self._refresh(self.rot)
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
@@ -528,6 +533,8 @@ class Embedding:
             self.undo()
             raise
         saved += self._refresh(touched)
+        if self.charges is not None:
+            self.charges.follow(self, log, touched, self.rot is not start[1])
 
     def undo(self) -> None:
         """Revert the latest apply that is still in force.
@@ -553,7 +560,7 @@ class Embedding:
         r = self.rot[y]
         return y, r[(r.index(x) + 1) % len(r)]
 
-    def _walk(self, dart: Edge) -> list[Edge]:
+    def walk(self, dart: Edge) -> list[Edge]:
         """The boundary walk of dart's face, as darts, starting at dart."""
         darts = [dart]
         nxt = self._succ(*dart)
@@ -679,7 +686,7 @@ class Embedding:
                     starts.append((x, kept[(i - j) % k]))
         for x, y in starts:
             if face[x][y] in old:
-                self._new_face(self._walk((x, y)), log, touched)
+                self._new_face(self.walk((x, y)), log, touched)
 
     def _link(
         self,
@@ -713,7 +720,7 @@ class Embedding:
         else:
             ranked = []
             for g in shared:
-                walk = self._walk((a, rot[a][fa.index(g)]))
+                walk = self.walk((a, rot[a][fa.index(g)]))
                 ranks = [(x, rot[x].index(y)) for x, y in walk]
                 first = ranks.index(min(ranks))
                 scars = len(scarred.intersection(x for x, _ in walk))

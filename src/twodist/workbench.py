@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Iterable
 
 from .colorer import Coloring, RunTrace, color, verify_coloring
-from .discharge import audit
+from .discharge import LiveCharges, audit
 from .errors import GenerationFailed, ParseError
 from .planar import Embedding, PlanarGraph
 from .reductions import ProofGapReport
@@ -265,8 +265,12 @@ def hunt(
 ) -> HuntReport:
     """Generate graphs, color each one while recording every reduction the
     engine takes, audit every intermediate graph, and count catalog gaps
-    on graphs with maximum degree >= 6 (the expected count is zero).  Each
-    intermediate graph is audited in place, on the engine's Embedding."""
+    on graphs with maximum degree >= 6 (the expected count is zero).
+
+    The audit runs in place, on the engine's Embedding: the hook's first
+    call in a run, made before the engine changes anything, attaches a
+    ``LiveCharges`` to it, which every later reduction and undo keep
+    current, and each call reads the total from it."""
     report = HuntReport(
         trials=trials,
         n=n,
@@ -275,9 +279,12 @@ def hunt(
     )
 
     def hook(e: Embedding, outcome) -> None:
-        if audit_each and e.n >= 2:
-            total = audit(e, cross_reference=False).total
-            key = str(total)
+        if not audit_each:
+            return
+        if e.charges is None:
+            e.charges = LiveCharges(e)
+        if e.n >= 2:
+            key = str(e.charges.total())
             report.audit_totals[key] = report.audit_totals.get(key, 0) + 1
 
     for s in report.seeds:

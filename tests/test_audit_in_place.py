@@ -1,5 +1,5 @@
 """The audit of the engine's live Embedding against the audit of its
-snapshot.
+snapshot, and the live charge ledger against both.
 
 ``workbench.hunt`` audits every intermediate graph in place, on the
 Embedding the engine hands to its graph hook; its vertices keep their ids
@@ -10,12 +10,32 @@ canonical walks) on everything that does not depend on the names: the
 total, each vertex's final charge (through the rename), the multiset of
 final face charges, the number of negative elements, the amount each rule
 moved and the number of transfers.
+
+The hunter reads its totals from a ``LiveCharges`` attached at the first
+hook call, which every apply and undo keep current.  After each of them,
+its vertex units, its face units by face id and its total must equal those
+of a fresh ``audit(e)``.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
-from twodist import RunTrace, audit, color, gen_planar, rule_totals
+import pytest
+
+import gadgets
+from twodist import (
+    DegreeBudgetExceeded,
+    RunTrace,
+    SurgeryDisconnects,
+    SurgeryNotPlanar,
+    audit,
+    color,
+    gen_planar,
+    rule_totals,
+)
+from twodist.discharge import LiveCharges
+from twodist.planar import Embedding
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -23,18 +43,66 @@ from test_engine_golden import FLIP_SEEDS, FLIP_SIZES  # noqa: E402
 from workloads import gen_flip  # noqa: E402
 
 
+def agrees_with_audit(e):
+    """The LiveCharges on e against a fresh audit of e."""
+    final = audit(e, cross_reference=False).final
+    live = e.charges
+    assert live.vertex_units == final.vertex_units
+    assert live.face_units == final.face_units
+    assert live.total_units == final.total_units()
+
+
+def ledger(e):
+    """Everything a LiveCharges holds, copied."""
+    return {name: value if type(value) is int else dict(value)
+            for name, value in vars(e.charges).items()}
+
+
+@pytest.fixture
+def followed(monkeypatch):
+    """Check the LiveCharges after every apply and undo on an Embedding that
+    carries one; returns counts of what was seen."""
+    apply, undo = Embedding.apply, Embedding.undo
+    seen = Counter()
+
+    def checked_apply(self, *args, **kwargs):
+        if self.charges is None:
+            return apply(self, *args, **kwargs)
+        rot, delta = self.rot, self.max_degree()
+        apply(self, *args, **kwargs)
+        agrees_with_audit(self)
+        seen["apply"] += 1
+        seen["delta drop"] += self.max_degree() < delta
+        if not args and list(kwargs) == ["delete_vertices"]:
+            # one side of a cut-vertex split; the larger is built afresh
+            seen["split, rebuilt" if self.rot is not rot else "split, edited"] += 1
+
+    def checked_undo(self):
+        undo(self)
+        if self.charges is not None:
+            agrees_with_audit(self)
+            seen["undo"] += 1
+
+    monkeypatch.setattr(Embedding, "apply", checked_apply)
+    monkeypatch.setattr(Embedding, "undo", checked_undo)
+    return seen
+
+
 def audited_in_place(g):
-    """Color g, comparing the two audits at every hook call; returns the
-    number of calls."""
+    """Color g, comparing the two audits at every hook call; the first call
+    attaches a LiveCharges, as the hunter's does.  Returns the number of
+    calls."""
     calls = [0]
 
     def hook(e, outcome):
+        if e.charges is None:
+            e.charges = LiveCharges(e)
         if e.n < 2:
             return
         part = e.snapshot()
         live, ref = audit(e, cross_reference=False), audit(part.graph, cross_reference=False)
         rename = part.old_to_new
-        assert live.total == ref.total == -8
+        assert live.total == ref.total == e.charges.total() == -8
         assert {
             rename[v]: c for v, c in live.final.vertex_units.items()
         } == ref.final.vertex_units
@@ -48,17 +116,92 @@ def audited_in_place(g):
     return calls[0]
 
 
-def test_on_a_corpus_slice(small_corpus):
+def covered(seen, splits=True):
+    # every apply undone, and Delta drops and both sides of splits among them
+    assert seen["apply"] == seen["undo"] and seen["delta drop"]
+    assert not splits or seen["split, rebuilt"] and seen["split, edited"]
+
+
+def test_on_a_corpus_slice(small_corpus, followed):
     assert sum(audited_in_place(g) for g in small_corpus[:12]) > 100
+    covered(followed)
 
 
-def test_on_flip_graphs():
+def test_on_flip_graphs(followed):
     # the smaller flip graphs of the engine golden; they fire L2.4-L2.8,
     # whose added edges split faces
     graphs = [gen_flip(n, seed) for n in FLIP_SIZES[:2] for seed in FLIP_SEEDS]
     assert sum(map(audited_in_place, graphs)) > 100
+    covered(followed, splits=False)  # no flip graph has a cut vertex
 
 
-def test_on_hunt_graphs():
+def test_on_hunt_graphs(followed):
     # the graphs workbench.hunt(3, 80, 6, 1) colors
     assert sum(audited_in_place(gen_planar(80, 6, s)) for s in (1, 2, 3)) > 100
+    covered(followed)
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, error",
+    [
+        # the rim vertex goes before the cap trips on the added edge
+        (lambda: gadgets.wheel(6), dict(delete_vertices=[2], add_edges=[(3, 7)], max_degree=2),
+         DegreeBudgetExceeded),
+        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
+        (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
+    ],
+)
+def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error):
+    e = Embedding(build())
+    e.charges = LiveCharges(e)
+    before = ledger(e)
+    with pytest.raises(error):
+        e.apply(**kwargs)
+    assert ledger(e) == before
+    agrees_with_audit(e)
+
+
+def wheel_and_star():
+    """W8 (hub 1, rim 2..9) inside the triangle 18-19-20, joined to it by
+    2-18, 5-19 and 7-20, and a 7-star (centre 10, leaves 11..17) hanging
+    off 18 by the edge 11-18: the star lies in the outer face, which no
+    wheel vertex borders."""
+    coords = {1: (0.0, 0.0), 10: (0.0, 7.0)}
+    coords.update({i + 2: gadgets._pt(90 + 45 * i, 1.0) for i in range(8)})
+    coords.update({i + 18: gadgets._pt(90 + 120 * i, 4.0) for i in range(3)})
+    for i in range(7):
+        x, y = gadgets._pt(270 + 45 * i, 1.0)
+        coords[i + 11] = (x, y + 7.0)
+    edges = [(1, v) for v in range(2, 10)] + [(v, v + 1) for v in range(2, 9)] + [(9, 2)]
+    edges += [(18, 19), (19, 20), (20, 18), (2, 18), (5, 19), (7, 20)]
+    edges += [(10, v) for v in range(11, 18)] + [(11, 18)]
+    return gadgets.embed(coords, edges)
+
+
+def test_a_delta_drop_redoes_the_band_and_its_undo_restores_it():
+    # deleting the spoke 1-6 drops the hub, and Delta, from 8 to 7, so the
+    # star's 7-centre stops drawing R2 from the outer face; neither it nor
+    # that face is next to anything the deletion touched
+    e = Embedding(wheel_and_star())
+    e.charges = LiveCharges(e)
+    before = ledger(e)
+    e.apply(delete_edges=[(1, 6)])
+    assert e.max_degree() == 7
+    agrees_with_audit(e)
+    assert e.charges.vertex_units[10] != before["vertex_units"][10]
+    e.undo()
+    assert ledger(e) == before
+    agrees_with_audit(e)
+
+
+def test_an_added_edge_redoes_the_corners_of_the_face_it_keeps():
+    # the chord 2-5 splits the outer 6-face of W6 into two 4-faces; the one
+    # that keeps its face id has two corners off the chord, which the apply
+    # never touched, and both lose a 5+-corner
+    e = Embedding(gadgets.wheel(6))
+    e.charges = LiveCharges(e)
+    before = ledger(e)
+    e.apply(add_edges=[(2, 5)])
+    agrees_with_audit(e)
+    e.undo()
+    assert ledger(e) == before

@@ -9,7 +9,7 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 import layers  # noqa: E402
-from twodist import colorer, discharge, gen_planar, planar, reductions  # noqa: E402
+from twodist import colorer, discharge, gen_planar, planar, reductions, workbench  # noqa: E402
 
 
 def _bindings():
@@ -48,3 +48,19 @@ def test_tracer_wraps_and_restores_every_binding():
     assert tracer.counts["discharge.transfers"] > 0
     assert tracer.calls["classify.classify_all"] > 0
     assert all(getattr(owner, name) is value for owner, name, value in before)
+
+
+def test_the_hunter_audits_without_rerunning_the_rules():
+    # the hunter's charges follow each reduction and undo, so the rules and
+    # the classification run once per coloring run, to attach them, and
+    # once per cut-vertex split, which builds the larger side afresh
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        report = workbench.hunt(1, 60, 6, 1)
+    finally:
+        tracer.uninstall()
+    runs = 1 + tracer.counts["colorer.splits"]
+    assert tracer.calls["discharge.apply_rules"] <= runs
+    assert 0 < tracer.calls["classify.classify_all"] <= runs
+    assert sum(report.audit_totals.values()) > 3 * runs

@@ -62,10 +62,8 @@ class TestUnits:
             discharge._R1,
             discharge._R2_TO_3_VERTEX,
             discharge._R2_TO_OTHER,
-            discharge._R3,
         ]
-        for table in (discharge._FOUR_VERTEX_INCOME, discharge._FIVE_VERTEX_INCOME):
-            amounts += [units for _, units in table.values()]
+        amounts += [units for _, units in discharge._INCOME.values()]
         for units in amounts:
             assert type(units) is int
             assert F(units, UNIT) in RULE_AMOUNTS

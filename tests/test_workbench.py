@@ -155,10 +155,24 @@ class TestHunt:
         assert report.lemma_fires  # something fired on every reduction step
 
     def test_hunt_determinism(self):
-        a = hunt(trials=2, n=25, seed=5, audit_each=False)
-        b = hunt(trials=2, n=25, seed=5, audit_each=False)
+        a = hunt(trials=2, n=25, seed=5)
+        b = hunt(trials=2, n=25, seed=5)
         assert a.lemma_fires == b.lemma_fires
         assert a.seeds == b.seeds
+        assert a.audit_totals == b.audit_totals
+
+    def test_hunt_summary_golden(self):
+        # one audit total per intermediate graph with n >= 2: 225 is the
+        # hunt's step count, on which the benchmark's steps_per_s rests
+        assert hunt(3, 80, 6, 1).summary() == (
+            "trials=3 n=80 min_delta=6\n"
+            "colored 3, valid 3\n"
+            "gap count: 0\n"
+            "audit totals: -8 x225\n"
+            "  L2.1: 13\n"
+            "  L2.2: 64\n"
+            "  L2.3.1: 132"
+        )
 
 
 class TestCli:
@@ -231,6 +245,18 @@ class TestCli:
         assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "gap count: 0" in out
+
+    def test_hunt_command_golden(self, capsys):
+        assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "trials=2 n=20 min_delta=6\n"
+            "colored 2, valid 2\n"
+            "gap count: 0\n"
+            "audit totals: -8 x24\n"
+            "  L2.1: 2\n"
+            "  L2.2: 9\n"
+            "  L2.3.1: 9\n"
+        )
 
     def test_verify_rejects_incomplete_coloring(self, tmp_path, capsys):
         # colors vertex 1 only, and names a vertex the graph does not have
