@@ -336,16 +336,15 @@ def _greedy_fallback(
 
 
 def _base_color(e: Embedding, k: int) -> Coloring:
-    from .oracle import chi2_exact, greedy_square
+    from .oracle import chi2_exact
 
     if e.n == 0:
         return Coloring({}, k)
+    # the search starts from greedy_square's coloring and only ever trades
+    # it for one with fewer colors, so a greedy retry could not do better
     result = chi2_exact(e, node_budget=BASE_ORACLE_BUDGET)
-    if result.witness.assignment and result.witness.colors_used <= k:
+    if result.witness.colors_used <= k:
         return Coloring(dict(result.witness.assignment), k)
-    greedy = greedy_square(e)
-    if greedy.colors_used <= k:
-        return Coloring(greedy.assignment, k)
     raise BudgetExhausted(
         f"base case n={e.n} needs more than {k} colors"
     )

@@ -14,10 +14,13 @@ type at the API: the ledger's and the report's charge views and their
 totals are Fractions built only when a caller reads them, and
 ``Transfer.amount`` is the rule's amount as it stands in RULE_AMOUNTS.
 
-The rules are written once, per element: ``_r2_units`` (what a 5+-face
-gives one corner), the ``_INCOME`` table and the ``_pays_five`` payer test.
-``apply_rules`` runs them over a whole graph, logging every transfer, and
-``audit`` stays the from-scratch reference.  ``LiveCharges`` reads the same
+The rules are written once, per element, and only here: ``_r2_units``
+(what a 5+-face gives one corner), ``_after_r1_r2`` (a vertex's charge
+after its 3-face payments and 5+-face income), the ``_INCOME`` table and
+the ``_pays_five`` payer test.  ``apply_rules`` runs them over a whole
+graph, logging every transfer, and ``audit`` stays the from-scratch
+reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
+``_after_r1_r2`` leaves it negative.  ``LiveCharges`` reads the same
 helpers to keep the final charges of the engine's Embedding current as it
 changes, re-deriving only what each change can reach.
 """
@@ -92,6 +95,12 @@ def _r2_units(k: int, delta: int) -> int:
     return _R2_TO_OTHER if k <= delta - 1 else 0
 
 
+def _after_r1_r2(vc: VertexClass, delta: int) -> int:
+    """The units of a vertex of class vc after R1 and R2 alone: d(v) - 4,
+    less 1/3 per 3-corner, plus what R2 gives per 5+-corner."""
+    return (vc.k - 4) * UNIT - vc.t3 * _R1 + vc.t5p * _r2_units(vc.k, delta)
+
+
 def _pays_five(vc: VertexClass) -> bool:
     """Does a vertex of class vc pay a 5-vertex neighbor that draws income?
     A 6+-vertex does, except the fully triangulated 6-vertex, which has
@@ -121,12 +130,10 @@ def _net(mine: Stake, theirs: Stake) -> int:
 def _vertex_units(
     vc: VertexClass, nbrs: Sequence[int], stakes: dict[int, Stake], delta: int
 ) -> int:
-    """The final units of a vertex of class vc with these neighbors: d(v) - 4
-    less R1 plus R2 at its corners, then its net under R3-R14 with each
-    neighbor."""
-    k, mine = vc.k, stakes[vc.v]
-    units = (k - 4) * UNIT - vc.t3 * _R1 + vc.t5p * _r2_units(k, delta)
-    return units + sum(_net(mine, stakes[w]) for w in nbrs)
+    """The final units of a vertex of class vc with these neighbors: its
+    units after R1 and R2, then its net under R3-R14 with each neighbor."""
+    mine = stakes[vc.v]
+    return _after_r1_r2(vc, delta) + sum(_net(mine, stakes[w]) for w in nbrs)
 
 
 def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
@@ -355,7 +362,7 @@ class LiveCharges:
                     redo.update(corners[f])
         if delta != self.delta:
             low, high = sorted((delta, self.delta))
-            band = set().union(*(e.bydeg.get(k, ()) for k in range(low, high) if k != 3))
+            band = set().union(*(e.of_degree(k) for k in range(low, high) if k != 3))
             for v in band - redo:
                 for y, f in face[v].items():
                     darts.setdefault(f, (v, y))
@@ -363,7 +370,7 @@ class LiveCharges:
             log.append((state, "delta", self.delta))
             self.delta = delta
 
-        classes = {v: classify_vertex(e, v, delta) for v in redo}
+        classes = {v: classify_vertex(e, v) for v in redo}
         was = {}  # the stakes that changed, as they were
         for v, vc in classes.items():
             new = _stake(vc)
@@ -421,7 +428,8 @@ class AuditReport:
     @cached_property
     def negative_elements(self) -> list[tuple[str, object, Fraction, str]]:
         """(kind, id, charge, label) per negative element; the labels are
-        formatted here, on first read, not by ``audit``."""
+        formatted here, on first read, not by ``audit``.  A 4- or 5-vertex
+        that R1 and R2 alone leave negative is labelled bad4 or bad5."""
         return [
             (
                 kind,
@@ -429,7 +437,8 @@ class AuditReport:
                 Fraction(units, UNIT),
                 # a face's degree d, from its initial charge d - 4
                 f"{self.initial.face_units[key] // UNIT + 4}-face" if vc is None
-                else f"{vc}{' bad4' * vc.bad4}{' bad5' * vc.bad5}",
+                else f"{vc} bad{vc.k}" if vc.k in (4, 5) and _after_r1_r2(vc, self.delta) < 0
+                else str(vc),
             )
             for kind, key, units, vc in self.negative_units
         ]

@@ -31,7 +31,8 @@ class DegreeBudgetExceeded(TwodistError):
 
 
 class NotACutVertex(TwodistError):
-    """split_at was called on a vertex whose removal keeps the graph connected."""
+    """A split was asked for at a vertex whose removal keeps the graph
+    connected (``Embedding.split_sides``)."""
 
 
 class NoSafeColor(TwodistError):

@@ -16,9 +16,10 @@ surgery is writing those values back.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, NoReturn, Sequence
 
 from .errors import (
     DegreeBudgetExceeded,
@@ -120,9 +121,11 @@ class PlanarGraph:
     dart (v, u) borders and ``fdeg[i]`` the degree of face i.  ``faces``
     lists the face boundaries in index order, which is the order the trace
     meets them: vertex by vertex, each vertex's darts in rotation order.
+    The keys of ``face[v]`` are v's neighbors, so they serve as its
+    adjacency set, as on the Embedding.
     """
 
-    __slots__ = ("rotation", "m", "faces", "face", "fdeg", "_adj", "_delta")
+    __slots__ = ("rotation", "m", "faces", "face", "fdeg", "_delta")
 
     def __init__(self, rotation: Sequence[Sequence[int]]):
         rot = tuple(map(tuple, rotation))
@@ -143,7 +146,6 @@ class PlanarGraph:
         if len(listed) % 2:
             raise EmbeddingInvalid("odd number of darts")
         self.m: int = len(listed) // 2
-        self._adj: tuple[frozenset[int], ...] = adj
         self._delta = max(degrees, default=0)
         # nxt[v][u] follows u in the rotation at v: the dart after (u, v)
         # on its face is (v, nxt[v][u])
@@ -194,9 +196,9 @@ class PlanarGraph:
         self._check_vertex(v)
         return self.rotation[v - 1]
 
-    def adj(self, v: int) -> frozenset[int]:
+    def adj(self, v: int) -> KeysView[int]:
         self._check_vertex(v)
-        return self._adj[v - 1]
+        return self.face[v].keys()
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -205,7 +207,7 @@ class PlanarGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u - 1]
+        return v in self.face[u]
 
     def edges(self) -> Iterator[Edge]:
         for v in self.vertices():
@@ -215,9 +217,6 @@ class PlanarGraph:
 
     def max_degree(self) -> int:
         return self._delta
-
-    def min_degree(self) -> int:
-        return min((len(r) for r in self.rotation), default=0)
 
     def size(self) -> int:
         """|V| + |E|, the measure every reduction strictly decreases."""
@@ -313,7 +312,8 @@ class Embedding:
 
     - ``face[v][u]``: the face that dart (v, u) borders, and ``fdeg`` the
       degree of every face (so ``len(fdeg)`` is the face count f);
-    - ``bydeg``: the vertices of each degree;
+    - ``bydeg``: the vertices of each degree, each bucket an ascending
+      list that ``of_degree`` hands out as it is, to be read only;
     - ``cuts``: the cut vertices.  In a connected plane graph a vertex is a
       cut vertex exactly when it repeats on some face boundary walk, that is
       when two of its corners lie in one face (Mohar and Thomassen,
@@ -334,7 +334,8 @@ class Embedding:
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
       for the vertices whose darts changed (the cut test is one C-level
-      set over a vertex's dart faces), and the flags that changed are saved.
+      set over a vertex's dart faces, and a vertex changes bucket by
+      bisection), and the flags that changed are saved.
 
     ``apply`` logs the old value of every dict entry it changes, and
     records m and the structures it started from in its frame; ``undo``
@@ -354,7 +355,7 @@ class Embedding:
         self.face: dict[int, dict[int, int]] = {v: dict(fv) for v, fv in g.face.items()}
         self.fdeg: dict[int, int] = dict(enumerate(g.fdeg))
         self.m = g.m
-        self.bydeg: dict[int, set[int]] = {}
+        self.bydeg: dict[int, list[int]] = {}
         self.cuts: set[int] = set()
         self._deg: dict[int, int] = {}
         self._faces = len(self.fdeg)  # face ids handed out so far
@@ -368,13 +369,14 @@ class Embedding:
     def n(self) -> int:
         return len(self.rot)
 
-    def of_degree(self, k: int) -> list[int]:
-        return sorted(self.bydeg.get(k, ()))
+    def of_degree(self, k: int) -> Sequence[int]:
+        """The vertices of degree k, ascending: the live bucket, read only."""
+        return self.bydeg.get(k, ())
 
     def neighbors(self, v: int) -> list[int]:
         return self.rot[v]
 
-    def adj(self, v: int):
+    def adj(self, v: int) -> KeysView[int]:
         return self.face[v].keys()
 
     def degree(self, v: int) -> int:
@@ -761,8 +763,8 @@ class Embedding:
 
     def _place(self, flags: Iterable[Flags]) -> list[Flags]:
         """Put each vertex in the bucket of its degree (in none when it is
-        gone) and set its cut flag; returns the flags that changed, as they
-        were."""
+        gone), keeping the bucket ascending, and set its cut flag; returns
+        the flags that changed, as they were."""
         bydeg, deg, cuts = self.bydeg, self._deg, self.cuts
         replaced = []
         for v, k, cut in flags:
@@ -773,14 +775,14 @@ class Embedding:
             if was != k:
                 if was is not None:
                     bucket = bydeg[was]
-                    bucket.discard(v)
+                    del bucket[bisect_left(bucket, v)]
                     if not bucket:
                         del bydeg[was]
                 if k is None:
                     del deg[v]
                 else:
                     deg[v] = k
-                    bydeg.setdefault(k, set()).add(v)
+                    insort(bydeg.setdefault(k, []), v)
             if cut:
                 cuts.add(v)
             else:

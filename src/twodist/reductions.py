@@ -63,20 +63,12 @@ class ProofGapReport:
 class _Ctx:
     """Shared per-step scratch for the matchers, read off the embedding."""
 
-    __slots__ = ("e", "delta", "_corner_degs", "_of_degree")
+    __slots__ = ("e", "delta", "_corner_degs")
 
     def __init__(self, e: Embedding):
         self.e = e
         self.delta = e.max_degree()
         self._corner_degs: dict[int, tuple[int, ...]] = {}
-        self._of_degree: dict[int, list[int]] = {}
-
-    def of_degree(self, k: int) -> list[int]:
-        """The vertices of degree k, ascending."""
-        vs = self._of_degree.get(k)
-        if vs is None:
-            vs = self._of_degree[k] = self.e.of_degree(k)
-        return vs
 
     def corner_degrees(self, v: int) -> tuple[int, ...]:
         cd = self._corner_degs.get(v)
@@ -113,7 +105,7 @@ def _m_L2_2(ctx: _Ctx) -> Reduction | None:
     dmin = e.min_degree()
     if dmin > 2:
         return None
-    v = min(e.bydeg[dmin])
+    v = e.of_degree(dmin)[0]
     adds: tuple[Edge, ...] = ()
     if dmin == 2:
         a, b = e.neighbors(v)
@@ -128,7 +120,7 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
     replacement edges through that low-degree neighbor (it alone has the
     headroom to gain an edge)."""
     e = ctx.e
-    for v in ctx.of_degree(3):
+    for v in e.of_degree(3):
         small = [u for u in e.neighbors(v) if e.degree(u) <= ctx.delta - 1]
         if not small:
             continue
@@ -151,7 +143,7 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
     re-colored.  From maximum degree 7 on, the center is deleted and three
     chords fanned from that neighbor, which gains two net edges.
     """
-    for v in ctx.of_degree(6):
+    for v in ctx.e.of_degree(6):
         cd = ctx.corner_degrees(v)
         if cd.count(3) != 5:
             continue
@@ -221,7 +213,7 @@ class Rule:
         """The first vertex, in ascending id, where the rule fires."""
         e = ctx.e
         k, t3, t4 = self.shape
-        for v in ctx.of_degree(k):
+        for v in e.of_degree(k):
             rot = e.neighbors(v)
             cd = ctx.corner_degrees(v)
             if t3 is not None and cd.count(3) != t3:
@@ -413,7 +405,7 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
         ("L2.2", f"minimum degree {e.min_degree()}"),
     ]
     shapes = {
-        f"({k},{t3})": sum(1 for v in ctx.of_degree(k) if ctx.is_kd(v, k, t3))
+        f"({k},{t3})": sum(1 for v in e.of_degree(k) if ctx.is_kd(v, k, t3))
         for k, t3 in ((4, 4), (4, 3), (4, 2), (4, 1), (5, 5), (5, 4), (6, 5))
     }
     notes.append(
@@ -426,7 +418,8 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
 
 def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
     """Perform the reduction's surgery with the degree cap pinned to the
-    current maximum degree.  Split reductions go through split_at instead."""
+    current maximum degree.  Split reductions go through
+    ``Embedding.split_sides`` instead."""
     e = Embedding(g)
     reduce_in_place(e, r)
     return e.snapshot()
@@ -435,7 +428,7 @@ def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
 def reduce_in_place(e: Embedding, r: Reduction) -> None:
     """apply_reduction on the engine's embedding; e.undo() reverts it."""
     if r.split is not None:
-        raise ValueError("split reductions are applied via planar.split_at")
+        raise ValueError("split reductions are applied via Embedding.split_sides")
     size = e.n + e.m
     e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
     if e.n + e.m >= size:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gadgets
 from twodist import (
+    audit,
     classify_all,
     gen_planar,
     is_special_vertex,
@@ -12,7 +13,7 @@ from twodist import (
     surgery,
     trace_faces,
 )
-from twodist.classify import charge_after_r1_r2
+from twodist.discharge import UNIT, _after_r1_r2
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -59,35 +60,39 @@ class TestClassifyVertex:
 
 
 class TestBadFlags:
+    """A 4- or 5-vertex is bad4 or bad5 when R1 and R2 alone leave it
+    negative; ``discharge._after_r1_r2`` gives that charge."""
+
+    @staticmethod
+    def after(g, v):
+        return _after_r1_r2(prof(g, v), g.max_degree())
+
     def test_44_vertex_is_bad(self):
-        g = gadgets.octahedron()
-        assert prof(g, 1).bad4
-        assert charge_after_r1_r2(4, 4, 0, delta=4) == Fraction(-4, 3)
+        assert self.after(gadgets.octahedron(), 1) == Fraction(-4, 3) * UNIT
 
     def test_40_vertex_is_not_bad(self):
         g = gadgets.grid_plus()
         vc = prof(g, 1)
         assert (vc.k, vc.t3, vc.t4) == (4, 0, 4)
-        assert not vc.bad4
+        assert self.after(g, 1) >= 0
 
     def test_53_vertex_is_not_bad(self):
         # wheel with two non-adjacent rim edges removed: hub is a (5,3)
-        g = gadgets.wheel(5)
-        res = surgery(g, delete_edges=[(2, 3), (4, 5)])
-        h = res.graph
-        vc = prof(h, 1)
-        assert vc.is_kd(5, 3)
-        assert not vc.bad5
+        h = surgery(gadgets.wheel(5), delete_edges=[(2, 3), (4, 5)]).graph
+        assert prof(h, 1).is_kd(5, 3)
+        assert self.after(h, 1) >= 0
 
     def test_54_vertex_is_bad(self):
         g = gadgets.g_L2_9_or_10(True)
-        assert prof(g, 1).bad5
+        assert prof(g, 1).is_kd(5, 4)
+        assert self.after(g, 1) < 0
 
     def test_bad_flags_only_for_matching_degree(self):
+        # the hub has degree 6: it ends negative, but is labelled no bad
         g = gadgets.wheel(6)
-        vc = prof(g, 1)
-        assert not vc.bad4  # hub has degree 6
-        assert not vc.bad5
+        assert self.after(g, 1) == 0
+        hub = [e for e in audit(g, cross_reference=False).negative_elements if e[1] == 1]
+        assert hub == [("vertex", 1, Fraction(-2, 3), "(6,6,0)-vertex")]
 
 
 class TestNeighborProfile:

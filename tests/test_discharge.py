@@ -237,7 +237,6 @@ class TestAudit:
                 return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(discharge, "Fraction", Counted)
-        monkeypatch.setattr(classify, "Fraction", Counted)
         transfers = []
         for n in (200, 400):
             g = gen_planar(n, 6, 1)
@@ -269,20 +268,24 @@ class TestAudit:
         assert sorted(e[:3] for e in rep.negative_elements) == negative
 
     def test_bad_flags_match_post_r1_r2_recomputation(self, small_corpus):
-        for g in small_corpus[:10]:
+        # a negative 4- or 5-vertex is labelled bad4/bad5 exactly when
+        # replaying the R1 and R2 transfers alone leaves it negative
+        labelled = [0, 0]
+        for g in small_corpus + hand_corpus():
+            rep = audit(g, cross_reference=False)
             classes = classify_all(g)
-            start = initial_charges(g)
-            ledger = apply_rules(g, start, classes)
-            partial = dict(start.vertex_charge)
-            for t in ledger.transfers:
-                if t.rule not in ("R1", "R2"):
+            partial = dict(rep.initial.vertex_units)
+            for rule, source, target, units in rep.final.log:
+                if rule in ("R1", "R2"):
+                    if source[0] == "vertex":
+                        partial[source[1]] -= units
+                    if target[0] == "vertex":
+                        partial[target[1]] += units
+            for kind, v, _, label in rep.negative_elements:
+                if kind != "vertex":
                     continue
-                if t.source[0] == "vertex":
-                    partial[t.source[1]] -= t.amount
-                if t.target[0] == "vertex":
-                    partial[t.target[1]] += t.amount
-            for v, vc in classes.items():
-                if vc.k == 4:
-                    assert vc.bad4 == (partial[v] < 0)
-                if vc.k == 5:
-                    assert vc.bad5 == (partial[v] < 0)
+                k = g.degree(v)
+                bad = k in (4, 5) and partial[v] < 0
+                assert label == f"{classes[v]} bad{k}" if bad else label == str(classes[v])
+                labelled[bad] += 1
+        assert all(labelled)

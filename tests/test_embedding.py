@@ -46,7 +46,7 @@ def state(e):
         {v: dict(f) for v, f in e.face.items()},
         dict(e.fdeg),
         e.m,
-        {d: set(vs) for d, vs in e.bydeg.items()},
+        {d: list(vs) for d, vs in e.bydeg.items()},
         set(e.cuts),
         len(e._frames),
     )
@@ -74,8 +74,8 @@ def check_against_scratch(e):
     assert all(e.fdeg[f] == faces[i].degree for f, i in ids.items())
 
     hist = {}
-    for v in live:
-        hist.setdefault(len(e.rot[v]), set()).add(v)
+    for v in live:  # ascending, so each bucket must be too
+        hist.setdefault(len(e.rot[v]), []).append(v)
     assert e.bydeg == hist
     assert e.cuts == {v for v in live if is_cut_vertex(g, old_to_new[v])}
 
