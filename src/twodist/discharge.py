@@ -22,7 +22,10 @@ graph, logging every transfer, and ``audit`` stays the from-scratch
 reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
 ``_after_r1_r2`` leaves it negative.  ``LiveCharges`` reads the same
 helpers to keep the final charges of the engine's Embedding current as it
-changes, re-deriving only what each change can reach.
+changes.  It keeps each vertex's R3-R14 net beside its units, and follows
+each apply from the ``planar.Change`` that apply recorded: it re-derives
+the faces born or resized and the vertices at their corners, and moves
+the rest by what changed next to them, never rescanning the graph.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .classify import VertexClass, classify_all, classify_vertex
-from .errors import InvariantViolated
-from .planar import Embedding, PlanarGraph
+from .errors import ApplyInForce, InvariantViolated
+from .planar import Change, Embedding, PlanarGraph
 
 # Every amount any rule may move.
 RULE_AMOUNTS = {
@@ -127,13 +130,9 @@ def _net(mine: Stake, theirs: Stake) -> int:
     return (draw if they_pay or not picky else 0) - (their_draw if pays or not their_picky else 0)
 
 
-def _vertex_units(
-    vc: VertexClass, nbrs: Sequence[int], stakes: dict[int, Stake], delta: int
-) -> int:
-    """The final units of a vertex of class vc with these neighbors: its
-    units after R1 and R2, then its net under R3-R14 with each neighbor."""
-    mine = stakes[vc.v]
-    return _after_r1_r2(vc, delta) + sum(_net(mine, stakes[w]) for w in nbrs)
+def _net_sum(mine: Stake, nbrs: Iterable[int], stakes: dict[int, Stake]) -> int:
+    """R3-R14: the net of a vertex with stake ``mine`` with these neighbors."""
+    return sum(_net(mine, stakes[w]) for w in nbrs)
 
 
 def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
@@ -293,21 +292,28 @@ class LiveCharges:
 
     ``vertex_units`` and ``face_units`` hold what ``audit(e).final`` holds,
     by vertex id and face id, ``total_units`` their sum, ``stakes`` each
-    vertex's ``Stake`` and ``delta`` the maximum degree.  Attached as
-    ``e.charges`` while no apply is in force (undoing an earlier one would
-    leave it stale), it follows every successful ``e.apply`` and logs its
-    old values in the apply's undo log, so that ``e.undo()`` restores them
-    with the rest.
+    vertex's ``Stake``, ``nets`` each vertex's R3-R14 net with all its
+    neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta``
+    the maximum degree.  It attaches only to an Embedding with no apply in
+    force, since undoing one would leave it stale, and raises
+    ``ApplyInForce`` otherwise.  Attached as ``e.charges``, it follows every
+    successful ``e.apply`` from the ``Change`` that apply recorded, and logs
+    its old values in the apply's undo log, so that ``e.undo()`` restores
+    them with the rest.
     """
 
     def __init__(self, e: Embedding):
+        if e.in_force:
+            raise ApplyInForce(f"{e.in_force} apply(s) in force; the ledger would go stale")
+        self._build(e)
+
+    def _build(self, e: Embedding) -> None:
         rot, delta = e.rot, e.max_degree()
         classes = classify_all(e)
         self.delta = delta
-        self.stakes = {v: _stake(vc) for v, vc in classes.items()}
-        self.vertex_units = {
-            v: _vertex_units(vc, rot[v], self.stakes, delta) for v, vc in classes.items()
-        }
+        self.stakes = stakes = {v: _stake(vc) for v, vc in classes.items()}
+        self.nets = nets = {v: _net_sum(stakes[v], rot[v], stakes) for v in classes}
+        self.vertex_units = {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in classes.items()}
         self.face_units = {
             f: _face_units(d, corners, rot, delta)
             for (f, d), corners in zip(e.fdeg.items(), _corners(e))
@@ -317,85 +323,109 @@ class LiveCharges:
     def total(self) -> Fraction:
         return Fraction(self.total_units, UNIT)
 
-    def follow(self, e: Embedding, log: list, touched: set[int], rebuilt: bool) -> None:
-        """Update after an apply on e that logged its changes in ``log``,
-        changed the darts of the ``touched`` vertices and, if ``rebuilt``,
-        built e's structures afresh.
+    def follow(self, e: Embedding, change: Change) -> None:
+        """Update after an apply on e that recorded ``change``, logging the
+        old values in ``change.log``.
 
         A vertex's class reads its degree and its corners' face degrees, so
-        it changes only at a touched vertex or at a corner of a resized
-        face (the face ``_link`` keeps shrinks without touching its other
-        corners, so it is walked).  R2 reads delta, so when delta moves,
-        the vertices of degree between the old and the new delta are redone
-        too.  Redone vertices get their final units afresh, and their
-        untouched neighbors trade their net with them; faces are redone
-        when new, resized, or at a corner whose R2 amount may have moved.
+        it can move only at a corner of a face born or resized: the faces
+        born are read from their birth darts, the faces resized are walked,
+        and every vertex that lost or gained a neighbor is a corner of one.
+        When delta moves, R2 moves at the vertices of degree between the old
+        and the new delta, which are reclassified too.  A net moves by the
+        lost and gained neighbors and by the neighbors whose stake moved;
+        only a vertex whose own stake moved re-sums all its neighbors.
+        Faces born or resized are derived afresh, and any other 5+-face
+        moves by the change in what R2 gives its corners.  After a rebuild,
+        the ledger is built afresh.
         """
-        state = vars(self)
-        if rebuilt:
+        log, state = change.log, vars(self)
+        if change.rebuilt:
             # the survivors are few: build afresh and swap, as the frame does
             log += [(state, name, old) for name, old in state.items()]
-            self.__init__(e)
+            self._build(e)
             return
         rot, face, fdeg = e.rot, e.face, e.fdeg
-        stakes, vertex, faces = self.stakes, self.vertex_units, self.face_units
-        delta, total = e.max_degree(), self.total_units
+        stakes, nets, vertex, faces = self.stakes, self.nets, self.vertex_units, self.face_units
+        delta, was_delta, total = e.max_degree(), self.delta, self.total_units
+        lost = change.lost
+        gained: dict[int, list[int]] = {}
+        for _, (a, b) in change.links:
+            gained.setdefault(a, []).append(b)
+            gained.setdefault(b, []).append(a)
 
-        for v in touched - rot.keys():
-            log += ((stakes, v, stakes.pop(v)), (vertex, v, vertex[v]))
+        was = {}  # the stakes of the vertices deleted or moved, as they were
+        for v in change.dels:
+            was[v] = stakes.pop(v)
+            log += ((stakes, v, was[v]), (nets, v, nets.pop(v)), (vertex, v, vertex[v]))
             total -= vertex.pop(v)
-        changed = set()  # faces made or resized
-        for f in {f for d, f, _ in log if d is fdeg}:
-            if f in fdeg:
-                changed.add(f)
-            elif f in faces:
-                log.append((faces, f, faces[f]))
-                total -= faces.pop(f)
-        redo = touched & rot.keys()
-        darts = {}  # the faces to redo, each with a dart on it
-        corners = {}  # the corners of the faces walked here
-        for x in list(redo):
-            for y, f in face[x].items():
-                darts.setdefault(f, (x, y))
-                if f in changed and f in faces and f not in corners:
-                    corners[f] = [z for z, _ in e.walk((x, y))]
-                    redo.update(corners[f])
-        if delta != self.delta:
-            low, high = sorted((delta, self.delta))
-            band = set().union(*(e.of_degree(k) for k in range(low, high) if k != 3))
-            for v in band - redo:
-                for y, f in face[v].items():
-                    darts.setdefault(f, (v, y))
-            redo |= band
-            log.append((state, "delta", self.delta))
+        for f in change.popped:
+            log.append((faces, f, faces[f]))
+            total -= faces.pop(f)
+
+        fresh = dict(change.born)  # the faces born or resized, as darts
+        for f, dart in dict(change.links).items():  # the last dart left on f
+            fresh[f] = e.walk(dart)
+        redo = {x for darts in fresh.values() for x, _ in darts}
+        if delta != was_delta:
+            low, high = sorted((delta, was_delta))
+            for k in range(low, high):
+                if k != 3:
+                    redo.update(e.of_degree(k))
+            log.append((state, "delta", was_delta))
             self.delta = delta
 
         classes = {v: classify_vertex(e, v) for v in redo}
-        was = {}  # the stakes that changed, as they were
+        moved = set()
         for v, vc in classes.items():
             new = _stake(vc)
             if new != stakes[v]:
                 was[v] = stakes[v]
                 log.append((stakes, v, was[v]))
                 stakes[v] = new
-        units = {v: _vertex_units(vc, rot[v], stakes, delta) for v, vc in classes.items()}
-        for c, old in was.items():
-            new = stakes[c]
-            for u in rot[c]:
-                if u not in redo:
+                moved.add(v)
+        net = {v: _net_sum(stakes[v], rot[v], stakes) for v in moved}  # the nets that move
+        for x, gone in lost.items():
+            if x not in moved:
+                mine = stakes[x]
+                net[x] = nets[x] - sum(_net(mine, was[w] if w in was else stakes[w]) for w in gone)
+        for x, ys in gained.items():
+            if x not in moved:
+                net[x] = net.get(x, nets[x]) + _net_sum(stakes[x], ys, stakes)
+        for w in moved:
+            new, old, skip = stakes[w], was[w], gained.get(w, ())
+            for u in rot[w]:
+                if u not in moved and u not in skip:
                     mine = stakes[u]
-                    units[u] = units.get(u, vertex[u]) + _net(mine, new) - _net(mine, old)
+                    net[u] = net.get(u, nets[u]) + _net(mine, new) - _net(mine, old)
+
+        units = {v: _after_r1_r2(vc, delta) + net.get(v, nets[v]) for v, vc in classes.items()}
+        for v, new in net.items():
+            old = nets[v]
+            if new != old:
+                log.append((nets, v, old))
+                nets[v] = new
+                if v not in units:
+                    units[v] = vertex[v] + new - old
         for v, new in units.items():
-            if new != vertex[v]:
-                log.append((vertex, v, vertex[v]))
-                total += new - vertex[v]
+            old = vertex[v]
+            if new != old:
+                log.append((vertex, v, old))
+                total += new - old
                 vertex[v] = new
 
-        for f, dart in darts.items():
-            d = fdeg[f]
-            if d >= 5 and f not in corners:
-                corners[f] = [z for z, _ in e.walk(dart)]
-            new = _face_units(d, corners.get(f, ()), rot, delta)
+        units = {
+            f: _face_units(fdeg[f], (x for x, _ in darts), rot, delta)
+            for f, darts in fresh.items()
+        }
+        for v, vc in classes.items():
+            was_k = vc.k + len(lost.get(v, ())) - len(gained.get(v, ()))
+            r2 = _r2_units(vc.k, delta) - _r2_units(was_k, was_delta)
+            if r2:
+                for f in face[v].values():
+                    if f not in fresh and fdeg[f] >= 5:
+                        units[f] = units.get(f, faces[f]) - r2
+        for f, new in units.items():
             old = faces.get(f)
             if new != old:
                 log.append((faces, f, old))

@@ -30,6 +30,11 @@ class DegreeBudgetExceeded(TwodistError):
     """An edge addition pushed a vertex degree past the caller's cap."""
 
 
+class ApplyInForce(TwodistError):
+    """A ``discharge.LiveCharges`` was asked to attach to an Embedding with
+    an apply in force, whose undo would leave the ledger stale."""
+
+
 class NotACutVertex(TwodistError):
     """A split was asked for at a vertex whose removal keeps the graph
     connected (``Embedding.split_sides``)."""

@@ -304,6 +304,32 @@ LogEntry = tuple[dict, object, object]
 Flags = tuple[int, "int | None", bool]
 
 
+class Change:
+    """What one ``Embedding.apply`` did, as its primitives record it.
+
+    ``log`` is its undo log and ``touched`` the vertices whose darts it
+    changed; ``dels`` are the deleted ids, ``lost`` maps each survivor to
+    the neighbors it lost, ``popped`` holds the face ids removed and
+    ``born`` each face walked into being with its darts then (a later link
+    may split it).  ``links`` has one (face, dart) pair per edge drawn, in
+    order: the face the link shrank in place and the new edge's dart left
+    on it.  ``rebuilt`` says the survivors' structures were built afresh;
+    ``popped`` then holds only the faces the survivors bordered.
+    """
+
+    __slots__ = ("log", "touched", "dels", "lost", "popped", "born", "links", "rebuilt")
+
+    def __init__(self, dels: set[int]):
+        self.log: list[LogEntry] = []
+        self.touched: set[int] = set()
+        self.dels = dels
+        self.lost: dict[int, set[int]] = {}
+        self.popped: set[int] = set()
+        self.born: dict[int, list[Edge]] = {}
+        self.links: tuple[tuple[int, Edge], ...] = ()
+        self.rebuilt = False
+
+
 class Embedding:
     """A mutable working copy of a PlanarGraph, private to the engine.
 
@@ -319,8 +345,10 @@ class Embedding:
       when two of its corners lie in one face (Mohar and Thomassen,
       *Graphs on Surfaces*);
     - ``m``, the edge count (n is the number of live vertices);
-    - ``charges``: None, or a ``discharge.LiveCharges`` that each apply
-      brings up to date, logging its old values with the rest.
+    - ``charges``: None, or a ``discharge.LiveCharges``.  Each successful
+      ``apply`` hands it the ``Change`` its primitives recorded, and the
+      ledger brings itself up to date from that record alone, logging its
+      old values in the same undo log.
 
     What a change costs:
 
@@ -384,6 +412,11 @@ class Embedding:
 
     def max_degree(self) -> int:
         return max(self.bydeg, default=0)
+
+    @property
+    def in_force(self) -> int:
+        """The number of applies not yet undone."""
+        return len(self._frames)
 
     def min_degree(self) -> int:
         return min(self.bydeg, default=0)
@@ -502,18 +535,17 @@ class Embedding:
             if a == b:
                 raise SurgeryNotPlanar("cannot add a self-loop")
 
-        log: list[LogEntry] = []
-        touched: set[int] = set()
+        ch = Change(dels)
         saved: list[Flags] = []  # the flags this apply's refresh replaces
         start = (self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts)
-        self._frames.append((log, saved, start))
+        self._frames.append((ch.log, saved, start))
         try:
-            scarred = self._remove(dels, del_edges, log, touched)
+            self._remove(del_edges, ch)
             rot, face = self.rot, self.face
             n = len(rot)
             if n > 1 and (
                 n - self.m + len(self.fdeg) != 2
-                or not all(map(rot.__getitem__, scarred))
+                or not all(map(rot.__getitem__, ch.lost))
             ):
                 # an isolated survivor or a second component: each component
                 # with edges counts 2 in n - m + f, an isolated vertex 1
@@ -524,7 +556,7 @@ class Embedding:
             for (a, b) in additions:
                 if b in face[a]:
                     continue  # already adjacent: the distance requirement is met
-                self._link(a, b, scarred, log, touched)
+                self._link(a, b, ch)
                 if max_degree is not None and (
                     len(rot[a]) > max_degree or len(rot[b]) > max_degree
                 ):
@@ -534,9 +566,9 @@ class Embedding:
         except BaseException:
             self.undo()
             raise
-        saved += self._refresh(touched)
+        saved += self._refresh(ch.touched)
         if self.charges is not None:
-            self.charges.follow(self, log, touched, self.rot is not start[1])
+            self.charges.follow(self, ch)
 
     def undo(self) -> None:
         """Revert the latest apply that is still in force.
@@ -582,13 +614,12 @@ class Embedding:
             x, y = self._succ(*x), self._succ(*y)
         return side_p if x == p else side_q
 
-    def _new_face(
-        self, darts: list[Edge], log: list[LogEntry], touched: set[int]
-    ) -> None:
+    def _new_face(self, darts: list[Edge], ch: Change) -> None:
         """Give the darts of one face boundary a fresh face id."""
-        face, fdeg = self.face, self.fdeg
+        face, fdeg, log, touched = self.face, self.fdeg, ch.log, ch.touched
         new = self._faces
         self._faces += 1
+        ch.born[new] = darts
         for x, y in darts:
             fx = face[x]
             log.append((fx, y, fx[y]))
@@ -597,27 +628,21 @@ class Embedding:
         log.append((fdeg, new, None))
         fdeg[new] = len(darts)
 
-    def _remove(
-        self,
-        dels: set[int],
-        del_edges: set[Edge],
-        log: list[LogEntry],
-        touched: set[int],
-    ) -> set[int]:
-        """Delete vertices and edges, then walk the faces that form from
-        the faces they bordered.  Returns the survivors that lost a
-        neighbor."""
+    def _remove(self, del_edges: set[Edge], ch: Change) -> None:
+        """Delete the vertices ``ch.dels`` and these edges, then walk the
+        faces that form from the faces they bordered."""
+        dels = ch.dels
         if not del_edges and 2 * len(dels) > len(self.rot):
             # the larger side of a split: dart by dart, this apply and its
             # undo would cost the whole graph on every split
-            return self._keep(self.rot.keys() - dels, log, touched)
-        rot, face, fdeg = self.rot, self.face, self.fdeg
-        lost: dict[int, set[int]] = {}  # survivor -> neighbors it loses
+            self._keep(self.rot.keys() - dels, ch)
+            return
+        rot, face, fdeg, log = self.rot, self.face, self.fdeg, ch.log
+        lost, old = ch.lost, ch.popped  # survivor -> neighbors it loses; faces that lose a dart
         for (u, v) in del_edges:
             if u not in dels and v not in dels:
                 lost.setdefault(u, set()).add(v)
                 lost.setdefault(v, set()).add(u)
-        old: set[int] = set()  # faces that lose a dart
         darts = 0
         for s in dels:
             r, fs = rot.pop(s), face.pop(s)
@@ -631,46 +656,45 @@ class Embedding:
             old.update(map(face[x].__getitem__, gone))
             darts += len(gone)
         self.m -= darts // 2
-        touched.update(dels)  # the survivors that lost a neighbor lie on new faces
+        ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
         for f in old:
             log.append((fdeg, f, fdeg.pop(f)))
-        self._cut(lost, old, log, touched)
-        return set(lost)
+        self._cut(ch)
 
-    def _keep(self, kept: set[int], log: list[LogEntry], touched: set[int]) -> set[int]:
+    def _keep(self, kept: set[int], ch: Change) -> None:
         """_remove for deleting more vertices than survive: build the
         survivors' structures afresh, in time for the survivors alone.  The
         old ones stay whole in the apply frame for undo; only the rotation
         lists and dart-face dicts of survivors that lose no neighbor are
         shared with them, and changes to those are logged as usual."""
         rot, face, fdeg = self.rot, self.face, self.fdeg
-        lost: dict[int, set[int]] = {}
+        lost = ch.lost
         for x in kept:
             gone = face[x].keys() - kept
             if gone:
                 lost[x] = gone
-        old = {f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])}
+        ch.popped = old = {
+            f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])
+        }
+        ch.rebuilt = True
         self.rot = {x: rot[x] for x in kept}
         self.face = face = {x: face[x] for x in kept}
         live = set().union(*map(dict.values, face.values())) - old
         self.fdeg = dict(zip(live, map(fdeg.__getitem__, live)))
         self.bydeg, self._deg, self.cuts = {}, {}, set()
-        self._cut(lost, old, log, touched)
+        self._cut(ch)
         self.m = sum(map(len, self.rot.values())) // 2
         self._refresh(kept)
-        return set(lost)
 
-    def _cut(
-        self, lost: dict[int, set[int]], old: set[int], log: list[LogEntry], touched: set[int]
-    ) -> None:
+    def _cut(self, ch: Change) -> None:
         """Take the gone neighbors out of a copy of each survivor's rotation
         list and dart-face dict, then walk the faces that replace the old
         ones.  Each such face passes a corner that a gone neighbor leaves,
         so the walks start only from the dart to the next surviving neighbor
         at those corners, and only while that dart's face is still old."""
-        rot, face = self.rot, self.face
+        rot, face, log, old = self.rot, self.face, ch.log, ch.popped
         starts = []
-        for x, gone in lost.items():
+        for x, gone in ch.lost.items():
             r, fx = rot[x], face[x]
             log += ((rot, x, r), (face, x, fx))
             rot[x] = kept = r.copy()
@@ -688,27 +712,20 @@ class Embedding:
                     starts.append((x, kept[(i - j) % k]))
         for x, y in starts:
             if face[x][y] in old:
-                self._new_face(self.walk((x, y)), log, touched)
+                self._new_face(self.walk((x, y)), ch)
 
-    def _link(
-        self,
-        a: int,
-        b: int,
-        scarred: set[int],
-        log: list[LogEntry],
-        touched: set[int],
-    ) -> None:
+    def _link(self, a: int, b: int, ch: Change) -> None:
         """Draw edge a-b into a face shared by a and b, splitting it.
 
-        The face touched by the deletions wins (most scarred vertices on its
-        boundary), then the face whose smallest dart (v, position in rot[v])
+        The face touched by the deletions wins (most vertices on its boundary
+        that lost a neighbor), then the face whose smallest dart (v, position in rot[v])
         comes first, which is the order in which a full trace meets faces.
         In each endpoint's rotation the new neighbor goes right after the
         boundary predecessor at its first visit on the walk from that
         smallest dart: the position that splits the face instead of breaking
         the map.
         """
-        rot, face = self.rot, self.face
+        rot, face, log = self.rot, self.face, ch.log
         fa = list(map(face[a].__getitem__, rot[a]))
         fb = list(map(face[b].__getitem__, rot[b]))
         shared = set(fa).intersection(fb)
@@ -725,7 +742,7 @@ class Embedding:
                 walk = self.walk((a, rot[a][fa.index(g)]))
                 ranks = [(x, rot[x].index(y)) for x, y in walk]
                 first = ranks.index(min(ranks))
-                scars = len(scarred.intersection(x for x, _ in walk))
+                scars = len(ch.lost.keys() & {x for x, _ in walk})
                 ranked.append((-scars, ranks[first], g, walk[first:] + walk[:first]))
             _, _, f, walk = min(ranked)
             pred_a = next(x for x, y in walk if y == a)
@@ -738,12 +755,13 @@ class Embedding:
             log.append((face[x], y, None))
             face[x][y] = f
         self.m += 1
-        touched.update((a, b))
-        # f is now two faces, one on each side of a-b: the smaller gets a new id
+        # f is now two faces, one on each side of a-b: the smaller gets a new
+        # id, and the reverse of its first dart, a-b or b-a, stays on f
         fdeg = self.fdeg
         total = fdeg[f] + 2
         side = self._smaller_face((a, b), (b, a))
-        self._new_face(side, log, touched)
+        self._new_face(side, ch)  # a and b both lie on it
+        ch.links += ((f, side[0][::-1]),)
         log.append((fdeg, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
