@@ -24,7 +24,7 @@ reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
 helpers to keep the final charges of the engine's Embedding current as it
 changes.  It keeps each vertex's R3-R14 net beside its units, and follows
 each apply from the ``planar.Change`` that apply recorded: it re-derives
-the faces born or resized and the vertices at their corners, and moves
+the faces born or shrunk and the vertices at their corners, and moves
 the rest by what changed next to them, never rescanning the graph.
 """
 
@@ -328,14 +328,14 @@ class LiveCharges:
         old values in ``change.log``.
 
         A vertex's class reads its degree and its corners' face degrees, so
-        it can move only at a corner of a face born or resized: the faces
-        born are read from their birth darts, the faces resized are walked,
-        and every vertex that lost or gained a neighbor is a corner of one.
+        it can move only at a corner of a face born or shrunk (a born face
+        is read from its birth darts, a shrunk one walked), and every vertex
+        that lost or gained a neighbor is a corner of one.
         When delta moves, R2 moves at the vertices of degree between the old
         and the new delta, which are reclassified too.  A net moves by the
         lost and gained neighbors and by the neighbors whose stake moved;
         only a vertex whose own stake moved re-sums all its neighbors.
-        Faces born or resized are derived afresh, and any other 5+-face
+        Faces born or shrunk are derived afresh, and any other 5+-face
         moves by the change in what R2 gives its corners.  After a rebuild,
         the ledger is built afresh.
         """
@@ -363,7 +363,7 @@ class LiveCharges:
             log.append((faces, f, faces[f]))
             total -= faces.pop(f)
 
-        fresh = dict(change.born)  # the faces born or resized, as darts
+        fresh = dict(change.born)  # the faces born or shrunk, as darts
         for f, dart in dict(change.links).items():  # the last dart left on f
             fresh[f] = e.walk(dart)
         redo = {x for darts in fresh.values() for x, _ in darts}
