@@ -9,13 +9,14 @@ and the ledger must refuse an Embedding whose earlier apply it never
 saw.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
 import gadgets
 from test_audit_in_place import agrees_with_audit, audited_in_place
-from twodist import discharge
+from twodist import TwodistError, discharge, gen_planar
 from twodist.discharge import LiveCharges
 from twodist.errors import ApplyInForce
 from twodist.planar import Embedding
@@ -109,3 +110,32 @@ def recorded(monkeypatch):
 def test_the_change_record_matches_a_diff(small_corpus, recorded):
     assert sum(audited_in_place(g) for g in small_corpus[:12]) > 100
     assert recorded["apply"] > 100 and recorded["rebuilt"] and recorded["born, then split"]
+
+
+def test_stacked_random_applies_and_their_undos():
+    # applies the engine never makes: several in force at once, mixing
+    # deletions with drawn edges, some an edge deleted and drawn again
+    rng = random.Random(5)
+    redrawn = 0
+    for _ in range(60):
+        e = Embedding(gen_planar(rng.randint(12, 40), 6, rng.randint(1, 10**6)))
+        e.charges = LiveCharges(e)
+        applied = 0
+        for _ in range(4):
+            ids = sorted(e.rot)
+            edges = [(v, u) for v in ids for u in e.rot[v] if v < u]
+            cut = rng.sample(edges, rng.choice([0, 1, 2]))
+            drawn = [tuple(rng.sample(ids, 2)) for _ in range(rng.choice([0, 1, 2, 3]))]
+            drawn += cut[:1] if rng.random() < 0.3 else []
+            try:
+                e.apply(rng.sample(ids, rng.choice([0, 1, 2])), cut, drawn)
+            except TwodistError:
+                continue
+            finally:
+                agrees_with_audit(e)
+            applied += 1
+            redrawn += bool(set(cut) & set(drawn))
+        for _ in range(applied):
+            e.undo()
+            agrees_with_audit(e)
+    assert redrawn
