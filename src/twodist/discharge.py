@@ -20,12 +20,17 @@ after its 3-face payments and 5+-face income), the ``_INCOME`` table and
 the ``_pays_five`` payer test.  ``apply_rules`` runs them over a whole
 graph, logging every transfer, and ``audit`` stays the from-scratch
 reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
-``_after_r1_r2`` leaves it negative.  ``LiveCharges`` reads the same
-helpers to keep the final charges of the engine's Embedding current as it
-changes.  It keeps each vertex's R3-R14 net beside its units, and follows
-each apply from the ``planar.Change`` that apply recorded: it re-derives
-the faces born or shrunk and the vertices at their corners, and moves
-the rest by what changed next to them, never rescanning the graph.
+``_after_r1_r2`` leaves it negative.  ``initial_charges``, ``apply_rules``
+and ``audit`` read only a validated ``PlanarGraph``: its rotations, its
+face boundary walks, and each face keyed by its canonical walk.
+``LiveCharges`` reads the same helpers to keep the final charges of the
+engine's Embedding current as it changes; it holds what the audit of the
+Embedding's snapshot holds, through the snapshot's renaming of vertices
+and faces.  It keeps each vertex's R3-R14 net beside its units, and
+follows each apply from the ``planar.Change`` that apply recorded: it
+re-derives the faces born or shrunk and the vertices at their corners,
+and moves the rest by what changed next to them, never rescanning the
+graph.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .classify import VertexClass, classify_all, classify_vertex
 from .errors import ApplyInForce, InvariantViolated
@@ -149,7 +154,7 @@ def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
 # Transfer.amount reads each amount back from RULE_AMOUNTS.
 _AMOUNT_OF_UNITS = {_units(a): a for a in RULE_AMOUNTS}
 
-FaceKey = tuple[int, ...] | int  # a canonical boundary walk, or a face id
+FaceKey = tuple[int, ...]  # a canonical boundary walk
 Element = tuple[str, object]  # ("vertex", id) or ("face", key)
 
 
@@ -199,32 +204,12 @@ def face_keys(g: PlanarGraph) -> list[FaceKey]:
     return [f.canonical_key() for f in g.faces]
 
 
-def _rotations(g: PlanarGraph | Embedding) -> dict[int, Sequence[int]]:
-    """Vertex id -> rotation; an Embedding's own dict, read only."""
-    return g.rot if isinstance(g, Embedding) else dict(enumerate(g.rotation, 1))
-
-
-def _corners(g: PlanarGraph | Embedding) -> Iterable[Sequence[int]]:
-    """Each face's corner vertices in face order, a vertex once per corner:
-    on an Embedding, the tails of the face's darts, in ``fdeg`` order."""
-    if isinstance(g, PlanarGraph):
-        return [f.boundary for f in g.faces]
-    corners: dict[int, list[int]] = {f: [] for f in g.fdeg}
-    for x, fx in g.face.items():
-        for f in fx.values():
-            corners[f].append(x)
-    return corners.values()
-
-
-def initial_charges(g: PlanarGraph | Embedding) -> ChargeLedger:
+def initial_charges(g: PlanarGraph) -> ChargeLedger:
     """d(v) - 4 on vertices, d(f) - 4 on faces (keyed in face order);
-    totals -8 when m >= 1.  An Embedding's vertex ids have gaps where
-    vertices were deleted, and its face ids name faces only until it
-    changes."""
-    faces = g.fdeg.items() if isinstance(g, Embedding) else zip(face_keys(g), g.fdeg)
+    totals -8 when m >= 1."""
     ledger = ChargeLedger(
-        vertex_units={v: (len(r) - 4) * UNIT for v, r in _rotations(g).items()},
-        face_units={key: (d - 4) * UNIT for key, d in faces},
+        vertex_units={v: (len(r) - 4) * UNIT for v, r in enumerate(g.rotation, 1)},
+        face_units={key: (d - 4) * UNIT for key, d in zip(face_keys(g), g.fdeg)},
         log=[],
     )
     if g.m >= 1 and ledger.total_units() != -8 * UNIT:
@@ -233,7 +218,7 @@ def initial_charges(g: PlanarGraph | Embedding) -> ChargeLedger:
 
 
 def apply_rules(
-    g: PlanarGraph | Embedding, ledger: ChargeLedger, classes: dict[int, VertexClass]
+    g: PlanarGraph, ledger: ChargeLedger, classes: dict[int, VertexClass]
 ) -> ChargeLedger:
     """Apply all fourteen rules at once to a copy of ``ledger``.
 
@@ -244,16 +229,17 @@ def apply_rules(
     pays or receives once per incidence.  Vertex and face keys are those
     of ``initial_charges``.
     """
-    rot = _rotations(g)
+    rot = g.rotation
     delta = g.max_degree()
     vertex = dict(ledger.vertex_units)
     face = dict(ledger.face_units)
     log = list(ledger.log)
     record = log.append
-    elem = {v: ("vertex", v) for v in rot}
+    elem = {v: ("vertex", v) for v in g.vertices()}
 
-    for key, corners in zip(ledger.face_units, _corners(g), strict=True):
+    for key, f in zip(ledger.face_units, g.faces, strict=True):
         fkey = ("face", key)
+        corners = f.boundary
         degree = len(corners)
         if degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.
@@ -265,14 +251,14 @@ def apply_rules(
             # R2: 1/3 to each incident 3-vertex, 1/5 to every other vertex
             # of degree at most delta-1 (per incidence).
             for v in corners:
-                amount = _r2_units(len(rot[v]), delta)
+                amount = _r2_units(len(rot[v - 1]), delta)
                 if not amount:
                     continue
                 face[key] -= amount
                 vertex[v] += amount
                 record(("R2", fkey, elem[v], amount))
 
-    for v, nbrs in rot.items():
+    for v, nbrs in enumerate(rot, 1):
         vc = classes[v]
         income = _INCOME.get((vc.k, vc.t3, vc.t4))
         if income is None:
@@ -290,8 +276,9 @@ def apply_rules(
 class LiveCharges:
     """The final charges of one Embedding, kept current as it changes.
 
-    ``vertex_units`` and ``face_units`` hold what ``audit(e).final`` holds,
-    by vertex id and face id, ``total_units`` their sum, ``stakes`` each
+    ``vertex_units`` and ``face_units`` hold, by vertex id and face id, what
+    the final ledger of ``audit(e.snapshot().graph)`` holds by dense id and
+    canonical walk, ``total_units`` their sum, ``stakes`` each
     vertex's ``Stake``, ``nets`` each vertex's R3-R14 net with all its
     neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta``
     the maximum degree.  It attaches only to an Embedding with no apply in
@@ -314,10 +301,11 @@ class LiveCharges:
         self.stakes = stakes = {v: _stake(vc) for v, vc in classes.items()}
         self.nets = nets = {v: _net_sum(stakes[v], rot[v], stakes) for v in classes}
         self.vertex_units = {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in classes.items()}
-        self.face_units = {
-            f: _face_units(d, corners, rot, delta)
-            for (f, d), corners in zip(e.fdeg.items(), _corners(e))
-        }
+        corners: dict[int, list[int]] = {f: [] for f in e.fdeg}
+        for x, fx in e.face.items():  # a face's corners: the tails of its darts
+            for f in fx.values():
+                corners[f].append(x)
+        self.face_units = {f: _face_units(d, corners[f], rot, delta) for f, d in e.fdeg.items()}
         self.total_units = sum(self.vertex_units.values()) + sum(self.face_units.values())
 
     def total(self) -> Fraction:
@@ -474,11 +462,8 @@ class AuditReport:
         ]
 
 
-def audit(g: PlanarGraph | Embedding, cross_reference: bool = True) -> AuditReport:
+def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     """Run the whole charge pipeline and classify every negative element.
-
-    g may be the engine's live Embedding, which the audit only reads; the
-    report then names its vertex ids and face ids (see ``initial_charges``).
 
     On a graph with maximum degree at least 6, any element left negative
     must coexist with a configuration the reduction catalog can fire on; the

@@ -391,7 +391,7 @@ def find_reduction(g: PlanarGraph | Embedding) -> Reduction | ProofGapReport:
         if hit is not None:
             return hit
     return ProofGapReport(
-        graph=g if isinstance(g, PlanarGraph) else g.snapshot().graph,
+        graph=ctx.e.snapshot().graph,
         delta=ctx.delta,
         reason="no catalog rule fired",
         nearest_miss=_nearest_miss(ctx),

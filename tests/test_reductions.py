@@ -21,12 +21,13 @@ from twodist import (
     split_at,
     surgery,
 )
+from twodist.planar import Embedding
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
-def dodecahedron():
-    """3-regular, all pentagon faces: no catalog shape is present."""
+def dodecahedron_adj() -> dict[int, list[int]]:
+    """The dodecahedron's adjacency: outer ring 1..5, inner ring 16..20."""
     adj = {v: [] for v in range(1, 21)}
 
     def link(a, b):
@@ -40,7 +41,12 @@ def dodecahedron():
         link(i + 11, i + 16)                  # inner spokes
         link(i + 6, i + 11)                   # zigzag down
         link(i + 11, (i + 1) % 5 + 6)         # zigzag up
-    return gadgets.tutte(adj, outer=[1, 2, 3, 4, 5])
+    return adj
+
+
+def dodecahedron():
+    """3-regular, all pentagon faces: no catalog shape is present."""
+    return gadgets.tutte(dodecahedron_adj(), outer=[1, 2, 3, 4, 5])
 
 
 def applied(g, reduction):
@@ -203,6 +209,24 @@ class TestFindReduction:
         assert isinstance(outcome, ProofGapReport)
         assert outcome.delta == 3  # far below the guarantee threshold
         assert dict(outcome.nearest_miss)["L2.2"] == "minimum degree 3"
+
+    def test_gap_report_carries_the_graph_in_dense_ids(self):
+        # a PlanarGraph comes back as itself, and so does its Embedding
+        g = dodecahedron()
+        assert find_reduction(g).graph == g
+        assert find_reduction(Embedding(g)).graph == g
+        # a dodecahedron on ids 2..21, with vertex 1 drawn in its inner
+        # pentagon and joined to three corners, then deleted: an Embedding
+        # whose ids have a gap
+        adj = {v + 1: [u + 1 for u in nbrs] for v, nbrs in dodecahedron_adj().items()}
+        adj[1] = [17, 18, 20]
+        for v in adj[1]:
+            adj[v].append(1)
+        e = Embedding(gadgets.tutte(adj, outer=[2, 3, 4, 5, 6]))
+        e.apply(delete_vertices=[1])
+        outcome = find_reduction(e)
+        assert isinstance(outcome, ProofGapReport)
+        assert outcome.graph == e.snapshot().graph
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)

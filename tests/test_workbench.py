@@ -161,6 +161,15 @@ class TestHunt:
         assert a.seeds == b.seeds
         assert a.audit_totals == b.audit_totals
 
+    def test_unaudited_hunt_finds_what_the_audited_one_does(self):
+        audited = hunt(4, 40, 6, 3)
+        fast = hunt(4, 40, 6, 3, audit_each=False)
+        for field in ("lemma_fires", "gap_count", "graphs_colored", "colorings_valid"):
+            assert getattr(fast, field) == getattr(audited, field)
+        assert audited.audit_totals and fast.audit_totals == {}
+        assert "audit totals" in audited.summary()
+        assert "audit totals" not in fast.summary()
+
     def test_hunt_summary_golden(self):
         # one audit total per intermediate graph with n >= 2: 225 is the
         # hunt's step count, on which the benchmark's steps_per_s rests
@@ -245,6 +254,11 @@ class TestCli:
         assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "gap count: 0" in out
+
+    def test_hunt_command_without_audit(self, capsys):
+        assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1", "--no-audit"]) == 0
+        out = capsys.readouterr().out
+        assert "gap count: 0" in out and "audit totals" not in out
 
     def test_hunt_command_golden(self, capsys):
         assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
