@@ -59,7 +59,6 @@ from .planar import (
 from .reductions import (
     ProofGapReport,
     Reduction,
-    apply_reduction,
     check_properness,
     find_reduction,
     match_case,

@@ -1,5 +1,8 @@
 """Command line surface: gen, color, verify, audit, oracle, reduce, hunt.
 
+``reduce`` replays the catalog's reductions on one Embedding of the input,
+so every step names vertices by their ids in the input file.
+
 Exit codes: 0 success/valid, 1 invalid or violation, 2 input error.
 """
 
@@ -12,13 +15,8 @@ from pathlib import Path
 from .colorer import color, verify_coloring
 from .errors import BudgetExhausted, NoSafeColor, PermutationInfeasible, TwodistError
 from .oracle import DEFAULT_NODE_BUDGET, chi2_exact
-from .planar import split_at
-from .reductions import (
-    Reduction,
-    apply_reduction,
-    check_properness,
-    find_reduction,
-)
+from .planar import Embedding
+from .reductions import Reduction, check_properness, find_reduction
 from .workbench import (
     format_audit_tsv,
     gen_planar,
@@ -119,10 +117,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g = _read_graph(args.graph)
+    e = Embedding(_read_graph(args.graph))
     ok = True
     for step in range(args.steps):
-        outcome = find_reduction(g)
+        outcome = find_reduction(e)
         if not isinstance(outcome, Reduction):
             print(f"step {step}: no rule fires (delta={outcome.delta})")
             for tag, note in outcome.nearest_miss:
@@ -130,15 +128,14 @@ def _cmd_reduce(args) -> int:
             break
         r = outcome
         if r.split is not None:
-            first, second = split_at(g, r.split)
+            first, rest = e.split_sides(r.split)
             print(
                 f"step {step}: {r.lemma} split at {r.split} -> "
-                f"n={first.graph.n}+{second.graph.n}; following first part"
+                f"n={len(first) + 1}+{len(rest) + 1}; following first part"
             )
-            g = first.graph
+            e.apply(delete_vertices=rest)
             continue
-        res = apply_reduction(g, r)
-        proper = check_properness(g, r, res.graph, res.old_to_new)
+        proper = check_properness(e, r)
         ok = ok and proper
         print(
             f"step {step}: {r.lemma}"
@@ -149,9 +146,8 @@ def _cmd_reduce(args) -> int:
             f" proper={'yes' if proper else 'NO'}"
         )
         if args.trace:
-            print(f"  pending {list(r.pending)}; result n={res.graph.n} m={res.graph.m}")
-        g = res.graph
-        if g.n == 0:
+            print(f"  pending {list(r.pending)}; result n={e.n} m={e.m}")
+        if e.n == 0:
             break
     return 0 if ok else 1
 

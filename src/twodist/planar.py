@@ -710,6 +710,8 @@ class Embedding:
                 k = len(kept)
                 for j, i in enumerate(at):
                     starts.append((x, kept[(i - j) % k]))
+            else:
+                ch.touched.add(x)  # a lone survivor walks no face to reach it
         for x, y in starts:
             if face[x][y] in old:
                 self._new_face(self.walk((x, y)), ch)

@@ -15,6 +15,10 @@ Neighbor labels v1..vk always follow the rotation order around the center,
 anchored so the pattern's face layout matches; among valid anchors the one
 starting at the smallest neighbor id wins, which makes matching
 deterministic for every symmetry of a configuration.
+
+The matchers read an ``Embedding`` (a ``PlanarGraph`` is wrapped in one),
+and ``reduce_in_place`` and ``check_properness`` apply a reduction to that
+Embedding in place, in its own vertex ids; ``Embedding.undo`` reverts it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .planar import (
     Edge,
     Embedding,
     PlanarGraph,
-    SurgeryResult,
     distance_profile,
     edge_key,
 )
@@ -416,17 +419,10 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
     return tuple(notes)
 
 
-def apply_reduction(g: PlanarGraph, r: Reduction) -> SurgeryResult:
-    """Perform the reduction's surgery with the degree cap pinned to the
-    current maximum degree.  Split reductions go through
-    ``Embedding.split_sides`` instead."""
-    e = Embedding(g)
-    reduce_in_place(e, r)
-    return e.snapshot()
-
-
 def reduce_in_place(e: Embedding, r: Reduction) -> None:
-    """apply_reduction on the engine's embedding; e.undo() reverts it."""
+    """Perform the reduction's surgery on e, with the degree cap pinned to
+    the current maximum degree; e.undo() reverts it.  Split reductions go
+    through ``Embedding.split_sides`` instead."""
     if r.split is not None:
         raise ValueError("split reductions are applied via Embedding.split_sides")
     size = e.n + e.m
@@ -436,40 +432,27 @@ def reduce_in_place(e: Embedding, r: Reduction) -> None:
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
 
 
-def check_properness(
-    g: PlanarGraph, r: Reduction, h: PlanarGraph, old_to_new: dict[int, int]
-) -> bool:
-    """Is h proper with respect to g under reduction r?
+def check_properness(e: Embedding, r: Reduction) -> bool:
+    """Apply r to e with ``reduce_in_place`` and say whether it was proper.
 
-    True iff the maximum degree did not grow and every pair of surviving,
-    non-pending vertices at distance <= 2 in g is still at distance <= 2 in
-    h.  Only pairs within distance 2 of a deleted element can lose a short
-    connection (additions never hurt), so the scan is restricted to that
-    neighborhood; the result equals the full check over all common pairs.
+    Proper means the maximum degree did not grow and every pair of
+    surviving, non-pending vertices at distance <= 2 before is still at
+    distance <= 2 after, in e's own ids.  Only pairs within distance 2 of a
+    deleted element can lose a short connection (additions never hurt), so
+    the scan is restricted to that neighborhood; the result equals the full
+    check over all common pairs.  The reduction stays in force either way:
+    e.undo() reverts it.
     """
-    if h.max_degree() > g.max_degree():
-        return False
-
+    delta = e.max_degree()
     touched = set(r.delete_vertices)
-    for (a, b) in r.delete_edges:
-        touched.add(a)
-        touched.add(b)
-    if not touched:
-        return True
-
-    ball: set[int] = set()
+    for edge in r.delete_edges:
+        touched.update(edge)
+    ball = set(touched)
     for t in touched:
-        ball.add(t)
-        ball.update(distance_profile(g, t))
-    pending = set(r.pending)
-    candidates = sorted(
-        v for v in ball if v in old_to_new and v not in pending
+        ball.update(distance_profile(e, t))
+    candidates = ball - set(r.delete_vertices) - set(r.pending)
+    near = {a: distance_profile(e, a) & candidates for a in candidates}
+    reduce_in_place(e, r)
+    return e.max_degree() <= delta and all(
+        near[a] <= distance_profile(e, a) for a in candidates
     )
-
-    for i, a in enumerate(candidates):
-        near_a = distance_profile(g, a)
-        near_a_h = distance_profile(h, old_to_new[a])
-        for b in candidates[i + 1:]:
-            if b in near_a and old_to_new[b] not in near_a_h:
-                return False
-    return True

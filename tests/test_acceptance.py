@@ -17,7 +17,6 @@ from conftest import corpus_specs
 from twodist import (
     Reduction,
     RunTrace,
-    apply_reduction,
     audit,
     chi2_exact,
     check_properness,
@@ -35,6 +34,7 @@ from twodist import (
     write_graph,
 )
 from twodist.discharge import apply_rules, face_keys, initial_charges
+from twodist.planar import Embedding
 from twodist.workbench import format_audit_tsv
 
 import bruteforce
@@ -196,13 +196,14 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
                 assert g2.size() < g.size()
                 stack += [g1, g2]
                 continue
-            res = apply_reduction(g, outcome)
+            e = Embedding(g)
+            assert check_properness(e, outcome)
+            h = e.snapshot().graph
             reductions_checked += 1
             lemmas_seen.add(outcome.lemma)
-            assert res.graph.size() < g.size()
-            assert res.graph.max_degree() <= g.max_degree()
-            assert check_properness(g, outcome, res.graph, res.old_to_new)
-            stack.append(res.graph)
+            assert h.size() < g.size()
+            assert h.max_degree() <= g.max_degree()
+            stack.append(h)
 
     # the deep catalog entries fire on the hand gadgets by direct match
     import test_reductions as tr
@@ -210,19 +211,19 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
     for tag, build, lemma, _ in tr.CONFIG_CASES:
         g = build()
         r = match_case(tag, g)
-        res = apply_reduction(g, r)
+        e = Embedding(g)
+        assert check_properness(e, r)
+        h = e.snapshot().graph
         reductions_checked += 1
         lemmas_seen.add(r.lemma)
-        assert check_properness(g, r, res.graph, res.old_to_new)
-        assert res.graph.size() < g.size()
-        assert res.graph.max_degree() <= g.max_degree()
+        assert h.size() < g.size()
+        assert h.max_degree() <= g.max_degree()
     for build in (lambda: gadgets.g_L2_11(), lambda: gadgets.g_L2_11(delta7=True)):
         g = build()
         r = match_case("L2.11", g)
-        res = apply_reduction(g, r)
         reductions_checked += 1
         lemmas_seen.add(r.lemma)
-        assert check_properness(g, r, res.graph, res.old_to_new)
+        assert check_properness(Embedding(g), r)
 
     assert {"L2.4", "L2.8.1", "L2.10.3", "L2.11.case1", "L2.11.case2"} <= lemmas_seen
     print(

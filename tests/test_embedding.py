@@ -200,6 +200,22 @@ def test_shrinking_to_one_vertex_and_back():
     assert state(e) == before
 
 
+@pytest.mark.parametrize("n, deletions", [(2, [1]), (3, [1, 3])])
+def test_a_lone_survivor_leaves_its_degree_bucket(n, deletions):
+    # each deletion goes dart by dart; the last leaves vertex 2 with no
+    # neighbor and so no face to walk, and its bucket must still move to 0
+    e = Embedding(gadgets.path(n))
+    saved = []
+    for v in deletions:
+        saved.append(state(e))
+        e.apply(delete_vertices=[v])
+        check_against_scratch(e)
+    assert e.bydeg == {0: [2]} and e.max_degree() == 0
+    for before in reversed(saved):
+        e.undo()
+        assert state(e) == before
+
+
 def test_keeping_the_smaller_side_then_adding_an_edge():
     # six of the eleven vertices go, so the survivors' structures are built
     # afresh; rim vertices 3 and 4 lose no neighbor, so their rotation lists

@@ -6,6 +6,8 @@ is a fork to be justified.  This pins the list of those that remain, read
 from the parameter annotations of ``src/twodist``, so that a new one
 shows up here; and the from-scratch audit reads only a ``PlanarGraph``,
 so the live ledger has a reference that shares no graph walk with it.
+The ``PlanarGraph``-level surgery wrappers are kept for the bench tracer
+and the tests alone: no code in the package calls them.
 """
 
 import ast
@@ -69,3 +71,17 @@ def test_the_audit_reads_only_a_planar_graph():
         params = names(parameter_annotations(fn))
         assert "PlanarGraph" in params
         assert "Embedding" not in params | names([fn.returns])
+
+
+WRAPPERS = {"surgery", "split_at", "articulation_points", "trace_faces", "apply_reduction"}
+
+
+def test_the_package_calls_no_surgery_wrapper():
+    calls = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in WRAPPERS
+    )
+    assert calls == []

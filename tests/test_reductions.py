@@ -13,15 +13,18 @@ import twodist
 from twodist import (
     ProofGapReport,
     Reduction,
-    apply_reduction,
+    RunTrace,
     check_properness,
+    color,
     find_reduction,
     gen_planar,
     match_case,
-    split_at,
-    surgery,
+    write_graph,
 )
+from twodist.cli import main
 from twodist.planar import Embedding
+from twodist.reductions import reduce_in_place
+from test_embedding import state
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -50,9 +53,10 @@ def dodecahedron():
 
 
 def applied(g, reduction):
-    res = apply_reduction(g, reduction)
-    assert check_properness(g, reduction, res.graph, res.old_to_new)
-    return res
+    """The reduced graph and its rename, once the reduction proved proper."""
+    e = Embedding(g)
+    assert check_properness(e, reduction)
+    return e.snapshot()
 
 
 class TestEarlyMatchers:
@@ -264,7 +268,7 @@ class TestDegreeCap:
         from twodist import DegreeBudgetExceeded
 
         with pytest.raises(DegreeBudgetExceeded):
-            apply_reduction(g, r)
+            reduce_in_place(Embedding(g), r)
 
     def test_colorer_survives_capped_configurations(self):
         # graphs below the guarantee threshold still come out valid
@@ -282,12 +286,13 @@ class TestShrinkInvariant:
         # a reduction that deletes and adds nothing must be refused even when
         # asserts are stripped
         code = (
-            "from twodist import InvariantViolated, Reduction, apply_reduction\n"
-            "from twodist import gen_planar\n"
-            "g = gen_planar(12, min_delta=6, seed=1)\n"
+            "from twodist import InvariantViolated, Reduction, gen_planar\n"
+            "from twodist.planar import Embedding\n"
+            "from twodist.reductions import reduce_in_place\n"
+            "e = Embedding(gen_planar(12, min_delta=6, seed=1))\n"
             "r = Reduction('L2.2', None, 1, (), (), (), (), 0)\n"
             "try:\n"
-            "    apply_reduction(g, r)\n"
+            "    reduce_in_place(e, r)\n"
             "except InvariantViolated as exc:\n"
             "    print('refused:', exc)\n"
         )
@@ -304,8 +309,7 @@ class TestProperness:
     def test_l2_2_on_c6(self):
         g = gadgets.cycle(6)
         r = match_case("L2.2", g)
-        res = apply_reduction(g, r)
-        assert check_properness(g, r, res.graph, res.old_to_new)
+        assert check_properness(Embedding(g), r)
 
     def test_adversarial_deletion_fails(self):
         # deleting the tripod center with no repairs breaks pairs like (1,4)
@@ -320,8 +324,9 @@ class TestProperness:
             add_edges=(),
             d2_bound=2 * g.max_degree(),
         )
-        res = surgery(g, delete_vertices=[10])
-        assert not check_properness(g, bad, res.graph, res.old_to_new)
+        e = Embedding(g)
+        assert not check_properness(e, bad)
+        res = e.snapshot()
         assert not bruteforce.properness_exhaustive(
             g, res.graph, res.old_to_new, bad.pending
         )
@@ -334,11 +339,12 @@ class TestProperness:
         outcome = find_reduction(g)
         if not isinstance(outcome, Reduction) or outcome.split is not None:
             return
+        e = Embedding(g)
         try:
-            res = apply_reduction(g, outcome)
+            fast = check_properness(e, outcome)
         except Exception:
             return  # small-delta graphs may lack degree headroom
-        fast = check_properness(g, outcome, res.graph, res.old_to_new)
+        res = e.snapshot()
         slow = bruteforce.properness_exhaustive(
             g, res.graph, res.old_to_new, outcome.pending
         )
@@ -347,23 +353,65 @@ class TestProperness:
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_catalog_reductions_are_sound_on_random_graphs(self, seed):
-        g = gen_planar(12 + seed % 60, min_delta=6, seed=seed)
+        # one Embedding replays the steps; each snapshot validates the result
+        e = Embedding(gen_planar(12 + seed % 60, min_delta=6, seed=seed))
         for _ in range(6):
-            outcome = find_reduction(g)
+            size, delta = e.n + e.m, e.max_degree()
+            outcome = find_reduction(e)
             assert isinstance(outcome, Reduction)
             if outcome.split is not None:
-                g1, g2 = (part.graph for part in split_at(g, outcome.split))
-                assert g1.size() < g.size()
-                assert g2.size() < g.size()
-                g = g1 if g1.n >= g2.n else g2
-                continue
-            res = apply_reduction(g, outcome)
-            assert check_properness(g, outcome, res.graph, res.old_to_new)
-            assert res.graph.size() < g.size()
-            assert res.graph.max_degree() <= g.max_degree()
-            g = res.graph
+                first, rest = e.split_sides(outcome.split)
+                e.apply(delete_vertices=rest if len(first) >= len(rest) else first)
+            else:
+                assert check_properness(e, outcome)
+            g = e.snapshot().graph
+            assert g.size() < size
+            assert g.max_degree() <= delta
             if g.n <= 6:
                 break
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds)
+    def test_check_leaves_the_reduction_in_force(self, seed):
+        g = gen_planar(12 + seed % 40, min_delta=6, seed=seed)
+        e = Embedding(g)
+        before = state(e)
+        r = find_reduction(e)
+        if r.split is not None:
+            return
+        check_properness(e, r)
+        fresh = Embedding(g)
+        reduce_in_place(fresh, r)
+        assert state(e) == state(fresh)
+        e.undo()
+        assert state(e) == before
+
+
+class TestReduceCommand:
+    def test_prints_the_input_ids(self, tmp_path, capsys):
+        # after K2 loses vertex 1, vertex 2 is left alone with degree 0
+        gfile = tmp_path / "k2.graph"
+        gfile.write_text("p 2 1\nr 1 1 2\nr 2 1 1\n")
+        assert main(["reduce", str(gfile), "--steps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("step 0: L2.2 at 1, bound 2,")
+        assert lines[1].startswith("step 1: L2.2 at 2, bound 0,")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_follows_the_engine(self, seed, tmp_path, capsys):
+        # both follow the first part of every split, so the lemmas agree
+        # until the engine colors its first base case
+        g = gen_planar(60, 6, seed)
+        outcomes = []
+        trace = RunTrace(graph_hook=lambda e, outcome: outcomes.append(outcome))
+        color(g, trace=trace)
+        k = outcomes.index(None)
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(write_graph(g))
+        assert main(["reduce", str(gfile), "--steps", str(k)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = [line.split()[2] for line in lines if line.startswith("step")]
+        assert printed == [lemma for lemma, *_ in trace.steps[:k]]
 
 
 def test_l2_10_1_bound_on_its_model_graph():
