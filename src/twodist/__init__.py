@@ -44,6 +44,7 @@ from .errors import (
 )
 from .oracle import OracleResult, chi2_exact, greedy_square
 from .planar import (
+    Embedding,
     Face,
     PlanarGraph,
     SurgeryResult,
@@ -62,6 +63,7 @@ from .reductions import (
     check_properness,
     find_reduction,
     match_case,
+    reduce_in_place,
 )
 from .workbench import (
     HuntReport,

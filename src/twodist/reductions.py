@@ -440,10 +440,11 @@ def check_properness(e: Embedding, r: Reduction) -> bool:
     distance <= 2 after, in e's own ids.  Only pairs within distance 2 of a
     deleted element can lose a short connection (additions never hurt), so
     the scan is restricted to that neighborhood; the result equals the full
-    check over all common pairs.  The reduction stays in force either way:
-    e.undo() reverts it.
+    check over all common pairs.  The degree half recounts the rotations
+    rather than reading e's degree buckets, which ``reduce_in_place`` itself
+    trusts.  The reduction stays in force either way: e.undo() reverts it.
     """
-    delta = e.max_degree()
+    delta = max(map(len, e.rot.values()), default=0)
     touched = set(r.delete_vertices)
     for edge in r.delete_edges:
         touched.update(edge)
@@ -453,6 +454,6 @@ def check_properness(e: Embedding, r: Reduction) -> bool:
     candidates = ball - set(r.delete_vertices) - set(r.pending)
     near = {a: distance_profile(e, a) & candidates for a in candidates}
     reduce_in_place(e, r)
-    return e.max_degree() <= delta and all(
+    return max(map(len, e.rot.values()), default=0) <= delta and all(
         near[a] <= distance_profile(e, a) for a in candidates
     )

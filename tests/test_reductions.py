@@ -14,16 +14,16 @@ from twodist import (
     ProofGapReport,
     Reduction,
     RunTrace,
+    Embedding,
     check_properness,
     color,
     find_reduction,
     gen_planar,
     match_case,
+    reduce_in_place,
     write_graph,
 )
 from twodist.cli import main
-from twodist.planar import Embedding
-from twodist.reductions import reduce_in_place
 from test_embedding import state
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -339,11 +339,12 @@ class TestProperness:
         outcome = find_reduction(g)
         if not isinstance(outcome, Reduction) or outcome.split is not None:
             return
-        e = Embedding(g)
         try:
-            fast = check_properness(e, outcome)
+            reduce_in_place(Embedding(g), outcome)
         except Exception:
             return  # small-delta graphs may lack degree headroom
+        e = Embedding(g)
+        fast = check_properness(e, outcome)
         res = e.snapshot()
         slow = bruteforce.properness_exhaustive(
             g, res.graph, res.old_to_new, outcome.pending
