@@ -5,13 +5,13 @@ A vertex is summarized by its degree together with how many 3-faces,
 discharging rules key on that shape, and ``discharge`` alone reads charges
 off it.  The reduction catalog also asks whether a vertex is special (no
 edge among its neighbors lies in two 3-faces), which ``is_special_vertex``
-answers one vertex at a time.
+answers one vertex at a time, on the catalog's Embedding.
 
 ``classify_vertex`` reads a vertex's corners straight from the graph's
 face map: ``g.face[v]`` gives the face of each dart out of v, and
 ``g.fdeg`` its degree; ``classify_all`` calls it on every vertex.  A
-PlanarGraph and the engine's Embedding keep both in that shape, so it
-profiles either one.
+PlanarGraph and an Embedding keep both in that shape, and the audit of
+the one and the live charge ledger of the other must classify alike.
 """
 
 from __future__ import annotations
@@ -53,15 +53,15 @@ def classify_vertex(g: PlanarGraph | Embedding, v: int) -> VertexClass:
     return VertexClass(v, k, t3, t4, k - t3 - t4)
 
 
-def is_special_vertex(g: PlanarGraph | Embedding, v: int) -> bool:
+def is_special_vertex(e: Embedding, v: int) -> bool:
     """No edge of the subgraph induced on N(v) lies in two 3-faces.
 
     Both darts of an edge never border one 3-face of a simple graph, so
     two 3-face sides are two faces.
     """
-    nbr_set = g.adj(v)
-    for a in g.neighbors(v):
-        for b in g.adj(a):
-            if b > a and b in nbr_set and g.face_degree(a, b) == 3 == g.face_degree(b, a):
+    nbr_set = e.adj(v)
+    for a in e.neighbors(v):
+        for b in e.adj(a):
+            if b > a and b in nbr_set and e.face_degree(a, b) == 3 == e.face_degree(b, a):
                 return False
     return True

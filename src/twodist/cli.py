@@ -107,7 +107,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _read_graph(args.graph)
-    result = chi2_exact(g, node_budget=args.budget)
+    result = chi2_exact(Embedding(g), node_budget=args.budget)
     kind = "exact" if result.exact else "upper bound (budget hit)"
     print(f"chi2 = {result.chi2} ({kind}), nodes explored: {result.nodes_explored}")
     if args.output:

@@ -162,7 +162,7 @@ def _mixed_order(x: object) -> tuple:
 
 def extend(
     partial: Coloring,
-    g: PlanarGraph | Embedding,
+    e: Embedding,
     pending: tuple[int, ...],
     reduction: Reduction | None = None,
     trace: RunTrace | None = None,
@@ -175,7 +175,7 @@ def extend(
     for v in pending:
         forbidden = {
             assignment[u]
-            for u in distance_profile(g, v)
+            for u in distance_profile(e, v)
             if u in assignment
         }
         if trace is not None:
@@ -199,7 +199,7 @@ def extend(
 
 
 def merge_at_cut(
-    c1: Coloring, c2: Coloring, v: int, g: PlanarGraph | Embedding
+    c1: Coloring, c2: Coloring, v: int, e: Embedding
 ) -> Coloring:
     """Combine colorings of the two sides of a cut vertex.
 
@@ -211,10 +211,10 @@ def merge_at_cut(
     k = c1.budget
     base = c1.assignment[v]
     nbr1_colors = {
-        c1.assignment[u] for u in g.adj(v) if u in c1.assignment
+        c1.assignment[u] for u in e.adj(v) if u in c1.assignment
     }
     nbr2_colors = sorted(
-        {c2.assignment[u] for u in g.adj(v) if u in c2.assignment}
+        {c2.assignment[u] for u in e.adj(v) if u in c2.assignment}
         - {c2.assignment[v]}
     )
     free = [c for c in range(1, k + 1) if c not in nbr1_colors and c != base]

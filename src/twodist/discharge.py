@@ -487,7 +487,7 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
 
     lemma = None
     if cross_reference:
-        outcome = find_reduction(g)
+        outcome = find_reduction(Embedding(g))
         lemma = outcome.lemma if isinstance(outcome, Reduction) else None
     delta = g.max_degree()
     consistent = not (

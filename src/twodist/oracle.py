@@ -4,10 +4,10 @@ chi2 of a graph equals the chromatic number of its square, computed here by
 saturation-ordered branch and bound between a greedy clique lower bound and
 a greedy coloring upper bound, refined by bisection.
 
-chi2_exact and greedy_square read a PlanarGraph or the coloring engine's
-live Embedding, whose ids have gaps where vertices were deleted.  Every tie
-is broken toward the smaller id, so an ascending rename of the vertices
-renames the result and changes nothing else.
+chi2_exact and greedy_square read an Embedding: the coloring engine's,
+whose ids have gaps where vertices were deleted, or ``Embedding(g)`` in
+g's ids.  Every tie is broken toward the smaller id, so an ascending
+rename of the vertices renames the result and changes nothing else.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colorer import Coloring
-from .planar import Embedding, PlanarGraph, square
+from .planar import Embedding, square
 
 Adjacency = dict[int, set[int]]
 
@@ -82,10 +82,10 @@ def _greedy_colors(adj: Adjacency) -> dict[int, int]:
     return colors
 
 
-def greedy_square(g: PlanarGraph | Embedding) -> Coloring:
-    """Valid 2-distance coloring by greedy on the square, in g's ids; never
+def greedy_square(e: Embedding) -> Coloring:
+    """Valid 2-distance coloring by greedy on the square, in e's ids; never
     more colors than max d2(v) + 1."""
-    sq = square(g)
+    sq = square(e)
     if not sq:
         return Coloring({}, budget=0)
     colors = _greedy_colors(sq)
@@ -140,15 +140,15 @@ def _feasible(
 
 
 def chi2_exact(
-    g: PlanarGraph | Embedding, node_budget: int = DEFAULT_NODE_BUDGET
+    e: Embedding, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
-    """chi2(g) by branch and bound on the square graph; the witness is in
-    g's ids.
+    """chi2(e) by branch and bound on the square graph; the witness is in
+    e's ids.
 
     When the node budget runs out the result carries exact=False and the
     best coloring found so far.
     """
-    sq = square(g)
+    sq = square(e)
     n = len(sq)
     if n == 0:
         return OracleResult(0, Coloring({}, budget=0), 0, True)

@@ -244,10 +244,6 @@ class PlanarGraph:
         borders, built from ``face`` on each call."""
         return {(v, u): f for v, fv in self.face.items() for u, f in fv.items()}
 
-    def face_degree(self, u: int, v: int) -> int:
-        """Degree of the face that dart (u, v) borders."""
-        return self.fdeg[self.face[u][v]]
-
     def corner_faces(self, v: int) -> tuple[int, ...]:
         """Face indices around v; entry i sits between rotation neighbors
         i and i+1 (cyclically)."""
@@ -263,25 +259,25 @@ def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
     return g.faces
 
 
-def distance_profile(g: PlanarGraph | Embedding, v: int) -> frozenset[int]:
-    """Exact set of vertices at distance 1 or 2 from v, in g's own ids."""
-    g._check_vertex(v)
-    first = g.adj(v)
+def distance_profile(e: Embedding, v: int) -> frozenset[int]:
+    """Exact set of vertices at distance 1 or 2 from v, in e's own ids."""
+    e._check_vertex(v)
+    first = e.adj(v)
     reach = set(first)
     for u in first:
-        reach.update(g.adj(u))
+        reach.update(e.adj(u))
     reach.discard(v)
     return frozenset(reach)
 
 
-def square(g: PlanarGraph | Embedding) -> dict[int, set[int]]:
-    """Adjacency of the square graph: u ~ v iff their distance in g is 1 or 2.
+def square(e: Embedding) -> dict[int, set[int]]:
+    """Adjacency of the square graph: u ~ v iff their distance in e is 1 or 2.
 
-    Keyed by g's own vertex ids (an Embedding keeps those of its input
-    graph).  Plain adjacency only; the square of a planar graph is
-    generally not planar so no embedding is produced.
+    Keyed by e's own vertex ids, which are those of the graph it was built
+    from.  Plain adjacency only; the square of a planar graph is generally
+    not planar so no embedding is produced.
     """
-    return {v: set(distance_profile(g, v)) for v in g.face}
+    return {v: set(distance_profile(e, v)) for v in e.face}
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,7 @@ class Change:
 
 
 class Embedding:
-    """A mutable working copy of a PlanarGraph, private to the engine.
+    """A mutable working copy of a PlanarGraph.
 
     Vertex ids stay those of the graph it was built from.  Alongside the
     rotation lists it keeps, up to date after every change:
@@ -434,6 +430,16 @@ class Embedding:
         if not (type(v) is int and v in self.rot):
             raise UnknownVertex(f"vertex {v} not in the graph")
 
+    def _pair(self, edge: object) -> Edge:
+        """edge as a pair of live vertex ids, or UnknownVertex."""
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise UnknownVertex(f"{edge!r} is not a pair of vertex ids") from None
+        self._check_vertex(u)
+        self._check_vertex(v)
+        return u, v
+
     def snapshot(self) -> SurgeryResult:
         """The current graph with survivors renamed to dense ids 1..n in
         ascending order, fully validated."""
@@ -512,25 +518,27 @@ class Embedding:
         add_edges: Iterable[Edge] = (),
         max_degree: int | None = None,
     ) -> None:
-        """Delete vertices and edges, then draw new edges into shared faces,
-        as ``surgery`` describes.  On error nothing has changed; otherwise
-        ``undo`` reverts the whole call."""
+        """Delete vertices and edges, then draw each added edge into a face
+        its two surviving ends share, splitting it; an edge already present
+        is skipped.  Of several shared faces, the one touched by the
+        deletions wins (most boundary vertices that lost a neighbor), then
+        the one whose smallest dart comes first.  Ids and edge pairs are
+        checked first: on error nothing has changed; otherwise ``undo``
+        reverts the whole call."""
         rot, face = self.rot, self.face
         dels = set(delete_vertices)
         # the type test keeps True (== 1) out; both tests run in C
         if not (_INT.issuperset(map(type, dels)) and dels <= rot.keys()):
             for v in dels:
                 self._check_vertex(v)
-        del_edges = {edge_key(u, v) for (u, v) in delete_edges}
-        for (u, v) in del_edges:
-            self._check_vertex(u)
-            self._check_vertex(v)
+        del_edges = set()
+        for u, v in map(self._pair, delete_edges):
             if v not in face[u]:
                 raise UnknownVertex(f"edge {u}-{v} not in graph")
-        additions = list(add_edges)
+            del_edges.add(edge_key(u, v))
+        additions = list(map(self._pair, add_edges))
         for (a, b) in additions:
-            known = type(a) is type(b) is int and a in rot and b in rot
-            if not known or a in dels or b in dels:
+            if a in dels or b in dels:
                 raise UnknownVertex(f"added edge {a}-{b} touches a missing vertex")
             if a == b:
                 raise SurgeryNotPlanar("cannot add a self-loop")
@@ -817,16 +825,8 @@ def surgery(
     add_edges: Iterable[Edge] = (),
     max_degree: int | None = None,
 ) -> SurgeryResult:
-    """Delete vertices and edges, then draw new edges into shared faces.
-
-    Each added edge must join two surviving vertices that lie on a common
-    face of the post-deletion embedding; it is inserted into that face,
-    splitting it, which keeps the rotation system planar.  An edge that is
-    already present is skipped silently.  When several faces are shared, the
-    one touched by the deletions wins (most boundary vertices that lost a
-    neighbor), with the smallest face index breaking ties.  Survivors are
-    renamed to dense ids 1..n'; the rename map is returned alongside.
-    """
+    """``Embedding.apply`` on a copy of g, with survivors renamed to dense
+    ids 1..n'; the rename map is returned alongside."""
     e = Embedding(g)
     e.apply(delete_vertices, delete_edges, add_edges, max_degree)
     return e.snapshot()

@@ -16,9 +16,10 @@ anchored so the pattern's face layout matches; among valid anchors the one
 starting at the smallest neighbor id wins, which makes matching
 deterministic for every symmetry of a configuration.
 
-The matchers read an ``Embedding`` (a ``PlanarGraph`` is wrapped in one),
-and ``reduce_in_place`` and ``check_properness`` apply a reduction to that
-Embedding in place, in its own vertex ids; ``Embedding.undo`` reverts it.
+The matchers read an ``Embedding`` (a caller holding a ``PlanarGraph`` g
+passes ``Embedding(g)``, in g's ids), and ``reduce_in_place`` and
+``check_properness`` apply a reduction to that Embedding in place, in its
+own vertex ids; ``Embedding.undo`` reverts it.
 """
 
 from __future__ import annotations
@@ -367,28 +368,24 @@ MATCHER_ORDER: tuple[tuple[str, Callable[[_Ctx], Reduction | None]], ...] = (
 )
 
 
-def _embedding(g: PlanarGraph | Embedding) -> Embedding:
-    return g if isinstance(g, Embedding) else Embedding(g)
-
-
-def match_case(tag: str, g: PlanarGraph | Embedding):
+def match_case(tag: str, e: Embedding):
     """Run a single catalog matcher by tag ("L2.6.3", "L2.11", ...)."""
-    ctx = _Ctx(_embedding(g))
+    ctx = _Ctx(e)
     for t, fn in MATCHER_ORDER:
         if t == tag:
             return fn(ctx)
     raise KeyError(tag)
 
 
-def find_reduction(g: PlanarGraph | Embedding) -> Reduction | ProofGapReport:
+def find_reduction(e: Embedding) -> Reduction | ProofGapReport:
     """First catalog hit in fixed priority order, or a gap report.
 
     The order runs cheapest and strongest rules first; within a rule,
     vertices are scanned in ascending id, so identical graphs always yield
-    identical reductions.  On an Embedding the reduction names its stable
-    ids, and a gap report carries the graph renamed to dense ids.
+    identical reductions.  The reduction names e's own ids, and a gap report
+    carries the graph renamed to dense ids.
     """
-    ctx = _Ctx(_embedding(g))
+    ctx = _Ctx(e)
     for _, fn in MATCHER_ORDER:
         hit = fn(ctx)
         if hit is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from twodist import PlanarGraph
+from twodist import PlanarGraph, edge_key
 
 Coords = dict[int, tuple[float, float]]
 
@@ -115,6 +115,32 @@ def cube() -> PlanarGraph:
     edges += [(i + 4, i % 4 + 5) for i in range(1, 5)]
     edges += [(i, i + 4) for i in range(1, 5)]
     return embed(coords, edges)
+
+
+def prism(k: int) -> PlanarGraph:
+    """Outer k-cycle 1..k, inner k-cycle k+1..2k, spoke i to i + k."""
+    coords = {i + 1: _pt(90 + 360 * i / k, 2.0) for i in range(k)}
+    coords.update({i + k + 1: _pt(90 + 360 * i / k, 1.0) for i in range(k)})
+    edges = [(i, i % k + 1) for i in range(1, k + 1)]
+    edges += [(i + k, i % k + k + 1) for i in range(1, k + 1)]
+    edges += [(i, i + k) for i in range(1, k + 1)]
+    return embed(coords, edges)
+
+
+def medial(g: PlanarGraph) -> PlanarGraph:
+    """One vertex per edge of g, in the order of ``g.edges()``, joined to the
+    edges next to it in the rotations at both ends: every vertex has degree
+    4, and the faces are the vertices and the faces of g."""
+    ids = {e: i for i, e in enumerate(g.edges(), 1)}
+
+    def turn(u: int, v: int, step: int) -> int:
+        """The edge step places from u-v in u's rotation."""
+        r = g.neighbors(u)
+        return ids[edge_key(u, r[(r.index(v) + step) % len(r)])]
+
+    return PlanarGraph([
+        (turn(v, u, -1), turn(u, v, 1), turn(u, v, -1), turn(v, u, 1)) for u, v in ids
+    ])
 
 
 def icosahedron() -> PlanarGraph:

@@ -183,7 +183,8 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
             g = stack.pop()
             if g.n < 4:
                 continue
-            outcome = find_reduction(g)
+            e = Embedding(g)
+            outcome = find_reduction(e)
             if not isinstance(outcome, Reduction):
                 assert outcome.delta < 6
                 continue
@@ -196,7 +197,6 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
                 assert g2.size() < g.size()
                 stack += [g1, g2]
                 continue
-            e = Embedding(g)
             assert check_properness(e, outcome)
             h = e.snapshot().graph
             reductions_checked += 1
@@ -210,8 +210,8 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
 
     for tag, build, lemma, _ in tr.CONFIG_CASES:
         g = build()
-        r = match_case(tag, g)
         e = Embedding(g)
+        r = match_case(tag, e)
         assert check_properness(e, r)
         h = e.snapshot().graph
         reductions_checked += 1
@@ -219,11 +219,11 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
         assert h.size() < g.size()
         assert h.max_degree() <= g.max_degree()
     for build in (lambda: gadgets.g_L2_11(), lambda: gadgets.g_L2_11(delta7=True)):
-        g = build()
-        r = match_case("L2.11", g)
+        e = Embedding(build())
+        r = match_case("L2.11", e)
         reductions_checked += 1
         lemmas_seen.add(r.lemma)
-        assert check_properness(Embedding(g), r)
+        assert check_properness(e, r)
 
     assert {"L2.4", "L2.8.1", "L2.10.3", "L2.11.case1", "L2.11.case2"} <= lemmas_seen
     print(
@@ -242,7 +242,7 @@ def test_criterion_6_oracle_cross_checks():
         "W6": (gadgets.wheel(6), 7),
     }
     for name, (g, chi) in expected.items():
-        result = chi2_exact(g)
+        result = chi2_exact(Embedding(g))
         assert result.exact and result.chi2 == chi, name
         assert verify_coloring(g, result.witness).valid
 
@@ -292,8 +292,8 @@ def test_criterion_8_round_trip_and_determinism(corpus, colorings):
         assert c2.assignment == c.assignment
         assert trace2.steps == trace.steps
 
-        outcome = find_reduction(g)
-        assert outcome == find_reduction(again)
+        outcome = find_reduction(Embedding(g))
+        assert outcome == find_reduction(Embedding(again))
 
         assert format_audit_tsv(g) == format_audit_tsv(again)
     print(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import gadgets
 from twodist import (
+    Embedding,
     audit,
     classify_all,
     gen_planar,
@@ -42,7 +43,7 @@ class TestClassifyVertex:
     def test_c6_vertices(self):
         vc = prof(gadgets.cycle(6), 1)
         assert (vc.k, vc.t3, vc.t4, vc.t5p) == (2, 0, 0, 2)
-        assert is_special_vertex(gadgets.cycle(6), 1)
+        assert is_special_vertex(Embedding(gadgets.cycle(6)), 1)
 
     def test_icosahedron_not_special(self):
         # every neighborhood edge lies in two triangles
@@ -50,7 +51,7 @@ class TestClassifyVertex:
         for v in g.vertices():
             vc = prof(g, v)
             assert vc.is_kd(5, 5)
-            assert not is_special_vertex(g, v)
+            assert not is_special_vertex(Embedding(g), v)
 
     def test_counts_sum_to_degree_without_cut_vertices(self):
         for g in (gadgets.octahedron(), gadgets.wheel(6), gadgets.cube()):
@@ -130,13 +131,12 @@ class TestInvariants:
 
     def test_special_monotone_under_triangle_edge_removal(self):
         # deleting an edge only merges faces, so a special vertex stays special
-        g = gadgets.icosahedron()
-        before = {v: is_special_vertex(g, v) for v in g.vertices()}
-        res = surgery(g, delete_edges=[(2, 3)])
-        h = res.graph
-        for v in h.vertices():
+        e = Embedding(gadgets.icosahedron())
+        before = {v: is_special_vertex(e, v) for v in e.face}
+        e.apply(delete_edges=[(2, 3)])
+        for v in e.face:
             if before[v]:
-                assert is_special_vertex(h, v)
+                assert is_special_vertex(e, v)
 
     def test_classification_ignores_colorings(self):
         # classify depends only on the embedding: recomputing from an equal

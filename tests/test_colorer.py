@@ -8,6 +8,7 @@ import bruteforce
 import gadgets
 from twodist import (
     Coloring,
+    Embedding,
     NoSafeColor,
     PermutationInfeasible,
     PlanarGraph,
@@ -255,7 +256,7 @@ class TestColor:
 
     def test_oracle_dominance_on_small_instances(self):
         for g in (gadgets.wheel(6), gadgets.octahedron(), gadgets.cube()):
-            exact = chi2_exact(g)
+            exact = chi2_exact(Embedding(g))
             assert exact.exact
             k = max(exact.chi2, 3 * g.max_degree() + 2)
             assert color(g, k=k).colors_used >= exact.chi2
@@ -263,35 +264,35 @@ class TestColor:
 
 class TestExtend:
     def test_smallest_free_color(self):
-        g = gadgets.cycle(6)
-        reduction = find_reduction(g)
+        e = Embedding(gadgets.cycle(6))
+        reduction = find_reduction(e)
         assert reduction.lemma == "L2.2"
         partial = Coloring({2: 1, 3: 2, 4: 1, 5: 2, 6: 3}, budget=8)
-        out = extend(partial, g, (1,))
+        out = extend(partial, e, (1,))
         # vertex 1 sees 2, 6 (adjacent) and 3, 5 (distance 2): colors {1,2,3}
         assert out.assignment[1] == 4
 
     def test_changes_only_pending(self):
-        g = gadgets.cycle(6)
+        e = Embedding(gadgets.cycle(6))
         partial = Coloring({2: 1, 3: 2, 4: 1, 5: 2, 6: 3}, budget=8)
         before = dict(partial.assignment)
-        out = extend(partial, g, (1,))
+        out = extend(partial, e, (1,))
         # extend colours in place and returns the colouring it was given
         assert out is partial
         assert {v: out.assignment[v] for v in before} == before
         assert out.assignment.keys() == before.keys() | {1}
 
     def test_no_safe_color(self):
-        g = gadgets.star(6)
+        e = Embedding(gadgets.star(6))
         partial = Coloring({v: v - 1 for v in range(2, 8)}, budget=6)
         with pytest.raises(NoSafeColor):
-            extend(partial, g, (1,))
+            extend(partial, e, (1,))
 
     def test_l2_11_case1_pending_pair(self):
         # apply the spoke deletion by hand, color the rest, then extend both
         # pending vertices; they are distance-2 in the host so must differ
         g = gadgets.g_L2_11()
-        r = match_case("L2.11", g)  # find_reduction would pick L2.2 first
+        r = match_case("L2.11", Embedding(g))  # find_reduction would pick L2.2 first
         assert r.lemma == "L2.11.case1" and r.pending == (1, 5)
         h = surgery(g, delete_edges=r.delete_edges).graph
         base = color(h, k=20)
@@ -299,7 +300,7 @@ class TestExtend:
             {v: col for v, col in base.assignment.items() if v not in r.pending},
             budget=20,
         )
-        out = extend(partial, g, r.pending, reduction=r)
+        out = extend(partial, Embedding(g), r.pending, reduction=r)
         assert verify_coloring(g, out).valid
         assert out.assignment[1] != out.assignment[5]
 
@@ -311,7 +312,7 @@ class TestMergeAtCut:
         for part in split_at(g, 1):
             sub = color(part.graph, k=20).assignment
             sides.append(Coloring({old: sub[new] for old, new in part.old_to_new.items()}, 20))
-        merged = merge_at_cut(*sides, 1, g)
+        merged = merge_at_cut(*sides, 1, Embedding(g))
         assert verify_coloring(g, merged).valid
 
     def test_identical_colorings_get_repaired(self):
@@ -320,7 +321,7 @@ class TestMergeAtCut:
         # separate the two neighbor pairs of the cut vertex
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, g)
+        merged = merge_at_cut(c1, c2, 1, Embedding(g))
         assert verify_coloring(g, merged).valid
         assert merged.assignment[1] == 1
         assert {merged.assignment[2], merged.assignment[3]}.isdisjoint(
@@ -334,13 +335,13 @@ class TestMergeAtCut:
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=4)
         c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=4)
         with pytest.raises(PermutationInfeasible):
-            merge_at_cut(c1, c2, 1, g)
+            merge_at_cut(c1, c2, 1, Embedding(g))
 
     def test_first_side_never_changes(self):
         g = gadgets.two_triangles()
         c1 = Coloring({1: 5, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 5, 4: 2, 5: 9}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, g)
+        merged = merge_at_cut(c1, c2, 1, Embedding(g))
         for v, col in c1.assignment.items():
             assert merged.assignment[v] == col
 
@@ -350,7 +351,7 @@ class TestMergeAtCut:
         g = gadgets.two_triangles()
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 3, 5: 2}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, g)
+        merged = merge_at_cut(c1, c2, 1, Embedding(g))
         assert verify_coloring(g, merged).valid
         mapping = {}
         for v, col in c2.assignment.items():
@@ -364,6 +365,6 @@ class TestMergeAtCut:
         g = gadgets.embed(coords, [(1, 2), (1, 3), (2, 3), (1, 4)])
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 2}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, g)
+        merged = merge_at_cut(c1, c2, 1, Embedding(g))
         assert verify_coloring(g, merged).valid
         assert merged.assignment[4] not in {1, 2, 3}

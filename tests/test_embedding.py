@@ -262,12 +262,16 @@ def test_failed_apply_changes_nothing(build, kwargs, error):
         dict(add_edges=[(True, 3)]),
         dict(add_edges=[(3, 1.0)]),
         dict(delete_edges=[(True, 2)]),
+        dict(delete_edges=[("a", 1)]),
+        dict(delete_edges=[(1,)]),
+        dict(add_edges=[(1,)]),
     ],
 )
 def test_an_id_that_is_not_an_int_is_refused(kwargs):
     # True and 1.0 equal the hub's id 1, so a membership test alone lets
     # them through: a deletion would take the hub, and an added edge to
-    # rim vertex 3 would be skipped as already there
+    # rim vertex 3 would be skipped as already there; an edge that is not
+    # a pair of ids is refused the same way, before any comparison
     e = Embedding(gadgets.wheel(6))
     before = state(e)
     with pytest.raises(UnknownVertex):

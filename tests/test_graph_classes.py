@@ -4,8 +4,10 @@ A validated ``PlanarGraph`` is the API boundary and the engine's
 ``Embedding`` its one working structure, so a function that accepts both
 is a fork to be justified.  This pins the list of those that remain, read
 from the parameter annotations of ``src/twodist``, so that a new one
-shows up here; and the from-scratch audit reads only a ``PlanarGraph``,
-so the live ledger has a reference that shares no graph walk with it.
+shows up here: only the vertex classification, which the from-scratch
+audit and the live ledger must share.  The from-scratch audit reads only
+a ``PlanarGraph``, so the live ledger has a reference that shares no graph
+walk with it.
 The ``PlanarGraph``-level surgery wrappers are kept for the bench tracer
 and the tests alone: no code in the package calls them.
 """
@@ -48,20 +50,7 @@ def test_the_functions_that_take_either_class():
         name for name, fn in functions()
         if {"PlanarGraph", "Embedding"} <= names(parameter_annotations(fn))
     )
-    assert both == [
-        "classify.classify_all",
-        "classify.classify_vertex",
-        "classify.is_special_vertex",
-        "colorer.extend",
-        "colorer.merge_at_cut",
-        "oracle.chi2_exact",
-        "oracle.greedy_square",
-        "planar.distance_profile",
-        "planar.square",
-        "reductions._embedding",
-        "reductions.find_reduction",
-        "reductions.match_case",
-    ]
+    assert both == ["classify.classify_all", "classify.classify_vertex"]
 
 
 def test_the_audit_reads_only_a_planar_graph():

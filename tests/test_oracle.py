@@ -55,18 +55,17 @@ class TestChi2Exact:
         ],
     )
     def test_known_values(self, build, expected):
-        g = build()
-        result = chi2_exact(g)
+        result = chi2_exact(Embedding(build()))
         assert result.exact
         assert result.chi2 == expected
 
     def test_agrees_with_exhaustive_search_up_to_nine(self):
         for g in ZOO:
-            assert chi2_exact(g).chi2 == bruteforce.brute_chi2(g)
+            assert chi2_exact(Embedding(g)).chi2 == bruteforce.brute_chi2(g)
 
     def test_witness_is_valid_and_tight(self):
         for g in (gadgets.wheel(6), gadgets.octahedron(), gadgets.cube()):
-            result = chi2_exact(g)
+            result = chi2_exact(Embedding(g))
             assert result.exact
             report = verify_coloring(g, result.witness)
             assert report.valid
@@ -76,51 +75,50 @@ class TestChi2Exact:
         # this instance has a gap between the greedy clique and greedy
         # coloring bounds, so the search really runs and hits the budget
         g = gen_planar(18, min_delta=6, seed=39)
-        result = chi2_exact(g, node_budget=1)
+        result = chi2_exact(Embedding(g), node_budget=1)
         assert not result.exact
         assert verify_coloring(g, result.witness).valid
         assert result.nodes_explored <= 1
-        full = chi2_exact(g)
+        full = chi2_exact(Embedding(g))
         assert full.exact
         assert full.chi2 <= result.chi2
 
     def test_adding_edge_never_decreases_chi2(self):
         g = gadgets.cycle(6)
-        before = chi2_exact(g).chi2
+        before = chi2_exact(Embedding(g)).chi2
         h = surgery(g, add_edges=[(1, 3)]).graph
-        assert chi2_exact(h).chi2 >= before
+        assert chi2_exact(Embedding(h)).chi2 >= before
 
     def test_deep_search_needs_no_recursion(self):
         # one search node per vertex colored before the cycle closes
-        result = chi2_exact(gadgets.cycle(1201))
+        result = chi2_exact(Embedding(gadgets.cycle(1201)))
         assert result.exact
         assert result.chi2 == 4
         assert result.nodes_explored == 1200
 
     def test_empty_and_singleton(self):
-        from twodist import PlanarGraph
-
-        assert chi2_exact(PlanarGraph([])).chi2 == 0
-        assert chi2_exact(PlanarGraph([()])).chi2 == 1
+        assert chi2_exact(Embedding(PlanarGraph([]))).chi2 == 0
+        assert chi2_exact(Embedding(PlanarGraph([()]))).chi2 == 1
 
 
 class TestGreedySquare:
     def test_octahedron_needs_six(self):
-        c = greedy_square(gadgets.octahedron())
+        c = greedy_square(Embedding(gadgets.octahedron()))
         assert c.colors_used == 6
 
     def test_always_valid_within_d2_plus_one(self):
         for seed in range(8):
             g = gen_planar(20 + seed, seed=seed)
-            c = greedy_square(g)
+            e = Embedding(g)
+            c = greedy_square(e)
             assert verify_coloring(g, c).valid
             from twodist import distance_profile
 
-            cap = max(len(distance_profile(g, v)) for v in g.vertices()) + 1
+            cap = max(len(distance_profile(e, v)) for v in g.vertices()) + 1
             assert c.colors_used <= cap
 
     def test_c5_uses_five(self):
-        assert greedy_square(gadgets.cycle(5)).colors_used == 5
+        assert greedy_square(Embedding(gadgets.cycle(5))).colors_used == 5
 
 
 # sha256 of chi2, exactness, search nodes and witness, recorded from the
@@ -146,7 +144,8 @@ def _oracle_inputs():
 def test_results_match_recorded_digest():
     digest = hashlib.sha256()
     for g, budget in _oracle_inputs():
-        r = chi2_exact(g) if budget is None else chi2_exact(g, node_budget=budget)
+        e = Embedding(g)
+        r = chi2_exact(e) if budget is None else chi2_exact(e, node_budget=budget)
         record = (r.chi2, r.exact, r.nodes_explored, sorted(r.witness.assignment.items()))
         digest.update(f"{record!r}\n".encode())
     assert digest.hexdigest() == ORACLE_DIGEST
@@ -161,12 +160,13 @@ def _same_through_rename(e, node_budget=DEFAULT_NODE_BUDGET):
     def renamed(c):
         return {rename[v]: col for v, col in c.assignment.items()}, c.budget
 
-    live, ref = chi2_exact(e, node_budget), chi2_exact(part.graph, node_budget)
+    ref_e = Embedding(part.graph)
+    live, ref = chi2_exact(e, node_budget), chi2_exact(ref_e, node_budget)
     assert (live.chi2, live.exact, live.nodes_explored) == (
         ref.chi2, ref.exact, ref.nodes_explored
     )
     assert renamed(live.witness) == (ref.witness.assignment, ref.witness.budget)
-    g_ref = greedy_square(part.graph)
+    g_ref = greedy_square(ref_e)
     assert renamed(greedy_square(e)) == (g_ref.assignment, g_ref.budget)
     return live.nodes_explored
 

@@ -136,27 +136,28 @@ class TestTraceFaces:
 
 class TestDistanceProfile:
     def test_c5_all_within_two(self):
-        g = gadgets.cycle(5)
-        assert len(distance_profile(g, 1)) == 4
+        e = Embedding(gadgets.cycle(5))
+        assert len(distance_profile(e, 1)) == 4
 
     def test_star_center_and_leaf(self):
-        g = gadgets.star(6)
-        assert len(distance_profile(g, 1)) == 6
-        assert len(distance_profile(g, 2)) == 6
+        e = Embedding(gadgets.star(6))
+        assert len(distance_profile(e, 1)) == 6
+        assert len(distance_profile(e, 2)) == 6
 
     def test_octahedron_diameter_two(self):
         # brute-force BFS: every other vertex is within distance 2
         g = gadgets.octahedron()
+        e = Embedding(g)
         for v in g.vertices():
             dist = bruteforce.bfs_distances(g, v)
             expect = {u for u, d in dist.items() if 1 <= d <= 2}
-            near = distance_profile(g, v)
+            near = distance_profile(e, v)
             assert near == expect
             assert len(near) == 5
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
-            distance_profile(gadgets.cycle(4), 9)
+            distance_profile(Embedding(gadgets.cycle(4)), 9)
 
     @pytest.mark.parametrize(
         "read",
@@ -166,7 +167,7 @@ class TestDistanceProfile:
             lambda g: g.has_edge(2, True),
             lambda g: g.adj(True),
             lambda g: g.neighbors(True),
-            lambda g: distance_profile(g, True),
+            lambda g: distance_profile(Embedding(g), True),
             lambda g: Embedding(g).split_sides(True),
         ],
     )
@@ -179,41 +180,43 @@ class TestDistanceProfile:
     @given(seeds)
     def test_matches_pairwise_bfs(self, seed):
         g = gen_planar(6 + seed % 24, seed=seed)
+        e = Embedding(g)
         want = bruteforce.pairs_within_two(g)
         got = {
             (v, u)
             for v in g.vertices()
-            for u in distance_profile(g, v)
+            for u in distance_profile(e, v)
             if v < u
         }
         assert got == want
         delta = g.max_degree()
         for v in g.vertices():
-            near = distance_profile(g, v)
+            near = distance_profile(e, v)
             assert v not in near
             assert g.degree(v) <= len(near) <= delta * delta
 
 
 class TestSquare:
     def test_square_c5_is_k5(self):
-        sq = square(gadgets.cycle(5))
+        sq = square(Embedding(gadgets.cycle(5)))
         assert all(len(sq[v]) == 4 for v in sq)
 
     def test_square_star_is_k7(self):
-        sq = square(gadgets.star(6))
+        sq = square(Embedding(gadgets.star(6)))
         assert all(len(sq[v]) == 6 for v in sq)
 
     def test_square_c6_four_regular(self):
-        sq = square(gadgets.cycle(6))
+        sq = square(Embedding(gadgets.cycle(6)))
         assert all(len(sq[v]) == 4 for v in sq)
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_square_degree_equals_d2(self, seed):
         g = gen_planar(6 + seed % 30, seed=seed)
-        sq = square(g)
+        e = Embedding(g)
+        sq = square(e)
         for v in g.vertices():
-            assert len(sq[v]) == len(distance_profile(g, v))
+            assert len(sq[v]) == len(distance_profile(e, v))
 
 
 class TestSurgery:

@@ -61,44 +61,44 @@ def applied(g, reduction):
 
 class TestEarlyMatchers:
     def test_cut_vertex_match(self):
-        r = match_case("L2.1", gadgets.two_triangles())
+        r = match_case("L2.1", Embedding(gadgets.two_triangles()))
         assert r is not None and r.lemma == "L2.1" and r.split == 1
 
     def test_no_cut_vertex_in_cycle(self):
-        assert match_case("L2.1", gadgets.cycle(5)) is None
+        assert match_case("L2.1", Embedding(gadgets.cycle(5))) is None
 
     def test_path_matches_smallest_internal(self):
-        r = match_case("L2.1", gadgets.path(4))
+        r = match_case("L2.1", Embedding(gadgets.path(4)))
         assert r.split == 2
 
     def test_degree_two_on_cycle(self):
         g = gadgets.cycle(6)
-        r = match_case("L2.2", g)
+        r = match_case("L2.2", Embedding(g))
         assert r.lemma == "L2.2" and r.vertex == 1
         assert r.add_edges == ((2, 6),)  # chord closing the path
         assert r.d2_bound == 2 * g.max_degree()
         applied(g, r)
 
     def test_octahedron_has_min_degree_four(self):
-        assert match_case("L2.2", gadgets.octahedron()) is None
+        assert match_case("L2.2", Embedding(gadgets.octahedron())) is None
 
     def test_leaf_of_star(self):
-        r = match_case("L2.2", gadgets.star(6))
+        r = match_case("L2.2", Embedding(gadgets.star(6)))
         assert r.delete_vertices == (2,) and r.add_edges == ()
 
     def test_3vertex_cases_on_wheel_and_cube(self):
-        r = match_case("L2.3.1", gadgets.wheel(6))
+        r = match_case("L2.3.1", Embedding(gadgets.wheel(6)))
         assert r.lemma == "L2.3.1" and r.vertex == 2
-        r = match_case("L2.3.2", gadgets.wheel(6))
+        r = match_case("L2.3.2", Embedding(gadgets.wheel(6)))
         assert r.lemma == "L2.3.2" and r.vertex == 2
-        assert match_case("L2.3.2", gadgets.complete4()).lemma == "L2.3.2"
-        r = match_case("L2.3.3", gadgets.cube())
+        assert match_case("L2.3.2", Embedding(gadgets.complete4())).lemma == "L2.3.2"
+        r = match_case("L2.3.3", Embedding(gadgets.cube()))
         assert r.lemma == "L2.3.3"
         assert len(r.add_edges) == 1
 
     def test_combined_l2_3_priority(self):
         # a wheel rim vertex satisfies both case 1 and case 2; case 1 wins
-        assert find_reduction(gadgets.wheel(6)).lemma == "L2.3.1"
+        assert find_reduction(Embedding(gadgets.wheel(6))).lemma == "L2.3.1"
 
 
 CONFIG_CASES = [
@@ -147,7 +147,7 @@ class TestConfigurationCatalog:
     @pytest.mark.parametrize("tag,build,lemma,adds", CONFIG_CASES)
     def test_matcher_fires_and_applies_soundly(self, tag, build, lemma, adds):
         g = build()
-        r = match_case(tag, g)
+        r = match_case(tag, Embedding(g))
         assert r is not None and r.lemma == lemma
         if adds is not None:
             assert r.add_edges == adds
@@ -158,18 +158,18 @@ class TestConfigurationCatalog:
 
     def test_l2_10_3_uses_tighter_bound(self):
         g = gadgets.g_L2_10_3()
-        r = match_case("L2.10.3", g)
+        r = match_case("L2.10.3", Embedding(g))
         assert r.d2_bound == 2 * g.max_degree() + 6
 
     def test_octahedron_surgery_is_plain_deletion(self):
-        r = match_case("L2.4", gadgets.octahedron())
+        r = match_case("L2.4", Embedding(gadgets.octahedron()))
         assert r.delete_vertices == (1,) and r.add_edges == ()
 
 
 class TestL2_11:
     def test_delta6_deletes_one_spoke(self):
         g = gadgets.g_L2_11()
-        r = match_case("L2.11", g)
+        r = match_case("L2.11", Embedding(g))
         assert r.lemma == "L2.11.case1"
         assert r.pending == (1, 5)  # center first, then the (5,5)-neighbor
         assert r.delete_vertices == () and r.delete_edges == ((1, 5),)
@@ -178,7 +178,7 @@ class TestL2_11:
 
     def test_delta7_rewires_through_v4(self):
         g = gadgets.g_L2_11(delta7=True)
-        r = match_case("L2.11", g)
+        r = match_case("L2.11", Embedding(g))
         assert r.lemma == "L2.11.case2"
         assert r.pending == (1,)
         assert r.add_edges == ((2, 5), (3, 5), (5, 7))
@@ -186,38 +186,37 @@ class TestL2_11:
         applied(g, r)
 
     def test_without_54_neighbor_no_match(self):
-        assert match_case("L2.11", gadgets.g_L2_11(drop_54=True)) is None
+        assert match_case("L2.11", Embedding(gadgets.g_L2_11(drop_54=True))) is None
 
 
 class TestFindReduction:
     def test_priority_cut_vertex_first(self):
         # degree-2 vertices everywhere, but the cut vertex wins
         g = gadgets.two_triangles()
-        r = find_reduction(g)
+        r = find_reduction(Embedding(g))
         assert r.lemma == "L2.1"
 
     def test_icosahedron_reaches_the_five_family(self):
-        r = find_reduction(gadgets.icosahedron())
+        r = find_reduction(Embedding(gadgets.icosahedron()))
         assert r.lemma == "L2.8.1"
 
     def test_deterministic(self):
         g1 = gadgets.g_L2_10_3()
         g2 = gadgets.g_L2_10_3()
-        assert find_reduction(g1) == find_reduction(g2)
+        assert find_reduction(Embedding(g1)) == find_reduction(Embedding(g2))
 
     def test_dodecahedron_exhausts_catalog(self):
         # 3-regular with pentagon faces: every vertex is a 3-vertex whose
         # neighbors all have the maximum degree, with no 3- or 4-face
         g = dodecahedron()
-        outcome = find_reduction(g)
+        outcome = find_reduction(Embedding(g))
         assert isinstance(outcome, ProofGapReport)
         assert outcome.delta == 3  # far below the guarantee threshold
         assert dict(outcome.nearest_miss)["L2.2"] == "minimum degree 3"
 
     def test_gap_report_carries_the_graph_in_dense_ids(self):
-        # a PlanarGraph comes back as itself, and so does its Embedding
+        # the Embedding of a PlanarGraph gives the graph itself back
         g = dodecahedron()
-        assert find_reduction(g).graph == g
         assert find_reduction(Embedding(g)).graph == g
         # a dodecahedron on ids 2..21, with vertex 1 drawn in its inner
         # pentagon and joined to three corners, then deleted: an Embedding
@@ -236,7 +235,7 @@ class TestFindReduction:
     @given(seeds)
     def test_never_gaps_with_delta_at_least_six(self, seed):
         g = gen_planar(10 + seed % 60, min_delta=6, seed=seed)
-        assert isinstance(find_reduction(g), Reduction)
+        assert isinstance(find_reduction(Embedding(g)), Reduction)
 
 
 class TestDegreeCap:
@@ -262,23 +261,44 @@ class TestDegreeCap:
         g = gadgets.embed(coords, edges)
         assert g.degree(2) == 4 == g.max_degree()
 
-        r = match_case("L2.7.2", g)
+        e = Embedding(g)
+        r = match_case("L2.7.2", e)
         assert r is not None and r.case == "nonadjacent"
         assert r.add_edges[0][0] == 2  # fans from the capped vertex
         from twodist import DegreeBudgetExceeded
 
         with pytest.raises(DegreeBudgetExceeded):
-            reduce_in_place(Embedding(g), r)
+            reduce_in_place(e, r)
 
     def test_colorer_survives_capped_configurations(self):
-        # graphs below the guarantee threshold still come out valid
+        # graphs below the guarantee threshold still come out valid; deleting
+        # 3n/2 edges leaves about one graph in five there
         from twodist import color, verify_coloring
 
-        for seed in range(60):
-            g = gen_planar(12 + seed % 25, min_delta=0, seed=seed)
+        pool = [
+            gen_planar(n, min_delta=0, seed=seed, deletions=3 * n // 2)
+            for seed in range(200)
+            for n in [12 + seed % 25]
+        ]
+        low = [g for g in pool if g.max_degree() < 6]
+        assert len(low) >= 40
+        for g in low:
             c = color(g)
             assert verify_coloring(g, c).valid
             assert c.colors_used <= c.budget
+
+    def test_a_capped_fan_falls_back_to_greedy(self):
+        # every vertex has degree 4 and one 3-face corner, so the first rule
+        # to fire is L2.7.2, fanning from a neighbor already at Delta = 4:
+        # the apply is refused, and the whole graph (n = 30, above the base
+        # case) is colored greedily with no further step
+        from twodist import verify_coloring
+
+        g = gadgets.medial(gadgets.medial(gadgets.prism(5)))
+        trace = RunTrace()
+        c = color(g, trace=trace)
+        assert trace.steps == [("L2.7.2", 30, 60, 4)] and not trace.gaps
+        assert verify_coloring(g, c).valid
 
 
 class TestShrinkInvariant:
@@ -308,7 +328,7 @@ class TestShrinkInvariant:
 class TestProperness:
     def test_l2_2_on_c6(self):
         g = gadgets.cycle(6)
-        r = match_case("L2.2", g)
+        r = match_case("L2.2", Embedding(g))
         assert check_properness(Embedding(g), r)
 
     def test_adversarial_deletion_fails(self):
@@ -336,7 +356,7 @@ class TestProperness:
     def test_ball_check_agrees_with_exhaustive(self, seed):
         # the locality-restricted check must equal the full-square reference
         g = gen_planar(8 + seed % 30, min_delta=0, seed=seed)
-        outcome = find_reduction(g)
+        outcome = find_reduction(Embedding(g))
         if not isinstance(outcome, Reduction) or outcome.split is not None:
             return
         try:
@@ -425,7 +445,8 @@ def test_l2_10_1_bound_on_its_model_graph():
     text = (Path(__file__).parent / "data" / "l2_10_1_model.graph").read_text()
     g = twodist.parse_graph(text)  # PlanarGraph accepts it
     assert (g.n, g.max_degree(), g.degree(1)) == (21, 6, 5)
-    r = match_case("L2.10.1", g)
+    e = Embedding(g)
+    r = match_case("L2.10.1", e)
     assert (r.vertex, r.d2_bound) == (1, 19)
-    assert len(twodist.distance_profile(g, 1)) == 20
-    assert find_reduction(g).lemma == "L2.1"
+    assert len(twodist.distance_profile(e, 1)) == 20
+    assert find_reduction(e).lemma == "L2.1"

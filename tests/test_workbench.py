@@ -223,6 +223,15 @@ class TestCli:
         assert main(["oracle", str(gfile)]) == 0
         assert "chi2 = 4 (exact)" in capsys.readouterr().out
 
+    def test_oracle_witness_verifies_in_the_file_ids(self, tmp_path, capsys):
+        gfile = tmp_path / "g.graph"
+        wfile = tmp_path / "w.colors"
+        gfile.write_text(write_graph(gen_planar(14, min_delta=6, seed=2)))
+        assert main(["oracle", str(gfile), "-o", str(wfile)]) == 0
+        chi2 = capsys.readouterr().out.split()[2]
+        assert main(["verify", str(gfile), str(wfile), "-k", chi2]) == 0
+        assert capsys.readouterr().out == f"valid: {chi2} colors within budget {chi2}\n"
+
     def test_oracle_on_a_long_cycle(self, tmp_path, capsys):
         gfile = tmp_path / "c1201.graph"
         gfile.write_text(write_graph(gadgets.cycle(1201)))
