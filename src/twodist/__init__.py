@@ -45,7 +45,6 @@ from .errors import (
 from .oracle import OracleResult, chi2_exact, greedy_square
 from .planar import (
     Embedding,
-    Face,
     PlanarGraph,
     SurgeryResult,
     articulation_points,

@@ -16,7 +16,7 @@ from .colorer import color, verify_coloring
 from .errors import BudgetExhausted, NoSafeColor, PermutationInfeasible, TwodistError
 from .oracle import DEFAULT_NODE_BUDGET, chi2_exact
 from .planar import Embedding
-from .reductions import Reduction, check_properness, find_reduction
+from .reductions import Reduction, check_properness, find_reduction, reduce_in_place
 from .workbench import (
     format_audit_tsv,
     gen_planar,
@@ -128,12 +128,12 @@ def _cmd_reduce(args) -> int:
             break
         r = outcome
         if r.split is not None:
-            first, rest = e.split_sides(r.split)
+            n = e.n
+            reduce_in_place(e, r)
             print(
                 f"step {step}: {r.lemma} split at {r.split} -> "
-                f"n={len(first) + 1}+{len(rest) + 1}; following first part"
+                f"n={e.n}+{n - e.n + 1}; following first part"
             )
-            e.apply(delete_vertices=rest)
             continue
         proper = check_properness(e, r)
         ok = ok and proper

@@ -305,19 +305,14 @@ def _step(
         return _greedy_fallback(e, k, outcome)
 
     r = outcome
-    if r.split is not None:
-        first, rest = e.split_sides(r.split)
-        e.apply(delete_vertices=rest)
-        return r, [first]
     try:
-        reduce_in_place(e, r)
+        return r, reduce_in_place(e, r)
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
         # may sit at the maximum degree already; never with Delta >= 6
         if e.max_degree() >= 6:
             raise
         return _greedy_fallback(e, k, None)
-    return r, []
 
 
 def _greedy_fallback(

@@ -21,8 +21,8 @@ the ``_pays_five`` payer test.  ``apply_rules`` runs them over a whole
 graph, logging every transfer, and ``audit`` stays the from-scratch
 reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
 ``_after_r1_r2`` leaves it negative.  ``initial_charges``, ``apply_rules``
-and ``audit`` read only a validated ``PlanarGraph``: its rotations, its
-face boundary walks, and each face keyed by its canonical walk.
+and ``audit`` read only a validated ``PlanarGraph``: its rotations and
+its face boundary walks, each keyed by ``face_key``, its least rotation.
 ``LiveCharges`` reads the same helpers to keep the final charges of the
 engine's Embedding current as it changes; it holds what the audit of the
 Embedding's snapshot holds, through the snapshot's renaming of vertices
@@ -158,6 +158,16 @@ FaceKey = tuple[int, ...]  # a canonical boundary walk
 Element = tuple[str, object]  # ("vertex", id) or ("face", key)
 
 
+def face_key(walk: tuple[int, ...]) -> FaceKey:
+    """A face's ledger key: the lexicographically smallest rotation of its
+    boundary walk, which starts at an occurrence of the smallest vertex."""
+    low = min(walk)
+    if walk.count(low) == 1:  # one candidate, as on every face of a 2-connected graph
+        i = walk.index(low)
+        return walk[i:] + walk[:i]
+    return min(walk[i:] + walk[:i] for i, u in enumerate(walk) if u == low)
+
+
 class Transfer(NamedTuple):
     rule: str
     source: Element
@@ -198,10 +208,10 @@ class ChargeLedger:
 
 
 def face_keys(g: PlanarGraph) -> list[FaceKey]:
-    """Stable ledger keys, in face order: each face's canonical boundary
-    rotation.  No two faces share one: a boundary walk determines the darts
-    of its face, and every dart borders exactly one face."""
-    return [f.canonical_key() for f in g.faces]
+    """Stable ledger keys, in face order: ``face_key`` of each boundary
+    walk.  No two faces share one: a boundary walk determines the darts of
+    its face, and every dart borders exactly one face."""
+    return list(map(face_key, g.faces))
 
 
 def initial_charges(g: PlanarGraph) -> ChargeLedger:
@@ -237,9 +247,8 @@ def apply_rules(
     record = log.append
     elem = {v: ("vertex", v) for v in g.vertices()}
 
-    for key, f in zip(ledger.face_units, g.faces, strict=True):
+    for key, corners in zip(ledger.face_units, g.faces, strict=True):
         fkey = ("face", key)
-        corners = f.boundary
         degree = len(corners)
         if degree == 3:
             # R1: every 3-face receives 1/3 from each incident vertex.

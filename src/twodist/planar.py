@@ -4,14 +4,15 @@ A graph is stored as one counterclockwise neighbor cycle per vertex, and
 that rotation is the only ground truth.  A PlanarGraph traces its faces
 once, at construction, and keeps them as derived data in the shape the
 Embedding uses too: ``face[v][u]``, the face of dart (v, u), and ``fdeg``,
-the degree of each face.  The trace doubles as the symmetry check, and the
-Euler count n - m + f == 2 is what certifies that the input really is a
-planar embedding of a connected graph.  Vertex ids are dense 1..n.  The
-coloring engine works on an Embedding instead: a mutable copy with stable
-ids that keeps its faces, degrees and cut vertices up to date locally as
-surgery changes it.  It logs every change as the old value of one dict
-entry, and the degree and cut flags it changes, so that undoing a
-surgery is writing those values back.
+the degree of each face; ``faces`` holds each face's boundary walk, a
+tuple of vertex ids, for the audit.  The trace doubles as the symmetry
+check, and the Euler count n - m + f == 2 is what certifies that the
+input really is a planar embedding of a connected graph.  Vertex ids are
+dense 1..n.  The coloring engine works on an Embedding instead: a mutable
+copy with stable ids that keeps its faces, degrees and cut vertices up to
+date locally as surgery changes it.  It logs every change as the old value
+of one dict entry, and the degree and cut flags it changes, so that
+undoing a surgery is writing those values back.
 """
 
 from __future__ import annotations
@@ -55,32 +56,6 @@ def reachable(
     return order
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding, as the closed walk of its boundary.
-
-    The boundary lists each visited vertex once per visit, so its length is
-    the face degree.  Boundaries are closed walks, not necessarily cycles:
-    a vertex may repeat when the graph has a cut vertex.
-    """
-
-    boundary: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
-
-    def canonical_key(self) -> tuple[int, ...]:
-        """Lexicographically smallest rotation of the boundary walk; it
-        starts at an occurrence of the smallest vertex."""
-        b = self.boundary
-        low = min(b)
-        if b.count(low) == 1:  # one candidate, as on every face of a 2-connected graph
-            i = b.index(low)
-            return b[i:] + b[:i]
-        return min(b[i:] + b[:i] for i, u in enumerate(b) if u == low)
-
-
 _INT = {int}
 
 
@@ -119,8 +94,10 @@ class PlanarGraph:
     every live instance is a certified embedding.  The faces are kept in
     the Embedding's shape: ``face[v][u]`` is the index of the face that
     dart (v, u) borders and ``fdeg[i]`` the degree of face i.  ``faces``
-    lists the face boundaries in index order, which is the order the trace
-    meets them: vertex by vertex, each vertex's darts in rotation order.
+    lists the face boundary walks in index order, which is the order the
+    trace meets them: vertex by vertex, each vertex's darts in rotation
+    order.  A walk is a tuple of vertex ids, one per visit, so its length
+    is the face degree; only a cut vertex can repeat on it.
     The keys of ``face[v]`` are v's neighbors, so they serve as its
     adjacency set, as on the Embedding.
     """
@@ -173,7 +150,7 @@ class PlanarGraph:
             raise NotConnected("graph is not connected")
         self.face: dict[int, dict[int, int]] = face
         self.fdeg: tuple[int, ...] = tuple(map(len, walks))
-        self.faces: tuple[Face, ...] = tuple(map(Face, walks))
+        self.faces: tuple[tuple[int, ...], ...] = tuple(walks)
         # a single vertex (or the empty graph) carries no darts: the
         # degenerate sphere embedding, with no traced faces
         f = len(walks)
@@ -237,25 +214,10 @@ class PlanarGraph:
     def __repr__(self) -> str:
         return f"PlanarGraph(n={self.n}, m={self.m})"
 
-    # -- faces -------------------------------------------------------------
 
-    def dart_face_map(self) -> dict[Edge, int]:
-        """A new dict mapping each dart (u, v) to the index of the face it
-        borders, built from ``face`` on each call."""
-        return {(v, u): f for v, fv in self.face.items() for u, f in fv.items()}
-
-    def corner_faces(self, v: int) -> tuple[int, ...]:
-        """Face indices around v; entry i sits between rotation neighbors
-        i and i+1 (cyclically)."""
-        self._check_vertex(v)
-        fv = self.face[v]
-        nbrs = self.rotation[v - 1]
-        return tuple(fv[u] for u in nbrs[1:] + nbrs[:1])
-
-
-def trace_faces(g: PlanarGraph) -> tuple[Face, ...]:
-    """All faces of the embedding.  Each directed edge lies on exactly one
-    boundary and the face degrees sum to 2m."""
+def trace_faces(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
+    """All faces of the embedding, as their boundary walks.  Each directed
+    edge lies on exactly one boundary and the face degrees sum to 2m."""
     return g.faces
 
 
@@ -421,8 +383,8 @@ class Embedding:
         return self.fdeg[self.face[u][v]]
 
     def corner_degrees(self, v: int) -> tuple[int, ...]:
-        """Face degrees around v; entry i sits between rotation neighbors i
-        and i+1, as in PlanarGraph.corner_faces."""
+        """Face degrees around v, in rotation order: entry i is the degree
+        of the face between rotation neighbors i and i+1 (cyclically)."""
         r, fv, fdeg = self.rot[v], self.face[v], self.fdeg
         return tuple(fdeg[fv[u]] for u in r[1:] + r[:1])
 
@@ -526,7 +488,10 @@ class Embedding:
         checked first: on error nothing has changed; otherwise ``undo``
         reverts the whole call."""
         rot, face = self.rot, self.face
-        dels = set(delete_vertices)
+        try:
+            dels = set(delete_vertices)
+        except TypeError:  # not iterable, or an unhashable id
+            raise UnknownVertex(f"{delete_vertices!r} is not a set of vertex ids") from None
         # the type test keeps True (== 1) out; both tests run in C
         if not (_INT.issuperset(map(type, dels)) and dels <= rot.keys()):
             for v in dels:

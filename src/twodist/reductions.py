@@ -17,9 +17,10 @@ starting at the smallest neighbor id wins, which makes matching
 deterministic for every symmetry of a configuration.
 
 The matchers read an ``Embedding`` (a caller holding a ``PlanarGraph`` g
-passes ``Embedding(g)``, in g's ids), and ``reduce_in_place`` and
-``check_properness`` apply a reduction to that Embedding in place, in its
-own vertex ids; ``Embedding.undo`` reverts it.
+passes ``Embedding(g)``, in g's ids), and a vertex's shape off its
+``classify.VertexClass``.  ``reduce_in_place`` and ``check_properness``
+apply a reduction to that Embedding in place, in its own vertex ids, a
+split included; ``Embedding.undo`` reverts it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .classify import is_special_vertex
+from .classify import VertexClass, classify_vertex, is_special_vertex
 from .errors import InvariantViolated
 from .planar import (
     Edge,
@@ -65,23 +66,21 @@ class ProofGapReport:
 
 
 class _Ctx:
-    """Shared per-step scratch for the matchers, read off the embedding."""
+    """Shared per-step scratch for the matchers, read off the embedding;
+    ``vclass(v)`` is ``classify_vertex(e, v)``, derived once per step."""
 
-    __slots__ = ("e", "delta", "_corner_degs")
+    __slots__ = ("e", "delta", "_classes")
 
     def __init__(self, e: Embedding):
         self.e = e
         self.delta = e.max_degree()
-        self._corner_degs: dict[int, tuple[int, ...]] = {}
+        self._classes: dict[int, VertexClass] = {}
 
-    def corner_degrees(self, v: int) -> tuple[int, ...]:
-        cd = self._corner_degs.get(v)
-        if cd is None:
-            cd = self._corner_degs[v] = self.e.corner_degrees(v)
-        return cd
-
-    def is_kd(self, v: int, k: int, d: int) -> bool:
-        return self.e.degree(v) == k and self.corner_degrees(v).count(3) == d
+    def vclass(self, v: int) -> VertexClass:
+        vc = self._classes.get(v)
+        if vc is None:
+            vc = self._classes[v] = classify_vertex(self.e, v)
+        return vc
 
     def special(self, v: int) -> bool:
         return is_special_vertex(self.e, v)
@@ -148,9 +147,9 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
     chords fanned from that neighbor, which gains two net edges.
     """
     for v in ctx.e.of_degree(6):
-        cd = ctx.corner_degrees(v)
-        if cd.count(3) != 5:
+        if ctx.vclass(v).t3 != 5:
             continue
+        cd = ctx.e.corner_degrees(v)
         q = next(i for i in range(6) if cd[i] != 3)
         rot = ctx.e.neighbors(v)
         for reading in ("ccw", "cw"):
@@ -159,9 +158,9 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
             else:
                 lab = tuple(rot[(q - j) % 6] for j in range(6))
             v1, v2, v3, v4, v5, v6 = lab
-            if not (ctx.is_kd(v2, 5, 5) and ctx.is_kd(v4, 5, 5)):
+            if not (ctx.vclass(v2).is_kd(5, 5) and ctx.vclass(v4).is_kd(5, 5)):
                 continue
-            if not ctx.is_kd(v6, 5, 4):
+            if not ctx.vclass(v6).is_kd(5, 4):
                 continue
             if ctx.delta == 6:
                 return Reduction(
@@ -197,12 +196,12 @@ class Rule:
     """A catalog rule that deletes the center v, adds chords among its
     neighbors and re-colors v.
 
-    v must have the shape (degree, 3-face corners, 4-face corners; None
-    matches any count), its sorted neighbor degrees must pass ``degrees``,
-    at least ``six_six`` neighbors must be (6,6)-vertices, and v must not be
-    special when ``nonspecial`` is set.  The first anchor whose pattern fits
-    labels the neighbors.  At most ``a * Delta + b`` colors are forbidden at
-    v, for ``(a, b) = bound``.
+    v's ``VertexClass`` must have the shape (k, t3, t4), the classes that
+    discharging pays (None matches any count), its sorted neighbor degrees
+    must pass ``degrees``, at least ``six_six`` neighbors must be
+    (6,6)-vertices, and v must not be special when ``nonspecial`` is set.
+    The first anchor whose pattern fits labels the neighbors.  At most
+    ``a * Delta + b`` colors are forbidden at v, for ``(a, b) = bound``.
     """
 
     tag: str
@@ -218,31 +217,30 @@ class Rule:
         e = ctx.e
         k, t3, t4 = self.shape
         for v in e.of_degree(k):
+            vc = ctx.vclass(v)
+            if t3 is not None and vc.t3 != t3:
+                continue
+            if t4 is not None and vc.t4 != t4:
+                continue
             rot = e.neighbors(v)
-            cd = ctx.corner_degrees(v)
-            if t3 is not None and cd.count(3) != t3:
-                continue
-            if t4 is not None and cd.count(4) != t4:
-                continue
             if self.degrees is not None and not self.degrees(
                 sorted(e.degree(u) for u in rot)
             ):
                 continue
             if self.six_six and (
-                sum(1 for u in rot if ctx.is_kd(u, 6, 6)) < self.six_six
+                sum(1 for u in rot if ctx.vclass(u).is_kd(6, 6)) < self.six_six
             ):
                 continue
             if self.nonspecial and ctx.special(v):
                 continue
-            hit = self._emit(ctx, v, rot, cd)
+            hit = self._emit(ctx, v, rot)
             if hit is not None:
                 return hit
         return None
 
-    def _emit(
-        self, ctx: _Ctx, v: int, rot: list[int], cd: tuple[int, ...]
-    ) -> Reduction | None:
+    def _emit(self, ctx: _Ctx, v: int, rot: list[int]) -> Reduction | None:
         k = len(rot)
+        cd = ctx.e.corner_degrees(v)  # the anchors read the corners in order
         for case, pattern, chords in self.anchors:
             offsets = [
                 r
@@ -405,7 +403,7 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
         ("L2.2", f"minimum degree {e.min_degree()}"),
     ]
     shapes = {
-        f"({k},{t3})": sum(1 for v in e.of_degree(k) if ctx.is_kd(v, k, t3))
+        f"({k},{t3})": sum(1 for v in e.of_degree(k) if ctx.vclass(v).is_kd(k, t3))
         for k, t3 in ((4, 4), (4, 3), (4, 2), (4, 1), (5, 5), (5, 4), (6, 5))
     }
     notes.append(
@@ -416,17 +414,22 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
     return tuple(notes)
 
 
-def reduce_in_place(e: Embedding, r: Reduction) -> None:
+def reduce_in_place(e: Embedding, r: Reduction) -> list[set[int]]:
     """Perform the reduction's surgery on e, with the degree cap pinned to
-    the current maximum degree; e.undo() reverts it.  Split reductions go
-    through ``Embedding.split_sides`` instead."""
+    the current maximum degree; e.undo() reverts it.  A split deletes the
+    side of its cut vertex that ``Embedding.split_sides`` lists second and
+    returns [first], the side to delete for the second part; any other
+    reduction returns []."""
     if r.split is not None:
-        raise ValueError("split reductions are applied via Embedding.split_sides")
+        first, rest = e.split_sides(r.split)
+        e.apply(delete_vertices=rest)
+        return [first]
     size = e.n + e.m
     e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
     if e.n + e.m >= size:
         e.undo()
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
+    return []
 
 
 def check_properness(e: Embedding, r: Reduction) -> bool:
@@ -437,9 +440,11 @@ def check_properness(e: Embedding, r: Reduction) -> bool:
     distance <= 2 after, in e's own ids.  Only pairs within distance 2 of a
     deleted element can lose a short connection (additions never hurt), so
     the scan is restricted to that neighborhood; the result equals the full
-    check over all common pairs.  The degree half recounts the rotations
-    rather than reading e's degree buckets, which ``reduce_in_place`` itself
-    trusts.  The reduction stays in force either way: e.undo() reverts it.
+    check over all common pairs.  On a split nothing is scanned, which is
+    exact: no path of length <= 2 between two kept vertices leaves their
+    part.  The degree half recounts the rotations rather than reading e's
+    degree buckets, which ``reduce_in_place`` itself trusts.  The reduction
+    stays in force either way: e.undo() reverts it.
     """
     delta = max(map(len, e.rot.values()), default=0)
     touched = set(r.delete_vertices)

@@ -124,7 +124,7 @@ def test_criterion_2_rule_conservation(corpus):
         assert v == ledger.vertex_charge and f == ledger.face_charge
 
         for key, face in zip(face_keys(g), trace_faces(g)):
-            if face.degree == 3:
+            if len(face) == 3:
                 checked_faces += 1
                 assert ledger.face_charge[key] == 0
     print(

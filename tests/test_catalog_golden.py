@@ -13,7 +13,7 @@ import hashlib
 
 import gadgets
 from conftest import corpus_specs
-from twodist import Embedding, PlanarGraph, RunTrace, color, gen_planar, match_case, trace_faces
+from twodist import Embedding, PlanarGraph, RunTrace, color, gen_planar, match_case
 from twodist.reductions import MATCHER_ORDER
 
 GOLDEN_DIGEST = "92ad27748484531021cefcce556a37be67bceca9bf66807aeedfcd8336fe08cc"
@@ -94,12 +94,12 @@ def _boosted(g, target, first):
     1 stays as it is.  Puts the neighbour-degree thresholds of the rules on
     either side of their bounds."""
     rotation = [list(nbrs) for nbrs in g.rotation]
-    faces = trace_faces(g)
-    hub_faces = set(g.corner_faces(1))
+    hub_faces = set(g.face[1].values())
     for j, u in enumerate(g.neighbors(1)):
         want = first if j == 0 else target
-        corners = g.corner_faces(u)
-        free = [i for i, f in enumerate(corners) if faces[f].degree >= 5]
+        nbrs = g.neighbors(u)
+        corners = [g.face[u][w] for w in nbrs[1:] + nbrs[:1]]  # corner i follows nbrs[i]
+        free = [i for i, f in enumerate(corners) if g.fdeg[f] >= 5]
         free += [i for i, f in enumerate(corners) if f not in hub_faces]
         if want is None or not free:
             continue

@@ -125,9 +125,9 @@ class TestInvariants:
         faces = trace_faces(g)
         classes = classify_all(g).values()
         t3_total = sum(vc.t3 for vc in classes)
-        assert t3_total == 3 * sum(1 for f in faces if f.degree == 3)
+        assert t3_total == 3 * sum(1 for f in faces if len(f) == 3)
         t4_total = sum(vc.t4 for vc in classes)
-        assert t4_total == 4 * sum(1 for f in faces if f.degree == 4)
+        assert t4_total == 4 * sum(1 for f in faces if len(f) == 4)
 
     def test_special_monotone_under_triangle_edge_removal(self):
         # deleting an edge only merges faces, so a special vertex stays special

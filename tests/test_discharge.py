@@ -74,7 +74,7 @@ class TestApplyRules:
         for g in small_corpus[:15]:
             ledger = full_ledger(g)
             for key, f in zip(face_keys(g), trace_faces(g)):
-                if f.degree == 3:
+                if len(f) == 3:
                     assert ledger.face_charge[key] == 0
 
     def test_octahedron_final(self):

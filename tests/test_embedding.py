@@ -28,7 +28,6 @@ from twodist import (
     color,
     gen_planar,
     is_cut_vertex,
-    trace_faces,
     verify_coloring,
 )
 from twodist.planar import Embedding, reachable
@@ -59,19 +58,18 @@ def check_against_scratch(e):
     assert (e.n, e.m) == (g.n, g.m)
     assert [[old_to_new[u] for u in e.rot[v]] for v in live] == list(map(list, g.rotation))
 
-    faces = trace_faces(g)
-    assert len(e.fdeg) == len(faces)
-    dart_face = g.dart_face_map()
+    assert len(e.fdeg) == len(g.fdeg)
     ids = {}  # kept face id -> traced face index, which must be a bijection
     for v in live:
-        for u in e.rot[v]:
-            traced = dart_face[(old_to_new[v], old_to_new[u])]
+        w, r = old_to_new[v], e.rot[v]
+        for u in r:
+            traced = g.face[w][old_to_new[u]]
             assert ids.setdefault(e.face[v][u], traced) == traced
         assert e.corner_degrees(v) == tuple(
-            faces[i].degree for i in g.corner_faces(old_to_new[v])
+            g.fdeg[g.face[w][old_to_new[u]]] for u in r[1:] + r[:1]
         )
-    assert len(set(ids.values())) == len(ids) == len(faces)
-    assert all(e.fdeg[f] == faces[i].degree for f, i in ids.items())
+    assert len(set(ids.values())) == len(ids) == len(g.fdeg)
+    assert all(e.fdeg[f] == g.fdeg[i] for f, i in ids.items())
 
     hist = {}
     for v in live:  # ascending, so each bucket must be too
@@ -265,13 +263,16 @@ def test_failed_apply_changes_nothing(build, kwargs, error):
         dict(delete_edges=[("a", 1)]),
         dict(delete_edges=[(1,)]),
         dict(add_edges=[(1,)]),
+        dict(delete_vertices=[[1]]),
+        dict(delete_vertices=5),
     ],
 )
 def test_an_id_that_is_not_an_int_is_refused(kwargs):
     # True and 1.0 equal the hub's id 1, so a membership test alone lets
     # them through: a deletion would take the hub, and an added edge to
     # rim vertex 3 would be skipped as already there; an edge that is not
-    # a pair of ids is refused the same way, before any comparison
+    # a pair of ids, and vertices that are not a set of ids, are refused
+    # the same way, before any comparison
     e = Embedding(gadgets.wheel(6))
     before = state(e)
     with pytest.raises(UnknownVertex):

@@ -37,6 +37,6 @@ def test_traced_faces_match_recorded_digest(corpus):
     graphs += [PlanarGraph([]), PlanarGraph([()]), PlanarGraph([(2,), (1,)])]
     digest = hashlib.sha256()
     for i, g in enumerate(graphs):
-        boundaries = [f.boundary for f in trace_faces(g)]
+        boundaries = list(trace_faces(g))
         digest.update(f"graph {i} {boundaries!r}\n".encode())
     assert digest.hexdigest() == FACE_TRACE_DIGEST
