@@ -129,7 +129,7 @@ def _cmd_reduce(args) -> int:
         r = outcome
         if r.split is not None:
             n = e.n
-            reduce_in_place(e, r)
+            e = reduce_in_place(e, r)[0]
             print(
                 f"step {step}: {r.lemma} split at {r.split} -> "
                 f"n={e.n}+{n - e.n + 1}; following first part"

@@ -9,10 +9,12 @@ smaller graphs sit on an explicit stack, so depth costs no recursion.
 
 The whole run works on one Embedding of the input: each step changes it
 locally and undoes the change afterwards, so vertex ids never change and a
-step costs time for what it touches, not for the size of the graph.  Base
-cases and the greedy fallback are colored on that Embedding too, so a run
-builds no PlanarGraph of its own (only a catalog gap report holds one).  A
-graph hook is handed the live Embedding itself.
+step costs time for what it touches, not for the size of the graph.  Only
+a split's smaller side is colored on an Embedding of its own, copied out in
+the same ids (``Embedding.part``).  Base cases and the greedy fallback are
+colored on the Embedding at hand too, so a run builds no PlanarGraph of its
+own (only a catalog gap report holds one).  A graph hook is handed the live
+Embedding itself.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -74,7 +76,8 @@ class RunTrace:
     gives it as a PlanarGraph with dense ids 1..n.  On its first call,
     before the engine changes anything, it may attach a
     ``discharge.LiveCharges`` as ``e.charges``, which the engine's changes
-    then keep current.
+    then keep current.  A split's smaller part reaches the hook as an
+    Embedding of its own, with ``charges`` None at its first call.
     """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
@@ -250,26 +253,23 @@ def color(
     """
     if k is None:
         k = 3 * g.max_degree() + 2
-    e = Embedding(g)
-    # open steps, innermost last: (reduction, sides still to delete, part
-    # colorings); the surgery of the part being colored is in force on e
-    stack: list[tuple[Reduction, list[set[int]], list[Coloring]]] = []
-    out = _step(e, k, trace)
+    # open steps, innermost last: (reduction, the Embedding it is in force
+    # on, the graphs it left still to color, the colorings of those done)
+    stack: list[tuple[Reduction, Embedding, list[Embedding], list[Coloring]]] = []
+    out = _step(Embedding(g), k, trace)
     while True:
-        if not isinstance(out, Coloring):
+        if isinstance(out, Coloring):
+            if not stack:
+                return out
+            stack[-1][3].append(out)
+        else:
             stack.append((*out, []))
-            out = _step(e, k, trace)
-            continue
-        if not stack:
-            return out
-        r, todo, done = stack[-1]
-        e.undo()
-        done.append(out)
+        r, e, todo, done = stack[-1]
         if todo:
-            e.apply(delete_vertices=todo.pop())
-            out = _step(e, k, trace)
+            out = _step(todo.pop(0), k, trace)
             continue
         stack.pop()
+        e.undo()
         if r.split is not None:
             out = merge_at_cut(*done, r.split, e)
         else:
@@ -281,10 +281,10 @@ def color(
 
 def _step(
     e: Embedding, k: int, trace: RunTrace | None
-) -> Coloring | tuple[Reduction, list[set[int]]]:
+) -> Coloring | tuple[Reduction, Embedding, list[Embedding]]:
     """One induction step: e colored directly (base case or greedy
-    fallback), or the reduction that fires on e with its first part's
-    surgery applied and the sides still to delete for the later parts."""
+    fallback), or the reduction that fires on e, applied, with e and the
+    graphs it leaves to color (``reduce_in_place``)."""
     hook = trace.graph_hook if trace is not None else None
     if e.n <= BASE_N:
         if hook is not None:
@@ -306,7 +306,7 @@ def _step(
 
     r = outcome
     try:
-        return r, reduce_in_place(e, r)
+        return r, e, reduce_in_place(e, r)
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
         # may sit at the maximum degree already; never with Delta >= 6

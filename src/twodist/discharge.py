@@ -301,9 +301,6 @@ class LiveCharges:
     def __init__(self, e: Embedding):
         if e.in_force:
             raise ApplyInForce(f"{e.in_force} apply(s) in force; the ledger would go stale")
-        self._build(e)
-
-    def _build(self, e: Embedding) -> None:
         rot, delta = e.rot, e.max_degree()
         classes = classify_all(e)
         self.delta = delta
@@ -333,15 +330,9 @@ class LiveCharges:
         lost and gained neighbors and by the neighbors whose stake moved;
         only a vertex whose own stake moved re-sums all its neighbors.
         Faces born or shrunk are derived afresh, and any other 5+-face
-        moves by the change in what R2 gives its corners.  After a rebuild,
-        the ledger is built afresh.
+        moves by the change in what R2 gives its corners.
         """
         log, state = change.log, vars(self)
-        if change.rebuilt:
-            # the survivors are few: build afresh and swap, as the frame does
-            log += [(state, name, old) for name, old in state.items()]
-            self._build(e)
-            return
         rot, face, fdeg = e.rot, e.face, e.fdeg
         stakes, nets, vertex, faces = self.stakes, self.nets, self.vertex_units, self.face_units
         delta, was_delta, total = e.max_degree(), self.delta, self.total_units
@@ -462,8 +453,8 @@ class AuditReport:
                 kind,
                 key,
                 Fraction(units, UNIT),
-                # a face's degree d, from its initial charge d - 4
-                f"{self.initial.face_units[key] // UNIT + 4}-face" if vc is None
+                # a face's key is its boundary walk, one entry per corner
+                f"{len(key)}-face" if vc is None
                 else f"{vc} bad{vc.k}" if vc.k in (4, 5) and _after_r1_r2(vc, self.delta) < 0
                 else str(vc),
             )

@@ -12,7 +12,8 @@ dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
 date locally as surgery changes it.  It logs every change as the old value
 of one dict entry, and the degree and cut flags it changes, so that
-undoing a surgery is writing those values back.
+undoing a surgery is writing those values back.  One side of a cut vertex
+is copied out as an Embedding of its own (``Embedding.part``).
 """
 
 from __future__ import annotations
@@ -254,8 +255,8 @@ class SurgeryResult:
 # d[key] was old, or that d had no key when old is None.  A change always
 # puts a new object under a key (a rotation list is replaced by an edited
 # copy, never edited in place), so these entries are all there is to undo
-# in the dicts.  The edge count and the top-level structures are kept in
-# the apply frame instead, with the flags below.
+# in the dicts.  The edge count is kept in the apply frame instead, with
+# the flags below.
 LogEntry = tuple[dict, object, object]
 # A vertex's degree (None once it is deleted) and cut flag, as the degree
 # buckets and the cut set hold them.
@@ -271,11 +272,10 @@ class Change:
     ``born`` each face walked into being with its darts then (a later link
     may split it).  ``links`` has one (face, dart) pair per edge drawn, in
     order: the face the link shrank in place and the new edge's dart left
-    on it.  ``rebuilt`` says the survivors' structures were built afresh;
-    ``popped`` then holds only the faces the survivors bordered.
+    on it.
     """
 
-    __slots__ = ("log", "touched", "dels", "lost", "popped", "born", "links", "rebuilt")
+    __slots__ = ("log", "touched", "dels", "lost", "popped", "born", "links")
 
     def __init__(self, dels: set[int]):
         self.log: list[LogEntry] = []
@@ -285,7 +285,6 @@ class Change:
         self.popped: set[int] = set()
         self.born: dict[int, list[Edge]] = {}
         self.links: tuple[tuple[int, Edge], ...] = ()
-        self.rebuilt = False
 
 
 class Embedding:
@@ -315,8 +314,8 @@ class Embedding:
       deletions (``list.index``/``del``) run in C, so a hub costs O(deg) in
       C and O(1) in Python per lost neighbor.  Only the faces that replace
       the ones the deletion touched are walked, starting at the corners it
-      left.  Deleting more vertices than survive (one side of a split)
-      builds the survivors' structures afresh instead.
+      left.  A split copies its smaller side out (``part``) and deletes it,
+      so no split deletes the larger side.
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
       for the vertices whose darts changed (the cut test is one C-level
@@ -324,10 +323,10 @@ class Embedding:
       bisection), and the flags that changed are saved.
 
     ``apply`` logs the old value of every dict entry it changes, and
-    records m and the structures it started from in its frame; ``undo``
-    puts the saved flags back, writes the old values back, newest first,
-    and restores the frame, which brings the embedding back exactly,
-    rotation order included.  Undo never looks at a face.
+    records m in its frame; ``undo`` puts the saved flags back, writes the
+    old values back, newest first, and restores m, which brings the
+    embedding back exactly, rotation order included.  Undo never looks at
+    a face.
     """
 
     __slots__ = (
@@ -340,12 +339,16 @@ class Embedding:
         }
         self.face: dict[int, dict[int, int]] = {v: dict(fv) for v, fv in g.face.items()}
         self.fdeg: dict[int, int] = dict(enumerate(g.fdeg))
-        self.m = g.m
+        self._faces = len(self.fdeg)  # face ids handed out so far
+        self._start()
+
+    def _start(self) -> None:
+        """Derive m, the degree buckets and the cut flags; no apply, no ledger."""
+        self.m = sum(map(len, self.rot.values())) // 2
         self.bydeg: dict[int, list[int]] = {}
         self.cuts: set[int] = set()
         self._deg: dict[int, int] = {}
-        self._faces = len(self.fdeg)  # face ids handed out so far
-        self._frames: list[tuple[list[LogEntry], list[Flags], tuple]] = []
+        self._frames: list[tuple[list[LogEntry], list[Flags], int]] = []
         self.charges = None  # a discharge.LiveCharges, when one is attached
         self._refresh(self.rot)
 
@@ -401,6 +404,25 @@ class Embedding:
         self._check_vertex(u)
         self._check_vertex(v)
         return u, v
+
+    def _pairs(self, edges: object) -> list[Edge]:
+        """edges as a list of pairs of live vertex ids, or UnknownVertex."""
+        try:
+            return list(map(self._pair, edges))
+        except TypeError:  # not iterable: _pair turns every other fault into UnknownVertex
+            raise UnknownVertex(f"{edges!r} is not a collection of edges") from None
+
+    def _ids(self, vertices: object) -> set[int]:
+        """vertices as a set of live vertex ids, or UnknownVertex."""
+        try:
+            ids = set(vertices)
+        except TypeError:  # not iterable, or an unhashable id
+            raise UnknownVertex(f"{vertices!r} is not a set of vertex ids") from None
+        # the type test keeps True (== 1) out; both tests run in C
+        if not (_INT.issuperset(map(type, ids)) and ids <= self.rot.keys()):
+            for v in ids:
+                self._check_vertex(v)
+        return ids
 
     def snapshot(self) -> SurgeryResult:
         """The current graph with survivors renamed to dense ids 1..n in
@@ -471,6 +493,31 @@ class Embedding:
             raise NotACutVertex(f"{v} is not a cut vertex")
         return first, rest
 
+    def part(self, side: Iterable[int]) -> Embedding:
+        """A new Embedding in the same ids holding only side, such as one side
+        of a cut vertex with the cut vertex: what deleting every other vertex
+        leaves, built in time for side alone.  Its rotation lists and
+        dart-face dicts are copies, as new faces are written into them; the
+        faces that left side are walked afresh (``_cut``).  Raises
+        UnknownVertex or SurgeryDisconnects as ``apply`` does; e is unchanged."""
+        keep = self._ids(side)
+        rot, face, fdeg = self.rot, self.face, self.fdeg
+        ch = Change(set())
+        ch.lost = {x: gone for x in keep if (gone := face[x].keys() - keep)}
+        # a face that leaves side does so by some dart
+        ch.popped = old = {face[x][u] for x, gone in ch.lost.items() for u in gone}
+        p = Embedding.__new__(Embedding)
+        p.rot = {x: rot[x].copy() for x in keep}
+        p.face = {x: face[x].copy() for x in keep}
+        live = set().union(*map(dict.values, p.face.values())) - old
+        p.fdeg = dict(zip(live, map(fdeg.__getitem__, live)))
+        p._faces = self._faces
+        p._cut(ch)
+        p._start()
+        if not p._connected(ch):
+            raise SurgeryDisconnects(f"keeping only {sorted(keep)} disconnects the graph")
+        return p
+
     # -- surgery -----------------------------------------------------------
 
     def apply(
@@ -488,20 +535,13 @@ class Embedding:
         checked first: on error nothing has changed; otherwise ``undo``
         reverts the whole call."""
         rot, face = self.rot, self.face
-        try:
-            dels = set(delete_vertices)
-        except TypeError:  # not iterable, or an unhashable id
-            raise UnknownVertex(f"{delete_vertices!r} is not a set of vertex ids") from None
-        # the type test keeps True (== 1) out; both tests run in C
-        if not (_INT.issuperset(map(type, dels)) and dels <= rot.keys()):
-            for v in dels:
-                self._check_vertex(v)
+        dels = self._ids(delete_vertices)
         del_edges = set()
-        for u, v in map(self._pair, delete_edges):
+        for u, v in self._pairs(delete_edges):
             if v not in face[u]:
                 raise UnknownVertex(f"edge {u}-{v} not in graph")
             del_edges.add(edge_key(u, v))
-        additions = list(map(self._pair, add_edges))
+        additions = self._pairs(add_edges)
         for (a, b) in additions:
             if a in dels or b in dels:
                 raise UnknownVertex(f"added edge {a}-{b} touches a missing vertex")
@@ -510,21 +550,12 @@ class Embedding:
 
         ch = Change(dels)
         saved: list[Flags] = []  # the flags this apply's refresh replaces
-        start = (self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts)
-        self._frames.append((ch.log, saved, start))
+        self._frames.append((ch.log, saved, self.m))
         try:
             self._remove(del_edges, ch)
-            rot, face = self.rot, self.face
-            n = len(rot)
-            if n > 1 and (
-                n - self.m + len(self.fdeg) != 2
-                or not all(map(rot.__getitem__, ch.lost))
-            ):
-                # an isolated survivor or a second component: each component
-                # with edges counts 2 in n - m + f, an isolated vertex 1
+            if not self._connected(ch):
                 raise SurgeryDisconnects(
-                    f"deleting {sorted(dels)} / {sorted(del_edges)} "
-                    "disconnects the graph"
+                    f"deleting {sorted(dels)} / {sorted(del_edges)} disconnects the graph"
                 )
             for (a, b) in additions:
                 if b in face[a]:
@@ -548,17 +579,15 @@ class Embedding:
 
         The degree buckets and cut flags that the apply refreshed are put
         back from the flags it saved, with no look at the faces; then the
-        logged old values are written back, newest first, and the frame is
-        restored.  After an apply that rebuilt the structures (``_keep``),
-        the flags go back into the rebuilt ones, which the frame drops."""
-        log, saved, start = self._frames.pop()
+        logged old values are written back, newest first, and m is
+        restored."""
+        log, saved, self.m = self._frames.pop()
         self._place(saved)
         for d, key, old in reversed(log):
             if old is None:
                 del d[key]
             else:
                 d[key] = old
-        self.m, self.rot, self.face, self.fdeg, self.bydeg, self._deg, self.cuts = start
 
     # -- primitives ----------------------------------------------------------
 
@@ -605,11 +634,6 @@ class Embedding:
         """Delete the vertices ``ch.dels`` and these edges, then walk the
         faces that form from the faces they bordered."""
         dels = ch.dels
-        if not del_edges and 2 * len(dels) > len(self.rot):
-            # the larger side of a split: dart by dart, this apply and its
-            # undo would cost the whole graph on every split
-            self._keep(self.rot.keys() - dels, ch)
-            return
         rot, face, fdeg, log = self.rot, self.face, self.fdeg, ch.log
         lost, old = ch.lost, ch.popped  # survivor -> neighbors it loses; faces that lose a dart
         for (u, v) in del_edges:
@@ -634,30 +658,12 @@ class Embedding:
             log.append((fdeg, f, fdeg.pop(f)))
         self._cut(ch)
 
-    def _keep(self, kept: set[int], ch: Change) -> None:
-        """_remove for deleting more vertices than survive: build the
-        survivors' structures afresh, in time for the survivors alone.  The
-        old ones stay whole in the apply frame for undo; only the rotation
-        lists and dart-face dicts of survivors that lose no neighbor are
-        shared with them, and changes to those are logged as usual."""
-        rot, face, fdeg = self.rot, self.face, self.fdeg
-        lost = ch.lost
-        for x in kept:
-            gone = face[x].keys() - kept
-            if gone:
-                lost[x] = gone
-        ch.popped = old = {
-            f for x, gone in lost.items() for u in gone for f in (face[x][u], face[u][x])
-        }
-        ch.rebuilt = True
-        self.rot = {x: rot[x] for x in kept}
-        self.face = face = {x: face[x] for x in kept}
-        live = set().union(*map(dict.values, face.values())) - old
-        self.fdeg = dict(zip(live, map(fdeg.__getitem__, live)))
-        self.bydeg, self._deg, self.cuts = {}, {}, set()
-        self._cut(ch)
-        self.m = sum(map(len, self.rot.values())) // 2
-        self._refresh(kept)
+    def _connected(self, ch: Change) -> bool:
+        """Whether the graph the deletions ``ch`` records left is connected:
+        each component with edges counts 2 in n - m + f, an isolated vertex
+        1, and only a survivor that lost a neighbor can be isolated."""
+        rot, n = self.rot, len(self.rot)
+        return n < 2 or n - self.m + len(self.fdeg) == 2 and all(map(rot.__getitem__, ch.lost))
 
     def _cut(self, ch: Change) -> None:
         """Take the gone neighbors out of a copy of each survivor's rotation
@@ -819,9 +825,4 @@ def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:
     the rest; both keep v and inherit the induced rotation order."""
     e = Embedding(g)
     first, rest = e.split_sides(v)
-    parts = []
-    for side in (rest, first):
-        e.apply(delete_vertices=side)
-        parts.append(e.snapshot())
-        e.undo()
-    return parts[0], parts[1]
+    return e.part(first | {v}).snapshot(), e.part(rest | {v}).snapshot()

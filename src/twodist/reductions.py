@@ -19,8 +19,9 @@ deterministic for every symmetry of a configuration.
 The matchers read an ``Embedding`` (a caller holding a ``PlanarGraph`` g
 passes ``Embedding(g)``, in g's ids), and a vertex's shape off its
 ``classify.VertexClass``.  ``reduce_in_place`` and ``check_properness``
-apply a reduction to that Embedding in place, in its own vertex ids, a
-split included; ``Embedding.undo`` reverts it.
+apply a reduction to that Embedding in place, in its own vertex ids, and
+``Embedding.undo`` reverts it; a split deletes its smaller side, which
+``reduce_in_place`` hands back as an Embedding of its own.
 """
 
 from __future__ import annotations
@@ -414,22 +415,24 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
     return tuple(notes)
 
 
-def reduce_in_place(e: Embedding, r: Reduction) -> list[set[int]]:
+def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
     """Perform the reduction's surgery on e, with the degree cap pinned to
-    the current maximum degree; e.undo() reverts it.  A split deletes the
-    side of its cut vertex that ``Embedding.split_sides`` lists second and
-    returns [first], the side to delete for the second part; any other
-    reduction returns []."""
+    the current maximum degree, and return the graphs left to color, in
+    order; e.undo() reverts it.  That is [e], or for a split its two parts,
+    first the one holding the side ``Embedding.split_sides`` lists first:
+    the smaller side is copied out (``Embedding.part``) and deleted from e."""
     if r.split is not None:
         first, rest = e.split_sides(r.split)
-        e.apply(delete_vertices=rest)
-        return [first]
+        small = min(rest, first, key=len)  # rest on a tie
+        part = e.part(small | {r.split})
+        e.apply(delete_vertices=small)
+        return [part, e] if small is first else [e, part]
     size = e.n + e.m
     e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
     if e.n + e.m >= size:
         e.undo()
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
-    return []
+    return [e]
 
 
 def check_properness(e: Embedding, r: Reduction) -> bool:
@@ -442,9 +445,10 @@ def check_properness(e: Embedding, r: Reduction) -> bool:
     the scan is restricted to that neighborhood; the result equals the full
     check over all common pairs.  On a split nothing is scanned, which is
     exact: no path of length <= 2 between two kept vertices leaves their
-    part.  The degree half recounts the rotations rather than reading e's
-    degree buckets, which ``reduce_in_place`` itself trusts.  The reduction
-    stays in force either way: e.undo() reverts it.
+    part; e keeps the larger part.  The degree half recounts the rotations
+    rather than reading e's degree buckets, which ``reduce_in_place``
+    itself trusts.  The reduction stays in force either way: e.undo()
+    reverts it.
     """
     delta = max(map(len, e.rot.values()), default=0)
     touched = set(r.delete_vertices)

@@ -34,6 +34,12 @@ def embed(coords: Coords, edges: list[tuple[int, int]]) -> PlanarGraph:
     return PlanarGraph(rotation)
 
 
+def reversed_ids(g: PlanarGraph) -> PlanarGraph:
+    """g with each vertex v renamed n + 1 - v, every rotation order kept."""
+    n = g.n
+    return PlanarGraph([[n + 1 - u for u in g.rotation[n - w]] for w in range(1, n + 1)])
+
+
 def _pt(angle_deg: float, radius: float) -> tuple[float, float]:
     a = math.radians(angle_deg)
     return (radius * math.cos(a), radius * math.sin(a))

@@ -70,14 +70,15 @@ def followed(monkeypatch):
     def checked_apply(self, *args, **kwargs):
         if self.charges is None:
             return apply(self, *args, **kwargs)
-        rot, delta = self.rot, self.max_degree()
+        n, delta = self.n, self.max_degree()
         apply(self, *args, **kwargs)
+        # a split deletes its smaller side; the larger is never deleted
+        assert 2 * (n - self.n) <= n
         agrees_with_audit(self)
         seen["apply"] += 1
         seen["delta drop"] += self.max_degree() < delta
-        if not args and list(kwargs) == ["delete_vertices"]:
-            # one side of a cut-vertex split; the larger is built afresh
-            seen["split, rebuilt" if self.rot is not rot else "split, edited"] += 1
+        # a cut-vertex split deletes one side and nothing else
+        seen["split"] += not args and list(kwargs) == ["delete_vertices"]
 
     def checked_undo(self):
         undo(self)
@@ -92,46 +93,54 @@ def followed(monkeypatch):
 
 def audited_in_place(g):
     """Color g, checking the LiveCharges against the audit at every hook
-    call; the first call attaches it, as the hunter's does.  Returns the
-    number of calls."""
-    calls = [0]
+    call; a call that finds no LiveCharges attaches one, as the hunter's
+    does.  Returns counts of the calls checked and of the parts: the
+    Embeddings that reach the hook with no LiveCharges after its first
+    call, one per cut-vertex split."""
+    seen = Counter()
 
     def hook(e, outcome):
         if e.charges is None:
+            seen["parts"] += seen["hooked"] > 0
             e.charges = LiveCharges(e)
+        seen["hooked"] += 1
         if e.n < 2:
             return
         assert e.charges.total() == -8
         agrees_with_audit(e)
-        calls[0] += 1
+        seen["calls"] += 1
 
     color(g, trace=RunTrace(graph_hook=hook))
-    return calls[0]
+    return seen
 
 
-def covered(seen, splits=True):
-    # every apply undone, and Delta drops and both sides of splits among them
+def covered(seen, hooked, splits=True):
+    # every apply undone, and Delta drops among them; each split colors
+    # its smaller side as a part with a ledger of its own
     assert seen["apply"] == seen["undo"] and seen["delta drop"]
-    assert not splits or seen["split, rebuilt"] and seen["split, edited"]
+    assert seen["split"] == hooked["parts"] and bool(seen["split"]) == splits
 
 
 def test_on_a_corpus_slice(small_corpus, followed):
-    assert sum(audited_in_place(g) for g in small_corpus[:12]) > 100
-    covered(followed)
+    hooked = sum(map(audited_in_place, small_corpus[:12]), Counter())
+    assert hooked["calls"] > 100
+    covered(followed, hooked)
 
 
 def test_on_flip_graphs(followed):
     # the smaller flip graphs of the engine golden; they fire L2.4-L2.8,
     # whose added edges split faces
     graphs = [gen_flip(n, seed) for n in FLIP_SIZES[:2] for seed in FLIP_SEEDS]
-    assert sum(map(audited_in_place, graphs)) > 100
-    covered(followed, splits=False)  # no flip graph has a cut vertex
+    hooked = sum(map(audited_in_place, graphs), Counter())
+    assert hooked["calls"] > 100
+    covered(followed, hooked, splits=False)  # no flip graph has a cut vertex
 
 
 def test_on_hunt_graphs(followed):
     # the graphs workbench.hunt(3, 80, 6, 1) colors
-    assert sum(audited_in_place(gen_planar(80, 6, s)) for s in (1, 2, 3)) > 100
-    covered(followed)
+    hooked = sum((audited_in_place(gen_planar(80, 6, s)) for s in (1, 2, 3)), Counter())
+    assert hooked["calls"] > 100
+    covered(followed, hooked)
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,62 @@ def test_split_sides_of_a_star_centre_and_a_wheel_tail():
     assert (set(first), set(rest)) == ({1, 3, 4, 5, 6, 7}, {8, 9, 10})
 
 
+def test_a_part_equals_deleting_the_other_side(small_corpus):
+    # for each side of each cut vertex, the part holding it and the cut
+    # vertex is what deleting the other side leaves, and it then applies
+    # and undoes like any Embedding; e itself is left as it was
+    graphs = small_corpus[:30] + [two_wheels(), gadgets.star(5), wheel_with_tail()]
+    parts = 0
+    for g in graphs:
+        e = Embedding(g)
+        before = state(e)
+        for v in sorted(e.cuts):
+            first, rest = e.split_sides(v)
+            for side, other in ((first, rest), (rest, first)):
+                part = e.part(side | {v})
+                assert state(e) == before
+                kept = Embedding(g)
+                kept.apply(delete_vertices=other)
+                assert part.snapshot() == kept.snapshot()
+                assert (part.m, part.bydeg, part.cuts) == (kept.m, kept.bydeg, kept.cuts)
+                assert sorted(part.fdeg.values()) == sorted(kept.fdeg.values())
+                check_against_scratch(part)
+                built = state(part)
+                x = max(side)
+                try:
+                    part.apply(delete_vertices=[x])
+                except SurgeryDisconnects:
+                    with pytest.raises(SurgeryDisconnects):
+                        kept.apply(delete_vertices=[x])
+                else:
+                    kept.apply(delete_vertices=[x])
+                    assert part.snapshot() == kept.snapshot()
+                    check_against_scratch(part)
+                    part.undo()
+                assert state(part) == built
+                parts += 1
+    assert parts > 60
+
+
+@pytest.mark.parametrize(
+    "side, error",
+    [
+        ({2, 8, 11}, UnknownVertex),
+        ({2, 8, True}, UnknownVertex),
+        ([[2]], UnknownVertex),
+        (5, UnknownVertex),
+        ({2, 9, 10}, SurgeryDisconnects),  # the path 2-8-9-10 without 8
+        ({3, 5}, SurgeryDisconnects),  # two rim vertices apart
+    ],
+)
+def test_a_part_refuses_an_unknown_id_and_a_disconnected_side(side, error):
+    e = Embedding(wheel_with_tail())
+    before = state(e)
+    with pytest.raises(error):
+        e.part(side)
+    assert state(e) == before
+
+
 def test_every_step_of_a_corpus_slice(small_corpus, checked):
     graphs = [g for g in small_corpus if g.n <= 70][:8]
     graphs += [gadgets.two_triangles(), two_wheels(), gadgets.g_L2_11(), gadgets.g_L2_7_1()]
@@ -215,14 +271,12 @@ def test_a_lone_survivor_leaves_its_degree_bucket(n, deletions):
 
 
 def test_keeping_the_smaller_side_then_adding_an_edge():
-    # six of the eleven vertices go, so the survivors' structures are built
-    # afresh; rim vertices 3 and 4 lose no neighbor, so their rotation lists
-    # and dart-face dicts are shared with the state before the apply, and
-    # the added edge 3-5 and the face it splits change both
+    # six of the eleven vertices go, more than survive, dart by dart like
+    # any deletion; rim vertices 3 and 4 lose no neighbor, and the added
+    # edge 3-5 and the face it splits change both
     e = Embedding(gadgets.wheel(10))
-    before, rot = state(e), e.rot
+    before = state(e)
     e.apply(delete_vertices=range(6, 12), add_edges=[(3, 5)])
-    assert e.rot is not rot  # the survivors were rebuilt, not edited
     assert 5 in e.rot[3] and (e.n, e.m) == (5, 8)
     check_against_scratch(e)
     e.undo()
@@ -265,14 +319,16 @@ def test_failed_apply_changes_nothing(build, kwargs, error):
         dict(add_edges=[(1,)]),
         dict(delete_vertices=[[1]]),
         dict(delete_vertices=5),
+        dict(delete_edges=5),
+        dict(add_edges=5),
     ],
 )
 def test_an_id_that_is_not_an_int_is_refused(kwargs):
     # True and 1.0 equal the hub's id 1, so a membership test alone lets
     # them through: a deletion would take the hub, and an added edge to
     # rim vertex 3 would be skipped as already there; an edge that is not
-    # a pair of ids, and vertices that are not a set of ids, are refused
-    # the same way, before any comparison
+    # a pair of ids, and vertices or edges that are not a collection of
+    # them, are refused the same way, before any comparison
     e = Embedding(gadgets.wheel(6))
     before = state(e)
     with pytest.raises(UnknownVertex):

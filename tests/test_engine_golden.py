@@ -9,6 +9,12 @@ where, the rotation order each surgery leaves behind, the face chosen for
 every added edge, and the order in which split sides and base cases are
 visited.  The flip graphs fire L2.4-L2.8, whose added edges exercise the
 face tie-break.
+
+A split colors the part holding the smallest other id first.  On the
+corpus that part is always the larger, which stays on the engine's
+Embedding while the smaller is copied out; a second digest, over the
+colorings and steps of id-reversed graphs, pins the order in which the
+copied part comes first.
 """
 
 import hashlib
@@ -16,8 +22,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import gadgets
 from test_acceptance import hand_corpus
-from twodist import RunTrace, color
+from twodist import RunTrace, color, colorer, gen_planar, write_coloring
 from twodist.reductions import Reduction
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -29,6 +36,9 @@ FLIP_SEEDS = range(101000, 101004)
 
 # recorded before the engine moved onto one mutable embedding
 INTERMEDIATE_GRAPH_DIGEST = "fa1398d526e4fb828b77e6fcf10c0088e2bff43424e3c4d05cccde1c3e46cca1"
+# recorded while a split still colored its second part on the engine's
+# Embedding, after deleting the first side there
+PART_FIRST_DIGEST = "427a63f9c0943fb9"
 
 
 def test_intermediate_graphs_match_recorded_digest(corpus):
@@ -45,6 +55,27 @@ def test_intermediate_graphs_match_recorded_digest(corpus):
         digest.update(f"graph {i}\n".encode())
         color(g, trace=RunTrace(graph_hook=hook))
     assert digest.hexdigest() == INTERMEDIATE_GRAPH_DIGEST
+
+
+def test_the_copied_part_first_matches_recorded_digest(monkeypatch):
+    reduce_in_place = colorer.reduce_in_place
+    part_first = []
+
+    def counted(e, r):
+        parts = reduce_in_place(e, r)
+        part_first.append(parts[0] is not e)
+        return parts
+
+    monkeypatch.setattr(colorer, "reduce_in_place", counted)
+    digest = hashlib.sha256()
+    for s in range(40):
+        g = gadgets.reversed_ids(gen_planar(40 + 5 * s, 6, s))
+        trace = RunTrace()
+        c = color(g, trace=trace)
+        digest.update(write_coloring(c).encode())
+        digest.update(repr(trace.steps).encode())
+    assert sum(part_first) == 2
+    assert digest.hexdigest()[:16] == PART_FIRST_DIGEST
 
 
 def _renamed(outcome, old_to_new: dict[int, int]):

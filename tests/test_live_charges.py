@@ -84,11 +84,6 @@ def recorded(monkeypatch):
         assert ch.dels == ids - self.rot.keys()
         assert ch.born.keys() == self.fdeg.keys() - fdeg.keys()
         seen["apply"] += 1
-        if ch.rebuilt:
-            # the faces of the deleted side go with it, unrecorded
-            assert ch.popped <= fdeg.keys() - self.fdeg.keys()
-            seen["rebuilt"] += 1
-            return
         assert ch.popped == fdeg.keys() - self.fdeg.keys()
         resized = dict(ch.links)  # each face with the last dart a link left on it
         assert resized.keys() - ch.born.keys() == {
@@ -108,8 +103,8 @@ def recorded(monkeypatch):
 
 
 def test_the_change_record_matches_a_diff(small_corpus, recorded):
-    assert sum(audited_in_place(g) for g in small_corpus[:12]) > 100
-    assert recorded["apply"] > 100 and recorded["rebuilt"] and recorded["born, then split"]
+    assert sum(audited_in_place(g)["calls"] for g in small_corpus[:12]) > 100
+    assert recorded["apply"] > 100 and recorded["born, then split"]
 
 
 def test_stacked_random_applies_and_their_undos():

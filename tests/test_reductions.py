@@ -416,6 +416,22 @@ class TestReduceCommand:
         assert lines[0].startswith("step 0: L2.2 at 1, bound 2,")
         assert lines[1].startswith("step 1: L2.2 at 2, bound 0,")
 
+    def test_follows_a_first_part_copied_out(self, tmp_path, capsys):
+        # at step 2 the first part is the smaller, copied out of the input's
+        # Embedding; the output is the one from before the copy existed
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(write_graph(gadgets.reversed_ids(gen_planar(60, 6, 4))))
+        assert main(["reduce", str(gfile), "--steps", "8", "--trace"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "step 0: L2.1 split at 47 -> n=58+3; following first part",
+            "step 1: L2.1 split at 55 -> n=57+2; following first part",
+            "step 2: L2.1 split at 60 -> n=2+56; following first part",
+            "step 3: L2.2 at 1, bound 2, delete [1], add [], proper=yes",
+            "  pending [1]; result n=1 m=0",
+            "step 4: L2.2 at 60, bound 0, delete [60], add [], proper=yes",
+            "  pending [60]; result n=0 m=0",
+        ]
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_follows_the_engine(self, seed, tmp_path, capsys):
         # both follow the first part of every split, so the lemmas agree
