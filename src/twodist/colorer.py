@@ -1,16 +1,17 @@
 """2-distance coloring engine: the induction of the proof, run as a loop.
 
 Shrink the graph with the first catalog reduction, color the smaller graph
-with the same palette, undo the reduction and give every pending vertex
-the smallest safe color.  Cut vertices split the graph in two; the halves
-are colored independently and reconciled by a color permutation.  Tiny
-graphs are colored directly by the exact oracle.  Steps waiting for their
-smaller graphs sit on an explicit stack, so depth costs no recursion.
+with the same palette and give every pending vertex the smallest color
+unused within distance 2 of it before the reduction.  Cut vertices split
+the graph in two; the halves are colored independently and reconciled by a
+color permutation.  Tiny graphs are colored directly by the exact oracle.
+Steps waiting for their smaller graphs sit on an explicit stack.
 
 The whole run works on one Embedding of the input: each step changes it
-locally and undoes the change afterwards, so vertex ids never change and a
-step costs time for what it touches, not for the size of the graph.  Only
-a split's smaller side is colored on an Embedding of its own, copied out in
+locally and commits the change, so vertex ids never change, a step costs
+time for what it touches, and the run keeps no undo history.  What a step
+needs of its graph later (``Near``) is read before its reduction.  Only a
+split's smaller side is colored on an Embedding of its own, copied out in
 the same ids (``Embedding.part``).  Base cases and the greedy fallback are
 colored on the Embedding at hand too, so a run builds no PlanarGraph of its
 own (only a catalog gap report holds one).  A graph hook is handed the live
@@ -41,6 +42,10 @@ from .reductions import (
 
 BASE_N = 10  # below this the oracle colors directly
 BASE_ORACLE_BUDGET = 300_000
+
+# What a step reads of its graph before its reduction, for the unwind: each
+# pending vertex's distance-2 set, or a split's cut vertex's neighbors.
+Near = dict[int, frozenset[int]] | frozenset[int]
 
 
 @dataclass
@@ -73,11 +78,11 @@ class RunTrace:
     gets every intermediate graph as the engine's live Embedding, which
     keeps those ids, with the catalog's outcome on it (None for a base
     case).  It may read the Embedding only during the call; ``e.snapshot()``
-    gives it as a PlanarGraph with dense ids 1..n.  On its first call,
-    before the engine changes anything, it may attach a
-    ``discharge.LiveCharges`` as ``e.charges``, which the engine's changes
-    then keep current.  A split's smaller part reaches the hook as an
-    Embedding of its own, with ``charges`` None at its first call.
+    gives it as a PlanarGraph with dense ids 1..n.  No apply is in force at
+    any call, as the engine commits each reduction.  On its first call it
+    may attach a ``discharge.LiveCharges`` as ``e.charges``, which the
+    engine's changes then keep current.  A split's smaller part reaches the
+    hook as an Embedding of its own, with ``charges`` None at its first call.
     """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
@@ -165,22 +170,18 @@ def _mixed_order(x: object) -> tuple:
 
 def extend(
     partial: Coloring,
-    e: Embedding,
-    pending: tuple[int, ...],
+    near: dict[int, frozenset[int]],
     reduction: Reduction | None = None,
     trace: RunTrace | None = None,
 ) -> Coloring:
-    """Color each pending vertex with the smallest color unused within
-    distance 2, in order; later pending vertices see the earlier choices.
-    The colors are added to partial in place, which is returned."""
+    """Color each pending vertex, the keys of ``near`` in order, with the
+    smallest color unused on ``near[v]``, the vertices within distance 2
+    of it; later pending vertices see the earlier choices.  The colors are
+    added to partial in place, which is returned."""
     assignment = partial.assignment
     k = partial.budget
-    for v in pending:
-        forbidden = {
-            assignment[u]
-            for u in distance_profile(e, v)
-            if u in assignment
-        }
+    for v, profile in near.items():
+        forbidden = {assignment[u] for u in profile if u in assignment}
         if trace is not None:
             bound = reduction.d2_bound if reduction is not None else None
             lemma = reduction.lemma if reduction is not None else "-"
@@ -202,9 +203,10 @@ def extend(
 
 
 def merge_at_cut(
-    c1: Coloring, c2: Coloring, v: int, e: Embedding
+    c1: Coloring, c2: Coloring, v: int, nbrs: frozenset[int]
 ) -> Coloring:
-    """Combine colorings of the two sides of a cut vertex.
+    """Combine colorings of the two sides of cut vertex v, whose neighbors
+    on both sides are ``nbrs``.
 
     A global color permutation is applied to the second side so that v keeps
     its first-side color and the second side's neighbor colors land on
@@ -213,12 +215,9 @@ def merge_at_cut(
     """
     k = c1.budget
     base = c1.assignment[v]
-    nbr1_colors = {
-        c1.assignment[u] for u in e.adj(v) if u in c1.assignment
-    }
+    nbr1_colors = {c1.assignment[u] for u in nbrs if u in c1.assignment}
     nbr2_colors = sorted(
-        {c2.assignment[u] for u in e.adj(v) if u in c2.assignment}
-        - {c2.assignment[v]}
+        {c2.assignment[u] for u in nbrs if u in c2.assignment} - {c2.assignment[v]}
     )
     free = [c for c in range(1, k + 1) if c not in nbr1_colors and c != base]
     if len(nbr2_colors) > len(free):
@@ -253,9 +252,9 @@ def color(
     """
     if k is None:
         k = 3 * g.max_degree() + 2
-    # open steps, innermost last: (reduction, the Embedding it is in force
-    # on, the graphs it left still to color, the colorings of those done)
-    stack: list[tuple[Reduction, Embedding, list[Embedding], list[Coloring]]] = []
+    # open steps, innermost last: (reduction, what it read of its graph,
+    # the graphs it left still to color, the colorings of those done)
+    stack: list[tuple[Reduction, Near, list[Embedding], list[Coloring]]] = []
     out = _step(Embedding(g), k, trace)
     while True:
         if isinstance(out, Coloring):
@@ -264,27 +263,26 @@ def color(
             stack[-1][3].append(out)
         else:
             stack.append((*out, []))
-        r, e, todo, done = stack[-1]
+        r, near, todo, done = stack[-1]
         if todo:
             out = _step(todo.pop(0), k, trace)
             continue
         stack.pop()
-        e.undo()
         if r.split is not None:
-            out = merge_at_cut(*done, r.split, e)
+            out = merge_at_cut(*done, r.split, near)
         else:
             (c,) = done
-            for v in r.pending:
+            for v in near:
                 c.assignment.pop(v, None)
-            out = extend(c, e, r.pending, reduction=r, trace=trace)
+            out = extend(c, near, reduction=r, trace=trace)
 
 
 def _step(
     e: Embedding, k: int, trace: RunTrace | None
-) -> Coloring | tuple[Reduction, Embedding, list[Embedding]]:
+) -> Coloring | tuple[Reduction, Near, list[Embedding]]:
     """One induction step: e colored directly (base case or greedy
-    fallback), or the reduction that fires on e, applied, with e and the
-    graphs it leaves to color (``reduce_in_place``)."""
+    fallback), or the reduction that fires on e, committed, with its
+    ``Near`` and the graphs it leaves to color (``reduce_in_place``)."""
     hook = trace.graph_hook if trace is not None else None
     if e.n <= BASE_N:
         if hook is not None:
@@ -305,14 +303,21 @@ def _step(
         return _greedy_fallback(e, k, outcome)
 
     r = outcome
+    if r.split is None:
+        near: Near = {v: distance_profile(e, v) for v in r.pending}
+    else:
+        near = frozenset(e.adj(r.split))
     try:
-        return r, e, reduce_in_place(e, r)
+        todo = reduce_in_place(e, r)
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
-        # may sit at the maximum degree already; never with Delta >= 6
+        # may sit at the maximum degree already; never with Delta >= 6.
+        # The refused apply has rolled itself back.
         if e.max_degree() >= 6:
             raise
         return _greedy_fallback(e, k, None)
+    e.commit()
+    return r, near, todo
 
 
 def _greedy_fallback(

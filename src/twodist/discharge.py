@@ -292,10 +292,11 @@ class LiveCharges:
     neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta``
     the maximum degree.  It attaches only to an Embedding with no apply in
     force, since undoing one would leave it stale, and raises
-    ``ApplyInForce`` otherwise.  Attached as ``e.charges``, it follows every
-    successful ``e.apply`` from the ``Change`` that apply recorded, and logs
-    its old values in the apply's undo log, so that ``e.undo()`` restores
-    them with the rest.
+    ``ApplyInForce`` otherwise; after ``e.commit()`` none is.  Attached as
+    ``e.charges``, it follows every successful ``e.apply`` from the
+    ``Change`` that apply recorded, and logs the inverse of each of its
+    edits in the apply's undo log, in the same form, so that ``e.undo()``
+    restores them with the rest and ``e.commit()`` drops them with the rest.
     """
 
     def __init__(self, e: Embedding):
@@ -319,7 +320,7 @@ class LiveCharges:
 
     def follow(self, e: Embedding, change: Change) -> None:
         """Update after an apply on e that recorded ``change``, logging the
-        old values in ``change.log``.
+        inverse of each edit in ``change.log``.
 
         A vertex's class reads its degree and its corners' face degrees, so
         it can move only at a corner of a face born or shrunk (a born face
@@ -345,10 +346,11 @@ class LiveCharges:
         was = {}  # the stakes of the vertices deleted or moved, as they were
         for v in change.dels:
             was[v] = stakes.pop(v)
-            log += ((stakes, v, was[v]), (nets, v, nets.pop(v)), (vertex, v, vertex[v]))
+            log += ((stakes.__setitem__, v, was[v]), (nets.__setitem__, v, nets.pop(v)),
+                    (vertex.__setitem__, v, vertex[v]))
             total -= vertex.pop(v)
         for f in change.popped:
-            log.append((faces, f, faces[f]))
+            log.append((faces.__setitem__, f, faces[f]))
             total -= faces.pop(f)
 
         fresh = dict(change.born)  # the faces born or shrunk, as darts
@@ -360,7 +362,7 @@ class LiveCharges:
             for k in range(low, high):
                 if k != 3:
                     redo.update(e.of_degree(k))
-            log.append((state, "delta", was_delta))
+            log.append((state.__setitem__, "delta", was_delta))
             self.delta = delta
 
         classes = {v: classify_vertex(e, v) for v in redo}
@@ -369,7 +371,7 @@ class LiveCharges:
             new = _stake(vc)
             if new != stakes[v]:
                 was[v] = stakes[v]
-                log.append((stakes, v, was[v]))
+                log.append((stakes.__setitem__, v, was[v]))
                 stakes[v] = new
                 moved.add(v)
         net = {v: _net_sum(stakes[v], rot[v], stakes) for v in moved}  # the nets that move
@@ -391,14 +393,14 @@ class LiveCharges:
         for v, new in net.items():
             old = nets[v]
             if new != old:
-                log.append((nets, v, old))
+                log.append((nets.__setitem__, v, old))
                 nets[v] = new
                 if v not in units:
                     units[v] = vertex[v] + new - old
         for v, new in units.items():
             old = vertex[v]
             if new != old:
-                log.append((vertex, v, old))
+                log.append((vertex.__setitem__, v, old))
                 total += new - old
                 vertex[v] = new
 
@@ -416,10 +418,10 @@ class LiveCharges:
         for f, new in units.items():
             old = faces.get(f)
             if new != old:
-                log.append((faces, f, old))
+                log.append((faces.pop, f) if old is None else (faces.__setitem__, f, old))
                 total += new - (old or 0)
                 faces[f] = new
-        log.append((state, "total_units", self.total_units))
+        log.append((state.__setitem__, "total_units", self.total_units))
         self.total_units = total
 
 

@@ -35,6 +35,10 @@ class ApplyInForce(TwodistError):
     an apply in force, whose undo would leave the ledger stale."""
 
 
+class NoApplyInForce(TwodistError):
+    """``Embedding.undo`` with no apply in force (all undone or committed)."""
+
+
 class NotACutVertex(TwodistError):
     """A split was asked for at a vertex whose removal keeps the graph
     connected (``Embedding.split_sides``)."""

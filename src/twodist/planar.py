@@ -10,10 +10,10 @@ check, and the Euler count n - m + f == 2 is what certifies that the
 input really is a planar embedding of a connected graph.  Vertex ids are
 dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
-date locally as surgery changes it.  It logs every change as the old value
-of one dict entry, and the degree and cut flags it changes, so that
-undoing a surgery is writing those values back.  One side of a cut vertex
-is copied out as an Embedding of its own (``Embedding.part``).
+date locally as surgery edits it in place.  It logs the inverse of every
+edit, and the degree and cut flags it changes, so that undoing a surgery
+is replaying those, newest first; ``commit`` drops them.  One side of a
+cut vertex is copied out as an Embedding of its own (``Embedding.part``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     DegreeBudgetExceeded,
     EmbeddingInvalid,
     InvariantViolated,
+    NoApplyInForce,
     NotACutVertex,
     NotConnected,
     SurgeryDisconnects,
@@ -251,13 +252,13 @@ class SurgeryResult:
     old_to_new: dict[int, int]
 
 
-# One undo-log entry per change, newest last: (d, key, old) says that
-# d[key] was old, or that d had no key when old is None.  A change always
-# puts a new object under a key (a rotation list is replaced by an edited
-# copy, never edited in place), so these entries are all there is to undo
-# in the dicts.  The edge count is kept in the apply frame instead, with
-# the flags below.
-LogEntry = tuple[dict, object, object]
+# One undo-log entry per edit made in place, newest last: a bound method
+# and the arguments whose call inverts the edit, such as (kept.insert, i, u)
+# for a neighbor deleted from a rotation list, (fx.__setitem__, u, f) for a
+# dart face overwritten or deleted, or (fdeg.pop, new) for a face born.  The
+# edge count and face counter are kept in the apply frame, with the flags
+# below.
+LogEntry = tuple
 # A vertex's degree (None once it is deleted) and cut flag, as the degree
 # buckets and the cut set hold them.
 Flags = tuple[int, "int | None", bool]
@@ -304,15 +305,15 @@ class Embedding:
     - ``m``, the edge count (n is the number of live vertices);
     - ``charges``: None, or a ``discharge.LiveCharges``.  Each successful
       ``apply`` hands it the ``Change`` its primitives recorded, and the
-      ledger brings itself up to date from that record alone, logging its
-      old values in the same undo log.
+      ledger brings itself up to date from that record alone, logging the
+      inverses of its edits in the same undo log.
 
     What a change costs:
 
-    - Deleting a vertex or an edge edits a copy of each survivor's rotation
-      list and dart-face dict that loses a neighbor: the copy and the
-      deletions (``list.index``/``del``) run in C, so a hub costs O(deg) in
-      C and O(1) in Python per lost neighbor.  Only the faces that replace
+    - Deleting a vertex or an edge edits, in place, the rotation list and
+      dart-face dict of each survivor that loses a neighbor: the deletions
+      (``list.index``/``del``) run in C, so a hub costs O(deg) in C and
+      O(1) in Python per lost neighbor.  Only the faces that replace
       the ones the deletion touched are walked, starting at the corners it
       left.  A split copies its smaller side out (``part``) and deletes it,
       so no split deletes the larger side.
@@ -322,11 +323,12 @@ class Embedding:
       set over a vertex's dart faces, and a vertex changes bucket by
       bisection), and the flags that changed are saved.
 
-    ``apply`` logs the old value of every dict entry it changes, and
-    records m in its frame; ``undo`` puts the saved flags back, writes the
-    old values back, newest first, and restores m, which brings the
-    embedding back exactly, rotation order included.  Undo never looks at
-    a face.
+    ``apply`` logs the inverse of every edit, and m and the face counter in
+    its frame; ``undo`` puts the saved flags back, replays the inverses,
+    newest first, and restores m and the counter: the embedding is back
+    exactly, rotation order included (a dict key put back iterates last),
+    and no face was looked at.
+    ``commit`` drops the frames, so a run that never undoes keeps no history.
     """
 
     __slots__ = (
@@ -348,7 +350,7 @@ class Embedding:
         self.bydeg: dict[int, list[int]] = {}
         self.cuts: set[int] = set()
         self._deg: dict[int, int] = {}
-        self._frames: list[tuple[list[LogEntry], list[Flags], int]] = []
+        self._frames: list[tuple[list[LogEntry], list[Flags], int, int]] = []
         self.charges = None  # a discharge.LiveCharges, when one is attached
         self._refresh(self.rot)
 
@@ -376,7 +378,7 @@ class Embedding:
 
     @property
     def in_force(self) -> int:
-        """The number of applies not yet undone."""
+        """The number of applies neither undone nor committed."""
         return len(self._frames)
 
     def min_degree(self) -> int:
@@ -533,7 +535,7 @@ class Embedding:
         deletions wins (most boundary vertices that lost a neighbor), then
         the one whose smallest dart comes first.  Ids and edge pairs are
         checked first: on error nothing has changed; otherwise ``undo``
-        reverts the whole call."""
+        reverts the whole call, until a ``commit``."""
         rot, face = self.rot, self.face
         dels = self._ids(delete_vertices)
         del_edges = set()
@@ -550,7 +552,7 @@ class Embedding:
 
         ch = Change(dels)
         saved: list[Flags] = []  # the flags this apply's refresh replaces
-        self._frames.append((ch.log, saved, self.m))
+        self._frames.append((ch.log, saved, self.m, self._faces))
         try:
             self._remove(del_edges, ch)
             if not self._connected(ch):
@@ -575,19 +577,22 @@ class Embedding:
             self.charges.follow(self, ch)
 
     def undo(self) -> None:
-        """Revert the latest apply that is still in force.
+        """Revert the latest apply still in force (else NoApplyInForce).
 
         The degree buckets and cut flags that the apply refreshed are put
         back from the flags it saved, with no look at the faces; then the
-        logged old values are written back, newest first, and m is
-        restored."""
-        log, saved, self.m = self._frames.pop()
+        logged inverses are replayed, newest first, and m and the face
+        counter are restored."""
+        if not self._frames:
+            raise NoApplyInForce("no apply in force to undo")
+        log, saved, self.m, self._faces = self._frames.pop()
         self._place(saved)
-        for d, key, old in reversed(log):
-            if old is None:
-                del d[key]
-            else:
-                d[key] = old
+        for inverse, *args in reversed(log):
+            inverse(*args)
+
+    def commit(self) -> None:
+        """Make every apply in force final: drop their frames and undo logs."""
+        self._frames.clear()
 
     # -- primitives ----------------------------------------------------------
 
@@ -624,10 +629,10 @@ class Embedding:
         ch.born[new] = darts
         for x, y in darts:
             fx = face[x]
-            log.append((fx, y, fx[y]))
+            log.append((fx.__setitem__, y, fx[y]))
             fx[y] = new
             touched.add(x)
-        log.append((fdeg, new, None))
+        log.append((fdeg.pop, new))
         fdeg[new] = len(darts)
 
     def _remove(self, del_edges: set[Edge], ch: Change) -> None:
@@ -643,7 +648,7 @@ class Embedding:
         darts = 0
         for s in dels:
             r, fs = rot.pop(s), face.pop(s)
-            log += ((rot, s, r), (face, s, fs))
+            log += ((rot.__setitem__, s, r), (face.__setitem__, s, fs))
             old.update(fs.values())
             darts += len(r)
             for u in r:
@@ -655,7 +660,7 @@ class Embedding:
         self.m -= darts // 2
         ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
         for f in old:
-            log.append((fdeg, f, fdeg.pop(f)))
+            log.append((fdeg.__setitem__, f, fdeg.pop(f)))
         self._cut(ch)
 
     def _connected(self, ch: Change) -> bool:
@@ -666,26 +671,23 @@ class Embedding:
         return n < 2 or n - self.m + len(self.fdeg) == 2 and all(map(rot.__getitem__, ch.lost))
 
     def _cut(self, ch: Change) -> None:
-        """Take the gone neighbors out of a copy of each survivor's rotation
-        list and dart-face dict, then walk the faces that replace the old
+        """Take the gone neighbors out of each survivor's rotation list and
+        dart-face dict, in place, then walk the faces that replace the old
         ones.  Each such face passes a corner that a gone neighbor leaves,
         so the walks start only from the dart to the next surviving neighbor
         at those corners, and only while that dart's face is still old."""
         rot, face, log, old = self.rot, self.face, ch.log, ch.popped
         starts = []
         for x, gone in ch.lost.items():
-            r, fx = rot[x], face[x]
-            log += ((rot, x, r), (face, x, fx))
-            rot[x] = kept = r.copy()
-            face[x] = fx = fx.copy()
-            at = sorted(map(r.index, gone))
-            for i in reversed(at):
-                del kept[i]
+            kept, fx = rot[x], face[x]
+            at = sorted(map(kept.index, gone))
+            for i in reversed(at):  # from the back, so the lower indices hold
+                log.append((kept.insert, i, kept.pop(i)))
             for u in gone:
-                del fx[u]
+                log.append((fx.__setitem__, u, fx.pop(u)))
             if kept:
-                # j gone neighbors precede the one at r[i]: its successor in
-                # r, or the first survivor after it, now sits at i - j
+                # j gone neighbors precede the one at old index i: its
+                # successor, or the first survivor after it, now sits at i - j
                 k = len(kept)
                 for j, i in enumerate(at):
                     starts.append((x, kept[(i - j) % k]))
@@ -729,12 +731,11 @@ class Embedding:
             pred_a = next(x for x, y in walk if y == a)
             pred_b = next(x for x, y in walk if y == b)
         for x, y, pred in ((a, b, pred_a), (b, a, pred_b)):
-            r = rot[x]
+            r, fx = rot[x], face[x]
             i = r.index(pred) + 1
-            log.append((rot, x, r))
-            rot[x] = r[:i] + [y] + r[i:]
-            log.append((face[x], y, None))
-            face[x][y] = f
+            r.insert(i, y)
+            fx[y] = f
+            log += ((r.pop, i), (fx.pop, y))
         self.m += 1
         # f is now two faces, one on each side of a-b: the smaller gets a new
         # id, and the reverse of its first dart, a-b or b-a, stays on f
@@ -743,7 +744,7 @@ class Embedding:
         side = self._smaller_face((a, b), (b, a))
         self._new_face(side, ch)  # a and b both lie on it
         ch.links += ((f, side[0][::-1]),)
-        log.append((fdeg, f, fdeg[f]))
+        log.append((fdeg.__setitem__, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
     def _refresh(self, vertices: Iterable[int]) -> list[Flags]:

@@ -19,9 +19,10 @@ deterministic for every symmetry of a configuration.
 The matchers read an ``Embedding`` (a caller holding a ``PlanarGraph`` g
 passes ``Embedding(g)``, in g's ids), and a vertex's shape off its
 ``classify.VertexClass``.  ``reduce_in_place`` and ``check_properness``
-apply a reduction to that Embedding in place, in its own vertex ids, and
-``Embedding.undo`` reverts it; a split deletes its smaller side, which
-``reduce_in_place`` hands back as an Embedding of its own.
+apply a reduction to that Embedding in place, in its own vertex ids, as
+one ``Embedding.apply``: ``undo`` reverts it and ``commit`` makes it final.
+A split deletes its smaller side, which ``reduce_in_place`` hands back as
+an Embedding of its own.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
 def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
     """Perform the reduction's surgery on e, with the degree cap pinned to
     the current maximum degree, and return the graphs left to color, in
-    order; e.undo() reverts it.  That is [e], or for a split its two parts,
+    order; e.undo() reverts it until e.commit().  That is [e], or for a split its two parts,
     first the one holding the side ``Embedding.split_sides`` lists first:
     the smaller side is copied out (``Embedding.part``) and deleted from e."""
     if r.split is not None:

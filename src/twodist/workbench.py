@@ -269,8 +269,8 @@ def hunt(
 
     The audit runs in place, on the engine's Embedding: the hook's first
     call in a run, made before the engine changes anything, attaches a
-    ``LiveCharges`` to it, which every later reduction and undo keep
-    current, and each call reads the total from it."""
+    ``LiveCharges`` to it, which follows every later reduction the engine
+    applies and commits, and each call reads the total from it."""
     report = HuntReport(
         trials=trials,
         n=n,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from twodist import PlanarGraph, edge_key
+from twodist import Embedding, PlanarGraph, edge_key
 
 Coords = dict[int, tuple[float, float]]
 
@@ -482,3 +482,17 @@ def g_L2_11(delta7: bool = False, drop_54: bool = False) -> PlanarGraph:
     if delta7:
         _fan(coords, edges, 8, 4, center_deg=120, radius=3.2)
     return embed(coords, edges)
+
+
+def committed_embedding(g: PlanarGraph) -> Embedding:
+    """An Embedding of g reached by deleting a pendant vertex n + 1 hung off
+    vertex 1 and committing that: its rotations are g's, its face ids are
+    not, and it has no apply in force and no history."""
+    rotation = list(map(list, g.rotation))
+    rotation[0].append(g.n + 1)
+    e = Embedding(PlanarGraph(rotation + [[1]]))
+    e.apply(delete_vertices=[g.n + 1])
+    e.commit()
+    assert e.in_force == 0 and e.snapshot().graph == g
+    return e
+

@@ -2,14 +2,16 @@
 
 ``workbench.hunt`` reads its totals from a ``LiveCharges`` attached, at the
 first hook call of a run, to the Embedding the engine hands its graph
-hook; every apply and undo keep it current.  The reference is the
-from-scratch ``audit`` of ``e.snapshot().graph``: the same graph as a
+hook; every apply keeps it current, and so does an undo.  The reference is
+the from-scratch ``audit`` of ``e.snapshot().graph``: the same graph as a
 validated PlanarGraph, with dense ids and faces keyed by their canonical
 walks, whose audit shares only the rule helpers with the ledger.  After
-every apply and undo, and at every hook call, the ledger must equal that
-audit per vertex, through the snapshot's rename, and per face, through a
-dart of each face id; and the snapshot's face trace and Euler check
-certify the Embedding itself.
+every apply, at every hook call, and after an undo of each apply the
+engine makes (it commits them and never undoes one, so the check undoes
+each itself and applies it again), the ledger must equal that audit per
+vertex, through the snapshot's rename, and per face, through a dart of
+each face id; and the snapshot's face trace and Euler check certify the
+Embedding itself.
 """
 
 import sys
@@ -62,15 +64,16 @@ def ledger(e):
 
 @pytest.fixture
 def followed(monkeypatch):
-    """Check the LiveCharges after every apply and undo on an Embedding that
-    carries one; returns counts of what was seen."""
+    """Check the LiveCharges after every apply on an Embedding that carries
+    one, undo the apply and check again, then apply it once more; returns
+    counts of what was seen, the undos the engine made itself included."""
     apply, undo = Embedding.apply, Embedding.undo
     seen = Counter()
 
     def checked_apply(self, *args, **kwargs):
         if self.charges is None:
             return apply(self, *args, **kwargs)
-        n, delta = self.n, self.max_degree()
+        n, delta, before = self.n, self.max_degree(), ledger(self)
         apply(self, *args, **kwargs)
         # a split deletes its smaller side; the larger is never deleted
         assert 2 * (n - self.n) <= n
@@ -79,15 +82,20 @@ def followed(monkeypatch):
         seen["delta drop"] += self.max_degree() < delta
         # a cut-vertex split deletes one side and nothing else
         seen["split"] += not args and list(kwargs) == ["delete_vertices"]
-
-    def checked_undo(self):
+        after = ledger(self)
         undo(self)
-        if self.charges is not None:
-            agrees_with_audit(self)
-            seen["undo"] += 1
+        assert ledger(self) == before
+        agrees_with_audit(self)
+        seen["undo"] += 1
+        apply(self, *args, **kwargs)
+        assert ledger(self) == after
+
+    def engine_undo(self):
+        seen["engine undo"] += 1
+        undo(self)
 
     monkeypatch.setattr(Embedding, "apply", checked_apply)
-    monkeypatch.setattr(Embedding, "undo", checked_undo)
+    monkeypatch.setattr(Embedding, "undo", engine_undo)
     return seen
 
 
@@ -115,9 +123,10 @@ def audited_in_place(g):
 
 
 def covered(seen, hooked, splits=True):
-    # every apply undone, and Delta drops among them; each split colors
-    # its smaller side as a part with a ledger of its own
-    assert seen["apply"] == seen["undo"] and seen["delta drop"]
+    # every apply undone, by the check and never by the engine, and Delta
+    # drops among them; each split colors its smaller side as a part with a
+    # ledger of its own
+    assert seen["apply"] == seen["undo"] and seen["delta drop"] and not seen["engine undo"]
     assert seen["split"] == hooked["parts"] and bool(seen["split"]) == splits
 
 
@@ -143,7 +152,7 @@ def test_on_hunt_graphs(followed):
     covered(followed, hooked)
 
 
-@pytest.mark.parametrize(
+FAILED_APPLIES = pytest.mark.parametrize(
     "build, kwargs, error",
     [
         # the rim vertex goes before the cap trips on the added edge
@@ -153,6 +162,9 @@ def test_on_hunt_graphs(followed):
         (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
     ],
 )
+
+
+@FAILED_APPLIES
 def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error):
     e = Embedding(build())
     e.charges = LiveCharges(e)
@@ -160,6 +172,18 @@ def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error):
     with pytest.raises(error):
         e.apply(**kwargs)
     assert ledger(e) == before
+    agrees_with_audit(e)
+
+
+@FAILED_APPLIES
+def test_a_failed_apply_after_a_commit_leaves_graph_and_ledger_as_they_were(build, kwargs, error):
+    # a ledger attached after a commit, which left no apply in force
+    e = gadgets.committed_embedding(build())
+    e.charges = LiveCharges(e)
+    before, rotation = ledger(e), {v: list(r) for v, r in e.rot.items()}
+    with pytest.raises(error):
+        e.apply(**kwargs)
+    assert ledger(e) == before and e.rot == rotation
     agrees_with_audit(e)
 
 

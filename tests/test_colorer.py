@@ -15,6 +15,7 @@ from twodist import (
     RunTrace,
     chi2_exact,
     color,
+    distance_profile,
     extend,
     find_reduction,
     gen_planar,
@@ -268,7 +269,7 @@ class TestExtend:
         reduction = find_reduction(e)
         assert reduction.lemma == "L2.2"
         partial = Coloring({2: 1, 3: 2, 4: 1, 5: 2, 6: 3}, budget=8)
-        out = extend(partial, e, (1,))
+        out = extend(partial, {1: distance_profile(e, 1)})
         # vertex 1 sees 2, 6 (adjacent) and 3, 5 (distance 2): colors {1,2,3}
         assert out.assignment[1] == 4
 
@@ -276,7 +277,7 @@ class TestExtend:
         e = Embedding(gadgets.cycle(6))
         partial = Coloring({2: 1, 3: 2, 4: 1, 5: 2, 6: 3}, budget=8)
         before = dict(partial.assignment)
-        out = extend(partial, e, (1,))
+        out = extend(partial, {1: distance_profile(e, 1)})
         # extend colours in place and returns the colouring it was given
         assert out is partial
         assert {v: out.assignment[v] for v in before} == before
@@ -286,21 +287,24 @@ class TestExtend:
         e = Embedding(gadgets.star(6))
         partial = Coloring({v: v - 1 for v in range(2, 8)}, budget=6)
         with pytest.raises(NoSafeColor):
-            extend(partial, e, (1,))
+            extend(partial, {1: distance_profile(e, 1)})
 
     def test_l2_11_case1_pending_pair(self):
-        # apply the spoke deletion by hand, color the rest, then extend both
-        # pending vertices; they are distance-2 in the host so must differ
+        # read the pending vertices' distance-2 sets, apply the spoke
+        # deletion by hand, color the rest, then extend both pending
+        # vertices; they are distance-2 in the host so must differ
         g = gadgets.g_L2_11()
-        r = match_case("L2.11", Embedding(g))  # find_reduction would pick L2.2 first
+        e = Embedding(g)
+        r = match_case("L2.11", e)  # find_reduction would pick L2.2 first
         assert r.lemma == "L2.11.case1" and r.pending == (1, 5)
+        near = {v: distance_profile(e, v) for v in r.pending}
         h = surgery(g, delete_edges=r.delete_edges).graph
         base = color(h, k=20)
         partial = Coloring(
             {v: col for v, col in base.assignment.items() if v not in r.pending},
             budget=20,
         )
-        out = extend(partial, Embedding(g), r.pending, reduction=r)
+        out = extend(partial, near, reduction=r)
         assert verify_coloring(g, out).valid
         assert out.assignment[1] != out.assignment[5]
 
@@ -312,7 +316,7 @@ class TestMergeAtCut:
         for part in split_at(g, 1):
             sub = color(part.graph, k=20).assignment
             sides.append(Coloring({old: sub[new] for old, new in part.old_to_new.items()}, 20))
-        merged = merge_at_cut(*sides, 1, Embedding(g))
+        merged = merge_at_cut(*sides, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
 
     def test_identical_colorings_get_repaired(self):
@@ -321,7 +325,7 @@ class TestMergeAtCut:
         # separate the two neighbor pairs of the cut vertex
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, Embedding(g))
+        merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
         assert merged.assignment[1] == 1
         assert {merged.assignment[2], merged.assignment[3]}.isdisjoint(
@@ -335,13 +339,13 @@ class TestMergeAtCut:
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=4)
         c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=4)
         with pytest.raises(PermutationInfeasible):
-            merge_at_cut(c1, c2, 1, Embedding(g))
+            merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
 
     def test_first_side_never_changes(self):
         g = gadgets.two_triangles()
         c1 = Coloring({1: 5, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 5, 4: 2, 5: 9}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, Embedding(g))
+        merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
         for v, col in c1.assignment.items():
             assert merged.assignment[v] == col
 
@@ -351,7 +355,7 @@ class TestMergeAtCut:
         g = gadgets.two_triangles()
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 3, 5: 2}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, Embedding(g))
+        merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
         mapping = {}
         for v, col in c2.assignment.items():
@@ -365,6 +369,6 @@ class TestMergeAtCut:
         g = gadgets.embed(coords, [(1, 2), (1, 3), (2, 3), (1, 4)])
         c1 = Coloring({1: 1, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 1, 4: 2}, budget=20)
-        merged = merge_at_cut(c1, c2, 1, Embedding(g))
+        merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
         assert merged.assignment[4] not in {1, 2, 3}

@@ -1,13 +1,17 @@
 """The engine's Embedding against recomputation from scratch.
 
-Every apply and every undo the engine makes while coloring a corpus slice
-and some flip graphs is followed by a full check: the rotation is rebuilt
-as a validated PlanarGraph, its faces traced and its cut vertices found by
+Every apply the engine makes while coloring a corpus slice and some flip
+graphs is followed by a full check: the rotation is rebuilt as a validated
+PlanarGraph, its faces traced and its cut vertices found by
 ``is_cut_vertex``, and all of that must equal what the embedding kept up to
-date locally.  An undo must also restore the state before its apply
-exactly.  A failed apply must leave nothing changed.
+date locally.  The engine commits every apply and never undoes one, so the
+check undoes each itself, which must restore the state before the apply
+exactly, and applies it again.  A failed apply must leave nothing changed,
+and a commit nothing but the count of applies in force.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from twodist import (
     DegreeBudgetExceeded,
     InvariantViolated,
     Reduction,
+    RunTrace,
     SurgeryDisconnects,
     SurgeryNotPlanar,
     UnknownVertex,
@@ -30,6 +35,7 @@ from twodist import (
     is_cut_vertex,
     verify_coloring,
 )
+from twodist.errors import NoApplyInForce
 from twodist.planar import Embedding, reachable
 from twodist.reductions import reduce_in_place
 
@@ -80,26 +86,31 @@ def check_against_scratch(e):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check the embedding after every apply and undo the engine makes;
-    returns the number of (apply, undo) calls seen."""
+    """Check the embedding after every apply the engine makes, undo it and
+    check again, then apply it once more; returns the number of applies,
+    of their undos and of the undos the engine made itself."""
     apply, undo = Embedding.apply, Embedding.undo
-    saved = []
-    seen = [0, 0]
+    seen = [0, 0, 0]
 
     def checked_apply(self, *args, **kwargs):
-        saved.append(state(self))
-        apply(self, *args, **kwargs)  # a failed one undoes itself, checked below
+        before = state(self)
+        apply(self, *args, **kwargs)  # a failed one undoes itself
         seen[0] += 1
         check_against_scratch(self)
-
-    def checked_undo(self):
+        after = state(self)
         undo(self)
         seen[1] += 1
-        assert state(self) == saved.pop()
+        assert state(self) == before
         check_against_scratch(self)
+        apply(self, *args, **kwargs)
+        assert state(self) == after  # face ids included
+
+    def engine_undo(self):
+        seen[2] += 1
+        undo(self)
 
     monkeypatch.setattr(Embedding, "apply", checked_apply)
-    monkeypatch.setattr(Embedding, "undo", checked_undo)
+    monkeypatch.setattr(Embedding, "undo", engine_undo)
     return seen
 
 
@@ -214,14 +225,29 @@ def test_every_step_of_a_corpus_slice(small_corpus, checked):
     graphs += [gadgets.two_triangles(), two_wheels(), gadgets.g_L2_11(), gadgets.g_L2_7_1()]
     for g in graphs:
         assert verify_coloring(g, color(g)).valid
-    assert checked[0] == checked[1] > 100
+    assert checked[0] == checked[1] > 100 and checked[2] == 0
 
 
 def test_every_step_of_flip_graphs(checked):
     for seed in (101000, 101001):
         g = gen_flip(80, seed)
         assert verify_coloring(g, color(g)).valid
-    assert checked[0] == checked[1] > 50
+    assert checked[0] == checked[1] > 50 and checked[2] == 0
+
+
+def test_a_run_holds_no_undo_history(small_corpus):
+    # at every hook call, on every Embedding of the run, each earlier
+    # reduction has been committed: no apply is in force
+    graphs = [g for g in small_corpus if g.n <= 120][:10]
+    graphs += [gen_flip(80, seed) for seed in (101000, 101001)]
+    calls = []
+
+    def hook(e, outcome):
+        calls.append(e.in_force)
+
+    for g in graphs:
+        assert verify_coloring(g, color(g, trace=RunTrace(graph_hook=hook))).valid
+    assert len(calls) > 200 and set(calls) == {0}
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +310,7 @@ def test_keeping_the_smaller_side_then_adding_an_edge():
     check_against_scratch(e)
 
 
-@pytest.mark.parametrize(
+FAILED_APPLIES = pytest.mark.parametrize(
     "build, kwargs, error",
     [
         # the rim vertex goes before the cap trips on the added edge
@@ -297,8 +323,22 @@ def test_keeping_the_smaller_side_then_adding_an_edge():
         (lambda: gadgets.cycle(4), dict(add_edges=[(1, 9)]), UnknownVertex),
     ],
 )
+
+
+@FAILED_APPLIES
 def test_failed_apply_changes_nothing(build, kwargs, error):
     e = Embedding(build())
+    before = state(e)
+    with pytest.raises(error):
+        e.apply(**kwargs)
+    assert state(e) == before
+    check_against_scratch(e)
+
+
+@FAILED_APPLIES
+def test_failed_apply_after_a_commit_changes_nothing(build, kwargs, error):
+    # the rollback needs nothing of the history a commit dropped
+    e = gadgets.committed_embedding(build())
     before = state(e)
     with pytest.raises(error):
         e.apply(**kwargs)
@@ -342,3 +382,46 @@ def test_a_reduction_that_does_not_shrink_is_rolled_back():
     with pytest.raises(InvariantViolated):
         reduce_in_place(e, Reduction("L2.2", None, 1, (), (), (), (), 0))
     assert state(e) == before
+
+
+def test_a_commit_keeps_the_state_and_drops_every_frame():
+    e = Embedding(gadgets.wheel(8))
+    e.apply(delete_vertices=[3])
+    e.apply(delete_edges=[(1, 6)], add_edges=[(2, 4)])
+    applied = state(e)
+    e.commit()
+    committed = state(e)
+    assert e.in_force == 0
+    assert committed[:-1] == applied[:-1]  # all but the frame count
+    check_against_scratch(e)
+    with pytest.raises(NoApplyInForce):
+        e.undo()
+    assert state(e) == committed
+    # a commit makes final only what is in force: a later apply still undoes
+    e.apply(delete_vertices=[5])
+    e.undo()
+    assert state(e) == committed
+
+
+def test_undo_with_no_apply_in_force_is_refused_under_python_O():
+    # the guard must not be an assert: with asserts stripped, undo on a
+    # fresh Embedding and after a commit must still raise the typed error
+    code = (
+        "from twodist import gen_planar\n"
+        "from twodist.errors import NoApplyInForce\n"
+        "from twodist.planar import Embedding\n"
+        "e = Embedding(gen_planar(12, 6, 1))\n"
+        "for step in ('fresh', 'committed'):\n"
+        "    try:\n"
+        "        e.undo()\n"
+        "    except NoApplyInForce as exc:\n"
+        "        print(step, 'refused:', exc)\n"
+        "    e.apply(delete_vertices=[max(e.rot)])\n"
+        "    e.commit()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert [line.split(" refused:")[0] for line in out] == ["fresh", "committed"]

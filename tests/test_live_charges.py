@@ -34,6 +34,19 @@ def test_attaching_with_an_apply_in_force_is_refused():
     agrees_with_audit(e)
 
 
+def test_attaching_after_a_commit():
+    # a commit leaves no apply in force, so the ledger attaches to the
+    # graph the apply left, and follows the next apply from there
+    e = Embedding(gadgets.wheel(8))
+    e.apply(delete_vertices=[2])
+    e.commit()
+    assert e.in_force == 0
+    e.charges = LiveCharges(e)
+    agrees_with_audit(e)
+    e.apply(delete_edges=[(1, 5)])
+    agrees_with_audit(e)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the calls to discharge._net and discharge._face_units."""
