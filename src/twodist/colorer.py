@@ -24,6 +24,7 @@ maximum degree from growing, so the budget never needs to).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse, islice
 from typing import Callable
 
 from .errors import (
@@ -177,11 +178,15 @@ def extend(
     """Color each pending vertex, the keys of ``near`` in order, with the
     smallest color unused on ``near[v]``, the vertices within distance 2
     of it; later pending vertices see the earlier choices.  The colors are
-    added to partial in place, which is returned."""
+    added to partial in place, which is returned.  The forbidden colors
+    are gathered by C-level set work; the first free one is found by
+    counting up from 1, which costs less than a set of candidates."""
     assignment = partial.assignment
     k = partial.budget
+    get = assignment.get
     for v, profile in near.items():
-        forbidden = {assignment[u] for u in profile if u in assignment}
+        forbidden = set(map(get, profile))
+        forbidden.discard(None)  # an uncolored vertex forbids nothing
         if trace is not None:
             bound = reduction.d2_bound if reduction is not None else None
             lemma = reduction.lemma if reduction is not None else "-"
@@ -211,33 +216,34 @@ def merge_at_cut(
     A global color permutation is applied to the second side so that v keeps
     its first-side color and the second side's neighbor colors land on
     colors unused around v on the first side.  Every cross-side pair within
-    distance 2 runs through v, so that is enough.
+    distance 2 runs through v, so that is enough.  The palette work runs in
+    C-level builtins and touches only the colors that move, never all k.
     """
     k = c1.budget
-    base = c1.assignment[v]
-    nbr1_colors = {c1.assignment[u] for u in nbrs if u in c1.assignment}
-    nbr2_colors = sorted(
-        {c2.assignment[u] for u in nbrs if u in c2.assignment} - {c2.assignment[v]}
-    )
-    free = [c for c in range(1, k + 1) if c not in nbr1_colors and c != base]
+    first, second = c1.assignment, c2.assignment
+    base, was = first[v], second[v]
+    nbr2_colors = sorted(set(map(second.get, nbrs)) - {None, was})
+    # the first free colors in order: neither v's nor around v on the first side
+    taken = set(map(first.get, nbrs))
+    taken.add(base)
+    free = list(islice(filterfalse(taken.__contains__, range(1, k + 1)), len(nbr2_colors)))
     if len(nbr2_colors) > len(free):
         raise PermutationInfeasible(
             f"palette of {k} too small to merge at vertex {v}"
         )
     perm = dict(zip(nbr2_colors, free))
-    perm[c2.assignment[v]] = base
+    perm[was] = base
 
-    # complete to a bijection on 1..k: every unmapped color that is still a
-    # free target stays fixed, the rest go to the spare targets in order
-    spare = set(range(1, k + 1)).difference(perm.values())
-    unmapped = set(range(1, k + 1)).difference(perm)
-    perm.update((c, c) for c in unmapped & spare)
-    perm.update(zip(sorted(unmapped - spare), sorted(spare - unmapped)))
+    # complete to a bijection on 1..k: a color neither moved nor a target
+    # stays fixed (perm.get's default), and the targets that do not move
+    # go, in order, to the moved colors that are no target
+    targets = set(perm.values())
+    perm.update(zip(sorted(targets - perm.keys()), sorted(perm.keys() - targets)))
 
-    merged = dict(c1.assignment)
-    for u, col in c2.assignment.items():
-        if u != v:
-            merged[u] = perm[col]
+    # v keeps its key position, and perm takes its second-side color to base
+    merged = dict(first)
+    colors = second.values()
+    merged.update(zip(second, map(perm.get, colors, colors)))
     return Coloring(merged, k)
 
 
@@ -284,7 +290,7 @@ def _step(
     fallback), or the reduction that fires on e, committed, with its
     ``Near`` and the graphs it leaves to color (``reduce_in_place``)."""
     hook = trace.graph_hook if trace is not None else None
-    if e.n <= BASE_N:
+    if len(e.rot) <= BASE_N:
         if hook is not None:
             hook(e, None)
         return _base_color(e, k)

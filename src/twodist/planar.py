@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, KeysView, NoReturn, Sequence
 
 from .errors import (
@@ -59,6 +60,7 @@ def reachable(
 
 
 _INT = {int}
+_tail = itemgetter(0)  # of a dart
 
 
 def _reject_rotations(rot: tuple) -> NoReturn:
@@ -226,12 +228,10 @@ def trace_faces(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
 def distance_profile(e: Embedding, v: int) -> frozenset[int]:
     """Exact set of vertices at distance 1 or 2 from v, in e's own ids."""
     e._check_vertex(v)
-    first = e.adj(v)
-    reach = set(first)
-    for u in first:
-        reach.update(e.adj(u))
+    first = e.face[v]  # its keys are v's neighbors
+    reach = set(first).union(*map(e.face.__getitem__, first))
     reach.discard(v)
-    return frozenset(reach)
+    return frozenset(reach)  # a copy sized to its contents, as callers keep it
 
 
 def square(e: Embedding) -> dict[int, set[int]]:
@@ -255,9 +255,11 @@ class SurgeryResult:
 # One undo-log entry per edit made in place, newest last: a bound method
 # and the arguments whose call inverts the edit, such as (kept.insert, i, u)
 # for a neighbor deleted from a rotation list, (fx.__setitem__, u, f) for a
-# dart face overwritten or deleted, or (fdeg.pop, new) for a face born.  The
-# edge count and face counter are kept in the apply frame, with the flags
-# below.
+# dart deleted, or (fdeg.pop, new) for a face born.  One entry may invert a
+# batch of edits: (fdeg.update, degrees) puts back the faces a deletion
+# popped, and (self._label, darts, ids) the face ids the darts of a born face
+# had.  The edge count and face counter are kept in the apply frame, with
+# the flags below.
 LogEntry = tuple
 # A vertex's degree (None once it is deleted) and cut flag, as the degree
 # buckets and the cut set hold them.
@@ -297,7 +299,9 @@ class Embedding:
     - ``face[v][u]``: the face that dart (v, u) borders, and ``fdeg`` the
       degree of every face (so ``len(fdeg)`` is the face count f);
     - ``bydeg``: the vertices of each degree, each bucket an ascending
-      list that ``of_degree`` hands out as it is, to be read only;
+      list that ``of_degree`` hands out as it is, to be read only; the
+      degrees present are kept in an ascending list as well, so the
+      minimum and maximum degree take no scan;
     - ``cuts``: the cut vertices.  In a connected plane graph a vertex is a
       cut vertex exactly when it repeats on some face boundary walk, that is
       when two of its corners lie in one face (Mohar and Thomassen,
@@ -311,17 +315,21 @@ class Embedding:
     What a change costs:
 
     - Deleting a vertex or an edge edits, in place, the rotation list and
-      dart-face dict of each survivor that loses a neighbor: the deletions
-      (``list.index``/``del``) run in C, so a hub costs O(deg) in C and
-      O(1) in Python per lost neighbor.  Only the faces that replace
-      the ones the deletion touched are walked, starting at the corners it
-      left.  A split copies its smaller side out (``part``) and deletes it,
-      so no split deletes the larger side.
+      dart-face dict of each survivor that loses a neighbor: one
+      ``list.index``, one ``del`` and two log entries per lost neighbor,
+      so a hub costs O(deg) in C and O(1) in Python.  Only the faces that
+      replace the ones the deletion touched are walked, starting at the
+      corners it left; a walk reads each successor in line.  A face born
+      takes its darts over in one pass and logs one entry for them all.
+      A split copies its smaller side out (``part``) and deletes it, so no
+      split deletes the larger side.
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
-      for the vertices whose darts changed (the cut test is one C-level
-      set over a vertex's dart faces, and a vertex changes bucket by
-      bisection), and the flags that changed are saved.
+      in one pass over the vertices whose darts changed: the cut test is
+      one C-level set over a vertex's dart faces, and only a vertex whose
+      degree or flag changed moves (by bisection) and has its old flags
+      saved.  A new Embedding, or a ``part``, fills its buckets in one
+      ascending pass.
 
     ``apply`` logs the inverse of every edit, and m and the face counter in
     its frame; ``undo`` puts the saved flags back, replays the inverses,
@@ -332,7 +340,8 @@ class Embedding:
     """
 
     __slots__ = (
-        "rot", "face", "fdeg", "m", "bydeg", "cuts", "charges", "_deg", "_faces", "_frames"
+        "rot", "face", "fdeg", "m", "bydeg", "cuts", "charges", "_deg", "_degs", "_faces",
+        "_frames",
     )
 
     def __init__(self, g: PlanarGraph):
@@ -346,13 +355,16 @@ class Embedding:
 
     def _start(self) -> None:
         """Derive m, the degree buckets and the cut flags; no apply, no ledger."""
-        self.m = sum(map(len, self.rot.values())) // 2
+        rot, face = self.rot, self.face
+        self._deg = deg = dict(zip(rot, map(len, rot.values())))
+        self.m = sum(deg.values()) // 2
         self.bydeg: dict[int, list[int]] = {}
-        self.cuts: set[int] = set()
-        self._deg: dict[int, int] = {}
+        for v in sorted(deg):
+            self.bydeg.setdefault(deg[v], []).append(v)
+        self._degs = sorted(self.bydeg)  # the degrees present, ascending
+        self.cuts = {v for v, fv in face.items() if len(set(fv.values())) < deg[v]}
         self._frames: list[tuple[list[LogEntry], list[Flags], int, int]] = []
         self.charges = None  # a discharge.LiveCharges, when one is attached
-        self._refresh(self.rot)
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
 
@@ -374,7 +386,7 @@ class Embedding:
         return len(self.rot[v])
 
     def max_degree(self) -> int:
-        return max(self.bydeg, default=0)
+        return self._degs[-1] if self._degs else 0
 
     @property
     def in_force(self) -> int:
@@ -382,7 +394,7 @@ class Embedding:
         return len(self._frames)
 
     def min_degree(self) -> int:
-        return min(self.bydeg, default=0)
+        return self._degs[0] if self._degs else 0
 
     def face_degree(self, u: int, v: int) -> int:
         return self.fdeg[self.face[u][v]]
@@ -390,29 +402,22 @@ class Embedding:
     def corner_degrees(self, v: int) -> tuple[int, ...]:
         """Face degrees around v, in rotation order: entry i is the degree
         of the face between rotation neighbors i and i+1 (cyclically)."""
-        r, fv, fdeg = self.rot[v], self.face[v], self.fdeg
-        return tuple(fdeg[fv[u]] for u in r[1:] + r[:1])
+        r = self.rot[v]
+        return tuple(map(self.fdeg.__getitem__, map(self.face[v].__getitem__, r[1:] + r[:1])))
 
     def _check_vertex(self, v: int) -> None:
         if not (type(v) is int and v in self.rot):
             raise UnknownVertex(f"vertex {v} not in the graph")
 
-    def _pair(self, edge: object) -> Edge:
-        """edge as a pair of live vertex ids, or UnknownVertex."""
-        try:
-            u, v = edge
-        except (TypeError, ValueError):
-            raise UnknownVertex(f"{edge!r} is not a pair of vertex ids") from None
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return u, v
-
     def _pairs(self, edges: object) -> list[Edge]:
         """edges as a list of pairs of live vertex ids, or UnknownVertex."""
         try:
-            return list(map(self._pair, edges))
-        except TypeError:  # not iterable: _pair turns every other fault into UnknownVertex
-            raise UnknownVertex(f"{edges!r} is not a collection of edges") from None
+            pairs = [(u, v) for u, v in edges]
+        except (TypeError, ValueError):  # not iterable, or an edge that is not a pair
+            raise UnknownVertex(f"{edges!r} is not a collection of vertex id pairs") from None
+        if pairs:
+            self._ids(list(chain.from_iterable(pairs)))
+        return pairs
 
     def _ids(self, vertices: object) -> set[int]:
         """vertices as a set of live vertex ids, or UnknownVertex."""
@@ -582,11 +587,15 @@ class Embedding:
         The degree buckets and cut flags that the apply refreshed are put
         back from the flags it saved, with no look at the faces; then the
         logged inverses are replayed, newest first, and m and the face
-        counter are restored."""
+        counter are restored.  Every dict gets its contents back but not
+        its key order (a key put back iterates last), so nothing that
+        reads the graph may depend on the order of ``rot`` or ``face[v]``."""
         if not self._frames:
             raise NoApplyInForce("no apply in force to undo")
         log, saved, self.m, self._faces = self._frames.pop()
-        self._place(saved)
+        deg = self._deg
+        for v, k, cut in saved:
+            self._move(v, deg.get(v), k, cut)
         for inverse, *args in reversed(log):
             inverse(*args)
 
@@ -596,44 +605,60 @@ class Embedding:
 
     # -- primitives ----------------------------------------------------------
 
-    def _succ(self, x: int, y: int) -> Edge:
-        """The dart after (x, y) on its face."""
-        r = self.rot[y]
-        return y, r[(r.index(x) + 1) % len(r)]
-
     def walk(self, dart: Edge) -> list[Edge]:
-        """The boundary walk of dart's face, as darts, starting at dart."""
+        """The boundary walk of dart's face, as darts, starting at dart: the
+        dart after (x, y) is (y, z), z following x in the rotation at y."""
+        rot = self.rot
         darts = [dart]
-        nxt = self._succ(*dart)
-        while nxt != dart:
+        x, y = dart
+        while True:
+            r = rot[y]
+            nxt = y, r[r.index(x) + 1 - len(r)]  # a negative index, or 0 to wrap
+            if nxt == dart:
+                return darts
             darts.append(nxt)
-            nxt = self._succ(*nxt)
-        return darts
+            x, y = nxt
 
     def _smaller_face(self, p: Edge, q: Edge) -> list[Edge]:
-        """Walk the faces of darts p and q in lockstep; the darts of the one
-        that closes first."""
+        """Walk the faces of darts p and q in lockstep, as ``walk`` does; the
+        darts of the one that closes first."""
+        rot = self.rot
         side_p, side_q = [p], [q]
-        x, y = self._succ(*p), self._succ(*q)
-        while x != p and y != q:
+        (a, b), (c, d) = p, q
+        while True:
+            r = rot[b]
+            x = b, r[r.index(a) + 1 - len(r)]
+            if x == p:
+                return side_p
+            r = rot[d]
+            y = d, r[r.index(c) + 1 - len(r)]
+            if y == q:
+                return side_q
             side_p.append(x)
             side_q.append(y)
-            x, y = self._succ(*x), self._succ(*y)
-        return side_p if x == p else side_q
+            (a, b), (c, d) = x, y
 
     def _new_face(self, darts: list[Edge], ch: Change) -> None:
-        """Give the darts of one face boundary a fresh face id."""
-        face, fdeg, log, touched = self.face, self.fdeg, ch.log, ch.touched
+        """Give the darts of one face boundary a fresh face id; one log
+        entry gives them all their old ids back."""
+        face, fdeg = self.face, self.fdeg
         new = self._faces
         self._faces += 1
         ch.born[new] = darts
+        was = []
         for x, y in darts:
             fx = face[x]
-            log.append((fx.__setitem__, y, fx[y]))
+            was.append(fx[y])
             fx[y] = new
-            touched.add(x)
-        log.append((fdeg.pop, new))
+        ch.touched.update(map(_tail, darts))
+        ch.log += ((self._label, darts, was), (fdeg.pop, new))
         fdeg[new] = len(darts)
+
+    def _label(self, darts: list[Edge], ids: list[int]) -> None:
+        """Put each dart on the face of the same index in ids."""
+        face = self.face
+        for (x, y), f in zip(darts, ids):
+            face[x][y] = f
 
     def _remove(self, del_edges: set[Edge], ch: Change) -> None:
         """Delete the vertices ``ch.dels`` and these edges, then walk the
@@ -645,22 +670,22 @@ class Embedding:
             if u not in dels and v not in dels:
                 lost.setdefault(u, set()).add(v)
                 lost.setdefault(v, set()).add(u)
+                old.update((face[u][v], face[v][u]))
         darts = 0
         for s in dels:
             r, fs = rot.pop(s), face.pop(s)
             log += ((rot.__setitem__, s, r), (face.__setitem__, s, fs))
+            # a face through a dart (u, s) goes on through a dart out of s
             old.update(fs.values())
             darts += len(r)
             for u in r:
                 if u not in dels:
                     lost.setdefault(u, set()).add(s)
-        for x, gone in lost.items():
-            old.update(map(face[x].__getitem__, gone))
-            darts += len(gone)
-        self.m -= darts // 2
+        # each deleted edge is counted at both ends: at a deleted vertex, or
+        # at a survivor that lost it
+        self.m -= (darts + sum(map(len, lost.values()))) // 2
         ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        for f in old:
-            log.append((fdeg.__setitem__, f, fdeg.pop(f)))
+        log.append((fdeg.update, {f: fdeg.pop(f) for f in old}))
         self._cut(ch)
 
     def _connected(self, ch: Change) -> bool:
@@ -680,22 +705,22 @@ class Embedding:
         starts = []
         for x, gone in ch.lost.items():
             kept, fx = rot[x], face[x]
-            at = sorted(map(kept.index, gone))
-            for i in reversed(at):  # from the back, so the lower indices hold
-                log.append((kept.insert, i, kept.pop(i)))
-            for u in gone:
-                log.append((fx.__setitem__, u, fx.pop(u)))
-            if kept:
-                # j gone neighbors precede the one at old index i: its
-                # successor, or the first survivor after it, now sits at i - j
-                k = len(kept)
-                for j, i in enumerate(at):
-                    starts.append((x, kept[(i - j) % k]))
-            else:
+            # in rotation order, so that each neighbor's index, taken once
+            # those before it are gone, is where the first survivor after it
+            # ends up (cyclically, once all are gone)
+            for u in gone if len(gone) == 1 else sorted(gone, key=kept.index):
+                i = kept.index(u)
+                del kept[i]
+                log += ((kept.insert, i, u), (fx.__setitem__, u, fx.pop(u)))
+                starts.append((x, i))
+            if not kept:
                 ch.touched.add(x)  # a lone survivor walks no face to reach it
-        for x, y in starts:
-            if face[x][y] in old:
-                self._new_face(self.walk((x, y)), ch)
+        for x, i in starts:
+            kept = rot[x]
+            if kept:
+                y = kept[i % len(kept)]
+                if face[x][y] in old:
+                    self._new_face(self.walk((x, y)), ch)
 
     def _link(self, a: int, b: int, ch: Change) -> None:
         """Draw edge a-b into a face shared by a and b, splitting it.
@@ -748,46 +773,45 @@ class Embedding:
         fdeg[f] = total - len(side)
 
     def _refresh(self, vertices: Iterable[int]) -> list[Flags]:
-        """Re-derive the degree buckets and cut flags of these vertices;
-        returns those that changed, as they were."""
-        rot, face = self.rot, self.face
-        flags = []
+        """Re-derive the degree and cut flag of each of these vertices and
+        move those that changed; returns their flags as they were."""
+        rot, face, deg, cuts = self.rot, self.face, self._deg, self.cuts
+        replaced = []
         for v in vertices:
             r = rot.get(v)
             if r is None:
-                flags.append((v, None, False))
+                k, cut = None, False
             else:
                 k = len(r)
-                flags.append((v, k, len(set(face[v].values())) < k))
-        return self._place(flags)
-
-    def _place(self, flags: Iterable[Flags]) -> list[Flags]:
-        """Put each vertex in the bucket of its degree (in none when it is
-        gone), keeping the bucket ascending, and set its cut flag; returns
-        the flags that changed, as they were."""
-        bydeg, deg, cuts = self.bydeg, self._deg, self.cuts
-        replaced = []
-        for v, k, cut in flags:
+                cut = len(set(face[v].values())) < k
             was, was_cut = deg.get(v), v in cuts
-            if was == k and was_cut == cut:
-                continue
-            replaced.append((v, was, was_cut))
-            if was != k:
-                if was is not None:
-                    bucket = bydeg[was]
-                    del bucket[bisect_left(bucket, v)]
-                    if not bucket:
-                        del bydeg[was]
-                if k is None:
-                    del deg[v]
-                else:
-                    deg[v] = k
-                    insort(bydeg.setdefault(k, []), v)
-            if cut:
-                cuts.add(v)
-            else:
-                cuts.discard(v)
+            if was != k or was_cut != cut:
+                replaced.append((v, was, was_cut))
+                self._move(v, was, k, cut)
         return replaced
+
+    def _move(self, v: int, was: int | None, k: int | None, cut: bool) -> None:
+        """Move v from the bucket of degree was to that of degree k (None:
+        no bucket), keeping both ascending, and set its cut flag."""
+        if was != k:
+            bydeg = self.bydeg
+            if was is not None:
+                bucket = bydeg[was]
+                del bucket[bisect_left(bucket, v)]
+                if not bucket:
+                    del bydeg[was]
+                    self._degs.remove(was)
+            if k is None:
+                del self._deg[v]
+            else:
+                self._deg[v] = k
+                if k not in bydeg:
+                    insort(self._degs, k)
+                insort(bydeg.setdefault(k, []), v)
+        if cut:
+            self.cuts.add(v)
+        else:
+            self.cuts.discard(v)
 
 
 def surgery(

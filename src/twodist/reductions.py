@@ -28,6 +28,7 @@ an Embedding of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 from .classify import VertexClass, classify_vertex, is_special_vertex
@@ -105,7 +106,7 @@ def _m_L2_1(ctx: _Ctx) -> Reduction | None:
 def _m_L2_2(ctx: _Ctx) -> Reduction | None:
     """A vertex of degree at most 2: delete it, close the gap with an edge."""
     e = ctx.e
-    if e.n == 0:
+    if not e.rot:
         return None
     dmin = e.min_degree()
     if dmin > 2:
@@ -124,14 +125,13 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
     """3-vertex with a neighbor below the maximum degree: route the two
     replacement edges through that low-degree neighbor (it alone has the
     headroom to gain an edge)."""
-    e = ctx.e
-    for v in e.of_degree(3):
-        small = [u for u in e.neighbors(v) if e.degree(u) <= ctx.delta - 1]
+    rot = ctx.e.rot
+    for v in ctx.e.of_degree(3):
+        small = [u for u in rot[v] if len(rot[u]) < ctx.delta]
         if not small:
             continue
         v2 = min(small)
-        others = [u for u in e.neighbors(v) if u != v2]
-        adds = tuple(edge_key(v2, u) for u in others)
+        adds = tuple(edge_key(v2, u) for u in rot[v] if u != v2)
         return Reduction(
             "L2.3.1", None, v, (v,), (v,), (), adds, 3 * ctx.delta - 1
         )
@@ -218,15 +218,15 @@ class Rule:
         """The first vertex, in ascending id, where the rule fires."""
         e = ctx.e
         k, t3, t4 = self.shape
-        for v in e.of_degree(k):
+        for v in e.bydeg.get(k, ()):  # e.of_degree(k), read in line
             vc = ctx.vclass(v)
             if t3 is not None and vc.t3 != t3:
                 continue
             if t4 is not None and vc.t4 != t4:
                 continue
-            rot = e.neighbors(v)
+            rot = e.rot[v]
             if self.degrees is not None and not self.degrees(
-                sorted(e.degree(u) for u in rot)
+                sorted(map(len, map(e.rot.__getitem__, rot)))
             ):
                 continue
             if self.six_six and (
@@ -243,18 +243,17 @@ class Rule:
     def _emit(self, ctx: _Ctx, v: int, rot: list[int]) -> Reduction | None:
         k = len(rot)
         cd = ctx.e.corner_degrees(v)  # the anchors read the corners in order
+        ring = cd + cd
         for case, pattern, chords in self.anchors:
-            offsets = [
-                r
-                for r in range(k)
-                if all(
-                    want is None or cd[(r + j) % k] == want
-                    for j, want in enumerate(pattern)
-                )
-            ]
+            # the offsets at which each corner the pattern fixes fits, all at once
+            offsets = set(range(k)).intersection(*(
+                compress(range(k), map(want.__eq__, ring[j:j + k]))
+                for j, want in enumerate(pattern)
+                if want is not None
+            ))
             if not offsets:
                 continue
-            r = min(offsets, key=lambda r: rot[r])
+            r = min(offsets, key=rot.__getitem__)
             lab = rot[r:] + rot[:r]
             if callable(chords):
                 picked = chords(ctx, lab)
@@ -428,9 +427,9 @@ def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
         part = e.part(small | {r.split})
         e.apply(delete_vertices=small)
         return [part, e] if small is first else [e, part]
-    size = e.n + e.m
+    size = len(e.rot) + e.m
     e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
-    if e.n + e.m >= size:
+    if len(e.rot) + e.m >= size:
         e.undo()
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")
     return [e]

@@ -12,6 +12,7 @@ from twodist import (
     NoSafeColor,
     PermutationInfeasible,
     PlanarGraph,
+    Reduction,
     RunTrace,
     chi2_exact,
     color,
@@ -372,3 +373,100 @@ class TestMergeAtCut:
         merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
         assert merged.assignment[4] not in {1, 2, 3}
+
+
+def extend_by_loops(partial, near, reduction=None, trace=None):
+    """``extend`` in its earlier loop form: the forbidden colors by a
+    comprehension, the free one by counting up from 1."""
+    assignment = partial.assignment
+    k = partial.budget
+    for v, profile in near.items():
+        forbidden = {assignment[u] for u in profile if u in assignment}
+        if trace is not None:
+            bound = reduction.d2_bound if reduction is not None else None
+            lemma = reduction.lemma if reduction is not None else "-"
+            trace.extensions.append((v, lemma, len(forbidden), bound))
+        if len(forbidden) >= k:
+            raise NoSafeColor(f"all {k} colors forbidden at vertex {v}")
+        c = 1
+        while c in forbidden:
+            c += 1
+        assignment[v] = c
+    return partial
+
+
+def merge_by_loops(c1, c2, v, nbrs):
+    """``merge_at_cut`` in its earlier loop form: the free colors by a
+    comprehension over the palette, the second side mapped vertex by vertex."""
+    k = c1.budget
+    base = c1.assignment[v]
+    nbr1_colors = {c1.assignment[u] for u in nbrs if u in c1.assignment}
+    nbr2_colors = sorted(
+        {c2.assignment[u] for u in nbrs if u in c2.assignment} - {c2.assignment[v]}
+    )
+    free = [c for c in range(1, k + 1) if c not in nbr1_colors and c != base]
+    if len(nbr2_colors) > len(free):
+        raise PermutationInfeasible(f"palette of {k} too small to merge at vertex {v}")
+    perm = dict(zip(nbr2_colors, free))
+    perm[c2.assignment[v]] = base
+    spare = set(range(1, k + 1)).difference(perm.values())
+    unmapped = set(range(1, k + 1)).difference(perm)
+    perm.update((c, c) for c in unmapped & spare)
+    perm.update(zip(sorted(unmapped - spare), sorted(spare - unmapped)))
+    merged = dict(c1.assignment)
+    for u, col in c2.assignment.items():
+        if u != v:
+            merged[u] = perm[col]
+    return Coloring(merged, k)
+
+
+def outcome(fn, *args):
+    """What fn returns, as its assignment in key order, or the type it raises."""
+    try:
+        return list(fn(*args).assignment.items())
+    except (NoSafeColor, PermutationInfeasible) as exc:
+        return type(exc)
+
+
+@st.composite
+def palettes(draw):
+    """A budget and a coloring of some of the ids 1..15 within it."""
+    k = draw(st.integers(1, 12))
+    ids = draw(st.sets(st.integers(1, 15), max_size=15))
+    return k, {v: draw(st.integers(1, k)) for v in sorted(ids)}
+
+
+class TestPaletteRewrites:
+    """``extend`` and ``merge_at_cut`` gather their colors with C-level set
+    operations; on any input they must give what the loop forms give, and
+    refuse alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(palettes(), st.data())
+    def test_extend_equals_the_loops(self, palette, data):
+        k, assignment = palette
+        pending = data.draw(st.lists(st.integers(1, 15), unique=True, max_size=4))
+        near = {
+            v: frozenset(data.draw(st.sets(st.integers(1, 15).filter(lambda u: u != v))))
+            for v in pending
+        }
+        r = Reduction("L2.2", None, 1, (1,), (1,), (), (), 2 * k)
+        traces = RunTrace(), RunTrace()
+        got = outcome(extend, Coloring(dict(assignment), k), near, r, traces[0])
+        want = outcome(extend_by_loops, Coloring(dict(assignment), k), near, r, traces[1])
+        assert got == want
+        assert traces[0].extensions == traces[1].extensions
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_merge_at_cut_equals_the_loops(self, k, data):
+        # the cut vertex 1, the first side's other ids below 9, the second's above
+        colors = st.integers(1, k)
+        first = {1: data.draw(colors)}
+        first.update((u, data.draw(colors)) for u in data.draw(st.sets(st.integers(2, 8))))
+        second = {1: data.draw(colors)}
+        second.update((u, data.draw(colors)) for u in data.draw(st.sets(st.integers(9, 15))))
+        nbrs = frozenset(data.draw(st.sets(st.integers(2, 15))))  # may hold ids of neither
+        got = outcome(merge_at_cut, Coloring(first, k), Coloring(second, k), 1, nbrs)
+        want = outcome(merge_by_loops, Coloring(first, k), Coloring(second, k), 1, nbrs)
+        assert got == want

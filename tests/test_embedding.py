@@ -31,13 +31,17 @@ from twodist import (
     NotACutVertex,
     PlanarGraph,
     color,
+    find_reduction,
     gen_planar,
     is_cut_vertex,
     verify_coloring,
 )
+from twodist.classify import classify_all
+from twodist.discharge import LiveCharges
 from twodist.errors import NoApplyInForce
-from twodist.planar import Embedding, reachable
-from twodist.reductions import reduce_in_place
+from twodist.oracle import greedy_square
+from twodist.planar import Embedding, reachable, square
+from twodist.reductions import MATCHER_ORDER, match_case, reduce_in_place
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -81,6 +85,7 @@ def check_against_scratch(e):
     for v in live:  # ascending, so each bucket must be too
         hist.setdefault(len(e.rot[v]), []).append(v)
     assert e.bydeg == hist
+    assert (e.min_degree(), e.max_degree()) == (min(hist, default=0), max(hist, default=0))
     assert e.cuts == {v for v in live if is_cut_vertex(g, old_to_new[v])}
 
 
@@ -201,6 +206,26 @@ def test_a_part_equals_deleting_the_other_side(small_corpus):
     assert parts > 60
 
 
+def test_a_fresh_embedding_and_its_parts_equal_a_recount(small_corpus):
+    # an Embedding and a part build their degree buckets and cut flags in
+    # one pass, with no apply: each must equal what the scratch check
+    # derives, and so must the degrees the later refreshes compare against
+    graphs = small_corpus[:30] + [gen_flip(80, 101000), gen_flip(120, 101001)]
+    graphs += [two_wheels(), wheel_with_tail()]
+    built = parts = 0
+    for g in graphs:
+        e = Embedding(g)
+        sides = [e.rot.keys() - {max(e.rot)}] if max(e.rot) not in e.cuts else []
+        for v in sorted(e.cuts):
+            sides += [side | {v} for side in e.split_sides(v)]
+        for p in [e] + [e.part(side) for side in sides]:
+            check_against_scratch(p)
+            assert p._deg == {v: len(r) for v, r in p.rot.items()}
+            built += 1
+        parts += len(sides)
+    assert parts > 60 and built == parts + len(graphs)
+
+
 @pytest.mark.parametrize(
     "side, error",
     [
@@ -268,6 +293,38 @@ def test_deleting_any_vertices_and_edges_then_undoing(n, seed, data):
     check_against_scratch(e)
     e.undo()
     assert state(e) == before
+
+
+def readings(e):
+    """What the catalog (its first hit and each rule alone), the square, the
+    classes, the greedy coloring and a fresh live ledger read off e."""
+    charges = LiveCharges(e)
+    return (
+        find_reduction(e),
+        [match_case(tag, e) for tag, _ in MATCHER_ORDER],
+        square(e),
+        classify_all(e),
+        greedy_square(e),
+        (charges.vertex_units, charges.face_units, charges.stakes, charges.nets),
+    )
+
+
+def test_no_reading_depends_on_the_key_order_an_undo_leaves(small_corpus):
+    # undo restores every dict's contents but not its key order: a deleted
+    # key comes back last.  Deleting each vertex that is no cut vertex and
+    # undoing it, from the highest id down, leaves those ids in descending
+    # order, and every reading of the graph must be as on a fresh Embedding
+    reordered = 0
+    for g in small_corpus[:10]:
+        e = Embedding(g)
+        for v in sorted(e.rot.keys() - e.cuts, reverse=True):
+            e.apply(delete_vertices=[v])
+            e.undo()
+        fresh = Embedding(g)
+        assert state(e) == state(fresh)
+        reordered += list(e.rot) != list(fresh.rot)
+        assert readings(e) == readings(fresh)
+    assert reordered == 10
 
 
 def test_shrinking_to_one_vertex_and_back():

@@ -23,6 +23,7 @@ from twodist import (
     reduce_in_place,
     write_graph,
 )
+from twodist import cli
 from twodist.cli import main
 from test_embedding import state
 
@@ -431,6 +432,22 @@ class TestReduceCommand:
             "step 4: L2.2 at 60, bound 0, delete [60], add [], proper=yes",
             "  pending [60]; result n=0 m=0",
         ]
+
+    def test_holds_no_undo_history(self, tmp_path, capsys, monkeypatch):
+        # every step is committed, a split's too, so at each catalog call of
+        # a 60-step run (eleven splits among them) no apply is in force
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(write_graph(gen_planar(200, 6, 5)))
+        in_force = []
+
+        def counted(e):
+            in_force.append(e.in_force)
+            return find_reduction(e)
+
+        monkeypatch.setattr(cli, "find_reduction", counted)
+        assert main(["reduce", str(gfile), "--steps", "60"]) == 0
+        assert "split" in capsys.readouterr().out
+        assert len(in_force) == 60 and set(in_force) == {0}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_follows_the_engine(self, seed, tmp_path, capsys):
