@@ -5,27 +5,14 @@ The package colors any such graph with maximum degree at least 6 using at
 most 3*Delta + 2 colors so that vertices within distance 2 differ, audits
 the exact-rational discharging argument behind that bound on concrete
 graphs, and cross-checks everything against a brute-force chromatic oracle.
+
+The names here are the boundary types and the entry points through which
+the paper's claims are checked; everything else lives in its submodule.
 """
 
-from .classify import VertexClass, classify_all, is_special_vertex
-from .colorer import (
-    ColorReport,
-    Coloring,
-    RunTrace,
-    color,
-    extend,
-    merge_at_cut,
-    verify_coloring,
-)
-from .discharge import (
-    AuditReport,
-    ChargeLedger,
-    Transfer,
-    apply_rules,
-    audit,
-    initial_charges,
-    rule_totals,
-)
+from .classify import classify_all
+from .colorer import Coloring, RunTrace, color, verify_coloring
+from .discharge import audit
 from .errors import (
     BudgetExhausted,
     DegreeBudgetExceeded,
@@ -42,36 +29,9 @@ from .errors import (
     TwodistError,
     UnknownVertex,
 )
-from .oracle import OracleResult, chi2_exact, greedy_square
-from .planar import (
-    Embedding,
-    PlanarGraph,
-    SurgeryResult,
-    articulation_points,
-    distance_profile,
-    edge_key,
-    is_cut_vertex,
-    split_at,
-    square,
-    surgery,
-    trace_faces,
-)
-from .reductions import (
-    ProofGapReport,
-    Reduction,
-    check_properness,
-    find_reduction,
-    match_case,
-    reduce_in_place,
-)
-from .workbench import (
-    HuntReport,
-    gen_planar,
-    hunt,
-    parse_coloring,
-    parse_graph,
-    write_coloring,
-    write_graph,
-)
+from .oracle import chi2_exact
+from .planar import Embedding, PlanarGraph
+from .reductions import Reduction, check_properness, find_reduction, match_case, reduce_in_place
+from .workbench import gen_planar, hunt, parse_coloring, parse_graph, write_coloring, write_graph
 
 __version__ = "0.1.0"

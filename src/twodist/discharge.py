@@ -30,7 +30,8 @@ and faces.  It keeps each vertex's R3-R14 net beside its units, and
 follows each apply from the ``planar.Change`` that apply recorded: it
 re-derives the faces born or shrunk and the vertices at their corners,
 and moves the rest by what changed next to them, never rescanning the
-graph.
+graph.  It knows nothing of the undo log: ``Embedding.undo`` derives an
+attached ledger afresh.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .classify import VertexClass, classify_all, classify_vertex
-from .errors import ApplyInForce, InvariantViolated
+from .errors import InvariantViolated
 from .planar import Change, Embedding, PlanarGraph
 
 # Every amount any rule may move.
@@ -290,18 +291,13 @@ class LiveCharges:
     canonical walk, ``total_units`` their sum, ``stakes`` each
     vertex's ``Stake``, ``nets`` each vertex's R3-R14 net with all its
     neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta``
-    the maximum degree.  It attaches only to an Embedding with no apply in
-    force, since undoing one would leave it stale, and raises
-    ``ApplyInForce`` otherwise; after ``e.commit()`` none is.  Attached as
-    ``e.charges``, it follows every successful ``e.apply`` from the
-    ``Change`` that apply recorded, and logs the inverse of each of its
-    edits in the apply's undo log, in the same form, so that ``e.undo()``
-    restores them with the rest and ``e.commit()`` drops them with the rest.
+    the maximum degree.  Attached as ``e.charges``, it follows every
+    successful ``e.apply`` from the ``Change`` that apply recorded, and
+    writes nothing into the apply's undo log: any ``e.undo()`` re-derives
+    it afresh, so it may be attached with applies in force.
     """
 
     def __init__(self, e: Embedding):
-        if e.in_force:
-            raise ApplyInForce(f"{e.in_force} apply(s) in force; the ledger would go stale")
         rot, delta = e.rot, e.max_degree()
         classes = classify_all(e)
         self.delta = delta
@@ -319,8 +315,7 @@ class LiveCharges:
         return Fraction(self.total_units, UNIT)
 
     def follow(self, e: Embedding, change: Change) -> None:
-        """Update after an apply on e that recorded ``change``, logging the
-        inverse of each edit in ``change.log``.
+        """Update after an apply on e that recorded ``change``.
 
         A vertex's class reads its degree and its corners' face degrees, so
         it can move only at a corner of a face born or shrunk (a born face
@@ -333,7 +328,6 @@ class LiveCharges:
         Faces born or shrunk are derived afresh, and any other 5+-face
         moves by the change in what R2 gives its corners.
         """
-        log, state = change.log, vars(self)
         rot, face, fdeg = e.rot, e.face, e.fdeg
         stakes, nets, vertex, faces = self.stakes, self.nets, self.vertex_units, self.face_units
         delta, was_delta, total = e.max_degree(), self.delta, self.total_units
@@ -346,11 +340,9 @@ class LiveCharges:
         was = {}  # the stakes of the vertices deleted or moved, as they were
         for v in change.dels:
             was[v] = stakes.pop(v)
-            log += ((stakes.__setitem__, v, was[v]), (nets.__setitem__, v, nets.pop(v)),
-                    (vertex.__setitem__, v, vertex[v]))
+            del nets[v]
             total -= vertex.pop(v)
         for f in change.popped:
-            log.append((faces.__setitem__, f, faces[f]))
             total -= faces.pop(f)
 
         fresh = dict(change.born)  # the faces born or shrunk, as darts
@@ -362,7 +354,6 @@ class LiveCharges:
             for k in range(low, high):
                 if k != 3:
                     redo.update(e.of_degree(k))
-            log.append((state.__setitem__, "delta", was_delta))
             self.delta = delta
 
         classes = {v: classify_vertex(e, v) for v in redo}
@@ -370,9 +361,7 @@ class LiveCharges:
         for v, vc in classes.items():
             new = _stake(vc)
             if new != stakes[v]:
-                was[v] = stakes[v]
-                log.append((stakes.__setitem__, v, was[v]))
-                stakes[v] = new
+                was[v], stakes[v] = stakes[v], new
                 moved.add(v)
         net = {v: _net_sum(stakes[v], rot[v], stakes) for v in moved}  # the nets that move
         for x, gone in lost.items():
@@ -391,18 +380,11 @@ class LiveCharges:
 
         units = {v: _after_r1_r2(vc, delta) + net.get(v, nets[v]) for v, vc in classes.items()}
         for v, new in net.items():
-            old = nets[v]
-            if new != old:
-                log.append((nets.__setitem__, v, old))
-                nets[v] = new
-                if v not in units:
-                    units[v] = vertex[v] + new - old
-        for v, new in units.items():
-            old = vertex[v]
-            if new != old:
-                log.append((vertex.__setitem__, v, old))
-                total += new - old
-                vertex[v] = new
+            if v not in units:
+                units[v] = vertex[v] + new - nets[v]
+        nets.update(net)
+        total += sum(units.values()) - sum(map(vertex.__getitem__, units))
+        vertex.update(units)
 
         units = {
             f: _face_units(fdeg[f], (x for x, _ in darts), rot, delta)
@@ -415,13 +397,8 @@ class LiveCharges:
                 for f in face[v].values():
                     if f not in fresh and fdeg[f] >= 5:
                         units[f] = units.get(f, faces[f]) - r2
-        for f, new in units.items():
-            old = faces.get(f)
-            if new != old:
-                log.append((faces.pop, f) if old is None else (faces.__setitem__, f, old))
-                total += new - (old or 0)
-                faces[f] = new
-        log.append((state.__setitem__, "total_units", self.total_units))
+        total += sum(units.values()) - sum(faces.get(f, 0) for f in units)
+        faces.update(units)
         self.total_units = total
 
 

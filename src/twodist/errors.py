@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one derives from ``TwodistError``.  The package exports all but
+``NoApplyInForce``, which only a caller of ``Embedding.undo`` can meet.
+"""
 
 
 class TwodistError(Exception):
@@ -28,11 +32,6 @@ class SurgeryDisconnects(TwodistError):
 
 class DegreeBudgetExceeded(TwodistError):
     """An edge addition pushed a vertex degree past the caller's cap."""
-
-
-class ApplyInForce(TwodistError):
-    """A ``discharge.LiveCharges`` was asked to attach to an Embedding with
-    an apply in force, whose undo would leave the ledger stale."""
 
 
 class NoApplyInForce(TwodistError):

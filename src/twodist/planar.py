@@ -12,8 +12,10 @@ dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
 date locally as surgery edits it in place.  It logs the inverse of every
 edit, and the degree and cut flags it changes, so that undoing a surgery
-is replaying those, newest first; ``commit`` drops them.  One side of a
-cut vertex is copied out as an Embedding of its own (``Embedding.part``).
+is replaying those, newest first; ``commit`` drops them.  Only this module
+writes or reads that log: an undo re-derives an attached charge ledger
+instead.  One side of a cut vertex is copied out as an Embedding of its
+own (``Embedding.part``).
 """
 
 from __future__ import annotations
@@ -309,8 +311,8 @@ class Embedding:
     - ``m``, the edge count (n is the number of live vertices);
     - ``charges``: None, or a ``discharge.LiveCharges``.  Each successful
       ``apply`` hands it the ``Change`` its primitives recorded, and the
-      ledger brings itself up to date from that record alone, logging the
-      inverses of its edits in the same undo log.
+      ledger brings itself up to date from that record alone; each
+      ``undo`` replaces it with one derived afresh, in O(n).
 
     What a change costs:
 
@@ -589,7 +591,8 @@ class Embedding:
         logged inverses are replayed, newest first, and m and the face
         counter are restored.  Every dict gets its contents back but not
         its key order (a key put back iterates last), so nothing that
-        reads the graph may depend on the order of ``rot`` or ``face[v]``."""
+        reads the graph may depend on the order of ``rot`` or ``face[v]``.
+        An attached charge ledger is derived afresh from the result."""
         if not self._frames:
             raise NoApplyInForce("no apply in force to undo")
         log, saved, self.m, self._faces = self._frames.pop()
@@ -598,6 +601,8 @@ class Embedding:
             self._move(v, deg.get(v), k, cut)
         for inverse, *args in reversed(log):
             inverse(*args)
+        if self.charges is not None:
+            self.charges = type(self.charges)(self)
 
     def commit(self) -> None:
         """Make every apply in force final: drop their frames and undo logs."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classify import VertexClass, classify_vertex, is_special_vertex
 from .errors import InvariantViolated
@@ -42,8 +42,7 @@ from .planar import (
 )
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A matched configuration and the surgery that shrinks it."""
 
     lemma: str

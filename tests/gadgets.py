@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from twodist import Embedding, PlanarGraph, edge_key
+from twodist import Embedding, PlanarGraph
+from twodist.planar import edge_key
 
 Coords = dict[int, tuple[float, float]]
 

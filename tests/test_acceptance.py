@@ -27,14 +27,12 @@ from twodist import (
     hunt,
     match_case,
     parse_graph,
-    split_at,
-    trace_faces,
     verify_coloring,
     write_coloring,
     write_graph,
 )
 from twodist.discharge import apply_rules, face_keys, initial_charges
-from twodist.planar import Embedding
+from twodist.planar import Embedding, split_at
 from twodist.workbench import format_audit_tsv
 
 import bruteforce
@@ -123,7 +121,7 @@ def test_criterion_2_rule_conservation(corpus):
         assert sent == received
         assert v == ledger.vertex_charge and f == ledger.face_charge
 
-        for key, face in zip(face_keys(g), trace_faces(g)):
+        for key, face in zip(face_keys(g), g.faces):
             if len(face) == 3:
                 checked_faces += 1
                 assert ledger.face_charge[key] == 0

@@ -2,10 +2,11 @@
 
 ``workbench.hunt`` reads its totals from a ``LiveCharges`` attached, at the
 first hook call of a run, to the Embedding the engine hands its graph
-hook; every apply keeps it current, and so does an undo.  The reference is
-the from-scratch ``audit`` of ``e.snapshot().graph``: the same graph as a
-validated PlanarGraph, with dense ids and faces keyed by their canonical
-walks, whose audit shares only the rule helpers with the ledger.  After
+hook; every apply keeps it current, and an undo derives it afresh.  The
+reference is the from-scratch ``audit`` of ``e.snapshot().graph``: the
+same graph as a validated PlanarGraph, with dense ids and faces keyed by
+their canonical walks, whose audit shares only the rule helpers with the
+ledger.  After
 every apply, at every hook call, and after an undo of each apply the
 engine makes (it commits them and never undoes one, so the check undoes
 each itself and applies it again), the ledger must equal that audit per

@@ -51,7 +51,7 @@ def test_tracer_wraps_and_restores_every_binding():
 
 
 def test_the_hunter_audits_without_rerunning_the_rules():
-    # the hunter's charges follow each reduction and undo, so the rules and
+    # the hunter's charges follow each reduction, so the rules and
     # the classification run once per coloring run, to attach them, and
     # once per cut-vertex split, whose smaller part gets a ledger of its own
     tracer = layers.Tracer()

@@ -4,16 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgets
-from twodist import (
-    Embedding,
-    audit,
-    classify_all,
-    gen_planar,
-    is_special_vertex,
-    articulation_points,
-    surgery,
-    trace_faces,
-)
+from twodist import Embedding, audit, classify_all, gen_planar
+from twodist.classify import is_special_vertex
+from twodist.planar import surgery
 from twodist.discharge import UNIT, _after_r1_r2
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -55,7 +48,7 @@ class TestClassifyVertex:
 
     def test_counts_sum_to_degree_without_cut_vertices(self):
         for g in (gadgets.octahedron(), gadgets.wheel(6), gadgets.cube()):
-            assert not articulation_points(g)
+            assert not Embedding(g).cuts
             for vc in classify_all(g).values():
                 assert vc.t3 + vc.t4 + vc.t5p == vc.k
 
@@ -120,9 +113,9 @@ class TestInvariants:
     @given(seeds)
     def test_triangle_incidence_sum(self, seed):
         g = gen_planar(8 + seed % 30, seed=seed)
-        if articulation_points(g):
+        if Embedding(g).cuts:
             return
-        faces = trace_faces(g)
+        faces = g.faces
         classes = classify_all(g).values()
         t3_total = sum(vc.t3 for vc in classes)
         assert t3_total == 3 * sum(1 for f in faces if len(f) == 3)

@@ -16,16 +16,13 @@ from twodist import (
     RunTrace,
     chi2_exact,
     color,
-    distance_profile,
-    extend,
     find_reduction,
     gen_planar,
     match_case,
-    merge_at_cut,
-    split_at,
-    surgery,
     verify_coloring,
 )
+from twodist.colorer import extend, merge_at_cut
+from twodist.planar import distance_profile, split_at, surgery
 
 seeds = st.integers(min_value=0, max_value=10**6)
 

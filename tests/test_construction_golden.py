@@ -12,7 +12,7 @@ test, and they are refused now (see test_planar).
 
 import pytest
 
-from twodist import EmbeddingInvalid, NotConnected, PlanarGraph, trace_faces
+from twodist import EmbeddingInvalid, NotConnected, PlanarGraph
 
 # K7 on the torus: vertex i lists i+1, i+3, i+2, i+6, i+4, i+5 (mod 7)
 K7 = [tuple((i + d) % 7 + 1 for d in (1, 3, 2, 6, 4, 5)) for i in range(7)]
@@ -97,5 +97,5 @@ def test_construction_matches_recorded_outcome(name):
     except (EmbeddingInvalid, NotConnected) as e:
         outcome = (type(e), str(e))
     else:
-        outcome = list(trace_faces(g))
+        outcome = list(g.faces)
     assert outcome == EXPECTED[name]

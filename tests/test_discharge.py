@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 import gadgets
 from test_acceptance import hand_corpus
 from twodist import classify, discharge, reductions
-from twodist import (
+from twodist import audit, classify_all, gen_planar
+from twodist.discharge import (
+    RULE_AMOUNTS,
+    UNIT,
     apply_rules,
-    audit,
-    classify_all,
-    gen_planar,
+    face_keys,
     initial_charges,
-    trace_faces,
+    rule_totals,
 )
-from twodist.discharge import RULE_AMOUNTS, UNIT, face_keys, rule_totals
 
 seeds = st.integers(min_value=0, max_value=10**6)
 F = Fraction
@@ -73,7 +73,7 @@ class TestApplyRules:
     def test_three_faces_end_at_zero(self, small_corpus):
         for g in small_corpus[:15]:
             ledger = full_ledger(g)
-            for key, f in zip(face_keys(g), trace_faces(g)):
+            for key, f in zip(face_keys(g), g.faces):
                 if len(f) == 3:
                     assert ledger.face_charge[key] == 0
 

@@ -33,14 +33,13 @@ from twodist import (
     color,
     find_reduction,
     gen_planar,
-    is_cut_vertex,
     verify_coloring,
 )
 from twodist.classify import classify_all
 from twodist.discharge import LiveCharges
 from twodist.errors import NoApplyInForce
 from twodist.oracle import greedy_square
-from twodist.planar import Embedding, reachable, square
+from twodist.planar import Embedding, is_cut_vertex, reachable, square
 from twodist.reductions import MATCHER_ORDER, match_case, reduce_in_place
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))

@@ -19,7 +19,6 @@ copied part comes first.
 
 import hashlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import gadgets
@@ -87,8 +86,7 @@ def _renamed(outcome, old_to_new: dict[int, int]):
     def edges(es):
         return tuple((ids(a), ids(b)) for a, b in es)
 
-    return replace(
-        outcome,
+    return outcome._replace(
         vertex=ids(outcome.vertex),
         pending=tuple(map(ids, outcome.pending)),
         delete_vertices=tuple(map(ids, outcome.delete_vertices)),

@@ -1,8 +1,8 @@
 """Golden gate for face tracing.
 
 Everything that reads faces (the catalog, the audit, the Embedding's face
-ids) depends on the order in which ``trace_faces`` meets faces and on where
-each boundary walk starts.  One sha256 over the boundaries of every traced
+ids) depends on the order in which a ``PlanarGraph``'s trace meets faces
+(``g.faces``) and on where each boundary walk starts.  One sha256 over the boundaries of every traced
 face, graph by graph, pins both: on the hand gadgets, a corpus slice, the
 mirror image of each (every rotation reversed, which turns each face walk
 around), some flip triangulations, and the graphs with n = 0, 1 and 2.
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from test_acceptance import hand_corpus
-from twodist import PlanarGraph, trace_faces
+from twodist import PlanarGraph
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -37,6 +37,6 @@ def test_traced_faces_match_recorded_digest(corpus):
     graphs += [PlanarGraph([]), PlanarGraph([()]), PlanarGraph([(2,), (1,)])]
     digest = hashlib.sha256()
     for i, g in enumerate(graphs):
-        boundaries = list(trace_faces(g))
+        boundaries = list(g.faces)
         digest.update(f"graph {i} {boundaries!r}\n".encode())
     assert digest.hexdigest() == FACE_TRACE_DIGEST

@@ -9,13 +9,20 @@ audit and the live ledger must share.  The from-scratch audit reads only
 a ``PlanarGraph``, so the live ledger has a reference that shares no graph
 walk with it.
 The ``PlanarGraph``-level surgery wrappers are kept for the bench tracer
-and the tests alone: no code in the package calls them.
+and the tests alone: no code in the package calls them, and the files
+that name them are pinned, so that the list can only shrink.  The
+package's public surface is pinned too: the boundary types and the entry
+points through which the paper's claims are checked.
 """
 
 import ast
+import types
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "twodist").glob("*.py"))
+import twodist
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "twodist").glob("*.py"))
 
 
 def functions() -> list[tuple[str, ast.FunctionDef]]:
@@ -74,3 +81,56 @@ def test_the_package_calls_no_surgery_wrapper():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in WRAPPERS
     )
     assert calls == []
+
+
+def named(tree: ast.AST) -> set[str]:
+    """The names a module binds, reads, imports or spells as a string."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.FunctionDef):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_the_files_that_name_a_surgery_wrapper():
+    files = sorted(
+        str(path.relative_to(ROOT))
+        for folder in ("src/twodist", "bench", "tests")
+        for path in (ROOT / folder).glob("*.py")
+        if path != Path(__file__).resolve()
+        and WRAPPERS & named(ast.parse(path.read_text(), str(path)))
+    )
+    assert files == [
+        "bench/layers.py",
+        "src/twodist/planar.py",
+        "tests/test_acceptance.py",
+        "tests/test_classify.py",
+        "tests/test_colorer.py",
+        "tests/test_oracle.py",
+        "tests/test_planar.py",
+    ]
+
+
+def test_the_public_surface():
+    public = sorted(
+        name for name, value in vars(twodist).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert public == [
+        "BudgetExhausted", "Coloring", "DegreeBudgetExceeded", "Embedding",
+        "EmbeddingInvalid", "GenerationFailed", "InvariantViolated", "NoSafeColor",
+        "NotACutVertex", "NotConnected", "ParseError", "PermutationInfeasible",
+        "PlanarGraph", "Reduction", "RunTrace", "SurgeryDisconnects", "SurgeryNotPlanar",
+        "TwodistError", "UnknownVertex", "audit", "check_properness", "chi2_exact",
+        "classify_all", "color", "find_reduction", "gen_planar", "hunt", "match_case",
+        "parse_coloring", "parse_graph", "reduce_in_place", "verify_coloring",
+        "write_coloring", "write_graph",
+    ]

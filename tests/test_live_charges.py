@@ -4,9 +4,9 @@ and what following it costs.
 ``LiveCharges.follow`` reads nothing of an apply but its ``Change``: the
 deleted ids, the faces popped and born, each survivor's lost neighbors
 and the edges drawn, each with the face it shrank.  So the record must
-say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says,
-and the ledger must refuse an Embedding whose earlier apply it never
-saw.
+say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
+The ledger writes nothing into the apply's undo log: an undo derives it
+afresh, so it may attach to an Embedding whose earlier apply it never saw.
 """
 
 import random
@@ -16,22 +16,47 @@ import pytest
 
 import gadgets
 from test_audit_in_place import agrees_with_audit, audited_in_place
-from twodist import TwodistError, discharge, gen_planar
+from twodist import TwodistError, discharge, gen_planar, hunt
 from twodist.discharge import LiveCharges
-from twodist.errors import ApplyInForce
 from twodist.planar import Embedding
 
 
-def test_attaching_with_an_apply_in_force_is_refused():
-    # attached after the rim deletion, the ledger would hold 8 vertices of
-    # the 9 that the undo brings back, and still total -8
+def test_attaching_with_an_apply_in_force_then_undoing_it():
+    # attached after the rim deletion, the ledger holds 8 vertices; the
+    # undo brings the ninth back, and the ledger with it
     e = Embedding(gadgets.wheel(8))
     e.apply(delete_vertices=[2])
-    with pytest.raises(ApplyInForce):
-        LiveCharges(e)
-    e.undo()
     e.charges = LiveCharges(e)
     agrees_with_audit(e)
+    e.apply(delete_edges=[(1, 5)])
+    agrees_with_audit(e)
+    e.undo()
+    agrees_with_audit(e)
+    e.undo()
+    assert e.in_force == 0 and len(e.charges.vertex_units) == 9
+    agrees_with_audit(e)
+
+
+@pytest.fixture
+def unlogged(monkeypatch):
+    """Check that LiveCharges.follow leaves the apply's undo log as it
+    found it; returns the count of the calls checked."""
+    follow = LiveCharges.follow
+    seen = Counter()
+
+    def checked(self, e, change):
+        entries = len(change.log)
+        follow(self, e, change)
+        assert len(change.log) == entries
+        seen["follow"] += 1
+
+    monkeypatch.setattr(LiveCharges, "follow", checked)
+    return seen
+
+
+def test_the_hunters_ledger_writes_no_undo_entry(unlogged):
+    report = hunt(3, 80, 6, 1)
+    assert unlogged["follow"] > 100 and sum(report.audit_totals.values()) > 100
 
 
 def test_attaching_after_a_commit():
@@ -120,7 +145,7 @@ def test_the_change_record_matches_a_diff(small_corpus, recorded):
     assert recorded["apply"] > 100 and recorded["born, then split"]
 
 
-def test_stacked_random_applies_and_their_undos():
+def test_stacked_random_applies_and_their_undos(unlogged):
     # applies the engine never makes: several in force at once, mixing
     # deletions with drawn edges, some an edge deleted and drawn again
     rng = random.Random(5)
@@ -146,4 +171,4 @@ def test_stacked_random_applies_and_their_undos():
         for _ in range(applied):
             e.undo()
             agrees_with_audit(e)
-    assert redrawn
+    assert redrawn and unlogged["follow"]

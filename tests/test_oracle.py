@@ -14,12 +14,10 @@ from twodist import (
     chi2_exact,
     color,
     gen_planar,
-    greedy_square,
-    surgery,
     verify_coloring,
 )
-from twodist.oracle import DEFAULT_NODE_BUDGET
-from twodist.planar import Embedding
+from twodist.oracle import DEFAULT_NODE_BUDGET, greedy_square
+from twodist.planar import Embedding, distance_profile, surgery
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -112,8 +110,6 @@ class TestGreedySquare:
             e = Embedding(g)
             c = greedy_square(e)
             assert verify_coloring(g, c).valid
-            from twodist import distance_profile
-
             cap = max(len(distance_profile(e, v)) for v in g.vertices()) + 1
             assert c.colors_used <= cap
 

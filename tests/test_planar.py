@@ -13,17 +13,17 @@ from twodist import (
     SurgeryDisconnects,
     SurgeryNotPlanar,
     UnknownVertex,
-    articulation_points,
-    distance_profile,
     gen_planar,
+)
+from twodist.discharge import face_key
+from twodist.planar import (
+    Embedding,
+    distance_profile,
     is_cut_vertex,
     split_at,
     square,
     surgery,
-    trace_faces,
 )
-from twodist.discharge import face_key
-from twodist.planar import Embedding
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -32,7 +32,7 @@ class TestConstruction:
     def test_triangle(self):
         g = PlanarGraph([(2, 3), (3, 1), (1, 2)])
         assert g.n == 3 and g.m == 3
-        assert len(trace_faces(g)) == 2
+        assert len(g.faces) == 2
 
     def test_rejects_asymmetric_rotation(self):
         with pytest.raises(EmbeddingInvalid):
@@ -70,17 +70,17 @@ class TestConstruction:
 
 class TestTraceFaces:
     def test_k4_four_triangles(self):
-        faces = trace_faces(gadgets.complete4())
+        faces = gadgets.complete4().faces
         assert len(faces) == 4
         assert all(len(f) == 3 for f in faces)
 
     def test_hexagon_two_faces(self):
-        faces = trace_faces(gadgets.cycle(6))
+        faces = gadgets.cycle(6).faces
         assert sorted(map(len, faces)) == [6, 6]
 
     def test_octahedron(self):
         g = gadgets.octahedron()
-        faces = trace_faces(g)
+        faces = g.faces
         assert len(faces) == 8
         assert all(len(f) == 3 for f in faces)
         assert g.n - g.m + len(faces) == 2
@@ -90,12 +90,12 @@ class TestTraceFaces:
     )
     def test_face_degree_sum_is_2m(self, build):
         g = build()
-        assert sum(map(len, trace_faces(g))) == 2 * g.m
+        assert sum(map(len, g.faces)) == 2 * g.m
 
     def test_every_dart_used_once(self):
         g = gadgets.wheel(6)
         darts = []
-        for b in trace_faces(g):
+        for b in g.faces:
             darts += [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
         assert len(darts) == 2 * g.m
         assert len(set(darts)) == 2 * g.m
@@ -108,7 +108,7 @@ class TestTraceFaces:
         if mirrored:  # every rotation reversed turns each face walk around
             g = PlanarGraph([tuple(reversed(r)) for r in g.rotation])
         walked: dict[tuple[int, int], int] = {}
-        for i, b in enumerate(trace_faces(g)):
+        for i, b in enumerate(g.faces):
             assert g.fdeg[i] == len(b)
             for j, x in enumerate(b):
                 dart = (x, b[(j + 1) % len(b)])
@@ -220,13 +220,13 @@ class TestSurgery:
         g = gadgets.cycle(4)
         res = surgery(g, delete_vertices=[2], add_edges=[(1, 3)])
         assert res.graph.n == 3 and res.graph.m == 3
-        assert len(trace_faces(res.graph)) == 2
+        assert len(res.graph.faces) == 2
         assert res.old_to_new == {1: 1, 3: 2, 4: 3}
 
     def test_chord_across_c4(self):
         g = gadgets.cycle(4)
         res = surgery(g, add_edges=[(1, 3)])
-        faces = trace_faces(res.graph)
+        faces = res.graph.faces
         assert res.graph.n - res.graph.m + len(faces) == 2
         assert sorted(map(len, faces)) == [3, 3, 4]
 
@@ -234,7 +234,7 @@ class TestSurgery:
         g = gadgets.wheel(6)
         res = surgery(g, delete_vertices=[1])
         assert res.graph == gadgets.cycle(6)
-        assert sorted(map(len, trace_faces(res.graph))) == [6, 6]
+        assert sorted(map(len, res.graph.faces)) == [6, 6]
 
     def test_existing_edge_skipped_silently(self):
         g = gadgets.complete4()
@@ -277,7 +277,7 @@ class TestSurgery:
             res = surgery(g, delete_edges=[(u, v)])
         except SurgeryDisconnects:
             return
-        faces = trace_faces(res.graph)
+        faces = res.graph.faces
         assert res.graph.n - res.graph.m + len(faces) == 2
 
 
@@ -291,12 +291,12 @@ class TestCutVertices:
 
     def test_cycle_has_none(self):
         g = gadgets.cycle(5)
-        assert articulation_points(g) == set()
+        assert Embedding(g).cuts == set()
         assert not any(is_cut_vertex(g, v) for v in g.vertices())
 
     def test_two_triangles(self):
         g = gadgets.two_triangles()
-        assert articulation_points(g) == {1}
+        assert Embedding(g).cuts == {1}
         first, second = split_at(g, 1)
         for part in (first.graph, second.graph):
             assert part.n == 3 and part.m == 3
@@ -313,7 +313,7 @@ class TestCutVertices:
             ([(2,), (1, 3), (2,)], {2}),
         ):
             g = PlanarGraph(rotation)
-            assert articulation_points(g) == cuts
+            assert Embedding(g).cuts == cuts
             assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
 
     def test_not_a_cut_vertex(self):
@@ -324,7 +324,7 @@ class TestCutVertices:
     @given(seeds)
     def test_articulation_matches_per_vertex_check(self, seed):
         g = gen_planar(6 + seed % 25, seed=seed)
-        cuts = articulation_points(g)
+        cuts = Embedding(g).cuts
         for v in g.vertices():
             assert (v in cuts) == is_cut_vertex(g, v)
 
@@ -333,7 +333,7 @@ class TestCutVertices:
     def test_articulation_matches_on_corpus_graphs(self, seed):
         # the acceptance corpus generator: Delta >= 6, edges deleted
         g = gen_planar(14 + seed % 60, min_delta=6, seed=seed)
-        cuts = articulation_points(g)
+        cuts = Embedding(g).cuts
         assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
 
     @settings(max_examples=50, deadline=None)
@@ -347,7 +347,7 @@ class TestCutVertices:
             nbrs[v].append(p)
             nbrs[p].append(v)
         g = PlanarGraph([data.draw(st.permutations(nbrs[v])) for v in range(1, n + 1)])
-        assert len(trace_faces(g)) == (1 if n > 1 else 0)
-        cuts = articulation_points(g)
+        assert len(g.faces) == (1 if n > 1 else 0)
+        cuts = Embedding(g).cuts
         assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
         assert cuts == {v for v in g.vertices() if g.degree(v) > 1}

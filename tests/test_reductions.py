@@ -11,7 +11,6 @@ import bruteforce
 import gadgets
 import twodist
 from twodist import (
-    ProofGapReport,
     Reduction,
     RunTrace,
     Embedding,
@@ -25,6 +24,8 @@ from twodist import (
 )
 from twodist import cli
 from twodist.cli import main
+from twodist.planar import distance_profile
+from twodist.reductions import ProofGapReport
 from test_embedding import state
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -479,5 +480,5 @@ def test_l2_10_1_bound_on_its_model_graph():
     e = Embedding(g)
     r = match_case("L2.10.1", e)
     assert (r.vertex, r.d2_bound) == (1, 19)
-    assert len(twodist.distance_profile(e, 1)) == 20
+    assert len(distance_profile(e, 1)) == 20
     assert find_reduction(e).lemma == "L2.1"

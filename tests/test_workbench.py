@@ -16,7 +16,6 @@ from twodist import (
     hunt,
     parse_coloring,
     parse_graph,
-    trace_faces,
     write_coloring,
     write_graph,
 )
@@ -38,7 +37,7 @@ class TestGraphFiles:
     def test_parse_k4(self):
         g = parse_graph(K4_TEXT)
         assert g.n == 4 and g.m == 6
-        assert len(trace_faces(g)) == 4
+        assert len(g.faces) == 4
 
     def test_round_trip_identity(self):
         for g in (
@@ -122,7 +121,7 @@ class TestGenerator:
         # the Euler count; just confirm the face-degree sum as well
         for seed in range(5):
             g = gen_planar(40, min_delta=6, seed=seed)
-            assert sum(map(len, trace_faces(g))) == 2 * g.m
+            assert sum(map(len, g.faces)) == 2 * g.m
 
     @settings(max_examples=150, deadline=None)
     @given(
