@@ -14,12 +14,15 @@ A split colors the part holding the smallest other id first.  On the
 corpus that part is always the larger, which stays on the engine's
 Embedding while the smaller is copied out; a second digest, over the
 colorings and steps of id-reversed graphs, pins the order in which the
-copied part comes first.
+copied part comes first.  A third pins whole runs at n = 1600 and 3200,
+past every bench workload, where splits cut off more than a hub's leaves.
 """
 
 import hashlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import gadgets
 from test_acceptance import hand_corpus
@@ -38,6 +41,11 @@ INTERMEDIATE_GRAPH_DIGEST = "fa1398d526e4fb828b77e6fcf10c0088e2bff43424e3c4d05cc
 # recorded while a split still colored its second part on the engine's
 # Embedding, after deleting the first side there
 PART_FIRST_DIGEST = "427a63f9c0943fb9"
+# recorded while a split still started a walk from the smallest other id
+LARGE_RUN_DIGESTS = {
+    1600: "7bd515e80846f786b4c26688f7463e37d1e587bb8670349af57f33580074620f",
+    3200: "63a5efb15727f1a1decebddb03edc1875bca99a1eea1671ec352007e33f505f1",
+}
 
 
 def test_intermediate_graphs_match_recorded_digest(corpus):
@@ -75,6 +83,16 @@ def test_the_copied_part_first_matches_recorded_digest(monkeypatch):
         digest.update(repr(trace.steps).encode())
     assert sum(part_first) == 2
     assert digest.hexdigest()[:16] == PART_FIRST_DIGEST
+
+
+@pytest.mark.parametrize("n", sorted(LARGE_RUN_DIGESTS))
+def test_a_large_run_matches_recorded_digest(n):
+    trace = RunTrace()
+    c = color(gen_planar(n, 6, 3), trace=trace)
+    digest = hashlib.sha256()
+    digest.update(write_coloring(c).encode())
+    digest.update(repr(trace.steps).encode())
+    assert digest.hexdigest() == LARGE_RUN_DIGESTS[n]
 
 
 def _renamed(outcome, old_to_new: dict[int, int]):
