@@ -40,7 +40,7 @@ class NoApplyInForce(TwodistError):
 
 class NotACutVertex(TwodistError):
     """A split was asked for at a vertex whose removal keeps the graph
-    connected (``Embedding.split_sides``)."""
+    connected (``Embedding.smaller_side``)."""
 
 
 class NoSafeColor(TwodistError):

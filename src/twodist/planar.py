@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, islice
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, KeysView, NoReturn, Sequence
 
 from .errors import (
@@ -63,6 +63,7 @@ def reachable(
 
 _INT = {int}
 _tail = itemgetter(0)  # of a dart
+_head = itemgetter(0)  # of an ascending degree bucket
 
 
 def _reject_rotations(rot: tuple) -> NoReturn:
@@ -317,14 +318,18 @@ class Embedding:
     What a change costs:
 
     - Deleting a vertex or an edge edits, in place, the rotation list and
-      dart-face dict of each survivor that loses a neighbor: one
-      ``list.index``, one ``del`` and two log entries per lost neighbor,
-      so a hub costs O(deg) in C and O(1) in Python.  Only the faces that
-      replace the ones the deletion touched are walked, starting at the
-      corners it left; a walk reads each successor in line.  A face born
-      takes its darts over in one pass and logs one entry for them all.
-      A split copies its smaller side out (``part``) and deletes it, so no
-      split deletes the larger side.
+      dart-face dict of each survivor that loses a neighbor.  Losing one
+      costs one ``list.index``, one ``del`` and two log entries; losing
+      several, one pass over the rotation list and two log entries.  Only
+      the faces that replace the ones the deletion touched are walked,
+      starting at the corner after each run of lost neighbors; a walk
+      reads each successor in line.  A face born takes its darts over in
+      one pass and logs one entry for them all.
+    - A split finds the smaller side of its cut vertex (``smaller_side``)
+      by walks started from the runs of the cut vertex's rotation, in time
+      for that side when G - v has two components, and for all but the
+      largest component of G - v in general; it copies the side out
+      (``part``) and deletes it, so no split reads the larger side.
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
       in one pass over the vertices whose darts changed: the cut test is
@@ -390,11 +395,6 @@ class Embedding:
     def max_degree(self) -> int:
         return self._degs[-1] if self._degs else 0
 
-    @property
-    def in_force(self) -> int:
-        """The number of applies neither undone nor committed."""
-        return len(self._frames)
-
     def min_degree(self) -> int:
         return self._degs[0] if self._degs else 0
 
@@ -440,67 +440,84 @@ class Embedding:
         rotation = [[old_to_new[u] for u in self.rot[v]] for v in old_to_new]
         return SurgeryResult(PlanarGraph(rotation), old_to_new)
 
-    def split_sides(self, v: int) -> tuple[set[int], set[int]]:
-        """The two sides of cut vertex v: the component of G - v holding the
-        smallest other id, then every other vertex but v.
+    def smaller_side(self, v: int) -> tuple[set[int], bool]:
+        """The smaller side of cut vertex v, and whether it holds the
+        smallest other id.  The two sides are the component of G - v holding
+        that id and every other vertex but v; on a tie the second is taken.
 
-        Breadth-first walks in G - v start from that smallest id and from
-        each neighbor of v, and take turns expanding one vertex each; two
-        walks that meet merge into one.  The walks stop when the smallest
-        id's walk runs out, which has then found its side, or when every
-        other walk has, which have then found the rest (Even and Shiloach,
-        "An on-line edge-deletion problem", JACM 1981).  So the Python work
-        is about deg(v) times the smaller side, and the larger side is a
-        set difference over the live ids.
+        Two neighbors of v that follow each other round v, at a corner whose
+        face v meets only once, are joined round that face without passing
+        v.  So one breadth-first walk in G - v starts at the head of each run
+        of such neighbors in v's rotation.  The walks take turns expanding
+        one vertex each, and two walks that meet merge into one (Even and
+        Shiloach, "An on-line edge-deletion problem", JACM 1981).  Once at
+        most one walk still grows, every finished walk is a whole component,
+        and the growing one is in the rest, of size n - 1 less theirs.  It
+        is walked out only when it lies in the smaller side.  The smallest
+        other id is read off the heads of the degree buckets.  So the Python
+        work is about the number of runs times what G - v holds outside its
+        largest component: the smaller side, when G - v has two components.
         """
         self._check_vertex(v)
-        rot = self.rot
-        others = rot.keys() - {v}
-        if not others:
+        if v not in self.cuts:
             raise NotACutVertex(f"{v} is not a cut vertex")
-        low = min(others)
-        starts = [low] + [u for u in rot[v] if u != low]
+        rot = self.rot
+        r = rot[v]
+        corners = list(map(self.face[v].__getitem__, r))  # the face before each neighbor
+        s = sorted(corners)
+        again = set(compress(s, map(eq, s, s[1:])))  # the faces v meets more than once
+        starts = list(compress(r, map(again.__contains__, corners)))
         owner = {x: i for i, x in enumerate(starts)}  # vertex -> walk that reached it
         root = list(range(len(starts)))  # walk -> the walk it has merged into
         members = [[i] for i in root]  # root walk -> the walks merged into it
         queue = [[x] for x in starts]  # root walk -> breadth-first order
         pos = [0] * len(starts)  # root walk -> its next vertex to expand
         live = list(root)
-        while True:
-            live = [r for r in live if root[r] == r and pos[r] < len(queue[r])]
-            r0 = root[0]
-            if r0 not in live:
-                first = {x for x, w in owner.items() if root[w] == r0}
-                rest = others - first
-                break
-            if len(live) == 1:
-                rest = {x for x, w in owner.items() if root[w] != r0}
-                first = others - rest
-                break
-            for r in live:
-                if root[r] != r:
+        while len(live) > 1:
+            for w in live:
+                if root[w] != w:
                     continue  # merged into a walk that took its turn already
-                x = queue[r][pos[r]]
-                pos[r] += 1
+                q = queue[w]
+                x = q[pos[w]]
+                pos[w] += 1
                 for y in rot[x]:
-                    w = owner.get(y)
-                    if w is None:
+                    o = owner.get(y)
+                    if o is None:
                         if y != v:
-                            owner[y] = r
-                            queue[r].append(y)
-                        continue
-                    o = root[w]
-                    if o != r:
+                            owner[y] = w
+                            q.append(y)
+                    elif (o := root[o]) != w:
                         # merge; the walk with more left to expand keeps its queue
-                        if len(queue[o]) - pos[o] > len(queue[r]) - pos[r]:
-                            r, o = o, r
-                        queue[r] += queue[o][pos[o]:]
+                        if len(queue[o]) - pos[o] > len(q) - pos[w]:
+                            w, o = o, w
+                            q = queue[w]
+                        q += queue[o][pos[o]:]
                         for t in members[o]:
-                            root[t] = r
-                        members[r] += members[o]
-        if not rest:
-            raise NotACutVertex(f"{v} is not a cut vertex")
-        return first, rest
+                            root[t] = w
+                        members[w] += members[o]
+            live = [w for w in live if root[w] == w and pos[w] < len(queue[w])]
+        grow = live[0] if live else None
+        low = min(map(_head, self.bydeg.values()))
+        if low == v:  # v heads its own bucket: each bucket's first id but v
+            low = min(b[b[0] == v] for b in self.bydeg.values() if b != [v])
+        walks = list(map(root.__getitem__, owner.values()))  # the root walk of each vertex
+        w0 = owner.get(low)
+        r0 = grow if w0 is None else root[w0]  # the walk in low's component
+        if r0 == grow:
+            rest = len(walks) - walks.count(grow)
+            holds_low = len(rot) - 1 - rest < rest
+        else:
+            holds_low = 2 * walks.count(r0) < len(rot) - 1
+        if grow is not None and (r0 == grow) == holds_low:
+            # the growing walk lies in the smaller side: walk it out
+            q = queue[grow]
+            for x in islice(q, pos[grow], None):
+                for y in rot[x]:
+                    if y not in owner and y != v:
+                        owner[y] = grow
+                        q.append(y)
+            walks = list(map(root.__getitem__, owner.values()))
+        return set(compress(owner, map(r0.__eq__ if holds_low else r0.__ne__, walks))), holds_low
 
     def part(self, side: Iterable[int]) -> Embedding:
         """A new Embedding in the same ids holding only side, such as one side
@@ -514,7 +531,9 @@ class Embedding:
         ch = Change(set())
         ch.lost = {x: gone for x in keep if (gone := face[x].keys() - keep)}
         # a face that leaves side does so by some dart
-        ch.popped = old = {face[x][u] for x, gone in ch.lost.items() for u in gone}
+        old = ch.popped
+        for x, gone in ch.lost.items():
+            old.update(map(face[x].__getitem__, gone))
         p = Embedding.__new__(Embedding)
         p.rot = {x: rot[x].copy() for x in keep}
         p.face = {x: face[x].copy() for x in keep}
@@ -703,29 +722,46 @@ class Embedding:
     def _cut(self, ch: Change) -> None:
         """Take the gone neighbors out of each survivor's rotation list and
         dart-face dict, in place, then walk the faces that replace the old
-        ones.  Each such face passes a corner that a gone neighbor leaves,
-        so the walks start only from the dart to the next surviving neighbor
-        at those corners, and only while that dart's face is still old."""
+        ones.  Each such face passes a corner that a run of gone neighbors
+        leaves, so the walks start only from the dart to the survivor after
+        each run, and only while that dart's face is still old.  A survivor
+        that loses one neighbor logs two inverses; one that loses several is
+        filtered in one pass, and logs one inverse for its rotation list and
+        one for its dict."""
         rot, face, log, old = self.rot, self.face, ch.log, ch.popped
-        starts = []
+        starts: list[Edge] = []
         for x, gone in ch.lost.items():
             kept, fx = rot[x], face[x]
-            # in rotation order, so that each neighbor's index, taken once
-            # those before it are gone, is where the first survivor after it
-            # ends up (cyclically, once all are gone)
-            for u in gone if len(gone) == 1 else sorted(gone, key=kept.index):
+            if len(gone) == 1:
+                (u,) = gone
                 i = kept.index(u)
                 del kept[i]
                 log += ((kept.insert, i, u), (fx.__setitem__, u, fx.pop(u)))
-                starts.append((x, i))
+                if kept:
+                    starts.append((x, kept[i % len(kept)]))
+            else:
+                # one pass rebuilds the list and finds the survivor after
+                # each run of gone neighbors, in rotation order; a run that
+                # wraps round the end comes last, as its walk would
+                was = kept.copy()
+                kept.clear()
+                after = False  # whether the neighbor before is gone
+                for u in was:
+                    if u in gone:
+                        after = True
+                    else:
+                        kept.append(u)
+                        if after:
+                            starts.append((x, u))
+                            after = False
+                if after and kept:
+                    starts.append((x, kept[0]))
+                log += ((kept.__setitem__, slice(None), was), (fx.update, {u: fx.pop(u) for u in gone}))
             if not kept:
                 ch.touched.add(x)  # a lone survivor walks no face to reach it
-        for x, i in starts:
-            kept = rot[x]
-            if kept:
-                y = kept[i % len(kept)]
-                if face[x][y] in old:
-                    self._new_face(self.walk((x, y)), ch)
+        for x, y in starts:
+            if face[x][y] in old:
+                self._new_face(self.walk((x, y)), ch)
 
     def _link(self, a: int, b: int, ch: Change) -> None:
         """Draw edge a-b into a face shared by a and b, splitting it.
@@ -854,5 +890,7 @@ def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:
     component of G - v containing the smallest vertex id, the second keeps
     the rest; both keep v and inherit the induced rotation order."""
     e = Embedding(g)
-    first, rest = e.split_sides(v)
+    side, holds_low = e.smaller_side(v)
+    other = e.rot.keys() - side - {v}
+    first, rest = (side, other) if holds_low else (other, side)
     return e.part(first | {v}).snapshot(), e.part(rest | {v}).snapshot()

@@ -418,14 +418,14 @@ def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
     """Perform the reduction's surgery on e, with the degree cap pinned to
     the current maximum degree, and return the graphs left to color, in
     order; e.undo() reverts it until e.commit().  That is [e], or for a split its two parts,
-    first the one holding the side ``Embedding.split_sides`` lists first:
-    the smaller side is copied out (``Embedding.part``) and deleted from e."""
+    first the one holding the smallest id but the cut vertex: the smaller
+    side (``Embedding.smaller_side``) is copied out (``Embedding.part``)
+    and deleted from e."""
     if r.split is not None:
-        first, rest = e.split_sides(r.split)
-        small = min(rest, first, key=len)  # rest on a tie
-        part = e.part(small | {r.split})
-        e.apply(delete_vertices=small)
-        return [part, e] if small is first else [e, part]
+        side, holds_low = e.smaller_side(r.split)
+        part = e.part(side | {r.split})
+        e.apply(delete_vertices=side)
+        return [part, e] if holds_low else [e, part]
     size = len(e.rot) + e.m
     e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
     if len(e.rot) + e.m >= size:

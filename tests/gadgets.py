@@ -96,6 +96,33 @@ def wheel(k: int) -> PlanarGraph:
     return embed(coords, edges)
 
 
+def three_sides(low: str, tie: bool, cut_first: bool) -> tuple[PlanarGraph, int]:
+    """A cut vertex v and its id, with three components in G - v.
+
+    A is the 4-cycle v a1 x a2 closed by v, with a3 hung off x unless
+    ``tie``; B is b1, drawn inside that 4-cycle; C is the path c1 c2.  So
+    v's rotation runs c1, a1, b1, a2: A's neighbors of v are split by B's
+    (A B A), and every corner of v lies on a face that v meets twice.  The
+    smallest id other than v's lies in component ``low``, as far from v as
+    that component reaches, and v is numbered before it when ``cut_first``.
+    With ``tie`` the sides split G - v 3 : 3 when ``low`` is "A".
+    """
+    coords = {
+        "v": (0.0, 0.0), "a1": (1.0, 1.0), "x": (0.0, 2.0), "a2": (-1.0, 1.0),
+        "b1": (0.0, 1.0), "c1": (0.0, -1.0), "c2": (0.0, -2.0), "a3": (0.0, 3.0),
+    }
+    edges = [("v", "a1"), ("a1", "x"), ("x", "a2"), ("a2", "v"), ("v", "b1")]
+    edges += [("v", "c1"), ("c1", "c2")] + ([] if tie else [("x", "a3")])
+    if tie:
+        del coords["a3"]
+    far = {"A": "x" if tie else "a3", "B": "b1", "C": "c2"}[low]
+    names = [far] + [u for u in coords if u not in (far, "v")]
+    names.insert(0 if cut_first else 1, "v")
+    ids = {u: i for i, u in enumerate(names, 1)}
+    g = embed({ids[u]: xy for u, xy in coords.items()}, [(ids[a], ids[b]) for a, b in edges])
+    return g, ids["v"]
+
+
 def complete4() -> PlanarGraph:
     coords = {1: _pt(90, 2.0), 2: _pt(210, 2.0), 3: _pt(330, 2.0), 4: (0.0, 0.0)}
     return embed(coords, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)])
@@ -494,6 +521,20 @@ def committed_embedding(g: PlanarGraph) -> Embedding:
     e = Embedding(PlanarGraph(rotation + [[1]]))
     e.apply(delete_vertices=[g.n + 1])
     e.commit()
-    assert e.in_force == 0 and e.snapshot().graph == g
+    assert in_force(e) == 0 and e.snapshot().graph == g
     return e
+
+
+def in_force(e: Embedding) -> int:
+    """The number of e's applies neither undone nor committed."""
+    return len(e._frames)
+
+
+def split_sides(e: Embedding, v: int) -> tuple[set[int], set[int]]:
+    """The two sides of cut vertex v, as ``split_at`` orders them: the
+    component of G - v holding the smallest other id, then every other
+    vertex but v."""
+    side, holds_low = e.smaller_side(v)
+    other = e.rot.keys() - side - {v}
+    return (side, other) if holds_low else (other, side)
 

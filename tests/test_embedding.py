@@ -141,31 +141,91 @@ def wheel_with_tail():
     return PlanarGraph(rotation + [(2, 9), (8, 10), (9,)])
 
 
+THREE_SIDES = [
+    gadgets.three_sides(low, tie, cut_first)
+    for low in "ABC" for tie in (True, False) for cut_first in (True, False)
+]
+
+
 def test_split_sides_equal_the_reachable_reference(small_corpus):
+    # the smaller side is the component of G - v holding the smallest other
+    # id, or every other vertex but v, whichever is smaller (the second on
+    # a tie); the sides themselves are the reference's
     graphs = small_corpus[:30] + [two_wheels(), gadgets.star(5), wheel_with_tail()]
-    splits = 0
+    graphs += [g for g, _ in THREE_SIDES]
+    splits, seen = 0, set()
     for g in graphs:
         e = Embedding(g)
         before = state(e)
         for v in sorted(e.cuts):
-            first, rest = e.split_sides(v)
+            side, holds_low = e.smaller_side(v)
+            first, rest = gadgets.split_sides(e, v)
             low = 1 if v != 1 else 2
-            side = set(reachable(g.adj, g.n, low, avoid=v))
-            assert set(first) == side
-            assert set(rest) == set(g.vertices()) - side - {v}
+            reference = set(reachable(g.adj, g.n, low, avoid=v))
+            assert set(first) == reference
+            assert set(rest) == set(g.vertices()) - reference - {v}
+            assert holds_low == (len(first) < len(rest))
+            assert side == (first if holds_low else rest)
+            seen.add((holds_low, len(first) == len(rest)))
             splits += 1
         assert state(e) == before
         for v in set(g.vertices()) - e.cuts:
             with pytest.raises(NotACutVertex):
-                e.split_sides(v)
-    assert splits > 30
+                e.smaller_side(v)
+    assert splits > 30 and seen == {(True, False), (False, False), (False, True)}
+
+
+def test_the_three_sides_gadget_covers_the_hard_cases():
+    # three components, A's neighbors of v split by B's, an exact tie, and
+    # the smallest other id in the smaller side and in the larger
+    outcomes = set()
+    for g, v in THREE_SIDES:
+        e = Embedding(g)
+        sides = [frozenset(reachable(g.adj, g.n, u, avoid=v)) for u in e.rot[v]]
+        assert len(set(sides)) == 3 and sides[1] == sides[3] != sides[2]
+        side, holds_low = e.smaller_side(v)
+        first, rest = gadgets.split_sides(e, v)
+        outcomes.add((holds_low, len(first) - len(rest)))
+    assert outcomes == {(True, -5), (True, -4), (True, -3), (True, -2), (False, 0), (False, 1)}
 
 
 def test_split_sides_of_a_star_centre_and_a_wheel_tail():
-    first, rest = Embedding(gadgets.star(5)).split_sides(1)
+    e = Embedding(gadgets.star(5))
+    assert e.smaller_side(1) == ({2}, True)
+    first, rest = gadgets.split_sides(e, 1)
     assert (set(first), set(rest)) == ({2}, {3, 4, 5, 6})
-    first, rest = Embedding(wheel_with_tail()).split_sides(2)
+    e = Embedding(wheel_with_tail())
+    assert e.smaller_side(2) == ({8, 9, 10}, False)
+    first, rest = gadgets.split_sides(e, 2)
     assert (set(first), set(rest)) == ({1, 3, 4, 5, 6, 7}, {8, 9, 10})
+
+
+def test_splitting_off_a_pendant_costs_the_same_at_any_hub_degree():
+    # a pendant on the hub of a wheel: the search for the smaller side, the
+    # part that copies it out and the apply that deletes it read the same
+    # rotations on 20 spokes as on 60
+    reads = []
+    for k in (20, 60):
+        rotation = [list(r) for r in gadgets.wheel(k).rotation]
+        rotation[0].append(k + 2)
+        e = Embedding(PlanarGraph(rotation + [[1]]))
+        count = [0]
+
+        class Counted(dict):
+            def __getitem__(self, v):
+                count[0] += 1
+                return dict.__getitem__(self, v)
+
+        e.rot = Counted(e.rot)
+        side, holds_low = e.smaller_side(1)
+        assert (side, holds_low) == ({k + 2}, False)
+        part = e.part(side | {1})
+        e.apply(delete_vertices=side)
+        reads.append(count[0])
+        e.rot = dict(e.rot)
+        check_against_scratch(part)
+        check_against_scratch(e)
+    assert reads == [10, 10]
 
 
 def test_a_part_equals_deleting_the_other_side(small_corpus):
@@ -178,7 +238,7 @@ def test_a_part_equals_deleting_the_other_side(small_corpus):
         e = Embedding(g)
         before = state(e)
         for v in sorted(e.cuts):
-            first, rest = e.split_sides(v)
+            first, rest = gadgets.split_sides(e, v)
             for side, other in ((first, rest), (rest, first)):
                 part = e.part(side | {v})
                 assert state(e) == before
@@ -216,7 +276,7 @@ def test_a_fresh_embedding_and_its_parts_equal_a_recount(small_corpus):
         e = Embedding(g)
         sides = [e.rot.keys() - {max(e.rot)}] if max(e.rot) not in e.cuts else []
         for v in sorted(e.cuts):
-            sides += [side | {v} for side in e.split_sides(v)]
+            sides += [side | {v} for side in gadgets.split_sides(e, v)]
         for p in [e] + [e.part(side) for side in sides]:
             check_against_scratch(p)
             assert p._deg == {v: len(r) for v, r in p.rot.items()}
@@ -267,7 +327,7 @@ def test_a_run_holds_no_undo_history(small_corpus):
     calls = []
 
     def hook(e, outcome):
-        calls.append(e.in_force)
+        calls.append(gadgets.in_force(e))
 
     for g in graphs:
         assert verify_coloring(g, color(g, trace=RunTrace(graph_hook=hook))).valid
@@ -447,7 +507,7 @@ def test_a_commit_keeps_the_state_and_drops_every_frame():
     applied = state(e)
     e.commit()
     committed = state(e)
-    assert e.in_force == 0
+    assert gadgets.in_force(e) == 0
     assert committed[:-1] == applied[:-1]  # all but the frame count
     check_against_scratch(e)
     with pytest.raises(NoApplyInForce):

@@ -33,7 +33,7 @@ def test_attaching_with_an_apply_in_force_then_undoing_it():
     e.undo()
     agrees_with_audit(e)
     e.undo()
-    assert e.in_force == 0 and len(e.charges.vertex_units) == 9
+    assert gadgets.in_force(e) == 0 and len(e.charges.vertex_units) == 9
     agrees_with_audit(e)
 
 
@@ -65,7 +65,7 @@ def test_attaching_after_a_commit():
     e = Embedding(gadgets.wheel(8))
     e.apply(delete_vertices=[2])
     e.commit()
-    assert e.in_force == 0
+    assert gadgets.in_force(e) == 0
     e.charges = LiveCharges(e)
     agrees_with_audit(e)
     e.apply(delete_edges=[(1, 5)])

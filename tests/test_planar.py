@@ -163,7 +163,7 @@ class TestDistanceProfile:
             lambda g: g.adj(True),
             lambda g: g.neighbors(True),
             lambda g: distance_profile(Embedding(g), True),
-            lambda g: Embedding(g).split_sides(True),
+            lambda g: Embedding(g).smaller_side(True),
         ],
     )
     def test_bool_is_no_vertex(self, read):

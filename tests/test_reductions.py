@@ -383,8 +383,8 @@ class TestProperness:
             outcome = find_reduction(e)
             assert isinstance(outcome, Reduction)
             if outcome.split is not None:
-                first, rest = e.split_sides(outcome.split)
-                e.apply(delete_vertices=rest if len(first) >= len(rest) else first)
+                side, _ = e.smaller_side(outcome.split)
+                e.apply(delete_vertices=side)
             else:
                 assert check_properness(e, outcome)
             g = e.snapshot().graph
@@ -442,7 +442,7 @@ class TestReduceCommand:
         in_force = []
 
         def counted(e):
-            in_force.append(e.in_force)
+            in_force.append(gadgets.in_force(e))
             return find_reduction(e)
 
         monkeypatch.setattr(cli, "find_reduction", counted)
