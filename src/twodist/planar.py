@@ -503,11 +503,10 @@ class Embedding:
         walks = list(map(root.__getitem__, owner.values()))  # the root walk of each vertex
         w0 = owner.get(low)
         r0 = grow if w0 is None else root[w0]  # the walk in low's component
-        if r0 == grow:
-            rest = len(walks) - walks.count(grow)
-            holds_low = len(rot) - 1 - rest < rest
-        else:
-            holds_low = 2 * walks.count(r0) < len(rot) - 1
+        others = len(rot) - 1
+        # low's component: a finished walk, or what the finished walks leave
+        low_size = others - len(walks) + walks.count(grow) if r0 == grow else walks.count(r0)
+        holds_low = 2 * low_size < others
         if grow is not None and (r0 == grow) == holds_low:
             # the growing walk lies in the smaller side: walk it out
             q = queue[grow]

@@ -96,30 +96,34 @@ def wheel(k: int) -> PlanarGraph:
     return embed(coords, edges)
 
 
-def three_sides(low: str, tie: bool, cut_first: bool) -> tuple[PlanarGraph, int]:
+def three_sides(a: int, b: int, c: int, low: str, cut_first: bool) -> tuple[PlanarGraph, int]:
     """A cut vertex v and its id, with three components in G - v.
 
-    A is the 4-cycle v a1 x a2 closed by v, with a3 hung off x unless
-    ``tie``; B is b1, drawn inside that 4-cycle; C is the path c1 c2.  So
-    v's rotation runs c1, a1, b1, a2: A's neighbors of v are split by B's
-    (A B A), and every corner of v lies on a face that v meets twice.  The
-    smallest id other than v's lies in component ``low``, as far from v as
-    that component reaches, and v is numbered before it when ``cut_first``.
-    With ``tie`` the sides split G - v 3 : 3 when ``low`` is "A".
+    A is a path of a >= 2 vertices closed into a cycle through v, B a path
+    of b vertices hung off v inside that cycle and C a path of c vertices
+    hung off v outside it.  So A's neighbors of v are split by B's in v's
+    rotation (A B A), and every corner of v lies on a face that v meets
+    twice.  The smallest id other than v's lies in component ``low``, as far
+    from v as that component reaches, and v is numbered before it when
+    ``cut_first``.
     """
-    coords = {
-        "v": (0.0, 0.0), "a1": (1.0, 1.0), "x": (0.0, 2.0), "a2": (-1.0, 1.0),
-        "b1": (0.0, 1.0), "c1": (0.0, -1.0), "c2": (0.0, -2.0), "a3": (0.0, 3.0),
-    }
-    edges = [("v", "a1"), ("a1", "x"), ("x", "a2"), ("a2", "v"), ("v", "b1")]
-    edges += [("v", "c1"), ("c1", "c2")] + ([] if tie else [("x", "a3")])
-    if tie:
-        del coords["a3"]
-    far = {"A": "x" if tie else "a3", "B": "b1", "C": "c2"}[low]
-    names = [far] + [u for u in coords if u not in (far, "v")]
-    names.insert(0 if cut_first else 1, "v")
-    ids = {u: i for i, u in enumerate(names, 1)}
-    g = embed({ids[u]: xy for u, xy in coords.items()}, [(ids[a], ids[b]) for a, b in edges])
+    coords = {"v": (0.0, 0.0)}
+    names = {"A": [f"a{i}" for i in range(a)], "B": [f"b{i}" for i in range(b)]}
+    names["C"] = [f"c{i}" for i in range(c)]
+    for i, u in enumerate(names["A"]):
+        coords[u] = _pt(20 + 140 * i / (a - 1), 3.0)
+    for i, u in enumerate(names["B"]):
+        coords[u] = (0.0, 0.3 + 0.2 * i)  # below the chord a0-a(a-1)
+    for i, u in enumerate(names["C"]):
+        coords[u] = (0.0, -1.0 - i)
+    edges = [("v", names["A"][-1])]
+    for path in names.values():
+        edges += [("v", path[0])] + list(zip(path, path[1:]))
+    far = names[low][-1] if low != "A" else names["A"][a // 2]
+    order = [far] + [u for u in coords if u not in (far, "v")]
+    order.insert(0 if cut_first else 1, "v")
+    ids = {u: i for i, u in enumerate(order, 1)}
+    g = embed({ids[u]: xy for u, xy in coords.items()}, [(ids[x], ids[y]) for x, y in edges])
     return g, ids["v"]
 
 

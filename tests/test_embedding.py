@@ -141,9 +141,17 @@ def wheel_with_tail():
     return PlanarGraph(rotation + [(2, 9), (8, 10), (9,)])
 
 
+# (sizes of A, B and C, the component holding the smallest other id): a
+# 3 : 3 tie; that id on the smaller side, as a lone vertex, as a path, and
+# on a side the walks leave growing; a 6 : 6 tie and that id on the larger
+# side, each with the other side left growing
 THREE_SIDES = [
-    gadgets.three_sides(low, tie, cut_first)
-    for low in "ABC" for tie in (True, False) for cut_first in (True, False)
+    gadgets.three_sides(a, b, c, low, cut_first)
+    for a, b, c, low in (
+        (3, 1, 2, "A"), (3, 1, 2, "B"), (3, 1, 2, "C"),
+        (3, 4, 2, "B"), (6, 5, 1, "A"), (8, 6, 1, "A"),
+    )
+    for cut_first in (True, False)
 ]
 
 
@@ -186,7 +194,7 @@ def test_the_three_sides_gadget_covers_the_hard_cases():
         side, holds_low = e.smaller_side(v)
         first, rest = gadgets.split_sides(e, v)
         outcomes.add((holds_low, len(first) - len(rest)))
-    assert outcomes == {(True, -5), (True, -4), (True, -3), (True, -2), (False, 0), (False, 1)}
+    assert outcomes == {(False, 0), (True, -4), (True, -2), (True, -1), (False, 1)}
 
 
 def test_split_sides_of_a_star_centre_and_a_wheel_tail():
