@@ -62,8 +62,7 @@ def reachable(
 
 
 _INT = {int}
-_tail = itemgetter(0)  # of a dart
-_head = itemgetter(0)  # of an ascending degree bucket
+_first = itemgetter(0)  # a dart's tail, or the smallest id of a degree bucket
 
 
 def _reject_rotations(rot: tuple) -> NoReturn:
@@ -325,11 +324,12 @@ class Embedding:
       starting at the corner after each run of lost neighbors; a walk
       reads each successor in line.  A face born takes its darts over in
       one pass and logs one entry for them all.
-    - A split finds the smaller side of its cut vertex (``smaller_side``)
-      by walks started from the runs of the cut vertex's rotation, in time
-      for that side when G - v has two components, and for all but the
-      largest component of G - v in general; it copies the side out
-      (``part``) and deletes it, so no split reads the larger side.
+    - A split finds the smaller side of its cut vertex v (``smaller_side``)
+      by walks started from the runs of v's rotation: a pass over that
+      rotation, and time for the smaller side when G - v has two
+      components (for all but the largest component of G - v in general).
+      It copies the side out (``part``) and deletes it, so no split copies
+      or deletes the larger side.
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
       in one pass over the vertices whose darts changed: the cut test is
@@ -452,8 +452,8 @@ class Embedding:
         one vertex each, and two walks that meet merge into one (Even and
         Shiloach, "An on-line edge-deletion problem", JACM 1981).  Once at
         most one walk still grows, every finished walk is a whole component,
-        and the growing one is in the rest, of size n - 1 less theirs.  It
-        is walked out only when it lies in the smaller side.  The smallest
+        and the growing one's component is all the rest, of size n - 1 less
+        theirs.  It is walked out only when it lies in the smaller side.  The smallest
         other id is read off the heads of the degree buckets.  So the Python
         work is about the number of runs times what G - v holds outside its
         largest component: the smaller side, when G - v has two components.
@@ -497,7 +497,7 @@ class Embedding:
                         members[w] += members[o]
             live = [w for w in live if root[w] == w and pos[w] < len(queue[w])]
         grow = live[0] if live else None
-        low = min(map(_head, self.bydeg.values()))
+        low = min(map(_first, self.bydeg.values()))
         if low == v:  # v heads its own bucket: each bucket's first id but v
             low = min(b[b[0] == v] for b in self.bydeg.values() if b != [v])
         walks = list(map(root.__getitem__, owner.values()))  # the root walk of each vertex
@@ -673,7 +673,7 @@ class Embedding:
             fx = face[x]
             was.append(fx[y])
             fx[y] = new
-        ch.touched.update(map(_tail, darts))
+        ch.touched.update(map(_first, darts))
         ch.log += ((self._label, darts, was), (fdeg.pop, new))
         fdeg[new] = len(darts)
 
