@@ -317,7 +317,7 @@ def _step(
     except DegreeBudgetExceeded:
         # possible only below the guarantee threshold, where a fan center
         # may sit at the maximum degree already; never with Delta >= 6.
-        # The refused apply has rolled itself back.
+        # reduce_in_place has undone the apply it refused.
         if e.max_degree() >= 6:
             raise
         return _greedy_fallback(e, k, None)

@@ -45,6 +45,7 @@ from typing import Iterable, NamedTuple
 from .classify import VertexClass, classify_all, classify_vertex
 from .errors import InvariantViolated
 from .planar import Change, Embedding, PlanarGraph
+from .reductions import Reduction, find_reduction
 
 # Every amount any rule may move.
 RULE_AMOUNTS = {
@@ -450,8 +451,6 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
     knows the fired rule).  The grand total is always -8, so an
     all-nonnegative outcome on such a graph would be impossible.
     """
-    from .reductions import Reduction, find_reduction
-
     classes = classify_all(g)
     initial = initial_charges(g)
     ledger = apply_rules(g, initial, classes)

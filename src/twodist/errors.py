@@ -31,7 +31,8 @@ class SurgeryDisconnects(TwodistError):
 
 
 class DegreeBudgetExceeded(TwodistError):
-    """An edge addition pushed a vertex degree past the caller's cap."""
+    """A reduction's surgery raised the maximum degree, so the smaller
+    graph may need more colors (``reductions.reduce_in_place``)."""
 
 
 class NoApplyInForce(TwodistError):

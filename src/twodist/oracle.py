@@ -2,7 +2,8 @@
 
 chi2 of a graph equals the chromatic number of its square, computed here by
 saturation-ordered branch and bound between a greedy clique lower bound and
-a greedy coloring upper bound, refined by bisection.
+a greedy coloring upper bound, the search's own first descent, refined by
+bisection.
 
 chi2_exact and greedy_square read an Embedding: the coloring engine's,
 whose ids have gaps where vertices were deleted, or ``Embedding(g)`` in
@@ -61,27 +62,6 @@ def greedy_clique(adj: Adjacency) -> list[int]:
     return best
 
 
-def _greedy_colors(adj: Adjacency) -> dict[int, int]:
-    """Saturation-greedy coloring of an adjacency structure."""
-    colors: dict[int, int] = {}
-    neighbor_colors: dict[int, set[int]] = {v: set() for v in adj}
-    uncolored = set(adj)
-    while uncolored:
-        v = min(
-            uncolored,
-            key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
-        )
-        used = neighbor_colors[v]
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for u in adj[v]:
-            neighbor_colors[u].add(c)
-    return colors
-
-
 def greedy_square(e: Embedding) -> Coloring:
     """Valid 2-distance coloring by greedy on the square, in e's ids; never
     more colors than max d2(v) + 1."""
@@ -93,12 +73,10 @@ def greedy_square(e: Embedding) -> Coloring:
     return Coloring(colors, budget=max(budget, max(colors.values())))
 
 
-def _feasible(
-    adj: Adjacency, k: int, budget: _Budget
-) -> tuple[str, dict[int, int] | None]:
+def _feasible(adj: Adjacency, k: int, budget: _Budget) -> tuple[str, dict[int, int]]:
     """Search for a proper k-coloring of adj.
 
-    Returns ("found", coloring), ("infeasible", None) or ("abort", None).
+    Returns ("found", coloring), ("infeasible", {}) or ("abort", {}).
     Depth first over an explicit stack of choices, so deep searches need no
     recursion.  Branches on the most saturated vertex, ties toward higher
     degree then smaller id; only colors up to one past the current maximum
@@ -106,14 +84,12 @@ def _feasible(
     """
     colors: dict[int, int] = {}
     neighbor_colors: dict[int, set[int]] = {v: set() for v in adj}
+    uncolored = set(adj)
     max_used = 0
     # one entry per colored vertex: (vertex, color, newly blocked, max before)
     stack: list[tuple[int, int, list[int], int]] = []
-    while len(colors) < len(adj):
-        v = min(
-            (u for u in adj if u not in colors),
-            key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u),
-        )
+    while uncolored:
+        v = min(uncolored, key=lambda u: (-len(neighbor_colors[u]), -len(adj[u]), u))
         c = 1
         while True:  # next color for v, undoing earlier choices when none is left
             limit = min(k, max_used + 1)
@@ -122,21 +98,30 @@ def _feasible(
             if c <= limit:
                 break
             if not stack:
-                return ("infeasible", None)
+                return ("infeasible", {})
             v, c, bumped, max_used = stack.pop()
             del colors[v]
+            uncolored.add(v)
             for u in bumped:
                 neighbor_colors[u].discard(c)
             c += 1
         if not budget.spend():
-            return ("abort", None)
+            return ("abort", {})
         colors[v] = c
+        uncolored.discard(v)
         bumped = [u for u in adj[v] if c not in neighbor_colors[u]]
         for u in bumped:
             neighbor_colors[u].add(c)
         stack.append((v, c, bumped, max_used))
         max_used = max(max_used, c)
     return ("found", dict(colors))
+
+
+def _greedy_colors(adj: Adjacency) -> dict[int, int]:
+    """Saturation-greedy coloring of an adjacency structure: the first
+    descent of ``_feasible``, which with n colors never backtracks."""
+    n = len(adj)
+    return _feasible(adj, n, _Budget(n))[1]
 
 
 def chi2_exact(
@@ -164,7 +149,6 @@ def chi2_exact(
         mid = (lo + hi) // 2
         verdict, witness = _feasible(sq, mid, budget)
         if verdict == "found":
-            assert witness is not None
             best = witness
             hi = max(witness.values())
         elif verdict == "infeasible":

@@ -11,11 +11,11 @@ input really is a planar embedding of a connected graph.  Vertex ids are
 dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
 date locally as surgery edits it in place.  It logs the inverse of every
-edit, and the degree and cut flags it changes, so that undoing a surgery
-is replaying those, newest first; ``commit`` drops them.  Only this module
-writes or reads that log: an undo re-derives an attached charge ledger
-instead.  One side of a cut vertex is copied out as an Embedding of its
-own (``Embedding.part``).
+edit, so that undoing a surgery is replaying those, newest first, and
+re-deriving the degree and cut flags of the vertices it touched;
+``commit`` drops the log.  Only this module writes or reads it: an undo
+re-derives an attached charge ledger instead.  One side of a cut vertex
+is copied out as an Embedding of its own (``Embedding.part``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, KeysView, NoReturn, Sequence
 
 from .errors import (
-    DegreeBudgetExceeded,
     EmbeddingInvalid,
     InvariantViolated,
     NoApplyInForce,
@@ -260,30 +259,29 @@ class SurgeryResult:
 # dart deleted, or (fdeg.pop, new) for a face born.  One entry may invert a
 # batch of edits: (fdeg.update, degrees) puts back the faces a deletion
 # popped, and (self._label, darts, ids) the face ids the darts of a born face
-# had.  The edge count and face counter are kept in the apply frame, with
-# the flags below.
+# had.
 LogEntry = tuple
-# A vertex's degree (None once it is deleted) and cut flag, as the degree
-# buckets and the cut set hold them.
-Flags = tuple[int, "int | None", bool]
 
 
 class Change:
-    """What one ``Embedding.apply`` did, as its primitives record it.
+    """What one ``Embedding.apply`` on e did, as its primitives record it;
+    it is also the apply's undo frame.
 
-    ``log`` is its undo log and ``touched`` the vertices whose darts it
-    changed; ``dels`` are the deleted ids, ``lost`` maps each survivor to
-    the neighbors it lost, ``popped`` holds the face ids removed and
-    ``born`` each face walked into being with its darts then (a later link
-    may split it).  ``links`` has one (face, dart) pair per edge drawn, in
-    order: the face the link shrank in place and the new edge's dart left
-    on it.
+    ``log`` is its undo log, ``m`` and ``faces`` e's edge count and face
+    counter before it, and ``touched`` the vertices whose darts it
+    changed: an undo re-derives their degree and cut flags.  ``dels`` are
+    the deleted ids, ``lost`` maps each survivor to the neighbors it lost,
+    ``popped`` holds the face ids removed and ``born`` each face walked
+    into being with its darts then (a later link may split it).  ``links``
+    has one (face, dart) pair per edge drawn, in order: the face the link
+    shrank in place and the new edge's dart left on it.
     """
 
-    __slots__ = ("log", "touched", "dels", "lost", "popped", "born", "links")
+    __slots__ = ("log", "m", "faces", "touched", "dels", "lost", "popped", "born", "links")
 
-    def __init__(self, dels: set[int]):
+    def __init__(self, e: Embedding, dels: set[int]):
         self.log: list[LogEntry] = []
+        self.m, self.faces = e.m, e._faces
         self.touched: set[int] = set()
         self.dels = dels
         self.lost: dict[int, set[int]] = {}
@@ -334,16 +332,16 @@ class Embedding:
     - The degree buckets and cut flags are re-derived once per ``apply``,
       in one pass over the vertices whose darts changed: the cut test is
       one C-level set over a vertex's dart faces, and only a vertex whose
-      degree or flag changed moves (by bisection) and has its old flags
-      saved.  A new Embedding, or a ``part``, fills its buckets in one
-      ascending pass.
+      degree or flag changed moves (by bisection).  A new Embedding, or a
+      ``part``, fills its buckets in one ascending pass.
 
-    ``apply`` logs the inverse of every edit, and m and the face counter in
-    its frame; ``undo`` puts the saved flags back, replays the inverses,
-    newest first, and restores m and the counter: the embedding is back
-    exactly, rotation order included (a dict key put back iterates last),
-    and no face was looked at.
-    ``commit`` drops the frames, so a run that never undoes keeps no history.
+    Each ``apply`` keeps its ``Change`` as its frame: the inverse of every
+    edit, m and the face counter it started from, and the vertices it
+    touched.  ``undo`` replays the inverses, newest first, restores m and
+    the counter, and re-derives the flags of those vertices as ``apply``
+    did: the embedding is back exactly, rotation order included (a dict key
+    put back iterates last).  ``commit`` drops the frames, so a run that
+    never undoes keeps no history.
     """
 
     __slots__ = (
@@ -370,7 +368,7 @@ class Embedding:
             self.bydeg.setdefault(deg[v], []).append(v)
         self._degs = sorted(self.bydeg)  # the degrees present, ascending
         self.cuts = {v for v, fv in face.items() if len(set(fv.values())) < deg[v]}
-        self._frames: list[tuple[list[LogEntry], list[Flags], int, int]] = []
+        self._frames: list[Change] = []
         self.charges = None  # a discharge.LiveCharges, when one is attached
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
@@ -527,7 +525,7 @@ class Embedding:
         UnknownVertex or SurgeryDisconnects as ``apply`` does; e is unchanged."""
         keep = self._ids(side)
         rot, face, fdeg = self.rot, self.face, self.fdeg
-        ch = Change(set())
+        ch = Change(self, set())
         ch.lost = {x: gone for x in keep if (gone := face[x].keys() - keep)}
         # a face that leaves side does so by some dart
         old = ch.popped
@@ -552,7 +550,6 @@ class Embedding:
         delete_vertices: Iterable[int] = (),
         delete_edges: Iterable[Edge] = (),
         add_edges: Iterable[Edge] = (),
-        max_degree: int | None = None,
     ) -> None:
         """Delete vertices and edges, then draw each added edge into a face
         its two surviving ends share, splitting it; an edge already present
@@ -561,7 +558,7 @@ class Embedding:
         the one whose smallest dart comes first.  Ids and edge pairs are
         checked first: on error nothing has changed; otherwise ``undo``
         reverts the whole call, until a ``commit``."""
-        rot, face = self.rot, self.face
+        face = self.face
         dels = self._ids(delete_vertices)
         del_edges = set()
         for u, v in self._pairs(delete_edges):
@@ -575,9 +572,8 @@ class Embedding:
             if a == b:
                 raise SurgeryNotPlanar("cannot add a self-loop")
 
-        ch = Change(dels)
-        saved: list[Flags] = []  # the flags this apply's refresh replaces
-        self._frames.append((ch.log, saved, self.m, self._faces))
+        ch = Change(self, dels)
+        self._frames.append(ch)
         try:
             self._remove(del_edges, ch)
             if not self._connected(ch):
@@ -588,37 +584,30 @@ class Embedding:
                 if b in face[a]:
                     continue  # already adjacent: the distance requirement is met
                 self._link(a, b, ch)
-                if max_degree is not None and (
-                    len(rot[a]) > max_degree or len(rot[b]) > max_degree
-                ):
-                    raise DegreeBudgetExceeded(
-                        f"adding {a}-{b} exceeds the degree cap {max_degree}"
-                    )
         except BaseException:
             self.undo()
             raise
-        saved += self._refresh(ch.touched)
+        self._refresh(ch.touched)
         if self.charges is not None:
             self.charges.follow(self, ch)
 
     def undo(self) -> None:
         """Revert the latest apply still in force (else NoApplyInForce).
 
-        The degree buckets and cut flags that the apply refreshed are put
-        back from the flags it saved, with no look at the faces; then the
-        logged inverses are replayed, newest first, and m and the face
-        counter are restored.  Every dict gets its contents back but not
-        its key order (a key put back iterates last), so nothing that
-        reads the graph may depend on the order of ``rot`` or ``face[v]``.
-        An attached charge ledger is derived afresh from the result."""
+        The logged inverses are replayed, newest first, m and the face
+        counter are restored, and the degree buckets and cut flags of the
+        vertices the apply touched are re-derived, as the apply derived
+        them.  Every dict gets its contents back but not its key order (a
+        key put back iterates last), so nothing that reads the graph may
+        depend on the order of ``rot`` or ``face[v]``.  An attached charge
+        ledger is derived afresh from the result."""
         if not self._frames:
             raise NoApplyInForce("no apply in force to undo")
-        log, saved, self.m, self._faces = self._frames.pop()
-        deg = self._deg
-        for v, k, cut in saved:
-            self._move(v, deg.get(v), k, cut)
-        for inverse, *args in reversed(log):
+        ch = self._frames.pop()
+        for inverse, *args in reversed(ch.log):
             inverse(*args)
+        self.m, self._faces = ch.m, ch.faces
+        self._refresh(ch.touched)
         if self.charges is not None:
             self.charges = type(self.charges)(self)
 
@@ -812,11 +801,10 @@ class Embedding:
         log.append((fdeg.__setitem__, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
-    def _refresh(self, vertices: Iterable[int]) -> list[Flags]:
+    def _refresh(self, vertices: Iterable[int]) -> None:
         """Re-derive the degree and cut flag of each of these vertices and
-        move those that changed; returns their flags as they were."""
+        move those that changed."""
         rot, face, deg, cuts = self.rot, self.face, self._deg, self.cuts
-        replaced = []
         for v in vertices:
             r = rot.get(v)
             if r is None:
@@ -824,11 +812,9 @@ class Embedding:
             else:
                 k = len(r)
                 cut = len(set(face[v].values())) < k
-            was, was_cut = deg.get(v), v in cuts
-            if was != k or was_cut != cut:
-                replaced.append((v, was, was_cut))
+            was = deg.get(v)
+            if was != k or (v in cuts) != cut:
                 self._move(v, was, k, cut)
-        return replaced
 
     def _move(self, v: int, was: int | None, k: int | None, cut: bool) -> None:
         """Move v from the bucket of degree was to that of degree k (None:
@@ -859,12 +845,11 @@ def surgery(
     delete_vertices: Iterable[int] = (),
     delete_edges: Iterable[Edge] = (),
     add_edges: Iterable[Edge] = (),
-    max_degree: int | None = None,
 ) -> SurgeryResult:
     """``Embedding.apply`` on a copy of g, with survivors renamed to dense
     ids 1..n'; the rename map is returned alongside."""
     e = Embedding(g)
-    e.apply(delete_vertices, delete_edges, add_edges, max_degree)
+    e.apply(delete_vertices, delete_edges, add_edges)
     return e.snapshot()
 
 

@@ -32,7 +32,7 @@ from itertools import compress
 from typing import Callable, NamedTuple
 
 from .classify import VertexClass, classify_vertex, is_special_vertex
-from .errors import InvariantViolated
+from .errors import DegreeBudgetExceeded, InvariantViolated
 from .planar import (
     Edge,
     Embedding,
@@ -415,19 +415,28 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
 
 
 def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
-    """Perform the reduction's surgery on e, with the degree cap pinned to
-    the current maximum degree, and return the graphs left to color, in
-    order; e.undo() reverts it until e.commit().  That is [e], or for a split its two parts,
-    first the one holding the smallest id but the cut vertex: the smaller
-    side (``Embedding.smaller_side``) is copied out (``Embedding.part``)
-    and deleted from e."""
+    """Perform the reduction's surgery on e and return the graphs left to
+    color, in order; e.undo() reverts it until e.commit().  That is [e], or
+    for a split its two parts, first the one holding the smallest id but
+    the cut vertex: the smaller side (``Embedding.smaller_side``) is copied
+    out (``Embedding.part``) and deleted from e.
+
+    Any other surgery is held here to the two promises that let the
+    smaller graph be colored with the same palette: the maximum degree
+    does not grow (else DegreeBudgetExceeded) and the graph shrinks (else
+    InvariantViolated).  Either refusal undoes the apply first."""
     if r.split is not None:
         side, holds_low = e.smaller_side(r.split)
         part = e.part(side | {r.split})
         e.apply(delete_vertices=side)
         return [part, e] if holds_low else [e, part]
-    size = len(e.rot) + e.m
-    e.apply(r.delete_vertices, r.delete_edges, r.add_edges, e.max_degree())
+    size, delta = len(e.rot) + e.m, e.max_degree()
+    e.apply(r.delete_vertices, r.delete_edges, r.add_edges)
+    if e.max_degree() > delta:
+        e.undo()
+        raise DegreeBudgetExceeded(
+            f"{r.lemma} at {r.vertex} raises the maximum degree past {delta}"
+        )
     if len(e.rot) + e.m >= size:
         e.undo()
         raise InvariantViolated(f"{r.lemma} at {r.vertex} did not shrink the graph")

@@ -365,6 +365,26 @@ def g_L2_7_2(adjacent: bool, boost_first_pair: bool = False) -> PlanarGraph:
     return embed(coords, edges)
 
 
+def capped_fan() -> PlanarGraph:
+    """A (4,1,2)-configuration at hub 1 whose L2.7.2 fan centre, rim vertex
+    2, already sits at the maximum degree 4: the surgery would raise Delta."""
+    coords = {
+        1: (0.0, 0.0),
+        2: (1.0, 0.0), 3: (0.0, 1.0), 4: (-1.0, 0.0), 5: (0.0, -1.0),
+    }
+    edges = [(1, i) for i in range(2, 6)] + [(2, 3)]
+    coords[6] = _pt(135, 1.6)
+    edges += [(3, 6), (6, 4)]
+    coords[7] = _pt(210, 1.9)
+    coords[8] = _pt(240, 1.9)
+    edges += [(4, 7), (7, 8), (8, 5)]
+    coords[9] = _pt(315, 1.6)
+    edges += [(5, 9), (9, 2)]
+    coords[10] = _pt(340, 2.2)
+    edges += [(2, 10), (10, 9)]
+    return embed(coords, edges)
+
+
 def g_L2_8(boosts: dict[int, int], apex_edge: tuple[int, int] | None) -> PlanarGraph:
     """(5,5)-hub (full 5-wheel), rim vertices boosted to target degrees,
     optionally an apex over a rim edge so the hub is not special.

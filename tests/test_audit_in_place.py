@@ -33,9 +33,11 @@ from twodist import (
 )
 from twodist.discharge import LiveCharges, face_keys
 from twodist.planar import Embedding
+from twodist.reductions import match_case, reduce_in_place
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
+from test_embedding import state  # noqa: E402
 from test_engine_golden import FLIP_SEEDS, FLIP_SIZES  # noqa: E402
 from workloads import gen_flip  # noqa: E402
 
@@ -156,9 +158,8 @@ def test_on_hunt_graphs(followed):
 FAILED_APPLIES = pytest.mark.parametrize(
     "build, kwargs, error",
     [
-        # the rim vertex goes before the cap trips on the added edge
-        (lambda: gadgets.wheel(6), dict(delete_vertices=[2], add_edges=[(3, 7)], max_degree=2),
-         DegreeBudgetExceeded),
+        # the edge goes and 1-6 is drawn before 1-7 finds no shared face
+        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 6), (1, 7)]), SurgeryNotPlanar),
         (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
         (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
     ],
@@ -185,6 +186,21 @@ def test_a_failed_apply_after_a_commit_leaves_graph_and_ledger_as_they_were(buil
     with pytest.raises(error):
         e.apply(**kwargs)
     assert ledger(e) == before and e.rot == rotation
+    agrees_with_audit(e)
+
+
+@pytest.mark.parametrize("build", [Embedding, gadgets.committed_embedding])
+def test_a_reduction_that_raises_delta_leaves_graph_and_ledger_as_they_were(build):
+    # the L2.7.2 fan centre already sits at Delta = 4: the apply succeeds
+    # and raises Delta, so reduce_in_place undoes it and refuses
+    e = build(gadgets.capped_fan())
+    e.charges = LiveCharges(e)
+    r = match_case("L2.7.2", e)
+    assert r is not None and r.add_edges[0][0] == 2
+    before, charges = state(e), ledger(e)
+    with pytest.raises(DegreeBudgetExceeded):
+        reduce_in_place(e, r)
+    assert state(e) == before and ledger(e) == charges
     agrees_with_audit(e)
 
 

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import gadgets
 from twodist import (
-    DegreeBudgetExceeded,
     InvariantViolated,
     Reduction,
     RunTrace,
@@ -437,9 +436,8 @@ def test_keeping_the_smaller_side_then_adding_an_edge():
 FAILED_APPLIES = pytest.mark.parametrize(
     "build, kwargs, error",
     [
-        # the rim vertex goes before the cap trips on the added edge
-        (lambda: gadgets.wheel(6), dict(delete_vertices=[2], add_edges=[(3, 7)], max_degree=2),
-         DegreeBudgetExceeded),
+        # the edge goes and 1-6 is drawn before 1-7 finds no shared face
+        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 6), (1, 7)]), SurgeryNotPlanar),
         (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
         (gadgets.two_triangles, dict(delete_vertices=[1]), SurgeryDisconnects),
         (lambda: gadgets.path(4), dict(delete_edges=[(2, 3)]), SurgeryDisconnects),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 import bruteforce
 import gadgets
 from twodist import (
-    DegreeBudgetExceeded,
     EmbeddingInvalid,
     NotACutVertex,
     NotConnected,
@@ -250,12 +249,6 @@ class TestSurgery:
         g = gadgets.path(3)
         with pytest.raises(SurgeryDisconnects):
             surgery(g, delete_vertices=[2])
-
-    def test_degree_cap(self):
-        g = gadgets.cycle(4)
-        with pytest.raises(DegreeBudgetExceeded):
-            surgery(g, add_edges=[(1, 3)], max_degree=2)
-        surgery(g, add_edges=[(1, 3)], max_degree=3)
 
     def test_deleting_unknown_edge(self):
         with pytest.raises(UnknownVertex):

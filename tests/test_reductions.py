@@ -244,23 +244,7 @@ class TestDegreeCap:
     def test_fan_without_headroom_is_rejected_on_apply(self):
         # a (4,1,2)-configuration whose chosen fan center already sits at the
         # maximum degree: the surgery would need Delta + 1 and must refuse
-        import math
-
-        coords = {
-            1: (0.0, 0.0),
-            2: (1.0, 0.0), 3: (0.0, 1.0), 4: (-1.0, 0.0), 5: (0.0, -1.0),
-        }
-        edges = [(1, i) for i in range(2, 6)] + [(2, 3)]
-        coords[6] = gadgets._pt(135, 1.6)
-        edges += [(3, 6), (6, 4)]
-        coords[7] = gadgets._pt(210, 1.9)
-        coords[8] = gadgets._pt(240, 1.9)
-        edges += [(4, 7), (7, 8), (8, 5)]
-        coords[9] = gadgets._pt(315, 1.6)
-        edges += [(5, 9), (9, 2)]
-        coords[10] = gadgets._pt(340, 2.2)
-        edges += [(2, 10), (10, 9)]
-        g = gadgets.embed(coords, edges)
+        g = gadgets.capped_fan()
         assert g.degree(2) == 4 == g.max_degree()
 
         e = Embedding(g)
