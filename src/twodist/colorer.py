@@ -10,12 +10,13 @@ Steps waiting for their smaller graphs sit on an explicit stack.
 The whole run works on one Embedding of the input: each step changes it
 locally and commits the change, so vertex ids never change, a step costs
 time for what it touches, and the run keeps no undo history.  What a step
-needs of its graph later (``Near``) is read before its reduction.  Only a
-split's smaller side is colored on an Embedding of its own, copied out in
-the same ids (``Embedding.part``).  Base cases and the greedy fallback are
-colored on the Embedding at hand too, so a run builds no PlanarGraph of its
-own (only a catalog gap report holds one).  A graph hook is handed the live
-Embedding itself.
+needs of its graph later (``Near``) is read before its reduction, as
+tuples of ids: unlike a set's, a tuple of ints leaves the cyclic garbage
+collector's watch after one collection.  Only a split's smaller side is
+colored on an Embedding of its own, copied out in the same ids
+(``Embedding.part``).  Base cases and the greedy fallback are colored on
+the Embedding at hand too, so a run builds no PlanarGraph of its own (only
+a catalog gap report holds one).  A graph hook gets the live Embedding.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
-from typing import Callable
+from typing import Callable, Collection
 
 from .errors import (
     BudgetExhausted,
@@ -44,9 +45,9 @@ from .reductions import (
 BASE_N = 10  # below this the oracle colors directly
 BASE_ORACLE_BUDGET = 300_000
 
-# What a step reads of its graph before its reduction, for the unwind: each
+# What a step reads of its graph before its reduction, as tuples of ids: each
 # pending vertex's distance-2 set, or a split's cut vertex's neighbors.
-Near = dict[int, frozenset[int]] | frozenset[int]
+Near = dict[int, tuple[int, ...]] | tuple[int, ...]
 
 
 @dataclass
@@ -170,7 +171,7 @@ def _mixed_order(x: object) -> tuple:
 
 def extend(
     partial: Coloring,
-    near: dict[int, frozenset[int]],
+    near: dict[int, Collection[int]],
     reduction: Reduction | None = None,
     trace: RunTrace | None = None,
 ) -> Coloring:
@@ -183,22 +184,15 @@ def extend(
     assignment = partial.assignment
     k = partial.budget
     get = assignment.get
+    lemma, bound = ("-", None) if reduction is None else (reduction.lemma, reduction.d2_bound)
     for v, profile in near.items():
         forbidden = set(map(get, profile))
         forbidden.discard(None)  # an uncolored vertex forbids nothing
         if trace is not None:
-            bound = reduction.d2_bound if reduction is not None else None
-            lemma = reduction.lemma if reduction is not None else "-"
             trace.extensions.append((v, lemma, len(forbidden), bound))
         if len(forbidden) >= k:
-            detail = (
-                f" (rule {reduction.lemma}, claimed bound {reduction.d2_bound})"
-                if reduction is not None
-                else ""
-            )
-            raise NoSafeColor(
-                f"all {k} colors forbidden at vertex {v}{detail}"
-            )
+            detail = "" if reduction is None else f" (rule {lemma}, claimed bound {bound})"
+            raise NoSafeColor(f"all {k} colors forbidden at vertex {v}{detail}")
         c = 1
         while c in forbidden:
             c += 1
@@ -207,7 +201,7 @@ def extend(
 
 
 def merge_at_cut(
-    c1: Coloring, c2: Coloring, v: int, nbrs: frozenset[int]
+    c1: Coloring, c2: Coloring, v: int, nbrs: Collection[int]
 ) -> Coloring:
     """Combine colorings of the two sides of cut vertex v, whose neighbors
     on both sides are ``nbrs``.
@@ -309,9 +303,9 @@ def _step(
 
     r = outcome
     if r.split is None:
-        near: Near = {v: distance_profile(e, v) for v in r.pending}
+        near: Near = {v: tuple(distance_profile(e, v)) for v in r.pending}
     else:
-        near = frozenset(e.adj(r.split))
+        near = tuple(e.adj(r.split))
     try:
         todo = reduce_in_place(e, r)
     except DegreeBudgetExceeded:

@@ -11,11 +11,12 @@ input really is a planar embedding of a connected graph.  Vertex ids are
 dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
 date locally as surgery edits it in place.  It logs the inverse of every
-edit, so that undoing a surgery is replaying those, newest first, and
-re-deriving the degree and cut flags of the vertices it touched;
-``commit`` drops the log.  Only this module writes or reads it: an undo
-re-derives an attached charge ledger instead.  One side of a cut vertex
-is copied out as an Embedding of its own (``Embedding.part``).
+edit, a function and its arguments, so that undoing a surgery is
+replaying those, newest first, and re-deriving the degree and cut flags
+of the vertices it touched; ``commit`` drops the log.  Only this module
+writes or reads it: an undo re-derives an attached charge ledger instead.
+One side of a cut vertex is copied out as an Embedding of its own
+(``Embedding.part``).
 """
 
 from __future__ import annotations
@@ -226,13 +227,14 @@ def trace_faces(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
     return g.faces
 
 
-def distance_profile(e: Embedding, v: int) -> frozenset[int]:
-    """Exact set of vertices at distance 1 or 2 from v, in e's own ids."""
+def distance_profile(e: Embedding, v: int) -> set[int]:
+    """Exact set of vertices at distance 1 or 2 from v, in e's own ids: a
+    new set, the caller's to keep or change."""
     e._check_vertex(v)
     first = e.face[v]  # its keys are v's neighbors
     reach = set(first).union(*map(e.face.__getitem__, first))
     reach.discard(v)
-    return frozenset(reach)  # a copy sized to its contents, as callers keep it
+    return reach
 
 
 def square(e: Embedding) -> dict[int, set[int]]:
@@ -242,7 +244,7 @@ def square(e: Embedding) -> dict[int, set[int]]:
     from.  Plain adjacency only; the square of a planar graph is generally
     not planar so no embedding is produced.
     """
-    return {v: set(distance_profile(e, v)) for v in e.face}
+    return {v: distance_profile(e, v) for v in e.face}
 
 
 @dataclass(frozen=True)
@@ -253,14 +255,24 @@ class SurgeryResult:
     old_to_new: dict[int, int]
 
 
-# One undo-log entry per edit made in place, newest last: a bound method
-# and the arguments whose call inverts the edit, such as (kept.insert, i, u)
-# for a neighbor deleted from a rotation list, (fx.__setitem__, u, f) for a
-# dart deleted, or (fdeg.pop, new) for a face born.  One entry may invert a
-# batch of edits: (fdeg.update, degrees) puts back the faces a deletion
-# popped, and (self._label, darts, ids) the face ids the darts of a born face
-# had.
+# One undo-log entry per edit made in place, newest last: a module-level
+# function and the arguments whose call inverts the edit, such as
+# (_put_back, kept, fx, i, u, f) for neighbor u deleted from position i of
+# a rotation list with its dart on face f, or (dict.update, fdeg, degrees)
+# for the faces a deletion popped: one tuple, and no bound method.
 LogEntry = tuple
+
+
+def _put_back(kept: list[int], fx: dict[int, int], i: int, u: int, f: int) -> None:
+    kept.insert(i, u)
+    fx[u] = f
+
+
+def _unborn(face: dict, fdeg: dict, new: int, darts: list[Edge], ids: list[int]) -> None:
+    """Put each dart of the born face back on the face of the same index in ids."""
+    del fdeg[new]
+    for (x, y), f in zip(darts, ids):
+        face[x][y] = f
 
 
 class Change:
@@ -316,7 +328,7 @@ class Embedding:
 
     - Deleting a vertex or an edge edits, in place, the rotation list and
       dart-face dict of each survivor that loses a neighbor.  Losing one
-      costs one ``list.index``, one ``del`` and two log entries; losing
+      costs one ``list.index``, one ``del`` and one log entry; losing
       several, one pass over the rotation list and two log entries.  Only
       the faces that replace the ones the deletion touched are walked,
       starting at the corner after each run of lost neighbors; a walk
@@ -330,10 +342,10 @@ class Embedding:
       or deletes the larger side.
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
-      in one pass over the vertices whose darts changed: the cut test is
-      one C-level set over a vertex's dart faces, and only a vertex whose
-      degree or flag changed moves (by bisection).  A new Embedding, or a
-      ``part``, fills its buckets in one ascending pass.
+      in one pass over the vertices whose darts changed: the cut test, a
+      C-level set over a vertex's dart faces, runs on the live ones, and
+      only a vertex whose degree changed moves (by bisection).  A new
+      Embedding, or a ``part``, fills its buckets in one ascending pass.
 
     Each ``apply`` keeps its ``Change`` as its frame: the inverse of every
     edit, m and the face counter it started from, and the vertices it
@@ -409,14 +421,16 @@ class Embedding:
         if not (type(v) is int and v in self.rot):
             raise UnknownVertex(f"vertex {v} not in the graph")
 
-    def _pairs(self, edges: object) -> list[Edge]:
-        """edges as a list of pairs of live vertex ids, or UnknownVertex."""
+    def _pairs(self, edges: object) -> Sequence[Edge]:
+        """edges as a list of pairs of live vertex ids, or UnknownVertex; the
+        empty tuple, apply's default, as it is (a test of truth passes 0)."""
+        if type(edges) is tuple and not edges:
+            return edges
         try:
             pairs = [(u, v) for u, v in edges]
         except (TypeError, ValueError):  # not iterable, or an edge that is not a pair
             raise UnknownVertex(f"{edges!r} is not a collection of vertex id pairs") from None
-        if pairs:
-            self._ids(list(chain.from_iterable(pairs)))
+        self._ids(list(chain.from_iterable(pairs)))
         return pairs
 
     def _ids(self, vertices: object) -> set[int]:
@@ -652,7 +666,7 @@ class Embedding:
 
     def _new_face(self, darts: list[Edge], ch: Change) -> None:
         """Give the darts of one face boundary a fresh face id; one log
-        entry gives them all their old ids back."""
+        entry drops it and gives them all their old ids back."""
         face, fdeg = self.face, self.fdeg
         new = self._faces
         self._faces += 1
@@ -663,14 +677,8 @@ class Embedding:
             was.append(fx[y])
             fx[y] = new
         ch.touched.update(map(_first, darts))
-        ch.log += ((self._label, darts, was), (fdeg.pop, new))
+        ch.log.append((_unborn, face, fdeg, new, darts, was))
         fdeg[new] = len(darts)
-
-    def _label(self, darts: list[Edge], ids: list[int]) -> None:
-        """Put each dart on the face of the same index in ids."""
-        face = self.face
-        for (x, y), f in zip(darts, ids):
-            face[x][y] = f
 
     def _remove(self, del_edges: set[Edge], ch: Change) -> None:
         """Delete the vertices ``ch.dels`` and these edges, then walk the
@@ -686,7 +694,7 @@ class Embedding:
         darts = 0
         for s in dels:
             r, fs = rot.pop(s), face.pop(s)
-            log += ((rot.__setitem__, s, r), (face.__setitem__, s, fs))
+            log += ((dict.__setitem__, rot, s, r), (dict.__setitem__, face, s, fs))
             # a face through a dart (u, s) goes on through a dart out of s
             old.update(fs.values())
             darts += len(r)
@@ -697,7 +705,7 @@ class Embedding:
         # at a survivor that lost it
         self.m -= (darts + sum(map(len, lost.values()))) // 2
         ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        log.append((fdeg.update, {f: fdeg.pop(f) for f in old}))
+        log.append((dict.update, fdeg, {f: fdeg.pop(f) for f in old}))
         self._cut(ch)
 
     def _connected(self, ch: Change) -> bool:
@@ -713,9 +721,8 @@ class Embedding:
         ones.  Each such face passes a corner that a run of gone neighbors
         leaves, so the walks start only from the dart to the survivor after
         each run, and only while that dart's face is still old.  A survivor
-        that loses one neighbor logs two inverses; one that loses several is
-        filtered in one pass, and logs one inverse for its rotation list and
-        one for its dict."""
+        that loses one neighbor logs one inverse; one that loses several is
+        filtered in one pass, and logs one for its list and one for its dict."""
         rot, face, log, old = self.rot, self.face, ch.log, ch.popped
         starts: list[Edge] = []
         for x, gone in ch.lost.items():
@@ -724,7 +731,7 @@ class Embedding:
                 (u,) = gone
                 i = kept.index(u)
                 del kept[i]
-                log += ((kept.insert, i, u), (fx.__setitem__, u, fx.pop(u)))
+                log.append((_put_back, kept, fx, i, u, fx.pop(u)))
                 if kept:
                     starts.append((x, kept[i % len(kept)]))
             else:
@@ -744,7 +751,8 @@ class Embedding:
                             after = False
                 if after and kept:
                     starts.append((x, kept[0]))
-                log += ((kept.__setitem__, slice(None), was), (fx.update, {u: fx.pop(u) for u in gone}))
+                faces = {u: fx.pop(u) for u in gone}
+                log += ((list.__setitem__, kept, slice(None), was), (dict.update, fx, faces))
             if not kept:
                 ch.touched.add(x)  # a lone survivor walks no face to reach it
         for x, y in starts:
@@ -789,7 +797,7 @@ class Embedding:
             i = r.index(pred) + 1
             r.insert(i, y)
             fx[y] = f
-            log += ((r.pop, i), (fx.pop, y))
+            log += ((list.pop, r, i), (dict.pop, fx, y))
         self.m += 1
         # f is now two faces, one on each side of a-b: the smaller gets a new
         # id, and the reverse of its first dart, a-b or b-a, stays on f
@@ -798,13 +806,14 @@ class Embedding:
         side = self._smaller_face((a, b), (b, a))
         self._new_face(side, ch)  # a and b both lie on it
         ch.links += ((f, side[0][::-1]),)
-        log.append((fdeg.__setitem__, f, fdeg[f]))
+        log.append((dict.__setitem__, fdeg, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
     def _refresh(self, vertices: Iterable[int]) -> None:
-        """Re-derive the degree and cut flag of each of these vertices and
-        move those that changed."""
+        """Re-derive the degree and cut flag of each of these vertices; one
+        whose degree changed moves between buckets, kept ascending."""
         rot, face, deg, cuts = self.rot, self.face, self._deg, self.cuts
+        bydeg, degs = self.bydeg, self._degs
         for v in vertices:
             r = rot.get(v)
             if r is None:
@@ -812,32 +821,24 @@ class Embedding:
             else:
                 k = len(r)
                 cut = len(set(face[v].values())) < k
+            if cut != (v in cuts):
+                cuts ^= {v}
             was = deg.get(v)
-            if was != k or (v in cuts) != cut:
-                self._move(v, was, k, cut)
-
-    def _move(self, v: int, was: int | None, k: int | None, cut: bool) -> None:
-        """Move v from the bucket of degree was to that of degree k (None:
-        no bucket), keeping both ascending, and set its cut flag."""
-        if was != k:
-            bydeg = self.bydeg
+            if was == k:
+                continue
             if was is not None:
                 bucket = bydeg[was]
                 del bucket[bisect_left(bucket, v)]
                 if not bucket:
                     del bydeg[was]
-                    self._degs.remove(was)
+                    degs.remove(was)
             if k is None:
-                del self._deg[v]
+                del deg[v]
             else:
-                self._deg[v] = k
+                deg[v] = k
                 if k not in bydeg:
-                    insort(self._degs, k)
+                    insort(degs, k)
                 insort(bydeg.setdefault(k, []), v)
-        if cut:
-            self.cuts.add(v)
-        else:
-            self.cuts.discard(v)
 
 
 def surgery(

@@ -27,8 +27,7 @@ an Embedding of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .classify import VertexClass, classify_vertex, is_special_vertex
@@ -212,6 +211,14 @@ class Rule:
     six_six: int = 0
     nonspecial: bool = False
     bound: tuple[int, int] = (3, 1)
+    runs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        runs = []  # each pattern's runs of fixed corners, as (start, stop, degrees)
+        for _, p, _ in self.anchors:
+            gaps = [-1, *(j for j, want in enumerate(p) if want is None), len(p)]
+            runs.append(tuple((a + 1, b, p[a + 1:b]) for a, b in zip(gaps, gaps[1:]) if b > a + 1))
+        object.__setattr__(self, "runs", tuple(runs))
 
     def match(self, ctx: _Ctx) -> Reduction | None:
         """The first vertex, in ascending id, where the rule fires."""
@@ -243,13 +250,11 @@ class Rule:
         k = len(rot)
         cd = ctx.e.corner_degrees(v)  # the anchors read the corners in order
         ring = cd + cd
-        for case, pattern, chords in self.anchors:
-            # the offsets at which each corner the pattern fixes fits, all at once
-            offsets = set(range(k)).intersection(*(
-                compress(range(k), map(want.__eq__, ring[j:j + k]))
-                for j, want in enumerate(pattern)
-                if want is not None
-            ))
+        for (case, _, chords), runs in zip(self.anchors, self.runs):
+            # the offsets at which every run of corners the pattern fixes fits
+            offsets = range(k)
+            for a, b, want in runs:
+                offsets = [r for r in offsets if ring[r + a:r + b] == want]
             if not offsets:
                 continue
             r = min(offsets, key=rot.__getitem__)

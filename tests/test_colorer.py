@@ -455,6 +455,21 @@ class TestPaletteRewrites:
         assert traces[0].extensions == traces[1].extensions
 
     @settings(max_examples=300, deadline=None)
+    @given(palettes(), st.data())
+    def test_extend_reads_a_tuple_as_it_reads_a_frozenset(self, palette, data):
+        # the engine keeps each distance-2 set as a tuple, in any order
+        k, assignment = palette
+        pending = data.draw(st.lists(st.integers(1, 15), unique=True, max_size=4))
+        sets = {v: frozenset(data.draw(st.sets(st.integers(1, 15)))) - {v} for v in pending}
+        tuples = {v: tuple(data.draw(st.permutations(sorted(near)))) for v, near in sets.items()}
+        r = Reduction("L2.2", None, 1, (1,), (1,), (), (), 2 * k)
+        traces = RunTrace(), RunTrace()
+        got = outcome(extend, Coloring(dict(assignment), k), tuples, r, traces[0])
+        want = outcome(extend, Coloring(dict(assignment), k), sets, r, traces[1])
+        assert got == want
+        assert traces[0].extensions == traces[1].extensions
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12), st.data())
     def test_merge_at_cut_equals_the_loops(self, k, data):
         # the cut vertex 1, the first side's other ids below 9, the second's above

@@ -483,6 +483,12 @@ def test_failed_apply_after_a_commit_changes_nothing(build, kwargs, error):
         dict(delete_vertices=5),
         dict(delete_edges=5),
         dict(add_edges=5),
+        dict(delete_vertices=0),
+        dict(delete_edges=0),
+        dict(add_edges=0),
+        dict(delete_vertices=None),
+        dict(delete_edges=None),
+        dict(add_edges=None),
     ],
 )
 def test_an_id_that_is_not_an_int_is_refused(kwargs):
@@ -490,7 +496,9 @@ def test_an_id_that_is_not_an_int_is_refused(kwargs):
     # them through: a deletion would take the hub, and an added edge to
     # rim vertex 3 would be skipped as already there; an edge that is not
     # a pair of ids, and vertices or edges that are not a collection of
-    # them, are refused the same way, before any comparison
+    # them, are refused the same way, before any comparison.  0 and None
+    # are false like the empty default, so a shortcut for empty input that
+    # tests truth would take them for "nothing to do"
     e = Embedding(gadgets.wheel(6))
     before = state(e)
     with pytest.raises(UnknownVertex):
