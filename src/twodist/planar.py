@@ -422,9 +422,8 @@ class Embedding:
             raise UnknownVertex(f"vertex {v} not in the graph")
 
     def _pairs(self, edges: object) -> Sequence[Edge]:
-        """edges as a list of pairs of live vertex ids, or UnknownVertex; the
-        empty tuple, apply's default, as it is (a test of truth passes 0)."""
-        if type(edges) is tuple and not edges:
+        """edges as a list of pairs of live vertex ids, or UnknownVertex."""
+        if type(edges) is tuple and not edges:  # the default (); a truth test would pass 0
             return edges
         try:
             pairs = [(u, v) for u, v in edges]
@@ -810,8 +809,7 @@ class Embedding:
         fdeg[f] = total - len(side)
 
     def _refresh(self, vertices: Iterable[int]) -> None:
-        """Re-derive the degree and cut flag of each of these vertices; one
-        whose degree changed moves between buckets, kept ascending."""
+        """Re-derive the degree and cut flag of each of these vertices."""
         rot, face, deg, cuts = self.rot, self.face, self._deg, self.cuts
         bydeg, degs = self.bydeg, self._degs
         for v in vertices:
@@ -836,9 +834,11 @@ class Embedding:
                 del deg[v]
             else:
                 deg[v] = k
-                if k not in bydeg:
+                if k in bydeg:
+                    insort(bydeg[k], v)
+                else:
+                    bydeg[k] = [v]
                     insort(degs, k)
-                insort(bydeg.setdefault(k, []), v)
 
 
 def surgery(
