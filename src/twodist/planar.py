@@ -698,13 +698,15 @@ class Embedding:
             old.update(fs.values())
             darts += len(r)
             for u in r:
-                if u not in dels:
-                    lost.setdefault(u, set()).add(s)
+                if u in lost:  # a survivor: lost holds no deleted id
+                    lost[u].add(s)
+                elif u not in dels:
+                    lost[u] = {s}
         # each deleted edge is counted at both ends: at a deleted vertex, or
         # at a survivor that lost it
         self.m -= (darts + sum(map(len, lost.values()))) // 2
         ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        log.append((dict.update, fdeg, {f: fdeg.pop(f) for f in old}))
+        log.append((dict.update, fdeg, dict(zip(old, map(fdeg.pop, old)))))
         self._cut(ch)
 
     def _connected(self, ch: Change) -> bool:
@@ -814,11 +816,8 @@ class Embedding:
         bydeg, degs = self.bydeg, self._degs
         for v in vertices:
             r = rot.get(v)
-            if r is None:
-                k, cut = None, False
-            else:
-                k = len(r)
-                cut = len(set(face[v].values())) < k
+            k = None if r is None else len(r)
+            cut = k is not None and len(set(face[v].values())) < k
             if cut != (v in cuts):
                 cuts ^= {v}
             was = deg.get(v)
