@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gen", help="generate a random embedded planar graph")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--min-delta", type=int, default=0)
+    p.add_argument("--min-delta", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_gen)
@@ -213,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("hunt", help="color random graphs, audit intermediates, count gaps")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--min-delta", type=int, default=6)
+    p.add_argument("--min-delta", type=_int_at_least(0), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-audit", action="store_true")
     p.set_defaults(fn=_cmd_hunt)

@@ -26,9 +26,10 @@ its face boundary walks, each keyed by ``face_key``, its least rotation.
 ``LiveCharges`` reads the same helpers to keep the final charges of the
 engine's Embedding current as it changes; it holds what the audit of the
 Embedding's snapshot holds, through the snapshot's renaming of vertices
-and faces.  It keeps each vertex's R3-R14 net beside its units, and
-follows each apply from the ``planar.Change`` that apply recorded: it
-re-derives the faces born or shrunk and the vertices at their corners,
+and faces.  It keeps each vertex's class, stake number and R3-R14 net
+beside its units, reading nets from tables built at import, and follows
+each apply from the ``planar.Change`` that apply recorded: it re-derives
+the faces born or shrunk and those of their corners whose class moved,
 and moves the rest by what changed next to them, never rescanning the
 graph.  It knows nothing of the undo log: ``Embedding.undo`` derives an
 attached ledger afresh.
@@ -137,9 +138,30 @@ def _net(mine: Stake, theirs: Stake) -> int:
     return (draw if they_pay or not picky else 0) - (their_draw if pays or not their_picky else 0)
 
 
-def _net_sum(mine: Stake, nbrs: Iterable[int], stakes: dict[int, Stake]) -> int:
-    """R3-R14: the net of a vertex with stake ``mine`` with these neighbors."""
-    return sum(_net(mine, stakes[w]) for w in nbrs)
+# R3-R14 as tables: ``_NET[i][j]`` is the net of stake i with stake j, and ``_SID``
+# numbers a (k, t3, t4)'s stake: all 15 show by degree 7, past which a vertex only pays.
+_CLASSES = [
+    VertexClass(0, k, t3, t4, k - t3 - t4)
+    for k in range(8) for t3 in range(k + 1) for t4 in range(k + 1 - t3)
+]
+_STAKES = sorted(set(map(_stake, _CLASSES)))
+_NET = [[_net(mine, theirs) for theirs in _STAKES] for mine in _STAKES]
+_SID = {vc[1:4]: _STAKES.index(_stake(vc)) for vc in _CLASSES}
+_PAYER = _SID[7, 0, 0]
+
+
+def _stake_id(vc: VertexClass) -> int:
+    """The number of vc's stake: ``_STAKES[_stake_id(vc)] == _stake(vc)``."""
+    return _SID.get(vc[1:4], _PAYER)
+
+
+def _net_with(row: list[int], nbrs: Iterable[int], sids: dict[int, int]) -> int:
+    """The R3-R14 net with these neighbors of a vertex whose stake has ``_NET``
+    row ``row``: a plain loop, which CPython runs faster than a map."""
+    net = 0
+    for w in nbrs:
+        net += row[sids[w]]
+    return net
 
 
 def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
@@ -289,21 +311,21 @@ class LiveCharges:
 
     ``vertex_units`` and ``face_units`` hold, by vertex id and face id, what
     the final ledger of ``audit(e.snapshot().graph)`` holds by dense id and
-    canonical walk, ``total_units`` their sum, ``stakes`` each
-    vertex's ``Stake``, ``nets`` each vertex's R3-R14 net with all its
-    neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta``
-    the maximum degree.  Attached as ``e.charges``, it follows every
-    successful ``e.apply`` from the ``Change`` that apply recorded, and
-    writes nothing into the apply's undo log: any ``e.undo()`` re-derives
-    it afresh, so it may be attached with applies in force.
+    canonical walk, ``total_units`` their sum, ``classes``, ``sids`` and
+    ``nets`` each vertex's class, ``_stake_id`` and R3-R14 net with all its
+    neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta`` the
+    maximum degree.  Attached as ``e.charges``, it follows every successful
+    ``e.apply`` from the ``Change`` that apply recorded, and writes nothing
+    into the apply's undo log: any ``e.undo()`` re-derives it afresh, so it
+    may be attached with applies in force.
     """
 
     def __init__(self, e: Embedding):
         rot, delta = e.rot, e.max_degree()
-        classes = classify_all(e)
         self.delta = delta
-        self.stakes = stakes = {v: _stake(vc) for v, vc in classes.items()}
-        self.nets = nets = {v: _net_sum(stakes[v], rot[v], stakes) for v in classes}
+        self.classes = classes = classify_all(e)
+        self.sids = sids = {v: _stake_id(vc) for v, vc in classes.items()}
+        self.nets = nets = {v: _net_with(_NET[sids[v]], rot[v], sids) for v in sids}
         self.vertex_units = {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in classes.items()}
         corners: dict[int, list[int]] = {f: [] for f in e.fdeg}
         for x, fx in e.face.items():  # a face's corners: the tails of its darts
@@ -321,85 +343,80 @@ class LiveCharges:
         A vertex's class reads its degree and its corners' face degrees, so
         it can move only at a corner of a face born or shrunk (a born face
         is read from its birth darts, a shrunk one walked), and every vertex
-        that lost or gained a neighbor is a corner of one.
-        When delta moves, R2 moves at the vertices of degree between the old
-        and the new delta, which are reclassified too.  A net moves by the
-        lost and gained neighbors and by the neighbors whose stake moved;
-        only a vertex whose own stake moved re-sums all its neighbors.
-        Faces born or shrunk are derived afresh, and any other 5+-face
-        moves by the change in what R2 gives its corners.
+        that lost or gained a neighbor is a corner of one; a corner whose
+        class did not move costs nothing more.  A net moves by the lost and
+        gained neighbors and by the neighbors whose stake moved; only a
+        vertex whose own stake moved re-sums all its neighbors.  When delta
+        moves, R2 moves at the vertices of degree between the old and the
+        new delta.  Faces born or shrunk are derived afresh; any other
+        5+-face moves by the change in what R2 gives its corners.
         """
         rot, face, fdeg = e.rot, e.face, e.fdeg
-        stakes, nets, vertex, faces = self.stakes, self.nets, self.vertex_units, self.face_units
+        classes, sids, nets = self.classes, self.sids, self.nets
+        vertex, faces = self.vertex_units, self.face_units
         delta, was_delta, total = e.max_degree(), self.delta, self.total_units
-        lost = change.lost
-        gained: dict[int, list[int]] = {}
+        # lost neighbors leave each net and gained ones join it at the old stakes
+        moves = {x: -_net_with(_NET[sids[x]], gone, sids) for x, gone in change.lost.items()}
         for _, (a, b) in change.links:
-            gained.setdefault(a, []).append(b)
-            gained.setdefault(b, []).append(a)
-
-        was = {}  # the stakes of the vertices deleted or moved, as they were
+            moves[a] = moves.get(a, 0) + _NET[sids[a]][sids[b]]
+            moves[b] = moves.get(b, 0) + _NET[sids[b]][sids[a]]
+        fresh = dict(change.born)  # the faces born or shrunk, as darts
+        for f, dart in dict(change.links).items():  # the last dart left on f
+            fresh[f] = e.walk(dart)
         for v in change.dels:
-            was[v] = stakes.pop(v)
-            del nets[v]
+            del classes[v], sids[v], nets[v]
             total -= vertex.pop(v)
         for f in change.popped:
             total -= faces.pop(f)
 
-        fresh = dict(change.born)  # the faces born or shrunk, as darts
-        for f, dart in dict(change.links).items():  # the last dart left on f
-            fresh[f] = e.walk(dart)
-        redo = {x for darts in fresh.values() for x, _ in darts}
+        moved = {}  # the corners whose class moved, with their classes before and after
+        was = {}  # the stake ids of those whose stake moved, as they were
+        for x in {x for darts in fresh.values() for x, _ in darts}:
+            vc = classify_vertex(e, x)
+            old = classes[x]
+            if vc != old:
+                classes[x], moved[x] = vc, (old, vc)
+                new = _stake_id(vc)
+                if new != sids[x]:
+                    was[x], sids[x] = sids[x], new
+        for w, old in was.items():
+            new = sids[w]
+            for u in rot[w]:
+                row = _NET[sids[u]]
+                moves[u] = moves.get(u, 0) + row[new] - row[old]
+        for v in was:
+            moves[v] = _net_with(_NET[sids[v]], rot[v], sids) - nets[v]
+        for v, d in moves.items():
+            nets[v] += d
+            vertex[v] += d
+        total += sum(moves.values())
+        shifts = []  # (v, the change in what R2 gives each corner at v)
+        for v, (old, vc) in moved.items():
+            units = _after_r1_r2(vc, delta) + nets[v]
+            total += units - vertex[v]
+            vertex[v] = units
+            step = _r2_units(vc.k, delta) - _r2_units(old.k, was_delta)
+            if step:
+                shifts.append((v, step))
         if delta != was_delta:
+            self.delta = delta
             low, high = sorted((delta, was_delta))
             for k in range(low, high):
-                if k != 3:
-                    redo.update(e.of_degree(k))
-            self.delta = delta
-
-        classes = {v: classify_vertex(e, v) for v in redo}
-        moved = set()
-        for v, vc in classes.items():
-            new = _stake(vc)
-            if new != stakes[v]:
-                was[v], stakes[v] = stakes[v], new
-                moved.add(v)
-        net = {v: _net_sum(stakes[v], rot[v], stakes) for v in moved}  # the nets that move
-        for x, gone in lost.items():
-            if x not in moved:
-                mine = stakes[x]
-                net[x] = nets[x] - sum(_net(mine, was[w] if w in was else stakes[w]) for w in gone)
-        for x, ys in gained.items():
-            if x not in moved:
-                net[x] = net.get(x, nets[x]) + _net_sum(stakes[x], ys, stakes)
-        for w in moved:
-            new, old, skip = stakes[w], was[w], gained.get(w, ())
-            for u in rot[w]:
-                if u not in moved and u not in skip:
-                    mine = stakes[u]
-                    net[u] = net.get(u, nets[u]) + _net(mine, new) - _net(mine, old)
-
-        units = {v: _after_r1_r2(vc, delta) + net.get(v, nets[v]) for v, vc in classes.items()}
-        for v, new in net.items():
-            if v not in units:
-                units[v] = vertex[v] + new - nets[v]
-        nets.update(net)
-        total += sum(units.values()) - sum(map(vertex.__getitem__, units))
-        vertex.update(units)
-
-        units = {
-            f: _face_units(fdeg[f], (x for x, _ in darts), rot, delta)
-            for f, darts in fresh.items()
-        }
-        for v, vc in classes.items():
-            was_k = vc.k + len(lost.get(v, ())) - len(gained.get(v, ()))
-            r2 = _r2_units(vc.k, delta) - _r2_units(was_k, was_delta)
-            if r2:
-                for f in face[v].values():
-                    if f not in fresh and fdeg[f] >= 5:
-                        units[f] = units.get(f, faces[f]) - r2
-        total += sum(units.values()) - sum(faces.get(f, 0) for f in units)
-        faces.update(units)
+                step = _r2_units(k, delta) - _r2_units(k, was_delta)
+                for v in e.of_degree(k) if step else ():
+                    if v not in moved:
+                        shifts.append((v, step))
+                        vertex[v] += classes[v].t5p * step
+                        total += classes[v].t5p * step
+        for f, darts in fresh.items():
+            units = _face_units(fdeg[f], (x for x, _ in darts), rot, delta)
+            total += units - faces.get(f, 0)
+            faces[f] = units
+        for v, step in shifts:
+            for f in face[v].values():
+                if f not in fresh and fdeg[f] >= 5:
+                    faces[f] -= step
+                    total -= step
         self.total_units = total
 
 

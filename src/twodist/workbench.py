@@ -15,11 +15,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice
 from typing import Iterable
 
 from .colorer import Coloring, RunTrace, color, verify_coloring
-from .discharge import LiveCharges, audit
+from .discharge import UNIT, LiveCharges, audit
 from .errors import GenerationFailed, ParseError
 from .planar import Embedding, PlanarGraph
 from .reductions import ProofGapReport
@@ -270,7 +271,8 @@ def hunt(
     The audit runs in place, on the engine's Embedding: the hook's first
     call in a run, made before the engine changes anything, attaches a
     ``LiveCharges`` to it, which follows every later reduction the engine
-    applies and commits, and each call reads the total from it."""
+    applies and commits, and each call counts the total it reads from it."""
+    totals: dict[int, int] = {}  # audited graphs by total, in units of 1/UNIT
     report = HuntReport(
         trials=trials,
         n=n,
@@ -284,8 +286,8 @@ def hunt(
         if e.charges is None:
             e.charges = LiveCharges(e)
         if e.n >= 2:
-            key = str(e.charges.total())
-            report.audit_totals[key] = report.audit_totals.get(key, 0) + 1
+            key = e.charges.total_units
+            totals[key] = totals.get(key, 0) + 1
 
     for s in report.seeds:
         g = gen_planar(n, min_delta, s)
@@ -300,6 +302,7 @@ def hunt(
             if gap.delta >= 6:
                 report.gap_count += 1
                 report.gap_reports.append(gap)
+    report.audit_totals = {str(Fraction(t, UNIT)): c for t, c in totals.items()}
     return report
 
 

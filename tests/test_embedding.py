@@ -363,15 +363,15 @@ def test_deleting_any_vertices_and_edges_then_undoing(n, seed, data):
 
 def readings(e):
     """What the catalog (its first hit and each rule alone), the square, the
-    classes, the greedy coloring and a fresh live ledger read off e."""
-    charges = LiveCharges(e)
+    classes, the greedy coloring and the whole state of a fresh live ledger
+    read off e."""
     return (
         find_reduction(e),
         [match_case(tag, e) for tag, _ in MATCHER_ORDER],
         square(e),
         classify_all(e),
         greedy_square(e),
-        (charges.vertex_units, charges.face_units, charges.stakes, charges.nets),
+        vars(LiveCharges(e)),
     )
 
 

@@ -7,6 +7,8 @@ and the edges drawn, each with the face it shrank.  So the record must
 say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
 The ledger writes nothing into the apply's undo log: an undo derives it
 afresh, so it may attach to an Embedding whose earlier apply it never saw.
+Its R3-R14 nets are read from tables built at import, which must say what
+``_stake`` and ``_net`` say.
 """
 
 import random
@@ -16,8 +18,9 @@ import pytest
 
 import gadgets
 from test_audit_in_place import agrees_with_audit, audited_in_place
-from twodist import TwodistError, discharge, gen_planar, hunt
-from twodist.discharge import LiveCharges
+from twodist import RunTrace, TwodistError, color, discharge, gen_planar, hunt
+from twodist.classify import VertexClass, classify_vertex
+from twodist.discharge import _NET, _STAKES, LiveCharges, _after_r1_r2, _net, _stake, _stake_id
 from twodist.planar import Embedding
 
 
@@ -72,11 +75,49 @@ def test_attaching_after_a_commit():
     agrees_with_audit(e)
 
 
+def test_the_tables_say_what_the_rules_say():
+    assert len(_STAKES) == 15
+    for i, mine in enumerate(_STAKES):
+        for j, theirs in enumerate(_STAKES):
+            assert _NET[i][j] == _net(mine, theirs)
+    for k in [*range(9), 20, 60]:
+        for t3 in range(k + 1):
+            for t4 in range(k + 1 - t3):
+                vc = VertexClass(0, k, t3, t4, k - t3 - t4)
+                assert _STAKES[_stake_id(vc)] == _stake(vc)
+
+
+def test_each_vertex_is_its_r1_r2_part_plus_its_net():
+    # at every step of these colorings, each vertex's class, stake and net
+    # as the ledger keeps them, against the rules read afresh
+    deltas = set()
+
+    def hook(e, outcome):
+        if e.charges is None:
+            e.charges = LiveCharges(e)
+        live, delta = e.charges, e.max_degree()
+        deltas.add(delta)
+        assert live.delta == delta
+        for v, nbrs in e.rot.items():
+            vc = classify_vertex(e, v)
+            stake = _stake(vc)
+            assert live.classes[v] == vc and _STAKES[live.sids[v]] == stake
+            assert live.nets[v] == sum(_net(stake, _stake(classify_vertex(e, u))) for u in nbrs)
+            assert live.vertex_units[v] - live.nets[v] == _after_r1_r2(vc, delta)
+
+    for n, seed in [(30, 1), (40, 1), (50, 7), (60, 0)]:
+        color(gen_planar(n, 6, seed), trace=RunTrace(graph_hook=hook))
+    assert deltas >= set(range(6, 11))
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the calls to discharge._net and discharge._face_units."""
+    """Counts of the calls to the discharge helpers that ``follow`` makes
+    per vertex or face it re-derives: ``_stake_id`` (a class's stake),
+    ``_net_with`` (a net read from ``_NET``), ``_after_r1_r2`` and
+    ``_face_units``."""
     seen = Counter()
-    for name in ("_net", "_face_units"):
+    for name in ("_stake_id", "_net_with", "_after_r1_r2", "_face_units"):
         real = getattr(discharge, name)
 
         def counted(*args, name=name, real=real):
@@ -90,14 +131,16 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("k", [20, 60])
 def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     # rim vertex 2 leaves: the hub loses a spoke, its two rim neighbors drop
-    # to degree 2 and three faces merge into one; nothing else moves
+    # to degree 2 and three faces merge into one; no other class moves
     e = Embedding(gadgets.wheel(k))
     e.charges = LiveCharges(e)
     calls.clear()
     e.apply(delete_vertices=[2])
     agrees_with_audit(e)
-    # the same on every wheel: 13 _net calls and 1 _face_units call
-    assert dict(calls) == {"_net": 13, "_face_units": 1}
+    # the same on every wheel: the three lose vertex 2 from their nets, their
+    # classes move, the two rim neighbors are restaked and re-sum their nets,
+    # and the one born face is derived afresh
+    assert dict(calls) == {"_stake_id": 3, "_net_with": 5, "_after_r1_r2": 3, "_face_units": 1}
 
 
 @pytest.fixture

@@ -329,6 +329,8 @@ class TestCli:
             ["oracle", "g.graph", "--budget", "-5"],
             ["hunt", "--trials", "0", "--n", "20"],
             ["hunt", "--trials", "-1", "--n", "20"],
+            ["gen", "--n", "20", "--min-delta", "-1"],
+            ["hunt", "--trials", "1", "--n", "20", "--min-delta", "-1"],
         ],
     )
     def test_out_of_range_counts_exit_2(self, argv, capsys):
