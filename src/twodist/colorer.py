@@ -204,7 +204,8 @@ def merge_at_cut(
     c1: Coloring, c2: Coloring, v: int, nbrs: Collection[int]
 ) -> Coloring:
     """Combine colorings of the two sides of cut vertex v, whose neighbors
-    on both sides are ``nbrs``.
+    on both sides are ``nbrs``, adding the second to c1 in place, in time for
+    it alone: c1 is returned with its key order kept, or unchanged on failure.
 
     A global color permutation is applied to the second side so that v keeps
     its first-side color and the second side's neighbor colors land on
@@ -234,10 +235,9 @@ def merge_at_cut(
     perm.update(zip(sorted(targets - perm.keys()), sorted(perm.keys() - targets)))
 
     # v keeps its key position, and perm takes its second-side color to base
-    merged = dict(first)
     colors = second.values()
-    merged.update(zip(second, map(perm.get, colors, colors)))
-    return Coloring(merged, k)
+    first.update(zip(second, map(perm.get, colors, colors)))
+    return c1
 
 
 def color(

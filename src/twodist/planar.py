@@ -10,11 +10,11 @@ check, and the Euler count n - m + f == 2 is what certifies that the
 input really is a planar embedding of a connected graph.  Vertex ids are
 dense 1..n.  The coloring engine works on an Embedding instead: a mutable
 copy with stable ids that keeps its faces, degrees and cut vertices up to
-date locally as surgery edits it in place.  It logs the inverse of every
-edit, a function and its arguments, so that undoing a surgery is
-replaying those, newest first, and re-deriving the degree and cut flags
-of the vertices it touched; ``commit`` drops the log.  Only this module
-writes or reads it: an undo re-derives an attached charge ledger instead.
+date locally as surgery edits it in place, testing only the cut flags that
+can move.  It logs the inverse of each edit, a function and its arguments,
+so undoing a surgery is replaying those, newest first, and re-deriving the
+flags of the vertices it touched; ``commit`` drops the log.  Only this
+module writes or reads it: an undo re-derives an attached charge ledger.
 One side of a cut vertex is copied out as an Embedding of its own
 (``Embedding.part``).
 """
@@ -61,8 +61,13 @@ def reachable(
     return order
 
 
-_INT = {int}
+_INT, _TUPLE, _TWO = {int}, {tuple}, {2}
 _first = itemgetter(0)  # a dart's tail, or the smallest id of a degree bucket
+
+
+def _repeats(fv: dict[int, int]) -> bool:
+    """The cut test: whether two of a vertex's darts lie on one face."""
+    return len(set(fv.values())) < len(fv)
 
 
 def _reject_rotations(rot: tuple) -> NoReturn:
@@ -281,20 +286,23 @@ class Change:
 
     ``log`` is its undo log, ``m`` and ``faces`` e's edge count and face
     counter before it, and ``touched`` the vertices whose darts it
-    changed: an undo re-derives their degree and cut flags.  ``dels`` are
-    the deleted ids, ``lost`` maps each survivor to the neighbors it lost,
+    changed: an undo re-derives their degree and cut flags; ``recheck``
+    those on a face born visiting some vertex twice.  ``dels`` are the
+    deleted ids, ``lost`` maps each survivor to the neighbors it lost,
     ``popped`` holds the face ids removed and ``born`` each face walked
     into being with its darts then (a later link may split it).  ``links``
     has one (face, dart) pair per edge drawn, in order: the face the link
     shrank in place and the new edge's dart left on it.
     """
 
-    __slots__ = ("log", "m", "faces", "touched", "dels", "lost", "popped", "born", "links")
+    __slots__ = ("log", "m", "faces", "touched", "recheck", "dels", "lost", "popped", "born",
+                 "links")
 
     def __init__(self, e: Embedding, dels: set[int]):
         self.log: list[LogEntry] = []
         self.m, self.faces = e.m, e._faces
         self.touched: set[int] = set()
+        self.recheck: set[int] = set()
         self.dels = dels
         self.lost: dict[int, set[int]] = {}
         self.popped: set[int] = set()
@@ -343,17 +351,17 @@ class Embedding:
     - Adding an edge walks the smaller of the two faces it splits.
     - The degree buckets and cut flags are re-derived once per ``apply``,
       in one pass over the vertices whose darts changed: the cut test, a
-      C-level set over a vertex's dart faces, runs on the live ones, and
-      only a vertex whose degree changed moves (by bisection).  A new
-      Embedding, or a ``part``, fills its buckets in one ascending pass.
+      C-level set over a vertex's dart faces, runs only where a flag can
+      move (``_refresh``), and only a vertex whose degree changed moves.  A
+      new Embedding, or a ``part``, fills its buckets in one ascending pass.
 
     Each ``apply`` keeps its ``Change`` as its frame: the inverse of every
     edit, m and the face counter it started from, and the vertices it
     touched.  ``undo`` replays the inverses, newest first, restores m and
-    the counter, and re-derives the flags of those vertices as ``apply``
-    did: the embedding is back exactly, rotation order included (a dict key
-    put back iterates last).  ``commit`` drops the frames, so a run that
-    never undoes keeps no history.
+    the counter, and re-derives the flags of those vertices: the embedding
+    is back exactly, rotation order included (a dict key put back iterates
+    last).  ``commit`` drops the frames, so a run that never undoes keeps
+    no history.
     """
 
     __slots__ = (
@@ -379,7 +387,7 @@ class Embedding:
         for v in sorted(deg):
             self.bydeg.setdefault(deg[v], []).append(v)
         self._degs = sorted(self.bydeg)  # the degrees present, ascending
-        self.cuts = {v for v, fv in face.items() if len(set(fv.values())) < deg[v]}
+        self.cuts = set(compress(face, map(_repeats, face.values())))
         self._frames: list[Change] = []
         self.charges = None  # a discharge.LiveCharges, when one is attached
 
@@ -422,8 +430,12 @@ class Embedding:
             raise UnknownVertex(f"vertex {v} not in the graph")
 
     def _pairs(self, edges: object) -> Sequence[Edge]:
-        """edges as a list of pairs of live vertex ids, or UnknownVertex."""
-        if type(edges) is tuple and not edges:  # the default (); a truth test would pass 0
+        """edges as pairs of live vertex ids (a tuple of int pairs as it is), or UnknownVertex."""
+        if type(edges) is tuple and (  # a truth test would pass 0 as the default ()
+            not edges
+            or _TUPLE.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges))
+            and _INT.issuperset(map(type, chain(*edges))) and set(chain(*edges)) <= self.rot.keys()
+        ):
             return edges
         try:
             pairs = [(u, v) for u, v in edges]
@@ -600,7 +612,7 @@ class Embedding:
         except BaseException:
             self.undo()
             raise
-        self._refresh(ch.touched)
+        self._refresh(ch.touched, ch.recheck)
         if self.charges is not None:
             self.charges.follow(self, ch)
 
@@ -609,8 +621,8 @@ class Embedding:
 
         The logged inverses are replayed, newest first, m and the face
         counter are restored, and the degree buckets and cut flags of the
-        vertices the apply touched are re-derived, as the apply derived
-        them.  Every dict gets its contents back but not its key order (a
+        vertices the apply touched are re-derived, with the cut test on
+        each.  Every dict gets its contents back but not its key order (a
         key put back iterates last), so nothing that reads the graph may
         depend on the order of ``rot`` or ``face[v]``.  An attached charge
         ledger is derived afresh from the result."""
@@ -620,7 +632,7 @@ class Embedding:
         for inverse, *args in reversed(ch.log):
             inverse(*args)
         self.m, self._faces = ch.m, ch.faces
-        self._refresh(ch.touched)
+        self._refresh(ch.touched, ch.touched)
         if self.charges is not None:
             self.charges = type(self.charges)(self)
 
@@ -664,8 +676,8 @@ class Embedding:
             (a, b), (c, d) = x, y
 
     def _new_face(self, darts: list[Edge], ch: Change) -> None:
-        """Give the darts of one face boundary a fresh face id; one log
-        entry drops it and gives them all their old ids back."""
+        """Give one face boundary's darts a fresh face id (one log entry
+        undoes it); their tails are touched, and rechecked if one repeats."""
         face, fdeg = self.face, self.fdeg
         new = self._faces
         self._faces += 1
@@ -675,7 +687,9 @@ class Embedding:
             fx = face[x]
             was.append(fx[y])
             fx[y] = new
-        ch.touched.update(map(_first, darts))
+        ch.touched |= (tails := set(map(_first, darts)))
+        if len(tails) < len(darts):
+            ch.recheck |= tails
         ch.log.append((_unborn, face, fdeg, new, darts, was))
         fdeg[new] = len(darts)
 
@@ -810,16 +824,17 @@ class Embedding:
         log.append((dict.__setitem__, fdeg, f, fdeg[f]))
         fdeg[f] = total - len(side)
 
-    def _refresh(self, vertices: Iterable[int]) -> None:
-        """Re-derive the degree and cut flag of each of these vertices."""
+    def _refresh(self, vertices: Iterable[int], recheck: set[int]) -> None:
+        """Re-derive the degree and cut flag of each vertex, testing only cut
+        vertices and recheck: deletions merge faces and a link splits one,
+        so only a face born can newly visit a vertex twice."""
         rot, face, deg, cuts = self.rot, self.face, self._deg, self.cuts
         bydeg, degs = self.bydeg, self._degs
         for v in vertices:
             r = rot.get(v)
             k = None if r is None else len(r)
-            cut = k is not None and len(set(face[v].values())) < k
-            if cut != (v in cuts):
-                cuts ^= {v}
+            if k is None or v in cuts or v in recheck:  # no other flag can move
+                (cuts.add if k and _repeats(face[v]) else cuts.discard)(v)
             was = deg.get(v)
             if was == k:
                 continue

@@ -211,6 +211,18 @@ def two_triangles() -> PlanarGraph:
     return embed(coords, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
 
 
+def cut_by_a_deletion() -> tuple[PlanarGraph, dict]:
+    """C4 and an apply that deletes vertex 1: the opposite vertex 3 becomes
+    a cut vertex, as the one face left visits it twice."""
+    return cycle(4), dict(delete_vertices=[1])
+
+
+def uncut_by_a_link() -> tuple[PlanarGraph, dict]:
+    """two_triangles and an apply that draws 2-4 across the outer face: 1
+    stops being a cut vertex, as neither face left visits it twice."""
+    return two_triangles(), dict(add_edges=((2, 4),))
+
+
 def grid_plus() -> PlanarGraph:
     """A (4,0,4)-vertex: center of a 3x3 grid patch."""
     coords = {

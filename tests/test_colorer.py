@@ -338,14 +338,17 @@ class TestMergeAtCut:
         c2 = Coloring({1: 1, 4: 2, 5: 3}, budget=4)
         with pytest.raises(PermutationInfeasible):
             merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
+        assert c1.assignment == {1: 1, 2: 2, 3: 3}  # the merge writes into c1
 
     def test_first_side_never_changes(self):
         g = gadgets.two_triangles()
         c1 = Coloring({1: 5, 2: 2, 3: 3}, budget=20)
         c2 = Coloring({1: 5, 4: 2, 5: 9}, budget=20)
+        before = dict(c1.assignment)  # the merge adds the second side to c1
         merged = merge_at_cut(c1, c2, 1, frozenset(g.adj(1)))
-        for v, col in c1.assignment.items():
+        for v, col in before.items():
             assert merged.assignment[v] == col
+        assert list(merged.assignment)[:3] == list(before)
 
     def test_permutation_is_global_bijection(self):
         # second-side colors move by one injective map: equal colors stay
@@ -479,6 +482,9 @@ class TestPaletteRewrites:
         second = {1: data.draw(colors)}
         second.update((u, data.draw(colors)) for u in data.draw(st.sets(st.integers(9, 15))))
         nbrs = frozenset(data.draw(st.sets(st.integers(2, 15))))  # may hold ids of neither
-        got = outcome(merge_at_cut, Coloring(first, k), Coloring(second, k), 1, nbrs)
+        c1 = Coloring(dict(first), k)  # merge_at_cut writes into it
+        got = outcome(merge_at_cut, c1, Coloring(second, k), 1, nbrs)
         want = outcome(merge_by_loops, Coloring(first, k), Coloring(second, k), 1, nbrs)
         assert got == want
+        if got is PermutationInfeasible:
+            assert c1.assignment == first

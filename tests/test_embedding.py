@@ -34,6 +34,7 @@ from twodist import (
     gen_planar,
     verify_coloring,
 )
+from twodist import planar
 from twodist.classify import classify_all
 from twodist.discharge import LiveCharges
 from twodist.errors import NoApplyInForce
@@ -235,6 +236,32 @@ def test_splitting_off_a_pendant_costs_the_same_at_any_hub_degree():
     assert reads == [10, 10]
 
 
+def test_the_cut_test_costs_the_same_at_any_hub_degree(monkeypatch):
+    # the cut test, a set over one vertex's dart faces, runs after an apply
+    # only on cut vertices and on the vertices a born face visits twice:
+    # deleting a rim vertex of a wheel tests the same dicts on 20 spokes
+    # as on 60, and deleting a 3-vertex of a stacked triangulation none
+    repeats = planar._repeats
+    tested = []
+
+    def counted(fv):
+        tested[-1].append(len(fv))
+        return repeats(fv)
+
+    stacked = gen_planar(40, seed=3, deletions=0)
+    cases = [(gadgets.wheel(20), 2), (gadgets.wheel(60), 2)]
+    cases += [(stacked, v) for v in Embedding(stacked).of_degree(3)]
+    for g, v in cases:
+        e = Embedding(g)
+        tested.append([])
+        with monkeypatch.context() as m:
+            m.setattr(planar, "_repeats", counted)
+            e.apply(delete_vertices=[v])
+        check_against_scratch(e)
+    assert tested[0] == tested[1]
+    assert len(tested) > 10 and not any(tested[2:])
+
+
 def test_a_part_equals_deleting_the_other_side(small_corpus):
     # for each side of each cut vertex, the part holding it and the cut
     # vertex is what deleting the other side leaves, and it then applies
@@ -361,6 +388,55 @@ def test_deleting_any_vertices_and_edges_then_undoing(n, seed, data):
     assert state(e) == before
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 40), st.integers(0, 10**6), st.data())
+def test_deleting_and_linking_any_then_undoing(n, seed, data):
+    # the links join two vertices of one face of what the deletions leave:
+    # a face they left alone or one born of them, and after an earlier link
+    # the face it shrank or the one it split off.  A link can clear a cut
+    # flag, and a face born can set one
+    g = gen_planar(n, seed=seed)
+    dels = data.draw(st.sets(st.sampled_from(range(1, n + 1)), max_size=n // 4))
+    edges = data.draw(st.sets(st.sampled_from(list(g.edges())), max_size=3))
+    probe = Embedding(g)
+    try:
+        probe.apply(delete_vertices=dels, delete_edges=edges)
+    except SurgeryDisconnects:
+        return
+    darts = {f: (x, y) for x, fx in probe.face.items() for y, f in fx.items()}
+    walks = [{x for x, _ in probe.walk(d)} for d in darts.values()]
+    pairs = sorted({(a, b) for walk in walks for a in walk for b in walk if a < b})
+    if not pairs:
+        return
+    links = tuple(data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4)))
+    e = Embedding(g)
+    before = state(e)
+    try:
+        e.apply(delete_vertices=dels, delete_edges=edges, add_edges=links)
+    except SurgeryNotPlanar:  # an earlier link parted the ends of a later one
+        assert state(e) == before
+        return
+    check_against_scratch(e)
+    e.undo()
+    assert state(e) == before
+    check_against_scratch(e)
+
+
+@pytest.mark.parametrize(
+    "build, cuts_before, cuts_after",
+    [(gadgets.cut_by_a_deletion, set(), {3}), (gadgets.uncut_by_a_link, {1}, set())],
+)
+def test_an_apply_moves_a_cut_flag(build, cuts_before, cuts_after):
+    g, kwargs = build()
+    e = Embedding(g)
+    assert e.cuts == cuts_before
+    e.apply(**kwargs)
+    assert e.cuts == cuts_after
+    check_against_scratch(e)
+    e.undo()
+    assert e.cuts == cuts_before
+
+
 def readings(e):
     """What the catalog (its first hit and each rule alone), the square, the
     classes, the greedy coloring and the whole state of a fresh live ledger
@@ -468,30 +544,46 @@ def test_failed_apply_after_a_commit_changes_nothing(build, kwargs, error):
     check_against_scratch(e)
 
 
+# each refused input with the message it is refused with; the tuple-shaped
+# ones are the catalog's shape, which apply checks by a shorter path that
+# must refuse alike
+REFUSALS = [
+    (dict(delete_vertices=[True]), "vertex True not in the graph"),
+    (dict(delete_vertices=[2, 1.0]), "vertex 1.0 not in the graph"),
+    (dict(add_edges=[(True, 3)]), "vertex True not in the graph"),
+    (dict(add_edges=[(3, 1.0)]), "vertex 1.0 not in the graph"),
+    (dict(delete_edges=[(True, 2)]), "vertex True not in the graph"),
+    (dict(delete_edges=[("a", 1)]), "vertex a not in the graph"),
+    (dict(delete_edges=[(1,)]), "[(1,)] is not a collection of vertex id pairs"),
+    (dict(add_edges=[(1,)]), "[(1,)] is not a collection of vertex id pairs"),
+    (dict(delete_vertices=[[1]]), "[[1]] is not a set of vertex ids"),
+    (dict(delete_vertices=5), "5 is not a set of vertex ids"),
+    (dict(delete_edges=5), "5 is not a collection of vertex id pairs"),
+    (dict(add_edges=5), "5 is not a collection of vertex id pairs"),
+    (dict(delete_vertices=0), "0 is not a set of vertex ids"),
+    (dict(delete_edges=0), "0 is not a collection of vertex id pairs"),
+    (dict(add_edges=0), "0 is not a collection of vertex id pairs"),
+    (dict(delete_vertices=None), "None is not a set of vertex ids"),
+    (dict(delete_edges=None), "None is not a collection of vertex id pairs"),
+    (dict(add_edges=None), "None is not a collection of vertex id pairs"),
+] + [
+    ({key: edges}, message)
+    for key in ("add_edges", "delete_edges")
+    for edges, message in [
+        (((True, 3),), "vertex True not in the graph"),
+        (((3, 1.0),), "vertex 1.0 not in the graph"),
+        (((1,),), "((1,),) is not a collection of vertex id pairs"),
+        (((1, 2, 3),), "((1, 2, 3),) is not a collection of vertex id pairs"),
+        ((([1], 2),), "[[1], 2] is not a set of vertex ids"),
+        (((1, 99),), "vertex 99 not in the graph"),
+    ]
+]
+
+
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(delete_vertices=[True]),
-        dict(delete_vertices=[2, 1.0]),
-        dict(add_edges=[(True, 3)]),
-        dict(add_edges=[(3, 1.0)]),
-        dict(delete_edges=[(True, 2)]),
-        dict(delete_edges=[("a", 1)]),
-        dict(delete_edges=[(1,)]),
-        dict(add_edges=[(1,)]),
-        dict(delete_vertices=[[1]]),
-        dict(delete_vertices=5),
-        dict(delete_edges=5),
-        dict(add_edges=5),
-        dict(delete_vertices=0),
-        dict(delete_edges=0),
-        dict(add_edges=0),
-        dict(delete_vertices=None),
-        dict(delete_edges=None),
-        dict(add_edges=None),
-    ],
+    "kwargs, message", REFUSALS, ids=[f"kwargs{i}" for i in range(len(REFUSALS))]
 )
-def test_an_id_that_is_not_an_int_is_refused(kwargs):
+def test_an_id_that_is_not_an_int_is_refused(kwargs, message):
     # True and 1.0 equal the hub's id 1, so a membership test alone lets
     # them through: a deletion would take the hub, and an added edge to
     # rim vertex 3 would be skipped as already there; an edge that is not
@@ -501,8 +593,9 @@ def test_an_id_that_is_not_an_int_is_refused(kwargs):
     # tests truth would take them for "nothing to do"
     e = Embedding(gadgets.wheel(6))
     before = state(e)
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex) as refused:
         e.apply(**kwargs)
+    assert str(refused.value) == message
     assert state(e) == before
 
 
