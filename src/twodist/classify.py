@@ -1,11 +1,13 @@
-"""Vertex taxonomy: face-incidence profiles.
+"""Vertex taxonomy: face-incidence shapes.
 
-A vertex is summarized by its degree together with how many 3-faces,
-4-faces and 5+-faces it touches (with multiplicity, one per corner); the
-discharging rules key on that shape, and ``discharge`` alone reads charges
-off it.  The reduction catalog also asks whether a vertex is special (no
-edge among its neighbors lies in two 3-faces), which ``is_special_vertex``
-answers one vertex at a time, on the catalog's Embedding.
+A vertex is summarized by its class, ``VertexClass(k, t3, t4, t5p)``: its
+degree together with how many 3-faces, 4-faces and 5+-faces it touches
+(with multiplicity, one per corner).  A class names no vertex, so two
+vertices of one shape have equal classes.  The discharging rules key on
+that shape, and ``discharge`` alone reads charges off it.  The reduction
+catalog also asks whether a vertex is special (no edge among its
+neighbors lies in two 3-faces), which ``is_special_vertex`` answers one
+vertex at a time, on the catalog's Embedding.
 
 ``classify_vertex`` reads a vertex's corners straight from the graph's
 face map: ``g.face[v]`` gives the face of each dart out of v, and
@@ -22,10 +24,10 @@ from .planar import Embedding, PlanarGraph
 
 
 class VertexClass(NamedTuple):
-    """Incidence profile of one vertex in one embedding.  A NamedTuple, as
-    the audit builds one per vertex of every graph it checks."""
+    """The shape of a vertex's incidences, naming no vertex: its degree and
+    its 3-, 4- and 5+-corners.  A NamedTuple, as the audit builds one per
+    vertex of every graph it checks."""
 
-    v: int
     k: int
     t3: int
     t4: int
@@ -39,18 +41,18 @@ class VertexClass(NamedTuple):
 
 
 def classify_all(g: PlanarGraph | Embedding) -> dict[int, VertexClass]:
-    """Profile every vertex of the embedding, keyed by its id in g."""
+    """The class of every vertex of g, keyed by its id in g."""
     return {v: classify_vertex(g, v) for v in g.face}
 
 
 def classify_vertex(g: PlanarGraph | Embedding, v: int) -> VertexClass:
-    """Profile vertex v of g."""
+    """The class of vertex v of g."""
     # the corners of v lie in the faces of its darts (v, u), one each
     degrees = list(map(g.fdeg.__getitem__, g.face[v].values()))
     k = len(degrees)
     t3 = degrees.count(3)
     t4 = degrees.count(4)
-    return VertexClass(v, k, t3, t4, k - t3 - t4)
+    return VertexClass(k, t3, t4, k - t3 - t4)
 
 
 def is_special_vertex(e: Embedding, v: int) -> bool:

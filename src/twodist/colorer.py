@@ -80,7 +80,8 @@ class RunTrace:
     gets every intermediate graph as the engine's live Embedding, which
     keeps those ids, with the catalog's outcome on it (None for a base
     case).  It may read the Embedding only during the call; ``e.snapshot()``
-    gives it as a PlanarGraph with dense ids 1..n.  On its first call it
+    gives it as a validated PlanarGraph, the ids renumbered 1..n in
+    ascending order.  On its first call it
     may attach a ``discharge.LiveCharges`` as ``e.charges``, which the
     engine's applies then keep current.  A split's smaller part reaches the
     hook as an Embedding of its own, with ``charges`` None at its first call.

@@ -25,14 +25,15 @@ and ``audit`` read only a validated ``PlanarGraph``: its rotations and
 its face boundary walks, each keyed by ``face_key``, its least rotation.
 ``LiveCharges`` reads the same helpers to keep the final charges of the
 engine's Embedding current as it changes; it holds what the audit of the
-Embedding's snapshot holds, through the snapshot's renaming of vertices
-and faces.  It keeps each vertex's class, stake number and R3-R14 net
-beside its units, reading nets from tables built at import, and follows
-each apply from the ``planar.Change`` that apply recorded: it re-derives
-the faces born or shrunk and those of their corners whose class moved,
-and moves the rest by what changed next to them, never rescanning the
-graph.  It knows nothing of the undo log: ``Embedding.undo`` derives an
-attached ledger afresh.
+Embedding's snapshot holds, whose vertices are the live ids renumbered in
+ascending order and whose faces are keyed by their walks.  It keeps each
+vertex's class, stake number and R3-R14 net beside its units, reading
+nets from tables built at import, and follows each apply from the
+``planar.Change`` that apply recorded: it re-derives the faces born or
+shrunk and those of their corners whose class moved, and moves the rest
+by what changed next to them, never rescanning the graph.  It knows
+nothing of the undo log: ``Embedding.undo`` derives an attached ledger
+afresh.
 """
 
 from __future__ import annotations
@@ -139,20 +140,20 @@ def _net(mine: Stake, theirs: Stake) -> int:
 
 
 # R3-R14 as tables: ``_NET[i][j]`` is the net of stake i with stake j, and ``_SID``
-# numbers a (k, t3, t4)'s stake: all 15 show by degree 7, past which a vertex only pays.
+# numbers a class's stake: all 15 show by degree 7, past which a vertex only pays.
 _CLASSES = [
-    VertexClass(0, k, t3, t4, k - t3 - t4)
+    VertexClass(k, t3, t4, k - t3 - t4)
     for k in range(8) for t3 in range(k + 1) for t4 in range(k + 1 - t3)
 ]
 _STAKES = sorted(set(map(_stake, _CLASSES)))
 _NET = [[_net(mine, theirs) for theirs in _STAKES] for mine in _STAKES]
-_SID = {vc[1:4]: _STAKES.index(_stake(vc)) for vc in _CLASSES}
-_PAYER = _SID[7, 0, 0]
+_SID = {vc: _STAKES.index(_stake(vc)) for vc in _CLASSES}
+_PAYER = _SID[7, 0, 0, 7]
 
 
 def _stake_id(vc: VertexClass) -> int:
     """The number of vc's stake: ``_STAKES[_stake_id(vc)] == _stake(vc)``."""
-    return _SID.get(vc[1:4], _PAYER)
+    return _SID.get(vc, _PAYER)
 
 
 def _net_with(row: list[int], nbrs: Iterable[int], sids: dict[int, int]) -> int:
@@ -310,7 +311,7 @@ class LiveCharges:
     """The final charges of one Embedding, kept current as it changes.
 
     ``vertex_units`` and ``face_units`` hold, by vertex id and face id, what
-    the final ledger of ``audit(e.snapshot().graph)`` holds by dense id and
+    the final ledger of ``audit(e.snapshot())`` holds by dense id and
     canonical walk, ``total_units`` their sum, ``classes``, ``sids`` and
     ``nets`` each vertex's class, ``_stake_id`` and R3-R14 net with all its
     neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta`` the

@@ -16,13 +16,14 @@ so undoing a surgery is replaying those, newest first, and re-deriving the
 flags of the vertices it touched; ``commit`` drops the log.  Only this
 module writes or reads it: an undo re-derives an attached charge ledger.
 One side of a cut vertex is copied out as an Embedding of its own
-(``Embedding.part``).
+(``Embedding.part``), and ``Embedding.snapshot`` gives the current graph
+as a validated PlanarGraph, the live ids renumbered 1..n in ascending
+order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from itertools import chain, compress, islice
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, KeysView, NoReturn, Sequence
@@ -226,12 +227,6 @@ class PlanarGraph:
         return f"PlanarGraph(n={self.n}, m={self.m})"
 
 
-def trace_faces(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
-    """All faces of the embedding, as their boundary walks.  Each directed
-    edge lies on exactly one boundary and the face degrees sum to 2m."""
-    return g.faces
-
-
 def distance_profile(e: Embedding, v: int) -> set[int]:
     """Exact set of vertices at distance 1 or 2 from v, in e's own ids: a
     new set, the caller's to keep or change."""
@@ -250,14 +245,6 @@ def square(e: Embedding) -> dict[int, set[int]]:
     not planar so no embedding is produced.
     """
     return {v: distance_profile(e, v) for v in e.face}
-
-
-@dataclass(frozen=True)
-class SurgeryResult:
-    """New graph plus the dense-id rename applied to surviving vertices."""
-
-    graph: PlanarGraph
-    old_to_new: dict[int, int]
 
 
 # One undo-log entry per edit made in place, newest last: a module-level
@@ -456,12 +443,11 @@ class Embedding:
                 self._check_vertex(v)
         return ids
 
-    def snapshot(self) -> SurgeryResult:
-        """The current graph with survivors renamed to dense ids 1..n in
-        ascending order, fully validated."""
+    def snapshot(self) -> PlanarGraph:
+        """The current graph, fully validated, with the live ids renumbered
+        1..n in ascending order."""
         old_to_new = {v: i for i, v in enumerate(sorted(self.rot), 1)}
-        rotation = [[old_to_new[u] for u in self.rot[v]] for v in old_to_new]
-        return SurgeryResult(PlanarGraph(rotation), old_to_new)
+        return PlanarGraph([[old_to_new[u] for u in self.rot[v]] for v in old_to_new])
 
     def smaller_side(self, v: int) -> tuple[set[int], bool]:
         """The smaller side of cut vertex v, and whether it holds the
@@ -855,19 +841,6 @@ class Embedding:
                     insort(degs, k)
 
 
-def surgery(
-    g: PlanarGraph,
-    delete_vertices: Iterable[int] = (),
-    delete_edges: Iterable[Edge] = (),
-    add_edges: Iterable[Edge] = (),
-) -> SurgeryResult:
-    """``Embedding.apply`` on a copy of g, with survivors renamed to dense
-    ids 1..n'; the rename map is returned alongside."""
-    e = Embedding(g)
-    e.apply(delete_vertices, delete_edges, add_edges)
-    return e.snapshot()
-
-
 def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
     """True when removing v disconnects the graph."""
     g._check_vertex(v)
@@ -878,16 +851,36 @@ def is_cut_vertex(g: PlanarGraph, v: int) -> bool:
     return len(reachable(g.adj, n, start, avoid=v)) != n - 1
 
 
+# -- PlanarGraph-level wrappers ---------------------------------------------
+# Nothing in the package or the tests calls these four: the benchmark's
+# tracer looks each one up by name to time it, and they go when it stops.
+
+
+def trace_faces(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
+    """All faces of the embedding, as their boundary walks: ``g.faces``."""
+    return g.faces
+
+
+def surgery(
+    g: PlanarGraph,
+    delete_vertices: Iterable[int] = (),
+    delete_edges: Iterable[Edge] = (),
+    add_edges: Iterable[Edge] = (),
+) -> PlanarGraph:
+    """``Embedding.apply`` on a copy of g, then its ``snapshot``."""
+    e = Embedding(g)
+    e.apply(delete_vertices, delete_edges, add_edges)
+    return e.snapshot()
+
+
 def articulation_points(g: PlanarGraph) -> set[int]:
-    """All cut vertices: in a connected plane graph, exactly the vertices
-    that repeat on some face boundary walk, as the Embedding keeps them."""
+    """All cut vertices, as the Embedding of g keeps them."""
     return set(Embedding(g).cuts)
 
 
-def split_at(g: PlanarGraph, v: int) -> tuple[SurgeryResult, SurgeryResult]:
-    """Split at a cut vertex into two surgery results: the first keeps the
-    component of G - v containing the smallest vertex id, the second keeps
-    the rest; both keep v and inherit the induced rotation order."""
+def split_at(g: PlanarGraph, v: int) -> tuple[PlanarGraph, PlanarGraph]:
+    """The snapshots of the two parts at cut vertex v, in the order
+    ``reduce_in_place`` returns them."""
     e = Embedding(g)
     side, holds_low = e.smaller_side(v)
     other = e.rot.keys() - side - {v}

@@ -83,9 +83,6 @@ class _Ctx:
             vc = self._classes[v] = classify_vertex(self.e, v)
         return vc
 
-    def special(self, v: int) -> bool:
-        return is_special_vertex(self.e, v)
-
 
 # --------------------------------------------------------------------------
 # the irregular rules: one hand-written scan each
@@ -239,7 +236,7 @@ class Rule:
                 sum(1 for u in rot if ctx.vclass(u).is_kd(6, 6)) < self.six_six
             ):
                 continue
-            if self.nonspecial and ctx.special(v):
+            if self.nonspecial and is_special_vertex(e, v):
                 continue
             hit = self._emit(ctx, v, rot)
             if hit is not None:
@@ -394,7 +391,7 @@ def find_reduction(e: Embedding) -> Reduction | ProofGapReport:
         if hit is not None:
             return hit
     return ProofGapReport(
-        graph=ctx.e.snapshot().graph,
+        graph=ctx.e.snapshot(),
         delta=ctx.delta,
         reason="no catalog rule fired",
         nearest_miss=_nearest_miss(ctx),

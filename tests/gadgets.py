@@ -557,7 +557,7 @@ def committed_embedding(g: PlanarGraph) -> Embedding:
     e = Embedding(PlanarGraph(rotation + [[1]]))
     e.apply(delete_vertices=[g.n + 1])
     e.commit()
-    assert in_force(e) == 0 and e.snapshot().graph == g
+    assert in_force(e) == 0 and e.snapshot() == g
     return e
 
 
@@ -566,10 +566,15 @@ def in_force(e: Embedding) -> int:
     return len(e._frames)
 
 
+def dense_ids(e: Embedding) -> dict[int, int]:
+    """The rename ``e.snapshot()`` makes: each live id to its rank, from 1."""
+    return {v: i for i, v in enumerate(sorted(e.rot), 1)}
+
+
 def split_sides(e: Embedding, v: int) -> tuple[set[int], set[int]]:
-    """The two sides of cut vertex v, as ``split_at`` orders them: the
-    component of G - v holding the smallest other id, then every other
-    vertex but v."""
+    """The two sides of cut vertex v, in the order ``reduce_in_place``
+    returns their parts: the component of G - v holding the smallest other
+    id, then every other vertex but v."""
     side, holds_low = e.smaller_side(v)
     other = e.rot.keys() - side - {v}
     return (side, other) if holds_low else (other, side)

@@ -32,7 +32,8 @@ from twodist import (
     write_graph,
 )
 from twodist.discharge import apply_rules, face_keys, initial_charges
-from twodist.planar import Embedding, split_at
+from twodist.planar import Embedding, distance_profile
+from twodist.reductions import reduce_in_place
 from twodist.workbench import format_audit_tsv
 
 import bruteforce
@@ -160,6 +161,12 @@ def test_criterion_4_no_proof_gaps(colorings):
     )
 
 
+def within_bound(e, r):
+    """Every vertex r leaves pending has at most r.d2_bound vertices within
+    distance 2 in e, before r is applied."""
+    return all(len(distance_profile(e, v)) <= r.d2_bound for v in r.pending)
+
+
 def test_criterion_5_reduction_soundness(colorings, corpus):
     # bound honesty, measured at every extension of every recursion
     results, _ = colorings
@@ -170,8 +177,9 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
             assert bound is not None and forbidden <= bound
             assert forbidden < c.budget
 
-    # distance-2 preservation, size decrease and the degree cap, re-derived
-    # step by step on a sub-corpus plus every hand gadget
+    # distance-2 preservation, size decrease, the degree cap and the
+    # vertex count behind each bound, re-derived step by step on a
+    # sub-corpus plus every hand gadget
     sub = [g for g in corpus if g.n <= 100][:150] + hand_corpus()
     reductions_checked = 0
     lemmas_seen = set()
@@ -190,13 +198,14 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
                 outcome.d2_bound <= 3 * g.max_degree() + 1
             )
             if outcome.split is not None:
-                g1, g2 = (part.graph for part in split_at(g, outcome.split))
+                g1, g2 = (part.snapshot() for part in reduce_in_place(e, outcome))
                 assert g1.size() < g.size()
                 assert g2.size() < g.size()
                 stack += [g1, g2]
                 continue
+            assert within_bound(e, outcome)
             assert check_properness(e, outcome)
-            h = e.snapshot().graph
+            h = e.snapshot()
             reductions_checked += 1
             lemmas_seen.add(outcome.lemma)
             assert h.size() < g.size()
@@ -210,8 +219,9 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
         g = build()
         e = Embedding(g)
         r = match_case(tag, e)
+        assert within_bound(e, r)
         assert check_properness(e, r)
-        h = e.snapshot().graph
+        h = e.snapshot()
         reductions_checked += 1
         lemmas_seen.add(r.lemma)
         assert h.size() < g.size()
@@ -221,6 +231,7 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
         r = match_case("L2.11", e)
         reductions_checked += 1
         lemmas_seen.add(r.lemma)
+        assert within_bound(e, r)
         assert check_properness(e, r)
 
     assert {"L2.4", "L2.8.1", "L2.10.3", "L2.11.case1", "L2.11.case2"} <= lemmas_seen

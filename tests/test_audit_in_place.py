@@ -3,10 +3,10 @@
 ``workbench.hunt`` reads its totals from a ``LiveCharges`` attached, at the
 first hook call of a run, to the Embedding the engine hands its graph
 hook; every apply keeps it current, and an undo derives it afresh.  The
-reference is the from-scratch ``audit`` of ``e.snapshot().graph``: the
-same graph as a validated PlanarGraph, with dense ids and faces keyed by
-their canonical walks, whose audit shares only the rule helpers with the
-ledger.  After
+reference is the from-scratch ``audit`` of ``e.snapshot()``: the same
+graph as a validated PlanarGraph, with the live ids renumbered in
+ascending order and faces keyed by their canonical walks, whose audit
+shares only the rule helpers with the ledger.  After
 every apply, at every hook call, and after an undo of each apply the
 engine makes (it commits them and never undoes one, so the check undoes
 each itself and applies it again), the ledger must equal that audit per
@@ -45,8 +45,7 @@ from workloads import gen_flip  # noqa: E402
 def agrees_with_audit(e):
     """The LiveCharges on e against the audit of e's snapshot, per vertex
     and per face."""
-    part = e.snapshot()
-    g, rename = part.graph, part.old_to_new
+    g, rename = e.snapshot(), gadgets.dense_ids(e)
     final = audit(g, cross_reference=False).final
     keys = face_keys(g)
     # each face id's canonical walk, read through its darts

@@ -117,7 +117,7 @@ def _mirror(g):
 
 def _intermediates(g):
     seen = []
-    color(g, trace=RunTrace(graph_hook=lambda e, outcome: seen.append(e.snapshot().graph)))
+    color(g, trace=RunTrace(graph_hook=lambda e, outcome: seen.append(e.snapshot())))
     return seen
 
 

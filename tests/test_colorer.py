@@ -22,7 +22,7 @@ from twodist import (
     verify_coloring,
 )
 from twodist.colorer import extend, merge_at_cut
-from twodist.planar import distance_profile, split_at, surgery
+from twodist.planar import distance_profile
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -296,8 +296,8 @@ class TestExtend:
         r = match_case("L2.11", e)  # find_reduction would pick L2.2 first
         assert r.lemma == "L2.11.case1" and r.pending == (1, 5)
         near = {v: distance_profile(e, v) for v in r.pending}
-        h = surgery(g, delete_edges=r.delete_edges).graph
-        base = color(h, k=20)
+        e.apply(delete_edges=r.delete_edges)
+        base = color(e.snapshot(), k=20)
         partial = Coloring(
             {v: col for v, col in base.assignment.items() if v not in r.pending},
             budget=20,
@@ -310,10 +310,12 @@ class TestExtend:
 class TestMergeAtCut:
     def test_two_triangles(self):
         g = gadgets.two_triangles()
-        sides = []
-        for part in split_at(g, 1):
-            sub = color(part.graph, k=20).assignment
-            sides.append(Coloring({old: sub[new] for old, new in part.old_to_new.items()}, 20))
+        e, sides = Embedding(g), []
+        for side in gadgets.split_sides(e, 1):
+            part = e.part(side | {1})
+            sub = color(part.snapshot(), k=20).assignment
+            rename = gadgets.dense_ids(part)
+            sides.append(Coloring({old: sub[new] for old, new in rename.items()}, 20))
         merged = merge_at_cut(*sides, 1, frozenset(g.adj(1)))
         assert verify_coloring(g, merged).valid
 

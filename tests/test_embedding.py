@@ -61,8 +61,8 @@ def state(e):
 
 
 def check_against_scratch(e):
-    part = e.snapshot()  # a validated PlanarGraph: symmetric, connected, Euler
-    g, old_to_new = part.graph, part.old_to_new
+    g = e.snapshot()  # a validated PlanarGraph: symmetric, connected, Euler
+    old_to_new = gadgets.dense_ids(e)
     live = list(old_to_new)
     assert (e.n, e.m) == (g.n, g.m)
     assert [[old_to_new[u] for u in e.rot[v]] for v in live] == list(map(list, g.rotation))
@@ -278,7 +278,7 @@ def test_a_part_equals_deleting_the_other_side(small_corpus):
                 assert state(e) == before
                 kept = Embedding(g)
                 kept.apply(delete_vertices=other)
-                assert part.snapshot() == kept.snapshot()
+                assert (part.snapshot(), set(part.rot)) == (kept.snapshot(), set(kept.rot))
                 assert (part.m, part.bydeg, part.cuts) == (kept.m, kept.bydeg, kept.cuts)
                 assert sorted(part.fdeg.values()) == sorted(kept.fdeg.values())
                 check_against_scratch(part)
@@ -291,7 +291,7 @@ def test_a_part_equals_deleting_the_other_side(small_corpus):
                         kept.apply(delete_vertices=[x])
                 else:
                     kept.apply(delete_vertices=[x])
-                    assert part.snapshot() == kept.snapshot()
+                    assert (part.snapshot(), set(part.rot)) == (kept.snapshot(), set(kept.rot))
                     check_against_scratch(part)
                     part.undo()
                 assert state(part) == built
@@ -519,6 +519,9 @@ FAILED_APPLIES = pytest.mark.parametrize(
         (lambda: gadgets.path(4), dict(delete_edges=[(2, 3)]), SurgeryDisconnects),
         (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
         (lambda: gadgets.cycle(4), dict(add_edges=[(1, 9)]), UnknownVertex),
+        (gadgets.cube, dict(add_edges=[(1, 7)]), SurgeryNotPlanar),  # no shared face
+        (lambda: gadgets.path(3), dict(delete_vertices=[2]), SurgeryDisconnects),
+        (lambda: gadgets.cycle(4), dict(delete_edges=[(1, 3)]), UnknownVertex),  # no such edge
     ],
 )
 

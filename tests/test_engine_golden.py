@@ -2,8 +2,9 @@
 
 ``RunTrace.graph_hook`` sees every intermediate graph of a run, as the
 engine's live Embedding, together with the outcome of the catalog on it.
-The hook renames both to dense ids through ``snapshot`` (which also
-validates the graph).  One sha256 over ``(graph.rotation, outcome)`` for
+The hook renames both to dense ids: the graph through ``snapshot``, which
+also validates it, and the outcome through ``gadgets.dense_ids``, the same
+rename.  One sha256 over ``(graph.rotation, outcome)`` for
 every hook call, in call order, pins the whole induction: which rule fired
 where, the rotation order each surgery leaves behind, the face chosen for
 every added edge, and the order in which split sides and base cases are
@@ -54,9 +55,8 @@ def test_intermediate_graphs_match_recorded_digest(corpus):
     digest = hashlib.sha256()
 
     def hook(e, outcome):
-        part = e.snapshot()
-        outcome = _renamed(outcome, part.old_to_new)
-        digest.update(f"{part.graph.rotation!r} {outcome!r}\n".encode())
+        outcome = _renamed(outcome, gadgets.dense_ids(e))
+        digest.update(f"{e.snapshot().rotation!r} {outcome!r}\n".encode())
 
     for i, g in enumerate(graphs):
         digest.update(f"graph {i}\n".encode())

@@ -83,7 +83,7 @@ def test_the_tables_say_what_the_rules_say():
     for k in [*range(9), 20, 60]:
         for t3 in range(k + 1):
             for t4 in range(k + 1 - t3):
-                vc = VertexClass(0, k, t3, t4, k - t3 - t4)
+                vc = VertexClass(k, t3, t4, k - t3 - t4)
                 assert _STAKES[_stake_id(vc)] == _stake(vc)
 
 

@@ -55,7 +55,7 @@ def dodecahedron():
 
 
 def applied(g, reduction):
-    """The reduced graph and its rename, once the reduction proved proper."""
+    """The reduced graph, once the reduction proved proper."""
     e = Embedding(g)
     assert check_properness(e, reduction)
     return e.snapshot()
@@ -153,9 +153,9 @@ class TestConfigurationCatalog:
         assert r is not None and r.lemma == lemma
         if adds is not None:
             assert r.add_edges == adds
-        res = applied(g, r)
-        assert res.graph.size() < g.size()
-        assert res.graph.max_degree() <= g.max_degree()
+        h = applied(g, r)
+        assert h.size() < g.size()
+        assert h.max_degree() <= g.max_degree()
         assert r.d2_bound <= 3 * g.max_degree() + 1
 
     def test_l2_10_3_uses_tighter_bound(self):
@@ -231,7 +231,7 @@ class TestFindReduction:
         e.apply(delete_vertices=[1])
         outcome = find_reduction(e)
         assert isinstance(outcome, ProofGapReport)
-        assert outcome.graph == e.snapshot().graph
+        assert outcome.graph == e.snapshot()
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
@@ -332,9 +332,8 @@ class TestProperness:
         )
         e = Embedding(g)
         assert not check_properness(e, bad)
-        res = e.snapshot()
         assert not bruteforce.properness_exhaustive(
-            g, res.graph, res.old_to_new, bad.pending
+            g, e.snapshot(), gadgets.dense_ids(e), bad.pending
         )
 
     @settings(max_examples=30, deadline=None)
@@ -351,9 +350,8 @@ class TestProperness:
             return  # small-delta graphs may lack degree headroom
         e = Embedding(g)
         fast = check_properness(e, outcome)
-        res = e.snapshot()
         slow = bruteforce.properness_exhaustive(
-            g, res.graph, res.old_to_new, outcome.pending
+            g, e.snapshot(), gadgets.dense_ids(e), outcome.pending
         )
         assert fast == slow
 
@@ -371,7 +369,7 @@ class TestProperness:
                 e.apply(delete_vertices=side)
             else:
                 assert check_properness(e, outcome)
-            g = e.snapshot().graph
+            g = e.snapshot()
             assert g.size() < size
             assert g.max_degree() <= delta
             if g.n <= 6:
