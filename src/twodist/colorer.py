@@ -88,7 +88,8 @@ class RunTrace:
     """
 
     steps: list[tuple[str, int, int, int]] = field(default_factory=list)
-    extensions: list[tuple[int, str, int, int | None]] = field(default_factory=list)
+    # (vertex, rule, colors forbidden, vertices within distance 2, bound)
+    extensions: list[tuple[int, str, int, int, int | None]] = field(default_factory=list)
     gaps: list[ProofGapReport] = field(default_factory=list)
     graph_hook: Callable[[Embedding, object], None] | None = None
 
@@ -190,7 +191,7 @@ def extend(
         forbidden = set(map(get, profile))
         forbidden.discard(None)  # an uncolored vertex forbids nothing
         if trace is not None:
-            trace.extensions.append((v, lemma, len(forbidden), bound))
+            trace.extensions.append((v, lemma, len(forbidden), len(profile), bound))
         if len(forbidden) >= k:
             detail = "" if reduction is None else f" (rule {lemma}, claimed bound {bound})"
             raise NoSafeColor(f"all {k} colors forbidden at vertex {v}{detail}")

@@ -11,15 +11,16 @@ The arithmetic is exact.  Every rule amount is a whole number of units of
 so inside this module charges and transfers are ints in those units and a
 transfer is one int subtraction plus one int addition.  ``Fraction`` is the
 type at the API: the ledger's and the report's charge views and their
-totals are Fractions built only when a caller reads them, and
-``Transfer.amount`` is the rule's amount as it stands in RULE_AMOUNTS.
+totals are Fractions built only when a caller reads them, and so is
+``Transfer.amount``, its units over UNIT.
 
 The rules are written once, per element, and only here: ``_r2_units``
 (what a 5+-face gives one corner), ``_after_r1_r2`` (a vertex's charge
 after its 3-face payments and 5+-face income), the ``_INCOME`` table and
 the ``_pays_five`` payer test.  ``apply_rules`` runs them over a whole
 graph, logging every transfer, and ``audit`` stays the from-scratch
-reference; its report labels a 4- or 5-vertex ``bad4``/``bad5`` when
+reference; its report reads the negative elements off the final ledger
+when asked, and labels a 4- or 5-vertex ``bad4``/``bad5`` when
 ``_after_r1_r2`` leaves it negative.  ``initial_charges``, ``apply_rules``
 and ``audit`` read only a validated ``PlanarGraph``: its rotations and
 its face boundary walks, each keyed by ``face_key``, its least rotation.
@@ -27,13 +28,14 @@ its face boundary walks, each keyed by ``face_key``, its least rotation.
 engine's Embedding current as it changes; it holds what the audit of the
 Embedding's snapshot holds, whose vertices are the live ids renumbered in
 ascending order and whose faces are keyed by their walks.  It keeps each
-vertex's class, stake number and R3-R14 net beside its units, reading
-nets from tables built at import, and follows each apply from the
-``planar.Change`` that apply recorded: it re-derives the faces born or
-shrunk and those of their corners whose class moved, and moves the rest
-by what changed next to them, never rescanning the graph.  It knows
-nothing of the undo log: ``Embedding.undo`` derives an attached ledger
-afresh.
+vertex's class, stake number and R3-R14 net, reading nets from tables
+built at import, and no vertex units: those are ``_after_r1_r2`` plus the
+net, read when asked.  It follows each apply from the ``planar.Change``
+that apply recorded: it re-derives the faces born or shrunk and those of
+their corners whose class moved, moves the rest by what changed next to
+them, and moves the total by the same amounts, never rescanning the
+graph.  It knows nothing of the undo log: ``Embedding.undo`` derives an
+attached ledger afresh.
 """
 
 from __future__ import annotations
@@ -176,9 +178,6 @@ def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
     return units
 
 
-# Transfer.amount reads each amount back from RULE_AMOUNTS.
-_AMOUNT_OF_UNITS = {_units(a): a for a in RULE_AMOUNTS}
-
 FaceKey = tuple[int, ...]  # a canonical boundary walk
 Element = tuple[str, object]  # ("vertex", id) or ("face", key)
 
@@ -201,7 +200,7 @@ class Transfer(NamedTuple):
 
     @property
     def amount(self) -> Fraction:
-        return _AMOUNT_OF_UNITS[self.units]
+        return Fraction(self.units, UNIT)
 
 
 @dataclass
@@ -310,15 +309,17 @@ def apply_rules(
 class LiveCharges:
     """The final charges of one Embedding, kept current as it changes.
 
-    ``vertex_units`` and ``face_units`` hold, by vertex id and face id, what
-    the final ledger of ``audit(e.snapshot())`` holds by dense id and
-    canonical walk, ``total_units`` their sum, ``classes``, ``sids`` and
-    ``nets`` each vertex's class, ``_stake_id`` and R3-R14 net with all its
-    neighbors (its units are ``_after_r1_r2`` plus its net) and ``delta`` the
-    maximum degree.  Attached as ``e.charges``, it follows every successful
-    ``e.apply`` from the ``Change`` that apply recorded, and writes nothing
-    into the apply's undo log: any ``e.undo()`` re-derives it afresh, so it
-    may be attached with applies in force.
+    ``classes``, ``sids`` and ``nets`` hold each vertex's class,
+    ``_stake_id`` and R3-R14 net with all its neighbors, ``face_units`` each
+    face's units, ``delta`` the maximum degree and ``total_units`` the sum
+    of all units.  ``vertex_units`` and ``face_units`` give, by vertex id
+    and face id, what the final ledger of ``audit(e.snapshot())`` holds by
+    dense id and canonical walk; ``vertex_units`` is a view, each vertex's
+    ``_after_r1_r2`` part plus its net, built when read.  Attached as
+    ``e.charges``, it follows every successful ``e.apply`` from the
+    ``Change`` that apply recorded, and writes nothing into the apply's
+    undo log: any ``e.undo()`` re-derives it afresh, so it may be attached
+    with applies in force.
     """
 
     def __init__(self, e: Embedding):
@@ -326,14 +327,19 @@ class LiveCharges:
         self.delta = delta
         self.classes = classes = classify_all(e)
         self.sids = sids = {v: _stake_id(vc) for v, vc in classes.items()}
-        self.nets = nets = {v: _net_with(_NET[sids[v]], rot[v], sids) for v in sids}
-        self.vertex_units = {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in classes.items()}
+        self.nets = {v: _net_with(_NET[sids[v]], rot[v], sids) for v in sids}
         corners: dict[int, list[int]] = {f: [] for f in e.fdeg}
         for x, fx in e.face.items():  # a face's corners: the tails of its darts
             for f in fx.values():
                 corners[f].append(x)
         self.face_units = {f: _face_units(d, corners[f], rot, delta) for f, d in e.fdeg.items()}
         self.total_units = sum(self.vertex_units.values()) + sum(self.face_units.values())
+
+    @property
+    def vertex_units(self) -> dict[int, int]:
+        """Each vertex's final units: its ``_after_r1_r2`` part plus its net."""
+        delta, nets = self.delta, self.nets
+        return {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in self.classes.items()}
 
     def total(self) -> Fraction:
         return Fraction(self.total_units, UNIT)
@@ -349,12 +355,13 @@ class LiveCharges:
         gained neighbors and by the neighbors whose stake moved; only a
         vertex whose own stake moved re-sums all its neighbors.  When delta
         moves, R2 moves at the vertices of degree between the old and the
-        new delta.  Faces born or shrunk are derived afresh; any other
-        5+-face moves by the change in what R2 gives its corners.
+        new delta.  Those and the vertices whose class moved move the total
+        by their ``_after_r1_r2`` part, new less old, in one pass.  Faces
+        born or shrunk are derived afresh; any other 5+-face moves by the
+        change in what R2 gives its corners.
         """
         rot, face, fdeg = e.rot, e.face, e.fdeg
-        classes, sids, nets = self.classes, self.sids, self.nets
-        vertex, faces = self.vertex_units, self.face_units
+        classes, sids, nets, faces = self.classes, self.sids, self.nets, self.face_units
         delta, was_delta, total = e.max_degree(), self.delta, self.total_units
         # lost neighbors leave each net and gained ones join it at the old stakes
         moves = {x: -_net_with(_NET[sids[x]], gone, sids) for x, gone in change.lost.items()}
@@ -365,21 +372,28 @@ class LiveCharges:
         for f, dart in dict(change.links).items():  # the last dart left on f
             fresh[f] = e.walk(dart)
         for v in change.dels:
-            del classes[v], sids[v], nets[v]
-            total -= vertex.pop(v)
+            total -= _after_r1_r2(classes.pop(v), was_delta) + nets.pop(v)
+            del sids[v]
         for f in change.popped:
             total -= faces.pop(f)
 
-        moved = {}  # the corners whose class moved, with their classes before and after
+        moved = {}  # the vertices whose R1-R2 part may move, with their classes before
         was = {}  # the stake ids of those whose stake moved, as they were
         for x in {x for darts in fresh.values() for x, _ in darts}:
             vc = classify_vertex(e, x)
             old = classes[x]
             if vc != old:
-                classes[x], moved[x] = vc, (old, vc)
+                classes[x], moved[x] = vc, old
                 new = _stake_id(vc)
                 if new != sids[x]:
                     was[x], sids[x] = sids[x], new
+        if delta != was_delta:
+            self.delta = delta
+            low, high = sorted((delta, was_delta))
+            for k in range(low, high):
+                if _r2_units(k, delta) != _r2_units(k, was_delta):
+                    for v in e.of_degree(k):
+                        moved.setdefault(v, classes[v])
         for w, old in was.items():
             new = sids[w]
             for u in rot[w]:
@@ -389,26 +403,14 @@ class LiveCharges:
             moves[v] = _net_with(_NET[sids[v]], rot[v], sids) - nets[v]
         for v, d in moves.items():
             nets[v] += d
-            vertex[v] += d
         total += sum(moves.values())
         shifts = []  # (v, the change in what R2 gives each corner at v)
-        for v, (old, vc) in moved.items():
-            units = _after_r1_r2(vc, delta) + nets[v]
-            total += units - vertex[v]
-            vertex[v] = units
+        for v, old in moved.items():
+            vc = classes[v]
+            total += _after_r1_r2(vc, delta) - _after_r1_r2(old, was_delta)
             step = _r2_units(vc.k, delta) - _r2_units(old.k, was_delta)
             if step:
                 shifts.append((v, step))
-        if delta != was_delta:
-            self.delta = delta
-            low, high = sorted((delta, was_delta))
-            for k in range(low, high):
-                step = _r2_units(k, delta) - _r2_units(k, was_delta)
-                for v in e.of_degree(k) if step else ():
-                    if v not in moved:
-                        shifts.append((v, step))
-                        vertex[v] += classes[v].t5p * step
-                        total += classes[v].t5p * step
         for f, darts in fresh.items():
             units = _face_units(fdeg[f], (x for x, _ in darts), rot, delta)
             total += units - faces.get(f, 0)
@@ -426,16 +428,16 @@ class AuditReport:
     """Outcome of initial_charges + apply_rules on one graph.
 
     The ledgers hold the charges in units of 1/UNIT, with Fraction views
-    built on first read (``rep.final.vertex_charge``, ``rep.final.transfers``).
+    built on first read (``rep.final.vertex_charge``, ``rep.final.transfers``);
+    ``classes`` is ``classify_all`` of the graph, which labels the negatives.
     """
 
     initial: ChargeLedger
     final: ChargeLedger
-    # kind, id, units, and for a vertex its class (None for a face)
-    negative_units: list[tuple[str, object, int, VertexClass | None]]
+    classes: dict[int, VertexClass]
     delta: int
     reduction_lemma: str | None  # catalog rule that fires on this graph, if any
-    consistent: bool  # negatives on a Delta>=6 graph imply a fired rule
+    consistent: bool  # a Delta>=6 graph, which always has negatives, has a fired rule
 
     @property
     def total(self) -> Fraction:
@@ -443,60 +445,47 @@ class AuditReport:
 
     @cached_property
     def negative_elements(self) -> list[tuple[str, object, Fraction, str]]:
-        """(kind, id, charge, label) per negative element; the labels are
-        formatted here, on first read, not by ``audit``.  A 4- or 5-vertex
-        that R1 and R2 alone leave negative is labelled bad4 or bad5."""
-        return [
-            (
-                kind,
-                key,
-                Fraction(units, UNIT),
-                # a face's key is its boundary walk, one entry per corner
-                f"{len(key)}-face" if vc is None
-                else f"{vc} bad{vc.k}" if vc.k in (4, 5) and _after_r1_r2(vc, self.delta) < 0
-                else str(vc),
-            )
-            for kind, key, units, vc in self.negative_units
-        ]
+        """(kind, id, charge, label) per negative element of ``final``, the
+        vertices first and then the faces, each in ascending order; they are
+        found and labelled here, on first read, not by ``audit``.  A 4- or
+        5-vertex that R1 and R2 alone leave negative is labelled bad4 or bad5."""
+        vertex, face = self.final.vertex_units, self.final.face_units
+        negatives = []
+        for v in sorted(v for v, c in vertex.items() if c < 0):
+            vc = self.classes[v]
+            bad = vc.k in (4, 5) and _after_r1_r2(vc, self.delta) < 0
+            label = f"{vc} bad{vc.k}" if bad else str(vc)
+            negatives.append(("vertex", v, Fraction(vertex[v], UNIT), label))
+        for key in sorted(k for k, c in face.items() if c < 0):
+            # a face's key is its boundary walk, one entry per corner
+            negatives.append(("face", key, Fraction(face[key], UNIT), f"{len(key)}-face"))
+        return negatives
 
 
 def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
-    """Run the whole charge pipeline and classify every negative element.
+    """Run the whole charge pipeline and cross-reference the catalog.
 
-    On a graph with maximum degree at least 6, any element left negative
+    On a graph with maximum degree at least 6, the elements left negative
     must coexist with a configuration the reduction catalog can fire on; the
     report records the cross-reference (skippable when the caller already
-    knows the fired rule).  The grand total is always -8, so an
-    all-nonnegative outcome on such a graph would be impossible.
+    knows the fired rule).  The grand total is always -8, so such a graph
+    always has a negative element.
     """
     classes = classify_all(g)
     initial = initial_charges(g)
-    ledger = apply_rules(g, initial, classes)
-
-    vertex, face = ledger.vertex_units, ledger.face_units
-    negatives: list[tuple[str, object, int, VertexClass | None]] = [
-        ("vertex", v, vertex[v], classes[v]) for v in sorted(v for v, c in vertex.items() if c < 0)
-    ]
-    negatives += [
-        ("face", key, face[key], None) for key in sorted(k for k, c in face.items() if c < 0)
-    ]
-
+    final = apply_rules(g, initial, classes)
     lemma = None
     if cross_reference:
         outcome = find_reduction(Embedding(g))
         lemma = outcome.lemma if isinstance(outcome, Reduction) else None
     delta = g.max_degree()
-    consistent = not (
-        cross_reference and delta >= 6 and negatives and lemma is None
-    )
-
     return AuditReport(
         initial=initial,
-        final=ledger,
-        negative_units=negatives,
+        final=final,
+        classes=classes,
         delta=delta,
         reduction_lemma=lemma,
-        consistent=consistent,
+        consistent=not (cross_reference and delta >= 6 and lemma is None),
     )
 
 

@@ -31,21 +31,6 @@ class OracleResult:
     exact: bool
 
 
-class _Budget:
-    __slots__ = ("left", "used")
-
-    def __init__(self, limit: int):
-        self.left = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        self.used += 1
-        return True
-
-
 def greedy_clique(adj: Adjacency) -> list[int]:
     """Largest clique found by seeded greedy growth; a valid lower bound."""
     best: list[int] = []
@@ -69,14 +54,16 @@ def greedy_square(e: Embedding) -> Coloring:
     if not sq:
         return Coloring({}, budget=0)
     colors = _greedy_colors(sq)
-    budget = max(len(n2) for n2 in sq.values()) + 1
-    return Coloring(colors, budget=max(budget, max(colors.values())))
+    return Coloring(colors, budget=max(len(n2) for n2 in sq.values()) + 1)
 
 
-def _feasible(adj: Adjacency, k: int, budget: _Budget) -> tuple[str, dict[int, int]]:
-    """Search for a proper k-coloring of adj.
+def _feasible(adj: Adjacency, k: int, left: int) -> tuple[str, dict[int, int], int]:
+    """Search for a proper k-coloring of adj in at most ``left`` nodes, one
+    per color choice.
 
-    Returns ("found", coloring), ("infeasible", {}) or ("abort", {}).
+    Returns the verdict, the coloring and the nodes left: ("found",
+    coloring, left), ("infeasible", {}, left) or ("abort", {}, left).
+
     Depth first over an explicit stack of choices, so deep searches need no
     recursion.  Branches on the most saturated vertex, ties toward higher
     degree then smaller id; only colors up to one past the current maximum
@@ -98,15 +85,16 @@ def _feasible(adj: Adjacency, k: int, budget: _Budget) -> tuple[str, dict[int, i
             if c <= limit:
                 break
             if not stack:
-                return ("infeasible", {})
+                return ("infeasible", {}, left)
             v, c, bumped, max_used = stack.pop()
             del colors[v]
             uncolored.add(v)
             for u in bumped:
                 neighbor_colors[u].discard(c)
             c += 1
-        if not budget.spend():
-            return ("abort", {})
+        if left <= 0:
+            return ("abort", {}, left)
+        left -= 1
         colors[v] = c
         uncolored.discard(v)
         bumped = [u for u in adj[v] if c not in neighbor_colors[u]]
@@ -114,14 +102,14 @@ def _feasible(adj: Adjacency, k: int, budget: _Budget) -> tuple[str, dict[int, i
             neighbor_colors[u].add(c)
         stack.append((v, c, bumped, max_used))
         max_used = max(max_used, c)
-    return ("found", dict(colors))
+    return ("found", dict(colors), left)
 
 
 def _greedy_colors(adj: Adjacency) -> dict[int, int]:
     """Saturation-greedy coloring of an adjacency structure: the first
     descent of ``_feasible``, which with n colors never backtracks."""
     n = len(adj)
-    return _feasible(adj, n, _Budget(n))[1]
+    return _feasible(adj, n, n)[1]
 
 
 def chi2_exact(
@@ -138,7 +126,7 @@ def chi2_exact(
     if n == 0:
         return OracleResult(0, Coloring({}, budget=0), 0, True)
 
-    budget = _Budget(node_budget)
+    left = node_budget
     lower = len(greedy_clique(sq))
     best = _greedy_colors(sq)
     upper = max(best.values())
@@ -147,7 +135,7 @@ def chi2_exact(
     exact = True
     while lo < hi:
         mid = (lo + hi) // 2
-        verdict, witness = _feasible(sq, mid, budget)
+        verdict, witness, left = _feasible(sq, mid, left)
         if verdict == "found":
             best = witness
             hi = max(witness.values())
@@ -161,6 +149,6 @@ def chi2_exact(
     return OracleResult(
         chi2=chi2,
         witness=Coloring(best, budget=chi2),
-        nodes_explored=budget.used,
-        exact=exact and lo >= hi,
+        nodes_explored=node_budget - left,
+        exact=exact,
     )

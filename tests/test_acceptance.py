@@ -168,13 +168,14 @@ def within_bound(e, r):
 
 
 def test_criterion_5_reduction_soundness(colorings, corpus):
-    # bound honesty, measured at every extension of every recursion
+    # bound honesty, measured at every extension of every recursion: the
+    # vertices within distance 2, not only their distinct colors
     results, _ = colorings
     extensions = 0
     for g, c, trace in results:
-        for (v, lemma, forbidden, bound) in trace.extensions:
+        for (v, lemma, forbidden, near, bound) in trace.extensions:
             extensions += 1
-            assert bound is not None and forbidden <= bound
+            assert bound is not None and forbidden <= near <= bound
             assert forbidden < c.budget
 
     # distance-2 preservation, size decrease, the degree cap and the

@@ -226,11 +226,11 @@ def test_a_delta_drop_redoes_the_band_and_its_undo_restores_it():
     # that face is next to anything the deletion touched
     e = Embedding(wheel_and_star())
     e.charges = LiveCharges(e)
-    before = ledger(e)
+    before, centre = ledger(e), e.charges.vertex_units[10]
     e.apply(delete_edges=[(1, 6)])
     assert e.max_degree() == 7
     agrees_with_audit(e)
-    assert e.charges.vertex_units[10] != before["vertex_units"][10]
+    assert e.charges.vertex_units[10] != centre
     e.undo()
     assert ledger(e) == before
     agrees_with_audit(e)

@@ -230,8 +230,8 @@ class TestColor:
         assert not trace.gaps
         # each step strictly shrinks |V| + |E|, so the depth is capped by it
         assert len(trace.steps) <= g.size()
-        for (v, lemma, forbidden, bound) in trace.extensions:
-            assert bound is None or forbidden <= bound
+        for (v, lemma, forbidden, near, bound) in trace.extensions:
+            assert forbidden <= near and (bound is None or near <= bound)
             assert forbidden < c.budget
 
     def test_leaves_the_recursion_limit_alone(self):
@@ -387,7 +387,7 @@ def extend_by_loops(partial, near, reduction=None, trace=None):
         if trace is not None:
             bound = reduction.d2_bound if reduction is not None else None
             lemma = reduction.lemma if reduction is not None else "-"
-            trace.extensions.append((v, lemma, len(forbidden), bound))
+            trace.extensions.append((v, lemma, len(forbidden), len(profile), bound))
         if len(forbidden) >= k:
             raise NoSafeColor(f"all {k} colors forbidden at vertex {v}")
         c = 1

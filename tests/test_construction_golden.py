@@ -40,6 +40,8 @@ ZOO = {
     "disconnected": [(2,), (1,), (4,), (3,)],
     "isolated vertex": [(2,), (1,), ()],
     "toroidal K7": K7,
+    # n = 10, m = 24, f = 16: Euler's count holds, so only the walk refuses it
+    "toroidal K7 beside a triangle": K7 + [(9, 10), (10, 8), (8, 9)],
     "K5": K5,
     "n = 0": [],
     "n = 1": [()],
@@ -78,6 +80,7 @@ EXPECTED = {
     "toroidal K7": (
         EmbeddingInvalid, "Euler count failed: n=7 m=21 f=14 (n - m + f = 0, expected 2)"
     ),
+    "toroidal K7 beside a triangle": (NotConnected, "graph is not connected"),
     "K5": (
         EmbeddingInvalid, "Euler count failed: n=5 m=10 f=3 (n - m + f = -2, expected 2)"
     ),

@@ -98,12 +98,13 @@ def test_each_vertex_is_its_r1_r2_part_plus_its_net():
         live, delta = e.charges, e.max_degree()
         deltas.add(delta)
         assert live.delta == delta
+        units = live.vertex_units
         for v, nbrs in e.rot.items():
             vc = classify_vertex(e, v)
             stake = _stake(vc)
             assert live.classes[v] == vc and _STAKES[live.sids[v]] == stake
             assert live.nets[v] == sum(_net(stake, _stake(classify_vertex(e, u))) for u in nbrs)
-            assert live.vertex_units[v] - live.nets[v] == _after_r1_r2(vc, delta)
+            assert units[v] - live.nets[v] == _after_r1_r2(vc, delta)
 
     for n, seed in [(30, 1), (40, 1), (50, 7), (60, 0)]:
         color(gen_planar(n, 6, seed), trace=RunTrace(graph_hook=hook))
@@ -136,11 +137,12 @@ def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     e.charges = LiveCharges(e)
     calls.clear()
     e.apply(delete_vertices=[2])
+    # the same on every wheel: vertex 2 leaves the total, the three lose it
+    # from their nets, their classes move, the two rim neighbors are
+    # restaked and re-sum their nets, and the one born face is derived
+    # afresh; counted before the audit comparison reads the vertex view
+    assert dict(calls) == {"_stake_id": 3, "_net_with": 5, "_after_r1_r2": 7, "_face_units": 1}
     agrees_with_audit(e)
-    # the same on every wheel: the three lose vertex 2 from their nets, their
-    # classes move, the two rim neighbors are restaked and re-sum their nets,
-    # and the one born face is derived afresh
-    assert dict(calls) == {"_stake_id": 3, "_net_with": 5, "_after_r1_r2": 3, "_face_units": 1}
 
 
 @pytest.fixture
