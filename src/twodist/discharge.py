@@ -25,16 +25,18 @@ when asked, and labels a 4- or 5-vertex ``bad4``/``bad5`` when
 and ``audit`` read only a validated ``PlanarGraph``: its rotations and
 its face boundary walks, each keyed by ``face_key``, its least rotation.
 ``LiveCharges`` reads the same helpers to keep the final charges of the
-engine's Embedding current as it changes; it holds what the audit of the
+engine's Embedding current as it changes; it gives what the audit of the
 Embedding's snapshot holds, whose vertices are the live ids renumbered in
 ascending order and whose faces are keyed by their walks.  It keeps each
-vertex's class, stake number and R3-R14 net, reading nets from tables
-built at import, and no vertex units: those are ``_after_r1_r2`` plus the
-net, read when asked.  It follows each apply from the ``planar.Change``
-that apply recorded: it re-derives the faces born or shrunk and those of
-their corners whose class moved, moves the rest by what changed next to
-them, and moves the total by the same amounts, never rescanning the
-graph.  It knows nothing of the undo log: ``Embedding.undo`` derives an
+vertex's class and each face's units, and no R3-R14 state: every such
+transfer runs between two neighbors, so the nets of a graph sum to 0 and
+the total needs none.  A vertex's net and units (``_after_r1_r2`` plus the
+net) are derived from the classes when read, the net from tables built at
+import.  It follows each apply from the ``planar.Change`` that apply
+recorded: it re-derives the faces born or shrunk and those of their
+corners whose class moved, moves the rest by what changed next to them,
+and moves the total by the same amounts, never rescanning the graph.  It
+knows nothing of the undo log: ``Embedding.undo`` derives an
 attached ledger afresh.
 """
 
@@ -309,36 +311,41 @@ def apply_rules(
 class LiveCharges:
     """The final charges of one Embedding, kept current as it changes.
 
-    ``classes``, ``sids`` and ``nets`` hold each vertex's class,
-    ``_stake_id`` and R3-R14 net with all its neighbors, ``face_units`` each
-    face's units, ``delta`` the maximum degree and ``total_units`` the sum
-    of all units.  ``vertex_units`` and ``face_units`` give, by vertex id
-    and face id, what the final ledger of ``audit(e.snapshot())`` holds by
-    dense id and canonical walk; ``vertex_units`` is a view, each vertex's
-    ``_after_r1_r2`` part plus its net, built when read.  Attached as
-    ``e.charges``, it follows every successful ``e.apply`` from the
-    ``Change`` that apply recorded, and writes nothing into the apply's
-    undo log: any ``e.undo()`` re-derives it afresh, so it may be attached
-    with applies in force.
+    ``classes`` holds each vertex's class, ``face_units`` each face's
+    units, ``delta`` the maximum degree and ``total_units`` the sum of all
+    units.  No R3-R14 state is kept: those rules move charge between
+    neighbors, and ``_NET`` is antisymmetric, so the nets of any graph sum
+    to 0 and the total is the vertices' ``_after_r1_r2`` parts plus the
+    face units.  ``nets(e)`` and ``vertex_units(e)`` derive the rest from
+    the classes and e's rotations when read; by vertex id and face id,
+    ``vertex_units(e)`` and ``face_units`` give what the final ledger of
+    ``audit(e.snapshot())`` holds by dense id and canonical walk.
+    Attached as ``e.charges``, it follows every successful ``e.apply``
+    from the ``Change`` that apply recorded, and writes nothing into the
+    apply's undo log: any ``e.undo()`` re-derives it afresh, so it may be
+    attached with applies in force.
     """
 
     def __init__(self, e: Embedding):
         rot, delta = e.rot, e.max_degree()
         self.delta = delta
         self.classes = classes = classify_all(e)
-        self.sids = sids = {v: _stake_id(vc) for v, vc in classes.items()}
-        self.nets = {v: _net_with(_NET[sids[v]], rot[v], sids) for v in sids}
         corners: dict[int, list[int]] = {f: [] for f in e.fdeg}
         for x, fx in e.face.items():  # a face's corners: the tails of its darts
             for f in fx.values():
                 corners[f].append(x)
         self.face_units = {f: _face_units(d, corners[f], rot, delta) for f, d in e.fdeg.items()}
-        self.total_units = sum(self.vertex_units.values()) + sum(self.face_units.values())
+        units = sum(_after_r1_r2(vc, delta) for vc in classes.values())
+        self.total_units = units + sum(self.face_units.values())
 
-    @property
-    def vertex_units(self) -> dict[int, int]:
+    def nets(self, e: Embedding) -> dict[int, int]:
+        """Each vertex's R3-R14 net with all its neighbors in e."""
+        sids = {v: _stake_id(vc) for v, vc in self.classes.items()}
+        return {v: _net_with(_NET[s], e.rot[v], sids) for v, s in sids.items()}
+
+    def vertex_units(self, e: Embedding) -> dict[int, int]:
         """Each vertex's final units: its ``_after_r1_r2`` part plus its net."""
-        delta, nets = self.delta, self.nets
+        delta, nets = self.delta, self.nets(e)
         return {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in self.classes.items()}
 
     def total(self) -> Fraction:
@@ -351,42 +358,32 @@ class LiveCharges:
         it can move only at a corner of a face born or shrunk (a born face
         is read from its birth darts, a shrunk one walked), and every vertex
         that lost or gained a neighbor is a corner of one; a corner whose
-        class did not move costs nothing more.  A net moves by the lost and
-        gained neighbors and by the neighbors whose stake moved; only a
-        vertex whose own stake moved re-sums all its neighbors.  When delta
-        moves, R2 moves at the vertices of degree between the old and the
-        new delta.  Those and the vertices whose class moved move the total
-        by their ``_after_r1_r2`` part, new less old, in one pass.  Faces
-        born or shrunk are derived afresh; any other 5+-face moves by the
-        change in what R2 gives its corners.
+        class did not move costs nothing more.  Lost and gained neighbors
+        and moved stakes touch only nets, which the total does not hold, so
+        a deleted vertex leaves it by its ``_after_r1_r2`` part alone.
+        When delta moves, R2 moves at the vertices of degree between the
+        old and the new delta.  Those and the vertices whose class moved
+        move the total by their ``_after_r1_r2`` part, new less old, in one
+        pass.  Faces born or shrunk are derived afresh; any other 5+-face
+        moves by the change in what R2 gives its corners.
         """
         rot, face, fdeg = e.rot, e.face, e.fdeg
-        classes, sids, nets, faces = self.classes, self.sids, self.nets, self.face_units
+        classes, faces = self.classes, self.face_units
         delta, was_delta, total = e.max_degree(), self.delta, self.total_units
-        # lost neighbors leave each net and gained ones join it at the old stakes
-        moves = {x: -_net_with(_NET[sids[x]], gone, sids) for x, gone in change.lost.items()}
-        for _, (a, b) in change.links:
-            moves[a] = moves.get(a, 0) + _NET[sids[a]][sids[b]]
-            moves[b] = moves.get(b, 0) + _NET[sids[b]][sids[a]]
         fresh = dict(change.born)  # the faces born or shrunk, as darts
         for f, dart in dict(change.links).items():  # the last dart left on f
             fresh[f] = e.walk(dart)
         for v in change.dels:
-            total -= _after_r1_r2(classes.pop(v), was_delta) + nets.pop(v)
-            del sids[v]
+            total -= _after_r1_r2(classes.pop(v), was_delta)
         for f in change.popped:
             total -= faces.pop(f)
 
         moved = {}  # the vertices whose R1-R2 part may move, with their classes before
-        was = {}  # the stake ids of those whose stake moved, as they were
         for x in {x for darts in fresh.values() for x, _ in darts}:
             vc = classify_vertex(e, x)
             old = classes[x]
             if vc != old:
                 classes[x], moved[x] = vc, old
-                new = _stake_id(vc)
-                if new != sids[x]:
-                    was[x], sids[x] = sids[x], new
         if delta != was_delta:
             self.delta = delta
             low, high = sorted((delta, was_delta))
@@ -394,16 +391,6 @@ class LiveCharges:
                 if _r2_units(k, delta) != _r2_units(k, was_delta):
                     for v in e.of_degree(k):
                         moved.setdefault(v, classes[v])
-        for w, old in was.items():
-            new = sids[w]
-            for u in rot[w]:
-                row = _NET[sids[u]]
-                moves[u] = moves.get(u, 0) + row[new] - row[old]
-        for v in was:
-            moves[v] = _net_with(_NET[sids[v]], rot[v], sids) - nets[v]
-        for v, d in moves.items():
-            nets[v] += d
-        total += sum(moves.values())
         shifts = []  # (v, the change in what R2 gives each corner at v)
         for v, old in moved.items():
             vc = classes[v]

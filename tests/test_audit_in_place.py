@@ -44,7 +44,7 @@ from workloads import gen_flip  # noqa: E402
 
 def agrees_with_audit(e):
     """The LiveCharges on e against the audit of e's snapshot, per vertex
-    and per face."""
+    and per face; its nets sum to 0, which is why its total holds none."""
     g, rename = e.snapshot(), gadgets.dense_ids(e)
     final = audit(g, cross_reference=False).final
     keys = face_keys(g)
@@ -53,7 +53,8 @@ def agrees_with_audit(e):
         f: keys[g.face[rename[x]][rename[y]]] for x, fx in e.face.items() for y, f in fx.items()
     }
     live = e.charges
-    assert {rename[v]: c for v, c in live.vertex_units.items()} == final.vertex_units
+    assert sum(live.nets(e).values()) == 0
+    assert {rename[v]: c for v, c in live.vertex_units(e).items()} == final.vertex_units
     assert {key[f]: c for f, c in live.face_units.items()} == final.face_units
     assert live.total_units == final.total_units()
 
@@ -226,11 +227,11 @@ def test_a_delta_drop_redoes_the_band_and_its_undo_restores_it():
     # that face is next to anything the deletion touched
     e = Embedding(wheel_and_star())
     e.charges = LiveCharges(e)
-    before, centre = ledger(e), e.charges.vertex_units[10]
+    before, centre = ledger(e), e.charges.vertex_units(e)[10]
     e.apply(delete_edges=[(1, 6)])
     assert e.max_degree() == 7
     agrees_with_audit(e)
-    assert e.charges.vertex_units[10] != centre
+    assert e.charges.vertex_units(e)[10] != centre
     e.undo()
     assert ledger(e) == before
     agrees_with_audit(e)

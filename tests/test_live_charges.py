@@ -7,8 +7,9 @@ and the edges drawn, each with the face it shrank.  So the record must
 say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
 The ledger writes nothing into the apply's undo log: an undo derives it
 afresh, so it may attach to an Embedding whose earlier apply it never saw.
-Its R3-R14 nets are read from tables built at import, which must say what
-``_stake`` and ``_net`` say.
+It keeps no R3-R14 net: its views read nets from tables built at import,
+which must say what ``_stake`` and ``_net`` say, and the table must be
+antisymmetric, or the nets would not sum to 0 and the total would need them.
 """
 
 import random
@@ -36,7 +37,7 @@ def test_attaching_with_an_apply_in_force_then_undoing_it():
     e.undo()
     agrees_with_audit(e)
     e.undo()
-    assert gadgets.in_force(e) == 0 and len(e.charges.vertex_units) == 9
+    assert gadgets.in_force(e) == 0 and len(e.charges.classes) == 9
     agrees_with_audit(e)
 
 
@@ -87,9 +88,18 @@ def test_the_tables_say_what_the_rules_say():
                 assert _STAKES[_stake_id(vc)] == _stake(vc)
 
 
+def test_every_net_is_the_negative_of_its_reverse():
+    # what one neighbor draws from the other, the other gives, so the nets
+    # of any graph sum to 0; two neighbors of one stake net to 0
+    for i in range(len(_STAKES)):
+        for j in range(len(_STAKES)):
+            assert _NET[i][j] == -_NET[j][i]
+
+
 def test_each_vertex_is_its_r1_r2_part_plus_its_net():
-    # at every step of these colorings, each vertex's class, stake and net
-    # as the ledger keeps them, against the rules read afresh
+    # at every step of these colorings, each vertex's class as the ledger
+    # keeps it, and its stake and net as the ledger's views derive them,
+    # against the rules read afresh
     deltas = set()
 
     def hook(e, outcome):
@@ -98,13 +108,13 @@ def test_each_vertex_is_its_r1_r2_part_plus_its_net():
         live, delta = e.charges, e.max_degree()
         deltas.add(delta)
         assert live.delta == delta
-        units = live.vertex_units
+        units, nets = live.vertex_units(e), live.nets(e)
         for v, nbrs in e.rot.items():
             vc = classify_vertex(e, v)
             stake = _stake(vc)
-            assert live.classes[v] == vc and _STAKES[live.sids[v]] == stake
-            assert live.nets[v] == sum(_net(stake, _stake(classify_vertex(e, u))) for u in nbrs)
-            assert units[v] - live.nets[v] == _after_r1_r2(vc, delta)
+            assert live.classes[v] == vc and _STAKES[_stake_id(live.classes[v])] == stake
+            assert nets[v] == sum(_net(stake, _stake(classify_vertex(e, u))) for u in nbrs)
+            assert units[v] - nets[v] == _after_r1_r2(vc, delta)
 
     for n, seed in [(30, 1), (40, 1), (50, 7), (60, 0)]:
         color(gen_planar(n, 6, seed), trace=RunTrace(graph_hook=hook))
@@ -113,10 +123,11 @@ def test_each_vertex_is_its_r1_r2_part_plus_its_net():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the calls to the discharge helpers that ``follow`` makes
-    per vertex or face it re-derives: ``_stake_id`` (a class's stake),
-    ``_net_with`` (a net read from ``_NET``), ``_after_r1_r2`` and
-    ``_face_units``."""
+    """Counts of the calls to the discharge helpers that derive a vertex or
+    a face: ``_stake_id`` (a class's stake) and ``_net_with`` (a net read
+    from ``_NET``), which only the ledger's views make, and
+    ``_after_r1_r2`` and ``_face_units``, which ``follow`` makes per vertex
+    or face it re-derives."""
     seen = Counter()
     for name in ("_stake_id", "_net_with", "_after_r1_r2", "_face_units"):
         real = getattr(discharge, name)
@@ -137,11 +148,11 @@ def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     e.charges = LiveCharges(e)
     calls.clear()
     e.apply(delete_vertices=[2])
-    # the same on every wheel: vertex 2 leaves the total, the three lose it
-    # from their nets, their classes move, the two rim neighbors are
-    # restaked and re-sum their nets, and the one born face is derived
-    # afresh; counted before the audit comparison reads the vertex view
-    assert dict(calls) == {"_stake_id": 3, "_net_with": 5, "_after_r1_r2": 7, "_face_units": 1}
+    # the same on every wheel: vertex 2 leaves the total, the classes of
+    # the three move, and the one born face is derived afresh; no stake or
+    # net is read, counted before the audit comparison reads the views
+    assert dict(calls) == {"_after_r1_r2": 7, "_face_units": 1}
+    assert vars(e.charges).keys() == {"delta", "classes", "face_units", "total_units"}
     agrees_with_audit(e)
 
 
