@@ -62,7 +62,7 @@ def reachable(
     return order
 
 
-_INT, _TUPLE, _TWO = {int}, {tuple}, {2}
+_INT = {int}
 _first = itemgetter(0)  # a dart's tail, or the smallest id of a degree bucket
 
 
@@ -417,13 +417,20 @@ class Embedding:
             raise UnknownVertex(f"vertex {v} not in the graph")
 
     def _pairs(self, edges: object) -> Sequence[Edge]:
-        """edges as pairs of live vertex ids (a tuple of int pairs as it is), or UnknownVertex."""
-        if type(edges) is tuple and (  # a truth test would pass 0 as the default ()
-            not edges
-            or _TUPLE.issuperset(map(type, edges)) and _TWO.issuperset(map(len, edges))
-            and _INT.issuperset(map(type, chain(*edges))) and set(chain(*edges)) <= self.rot.keys()
-        ):
-            return edges
+        """edges as pairs of live vertex ids, or UnknownVertex.  A tuple of
+        int pairs, the shape a catalog reduction passes, is tested pair by
+        pair and returned as it is; at the first pair that fails a test,
+        and for any other input, the general path below checks and reports."""
+        if type(edges) is tuple:  # a truth test would pass 0 as the default ()
+            rot = self.rot
+            for p in edges:
+                if type(p) is not tuple or len(p) != 2:
+                    break
+                u, v = p
+                if not (type(u) is int and type(v) is int and u in rot and v in rot):
+                    break
+            else:
+                return edges
         try:
             pairs = [(u, v) for u, v in edges]
         except (TypeError, ValueError):  # not iterable, or an edge that is not a pair
@@ -432,14 +439,15 @@ class Embedding:
         return pairs
 
     def _ids(self, vertices: object) -> set[int]:
-        """vertices as a set of live vertex ids, or UnknownVertex."""
+        """vertices as a set of live vertex ids, or UnknownVertex naming the
+        first id, in set order, that is not an int in the graph."""
         try:
             ids = set(vertices)
         except TypeError:  # not iterable, or an unhashable id
             raise UnknownVertex(f"{vertices!r} is not a set of vertex ids") from None
-        # the type test keeps True (== 1) out; both tests run in C
-        if not (_INT.issuperset(map(type, ids)) and ids <= self.rot.keys()):
-            for v in ids:
+        rot = self.rot
+        for v in ids:
+            if not (type(v) is int and v in rot):  # the type test keeps True (== 1) out
                 self._check_vertex(v)
         return ids
 
@@ -681,16 +689,21 @@ class Embedding:
 
     def _remove(self, del_edges: set[Edge], ch: Change) -> None:
         """Delete the vertices ``ch.dels`` and these edges, then walk the
-        faces that form from the faces they bordered."""
+        faces that form from the faces they bordered.  The deleted darts are
+        counted as they are met, and the degrees of the faces that lose one
+        are popped into the undo log in one pass, in the set's order."""
         dels = ch.dels
         rot, face, fdeg, log = self.rot, self.face, self.fdeg, ch.log
         lost, old = ch.lost, ch.popped  # survivor -> neighbors it loses; faces that lose a dart
+        # each deleted edge is counted at both ends: at a deleted vertex, or
+        # at a survivor that lost it
+        darts = 0
         for (u, v) in del_edges:
             if u not in dels and v not in dels:
                 lost.setdefault(u, set()).add(v)
                 lost.setdefault(v, set()).add(u)
                 old.update((face[u][v], face[v][u]))
-        darts = 0
+                darts += 2
         for s in dels:
             r, fs = rot.pop(s), face.pop(s)
             log += ((dict.__setitem__, rot, s, r), (dict.__setitem__, face, s, fs))
@@ -700,21 +713,33 @@ class Embedding:
             for u in r:
                 if u in lost:  # a survivor: lost holds no deleted id
                     lost[u].add(s)
+                    darts += 1
                 elif u not in dels:
                     lost[u] = {s}
-        # each deleted edge is counted at both ends: at a deleted vertex, or
-        # at a survivor that lost it
-        self.m -= (darts + sum(map(len, lost.values()))) // 2
+                    darts += 1
+        self.m -= darts // 2
         ch.touched.update(dels)  # the survivors that lost a neighbor lie on new faces
-        log.append((dict.update, fdeg, dict(zip(old, map(fdeg.pop, old)))))
+        degs = {}
+        for f in old:
+            degs[f] = fdeg.pop(f)
+        log.append((dict.update, fdeg, degs))
         self._cut(ch)
 
     def _connected(self, ch: Change) -> bool:
         """Whether the graph the deletions ``ch`` records left is connected:
         each component with edges counts 2 in n - m + f, an isolated vertex
-        1, and only a survivor that lost a neighbor can be isolated."""
-        rot, n = self.rot, len(self.rot)
-        return n < 2 or n - self.m + len(self.fdeg) == 2 and all(map(rot.__getitem__, ch.lost))
+        1, and only a survivor that lost a neighbor can be isolated.  The
+        Euler count is tested first, then each such survivor in turn."""
+        rot = self.rot
+        n = len(rot)
+        if n < 2:
+            return True
+        if n - self.m + len(self.fdeg) != 2:
+            return False
+        for x in ch.lost:
+            if not rot[x]:
+                return False
+        return True
 
     def _cut(self, ch: Change) -> None:
         """Take the gone neighbors out of each survivor's rotation list and

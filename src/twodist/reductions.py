@@ -120,15 +120,20 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
     """3-vertex with a neighbor below the maximum degree: route the two
     replacement edges through that low-degree neighbor (it alone has the
     headroom to gain an edge)."""
-    rot = ctx.e.rot
+    rot, delta = ctx.e.rot, ctx.delta
     for v in ctx.e.of_degree(3):
-        small = [u for u in rot[v] if len(rot[u]) < ctx.delta]
-        if not small:
+        v2 = None  # the smallest neighbor below the maximum degree
+        for u in rot[v]:
+            if len(rot[u]) < delta and (v2 is None or u < v2):
+                v2 = u
+        if v2 is None:
             continue
-        v2 = min(small)
-        adds = tuple(edge_key(v2, u) for u in rot[v] if u != v2)
+        adds = []  # a chord to each other neighbor, in rotation order
+        for u in rot[v]:
+            if u != v2:
+                adds.append(edge_key(v2, u))
         return Reduction(
-            "L2.3.1", None, v, (v,), (v,), (), adds, 3 * ctx.delta - 1
+            "L2.3.1", None, v, (v,), (v,), (), tuple(adds), 3 * delta - 1
         )
     return None
 

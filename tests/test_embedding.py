@@ -580,6 +580,17 @@ REFUSALS = [
         ((([1], 2),), "[[1], 2] is not a set of vertex ids"),
         (((1, 99),), "vertex 99 not in the graph"),
     ]
+] + [
+    # a tuple whose bad element follows a good one: the pair-by-pair and
+    # id-by-id tests stop there, and the general path reports it
+    (dict(delete_edges=((1, 2), (2, 99))), "vertex 99 not in the graph"),
+    (dict(add_edges=((1, 3), (99, 3))), "vertex 99 not in the graph"),
+    (dict(add_edges=((1, 3), (3, 1.0, 4))), "((1, 3), (3, 1.0, 4)) is not a collection of vertex id pairs"),
+    (dict(add_edges=((1, 3), (4,))), "((1, 3), (4,)) is not a collection of vertex id pairs"),
+    (dict(delete_edges=((1, 2), (4,))), "((1, 2), (4,)) is not a collection of vertex id pairs"),
+    (dict(delete_vertices=(2, True)), "vertex True not in the graph"),
+    (dict(delete_vertices=(2, 99)), "vertex 99 not in the graph"),
+    (dict(delete_vertices=(2, 1.0)), "vertex 1.0 not in the graph"),
 ]
 
 
@@ -600,6 +611,15 @@ def test_an_id_that_is_not_an_int_is_refused(kwargs, message):
         e.apply(**kwargs)
     assert str(refused.value) == message
     assert state(e) == before
+
+
+def test_a_list_pair_after_a_tuple_pair_is_accepted_as_the_tuple():
+    # the tuple-of-tuples shortcut stops at the list; the general path takes
+    # the same edges and leaves the same state
+    listed, tupled = Embedding(gadgets.wheel(6)), Embedding(gadgets.wheel(6))
+    listed.apply(add_edges=((1, 3), [4, 5]))
+    tupled.apply(add_edges=((1, 3), (4, 5)))
+    assert state(listed) == state(tupled)
 
 
 def test_a_reduction_that_does_not_shrink_is_rolled_back():

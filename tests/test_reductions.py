@@ -14,6 +14,7 @@ from twodist import (
     Reduction,
     RunTrace,
     Embedding,
+    PlanarGraph,
     check_properness,
     color,
     find_reduction,
@@ -91,6 +92,19 @@ class TestEarlyMatchers:
     def test_3vertex_cases_on_wheel_and_cube(self):
         r = match_case("L2.3.1", Embedding(gadgets.wheel(6)))
         assert r.lemma == "L2.3.1" and r.vertex == 2
+        assert r.delete_vertices == (2,) and r.delete_edges == ()
+        assert r.add_edges == ((1, 3), (3, 7)) and r.d2_bound == 17
+        # wheel(6) renamed so that 3-vertex 1 has rotation (5, 2, 3): the
+        # hub is 3, and of the low neighbors 5 and 2 the smaller comes
+        # second; the chords from 2 follow the rotation, not id order
+        new = {6: 1, 7: 2, 1: 3, 2: 4, 5: 5, 3: 6, 4: 7}
+        old = {w: v for v, w in new.items()}
+        g = gadgets.wheel(6)
+        e = Embedding(PlanarGraph([[new[u] for u in g.rotation[old[w] - 1]] for w in range(1, 8)]))
+        assert e.rot[1] == [5, 2, 3] and e.degree(3) == 6
+        r = match_case("L2.3.1", e)
+        assert (r.vertex, r.delete_vertices, r.delete_edges) == (1, (1,), ())
+        assert r.add_edges == ((2, 5), (2, 3)) and r.d2_bound == 17
         r = match_case("L2.3.2", Embedding(gadgets.wheel(6)))
         assert r.lemma == "L2.3.2" and r.vertex == 2
         assert match_case("L2.3.2", Embedding(gadgets.complete4())).lemma == "L2.3.2"
