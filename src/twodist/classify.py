@@ -26,7 +26,7 @@ from .planar import Embedding, PlanarGraph
 class VertexClass(NamedTuple):
     """The shape of a vertex's incidences, naming no vertex: its degree and
     its 3-, 4- and 5+-corners.  A NamedTuple, as the audit builds one per
-    vertex of every graph it checks."""
+    vertex of every graph it checks; ``classify_vertex`` builds it in C."""
 
     k: int
     t3: int
@@ -52,7 +52,7 @@ def classify_vertex(g: PlanarGraph | Embedding, v: int) -> VertexClass:
     k = len(degrees)
     t3 = degrees.count(3)
     t4 = degrees.count(4)
-    return VertexClass(k, t3, t4, k - t3 - t4)
+    return tuple.__new__(VertexClass, (k, t3, t4, k - t3 - t4))  # as _make does
 
 
 def is_special_vertex(e: Embedding, v: int) -> bool:

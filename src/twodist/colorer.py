@@ -12,7 +12,10 @@ locally and commits the change, so vertex ids never change, a step costs
 time for what it touches, and the run keeps no undo history.  What a step
 needs of its graph later (``Near``) is read before its reduction, as
 tuples of ids: unlike a set's, a tuple of ints leaves the cyclic garbage
-collector's watch after one collection.  Only a split's smaller side is
+collector's watch after one collection.  A pending vertex needs only the
+colors within distance 2 of it, so its tuple is its ``distance_walk``:
+its neighbors, then their neighbors, repeats and the vertex itself left
+in, as no set is built to drop them.  Only a split's smaller side is
 colored on an Embedding of its own, copied out in the same ids
 (``Embedding.part``).  Base cases and the greedy fallback are colored on
 the Embedding at hand too, so a run builds no PlanarGraph of its own (only
@@ -34,7 +37,7 @@ from .errors import (
     NoSafeColor,
     PermutationInfeasible,
 )
-from .planar import Embedding, PlanarGraph, distance_profile
+from .planar import Embedding, PlanarGraph, distance_walk
 from .reductions import (
     ProofGapReport,
     Reduction,
@@ -46,7 +49,8 @@ BASE_N = 10  # below this the oracle colors directly
 BASE_ORACLE_BUDGET = 300_000
 
 # What a step reads of its graph before its reduction, as tuples of ids: each
-# pending vertex's distance-2 set, or a split's cut vertex's neighbors.
+# pending vertex's distance_walk (its distance-2 ids, with repeats and the
+# vertex itself), or a split's cut vertex's neighbors.
 Near = dict[int, tuple[int, ...]] | tuple[int, ...]
 
 
@@ -120,8 +124,9 @@ def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
     """
     colors = {}  # the assignment restricted to vertices of g
     unknown = []
+    n = g.n
     for v, col in c.assignment.items():
-        if type(v) is int and 1 <= v <= g.n:
+        if type(v) is int and 1 <= v <= n:
             colors[v] = col
         else:
             unknown.append(v)
@@ -179,10 +184,13 @@ def extend(
 ) -> Coloring:
     """Color each pending vertex, the keys of ``near`` in order, with the
     smallest color unused on ``near[v]``, the vertices within distance 2
-    of it; later pending vertices see the earlier choices.  The colors are
-    added to partial in place, which is returned.  The forbidden colors
-    are gathered by C-level set work; the first free one is found by
-    counting up from 1, which costs less than a set of candidates."""
+    of it; later pending vertices see the earlier choices.  ``near[v]``
+    may repeat ids and hold v or other uncolored ids, which forbid
+    nothing (``color`` passes each ``distance_walk``); a trace counts the
+    distinct ids other than v.  The colors are added to partial in place,
+    which is returned.  The forbidden colors are gathered by C-level set
+    work; the first free one is found by counting up from 1, which costs
+    less than a set of candidates."""
     assignment = partial.assignment
     k = partial.budget
     get = assignment.get
@@ -191,7 +199,7 @@ def extend(
         forbidden = set(map(get, profile))
         forbidden.discard(None)  # an uncolored vertex forbids nothing
         if trace is not None:
-            trace.extensions.append((v, lemma, len(forbidden), len(profile), bound))
+            trace.extensions.append((v, lemma, len(forbidden), len(set(profile) - {v}), bound))
         if len(forbidden) >= k:
             detail = "" if reduction is None else f" (rule {lemma}, claimed bound {bound})"
             raise NoSafeColor(f"all {k} colors forbidden at vertex {v}{detail}")
@@ -263,7 +271,7 @@ def color(
                 return out
             stack[-1][3].append(out)
         else:
-            stack.append((*out, []))
+            stack.append(out)
         r, near, todo, done = stack[-1]
         if todo:
             out = _step(todo.pop(0), k, trace)
@@ -280,10 +288,11 @@ def color(
 
 def _step(
     e: Embedding, k: int, trace: RunTrace | None
-) -> Coloring | tuple[Reduction, Near, list[Embedding]]:
+) -> Coloring | tuple[Reduction, Near, list[Embedding], list[Coloring]]:
     """One induction step: e colored directly (base case or greedy
     fallback), or the reduction that fires on e, committed, with its
-    ``Near`` and the graphs it leaves to color (``reduce_in_place``)."""
+    ``Near``, the graphs it leaves to color (``reduce_in_place``) and an
+    empty list for their colorings: the open step ``color`` stacks."""
     hook = trace.graph_hook if trace is not None else None
     if len(e.rot) <= BASE_N:
         if hook is not None:
@@ -305,7 +314,9 @@ def _step(
 
     r = outcome
     if r.split is None:
-        near: Near = {v: tuple(distance_profile(e, v)) for v in r.pending}
+        near: Near = {}
+        for v in r.pending:
+            near[v] = distance_walk(e, v)
     else:
         near = tuple(e.adj(r.split))
     try:
@@ -318,7 +329,7 @@ def _step(
             raise
         return _greedy_fallback(e, k, None)
     e.commit()
-    return r, near, todo
+    return r, near, todo, []
 
 
 def _greedy_fallback(

@@ -35,13 +35,16 @@ def greedy_clique(adj: Adjacency) -> list[int]:
     """Largest clique found by seeded greedy growth; a valid lower bound."""
     best: list[int] = []
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    rank = {v: i for i, v in enumerate(order)}  # higher degree first, then smaller id
     for seed in order:
         if len(adj[seed]) + 1 <= len(best):
             continue
         clique = [seed]
-        for v in sorted(adj[seed], key=lambda v: (-len(adj[v]), v)):
-            if all(v in adj[c] for c in clique):
+        common = set(adj[seed])  # the vertices adjacent to the whole clique
+        for v in sorted(adj[seed], key=rank.__getitem__):
+            if v in common:
                 clique.append(v)
+                common &= adj[v]
         if len(clique) > len(best):
             best = clique
     return best

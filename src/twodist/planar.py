@@ -88,12 +88,10 @@ def _reject_rotations(rot: tuple) -> NoReturn:
     raise InvariantViolated("a rotation test failed on valid rotations")
 
 
-def _reject_asymmetry(rot: tuple, adj: tuple[frozenset[int], ...]) -> NoReturn:
+def _reject_asymmetry(rot: tuple, nxt: dict[int, dict[int, int]]) -> NoReturn:
     """Name the first dart (v, u), in vertex then rotation order, whose
     reverse is missing; the face trace found that one exists."""
-    v, u = next(
-        (v, u) for v, nbrs in enumerate(rot, 1) for u in nbrs if v not in adj[u - 1]
-    )
+    v, u = next((v, u) for v, nbrs in enumerate(rot, 1) for u in nbrs if v not in nxt[u])
     raise EmbeddingInvalid(f"asymmetric adjacency: {v} lists {u} but not vice versa")
 
 
@@ -125,20 +123,19 @@ class PlanarGraph:
             set(map(type, listed)) <= _INT and 1 <= min(listed) and max(listed) <= n
         ):
             _reject_rotations(rot)
-        adj = tuple(map(frozenset, rot))
+        # nxt[v][u] follows u in the rotation at v: the dart after (u, v)
+        # on its face is (v, nxt[v][u])
+        nxt = {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in enumerate(rot, 1)}
         degrees = list(map(len, rot))
-        # a repeated neighbor shrinks the set; a self-loop puts v in adj[v - 1]
-        if list(map(len, adj)) != degrees or any(
-            map(frozenset.__contains__, adj, range(1, n + 1))
+        # a repeated neighbor shrinks a map; a self-loop puts v in nxt[v]
+        if list(map(len, nxt.values())) != degrees or any(
+            map(dict.__contains__, nxt.values(), nxt)
         ):
             _reject_rotations(rot)
         if len(listed) % 2:
             raise EmbeddingInvalid("odd number of darts")
         self.m: int = len(listed) // 2
         self._delta = max(degrees, default=0)
-        # nxt[v][u] follows u in the rotation at v: the dart after (u, v)
-        # on its face is (v, nxt[v][u])
-        nxt = {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in enumerate(rot, 1)}
         face: dict[int, dict[int, int]] = {v: {} for v in nxt}
         walks: list[tuple[int, ...]] = []
         try:
@@ -157,7 +154,7 @@ class PlanarGraph:
                         fx = face[x]
                     walks.append(tuple(walk))
         except KeyError:
-            _reject_asymmetry(rot, adj)
+            _reject_asymmetry(rot, nxt)
         if n and len(reachable(nxt.__getitem__, n, 1)) != n:
             raise NotConnected("graph is not connected")
         self.face: dict[int, dict[int, int]] = face
@@ -227,12 +224,22 @@ class PlanarGraph:
         return f"PlanarGraph(n={self.n}, m={self.m})"
 
 
-def distance_profile(e: Embedding, v: int) -> set[int]:
-    """Exact set of vertices at distance 1 or 2 from v, in e's own ids: a
-    new set, the caller's to keep or change."""
+def distance_walk(e: Embedding, v: int) -> tuple[int, ...]:
+    """The vertices at distance 1 or 2 from v, in e's own ids, as one
+    concatenation read off the face map: v's neighbors, then each
+    neighbor's neighbors.  Ids may repeat, and v itself appears once per
+    neighbor; the set of the rest is ``distance_profile(e, v)``."""
     e._check_vertex(v)
-    first = e.face[v]  # its keys are v's neighbors
-    reach = set(first).union(*map(e.face.__getitem__, first))
+    face = e.face
+    first = face[v]  # its keys are v's neighbors
+    return (*first, *chain.from_iterable(map(face.__getitem__, first)))
+
+
+def distance_profile(e: Embedding, v: int) -> set[int]:
+    """Exact set of vertices at distance 1 or 2 from v, in e's own ids:
+    ``distance_walk`` as a set, less v, so N2(v) is read off the face map
+    in one place.  A new set, the caller's to keep or change."""
+    reach = set(distance_walk(e, v))
     reach.discard(v)
     return reach
 
@@ -440,13 +447,17 @@ class Embedding:
 
     def _ids(self, vertices: object) -> set[int]:
         """vertices as a set of live vertex ids, or UnknownVertex naming the
-        first id, in set order, that is not an int in the graph."""
+        first id, in the order given, that is not an int in the graph.  The
+        ids are tested before the set merges them: True and 1.0 equal 1, so
+        they would hide in a set that holds 1."""
         try:
-            ids = set(vertices)
+            # a tuple, the catalog's shape, is read as it is, not copied
+            listed = vertices if type(vertices) is tuple else list(vertices)
+            ids = set(listed)
         except TypeError:  # not iterable, or an unhashable id
             raise UnknownVertex(f"{vertices!r} is not a set of vertex ids") from None
         rot = self.rot
-        for v in ids:
+        for v in listed:
             if not (type(v) is int and v in rot):  # the type test keeps True (== 1) out
                 self._check_vertex(v)
         return ids

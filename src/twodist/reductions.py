@@ -42,7 +42,9 @@ from .planar import (
 
 
 class Reduction(NamedTuple):
-    """A matched configuration and the surgery that shrinks it."""
+    """A matched configuration and the surgery that shrinks it.  L2.1, L2.2
+    and L2.3.1, which fire on nearly every step, build it in C with
+    ``tuple.__new__`` and all nine fields in order, as ``_make`` does."""
 
     lemma: str
     case: str | None
@@ -95,7 +97,7 @@ def _m_L2_1(ctx: _Ctx) -> Reduction | None:
     if not cuts:
         return None
     v = min(cuts)
-    return Reduction("L2.1", None, v, (), (), (), (), None, split=v)
+    return tuple.__new__(Reduction, ("L2.1", None, v, (), (), (), (), None, v))
 
 
 def _m_L2_2(ctx: _Ctx) -> Reduction | None:
@@ -111,9 +113,7 @@ def _m_L2_2(ctx: _Ctx) -> Reduction | None:
     if dmin == 2:
         a, b = e.neighbors(v)
         adds = (edge_key(a, b),)
-    return Reduction(
-        "L2.2", None, v, (v,), (v,), (), adds, d2_bound=2 * ctx.delta
-    )
+    return tuple.__new__(Reduction, ("L2.2", None, v, (v,), (v,), (), adds, 2 * ctx.delta, None))
 
 
 def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
@@ -132,8 +132,8 @@ def _m_L2_3_1(ctx: _Ctx) -> Reduction | None:
         for u in rot[v]:
             if u != v2:
                 adds.append(edge_key(v2, u))
-        return Reduction(
-            "L2.3.1", None, v, (v,), (v,), (), tuple(adds), 3 * delta - 1
+        return tuple.__new__(
+            Reduction, ("L2.3.1", None, v, (v,), (v,), (), tuple(adds), 3 * delta - 1, None)
         )
     return None
 

@@ -52,7 +52,7 @@ def parse_graph(text: str) -> PlanarGraph:
             if header is None:
                 raise ParseError("rotation line before header", lineno)
             try:
-                nums = [int(x) for x in parts[1:]]
+                nums = list(map(int, parts[1:]))
             except ValueError:
                 raise ParseError("rotation fields must be integers", lineno)
             if len(nums) < 2:
@@ -100,9 +100,8 @@ def write_graph(g: PlanarGraph, comment: str | None = None) -> str:
         for part in comment.splitlines():
             lines.append(f"# {part}")
     lines.append(f"p {g.n} {g.m}")
-    for v in g.vertices():
-        nbrs = g.neighbors(v)
-        lines.append(f"r {v} {len(nbrs)} " + " ".join(map(str, nbrs)))
+    for v, nbrs in enumerate(g.rotation, 1):
+        lines.append(f"r {v} {len(nbrs)} {' '.join(map(str, nbrs))}")
     return "\n".join(lines) + "\n"
 
 

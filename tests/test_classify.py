@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import gadgets
 from twodist import Embedding, audit, classify_all, gen_planar
-from twodist.classify import is_special_vertex
+from twodist.classify import VertexClass, classify_vertex, is_special_vertex
 from twodist.discharge import UNIT, _after_r1_r2
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -31,6 +31,17 @@ class TestClassifyVertex:
     def test_wheel6_hub_is_66(self):
         vc = prof(gadgets.wheel(6), 1)
         assert vc.is_kd(6, 6)
+        # classify_vertex builds the NamedTuple in C, past its __new__, on
+        # either graph class
+        for g, classes in (
+            (gadgets.wheel(6), {1: (6, 6, 0, 0), 2: (3, 2, 0, 1)}),
+            (Embedding(gadgets.wheel_minus_rim(6)), {1: (6, 5, 0, 1), 2: (2, 1, 0, 1)}),
+        ):
+            for v, want in classes.items():
+                vc = classify_vertex(g, v)
+                assert type(vc) is VertexClass and vc == VertexClass(*want)
+                assert (vc.k, vc.t3, vc.t4, vc.t5p) == want
+        assert str(classify_vertex(g, 1)) == "(6,5,0)-vertex"
 
     def test_c6_vertices(self):
         vc = prof(gadgets.cycle(6), 1)

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from twodist import (
     verify_coloring,
 )
 from twodist.colorer import extend, merge_at_cut
-from twodist.planar import distance_profile
+from twodist.planar import distance_profile, distance_walk
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -233,6 +234,26 @@ class TestColor:
         for (v, lemma, forbidden, near, bound) in trace.extensions:
             assert forbidden <= near and (bound is None or near <= bound)
             assert forbidden < c.budget
+
+    def test_each_pending_walk_holds_its_distance_2_set(self, small_corpus):
+        # read before each reduction, a pending vertex's distance_walk less
+        # the vertex is its exact distance-2 set, and the trace counts that
+        # set's size, however the walk repeats ids
+        for g in small_corpus:
+            seen = []
+
+            def hook(e, outcome):
+                if isinstance(outcome, Reduction) and outcome.split is None:
+                    for v in outcome.pending:
+                        profile = distance_profile(e, v)
+                        assert profile == set(distance_walk(e, v)) - {v}
+                        seen.append((v, outcome.lemma, len(profile)))
+
+            trace = RunTrace(graph_hook=hook)
+            assert verify_coloring(g, color(g, trace=trace)).valid
+            assert seen
+            extended = [(v, lemma, near) for v, lemma, _, near, _ in trace.extensions]
+            assert Counter(extended) == Counter(seen)
 
     def test_leaves_the_recursion_limit_alone(self):
         limit = sys.getrecursionlimit()
@@ -462,7 +483,7 @@ class TestPaletteRewrites:
     @settings(max_examples=300, deadline=None)
     @given(palettes(), st.data())
     def test_extend_reads_a_tuple_as_it_reads_a_frozenset(self, palette, data):
-        # the engine keeps each distance-2 set as a tuple, in any order
+        # a tuple of the distance-2 ids, in any order, reads as their set
         k, assignment = palette
         pending = data.draw(st.lists(st.integers(1, 15), unique=True, max_size=4))
         sets = {v: frozenset(data.draw(st.sets(st.integers(1, 15)))) - {v} for v in pending}
@@ -470,6 +491,27 @@ class TestPaletteRewrites:
         r = Reduction("L2.2", None, 1, (1,), (1,), (), (), 2 * k)
         traces = RunTrace(), RunTrace()
         got = outcome(extend, Coloring(dict(assignment), k), tuples, r, traces[0])
+        want = outcome(extend, Coloring(dict(assignment), k), sets, r, traces[1])
+        assert got == want
+        assert traces[0].extensions == traces[1].extensions
+
+    @settings(max_examples=300, deadline=None)
+    @given(palettes(), st.data())
+    def test_extend_reads_a_walk_as_it_reads_the_set(self, palette, data):
+        # the engine passes each pending vertex's distance_walk: the set's
+        # ids with repeats and the vertex itself, which is uncolored then
+        k, assignment = palette
+        pending = data.draw(st.lists(st.integers(1, 15), unique=True, max_size=4))
+        for v in pending:
+            assignment.pop(v, None)
+        sets = {v: frozenset(data.draw(st.sets(st.integers(1, 15)))) - {v} for v in pending}
+        walks = {}
+        for v, near in sets.items():
+            repeats = data.draw(st.lists(st.sampled_from(sorted(near | {v})), max_size=8))
+            walks[v] = tuple(data.draw(st.permutations([*near, v, *repeats])))
+        r = Reduction("L2.2", None, 1, (1,), (1,), (), (), 2 * k)
+        traces = RunTrace(), RunTrace()
+        got = outcome(extend, Coloring(dict(assignment), k), walks, r, traces[0])
         want = outcome(extend, Coloring(dict(assignment), k), sets, r, traces[1])
         assert got == want
         assert traces[0].extensions == traces[1].extensions

@@ -591,6 +591,16 @@ REFUSALS = [
     (dict(delete_vertices=(2, True)), "vertex True not in the graph"),
     (dict(delete_vertices=(2, 99)), "vertex 99 not in the graph"),
     (dict(delete_vertices=(2, 1.0)), "vertex 1.0 not in the graph"),
+] + [
+    # the hub's id 1 named alongside True or 1.0: a set of the ids would
+    # merge the two, so the ids are tested one by one, in the order given
+    (dict(add_edges=((1, 5), (3, True))), "vertex True not in the graph"),
+    (dict(add_edges=[(1, 5), (3, 1.0)]), "vertex 1.0 not in the graph"),
+    (dict(delete_edges=[(1, 2), (True, 3)]), "vertex True not in the graph"),
+    (dict(delete_vertices=[1, 1.0]), "vertex 1.0 not in the graph"),
+    (dict(delete_vertices=(1, True)), "vertex True not in the graph"),
+    (dict(delete_vertices=[99, True]), "vertex 99 not in the graph"),
+    (dict(delete_vertices=[True, 99]), "vertex True not in the graph"),
 ]
 
 

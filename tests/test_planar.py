@@ -14,7 +14,7 @@ from twodist import (
     gen_planar,
 )
 from twodist.discharge import face_key
-from twodist.planar import Embedding, distance_profile, is_cut_vertex, square
+from twodist.planar import Embedding, distance_profile, distance_walk, is_cut_vertex, square
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -43,6 +43,28 @@ class TestConstruction:
     def test_rejects_neighbor_that_is_not_an_int(self, rotation):
         with pytest.raises(EmbeddingInvalid):
             PlanarGraph(rotation)
+
+    # rotations with two faults each, and the one construction names: ids,
+    # then per vertex self-loops and repeats, then the dart count, then
+    # symmetry, whatever vertex the later fault sits at
+    @pytest.mark.parametrize(
+        "rotation, message",
+        [
+            ([(2, 2), (1, 3), (1,)], "repeated neighbor in rotation of 1"),
+            ([(2, 3), (1,), (1, 2, 2)], "repeated neighbor in rotation of 3"),
+            ([(1, 2), (1, 3), (1,)], "self-loop at 1"),
+            ([(2, 3), (1,), (3, 1)], "self-loop at 3"),
+            ([(2, "x"), (1, 1)], "vertex 1 lists unknown neighbor 'x'"),
+            ([(2, 2), (1, "x")], "repeated neighbor in rotation of 1"),
+            ([(2, 2, "x"), (1,)], "vertex 1 lists unknown neighbor 'x'"),
+            ([(2, 3), (1,), ()], "odd number of darts"),
+            ([(2, 3), (1,), (2,)], "asymmetric adjacency: 1 lists 3 but not vice versa"),
+        ],
+    )
+    def test_the_first_of_two_faults_is_named(self, rotation, message):
+        with pytest.raises(EmbeddingInvalid) as refused:
+            PlanarGraph(rotation)
+        assert str(refused.value) == message
 
     def test_rejects_disconnected(self):
         with pytest.raises(NotConnected):
@@ -144,6 +166,20 @@ class TestDistanceProfile:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
             distance_profile(Embedding(gadgets.cycle(4)), 9)
+        with pytest.raises(UnknownVertex):
+            distance_walk(Embedding(gadgets.cycle(4)), True)
+
+    def test_walk_is_the_neighbor_lists_concatenated(self):
+        # v's neighbors, then each one's neighbors: v once per neighbor
+        e = Embedding(gadgets.star(3))
+        assert distance_walk(e, 2) == (1, *e.rot[1])
+        assert distance_walk(e, 1) == (*e.rot[1], 1, 1, 1)
+        e = Embedding(gadgets.octahedron())
+        for v in e.rot:
+            walk = distance_walk(e, v)
+            assert walk[:4] == tuple(e.face[v])
+            assert len(walk) == 4 + 16 and walk.count(v) == 4
+            assert set(walk) - {v} == distance_profile(e, v)
 
     @pytest.mark.parametrize(
         "read",

@@ -66,6 +66,9 @@ class TestEarlyMatchers:
     def test_cut_vertex_match(self):
         r = match_case("L2.1", Embedding(gadgets.two_triangles()))
         assert r is not None and r.lemma == "L2.1" and r.split == 1
+        # the hot matchers build their Reductions in C, all nine fields
+        assert type(r) is Reduction and r.d2_bound is None
+        assert r == Reduction("L2.1", None, 1, (), (), (), (), None, split=1)
 
     def test_no_cut_vertex_in_cycle(self):
         assert match_case("L2.1", Embedding(gadgets.cycle(5))) is None
@@ -80,6 +83,11 @@ class TestEarlyMatchers:
         assert r.lemma == "L2.2" and r.vertex == 1
         assert r.add_edges == ((2, 6),)  # chord closing the path
         assert r.d2_bound == 2 * g.max_degree()
+        assert type(r) is Reduction and r.split is None
+        assert r._asdict() == dict(
+            lemma="L2.2", case=None, vertex=1, pending=(1,), delete_vertices=(1,),
+            delete_edges=(), add_edges=((2, 6),), d2_bound=4, split=None,
+        )
         applied(g, r)
 
     def test_octahedron_has_min_degree_four(self):
@@ -94,6 +102,8 @@ class TestEarlyMatchers:
         assert r.lemma == "L2.3.1" and r.vertex == 2
         assert r.delete_vertices == (2,) and r.delete_edges == ()
         assert r.add_edges == ((1, 3), (3, 7)) and r.d2_bound == 17
+        assert type(r) is Reduction and r.split is None
+        assert r == Reduction("L2.3.1", None, 2, (2,), (2,), (), ((1, 3), (3, 7)), 17)
         # wheel(6) renamed so that 3-vertex 1 has rotation (5, 2, 3): the
         # hub is 3, and of the low neighbors 5 and 2 the smaller comes
         # second; the chords from 2 follow the rotation, not id order

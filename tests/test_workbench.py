@@ -84,6 +84,25 @@ class TestGraphFiles:
         with pytest.raises(ParseError):
             parse_graph("p 2 1\nr 1 1 2\nr 5 1 1\n")
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("p 2 1\nr 1 1 x\nr 2 1 1\n", ParseError, "line 2: rotation fields must be integers"),
+            ("p 2 1\nr 1 1 2.0\nr 2 1 1\n", ParseError, "line 2: rotation fields must be integers"),
+            ("p 2 1\nr x 1 2\nr 2 1 1\n", ParseError, "line 2: rotation fields must be integers"),
+            ("p 2 1\nr 1 1 2\nr 2 1 1 3x\n", ParseError, "line 3: rotation fields must be integers"),
+            ("p 2 1\nr 1\nr 2 1 1\n", ParseError, "line 2: rotation line too short"),
+            ("p 2 1\nr 1 2 2\nr 2 1 1\n", ParseError, "line 2: vertex 1 declares degree 2 but lists 1"),
+            ("p 2 1\n\nr 1 1 2_0\nr 2 1 1\n", EmbeddingInvalid, "vertex 1 lists unknown neighbor 20"),
+            ("p 2 1\nr 1 1 +2\nr 2 1 -1\n", EmbeddingInvalid, "vertex 2 lists unknown neighbor -1"),
+        ],
+    )
+    def test_rotation_fields_are_read_as_int_reads_them(self, text, error, message):
+        # each field goes through int(), which takes signs and underscores
+        with pytest.raises(error) as refused:
+            parse_graph(text)
+        assert str(refused.value) == message
+
     def test_coloring_round_trip(self):
         c = Coloring({1: 3, 2: 1, 7: 2}, budget=5)
         parsed = parse_coloring(write_coloring(c), budget=5)
