@@ -16,28 +16,30 @@ totals are Fractions built only when a caller reads them, and so is
 
 The rules are written once, per element, and only here: ``_r2_units``
 (what a 5+-face gives one corner), ``_after_r1_r2`` (a vertex's charge
-after its 3-face payments and 5+-face income), the ``_INCOME`` table and
-the ``_pays_five`` payer test.  ``apply_rules`` runs them over a whole
-graph, logging every transfer, and ``audit`` stays the from-scratch
-reference; its report reads the negative elements off the final ledger
-when asked, and labels a 4- or 5-vertex ``bad4``/``bad5`` when
-``_after_r1_r2`` leaves it negative.  ``initial_charges``, ``apply_rules``
-and ``audit`` read only a validated ``PlanarGraph``: its rotations and
-its face boundary walks, each keyed by ``face_key``, its least rotation.
-``LiveCharges`` reads the same helpers to keep the final charges of the
-engine's Embedding current as it changes; it gives what the audit of the
-Embedding's snapshot holds, whose vertices are the live ids renumbered in
-ascending order and whose faces are keyed by their walks.  It keeps each
-vertex's class and each face's units, and no R3-R14 state: every such
-transfer runs between two neighbors, so the nets of a graph sum to 0 and
-the total needs none.  A vertex's net and units (``_after_r1_r2`` plus the
-net) are derived from the classes when read, the net from tables built at
-import.  It follows each apply from the ``planar.Change`` that apply
-recorded: it re-derives the faces born or shrunk and those of their
-corners whose class moved, moves the rest by what changed next to them,
-and moves the total by the same amounts, never rescanning the graph.  It
-knows nothing of the undo log: ``Embedding.undo`` derives an
-attached ledger afresh.
+after its 3-face payments and 5+-face income), and ``_income`` (R3-R14 at
+one vertex: its rule, what it draws from each payer, and its payers), the
+one reader of the ``_INCOME`` table and the ``_pays_five`` payer test.
+``apply_rules`` runs them over a whole graph, logging every transfer, and
+``audit`` stays the from-scratch reference; its report reads the negative
+elements off the final ledger when asked, and labels a 4- or 5-vertex
+``bad4``/``bad5`` when ``_after_r1_r2`` leaves it negative.
+``initial_charges``, ``apply_rules`` and ``audit`` read only a validated
+``PlanarGraph``: its rotations and its face boundary walks, each keyed by
+``face_key``, its least rotation.  ``LiveCharges`` reads the same helpers
+to keep the final charges of the engine's Embedding current as it
+changes; it gives what the audit of the Embedding's snapshot holds, whose
+vertices are the live ids renumbered in ascending order and whose faces
+are keyed by their walks.  It keeps each vertex's class and each face's
+units, and no R3-R14 state: every such transfer runs between two
+neighbors, so the nets of a graph sum to 0 and the total needs none.  A
+vertex's net and units (``_after_r1_r2`` plus the net) are derived from
+the classes when read, the nets by ``_income`` at every vertex, as
+``apply_rules`` derives its transfers.  It follows each apply from the
+``planar.Change`` that apply recorded: it re-derives the faces born or
+shrunk and those of their corners whose class moved, moves the rest by
+what changed next to them, and moves the total by the same amounts, never
+rescanning the graph.  It knows nothing of the undo log:
+``Embedding.undo`` derives an attached ledger afresh.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import VertexClass, classify_all, classify_vertex
 from .errors import InvariantViolated
@@ -86,9 +88,7 @@ _R2_TO_OTHER = _units(Fraction(1, 5))
 # each neighbor, and the 4-vertex family from each neighbor; the 5-vertex
 # family only from the neighbors that ``_pays_five``.
 _INCOME = {
-    (3, t3, t4): ("R3", _units(Fraction(1, 9))) for t3 in range(4) for t4 in range(4 - t3)
-}
-_INCOME.update({
+    **{(3, t3, t4): ("R3", _units(Fraction(1, 9))) for t3 in range(4) for t4 in range(4 - t3)},
     (4, 4, 0): ("R4", _units(Fraction(1, 3))),
     (4, 3, 1): ("R5", _units(Fraction(1, 4))),
     (4, 3, 0): ("R6", _units(Fraction(1, 5))),
@@ -100,7 +100,7 @@ _INCOME.update({
     (5, 5, 0): ("R12", _units(Fraction(1, 6))),
     (5, 4, 1): ("R13", _units(Fraction(1, 12))),
     (5, 4, 0): ("R14", _units(Fraction(2, 45))),
-})
+}
 
 
 def _r2_units(k: int, delta: int) -> int:
@@ -124,49 +124,18 @@ def _pays_five(vc: VertexClass) -> bool:
     return vc.k >= 6 and not vc.is_kd(6, 6)
 
 
-# What R3-R14 read of a vertex: the units it draws from each payer (0 when
-# it draws nothing), whether only neighbors that ``_pays_five`` pay it (it
-# is a 5-vertex), and whether it pays such a neighbor itself.
-Stake = tuple[int, bool, bool]
-
-
-def _stake(vc: VertexClass) -> Stake:
+def _income(
+    vc: VertexClass, nbrs: Sequence[int], classes: dict[int, VertexClass]
+) -> tuple[str, int, Sequence[int]] | None:
+    """R3-R14 at a vertex of class vc with neighbors nbrs: the rule by which
+    it draws charge, the units it draws from each payer, and its payers,
+    every neighbor or, at a 5-vertex, those whose class in ``classes``
+    ``_pays_five``; None when it draws nothing."""
     income = _INCOME.get((vc.k, vc.t3, vc.t4))
-    return (income[1] if income else 0, vc.k == 5, _pays_five(vc))
-
-
-def _net(mine: Stake, theirs: Stake) -> int:
-    """R3-R14 between two neighbors: what the one with stake ``mine``
-    draws from the other, less what it gives the other."""
-    draw, picky, pays = mine
-    their_draw, their_picky, they_pay = theirs
-    return (draw if they_pay or not picky else 0) - (their_draw if pays or not their_picky else 0)
-
-
-# R3-R14 as tables: ``_NET[i][j]`` is the net of stake i with stake j, and ``_SID``
-# numbers a class's stake: all 15 show by degree 7, past which a vertex only pays.
-_CLASSES = [
-    VertexClass(k, t3, t4, k - t3 - t4)
-    for k in range(8) for t3 in range(k + 1) for t4 in range(k + 1 - t3)
-]
-_STAKES = sorted(set(map(_stake, _CLASSES)))
-_NET = [[_net(mine, theirs) for theirs in _STAKES] for mine in _STAKES]
-_SID = {vc: _STAKES.index(_stake(vc)) for vc in _CLASSES}
-_PAYER = _SID[7, 0, 0, 7]
-
-
-def _stake_id(vc: VertexClass) -> int:
-    """The number of vc's stake: ``_STAKES[_stake_id(vc)] == _stake(vc)``."""
-    return _SID.get(vc, _PAYER)
-
-
-def _net_with(row: list[int], nbrs: Iterable[int], sids: dict[int, int]) -> int:
-    """The R3-R14 net with these neighbors of a vertex whose stake has ``_NET``
-    row ``row``: a plain loop, which CPython runs faster than a map."""
-    net = 0
-    for w in nbrs:
-        net += row[sids[w]]
-    return net
+    if income is None:
+        return None
+    rule, amount = income
+    return rule, amount, [w for w in nbrs if _pays_five(classes[w])] if vc.k == 5 else nbrs
 
 
 def _face_units(d: int, corners: Iterable[int], rot: dict, delta: int) -> int:
@@ -294,12 +263,10 @@ def apply_rules(
                 record(("R2", fkey, elem[v], amount))
 
     for v, nbrs in enumerate(rot, 1):
-        vc = classes[v]
-        income = _INCOME.get((vc.k, vc.t3, vc.t4))
+        income = _income(classes[v], nbrs, classes)
         if income is None:
             continue
-        rule, amount = income
-        payers = [w for w in nbrs if _pays_five(classes[w])] if vc.k == 5 else nbrs
+        rule, amount, payers = income
         dst = elem[v]
         vertex[v] += amount * len(payers)
         for w in payers:
@@ -314,12 +281,13 @@ class LiveCharges:
     ``classes`` holds each vertex's class, ``face_units`` each face's
     units, ``delta`` the maximum degree and ``total_units`` the sum of all
     units.  No R3-R14 state is kept: those rules move charge between
-    neighbors, and ``_NET`` is antisymmetric, so the nets of any graph sum
-    to 0 and the total is the vertices' ``_after_r1_r2`` parts plus the
-    face units.  ``nets(e)`` and ``vertex_units(e)`` derive the rest from
-    the classes and e's rotations when read; by vertex id and face id,
-    ``vertex_units(e)`` and ``face_units`` give what the final ledger of
-    ``audit(e.snapshot())`` holds by dense id and canonical walk.
+    neighbors, and what one draws the other gives, so the nets of any
+    graph sum to 0 and the total is the vertices' ``_after_r1_r2`` parts
+    plus the face units.  ``nets(e)`` and ``vertex_units(e)`` derive the
+    rest from the classes and e's rotations when read, by ``_income`` at
+    every vertex, the helper ``apply_rules`` runs; by vertex id and face
+    id, ``vertex_units(e)`` and ``face_units`` give what the final ledger
+    of ``audit(e.snapshot())`` holds by dense id and canonical walk.
     Attached as ``e.charges``, it follows every successful ``e.apply``
     from the ``Change`` that apply recorded, and writes nothing into the
     apply's undo log: any ``e.undo()`` re-derives it afresh, so it may be
@@ -339,9 +307,18 @@ class LiveCharges:
         self.total_units = units + sum(self.face_units.values())
 
     def nets(self, e: Embedding) -> dict[int, int]:
-        """Each vertex's R3-R14 net with all its neighbors in e."""
-        sids = {v: _stake_id(vc) for v, vc in self.classes.items()}
-        return {v: _net_with(_NET[s], e.rot[v], sids) for v, s in sids.items()}
+        """Each vertex's R3-R14 net with all its neighbors in e: what it
+        draws, less what it gives."""
+        classes, rot = self.classes, e.rot
+        nets = dict.fromkeys(classes, 0)
+        for v, vc in classes.items():
+            income = _income(vc, rot[v], classes)
+            if income is not None:
+                _, amount, payers = income
+                nets[v] += amount * len(payers)
+                for w in payers:
+                    nets[w] -= amount
+        return nets
 
     def vertex_units(self, e: Embedding) -> dict[int, int]:
         """Each vertex's final units: its ``_after_r1_r2`` part plus its net."""
@@ -359,7 +336,7 @@ class LiveCharges:
         is read from its birth darts, a shrunk one walked), and every vertex
         that lost or gained a neighbor is a corner of one; a corner whose
         class did not move costs nothing more.  Lost and gained neighbors
-        and moved stakes touch only nets, which the total does not hold, so
+        and moved classes touch nets too, which the total does not hold, so
         a deleted vertex leaves it by its ``_after_r1_r2`` part alone.
         When delta moves, R2 moves at the vertices of degree between the
         old and the new delta.  Those and the vertices whose class moved

@@ -274,6 +274,15 @@ def _unborn(face: dict, fdeg: dict, new: int, darts: list[Edge], ids: list[int])
         face[x][y] = f
 
 
+def _entry(walk: list[Edge], v: int, starts: list[Edge]) -> int:
+    """The tail of the dart by which a face's walk enters v: at the visit
+    whose next dart is one of ``starts``, where v lost neighbors, or at its
+    first visit when none is."""
+    visits = [i for i, (_, y) in enumerate(walk) if y == v]
+    i = next((i for i in visits if walk[i + 1 - len(walk)] in starts), visits[0])
+    return walk[i][0]
+
+
 class Change:
     """What one ``Embedding.apply`` on e did, as its primitives record it;
     it is also the apply's undo frame.
@@ -284,13 +293,15 @@ class Change:
     those on a face born visiting some vertex twice.  ``dels`` are the
     deleted ids, ``lost`` maps each survivor to the neighbors it lost,
     ``popped`` holds the face ids removed and ``born`` each face walked
-    into being with its darts then (a later link may split it).  ``links``
+    into being with its darts then (a later link may split it); ``starts``
+    has the dart from each survivor to the neighbor after each run of
+    neighbors it lost, which marks the corner where they were.  ``links``
     has one (face, dart) pair per edge drawn, in order: the face the link
     shrank in place and the new edge's dart left on it.
     """
 
     __slots__ = ("log", "m", "faces", "touched", "recheck", "dels", "lost", "popped", "born",
-                 "links")
+                 "starts", "links")
 
     def __init__(self, e: Embedding, dels: set[int]):
         self.log: list[LogEntry] = []
@@ -301,6 +312,7 @@ class Change:
         self.lost: dict[int, set[int]] = {}
         self.popped: set[int] = set()
         self.born: dict[int, list[Edge]] = {}
+        self.starts: list[Edge] = []
         self.links: tuple[tuple[int, Edge], ...] = ()
 
 
@@ -759,9 +771,9 @@ class Embedding:
         leaves, so the walks start only from the dart to the survivor after
         each run, and only while that dart's face is still old.  A survivor
         that loses one neighbor logs one inverse; one that loses several is
-        filtered in one pass, and logs one for its list and one for its dict."""
-        rot, face, log, old = self.rot, self.face, ch.log, ch.popped
-        starts: list[Edge] = []
+        filtered in one pass, and logs one for its list and one for its dict.
+        The start darts are kept as ``ch.starts``."""
+        rot, face, log, old, starts = self.rot, self.face, ch.log, ch.popped, ch.starts
         for x, gone in ch.lost.items():
             kept, fx = rot[x], face[x]
             if len(gone) == 1:
@@ -803,9 +815,11 @@ class Embedding:
         that lost a neighbor), then the face whose smallest dart (v, position in rot[v])
         comes first, which is the order in which a full trace meets faces.
         In each endpoint's rotation the new neighbor goes right after the
-        boundary predecessor at its first visit on the walk from that
-        smallest dart: the position that splits the face instead of breaking
-        the map.
+        boundary predecessor at one visit on the walk from that smallest
+        dart: the position that splits the face instead of breaking the map.
+        On a walk that visits the endpoint twice, that is the visit where it
+        lost neighbors, so a chord replaces the corner a deleted centre
+        left, else its first visit (``_entry``).
         """
         rot, face, log = self.rot, self.face, ch.log
         fa = list(map(face[a].__getitem__, rot[a]))
@@ -827,8 +841,8 @@ class Embedding:
                 scars = len(ch.lost.keys() & {x for x, _ in walk})
                 ranked.append((-scars, ranks[first], g, walk[first:] + walk[:first]))
             _, _, f, walk = min(ranked)
-            pred_a = next(x for x, y in walk if y == a)
-            pred_b = next(x for x, y in walk if y == b)
+            pred_a = _entry(walk, a, ch.starts)
+            pred_b = _entry(walk, b, ch.starts)
         for x, y, pred in ((a, b, pred_a), (b, a, pred_b)):
             r, fx = rot[x], face[x]
             i = r.index(pred) + 1

@@ -247,6 +247,18 @@ def nine_cycle_tripod() -> PlanarGraph:
     return embed(coords, edges)
 
 
+def chord_at_a_repeated_visit() -> PlanarGraph:
+    """Vertex 7 is a (4,2)-vertex with its 3-faces opposite, and 7-1-9 is a
+    separating triangle: once 7 is deleted, the merged face walks 9, 1, 4,
+    2, 8, 1, 5, 6, visiting 1 twice.  L2.6.1 and L2.6.4 draw chords 1-6 and
+    8-9 there; 1-6 must leave 1 where 1 lost 7, between 8 and 5, or it cuts
+    8 off from 9."""
+    return PlanarGraph([
+        (2, 8, 7, 5, 9, 4, 3, 10), (3, 4, 8, 1, 10), (4, 2, 10, 1), (2, 3, 1), (6, 9, 1),
+        (7, 9, 5), (8, 9, 6, 1), (1, 2, 7), (1, 5, 6, 7), (3, 2, 1),
+    ])
+
+
 # -- lemma gadgets ------------------------------------------------------------
 #
 # Each builder returns a graph where a specific catalog rule's pattern sits

@@ -293,9 +293,9 @@ class TestAudit:
         assert all(labelled)
 
 
-def t5p_readers(path):
-    """The enclosing function, by qualified name, of each ``.t5p`` read in
-    one source file (None at module level)."""
+def readers(path, reads):
+    """The enclosing function, by qualified name, of each node of one source
+    file for which ``reads`` holds (None at module level)."""
     found = []
 
     def visit(node, where):
@@ -303,7 +303,7 @@ def t5p_readers(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "t5p":
+            if reads(child):
                 found.append(where)
             visit(child, where)
 
@@ -311,12 +311,34 @@ def t5p_readers(path):
     return found
 
 
+def read_everywhere(reads):
+    """``readers`` over every source file of the package, by file name,
+    leaving out the files that have none."""
+    sources = sorted(Path(discharge.__file__).parent.glob("*.py"))
+    found = {path.name: readers(path, reads) for path in sources}
+    return {name: where for name, where in found.items() if where}
+
+
 def test_r2_is_written_once_for_a_vertex():
     # what R2 brings a vertex, its 5+-corners times what each gets, is
     # read off its class in one place, so the audit and the live ledger
     # cannot disagree on it
-    sources = sorted(Path(discharge.__file__).parent.glob("*.py"))
-    readers = {path.name: t5p_readers(path) for path in sources}
-    assert {name: where for name, where in readers.items() if where} == {
-        "discharge.py": ["_after_r1_r2"]
-    }
+    def reads_t5p(node):
+        return isinstance(node, ast.Attribute) and node.attr == "t5p"
+
+    assert read_everywhere(reads_t5p) == {"discharge.py": ["_after_r1_r2"]}
+
+
+def test_r3_to_r14_are_written_once_for_a_vertex():
+    # what R3-R14 bring a vertex, and who pays it, is read off the income
+    # table and the payer test in one place, the helper that both the
+    # audit's apply_rules and the live ledger's nets run; the statement
+    # that builds the table stores it and reads neither
+    for name in ("_INCOME", "_pays_five"):
+
+        def reads(node, name=name):
+            if isinstance(node, ast.Name):
+                return node.id == name and isinstance(node.ctx, ast.Load)
+            return isinstance(node, ast.Attribute) and node.attr == name
+
+        assert read_everywhere(reads) == {"discharge.py": ["_income"]}, name

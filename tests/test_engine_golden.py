@@ -37,8 +37,10 @@ from workloads import gen_flip  # noqa: E402
 FLIP_SIZES = (80, 140, 190, 250)
 FLIP_SEEDS = range(101000, 101004)
 
-# recorded before the engine moved onto one mutable embedding
-INTERMEDIATE_GRAPH_DIGEST = "fa1398d526e4fb828b77e6fcf10c0088e2bff43424e3c4d05cccde1c3e46cca1"
+# recorded when a chord drawn into a face that visits its endpoint twice
+# went to the visit where that endpoint lost the deleted centre, not the
+# first visit: these graphs draw one such chord, and it moved
+INTERMEDIATE_GRAPH_DIGEST = "afa04943e84cb5bfe8dcf9b853351ea3a02a91bbd4b38f37ba6731108e489811"
 # recorded while a split still colored its second part on the engine's
 # Embedding, after deleting the first side there
 PART_FIRST_DIGEST = "427a63f9c0943fb9"

@@ -7,9 +7,9 @@ and the edges drawn, each with the face it shrank.  So the record must
 say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
 The ledger writes nothing into the apply's undo log: an undo derives it
 afresh, so it may attach to an Embedding whose earlier apply it never saw.
-It keeps no R3-R14 net: its views read nets from tables built at import,
-which must say what ``_stake`` and ``_net`` say, and the table must be
-antisymmetric, or the nets would not sum to 0 and the total would need them.
+It keeps no R3-R14 net: its views derive each vertex's net when read, by
+the one helper, ``_income``, that the audit's ``apply_rules`` runs for its
+R3-R14 transfers, so they must say what the audit's transfer log says.
 """
 
 import random
@@ -19,9 +19,9 @@ import pytest
 
 import gadgets
 from test_audit_in_place import agrees_with_audit, audited_in_place
-from twodist import RunTrace, TwodistError, color, discharge, gen_planar, hunt
-from twodist.classify import VertexClass, classify_vertex
-from twodist.discharge import _NET, _STAKES, LiveCharges, _after_r1_r2, _net, _stake, _stake_id
+from twodist import RunTrace, TwodistError, audit, color, discharge, gen_planar, hunt
+from twodist.classify import classify_vertex
+from twodist.discharge import LiveCharges, _after_r1_r2
 from twodist.planar import Embedding
 
 
@@ -76,60 +76,53 @@ def test_attaching_after_a_commit():
     agrees_with_audit(e)
 
 
-def test_the_tables_say_what_the_rules_say():
-    assert len(_STAKES) == 15
-    for i, mine in enumerate(_STAKES):
-        for j, theirs in enumerate(_STAKES):
-            assert _NET[i][j] == _net(mine, theirs)
-    for k in [*range(9), 20, 60]:
-        for t3 in range(k + 1):
-            for t4 in range(k + 1 - t3):
-                vc = VertexClass(k, t3, t4, k - t3 - t4)
-                assert _STAKES[_stake_id(vc)] == _stake(vc)
-
-
-def test_every_net_is_the_negative_of_its_reverse():
-    # what one neighbor draws from the other, the other gives, so the nets
-    # of any graph sum to 0; two neighbors of one stake net to 0
-    for i in range(len(_STAKES)):
-        for j in range(len(_STAKES)):
-            assert _NET[i][j] == -_NET[j][i]
+def log_nets(ledger):
+    """Each vertex's R3-R14 net as the ledger's transfer log records it:
+    what it draws less what it gives, by the dense ids of its graph."""
+    nets = dict.fromkeys(ledger.vertex_units, 0)
+    for rule, (_, source), (_, target), units in ledger.log:
+        if rule not in ("R1", "R2"):
+            nets[source] -= units
+            nets[target] += units
+    return nets
 
 
 def test_each_vertex_is_its_r1_r2_part_plus_its_net():
     # at every step of these colorings, each vertex's class as the ledger
-    # keeps it, and its stake and net as the ledger's views derive them,
-    # against the rules read afresh
-    deltas = set()
+    # keeps it, and its net as the ledger's view derives it, against the
+    # classes read afresh and the R3-R14 transfers of the snapshot's audit
+    deltas, drawn = set(), 0
 
     def hook(e, outcome):
+        nonlocal drawn
         if e.charges is None:
             e.charges = LiveCharges(e)
         live, delta = e.charges, e.max_degree()
         deltas.add(delta)
         assert live.delta == delta
         units, nets = live.vertex_units(e), live.nets(e)
-        for v, nbrs in e.rot.items():
+        rename = gadgets.dense_ids(e)
+        logged = log_nets(audit(e.snapshot(), cross_reference=False).final)
+        assert {rename[v]: net for v, net in nets.items()} == logged
+        drawn += any(logged.values())
+        for v in e.rot:
             vc = classify_vertex(e, v)
-            stake = _stake(vc)
-            assert live.classes[v] == vc and _STAKES[_stake_id(live.classes[v])] == stake
-            assert nets[v] == sum(_net(stake, _stake(classify_vertex(e, u))) for u in nbrs)
+            assert live.classes[v] == vc
             assert units[v] - nets[v] == _after_r1_r2(vc, delta)
 
     for n, seed in [(30, 1), (40, 1), (50, 7), (60, 0)]:
         color(gen_planar(n, 6, seed), trace=RunTrace(graph_hook=hook))
-    assert deltas >= set(range(6, 11))
+    assert deltas >= set(range(6, 11)) and drawn > 100
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the calls to the discharge helpers that derive a vertex or
-    a face: ``_stake_id`` (a class's stake) and ``_net_with`` (a net read
-    from ``_NET``), which only the ledger's views make, and
-    ``_after_r1_r2`` and ``_face_units``, which ``follow`` makes per vertex
-    or face it re-derives."""
+    a face: ``_income`` (R3-R14 at a vertex), which of the ledger only its
+    views make, and ``_after_r1_r2`` and ``_face_units``, which ``follow``
+    makes per vertex or face it re-derives."""
     seen = Counter()
-    for name in ("_stake_id", "_net_with", "_after_r1_r2", "_face_units"):
+    for name in ("_income", "_after_r1_r2", "_face_units"):
         real = getattr(discharge, name)
 
         def counted(*args, name=name, real=real):
@@ -149,8 +142,8 @@ def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     calls.clear()
     e.apply(delete_vertices=[2])
     # the same on every wheel: vertex 2 leaves the total, the classes of
-    # the three move, and the one born face is derived afresh; no stake or
-    # net is read, counted before the audit comparison reads the views
+    # the three move, and the one born face is derived afresh; no net is
+    # read, counted before the audit comparison reads the views
     assert dict(calls) == {"_after_r1_r2": 7, "_face_units": 1}
     assert vars(e.charges).keys() == {"delta", "classes", "face_units", "total_units"}
     agrees_with_audit(e)

@@ -26,7 +26,7 @@ from twodist import (
 from twodist import cli
 from twodist.cli import main
 from twodist.planar import distance_profile
-from twodist.reductions import ProofGapReport
+from twodist.reductions import MATCHER_ORDER, ProofGapReport
 from test_embedding import state
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -359,6 +359,23 @@ class TestProperness:
         assert not bruteforce.properness_exhaustive(
             g, e.snapshot(), gadgets.dense_ids(e), bad.pending
         )
+
+    def test_a_chord_goes_where_the_centre_was(self):
+        # every row that matches here reduces properly, those whose chords
+        # leave vertex 1 from the face that visits it twice included
+        g = gadgets.chord_at_a_repeated_visit()
+        matched = set()
+        for tag, _ in MATCHER_ORDER:
+            e = Embedding(g)
+            r = match_case(tag, e)
+            if r is None:
+                continue
+            matched.add(tag)
+            assert check_properness(e, r), tag
+            assert bruteforce.properness_exhaustive(
+                g, e.snapshot(), gadgets.dense_ids(e), r.pending
+            ), tag
+        assert {"L2.6.1", "L2.6.4"} <= matched
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
