@@ -1,8 +1,8 @@
 """Command line surface: gen, color, verify, audit, oracle, reduce, hunt.
 
 ``reduce`` replays the catalog's reductions on one Embedding of the input,
-so every step names vertices by their ids in the input file, and commits
-each step, as the coloring engine does.
+so every step names vertices by their ids in the input file; as in the
+coloring engine, each step makes the one before it final.
 
 Exit codes: 0 success/valid, 1 invalid or violation, 2 input error.
 """
@@ -131,14 +131,12 @@ def _cmd_reduce(args) -> int:
         if r.split is not None:
             n = e.n
             e = reduce_in_place(e, r)[0]
-            e.commit()
             print(
                 f"step {step}: {r.lemma} split at {r.split} -> "
                 f"n={e.n}+{n - e.n + 1}; following first part"
             )
             continue
         proper = check_properness(e, r)
-        e.commit()
         ok = ok and proper
         print(
             f"step {step}: {r.lemma}"

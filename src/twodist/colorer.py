@@ -8,18 +8,19 @@ color permutation.  Tiny graphs are colored directly by the exact oracle.
 Steps waiting for their smaller graphs sit on an explicit stack.
 
 The whole run works on one Embedding of the input: each step changes it
-locally and commits the change, so vertex ids never change, a step costs
-time for what it touches, and the run keeps no undo history.  What a step
-needs of its graph later (``Near``) is read before its reduction, as
-tuples of ids: unlike a set's, a tuple of ints leaves the cyclic garbage
-collector's watch after one collection.  A pending vertex needs only the
-colors within distance 2 of it, so its tuple is its ``distance_walk``:
-its neighbors, then their neighbors, repeats and the vertex itself left
-in, as no set is built to drop them.  Only a split's smaller side is
-colored on an Embedding of its own, copied out in the same ids
-(``Embedding.part``).  Base cases and the greedy fallback are colored on
-the Embedding at hand too, so a run builds no PlanarGraph of its own (only
-a catalog gap report holds one).  A graph hook gets the live Embedding.
+locally, so vertex ids never change and a step costs time for what it
+touches, and each step makes the one before it final, so the run keeps
+one undo frame per Embedding.  What a step needs of its graph later
+(``Near``) is read before its reduction, as tuples of ids: unlike a set's,
+a tuple of ints leaves the cyclic garbage collector's watch after one
+collection.  A pending vertex needs only the colors within distance 2 of
+it, so its tuple is its ``distance_walk``: its neighbors, then their
+neighbors, repeats and the vertex itself left in, as no set is built to
+drop them.  Only a split's smaller side is colored on an Embedding of its
+own, copied out in the same ids (``Embedding.part``).  Base cases and
+the greedy fallback are colored on the Embedding at hand too, so a run
+builds no PlanarGraph of its own (only a catalog gap report holds one).
+A graph hook gets the live Embedding.
 
 The palette stays fixed at 3*Delta + 2 throughout (properness keeps the
 maximum degree from growing, so the budget never needs to).
@@ -290,7 +291,7 @@ def _step(
     e: Embedding, k: int, trace: RunTrace | None
 ) -> Coloring | tuple[Reduction, Near, list[Embedding], list[Coloring]]:
     """One induction step: e colored directly (base case or greedy
-    fallback), or the reduction that fires on e, committed, with its
+    fallback), or the reduction that fires on e, applied, with its
     ``Near``, the graphs it leaves to color (``reduce_in_place``) and an
     empty list for their colorings: the open step ``color`` stacks."""
     hook = trace.graph_hook if trace is not None else None
@@ -328,7 +329,6 @@ def _step(
         if e.max_degree() >= 6:
             raise
         return _greedy_fallback(e, k, None)
-    e.commit()
     return r, near, todo, []
 
 

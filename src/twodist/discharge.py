@@ -291,7 +291,7 @@ class LiveCharges:
     Attached as ``e.charges``, it follows every successful ``e.apply``
     from the ``Change`` that apply recorded, and writes nothing into the
     apply's undo log: any ``e.undo()`` re-derives it afresh, so it may be
-    attached with applies in force.
+    attached with an apply in force.
     """
 
     def __init__(self, e: Embedding):

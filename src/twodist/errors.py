@@ -36,7 +36,7 @@ class DegreeBudgetExceeded(TwodistError):
 
 
 class NoApplyInForce(TwodistError):
-    """``Embedding.undo`` with no apply in force (all undone or committed)."""
+    """``Embedding.undo`` with no apply in force (none made, or undone)."""
 
 
 class NotACutVertex(TwodistError):

@@ -13,7 +13,7 @@ copy with stable ids that keeps its faces, degrees and cut vertices up to
 date locally as surgery edits it in place, testing only the cut flags that
 can move.  It logs the inverse of each edit, a function and its arguments,
 so undoing a surgery is replaying those, newest first, and re-deriving the
-flags of the vertices it touched; ``commit`` drops the log.  Only this
+flags of the vertices it touched; a later surgery drops the log.  Only this
 module writes or reads it: an undo re-derives an attached charge ledger.
 One side of a cut vertex is copied out as an Embedding of its own
 (``Embedding.part``), and ``Embedding.snapshot`` gives the current graph
@@ -361,18 +361,17 @@ class Embedding:
       move (``_refresh``), and only a vertex whose degree changed moves.  A
       new Embedding, or a ``part``, fills its buckets in one ascending pass.
 
-    Each ``apply`` keeps its ``Change`` as its frame: the inverse of every
-    edit, m and the face counter it started from, and the vertices it
-    touched.  ``undo`` replays the inverses, newest first, restores m and
-    the counter, and re-derives the flags of those vertices: the embedding
-    is back exactly, rotation order included (a dict key put back iterates
-    last).  ``commit`` drops the frames, so a run that never undoes keeps
-    no history.
+    A successful ``apply`` keeps its ``Change`` as the undo frame ``_last``,
+    replacing the one before, which is final from then on: the inverse of
+    every edit, m and the face counter it started from, and the vertices it
+    touched.  ``undo`` replays the inverses, newest first, restores m and the
+    counter, and re-derives the flags of those vertices: the embedding is
+    back exactly, rotation order included (a dict key put back iterates last).
     """
 
     __slots__ = (
         "rot", "face", "fdeg", "m", "bydeg", "cuts", "charges", "_deg", "_degs", "_faces",
-        "_frames",
+        "_last",
     )
 
     def __init__(self, g: PlanarGraph):
@@ -394,7 +393,7 @@ class Embedding:
             self.bydeg.setdefault(deg[v], []).append(v)
         self._degs = sorted(self.bydeg)  # the degrees present, ascending
         self.cuts = set(compress(face, map(_repeats, face.values())))
-        self._frames: list[Change] = []
+        self._last: Change | None = None  # the undo frame of the last apply
         self.charges = None  # a discharge.LiveCharges, when one is attached
 
     # -- reads, shaped like PlanarGraph's ----------------------------------
@@ -598,8 +597,8 @@ class Embedding:
         is skipped.  Of several shared faces, the one touched by the
         deletions wins (most boundary vertices that lost a neighbor), then
         the one whose smallest dart comes first.  Ids and edge pairs are
-        checked first: on error nothing has changed; otherwise ``undo``
-        reverts the whole call, until a ``commit``."""
+        checked first: on error nothing has changed and the last apply stays
+        in force; otherwise ``undo`` reverts this call until the next apply."""
         face = self.face
         dels = self._ids(delete_vertices)
         del_edges = set()
@@ -615,7 +614,6 @@ class Embedding:
                 raise SurgeryNotPlanar("cannot add a self-loop")
 
         ch = Change(self, dels)
-        self._frames.append(ch)
         try:
             self._remove(del_edges, ch)
             if not self._connected(ch):
@@ -627,9 +625,10 @@ class Embedding:
                     continue  # already adjacent: the distance requirement is met
                 self._link(a, b, ch)
         except BaseException:
-            self.undo()
+            self._revert(ch)  # the ledger never followed it
             raise
         self._refresh(ch.touched, ch.recheck)
+        self._last = ch
         if self.charges is not None:
             self.charges.follow(self, ch)
 
@@ -643,19 +642,19 @@ class Embedding:
         key put back iterates last), so nothing that reads the graph may
         depend on the order of ``rot`` or ``face[v]``.  An attached charge
         ledger is derived afresh from the result."""
-        if not self._frames:
+        ch = self._last
+        if ch is None:
             raise NoApplyInForce("no apply in force to undo")
-        ch = self._frames.pop()
+        self._last = None
+        self._revert(ch)
+        if self.charges is not None:
+            self.charges = type(self.charges)(self)
+
+    def _revert(self, ch: Change) -> None:
         for inverse, *args in reversed(ch.log):
             inverse(*args)
         self.m, self._faces = ch.m, ch.faces
         self._refresh(ch.touched, ch.touched)
-        if self.charges is not None:
-            self.charges = type(self.charges)(self)
-
-    def commit(self) -> None:
-        """Make every apply in force final: drop their frames and undo logs."""
-        self._frames.clear()
 
     # -- primitives ----------------------------------------------------------
 

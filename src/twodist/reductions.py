@@ -20,7 +20,7 @@ The matchers read an ``Embedding`` (a caller holding a ``PlanarGraph`` g
 passes ``Embedding(g)``, in g's ids), and a vertex's shape off its
 ``classify.VertexClass``.  ``reduce_in_place`` and ``check_properness``
 apply a reduction to that Embedding in place, in its own vertex ids, as
-one ``Embedding.apply``: ``undo`` reverts it and ``commit`` makes it final.
+one ``Embedding.apply``: ``undo`` reverts it until the next apply.
 A split deletes its smaller side, which ``reduce_in_place`` hands back as
 an Embedding of its own.
 """
@@ -423,10 +423,10 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
 
 def reduce_in_place(e: Embedding, r: Reduction) -> list[Embedding]:
     """Perform the reduction's surgery on e and return the graphs left to
-    color, in order; e.undo() reverts it until e.commit().  That is [e], or
-    for a split its two parts, first the one holding the smallest id but
-    the cut vertex: the smaller side (``Embedding.smaller_side``) is copied
-    out (``Embedding.part``) and deleted from e.
+    color, in order; e.undo() reverts it until e's next apply.  That is
+    [e], or for a split its two parts, first the one holding the smallest
+    id but the cut vertex: the smaller side (``Embedding.smaller_side``) is
+    copied out (``Embedding.part``) and deleted from e.
 
     Any other surgery is held here to the two promises that let the
     smaller graph be colored with the same palette: the maximum degree
@@ -463,7 +463,7 @@ def check_properness(e: Embedding, r: Reduction) -> bool:
     part; e keeps the larger part.  The degree half recounts the rotations
     rather than reading e's degree buckets, which ``reduce_in_place``
     itself trusts.  The reduction stays in force either way: e.undo()
-    reverts it.
+    reverts it until e's next apply.
     """
     delta = max(map(len, e.rot.values()), default=0)
     touched = set(r.delete_vertices)

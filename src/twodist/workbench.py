@@ -270,7 +270,7 @@ def hunt(
     The audit runs in place, on the engine's Embedding: the hook's first
     call in a run, made before the engine changes anything, attaches a
     ``LiveCharges`` to it, which follows every later reduction the engine
-    applies and commits, and each call counts the total it reads from it."""
+    applies, and each call counts the total it reads from it."""
     totals: dict[int, int] = {}  # audited graphs by total, in units of 1/UNIT
     report = HuntReport(
         trials=trials,

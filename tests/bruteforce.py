@@ -65,7 +65,8 @@ def _exists_coloring(adj: dict[int, set[int]], k: int) -> bool:
 
 def brute_chi2(g: PlanarGraph) -> int:
     """Smallest k admitting a 2-distance k-coloring, for tiny graphs."""
-    assert g.n <= 9, "exhaustive search is for n <= 9 only"
+    if g.n > 9:
+        raise ValueError("exhaustive search is for n <= 9 only")
     if g.n == 0:
         return 0
     adj = square_adjacency(g)

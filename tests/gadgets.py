@@ -23,7 +23,8 @@ def embed(coords: Coords, edges: list[tuple[int, int]]) -> PlanarGraph:
         nbrs[u].append(v)
         nbrs[v].append(u)
     n = max(coords)
-    assert sorted(coords) == list(range(1, n + 1)), "ids must be dense 1..n"
+    if sorted(coords) != list(range(1, n + 1)):
+        raise ValueError("ids must be dense 1..n")
     rotation = []
     for v in range(1, n + 1):
         vx, vy = coords[v]
@@ -560,22 +561,25 @@ def g_L2_11(delta7: bool = False, drop_54: bool = False) -> PlanarGraph:
     return embed(coords, edges)
 
 
-def committed_embedding(g: PlanarGraph) -> Embedding:
-    """An Embedding of g reached by deleting a pendant vertex n + 1 hung off
-    vertex 1 and committing that: its rotations are g's, its face ids are
-    not, and it has no apply in force and no history."""
+def embedding_with_an_apply_in_force(g: PlanarGraph) -> Embedding:
+    """An Embedding of g reached by deleting pendant vertices n + 1 and
+    n + 2 hung off vertex 1, one apply each: its rotations are g's, its
+    face ids are not, and its last apply is in force, the one before it
+    made final by it."""
     rotation = list(map(list, g.rotation))
-    rotation[0].append(g.n + 1)
-    e = Embedding(PlanarGraph(rotation + [[1]]))
+    rotation[0] += [g.n + 1, g.n + 2]
+    e = Embedding(PlanarGraph(rotation + [[1], [1]]))
     e.apply(delete_vertices=[g.n + 1])
-    e.commit()
-    assert in_force(e) == 0 and e.snapshot() == g
+    e.apply(delete_vertices=[g.n + 2])
+    if in_force(e) != 1 or e.snapshot() != g:
+        raise ValueError("the pendants' deletions did not leave g")
     return e
 
 
 def in_force(e: Embedding) -> int:
-    """The number of e's applies neither undone nor committed."""
-    return len(e._frames)
+    """1 while e's last successful apply is not undone, else 0: an
+    Embedding holds one undo frame at most."""
+    return int(e._last is not None)
 
 
 def dense_ids(e: Embedding) -> dict[int, int]:

@@ -8,8 +8,8 @@ graph as a validated PlanarGraph, with the live ids renumbered in
 ascending order and faces keyed by their canonical walks, whose audit
 shares only the rule helpers with the ledger.  After
 every apply, at every hook call, and after an undo of each apply the
-engine makes (it commits them and never undoes one, so the check undoes
-each itself and applies it again), the ledger must equal that audit per
+engine makes (it never undoes one, so the check undoes each itself and
+applies it again), the ledger must equal that audit per
 vertex, through the snapshot's rename, and per face, through a dart of
 each face id; and the snapshot's face trace and Euler check certify the
 Embedding itself.
@@ -179,8 +179,9 @@ def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error):
 
 @FAILED_APPLIES
 def test_a_failed_apply_after_a_commit_leaves_graph_and_ledger_as_they_were(build, kwargs, error):
-    # a ledger attached after a commit, which left no apply in force
-    e = gadgets.committed_embedding(build())
+    # a ledger attached with an apply in force that committed (made final)
+    # the one before it
+    e = gadgets.embedding_with_an_apply_in_force(build())
     e.charges = LiveCharges(e)
     before, rotation = ledger(e), {v: list(r) for v, r in e.rot.items()}
     with pytest.raises(error):
@@ -189,10 +190,11 @@ def test_a_failed_apply_after_a_commit_leaves_graph_and_ledger_as_they_were(buil
     agrees_with_audit(e)
 
 
-@pytest.mark.parametrize("build", [Embedding, gadgets.committed_embedding])
+@pytest.mark.parametrize("build", [Embedding, gadgets.embedding_with_an_apply_in_force])
 def test_a_reduction_that_raises_delta_leaves_graph_and_ledger_as_they_were(build):
     # the L2.7.2 fan centre already sits at Delta = 4: the apply succeeds
-    # and raises Delta, so reduce_in_place undoes it and refuses
+    # and raises Delta, so reduce_in_place undoes it and refuses.  The
+    # apply made any apply before it final, so none is left in force
     e = build(gadgets.capped_fan())
     e.charges = LiveCharges(e)
     r = match_case("L2.7.2", e)
@@ -200,7 +202,8 @@ def test_a_reduction_that_raises_delta_leaves_graph_and_ledger_as_they_were(buil
     before, charges = state(e), ledger(e)
     with pytest.raises(DegreeBudgetExceeded):
         reduce_in_place(e, r)
-    assert state(e) == before and ledger(e) == charges
+    assert state(e)[:-1] == before[:-1] and gadgets.in_force(e) == 0
+    assert ledger(e) == charges
     agrees_with_audit(e)
 
 

@@ -8,14 +8,28 @@ shows that when they are joined by a 3-corner or a chord, border one
 That must hold for every row, every anchor, and every chord set that the
 anchor's hook can return, under every sizing of the corners (3, 4 or 5+)
 that fits the anchor's pattern and the row's shape.  Mutants built from
-copies of the rows, with one chord dropped, must fail the same check.
+copies of the rows, with one chord dropped, must fail the same check.  The
+hand-written scans (L2.2, L2.3.1, L2.11) draw their chords from fixed
+templates, which are held to the same check.
+
+A label loses its edge to the centre and gains each chord it ends, so a
+label that ends two or more chords must sit below the maximum degree for
+the maximum not to grow: every row must make sure of that from the label
+degrees its test admits.
 """
 
 import dataclasses
-from itertools import combinations, product
+from collections import Counter
+from itertools import chain, combinations, product
 from types import SimpleNamespace
 
-from twodist.reductions import RULES
+from twodist.reductions import _FAN_CHORDS, RULES
+
+
+def picked(hook, delta, degrees):
+    """What a hook returns for labels 0..k-1 of these degrees."""
+    ctx = SimpleNamespace(delta=delta, e=SimpleNamespace(degree=degrees.__getitem__))
+    return hook(ctx, list(range(len(degrees))))
 
 
 def hook_chords(hook, k):
@@ -24,10 +38,9 @@ def hook_chords(hook, k):
     found = set()
     for delta in (6, 7, 8):
         for degrees in product(range(3, delta + 1), repeat=k):
-            ctx = SimpleNamespace(delta=delta, e=SimpleNamespace(degree=degrees.__getitem__))
-            picked = hook(ctx, list(range(k)))
-            if picked is not None:
-                found.add(picked[1])
+            hit = picked(hook, delta, degrees)
+            if hit is not None:
+                found.add(hit[1])
     return sorted(found)
 
 
@@ -114,3 +127,90 @@ def test_a_row_without_a_chord_it_needs_fails():
     rules = [without(rule, (0, 4)) if rule.tag in five_four else rule for rule in RULES]
     assert len(five_four) == 7
     assert failures(rules) == ([(tag, ()) for tag in five_four], 35)
+
+
+def test_the_hand_written_chord_templates_keep_their_labels_within_distance_two():
+    # L2.2 at degree 2: the one chord joins the two labels
+    assert not any(far_pairs(corners, ((0, 1),)) for corners in product((3, 4, 5), repeat=2))
+    # L2.3.1: a chord from v2, whichever label it is, to each of the other two
+    for v2 in range(3):
+        chords = tuple((v2, u) for u in range(3) if u != v2)
+        assert not any(far_pairs(corners, chords) for corners in product((3, 4, 5), repeat=3))
+    # L2.11.case2: five 3-corners and the big one between v6 and v1, in
+    # either reading; v4 fans to v1, v2 and v6
+    for x in (4, 5):
+        assert far_pairs((3, 3, 3, 3, 3, x), ((0, 3), (1, 3), (3, 5))) == []
+
+
+def within_two(edges):
+    """The pairs of vertices at distance 1 or 2 in the graph of edges."""
+    nbrs = {}
+    for a, b in edges:
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    pairs = set()
+    for a, near in nbrs.items():
+        for b in near.union(*map(nbrs.get, near)) - {a}:
+            pairs.add(frozenset((a, b)))
+    return pairs
+
+
+def test_l2_11_case1_separates_only_pairs_holding_a_pending_vertex():
+    # with Delta = 6 only the spoke from the centre c to v4 (label 3) goes,
+    # and both ends are colored again.  Drawn from the corners alone, each
+    # 4-corner with a far vertex and each 5-corner with two, the one pair
+    # the deletion takes out of distance 2 is v1 and v4
+    for x in (4, 5):
+        edges = {("c", j) for j in range(6)}
+        edges |= {(j, j + 1) for j in range(5)}  # five 3-corners
+        edges |= {(5, "f"), ("f", 0)} if x == 4 else {(5, "f"), ("f", "g"), ("g", 0)}
+        separated = within_two(edges) - within_two(edges - {("c", 3)})
+        assert separated == {frozenset((0, 3))}
+        assert all(pair & {"c", 3} for pair in separated)
+
+
+def over_budget(rules):
+    """(tag, delta, degrees, chords) for each anchor of each row and each
+    assignment of label degrees 3..Delta, Delta = 6, 7 or 8, that passes the
+    row's test, where the chords drawn leave a label that ends two or more
+    of them at degree Delta; and the count of those checked."""
+    found, checked = [], 0
+    for rule in rules:
+        k = rule.shape[0]
+        for _, _, chords in rule.anchors:
+            for delta in (6, 7, 8):
+                for degrees in product(range(3, delta + 1), repeat=k):
+                    if rule.degrees is not None and not rule.degrees(sorted(degrees)):
+                        continue
+                    drawn = chords
+                    if callable(chords):
+                        hit = picked(chords, delta, degrees)
+                        if hit is None:
+                            continue  # the row declines
+                        drawn = hit[1]
+                    checked += 1
+                    ends = Counter(chain.from_iterable(drawn))
+                    if any(n > 1 and degrees[i] > delta - 1 for i, n in ends.items()):
+                        found.append((rule.tag, delta, degrees, drawn))
+    return found, checked
+
+
+def loose_fan_center(ctx, lab):
+    """``_fan_center`` with its headroom test off by one."""
+    for i, chords in enumerate(_FAN_CHORDS):
+        if ctx.e.degree(lab[i]) <= ctx.delta:
+            return f"fan-v{i + 1}", chords
+    return None
+
+
+def test_a_label_that_ends_two_chords_sits_below_the_maximum_degree():
+    found, checked = over_budget(RULES)
+    assert found == [] and checked == 115860
+    # the fan centre test reading <= Delta lets a label at Delta gain a net edge
+    rules = [
+        dataclasses.replace(rule, anchors=((None, (3,), loose_fan_center),))
+        if rule.tag == "L2.7.1" else rule
+        for rule in RULES
+    ]
+    found, _ = over_budget(rules)
+    assert found and {tag for tag, *_ in found} == {"L2.7.1"}

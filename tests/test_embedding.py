@@ -4,10 +4,11 @@ Every apply the engine makes while coloring a corpus slice and some flip
 graphs is followed by a full check: the rotation is rebuilt as a validated
 PlanarGraph, its faces traced and its cut vertices found by
 ``is_cut_vertex``, and all of that must equal what the embedding kept up to
-date locally.  The engine commits every apply and never undoes one, so the
-check undoes each itself, which must restore the state before the apply
-exactly, and applies it again.  A failed apply must leave nothing changed,
-and a commit nothing but the count of applies in force.
+date locally.  The engine never undoes an apply, so the check undoes each
+itself, which must restore the state before the apply exactly, and applies
+it again.  An Embedding holds one undo frame: a successful apply makes the
+one before it final, and a failed apply must leave nothing changed, the
+apply before it still in force.
 """
 
 import os
@@ -56,7 +57,7 @@ def state(e):
         e.m,
         {d: list(vs) for d, vs in e.bydeg.items()},
         set(e.cuts),
-        len(e._frames),
+        gadgets.in_force(e),
     )
 
 
@@ -104,7 +105,8 @@ def checked(monkeypatch):
         after = state(self)
         undo(self)
         seen[1] += 1
-        assert state(self) == before
+        # all but the frame: the apply before this one is final already
+        assert state(self)[:-1] == before[:-1] and gadgets.in_force(self) == 0
         check_against_scratch(self)
         apply(self, *args, **kwargs)
         assert state(self) == after  # face ids included
@@ -354,18 +356,22 @@ def test_every_step_of_flip_graphs(checked):
 
 
 def test_a_run_holds_no_undo_history(small_corpus):
-    # at every hook call, on every Embedding of the run, each earlier
-    # reduction has been committed: no apply is in force
+    # at every hook call, each Embedding of the run holds at most one frame:
+    # none when the hook first sees it, as nothing has been applied to it
+    # yet, and afterwards that of the last reduction, every earlier one
+    # made final by the next
     graphs = [g for g in small_corpus if g.n <= 120][:10]
     graphs += [gen_flip(80, seed) for seed in (101000, 101001)]
-    calls = []
+    seen, calls, expected = {}, [], []
 
     def hook(e, outcome):
+        expected.append(int(id(e) in seen))
+        seen[id(e)] = e  # held, so no id is reused
         calls.append(gadgets.in_force(e))
 
     for g in graphs:
         assert verify_coloring(g, color(g, trace=RunTrace(graph_hook=hook))).valid
-    assert len(calls) > 200 and set(calls) == {0}
+    assert len(calls) > 200 and calls == expected and len(seen) > len(graphs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,16 +489,18 @@ def test_shrinking_to_one_vertex_and_back():
 def test_a_lone_survivor_leaves_its_degree_bucket(n, deletions):
     # each deletion goes dart by dart; the last leaves vertex 2 with no
     # neighbor and so no face to walk, and its bucket must still move to 0
+    # (undone right after, and applied again)
     e = Embedding(gadgets.path(n))
-    saved = []
     for v in deletions:
-        saved.append(state(e))
+        before = state(e)
         e.apply(delete_vertices=[v])
         check_against_scratch(e)
-    assert e.bydeg == {0: [2]} and e.max_degree() == 0
-    for before in reversed(saved):
+        after = state(e)
         e.undo()
-        assert state(e) == before
+        assert state(e)[:-1] == before[:-1] and gadgets.in_force(e) == 0
+        e.apply(delete_vertices=[v])
+        assert state(e) == after
+    assert e.bydeg == {0: [2]} and e.max_degree() == 0
 
 
 def test_keeping_the_smaller_side_then_adding_an_edge():
@@ -538,13 +546,29 @@ def test_failed_apply_changes_nothing(build, kwargs, error):
 
 @FAILED_APPLIES
 def test_failed_apply_after_a_commit_changes_nothing(build, kwargs, error):
-    # the rollback needs nothing of the history a commit dropped
-    e = gadgets.committed_embedding(build())
+    # the gadget's last apply committed (made final) the one before it; the
+    # rollback needs nothing of that history, and leaves the last in force
+    e = gadgets.embedding_with_an_apply_in_force(build())
     before = state(e)
     with pytest.raises(error):
         e.apply(**kwargs)
     assert state(e) == before
     check_against_scratch(e)
+
+
+def test_a_failed_apply_leaves_the_apply_before_it_in_force():
+    # the failed apply reverts only itself: the ledger never followed it, so
+    # it is kept as it is, and one undo still takes the deletion back
+    g = gadgets.cube()
+    e = Embedding(g)
+    e.charges = LiveCharges(e)
+    e.apply(delete_edges=[(1, 2)])  # 1 and 7 still share no face
+    before, charges = state(e), e.charges
+    with pytest.raises(SurgeryNotPlanar):
+        e.apply(add_edges=[(1, 7)])
+    assert state(e) == before and e.charges is charges
+    e.undo()
+    assert e.snapshot() == g and state(e) == state(Embedding(g))
 
 
 # each refused input with the message it is refused with; the tuple-shaped
@@ -640,44 +664,46 @@ def test_a_reduction_that_does_not_shrink_is_rolled_back():
     assert state(e) == before
 
 
-def test_a_commit_keeps_the_state_and_drops_every_frame():
+def test_a_successful_apply_makes_the_one_before_it_final():
     e = Embedding(gadgets.wheel(8))
+    fresh = state(e)
     e.apply(delete_vertices=[3])
+    first = state(e)
     e.apply(delete_edges=[(1, 6)], add_edges=[(2, 4)])
-    applied = state(e)
-    e.commit()
-    committed = state(e)
-    assert gadgets.in_force(e) == 0
-    assert committed[:-1] == applied[:-1]  # all but the frame count
+    assert gadgets.in_force(e) == 1
+    e.undo()
+    undone = state(e)
+    assert undone[:-1] == first[:-1] and gadgets.in_force(e) == 0  # all but the frame
     check_against_scratch(e)
+    # the deletion of 3 is final: a second undo finds nothing in force
     with pytest.raises(NoApplyInForce):
         e.undo()
-    assert state(e) == committed
-    # a commit makes final only what is in force: a later apply still undoes
+    assert state(e) == undone and undone[:-1] != fresh[:-1]
+    # a later apply still undoes
     e.apply(delete_vertices=[5])
     e.undo()
-    assert state(e) == committed
+    assert state(e) == undone
 
 
 def test_undo_with_no_apply_in_force_is_refused_under_python_O():
     # the guard must not be an assert: with asserts stripped, undo on a
-    # fresh Embedding and after a commit must still raise the typed error
+    # fresh Embedding and after an undo must still raise the typed error
     code = (
         "from twodist import gen_planar\n"
         "from twodist.errors import NoApplyInForce\n"
         "from twodist.planar import Embedding\n"
         "e = Embedding(gen_planar(12, 6, 1))\n"
-        "for step in ('fresh', 'committed'):\n"
+        "for step in ('fresh', 'undone'):\n"
         "    try:\n"
         "        e.undo()\n"
         "    except NoApplyInForce as exc:\n"
         "        print(step, 'refused:', exc)\n"
         "    e.apply(delete_vertices=[max(e.rot)])\n"
-        "    e.commit()\n"
+        "    e.undo()\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert [line.split(" refused:")[0] for line in out] == ["fresh", "committed"]
+    assert [line.split(" refused:")[0] for line in out] == ["fresh", "undone"]

@@ -27,17 +27,18 @@ from twodist.planar import Embedding
 
 def test_attaching_with_an_apply_in_force_then_undoing_it():
     # attached after the rim deletion, the ledger holds 8 vertices; the
-    # undo brings the ninth back, and the ledger with it
+    # undo brings the ninth back, and the ledger with it, which then
+    # follows the next apply and its undo
     e = Embedding(gadgets.wheel(8))
     e.apply(delete_vertices=[2])
     e.charges = LiveCharges(e)
     agrees_with_audit(e)
+    e.undo()
+    assert gadgets.in_force(e) == 0 and len(e.charges.classes) == 9
+    agrees_with_audit(e)
     e.apply(delete_edges=[(1, 5)])
     agrees_with_audit(e)
     e.undo()
-    agrees_with_audit(e)
-    e.undo()
-    assert gadgets.in_force(e) == 0 and len(e.charges.classes) == 9
     agrees_with_audit(e)
 
 
@@ -64,15 +65,19 @@ def test_the_hunters_ledger_writes_no_undo_entry(unlogged):
 
 
 def test_attaching_after_a_commit():
-    # a commit leaves no apply in force, so the ledger attaches to the
-    # graph the apply left, and follows the next apply from there
+    # the spoke's deletion commits (makes final) the rim deletion, so the
+    # ledger attaches to the graph both left, follows the next apply from
+    # there, and an undo of that brings back the graph without the rim
+    # vertex
     e = Embedding(gadgets.wheel(8))
     e.apply(delete_vertices=[2])
-    e.commit()
-    assert gadgets.in_force(e) == 0
+    e.apply(delete_edges=[(1, 5)])
     e.charges = LiveCharges(e)
     agrees_with_audit(e)
-    e.apply(delete_edges=[(1, 5)])
+    e.apply(delete_edges=[(1, 7)])
+    agrees_with_audit(e)
+    e.undo()
+    assert gadgets.in_force(e) == 0 and len(e.charges.classes) == 8
     agrees_with_audit(e)
 
 
@@ -195,29 +200,31 @@ def test_the_change_record_matches_a_diff(small_corpus, recorded):
 
 
 def test_stacked_random_applies_and_their_undos(unlogged):
-    # applies the engine never makes: several in force at once, mixing
-    # deletions with drawn edges, some an edge deleted and drawn again
+    # applies the engine never makes, four stacked on one graph, mixing
+    # deletions with drawn edges, some an edge deleted and drawn again; each
+    # is undone right after, then made again for the next to build on
     rng = random.Random(5)
-    redrawn = 0
+    redrawn = applied = 0
     for _ in range(60):
         e = Embedding(gen_planar(rng.randint(12, 40), 6, rng.randint(1, 10**6)))
         e.charges = LiveCharges(e)
-        applied = 0
         for _ in range(4):
             ids = sorted(e.rot)
             edges = [(v, u) for v in ids for u in e.rot[v] if v < u]
             cut = rng.sample(edges, rng.choice([0, 1, 2]))
             drawn = [tuple(rng.sample(ids, 2)) for _ in range(rng.choice([0, 1, 2, 3]))]
             drawn += cut[:1] if rng.random() < 0.3 else []
+            dels = rng.sample(ids, rng.choice([0, 1, 2]))
             try:
-                e.apply(rng.sample(ids, rng.choice([0, 1, 2])), cut, drawn)
+                e.apply(dels, cut, drawn)
             except TwodistError:
                 continue
             finally:
                 agrees_with_audit(e)
             applied += 1
             redrawn += bool(set(cut) & set(drawn))
-        for _ in range(applied):
             e.undo()
             agrees_with_audit(e)
-    assert redrawn and unlogged["follow"]
+            e.apply(dels, cut, drawn)
+            agrees_with_audit(e)
+    assert applied > 60 and redrawn and unlogged["follow"]

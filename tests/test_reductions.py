@@ -458,20 +458,24 @@ class TestReduceCommand:
         ]
 
     def test_holds_no_undo_history(self, tmp_path, capsys, monkeypatch):
-        # every step is committed, a split's too, so at each catalog call of
-        # a 60-step run (eleven splits among them) no apply is in force
+        # each step, a split's too, makes the one before it final, so at
+        # each catalog call of a 60-step run (eleven splits among them) the
+        # Embedding holds at most one frame: none when first seen, and that
+        # of its last step afterwards
         gfile = tmp_path / "g.graph"
         gfile.write_text(write_graph(gen_planar(200, 6, 5)))
-        in_force = []
+        seen, in_force, expected = {}, [], []
 
         def counted(e):
+            expected.append(int(id(e) in seen))
+            seen[id(e)] = e  # held, so no id is reused
             in_force.append(gadgets.in_force(e))
             return find_reduction(e)
 
         monkeypatch.setattr(cli, "find_reduction", counted)
         assert main(["reduce", str(gfile), "--steps", "60"]) == 0
         assert "split" in capsys.readouterr().out
-        assert len(in_force) == 60 and set(in_force) == {0}
+        assert len(in_force) == 60 and in_force == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_follows_the_engine(self, seed, tmp_path, capsys):
