@@ -98,12 +98,6 @@ class RunTrace:
     gaps: list[ProofGapReport] = field(default_factory=list)
     graph_hook: Callable[[Embedding, object], None] | None = None
 
-    def lemma_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for lemma, *_ in self.steps:
-            counts[lemma] = counts.get(lemma, 0) + 1
-        return counts
-
 
 def verify_coloring(g: PlanarGraph, c: Coloring) -> ColorReport:
     """Exhaustive distance-2 check, independent of how c was produced.

@@ -31,10 +31,11 @@ changes; it gives what the audit of the Embedding's snapshot holds, whose
 vertices are the live ids renumbered in ascending order and whose faces
 are keyed by their walks.  It keeps each vertex's class and each face's
 units, and no R3-R14 state: every such transfer runs between two
-neighbors, so the nets of a graph sum to 0 and the total needs none.  A
-vertex's net and units (``_after_r1_r2`` plus the net) are derived from
-the classes when read, the nets by ``_income`` at every vertex, as
-``apply_rules`` derives its transfers.  It follows each apply from the
+neighbors, so what R3-R14 move sums to 0 over a graph and the total needs
+none.  Its one per-vertex view, a vertex's units, is derived from the
+classes when read: the vertex's ``_after_r1_r2`` part, plus what it draws
+by ``_income``, less what it pays, as ``apply_rules`` derives its
+transfers.  It follows each apply from the
 ``planar.Change`` that apply recorded: it re-derives the faces born or
 shrunk and those of their corners whose class moved, moves the rest by
 what changed next to them, and moves the total by the same amounts, never
@@ -281,13 +282,14 @@ class LiveCharges:
     ``classes`` holds each vertex's class, ``face_units`` each face's
     units, ``delta`` the maximum degree and ``total_units`` the sum of all
     units.  No R3-R14 state is kept: those rules move charge between
-    neighbors, and what one draws the other gives, so the nets of any
-    graph sum to 0 and the total is the vertices' ``_after_r1_r2`` parts
-    plus the face units.  ``nets(e)`` and ``vertex_units(e)`` derive the
-    rest from the classes and e's rotations when read, by ``_income`` at
-    every vertex, the helper ``apply_rules`` runs; by vertex id and face
-    id, ``vertex_units(e)`` and ``face_units`` give what the final ledger
-    of ``audit(e.snapshot())`` holds by dense id and canonical walk.
+    neighbors, and what one draws the other gives, so they sum to 0 over
+    any graph and the total is the vertices' ``_after_r1_r2`` parts plus
+    the face units.  ``vertex_units(e)`` derives each vertex's final units
+    from the classes and e's rotations when read: its ``_after_r1_r2``
+    part, moved by ``_income`` at every vertex, the helper ``apply_rules``
+    runs.  By vertex id and face id, ``vertex_units(e)`` and
+    ``face_units`` give what the final ledger of ``audit(e.snapshot())``
+    holds by dense id and canonical walk.
     Attached as ``e.charges``, it follows every successful ``e.apply``
     from the ``Change`` that apply recorded, and writes nothing into the
     apply's undo log: any ``e.undo()`` re-derives it afresh, so it may be
@@ -306,27 +308,19 @@ class LiveCharges:
         units = sum(_after_r1_r2(vc, delta) for vc in classes.values())
         self.total_units = units + sum(self.face_units.values())
 
-    def nets(self, e: Embedding) -> dict[int, int]:
-        """Each vertex's R3-R14 net with all its neighbors in e: what it
-        draws, less what it gives."""
-        classes, rot = self.classes, e.rot
-        nets = dict.fromkeys(classes, 0)
+    def vertex_units(self, e: Embedding) -> dict[int, int]:
+        """Each vertex's final units: its ``_after_r1_r2`` part, plus what
+        it draws by R3-R14 from its neighbors in e, less what it gives."""
+        classes, rot, delta = self.classes, e.rot, self.delta
+        units = {v: _after_r1_r2(vc, delta) for v, vc in classes.items()}
         for v, vc in classes.items():
             income = _income(vc, rot[v], classes)
             if income is not None:
                 _, amount, payers = income
-                nets[v] += amount * len(payers)
+                units[v] += amount * len(payers)
                 for w in payers:
-                    nets[w] -= amount
-        return nets
-
-    def vertex_units(self, e: Embedding) -> dict[int, int]:
-        """Each vertex's final units: its ``_after_r1_r2`` part plus its net."""
-        delta, nets = self.delta, self.nets(e)
-        return {v: _after_r1_r2(vc, delta) + nets[v] for v, vc in self.classes.items()}
-
-    def total(self) -> Fraction:
-        return Fraction(self.total_units, UNIT)
+                    units[w] -= amount
+        return units
 
     def follow(self, e: Embedding, change: Change) -> None:
         """Update after an apply on e that recorded ``change``.
@@ -336,8 +330,9 @@ class LiveCharges:
         is read from its birth darts, a shrunk one walked), and every vertex
         that lost or gained a neighbor is a corner of one; a corner whose
         class did not move costs nothing more.  Lost and gained neighbors
-        and moved classes touch nets too, which the total does not hold, so
-        a deleted vertex leaves it by its ``_after_r1_r2`` part alone.
+        and moved classes touch what R3-R14 move too, which the total does
+        not hold, so a deleted vertex leaves it by its ``_after_r1_r2``
+        part alone.
         When delta moves, R2 moves at the vertices of degree between the
         old and the new delta.  Those and the vertices whose class moved
         move the total by their ``_after_r1_r2`` part, new less old, in one
@@ -451,12 +446,3 @@ def audit(g: PlanarGraph, cross_reference: bool = True) -> AuditReport:
         reduction_lemma=lemma,
         consistent=not (cross_reference and delta >= 6 and lemma is None),
     )
-
-
-def rule_totals(transfers: list[Transfer]) -> dict[str, Fraction]:
-    """Total amount moved per rule (outgoing equals incoming by construction;
-    the audit tests re-derive both sides from the log)."""
-    totals: dict[str, int] = {}
-    for t in transfers:
-        totals[t.rule] = totals.get(t.rule, 0) + t.units
-    return {rule: Fraction(units, UNIT) for rule, units in totals.items()}

@@ -237,13 +237,12 @@ class HuntReport:
     gap_count: int = 0
     gap_reports: list[ProofGapReport] = field(default_factory=list)
     audit_totals: dict[str, int] = field(default_factory=dict)
-    graphs_colored: int = 0
     colorings_valid: int = 0
 
     def summary(self) -> str:
         lines = [
             f"trials={self.trials} n={self.n} min_delta={self.min_delta}",
-            f"colored {self.graphs_colored}, valid {self.colorings_valid}",
+            f"colored {self.trials}, valid {self.colorings_valid}",  # or hunt raised
             f"gap count: {self.gap_count}",
         ]
         if self.audit_totals:
@@ -292,11 +291,10 @@ def hunt(
         g = gen_planar(n, min_delta, s)
         trace = RunTrace(graph_hook=hook)
         c = color(g, trace=trace)
-        report.graphs_colored += 1
         if verify_coloring(g, c).valid and c.colors_used <= c.budget:
             report.colorings_valid += 1
-        for lemma, count in trace.lemma_counts().items():
-            report.lemma_fires[lemma] = report.lemma_fires.get(lemma, 0) + count
+        for lemma, *_ in trace.steps:
+            report.lemma_fires[lemma] = report.lemma_fires.get(lemma, 0) + 1
         for gap in trace.gaps:
             if gap.delta >= 6:
                 report.gap_count += 1

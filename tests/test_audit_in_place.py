@@ -31,7 +31,7 @@ from twodist import (
     color,
     gen_planar,
 )
-from twodist.discharge import LiveCharges, face_keys
+from twodist.discharge import UNIT, LiveCharges, _after_r1_r2, face_keys
 from twodist.planar import Embedding
 from twodist.reductions import match_case, reduce_in_place
 
@@ -44,7 +44,8 @@ from workloads import gen_flip  # noqa: E402
 
 def agrees_with_audit(e):
     """The LiveCharges on e against the audit of e's snapshot, per vertex
-    and per face; its nets sum to 0, which is why its total holds none."""
+    and per face; its vertex units sum to their R1-R2 parts, since R3-R14
+    only move charge between neighbors, which is why its total holds none."""
     g, rename = e.snapshot(), gadgets.dense_ids(e)
     final = audit(g, cross_reference=False).final
     keys = face_keys(g)
@@ -53,8 +54,9 @@ def agrees_with_audit(e):
         f: keys[g.face[rename[x]][rename[y]]] for x, fx in e.face.items() for y, f in fx.items()
     }
     live = e.charges
-    assert sum(live.nets(e).values()) == 0
-    assert {rename[v]: c for v, c in live.vertex_units(e).items()} == final.vertex_units
+    units = live.vertex_units(e)
+    assert sum(units.values()) == sum(_after_r1_r2(vc, live.delta) for vc in live.classes.values())
+    assert {rename[v]: c for v, c in units.items()} == final.vertex_units
     assert {key[f]: c for f, c in live.face_units.items()} == final.face_units
     assert live.total_units == final.total_units()
 
@@ -117,7 +119,7 @@ def audited_in_place(g):
         seen["hooked"] += 1
         if e.n < 2:
             return
-        assert e.charges.total() == -8
+        assert e.charges.total_units == -8 * UNIT
         agrees_with_audit(e)
         seen["calls"] += 1
 

@@ -1,14 +1,19 @@
 """The benchmark's tracer (bench/layers.py) wraps twodist functions by module
 and name, reads ``.transfers`` from what ``apply_rules`` returns and rebinds
-``reductions.MATCHER_ORDER``.  Running it here makes a renamed or deleted
-name fail the tests instead of the benchmark."""
+``reductions.MATCHER_ORDER``; its workloads (bench/workloads.py) read fields
+of ``HuntReport``, ``RunTrace`` and ``ProofGapReport``.  Running them here
+makes a renamed or deleted name fail the tests instead of the benchmark."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
+import hostspeed  # noqa: E402
 import layers  # noqa: E402
+import workloads  # noqa: E402
+from test_reductions import dodecahedron  # noqa: E402
 from twodist import colorer, discharge, gen_planar, planar, reductions, workbench  # noqa: E402
 
 
@@ -64,3 +69,24 @@ def test_the_hunter_audits_without_rerunning_the_rules():
     assert tracer.calls["discharge.apply_rules"] <= runs
     assert 0 < tracer.calls["classify.classify_all"] <= runs
     assert sum(report.audit_totals.values()) > 3 * runs
+
+
+def test_the_workloads_read_what_hunt_and_a_trace_hold():
+    # a hunt sample reads HuntReport.colorings_valid, gap_count and
+    # audit_totals, and records RunTrace.steps
+    runner = workloads.Runner("hunt", hostspeed.Meter())
+    with runner:
+        sample = runner._hunt((30, 1))
+    assert sample.failure is None and sample.steps > 0
+    report = workbench.hunt(1, 30, 6, 1)
+    assert (report.colorings_valid, report.gap_count) == (1, 0)
+    assert sum(report.audit_totals.values()) == sample.steps
+    # the checks read RunTrace.gaps and each gap's ProofGapReport.delta:
+    # the dodecahedron, with Delta = 3, leaves the catalog a gap
+    g = dodecahedron()
+    trace = colorer.RunTrace()
+    c = colorer.color(g, trace=trace)
+    assert trace.steps == [] and [gap.delta for gap in trace.gaps] == [3]
+    assert workloads._check(g, c, trace) is None
+    trace.gaps = [dataclasses.replace(gap, delta=6) for gap in trace.gaps]
+    assert workloads._check(g, c, trace) == "catalog gap at Delta >= 6"

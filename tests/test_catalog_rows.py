@@ -16,11 +16,19 @@ A label loses its edge to the centre and gains each chord it ends, so a
 label that ends two or more chords must sit below the maximum degree for
 the maximum not to grow: every row must make sure of that from the label
 degrees its test admits.
+
+The colors forbidden at the centre are at most its other vertices within
+distance 2.  The sum of the label degrees counts each label once, by its
+edge to the centre, and every other such vertex at least once; it counts
+the edge of each 3-corner twice, once from each end, and the far vertex
+of each 4-corner twice.  So the sum less 2 * t3 + t4 bounds them, and
+that count is pinned per row for every Delta up to 30, rows over their
+bound included.
 """
 
 import dataclasses
 from collections import Counter
-from itertools import chain, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from types import SimpleNamespace
 
 from twodist.reductions import _FAN_CHORDS, RULES
@@ -214,3 +222,51 @@ def test_a_label_that_ends_two_chords_sits_below_the_maximum_degree():
     ]
     found, _ = over_budget(rules)
     assert found and {tag for tag, *_ in found} == {"L2.7.1"}
+
+
+def over_bound(rules, deltas=range(6, 31)):
+    """{tag: {delta: excess}} for each row whose count at a maximum degree
+    delta exceeds its bound: the largest sum over the sorted label degrees
+    in 3..delta that pass the row's test and hold at least ``six_six``
+    sixes, less the least 2 * t3 + t4 over every anchor's corner sizings."""
+    found = {}
+    for rule in rules:
+        shared = min(
+            2 * corners.count(3) + corners.count(4)
+            for _, pattern, _ in rule.anchors
+            for corners in corner_sizes(rule, pattern)
+        )
+        best = {}  # the largest admitted sum by the largest degree in it
+        for degrees in combinations_with_replacement(range(3, max(deltas) + 1), rule.shape[0]):
+            if rule.degrees is not None and not rule.degrees(list(degrees)):
+                continue
+            if degrees.count(6) >= rule.six_six:
+                best[degrees[-1]] = max(best.get(degrees[-1], 0), sum(degrees))
+        a, b = rule.bound
+        for delta in deltas:
+            admitted = [s for top, s in best.items() if top <= delta]
+            if admitted and max(admitted) - shared > a * delta + b:
+                found.setdefault(rule.tag, {})[delta] = max(admitted) - shared - a * delta - b
+    return found
+
+
+def test_each_rows_count_against_its_bound():
+    # the rows over their bound, for the sweep of the paper's cases; every
+    # other row, at every Delta, is within its bound
+    every, from_7 = range(6, 31), range(7, 31)
+    assert over_bound(RULES) == {
+        "L2.6.2": dict.fromkeys(every, 1),
+        "L2.6.5": dict.fromkeys(from_7, 1),
+        "L2.8.2": dict.fromkeys(from_7, 1),
+        "L2.8.3": dict.fromkeys(every, 1),
+        "L2.9.2": dict.fromkeys(every, 1),
+        "L2.9.3": dict.fromkeys(every, 2),
+        "L2.10.1": {6: 1},
+        "L2.10.2": {7: 1},
+        "L2.10.3": dict.fromkeys(every, 4),
+        "L2.10.4": {6: 2, 7: 1},
+    }
+    # L2.4 admits a smallest label degree up to 9 and meets 3 Delta + 1
+    # from Delta = 9 on; admitting 10 goes over wherever it can occur
+    loose = [dataclasses.replace(r, degrees=lambda d: d[0] <= 10) for r in RULES if r.tag == "L2.4"]
+    assert over_bound(loose) == {"L2.4": dict.fromkeys(range(10, 31), 1)}

@@ -7,9 +7,11 @@ and the edges drawn, each with the face it shrank.  So the record must
 say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
 The ledger writes nothing into the apply's undo log: an undo derives it
 afresh, so it may attach to an Embedding whose earlier apply it never saw.
-It keeps no R3-R14 net: its views derive each vertex's net when read, by
+It keeps no R3-R14 state: its one per-vertex view, ``vertex_units(e)``,
+derives each vertex's units when read, its ``_after_r1_r2`` part moved by
 the one helper, ``_income``, that the audit's ``apply_rules`` runs for its
-R3-R14 transfers, so they must say what the audit's transfer log says.
+R3-R14 transfers, so a unit less that part must say what the audit's
+transfer log says.
 """
 
 import random
@@ -94,8 +96,9 @@ def log_nets(ledger):
 
 def test_each_vertex_is_its_r1_r2_part_plus_its_net():
     # at every step of these colorings, each vertex's class as the ledger
-    # keeps it, and its net as the ledger's view derives it, against the
-    # classes read afresh and the R3-R14 transfers of the snapshot's audit
+    # keeps it, and its net, its units as the ledger's view derives them
+    # less its R1-R2 part, against the classes read afresh and the R3-R14
+    # transfers of the snapshot's audit
     deltas, drawn = set(), 0
 
     def hook(e, outcome):
@@ -105,15 +108,16 @@ def test_each_vertex_is_its_r1_r2_part_plus_its_net():
         live, delta = e.charges, e.max_degree()
         deltas.add(delta)
         assert live.delta == delta
-        units, nets = live.vertex_units(e), live.nets(e)
-        rename = gadgets.dense_ids(e)
-        logged = log_nets(audit(e.snapshot(), cross_reference=False).final)
-        assert {rename[v]: net for v, net in nets.items()} == logged
-        drawn += any(logged.values())
+        units, nets = live.vertex_units(e), {}
         for v in e.rot:
             vc = classify_vertex(e, v)
             assert live.classes[v] == vc
-            assert units[v] - nets[v] == _after_r1_r2(vc, delta)
+            nets[v] = units[v] - _after_r1_r2(vc, delta)
+        rename = gadgets.dense_ids(e)
+        logged = log_nets(audit(e.snapshot(), cross_reference=False).final)
+        assert units.keys() == nets.keys()
+        assert {rename[v]: net for v, net in nets.items()} == logged
+        drawn += any(logged.values())
 
     for n, seed in [(30, 1), (40, 1), (50, 7), (60, 0)]:
         color(gen_planar(n, 6, seed), trace=RunTrace(graph_hook=hook))
@@ -124,7 +128,7 @@ def test_each_vertex_is_its_r1_r2_part_plus_its_net():
 def calls(monkeypatch):
     """Counts of the calls to the discharge helpers that derive a vertex or
     a face: ``_income`` (R3-R14 at a vertex), which of the ledger only its
-    views make, and ``_after_r1_r2`` and ``_face_units``, which ``follow``
+    view makes, and ``_after_r1_r2`` and ``_face_units``, which ``follow``
     makes per vertex or face it re-derives."""
     seen = Counter()
     for name in ("_income", "_after_r1_r2", "_face_units"):
@@ -147,8 +151,8 @@ def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     calls.clear()
     e.apply(delete_vertices=[2])
     # the same on every wheel: vertex 2 leaves the total, the classes of
-    # the three move, and the one born face is derived afresh; no net is
-    # read, counted before the audit comparison reads the views
+    # the three move, and the one born face is derived afresh; no R3-R14
+    # income is read, counted before the audit comparison reads the view
     assert dict(calls) == {"_after_r1_r2": 7, "_face_units": 1}
     assert vars(e.charges).keys() == {"delta", "classes", "face_units", "total_units"}
     agrees_with_audit(e)

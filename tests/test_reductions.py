@@ -11,6 +11,7 @@ import bruteforce
 import gadgets
 import twodist
 from twodist import (
+    DegreeBudgetExceeded,
     Reduction,
     RunTrace,
     Embedding,
@@ -26,7 +27,7 @@ from twodist import (
 from twodist import cli
 from twodist.cli import main
 from twodist.planar import distance_profile
-from twodist.reductions import MATCHER_ORDER, ProofGapReport
+from twodist.reductions import MATCHER_ORDER, ProofGapReport, _Ctx, _m_L2_11
 from test_embedding import state
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -213,6 +214,20 @@ class TestL2_11:
 
     def test_without_54_neighbor_no_match(self):
         assert match_case("L2.11", Embedding(gadgets.g_L2_11(drop_54=True))) is None
+
+    def test_case2_needs_delta_7(self):
+        # the matcher run as if Delta were 7 takes case2 at Delta = 6: v4
+        # (id 5), a (5,5)-vertex, loses the centre and ends three chords, so
+        # it reaches degree 7, and reduce_in_place refuses and undoes
+        e = Embedding(gadgets.g_L2_11())
+        ctx = _Ctx(e)
+        ctx.delta = 7
+        r = _m_L2_11(ctx)
+        assert r.lemma == "L2.11.case2" and r.add_edges == ((2, 5), (3, 5), (5, 7))
+        before = state(e)
+        with pytest.raises(DegreeBudgetExceeded, match="past 6"):
+            reduce_in_place(e, r)
+        assert state(e)[:-1] == before[:-1] and e.max_degree() == 6
 
 
 class TestFindReduction:

@@ -167,8 +167,9 @@ class TestHunt:
     def test_small_hunt_is_clean(self):
         report = hunt(trials=4, n=30, min_delta=6, seed=77)
         assert report.gap_count == 0
-        assert report.graphs_colored == 4
         assert report.colorings_valid == 4
+        # hunt colors every trial or raises, so the summary counts the trials
+        assert report.summary().splitlines()[1] == "colored 4, valid 4"
         assert set(report.audit_totals) == {"-8"}
         assert report.lemma_fires  # something fired on every reduction step
 
@@ -182,7 +183,7 @@ class TestHunt:
     def test_unaudited_hunt_finds_what_the_audited_one_does(self):
         audited = hunt(4, 40, 6, 3)
         fast = hunt(4, 40, 6, 3, audit_each=False)
-        for field in ("lemma_fires", "gap_count", "graphs_colored", "colorings_valid"):
+        for field in ("lemma_fires", "gap_count", "colorings_valid"):
             assert getattr(fast, field) == getattr(audited, field)
         assert audited.audit_totals and fast.audit_totals == {}
         assert "audit totals" in audited.summary()
