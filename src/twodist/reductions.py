@@ -7,9 +7,10 @@ the maximum degree never grows.  Vertices the surgery removes from the
 coloring (usually the center) are listed as pending, together with an upper
 bound on how many colors can be forbidden when they are re-colored.
 
-Most rules are rows of the RULES table: a vertex shape, a test on the
-neighbors, an anchor that labels them and a chord template.  L2.1, L2.2,
-L2.3.1 and L2.11 do not fit that mould and keep a scan of their own.
+Most rules are rows of the RULES table, which hold data and no code: a
+vertex shape, degree tests on the neighbors, anchors that label them and
+the chords each anchor picks.  L2.1, L2.2, L2.3.1 and L2.11 do not fit
+that mould and keep a scan of their own.
 
 Neighbor labels v1..vk always follow the rotation order around the center,
 anchored so the pattern's face layout matches; among valid anchors the one
@@ -28,7 +29,7 @@ an Embedding of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .classify import VertexClass, classify_vertex, is_special_vertex
 from .errors import DegreeBudgetExceeded, InvariantViolated
@@ -182,15 +183,20 @@ def _m_L2_11(ctx: _Ctx) -> Reduction | None:
 # --------------------------------------------------------------------------
 
 Chords = tuple[tuple[int, int], ...]  # pairs of label indices, 0 is v1
-ChordHook = Callable[[_Ctx, list[int]], tuple[str, Chords] | None]
-
-# (case, corner pattern, chords).  pattern[j] is the face degree required at
+# (case, label, headroom, chords): passes when label is None or its degree
+# is at most a * Delta + b, for (a, b) = headroom.
+Pick = tuple[str | None, int | None, tuple[int, int] | None, Chords]
+# (corner pattern, picks).  pattern[j] is the face degree required at
 # corner (r + j) % k, the corner between rotation neighbors r + j and
 # r + j + 1 (None: any); label v{j+1} is rot[(r + j) % k].  Among the
-# offsets r that fit, the smallest rot[r] wins.  A hook in place of the
-# chords picks them, and the case, from the labels' degrees; when it
-# returns None the rule declines at this vertex and the scan goes on.
-Anchor = tuple[str | None, tuple[int | None, ...], Chords | ChordHook]
+# offsets r that fit, the smallest rot[r] wins.  The first pick that passes
+# gives the case and the chords; if none does, the rule declines at v.
+Anchor = tuple[tuple[int | None, ...], tuple[Pick, ...]]
+
+
+def _plain(case: str | None, pattern: tuple[int | None, ...], chords: Chords) -> Anchor:
+    """An anchor that always draws the same chords."""
+    return pattern, ((case, None, None, chords),)
 
 
 @dataclass(frozen=True)
@@ -199,17 +205,18 @@ class Rule:
     neighbors and re-colors v.
 
     v's ``VertexClass`` must have the shape (k, t3, t4), the classes that
-    discharging pays (None matches any count), its sorted neighbor degrees
-    must pass ``degrees``, at least ``six_six`` neighbors must be
-    (6,6)-vertices, and v must not be special when ``nonspecial`` is set.
-    The first anchor whose pattern fits labels the neighbors.  At most
-    ``a * Delta + b`` colors are forbidden at v, for ``(a, b) = bound``.
+    discharging pays (None matches any count), for each (lo, hi, n) of
+    ``degrees`` at least n neighbors must have degree lo..hi, at least
+    ``six_six`` neighbors must be (6,6)-vertices, and v must not be special
+    when ``nonspecial`` is set.  The first anchor whose pattern fits labels
+    the neighbors, and its first pick that passes draws the chords.  At
+    most ``a * Delta + b`` colors are forbidden at v, for ``(a, b) = bound``.
     """
 
     tag: str
     shape: tuple[int, int | None, int | None]
     anchors: tuple[Anchor, ...]
-    degrees: Callable[[list[int]], bool] | None = None
+    degrees: tuple[tuple[int, int, int], ...] = ()
     six_six: int = 0
     nonspecial: bool = False
     bound: tuple[int, int] = (3, 1)
@@ -217,10 +224,20 @@ class Rule:
 
     def __post_init__(self) -> None:
         runs = []  # each pattern's runs of fixed corners, as (start, stop, degrees)
-        for _, p, _ in self.anchors:
+        for p, _ in self.anchors:
             gaps = [-1, *(j for j, want in enumerate(p) if want is None), len(p)]
             runs.append(tuple((a + 1, b, p[a + 1:b]) for a, b in zip(gaps, gaps[1:]) if b > a + 1))
         object.__setattr__(self, "runs", tuple(runs))
+
+    def admits(self, d: Sequence[int]) -> bool:
+        """Whether the neighbor degrees d, in any order, pass ``degrees``."""
+        for lo, hi, n in self.degrees:
+            for x in d:
+                if lo <= x <= hi:
+                    n -= 1
+            if n > 0:
+                return False
+        return True
 
     def match(self, ctx: _Ctx) -> Reduction | None:
         """The first vertex, in ascending id, where the rule fires."""
@@ -233,9 +250,7 @@ class Rule:
             if t4 is not None and vc.t4 != t4:
                 continue
             rot = e.rot[v]
-            if self.degrees is not None and not self.degrees(
-                sorted(map(len, map(e.rot.__getitem__, rot)))
-            ):
+            if self.degrees and not self.admits(list(map(len, map(e.rot.__getitem__, rot)))):
                 continue
             if self.six_six and (
                 sum(1 for u in rot if ctx.vclass(u).is_kd(6, 6)) < self.six_six
@@ -252,7 +267,7 @@ class Rule:
         k = len(rot)
         cd = ctx.e.corner_degrees(v)  # the anchors read the corners in order
         ring = cd + cd
-        for (case, _, chords), runs in zip(self.anchors, self.runs):
+        for (_, picks), runs in zip(self.anchors, self.runs):
             # the offsets at which every run of corners the pattern fixes fits
             offsets = range(k)
             for a, b, want in runs:
@@ -261,11 +276,13 @@ class Rule:
                 continue
             r = min(offsets, key=rot.__getitem__)
             lab = rot[r:] + rot[:r]
-            if callable(chords):
-                picked = chords(ctx, lab)
-                if picked is None:
-                    return None
-                case, chords = picked
+            for case, label, headroom, chords in picks:
+                if label is None or ctx.e.degree(lab[label]) <= (
+                    headroom[0] * ctx.delta + headroom[1]
+                ):
+                    break
+            else:
+                return None
             a, b = self.bound
             return Reduction(
                 self.tag, case, v, (v,), (v,), (),
@@ -275,88 +292,66 @@ class Rule:
         return None
 
 
-# Two chords from one fan center restore every broken neighbor pair of a
-# deleted (4,1)-vertex; the center gains one net edge, so it needs degree
-# headroom below the maximum.
-_FAN_CHORDS: tuple[Chords, ...] = (
-    ((0, 2), (0, 3)),
-    ((1, 2), (1, 3)),
-    ((1, 2), (2, 3)),
-    ((0, 3), (2, 3)),
-)
-
-
-def _fan_center(ctx: _Ctx, lab: list[int]) -> tuple[str, Chords] | None:
-    """L2.7.1: a single chord cannot reconnect both diagonal neighbor pairs,
-    so two are fanned from the first neighbor with degree headroom."""
-    for i, chords in enumerate(_FAN_CHORDS):
-        if ctx.e.degree(lab[i]) <= ctx.delta - 1:
-            return f"fan-v{i + 1}", chords
-    return None
-
-
-_FAR_SIDE_FANS: tuple[tuple[int, Chords], ...] = (
-    (0, ((0, 2), (0, 3))),
-    (1, ((1, 3), (1, 2))),
-    (3, ((0, 3), (2, 3))),
-)
-
-
-def _far_side(ctx: _Ctx, lab: list[int]) -> tuple[str, Chords]:
-    """L2.7.2 with the two 4-faces separated by the big face: fan from the
-    first of v1, v2, v4 of degree at most 5, else from v3."""
-    for i, chords in _FAR_SIDE_FANS:
-        if ctx.e.degree(lab[i]) <= 5:
-            return "nonadjacent", chords
-    return "nonadjacent", ((1, 2), (2, 3))
-
-
 # The neighbors of a (4,4)-, (4,3,1)- or (5,5)-vertex stay within distance
 # 2 of each other without it, so plain deletion is proper.
-_DELETE: tuple[Anchor, ...] = ((None, (), ()),)
+_DELETE: tuple[Anchor, ...] = (_plain(None, (), ()),)
 # (4,2)-vertex: its two 3-faces share an edge at v, or sit opposite.
 _FOUR_TWO: tuple[Anchor, ...] = (
-    ("adjacent", (3, 3), ((1, 3),)),
-    ("nonadjacent", (3, None, 3), ((0, 3), (1, 2))),
+    _plain("adjacent", (3, 3), ((1, 3),)),
+    _plain("nonadjacent", (3, None, 3), ((0, 3), (1, 2))),
 )
 # (5,4)-vertex: one chord across the corner that is not a 3-face.
-_FIVE_FOUR: tuple[Anchor, ...] = ((None, (3, 3, 3, 3), ((0, 4),)),)
+_FIVE_FOUR: tuple[Anchor, ...] = (_plain(None, (3, 3, 3, 3), ((0, 4),)),)
 
 RULES: tuple[Rule, ...] = (
-    Rule("L2.3.2", (3, None, None), ((None, (3,), ((0, 2),)),)),
-    Rule("L2.3.3", (3, None, None), ((None, (4, 4), ((0, 2),)),)),
-    Rule("L2.4", (4, 4, None), _DELETE, lambda d: d[0] <= 9),
-    Rule("L2.5.1", (4, 3, None), ((None, (3, 3, 3), ((0, 3),)),), lambda d: d[0] <= 7),
-    Rule("L2.5.2", (4, 3, 1), _DELETE, lambda d: d[0] <= 8),
-    Rule("L2.6.1", (4, 2, None), _FOUR_TWO, lambda d: d[0] <= 5),
-    Rule("L2.6.2", (4, 2, None), _FOUR_TWO, lambda d: 6 in d, nonspecial=True),
-    Rule("L2.6.3", (4, 2, 2), _FOUR_TWO, lambda d: d[0] <= 7),
-    Rule("L2.6.4", (4, 2, 1), _FOUR_TWO, lambda d: d[0] <= 6),
-    Rule("L2.6.5", (4, 2, 1), _FOUR_TWO, lambda d: 7 in d, nonspecial=True),
-    Rule("L2.7.1", (4, 1, 3), ((None, (3,), _fan_center),), lambda d: d[0] <= 6),
+    Rule("L2.3.2", (3, None, None), (_plain(None, (3,), ((0, 2),)),)),
+    Rule("L2.3.3", (3, None, None), (_plain(None, (4, 4), ((0, 2),)),)),
+    Rule("L2.4", (4, 4, None), _DELETE, ((1, 9, 1),)),
+    Rule("L2.5.1", (4, 3, None), (_plain(None, (3, 3, 3), ((0, 3),)),), ((1, 7, 1),)),
+    Rule("L2.5.2", (4, 3, 1), _DELETE, ((1, 8, 1),)),
+    Rule("L2.6.1", (4, 2, None), _FOUR_TWO, ((1, 5, 1),)),
+    Rule("L2.6.2", (4, 2, None), _FOUR_TWO, ((6, 6, 1),), nonspecial=True),
+    Rule("L2.6.3", (4, 2, 2), _FOUR_TWO, ((1, 7, 1),)),
+    Rule("L2.6.4", (4, 2, 1), _FOUR_TWO, ((1, 6, 1),)),
+    Rule("L2.6.5", (4, 2, 1), _FOUR_TWO, ((7, 7, 1),), nonspecial=True),
+    # one chord cannot rejoin both diagonal pairs, so two are fanned from the
+    # first label below the maximum degree, which gains a net edge
     Rule(
-        "L2.7.2",
-        (4, 1, 2),
+        "L2.7.1", (4, 1, 3),
+        (((3,), (
+            ("fan-v1", 0, (1, -1), ((0, 2), (0, 3))),
+            ("fan-v2", 1, (1, -1), ((1, 2), (1, 3))),
+            ("fan-v3", 2, (1, -1), ((1, 2), (2, 3))),
+            ("fan-v4", 3, (1, -1), ((0, 3), (2, 3))),
+        )),),
+        ((1, 6, 1),),
+    ),
+    Rule(
+        "L2.7.2", (4, 1, 2),
         (
-            ("adjacent", (3, 4, 4), ((1, 2), (0, 3))),
-            ("adjacent", (3, None, 4, 4), ((0, 3), (1, 2))),
-            (None, (3, 4, None, 4), _far_side),
+            _plain("adjacent", (3, 4, 4), ((1, 2), (0, 3))),
+            _plain("adjacent", (3, None, 4, 4), ((0, 3), (1, 2))),
+            # the two 4-faces separated by the big face: fan from the first
+            # of v1, v2, v4 of degree at most 5, else from v3
+            ((3, 4, None, 4), (
+                ("nonadjacent", 0, (0, 5), ((0, 2), (0, 3))),
+                ("nonadjacent", 1, (0, 5), ((1, 3), (1, 2))),
+                ("nonadjacent", 3, (0, 5), ((0, 3), (2, 3))),
+                ("nonadjacent", None, None, ((1, 2), (2, 3))),
+            )),
         ),
-        lambda d: d[0] <= 5,
+        ((1, 5, 1),),
     ),
-    Rule("L2.8.1", (5, 5, None), _DELETE, lambda d: d[0] <= 5 and d[1] <= 6),
-    Rule("L2.8.2", (5, 5, None), _DELETE, lambda d: 5 in d and 7 in d, nonspecial=True),
-    Rule("L2.8.3", (5, 5, None), _DELETE, lambda d: d.count(6) >= 2, nonspecial=True),
-    Rule("L2.9.1", (5, 4, 1), _FIVE_FOUR, lambda d: d[1] <= 5),
-    Rule("L2.9.2", (5, 4, 1), _FIVE_FOUR, lambda d: 5 in d and 6 in d, nonspecial=True),
+    Rule("L2.8.1", (5, 5, None), _DELETE, ((1, 5, 1), (1, 6, 2))),
+    Rule("L2.8.2", (5, 5, None), _DELETE, ((5, 5, 1), (7, 7, 1)), nonspecial=True),
+    Rule("L2.8.3", (5, 5, None), _DELETE, ((6, 6, 2),), nonspecial=True),
+    Rule("L2.9.1", (5, 4, 1), _FIVE_FOUR, ((1, 5, 2),)),
+    Rule("L2.9.2", (5, 4, 1), _FIVE_FOUR, ((5, 5, 1), (6, 6, 1)), nonspecial=True),
     Rule("L2.9.3", (5, 4, 1), _FIVE_FOUR, six_six=2),
-    Rule("L2.10.1", (5, 4, 0), _FIVE_FOUR, lambda d: d[1] <= 5 and d[2] <= 6),
-    Rule(
-        "L2.10.2", (5, 4, 0), _FIVE_FOUR, lambda d: d[1] <= 5 and 7 in d,
-        nonspecial=True,
-    ),
+    Rule("L2.10.1", (5, 4, 0), _FIVE_FOUR, ((1, 5, 2), (1, 6, 3))),
+    Rule("L2.10.2", (5, 4, 0), _FIVE_FOUR, ((1, 5, 2), (7, 7, 1)), nonspecial=True),
     Rule("L2.10.3", (5, 4, 0), _FIVE_FOUR, six_six=3, bound=(2, 6)),
-    Rule("L2.10.4", (5, 4, 0), _FIVE_FOUR, lambda d: d[0] <= 5, six_six=2),
+    Rule("L2.10.4", (5, 4, 0), _FIVE_FOUR, ((1, 5, 1),), six_six=2),
 )
 
 
@@ -409,9 +404,11 @@ def _nearest_miss(ctx: _Ctx) -> tuple[tuple[str, str], ...]:
         ("degrees", ", ".join(f"{d}:{len(e.bydeg[d])}" for d in sorted(e.bydeg))),
         ("L2.2", f"minimum degree {e.min_degree()}"),
     ]
+    # the rows' centre shapes (k, t3), in catalog order, and L2.11's (6,5)
+    rows = dict.fromkeys(rule.shape[:2] for rule in RULES if rule.shape[1] is not None)
     shapes = {
         f"({k},{t3})": sum(1 for v in e.of_degree(k) if ctx.vclass(v).is_kd(k, t3))
-        for k, t3 in ((4, 4), (4, 3), (4, 2), (4, 1), (5, 5), (5, 4), (6, 5))
+        for k, t3 in (*rows, (6, 5))
     }
     notes.append(
         ("shapes", ", ".join(f"{s}:{c}" for s, c in shapes.items() if c))

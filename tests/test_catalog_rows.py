@@ -5,8 +5,8 @@ v1..vk of the centre's neighbors.  Every two labels were within distance 2
 through the centre, so every two must stay so without it.  The row alone
 shows that when they are joined by a 3-corner or a chord, border one
 4-corner (whose far vertex they share), or share a labelled neighbor.
-That must hold for every row, every anchor, and every chord set that the
-anchor's hook can return, under every sizing of the corners (3, 4 or 5+)
+That must hold for every row, every anchor, and every chord set that one
+of the anchor's picks draws, under every sizing of the corners (3, 4 or 5+)
 that fits the anchor's pattern and the row's shape.  Mutants built from
 copies of the rows, with one chord dropped, must fail the same check.  The
 hand-written scans (L2.2, L2.3.1, L2.11) draw their chords from fixed
@@ -23,42 +23,30 @@ edge to the centre, and every other such vertex at least once; it counts
 the edge of each 3-corner twice, once from each end, and the far vertex
 of each 4-corner twice.  So the sum less 2 * t3 + t4 bounds them, and
 that count is pinned per row for every Delta up to 30, rows over their
-bound included.
+bound included.  Each degree test loosened by one must change it.
 """
 
 import dataclasses
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, product
-from types import SimpleNamespace
 
-from twodist.reductions import _FAN_CHORDS, RULES
-
-
-def picked(hook, delta, degrees):
-    """What a hook returns for labels 0..k-1 of these degrees."""
-    ctx = SimpleNamespace(delta=delta, e=SimpleNamespace(degree=degrees.__getitem__))
-    return hook(ctx, list(range(len(degrees))))
+from twodist.reductions import RULES
 
 
-def hook_chords(hook, k):
-    """Every chord set a hook returns for k labels, over every degree of
-    each label up to a maximum degree of 6, 7 or 8."""
-    found = set()
-    for delta in (6, 7, 8):
-        for degrees in product(range(3, delta + 1), repeat=k):
-            hit = picked(hook, delta, degrees)
-            if hit is not None:
-                found.add(hit[1])
-    return sorted(found)
+def drawn(picks, delta, degrees):
+    """The chords that the first of the picks passing for labels 0..k-1 of
+    these degrees draws, or None when none passes."""
+    for _, label, headroom, chords in picks:
+        if label is None or degrees[label] <= headroom[0] * delta + headroom[1]:
+            return chords
+    return None
 
 
 def anchors_and_chords(rule):
-    """(pattern, chords) for each anchor of the row and each chord set it
-    draws: its own, or each one its hook can return."""
-    k = rule.shape[0]
-    for _, pattern, chords in rule.anchors:
-        for drawn in hook_chords(chords, k) if callable(chords) else [chords]:
-            yield pattern, drawn
+    """(pattern, chords) for each anchor of the row and each of its picks."""
+    for pattern, picks in rule.anchors:
+        for *_, chords in picks:
+            yield pattern, chords
 
 
 def corner_sizes(rule, pattern):
@@ -112,10 +100,12 @@ def failures(rules):
 
 
 def without(rule, chord):
-    """A copy of the row with chord dropped from every anchor."""
+    """A copy of the row with chord dropped from every pick."""
     anchors = tuple(
-        (case, pattern, tuple(c for c in chords if c != chord))
-        for case, pattern, chords in rule.anchors
+        (pattern, tuple(
+            (*pick, tuple(c for c in chords if c != chord)) for *pick, chords in picks
+        ))
+        for pattern, picks in rule.anchors
     )
     return dataclasses.replace(rule, anchors=anchors)
 
@@ -179,44 +169,36 @@ def test_l2_11_case1_separates_only_pairs_holding_a_pending_vertex():
 
 def over_budget(rules):
     """(tag, delta, degrees, chords) for each anchor of each row and each
-    assignment of label degrees 3..Delta, Delta = 6, 7 or 8, that passes the
-    row's test, where the chords drawn leave a label that ends two or more
-    of them at degree Delta; and the count of those checked."""
+    assignment of label degrees 3..Delta, Delta = 6, 7 or 8, that the row
+    admits, where the chords drawn leave a label that ends two or more of
+    them at degree Delta; and the count of those checked."""
     found, checked = [], 0
     for rule in rules:
         k = rule.shape[0]
-        for _, _, chords in rule.anchors:
+        for _, picks in rule.anchors:
             for delta in (6, 7, 8):
                 for degrees in product(range(3, delta + 1), repeat=k):
-                    if rule.degrees is not None and not rule.degrees(sorted(degrees)):
+                    if not rule.admits(degrees):
                         continue
-                    drawn = chords
-                    if callable(chords):
-                        hit = picked(chords, delta, degrees)
-                        if hit is None:
-                            continue  # the row declines
-                        drawn = hit[1]
+                    chords = drawn(picks, delta, degrees)
+                    if chords is None:
+                        continue  # the row declines
                     checked += 1
-                    ends = Counter(chain.from_iterable(drawn))
+                    ends = Counter(chain.from_iterable(chords))
                     if any(n > 1 and degrees[i] > delta - 1 for i, n in ends.items()):
-                        found.append((rule.tag, delta, degrees, drawn))
+                        found.append((rule.tag, delta, degrees, chords))
     return found, checked
-
-
-def loose_fan_center(ctx, lab):
-    """``_fan_center`` with its headroom test off by one."""
-    for i, chords in enumerate(_FAN_CHORDS):
-        if ctx.e.degree(lab[i]) <= ctx.delta:
-            return f"fan-v{i + 1}", chords
-    return None
 
 
 def test_a_label_that_ends_two_chords_sits_below_the_maximum_degree():
     found, checked = over_budget(RULES)
     assert found == [] and checked == 115860
-    # the fan centre test reading <= Delta lets a label at Delta gain a net edge
+    # the fan centre's headroom read as Delta lets a label at Delta gain a net edge
     rules = [
-        dataclasses.replace(rule, anchors=((None, (3,), loose_fan_center),))
+        dataclasses.replace(rule, anchors=tuple(
+            (pattern, tuple((case, label, (1, 0), chords) for case, label, _, chords in picks))
+            for pattern, picks in rule.anchors
+        ))
         if rule.tag == "L2.7.1" else rule
         for rule in RULES
     ]
@@ -227,18 +209,18 @@ def test_a_label_that_ends_two_chords_sits_below_the_maximum_degree():
 def over_bound(rules, deltas=range(6, 31)):
     """{tag: {delta: excess}} for each row whose count at a maximum degree
     delta exceeds its bound: the largest sum over the sorted label degrees
-    in 3..delta that pass the row's test and hold at least ``six_six``
+    in 3..delta that the row admits and that hold at least ``six_six``
     sixes, less the least 2 * t3 + t4 over every anchor's corner sizings."""
     found = {}
     for rule in rules:
         shared = min(
             2 * corners.count(3) + corners.count(4)
-            for _, pattern, _ in rule.anchors
+            for pattern, _ in rule.anchors
             for corners in corner_sizes(rule, pattern)
         )
         best = {}  # the largest admitted sum by the largest degree in it
         for degrees in combinations_with_replacement(range(3, max(deltas) + 1), rule.shape[0]):
-            if rule.degrees is not None and not rule.degrees(list(degrees)):
+            if not rule.admits(degrees):
                 continue
             if degrees.count(6) >= rule.six_six:
                 best[degrees[-1]] = max(best.get(degrees[-1], 0), sum(degrees))
@@ -268,5 +250,52 @@ def test_each_rows_count_against_its_bound():
     }
     # L2.4 admits a smallest label degree up to 9 and meets 3 Delta + 1
     # from Delta = 9 on; admitting 10 goes over wherever it can occur
-    loose = [dataclasses.replace(r, degrees=lambda d: d[0] <= 10) for r in RULES if r.tag == "L2.4"]
+    loose = [dataclasses.replace(r, degrees=((1, 10, 1),)) for r in RULES if r.tag == "L2.4"]
     assert over_bound(loose) == {"L2.4": dict.fromkeys(range(10, 31), 1)}
+
+
+def loosened(rule):
+    """Each copy of the row with one degree test loosened by one: a range
+    one wider at the top, a count one lower, or one (6,6)-neighbor fewer."""
+    for i, (lo, hi, n) in enumerate(rule.degrees):
+        for test in ((lo, hi + 1, n), (lo, hi, n - 1)):
+            degrees = (*rule.degrees[:i], test, *rule.degrees[i + 1:])
+            yield dataclasses.replace(rule, degrees=degrees)
+    if rule.six_six:
+        yield dataclasses.replace(rule, six_six=rule.six_six - 1)
+
+
+def test_every_loosened_degree_test_changes_its_rows_count():
+    deltas = range(6, 13)
+    counts = over_bound(RULES, deltas)
+    mutants = [mutant for rule in RULES for mutant in loosened(rule)]
+    assert len(mutants) == 49
+    for mutant in mutants:
+        assert over_bound([mutant], deltas).get(mutant.tag) != counts.get(mutant.tag), mutant
+    # two by name: L2.8.3 with one 6-neighbor goes over by Delta - 5, and
+    # L2.6.1 admitting a smallest degree of 6 by 1
+    mutant = {(m.tag, m.degrees): m for m in mutants}
+    assert over_bound([mutant["L2.8.3", ((6, 6, 1),)]], deltas) == {
+        "L2.8.3": {delta: delta - 5 for delta in deltas}
+    }
+    assert over_bound([mutant["L2.6.1", ((1, 6, 1),)]], deltas) == {
+        "L2.6.1": dict.fromkeys(deltas, 1)
+    }
+    # L2.4 admitting a smallest degree up to 20 goes over from Delta = 10
+    loose = [dataclasses.replace(r, degrees=((1, 20, 1),)) for r in RULES if r.tag == "L2.4"]
+    assert over_bound(loose) == {"L2.4": {delta: min(delta - 9, 11) for delta in range(10, 31)}}
+
+
+def leaves(value):
+    """Every value inside nested tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def test_no_row_holds_code():
+    for rule in RULES:
+        for f in dataclasses.fields(rule):
+            assert not any(map(callable, leaves(getattr(rule, f.name)))), (rule.tag, f.name)

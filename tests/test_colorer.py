@@ -217,6 +217,14 @@ class TestColor:
         assert exc.value.gap is not None
         assert exc.value.gap.delta == 3
 
+    def test_budget_exhausted_at_the_base_case(self):
+        from twodist import BudgetExhausted
+
+        # the octahedron is small enough for the exact base case, which
+        # finds no 2-distance coloring in 2 colors
+        with pytest.raises(BudgetExhausted, match="^base case n=6 needs more than 2 colors$"):
+            color(gadgets.octahedron(), k=2)
+
     def test_cut_vertex_recursion(self):
         g = gadgets.two_triangles()
         c = color(g, k=20)

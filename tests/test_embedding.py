@@ -530,6 +530,7 @@ FAILED_APPLIES = pytest.mark.parametrize(
         (gadgets.cube, dict(add_edges=[(1, 7)]), SurgeryNotPlanar),  # no shared face
         (lambda: gadgets.path(3), dict(delete_vertices=[2]), SurgeryDisconnects),
         (lambda: gadgets.cycle(4), dict(delete_edges=[(1, 3)]), UnknownVertex),  # no such edge
+        (gadgets.octahedron, dict(add_edges=[(1, 1)]), SurgeryNotPlanar),  # a self-loop
     ],
 )
 

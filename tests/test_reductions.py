@@ -255,6 +255,13 @@ class TestFindReduction:
         assert outcome.delta == 3  # far below the guarantee threshold
         assert dict(outcome.nearest_miss)["L2.2"] == "minimum degree 3"
 
+    def test_gap_report_counts_the_catalog_shapes(self, monkeypatch):
+        # with the catalog emptied, the notes count each centre shape (k, t3)
+        # that the rows and L2.11 look for, in catalog order
+        monkeypatch.setattr(twodist.reductions, "MATCHER_ORDER", ())
+        outcome = find_reduction(Embedding(gadgets.g_L2_11()))
+        assert dict(outcome.nearest_miss)["shapes"] == "(5,5):2, (5,4):3, (6,5):1"
+
     def test_gap_report_carries_the_graph_in_dense_ids(self):
         # the Embedding of a PlanarGraph gives the graph itself back
         g = dodecahedron()

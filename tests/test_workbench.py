@@ -19,6 +19,7 @@ from twodist import (
     write_coloring,
     write_graph,
 )
+from twodist import reductions
 from twodist.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +72,10 @@ class TestGraphFiles:
     def test_missing_rotation_line(self):
         with pytest.raises(ParseError):
             parse_graph("p 2 1\nr 1 1 2\n")
+
+    def test_header_fields_must_be_integers(self):
+        with pytest.raises(ParseError, match="^line 1: header fields must be integers$"):
+            parse_graph("p x 3\n")
 
     def test_negative_header_rejected(self):
         with pytest.raises(ParseError):
@@ -278,6 +283,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "L2.4" in out and "proper=yes" in out
 
+    def test_reduce_reports_a_gap_below_delta_6_and_exits_0(self, tmp_path, capsys):
+        from test_reductions import dodecahedron
+
+        gfile = tmp_path / "g.graph"
+        gfile.write_text(write_graph(dodecahedron()))
+        assert main(["reduce", str(gfile)]) == 0
+        assert capsys.readouterr().out == (
+            "step 0: no rule fires (delta=3)\n"
+            "  degrees: 3:20\n"
+            "  L2.2: minimum degree 3\n"
+            "  shapes: none of the catalog shapes present\n"
+        )
+
+    def test_reduce_exits_1_on_a_gap_from_delta_6(self, capsys, monkeypatch):
+        # with the catalog emptied every graph is a gap; at Delta = 15 that
+        # is a violation of the coloring guarantee, as hunt counts it
+        monkeypatch.setattr(reductions, "MATCHER_ORDER", ())
+        assert main(["reduce", str(DATA / "gen42.graph")]) == 1
+        assert capsys.readouterr().out == (
+            "step 0: no rule fires (delta=15)\n"
+            "  degrees: 1:2, 2:10, 3:11, 4:6, 5:3, 6:1, 7:1, 8:1, 9:2, 10:2, 11:1, 13:1, 15:1\n"
+            "  L2.2: minimum degree 1\n"
+            "  shapes: (4,4):2, (4,3):2, (4,2):2, (5,5):2\n"
+        )
+
     def test_hunt_command(self, capsys):
         assert main(["hunt", "--trials", "2", "--n", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -320,6 +350,33 @@ class TestCli:
         assert captured.out == ""
         assert "(5000000 in all)" in captured.err
         assert len(captured.err) < 200
+
+    def test_bad_header_exits_2(self, tmp_path, capsys):
+        gfile = tmp_path / "bad.graph"
+        gfile.write_text("p x 3\n")
+        assert main(["color", str(gfile)]) == 2
+        assert capsys.readouterr().err == "error: line 1: header fields must be integers\n"
+
+    def test_gen_below_three_vertices_exits_2(self, capsys):
+        assert main(["gen", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: need n >= 3\n"
+
+    def test_color_below_the_base_case_exits_1(self, tmp_path, capsys):
+        gfile = tmp_path / "g.graph"
+        gfile.write_text((DATA / "octahedron.graph").read_text())
+        assert main(["color", str(gfile), "-k", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "budget exhausted: base case n=6 needs more than 2 colors\n"
+        )
+
+    def test_verify_names_a_color_outside_the_palette(self, tmp_path, capsys):
+        # the octahedron has Delta = 4, so the default palette is 1..14
+        gfile = tmp_path / "g.graph"
+        cfile = tmp_path / "g.colors"
+        gfile.write_text((DATA / "octahedron.graph").read_text())
+        cfile.write_text("1 99\n")
+        assert main(["verify", str(gfile), str(cfile)]) == 1
+        assert "color 99 at vertex 1 outside 1..14\n" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self):
         assert main(["color", "/nonexistent/file.graph"]) == 2
