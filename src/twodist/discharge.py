@@ -6,9 +6,10 @@ the rules can only move charge around.  Rules are applied simultaneously
 against the initial classification; every transfer is logged so that
 per-rule conservation can be re-derived from the log alone.
 
-The arithmetic is exact.  Every rule amount is a whole number of units of
-1/UNIT, where UNIT = 180 is the lcm of the denominators in RULE_AMOUNTS,
-so inside this module charges and transfers are ints in those units and a
+The arithmetic is exact.  Every rule amount is written once, as a
+``Fraction``, and RULE_AMOUNTS gathers them.  UNIT = 180, the lcm of
+their denominators, makes each a whole number of units of 1/UNIT, so
+inside this module charges and transfers are ints in those units and a
 transfer is one int subtraction plus one int addition.  ``Fraction`` is the
 type at the API: the ledger's and the report's charge views and their
 totals are Fractions built only when a caller reads them, and so is
@@ -56,52 +57,36 @@ from .errors import InvariantViolated
 from .planar import Change, Embedding, PlanarGraph
 from .reductions import Reduction, find_reduction
 
-# Every amount any rule may move.
-RULE_AMOUNTS = {
-    Fraction(1, 3),
-    Fraction(1, 5),
-    Fraction(1, 9),
-    Fraction(1, 4),
-    Fraction(1, 6),
-    Fraction(7, 60),
-    Fraction(1, 15),
-    Fraction(1, 12),
-    Fraction(1, 30),
-    Fraction(2, 45),
-}
+# Every rule amount, written once.  R1: what a vertex pays each of its
+# 3-face corners; R2: what a 5+-face gives a corner at a 3-vertex, and at
+# any other vertex of degree at most delta-1.
+_R1_R2 = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 5))
 
-UNIT = math.lcm(*(a.denominator for a in RULE_AMOUNTS))
-
-
-def _units(amount: Fraction) -> int:
-    """A rule amount as a whole number of units of 1/UNIT."""
-    if amount not in RULE_AMOUNTS:
-        raise InvariantViolated(f"{amount} is not in RULE_AMOUNTS")
-    return amount.numerator * (UNIT // amount.denominator)
-
-
-_R1 = _units(Fraction(1, 3))  # per corner of a 3-face
-_R2_TO_3_VERTEX = _units(Fraction(1, 3))
-_R2_TO_OTHER = _units(Fraction(1, 5))
-
-# R3-R14: the rule by which a vertex draws charge and the units each payer
+# R3-R14: the rule by which a vertex draws charge and the amount each payer
 # gives, keyed by the vertex's (k, t3, t4).  A 3-vertex receives 1/9 from
 # each neighbor, and the 4-vertex family from each neighbor; the 5-vertex
 # family only from the neighbors that ``_pays_five``.
-_INCOME = {
-    **{(3, t3, t4): ("R3", _units(Fraction(1, 9))) for t3 in range(4) for t4 in range(4 - t3)},
-    (4, 4, 0): ("R4", _units(Fraction(1, 3))),
-    (4, 3, 1): ("R5", _units(Fraction(1, 4))),
-    (4, 3, 0): ("R6", _units(Fraction(1, 5))),
-    (4, 2, 2): ("R7", _units(Fraction(1, 6))),
-    (4, 2, 1): ("R8", _units(Fraction(7, 60))),
-    (4, 2, 0): ("R9", _units(Fraction(1, 15))),
-    (4, 1, 3): ("R10", _units(Fraction(1, 12))),
-    (4, 1, 2): ("R11", _units(Fraction(1, 30))),
-    (5, 5, 0): ("R12", _units(Fraction(1, 6))),
-    (5, 4, 1): ("R13", _units(Fraction(1, 12))),
-    (5, 4, 0): ("R14", _units(Fraction(2, 45))),
+_DRAWN = {
+    **{(3, t3, t4): ("R3", Fraction(1, 9)) for t3 in range(4) for t4 in range(4 - t3)},
+    (4, 4, 0): ("R4", Fraction(1, 3)),
+    (4, 3, 1): ("R5", Fraction(1, 4)),
+    (4, 3, 0): ("R6", Fraction(1, 5)),
+    (4, 2, 2): ("R7", Fraction(1, 6)),
+    (4, 2, 1): ("R8", Fraction(7, 60)),
+    (4, 2, 0): ("R9", Fraction(1, 15)),
+    (4, 1, 3): ("R10", Fraction(1, 12)),
+    (4, 1, 2): ("R11", Fraction(1, 30)),
+    (5, 5, 0): ("R12", Fraction(1, 6)),
+    (5, 4, 1): ("R13", Fraction(1, 12)),
+    (5, 4, 0): ("R14", Fraction(2, 45)),
 }
+
+RULE_AMOUNTS = frozenset((*_R1_R2, *(amount for _, amount in _DRAWN.values())))
+UNIT = math.lcm(*(a.denominator for a in RULE_AMOUNTS))
+
+# the same amounts in whole units of 1/UNIT, the only form the rules read
+_R1, _R2_TO_3_VERTEX, _R2_TO_OTHER = (int(a * UNIT) for a in _R1_R2)
+_INCOME = {key: (rule, int(amount * UNIT)) for key, (rule, amount) in _DRAWN.items()}
 
 
 def _r2_units(k: int, delta: int) -> int:

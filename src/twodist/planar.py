@@ -204,10 +204,6 @@ class PlanarGraph:
     def max_degree(self) -> int:
         return self._delta
 
-    def size(self) -> int:
-        """|V| + |E|, the measure every reduction strictly decreases."""
-        return self.n + self.m
-
     def _check_vertex(self, v: int) -> None:
         if not (type(v) is int and 1 <= v <= self.n):
             raise UnknownVertex(f"vertex {v} not in 1..{self.n}")

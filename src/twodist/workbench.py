@@ -234,10 +234,14 @@ class HuntReport:
     min_delta: int
     seeds: tuple[int, ...]
     lemma_fires: dict[str, int] = field(default_factory=dict)
-    gap_count: int = 0
     gap_reports: list[ProofGapReport] = field(default_factory=list)
     audit_totals: dict[str, int] = field(default_factory=dict)
     colorings_valid: int = 0
+
+    @property
+    def gap_count(self) -> int:
+        """The catalog gaps found at Delta >= 6, one report each."""
+        return len(self.gap_reports)
 
     def summary(self) -> str:
         lines = [
@@ -295,10 +299,7 @@ def hunt(
             report.colorings_valid += 1
         for lemma, *_ in trace.steps:
             report.lemma_fires[lemma] = report.lemma_fires.get(lemma, 0) + 1
-        for gap in trace.gaps:
-            if gap.delta >= 6:
-                report.gap_count += 1
-                report.gap_reports.append(gap)
+        report.gap_reports += [gap for gap in trace.gaps if gap.delta >= 6]
     report.audit_totals = {str(Fraction(t, UNIT)): c for t, c in totals.items()}
     return report
 

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from twodist import gen_planar
+# the shared claim checks assert, and keep asserting under python -O
+pytest.register_assert_rewrite("claims")
+
+from twodist import gen_planar  # noqa: E402
 
 # Seeds for the shared acceptance corpus: 1000 connected embedded planar
 # graphs with maximum degree >= 6 and n <= 200.

@@ -238,7 +238,7 @@ class TestColor:
         assert trace.steps
         assert not trace.gaps
         # each step strictly shrinks |V| + |E|, so the depth is capped by it
-        assert len(trace.steps) <= g.size()
+        assert len(trace.steps) <= g.n + g.m
         for (v, lemma, forbidden, near, bound) in trace.extensions:
             assert forbidden <= near and (bound is None or near <= bound)
             assert forbidden < c.budget

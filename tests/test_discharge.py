@@ -57,7 +57,8 @@ class TestInitialCharges:
 
 class TestUnits:
     def test_rule_amounts_are_whole_units(self):
-        # every denominator divides 180, so the ledger runs on ints
+        # each amount is written once, as a Fraction; every denominator
+        # divides 180, so each converts exactly and the ledger runs on ints
         assert UNIT == math.lcm(*(a.denominator for a in RULE_AMOUNTS)) == 180
         amounts = [
             discharge._R1,

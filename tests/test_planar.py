@@ -327,7 +327,7 @@ class TestCutVertices:
             assert part.n == 3 and part.m == 3
         # both parts contain the cut vertex and are strictly smaller
         assert 1 in first_ids and 1 in second_ids
-        assert first.size() < g.size() and second.size() < g.size()
+        assert first.n + first.m < g.n + g.m and second.n + second.m < g.n + g.m
         assert (first.n - 1) + (second.n - 1) == g.n - 1
 
     def test_articulation_on_graphs_up_to_three_vertices(self):

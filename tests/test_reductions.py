@@ -29,6 +29,7 @@ from twodist.cli import main
 from twodist.planar import distance_profile
 from twodist.reductions import MATCHER_ORDER, ProofGapReport, _Ctx, _m_L2_11
 from test_embedding import state
+from claims import check_step, walk
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -54,13 +55,6 @@ def dodecahedron_adj() -> dict[int, list[int]]:
 def dodecahedron():
     """3-regular, all pentagon faces: no catalog shape is present."""
     return gadgets.tutte(dodecahedron_adj(), outer=[1, 2, 3, 4, 5])
-
-
-def applied(g, reduction):
-    """The reduced graph, once the reduction proved proper."""
-    e = Embedding(g)
-    assert check_properness(e, reduction)
-    return e.snapshot()
 
 
 class TestEarlyMatchers:
@@ -89,7 +83,7 @@ class TestEarlyMatchers:
             lemma="L2.2", case=None, vertex=1, pending=(1,), delete_vertices=(1,),
             delete_edges=(), add_edges=((2, 6),), d2_bound=4, split=None,
         )
-        applied(g, r)
+        check_step(Embedding(g), r)
 
     def test_octahedron_has_min_degree_four(self):
         assert match_case("L2.2", Embedding(gadgets.octahedron())) is None
@@ -167,21 +161,20 @@ CONFIG_CASES = [
     ),
     ("L2.10.3", lambda: gadgets.g_L2_10_3(), "L2.10.3", ((2, 6),)),
     ("L2.10.4", lambda: gadgets.g_L2_10_3(fans=2), "L2.10.4", ((2, 6),)),
+    ("L2.11", lambda: gadgets.g_L2_11(), "L2.11.case1", ()),
+    ("L2.11", lambda: gadgets.g_L2_11(delta7=True), "L2.11.case2", ((2, 5), (3, 5), (5, 7))),
 ]
 
 
 class TestConfigurationCatalog:
     @pytest.mark.parametrize("tag,build,lemma,adds", CONFIG_CASES)
     def test_matcher_fires_and_applies_soundly(self, tag, build, lemma, adds):
-        g = build()
-        r = match_case(tag, Embedding(g))
+        e = Embedding(build())
+        r = match_case(tag, e)
         assert r is not None and r.lemma == lemma
         if adds is not None:
             assert r.add_edges == adds
-        h = applied(g, r)
-        assert h.size() < g.size()
-        assert h.max_degree() <= g.max_degree()
-        assert r.d2_bound <= 3 * g.max_degree() + 1
+        check_step(e, r)
 
     def test_l2_10_3_uses_tighter_bound(self):
         g = gadgets.g_L2_10_3()
@@ -201,7 +194,6 @@ class TestL2_11:
         assert r.pending == (1, 5)  # center first, then the (5,5)-neighbor
         assert r.delete_vertices == () and r.delete_edges == ((1, 5),)
         assert r.d2_bound == 18
-        applied(g, r)
 
     def test_delta7_rewires_through_v4(self):
         g = gadgets.g_L2_11(delta7=True)
@@ -210,7 +202,6 @@ class TestL2_11:
         assert r.pending == (1,)
         assert r.add_edges == ((2, 5), (3, 5), (5, 7))
         assert r.d2_bound == 3 * g.max_degree()
-        applied(g, r)
 
     def test_without_54_neighbor_no_match(self):
         assert match_case("L2.11", Embedding(gadgets.g_L2_11(drop_54=True))) is None
@@ -421,22 +412,8 @@ class TestProperness:
     @settings(max_examples=25, deadline=None)
     @given(seeds)
     def test_catalog_reductions_are_sound_on_random_graphs(self, seed):
-        # one Embedding replays the steps; each snapshot validates the result
-        e = Embedding(gen_planar(12 + seed % 60, min_delta=6, seed=seed))
-        for _ in range(6):
-            size, delta = e.n + e.m, e.max_degree()
-            outcome = find_reduction(e)
-            assert isinstance(outcome, Reduction)
-            if outcome.split is not None:
-                side, _ = e.smaller_side(outcome.split)
-                e.apply(delete_vertices=side)
-            else:
-                assert check_properness(e, outcome)
-            g = e.snapshot()
-            assert g.size() < size
-            assert g.max_degree() <= delta
-            if g.n <= 6:
-                break
+        # every step, checked in place down to the base case
+        walk([gen_planar(12 + seed % 60, min_delta=6, seed=seed)])
 
     @settings(max_examples=20, deadline=None)
     @given(seeds)

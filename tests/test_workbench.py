@@ -194,6 +194,16 @@ class TestHunt:
         assert "audit totals" in audited.summary()
         assert "audit totals" not in fast.summary()
 
+    def test_gap_count_is_the_number_of_gap_reports(self, monkeypatch):
+        # with the catalog emptied, each graph is one gap at Delta >= 6 and
+        # is colored greedily; the count is read off the reports alone
+        monkeypatch.setattr(reductions, "MATCHER_ORDER", ())
+        report = hunt(2, 20, 6, 1)
+        assert report.gap_count == len(report.gap_reports) == 2
+        assert "gap count: 2" in report.summary()
+        with pytest.raises(AttributeError):
+            report.gap_count = 0
+
     def test_hunt_summary_golden(self):
         # one audit total per intermediate graph with n >= 2: 225 is the
         # hunt's step count, on which the benchmark's steps_per_s rests
