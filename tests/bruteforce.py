@@ -96,3 +96,33 @@ def properness_exhaustive(
             if dist_g.get(b, 99) <= 2 and dist_h.get(old_to_new[b], 99) > 2:
                 return False
     return True
+
+
+def cut_vertices(g: PlanarGraph) -> set[int]:
+    """The cut vertices of connected g, by one depth-first search that keeps
+    each vertex's lowpoint, the earliest discovery reached from its subtree
+    by one back edge (Hopcroft and Tarjan, CACM 16, 1973).  A vertex other
+    than the root cuts when some child's subtree reaches no earlier than it;
+    the root cuts when it has two children."""
+    if g.n < 3:
+        return set()
+    order, low, cuts, root_children = {1: 0}, {1: 0}, set(), 0
+    stack = [(1, 0, iter(g.adj(1)))]  # (vertex, its parent or 0, neighbors left)
+    while stack:
+        v, parent, todo = stack[-1]
+        for u in todo:
+            if u not in order:
+                order[u] = low[u] = len(order)
+                stack.append((u, v, iter(g.adj(u))))
+                break
+            if u != parent:
+                low[v] = min(low[v], order[u])
+        else:
+            stack.pop()
+            if parent == 1:
+                root_children += 1
+            elif parent:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= order[parent]:
+                    cuts.add(parent)
+    return cuts | {1} if root_children > 1 else cuts

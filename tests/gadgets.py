@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from twodist import Embedding, PlanarGraph
+from twodist import Embedding, PlanarGraph, SurgeryDisconnects, SurgeryNotPlanar, UnknownVertex
 from twodist.planar import edge_key
 
 Coords = dict[int, tuple[float, float]]
@@ -200,6 +200,29 @@ def icosahedron() -> PlanarGraph:
         link(up[i], low[i])
         link(up[i], low[(i + 1) % 5])
     return tutte(adj, outer=[1, 2, 3])
+
+
+def dodecahedron_adj() -> dict[int, list[int]]:
+    """The dodecahedron's adjacency: outer ring 1..5, inner ring 16..20."""
+    adj = {v: [] for v in range(1, 21)}
+
+    def link(a: int, b: int) -> None:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    for i in range(5):
+        link(i + 1, (i + 1) % 5 + 1)          # outer ring
+        link(i + 16, (i + 1) % 5 + 16)        # inner ring
+        link(i + 1, i + 6)                    # outer spokes
+        link(i + 11, i + 16)                  # inner spokes
+        link(i + 6, i + 11)                   # zigzag down
+        link(i + 11, (i + 1) % 5 + 6)         # zigzag up
+    return adj
+
+
+def dodecahedron() -> PlanarGraph:
+    """3-regular, all pentagon faces: no catalog shape is present."""
+    return tutte(dodecahedron_adj(), outer=[1, 2, 3, 4, 5])
 
 
 def two_triangles() -> PlanarGraph:
@@ -595,3 +618,101 @@ def split_sides(e: Embedding, v: int) -> tuple[set[int], set[int]]:
     other = e.rot.keys() - side - {v}
     return (side, other) if holds_low else (other, side)
 
+
+# -- sets of gadgets ----------------------------------------------------------
+
+
+def hand_corpus() -> list[PlanarGraph]:
+    """The hand-built graphs that corpus-wide checks add to the seeded
+    corpus: the basic zoo, gadgets for most catalog rows, and the
+    dodecahedron, on which the catalog runs dry."""
+    return [
+        complete4(),
+        cycle(5),
+        cycle(6),
+        star(6),
+        wheel(6),
+        octahedron(),
+        cube(),
+        icosahedron(),
+        two_triangles(),
+        grid_plus(),
+        wheel_minus_rim(4),
+        g_L2_5_2(),
+        g_L2_6(True),
+        g_L2_6(False),
+        g_L2_6(True, four_faces=2),
+        g_L2_7_1(),
+        g_L2_7_2(True),
+        g_L2_8({2: 6, 3: 6}, (4, 5)),
+        g_L2_9_3(),
+        g_L2_10_3(),
+        g_L2_11(),
+        g_L2_11(delta7=True),
+        dodecahedron(),
+    ]
+
+
+# each catalog gadget: the tag of the row to match, the lemma it fires and
+# the edges it adds
+CONFIG_CASES = [
+    ("L2.4", lambda: octahedron(), "L2.4", None),
+    ("L2.5.1", lambda: wheel_minus_rim(4), "L2.5.1", ((2, 5),)),
+    ("L2.5.2", lambda: g_L2_5_2(), "L2.5.2", ()),
+    ("L2.6.1", lambda: g_L2_6(True), "L2.6.1", ((3, 5),)),
+    ("L2.6.1", lambda: g_L2_6(False), "L2.6.1", ((2, 5), (3, 4))),
+    ("L2.6.2", lambda: g_L2_6_special_violation(0, 6), "L2.6.2", ((3, 5),)),
+    ("L2.6.3", lambda: g_L2_6(True, four_faces=2), "L2.6.3", ((3, 5),)),
+    ("L2.6.4", lambda: g_L2_6(True, four_faces=1), "L2.6.4", ((3, 5),)),
+    ("L2.6.5", lambda: g_L2_6_special_violation(1, 7), "L2.6.5", ((3, 5),)),
+    ("L2.7.1", lambda: g_L2_7_1(), "L2.7.1", ((2, 4), (2, 5))),
+    ("L2.7.2", lambda: g_L2_7_2(True), "L2.7.2", ((3, 4), (2, 5))),
+    ("L2.7.2", lambda: g_L2_7_2(False), "L2.7.2", ((2, 4), (2, 5))),
+    (
+        "L2.7.2",
+        lambda: g_L2_7_2(False, boost_first_pair=True),
+        "L2.7.2",
+        ((2, 5), (4, 5)),
+    ),
+    ("L2.8.1", lambda: icosahedron(), "L2.8.1", ()),
+    ("L2.8.2", lambda: g_L2_8({2: 5, 3: 7}, (4, 5)), "L2.8.2", ()),
+    ("L2.8.3", lambda: g_L2_8({2: 6, 3: 6}, (4, 5)), "L2.8.3", ()),
+    ("L2.9.1", lambda: g_L2_9_or_10(True), "L2.9.1", ((2, 6),)),
+    (
+        "L2.9.2",
+        lambda: g_L2_9_or_10(True, boosts={3: 6, 4: 5}, apex_edge=(4, 5)),
+        "L2.9.2",
+        ((2, 6),),
+    ),
+    ("L2.9.3", lambda: g_L2_9_3(), "L2.9.3", ((2, 6),)),
+    ("L2.10.1", lambda: g_L2_9_or_10(False), "L2.10.1", ((2, 6),)),
+    (
+        "L2.10.2",
+        lambda: g_L2_9_or_10(False, boosts={3: 7}, apex_edge=(4, 5)),
+        "L2.10.2",
+        ((2, 6),),
+    ),
+    ("L2.10.3", lambda: g_L2_10_3(), "L2.10.3", ((2, 6),)),
+    ("L2.10.4", lambda: g_L2_10_3(fans=2), "L2.10.4", ((2, 6),)),
+    ("L2.11", lambda: g_L2_11(), "L2.11.case1", ()),
+    ("L2.11", lambda: g_L2_11(delta7=True), "L2.11.case2", ((2, 5), (3, 5), (5, 7))),
+]
+
+
+# -- applies that fail --------------------------------------------------------
+
+# each (build, kwargs, error): an apply of kwargs on an Embedding of build()
+# that raises error and must change nothing
+FAILED_APPLIES = [
+    # the edge goes and 1-6 is drawn before 1-7 finds no shared face
+    (cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 6), (1, 7)]), SurgeryNotPlanar),
+    (cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
+    (two_triangles, dict(delete_vertices=[1]), SurgeryDisconnects),
+    (lambda: path(4), dict(delete_edges=[(2, 3)]), SurgeryDisconnects),
+    (lambda: wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
+    (lambda: cycle(4), dict(add_edges=[(1, 9)]), UnknownVertex),
+    (cube, dict(add_edges=[(1, 7)]), SurgeryNotPlanar),  # no shared face
+    (lambda: path(3), dict(delete_vertices=[2]), SurgeryDisconnects),
+    (lambda: cycle(4), dict(delete_edges=[(1, 3)]), UnknownVertex),  # no such edge
+    (octahedron, dict(add_edges=[(1, 1)]), SurgeryNotPlanar),  # a self-loop
+]

@@ -33,39 +33,9 @@ from twodist.planar import Embedding
 from twodist.workbench import format_audit_tsv
 
 import bruteforce
-import test_reductions
 from claims import walk
 
 MINUS_EIGHT = Fraction(-8)
-
-
-def hand_corpus():
-    graphs = [
-        gadgets.complete4(),
-        gadgets.cycle(5),
-        gadgets.cycle(6),
-        gadgets.star(6),
-        gadgets.wheel(6),
-        gadgets.octahedron(),
-        gadgets.cube(),
-        gadgets.icosahedron(),
-        gadgets.two_triangles(),
-        gadgets.grid_plus(),
-        gadgets.wheel_minus_rim(4),
-        gadgets.g_L2_5_2(),
-        gadgets.g_L2_6(True),
-        gadgets.g_L2_6(False),
-        gadgets.g_L2_6(True, four_faces=2),
-        gadgets.g_L2_7_1(),
-        gadgets.g_L2_7_2(True),
-        gadgets.g_L2_8({2: 6, 3: 6}, (4, 5)),
-        gadgets.g_L2_9_3(),
-        gadgets.g_L2_10_3(),
-        gadgets.g_L2_11(),
-        gadgets.g_L2_11(delta7=True),
-        test_reductions.dodecahedron(),
-    ]
-    return graphs
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +52,7 @@ def colorings(corpus):
 
 
 def test_criterion_1_euler_charge_identity(corpus):
-    graphs = corpus + hand_corpus()
+    graphs = corpus + gadgets.hand_corpus()
     start = time.perf_counter()
     for g in graphs:
         assert audit(g, cross_reference=False).total == MINUS_EIGHT
@@ -173,10 +143,10 @@ def test_criterion_5_reduction_soundness(colorings, corpus):
     # each bound, re-derived at every step on a sub-corpus plus every hand
     # gadget; the deep rows that no step here reaches get the same check on
     # their gadgets, one test each
-    fired = walk([g for g in corpus if g.n <= 100][:150] + hand_corpus())
+    fired = walk([g for g in corpus if g.n <= 100][:150] + gadgets.hand_corpus())
     steps = sum(fired.values()) - fired["L2.1"]
     assert steps == 8453
-    exercised = set(fired) | {lemma for _, _, lemma, _ in test_reductions.CONFIG_CASES}
+    exercised = set(fired) | {lemma for _, _, lemma, _ in gadgets.CONFIG_CASES}
     assert {"L2.4", "L2.8.1", "L2.10.3", "L2.11.case1", "L2.11.case2"} <= exercised
     print(
         f"\n[criterion 5] PASS: 0 violations over {extensions} measured "
@@ -263,7 +233,7 @@ AUDIT_AND_COLORING_DIGEST = "58060bf03a24725c50e7fb6504e12798fad2d862c5f900217e0
 
 def test_audits_and_colorings_match_recorded_digest(corpus, colorings):
     digest = hashlib.sha256()
-    for i, g in enumerate(hand_corpus() + corpus[:100]):
+    for i, g in enumerate(gadgets.hand_corpus() + corpus[:100]):
         digest.update(f"audit {i}\n".encode())
         digest.update(format_audit_tsv(g, with_trace=True).encode())
     results, _ = colorings

@@ -6,189 +6,84 @@ hook; every apply keeps it current, and an undo derives it afresh.  The
 reference is the from-scratch ``audit`` of ``e.snapshot()``: the same
 graph as a validated PlanarGraph, with the live ids renumbered in
 ascending order and faces keyed by their canonical walks, whose audit
-shares only the rule helpers with the ledger.  After
-every apply, at every hook call, and after an undo of each apply the
-engine makes (it never undoes one, so the check undoes each itself and
-applies it again), the ledger must equal that audit per
-vertex, through the snapshot's rename, and per face, through a dart of
-each face id; and the snapshot's face trace and Euler check certify the
-Embedding itself.
+shares only the rule helpers with the ledger.  ``claims.agrees_with_audit``
+compares the two per vertex, through the snapshot's rename, and per face,
+through a dart of each face id.  ``claims.checked_applies`` makes that
+comparison after every apply of the colorings here, and checks that an
+undo of each brings the ledger back.  The other tests check applies that
+fail, applies whose effect on the ledger reaches past the vertices they
+touch, and a reduction refused after its apply.
 """
 
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 import gadgets
-from twodist import (
-    DegreeBudgetExceeded,
-    RunTrace,
-    SurgeryDisconnects,
-    SurgeryNotPlanar,
-    audit,
-    color,
-    gen_planar,
-)
-from twodist.discharge import UNIT, LiveCharges, _after_r1_r2, face_keys
+from claims import agrees_with_audit, audited_in_place, covered, ledger, state
+from conftest import FLIP_SEEDS, FLIP_SIZES
+from twodist import DegreeBudgetExceeded, gen_planar
+from twodist.discharge import LiveCharges
 from twodist.planar import Embedding
 from twodist.reductions import match_case, reduce_in_place
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from test_embedding import state  # noqa: E402
-from test_engine_golden import FLIP_SEEDS, FLIP_SIZES  # noqa: E402
-from workloads import gen_flip  # noqa: E402
+from workloads import gen_flip
 
 
-def agrees_with_audit(e):
-    """The LiveCharges on e against the audit of e's snapshot, per vertex
-    and per face; its vertex units sum to their R1-R2 parts, since R3-R14
-    only move charge between neighbors, which is why its total holds none."""
-    g, rename = e.snapshot(), gadgets.dense_ids(e)
-    final = audit(g, cross_reference=False).final
-    keys = face_keys(g)
-    # each face id's canonical walk, read through its darts
-    key = {
-        f: keys[g.face[rename[x]][rename[y]]] for x, fx in e.face.items() for y, f in fx.items()
-    }
-    live = e.charges
-    units = live.vertex_units(e)
-    assert sum(units.values()) == sum(_after_r1_r2(vc, live.delta) for vc in live.classes.values())
-    assert {rename[v]: c for v, c in units.items()} == final.vertex_units
-    assert {key[f]: c for f, c in live.face_units.items()} == final.face_units
-    assert live.total_units == final.total_units()
-
-
-def ledger(e):
-    """Everything a LiveCharges holds, copied."""
-    return {name: value if type(value) is int else dict(value)
-            for name, value in vars(e.charges).items()}
-
-
-@pytest.fixture
-def followed(monkeypatch):
-    """Check the LiveCharges after every apply on an Embedding that carries
-    one, undo the apply and check again, then apply it once more; returns
-    counts of what was seen, the undos the engine made itself included."""
-    apply, undo = Embedding.apply, Embedding.undo
-    seen = Counter()
-
-    def checked_apply(self, *args, **kwargs):
-        if self.charges is None:
-            return apply(self, *args, **kwargs)
-        n, delta, before = self.n, self.max_degree(), ledger(self)
-        apply(self, *args, **kwargs)
-        # a split deletes its smaller side; the larger is never deleted
-        assert 2 * (n - self.n) <= n
-        agrees_with_audit(self)
-        seen["apply"] += 1
-        seen["delta drop"] += self.max_degree() < delta
-        # a cut-vertex split deletes one side and nothing else
-        seen["split"] += not args and list(kwargs) == ["delete_vertices"]
-        after = ledger(self)
-        undo(self)
-        assert ledger(self) == before
-        agrees_with_audit(self)
-        seen["undo"] += 1
-        apply(self, *args, **kwargs)
-        assert ledger(self) == after
-
-    def engine_undo(self):
-        seen["engine undo"] += 1
-        undo(self)
-
-    monkeypatch.setattr(Embedding, "apply", checked_apply)
-    monkeypatch.setattr(Embedding, "undo", engine_undo)
-    return seen
-
-
-def audited_in_place(g):
-    """Color g, checking the LiveCharges against the audit at every hook
-    call; a call that finds no LiveCharges attaches one, as the hunter's
-    does.  Returns counts of the calls checked and of the parts: the
-    Embeddings that reach the hook with no LiveCharges after its first
-    call, one per cut-vertex split."""
-    seen = Counter()
-
-    def hook(e, outcome):
-        if e.charges is None:
-            seen["parts"] += seen["hooked"] > 0
-            e.charges = LiveCharges(e)
-        seen["hooked"] += 1
-        if e.n < 2:
-            return
-        assert e.charges.total_units == -8 * UNIT
-        agrees_with_audit(e)
-        seen["calls"] += 1
-
-    color(g, trace=RunTrace(graph_hook=hook))
-    return seen
-
-
-def covered(seen, hooked, splits=True):
-    # every apply undone, by the check and never by the engine, and Delta
-    # drops among them; each split colors its smaller side as a part with a
-    # ledger of its own
-    assert seen["apply"] == seen["undo"] and seen["delta drop"] and not seen["engine undo"]
-    assert seen["split"] == hooked["parts"] and bool(seen["split"]) == splits
-
-
-def test_on_a_corpus_slice(small_corpus, followed):
+def test_on_a_corpus_slice(small_corpus, checked_applies):
+    # each split colors its smaller side as a part with a ledger of its own
     hooked = sum(map(audited_in_place, small_corpus[:12]), Counter())
-    assert hooked["calls"] > 100
-    covered(followed, hooked)
+    assert checked_applies["split"] == hooked["parts"]
+    covered(checked_applies)
 
 
-def test_on_flip_graphs(followed):
-    # the smaller flip graphs of the engine golden; they fire L2.4-L2.8,
-    # whose added edges split faces
-    graphs = [gen_flip(n, seed) for n in FLIP_SIZES[:2] for seed in FLIP_SEEDS]
-    hooked = sum(map(audited_in_place, graphs), Counter())
-    assert hooked["calls"] > 100
-    covered(followed, hooked, splits=False)  # no flip graph has a cut vertex
+def test_on_flip_graphs(checked_applies):
+    # the four flip graphs of size 140 of the engine golden
+    graphs = [gen_flip(FLIP_SIZES[1], seed) for seed in FLIP_SEEDS]
+    assert sum(map(audited_in_place, graphs), Counter())["parts"] == 0
+    covered(checked_applies, splits=False)  # no flip graph has a cut vertex
 
 
-def test_on_hunt_graphs(followed):
+def test_on_hunt_graphs(checked_applies):
     # the graphs workbench.hunt(3, 80, 6, 1) colors
     hooked = sum((audited_in_place(gen_planar(80, 6, s)) for s in (1, 2, 3)), Counter())
-    assert hooked["calls"] > 100
-    covered(followed, hooked)
+    assert checked_applies["split"] == hooked["parts"]
+    covered(checked_applies)
 
 
-FAILED_APPLIES = pytest.mark.parametrize(
-    "build, kwargs, error",
-    [
-        # the edge goes and 1-6 is drawn before 1-7 finds no shared face
-        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 6), (1, 7)]), SurgeryNotPlanar),
-        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
-        (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
-    ],
+# the failed applies of gadgets.FAILED_APPLIES that undo part of their own
+# surgery before they raise
+UNDONE_SURGERY = pytest.mark.parametrize(
+    "build, kwargs, error", [gadgets.FAILED_APPLIES[i] for i in (0, 1, 4)]
 )
 
 
-@FAILED_APPLIES
-def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error):
+@UNDONE_SURGERY
+def test_a_failed_apply_leaves_the_ledger_as_it_was(build, kwargs, error, checked_applies):
+    # the ledger never follows the failed apply, and follows the next one,
+    # checked in full, from where it was
     e = Embedding(build())
     e.charges = LiveCharges(e)
     before = ledger(e)
     with pytest.raises(error):
         e.apply(**kwargs)
     assert ledger(e) == before
-    agrees_with_audit(e)
+    e.apply(delete_edges=[(1, e.rot[1][0])])
+    assert checked_applies["followed"] == 1
 
 
-@FAILED_APPLIES
+@UNDONE_SURGERY
 def test_a_failed_apply_after_a_commit_leaves_graph_and_ledger_as_they_were(build, kwargs, error):
-    # a ledger attached with an apply in force that committed (made final)
-    # the one before it
+    # a ledger attached with an apply in force that made the one before it
+    # final; after the failed apply, an undo of the one in force derives
+    # the ledger afresh on the graph with the last pendant back
     e = gadgets.embedding_with_an_apply_in_force(build())
     e.charges = LiveCharges(e)
     before, rotation = ledger(e), {v: list(r) for v, r in e.rot.items()}
     with pytest.raises(error):
         e.apply(**kwargs)
     assert ledger(e) == before and e.rot == rotation
+    e.undo()
+    assert gadgets.in_force(e) == 0 and len(e.charges.classes) == len(rotation) + 1
     agrees_with_audit(e)
 
 

@@ -5,16 +5,12 @@ of ``HuntReport``, ``RunTrace`` and ``ProofGapReport``.  Running them here
 makes a renamed or deleted name fail the tests instead of the benchmark."""
 
 import dataclasses
-import sys
-from pathlib import Path
 
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-import hostspeed  # noqa: E402
-import layers  # noqa: E402
-import workloads  # noqa: E402
-from test_reductions import dodecahedron  # noqa: E402
-from twodist import colorer, discharge, gen_planar, planar, reductions, workbench  # noqa: E402
+import gadgets
+import hostspeed
+import layers
+import workloads
+from twodist import colorer, discharge, gen_planar, planar, reductions, workbench
 
 
 def _bindings():
@@ -83,7 +79,7 @@ def test_the_workloads_read_what_hunt_and_a_trace_hold():
     assert sum(report.audit_totals.values()) == sample.steps
     # the checks read RunTrace.gaps and each gap's ProofGapReport.delta:
     # the dodecahedron, with Delta = 3, leaves the catalog a gap
-    g = dodecahedron()
+    g = gadgets.dodecahedron()
     trace = colorer.RunTrace()
     c = colorer.color(g, trace=trace)
     assert trace.steps == [] and [gap.delta for gap in trace.gaps] == [3]

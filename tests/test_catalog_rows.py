@@ -34,19 +34,15 @@ intermediate graphs of the engine, the one test here on graphs.
 """
 
 import dataclasses
-import sys
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, product
-from pathlib import Path
 
+from claims import without
 from twodist import RunTrace, color, gen_planar
 from twodist.classify import is_special_vertex
 from twodist.planar import distance_profile
 from twodist.reductions import RULES
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
+from workloads import gen_flip
 
 
 def drawn(picks, delta, degrees):
@@ -113,17 +109,6 @@ def failures(rules):
             if any(far_pairs(corners, chords) for corners in sizings):
                 failed.append((rule.tag, chords))
     return failed, checked
-
-
-def without(rule, chord):
-    """A copy of the row with chord dropped from every pick."""
-    anchors = tuple(
-        (pattern, tuple(
-            (*pick, tuple(c for c in chords if c != chord)) for *pick, chords in picks
-        ))
-        for pattern, picks in rule.anchors
-    )
-    return dataclasses.replace(rule, anchors=anchors)
 
 
 def test_every_row_keeps_its_labels_within_distance_two():

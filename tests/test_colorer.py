@@ -200,18 +200,15 @@ class TestColor:
 
     def test_dodecahedron_uses_greedy_fallback(self):
         # the catalog runs dry (delta 3), but greedy fits into 3*3+2 colors
-        import test_reductions
-
-        g = test_reductions.dodecahedron()
+        g = gadgets.dodecahedron()
         c = color(g)
         assert verify_coloring(g, c).valid
         assert c.colors_used <= c.budget == 11
 
     def test_budget_exhausted_carries_the_gap(self):
-        import test_reductions
         from twodist import BudgetExhausted
 
-        g = test_reductions.dodecahedron()
+        g = gadgets.dodecahedron()
         with pytest.raises(BudgetExhausted) as exc:
             color(g, k=2)  # far too few colors for the greedy fallback
         assert exc.value.gap is not None

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgets
-from test_acceptance import hand_corpus
 from twodist import classify, discharge, reductions
 from twodist import audit, classify_all, gen_planar
 from twodist.discharge import (
@@ -173,7 +172,7 @@ class TestAudit:
 
     def test_negative_elements_match_recorded_digest(self):
         digest = hashlib.sha256()
-        for i, g in enumerate(hand_corpus()):
+        for i, g in enumerate(gadgets.hand_corpus()):
             negatives = audit(g, cross_reference=False).negative_elements
             digest.update(f"graph {i} {negatives!r}\n".encode())
         assert digest.hexdigest() == NEGATIVE_ELEMENTS_DIGEST
@@ -271,7 +270,7 @@ class TestAudit:
         # a negative 4- or 5-vertex is labelled bad4/bad5 exactly when
         # replaying the R1 and R2 transfers alone leaves it negative
         labelled = [0, 0]
-        for g in small_corpus + hand_corpus():
+        for g in small_corpus + gadgets.hand_corpus():
             rep = audit(g, cross_reference=False)
             classes = classify_all(g)
             partial = dict(rep.initial.vertex_units)

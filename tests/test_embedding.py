@@ -1,19 +1,22 @@
 """The engine's Embedding against recomputation from scratch.
 
 Every apply the engine makes while coloring a corpus slice and some flip
-graphs is followed by a full check: the rotation is rebuilt as a validated
-PlanarGraph, its faces traced and its cut vertices found by
-``is_cut_vertex``, and all of that must equal what the embedding kept up to
-date locally.  The engine never undoes an apply, so the check undoes each
-itself, which must restore the state before the apply exactly, and applies
-it again.  An Embedding holds one undo frame: a successful apply makes the
-one before it final, and a failed apply must leave nothing changed, the
-apply before it still in force.
+graphs runs under ``claims.checked_applies``, as do the colorings of
+``test_audit_in_place`` and ``test_live_charges``: the rotation is rebuilt as a validated PlanarGraph, its faces traced and its
+cut vertices found by a reference search, and all of that must equal what
+the embedding kept up to date locally; the apply's change record must say
+what a diff says, and an attached charge ledger what the audit says.  The
+engine never undoes an apply, so the check undoes each itself, which must
+restore the state before the apply exactly, and applies it again.  An
+Embedding holds one undo frame: a successful apply makes the one before it
+final, and a failed apply must leave nothing changed, the apply before it
+still in force.
 """
 
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadgets
+from claims import (
+    agrees_with_audit,
+    audited_in_place,
+    check_against_scratch,
+    covered,
+    ledger,
+    state,
+)
+from conftest import FLIP_SEEDS, FLIP_SIZES
 from twodist import (
     InvariantViolated,
     Reduction,
@@ -40,84 +52,9 @@ from twodist.classify import classify_all
 from twodist.discharge import LiveCharges
 from twodist.errors import NoApplyInForce
 from twodist.oracle import greedy_square
-from twodist.planar import Embedding, is_cut_vertex, reachable, square
+from twodist.planar import Embedding, reachable, square
 from twodist.reductions import MATCHER_ORDER, match_case, reduce_in_place
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
-
-
-def state(e):
-    """Everything an Embedding holds, copied."""
-    return (
-        {v: list(r) for v, r in e.rot.items()},
-        {v: dict(f) for v, f in e.face.items()},
-        dict(e.fdeg),
-        e.m,
-        {d: list(vs) for d, vs in e.bydeg.items()},
-        set(e.cuts),
-        gadgets.in_force(e),
-    )
-
-
-def check_against_scratch(e):
-    g = e.snapshot()  # a validated PlanarGraph: symmetric, connected, Euler
-    old_to_new = gadgets.dense_ids(e)
-    live = list(old_to_new)
-    assert (e.n, e.m) == (g.n, g.m)
-    assert [[old_to_new[u] for u in e.rot[v]] for v in live] == list(map(list, g.rotation))
-
-    assert len(e.fdeg) == len(g.fdeg)
-    ids = {}  # kept face id -> traced face index, which must be a bijection
-    for v in live:
-        w, r = old_to_new[v], e.rot[v]
-        for u in r:
-            traced = g.face[w][old_to_new[u]]
-            assert ids.setdefault(e.face[v][u], traced) == traced
-        assert e.corner_degrees(v) == tuple(
-            g.fdeg[g.face[w][old_to_new[u]]] for u in r[1:] + r[:1]
-        )
-    assert len(set(ids.values())) == len(ids) == len(g.fdeg)
-    assert all(e.fdeg[f] == g.fdeg[i] for f, i in ids.items())
-
-    hist = {}
-    for v in live:  # ascending, so each bucket must be too
-        hist.setdefault(len(e.rot[v]), []).append(v)
-    assert e.bydeg == hist
-    assert (e.min_degree(), e.max_degree()) == (min(hist, default=0), max(hist, default=0))
-    assert e.cuts == {v for v in live if is_cut_vertex(g, old_to_new[v])}
-
-
-@pytest.fixture
-def checked(monkeypatch):
-    """Check the embedding after every apply the engine makes, undo it and
-    check again, then apply it once more; returns the number of applies,
-    of their undos and of the undos the engine made itself."""
-    apply, undo = Embedding.apply, Embedding.undo
-    seen = [0, 0, 0]
-
-    def checked_apply(self, *args, **kwargs):
-        before = state(self)
-        apply(self, *args, **kwargs)  # a failed one undoes itself
-        seen[0] += 1
-        check_against_scratch(self)
-        after = state(self)
-        undo(self)
-        seen[1] += 1
-        # all but the frame: the apply before this one is final already
-        assert state(self)[:-1] == before[:-1] and gadgets.in_force(self) == 0
-        check_against_scratch(self)
-        apply(self, *args, **kwargs)
-        assert state(self) == after  # face ids included
-
-    def engine_undo(self):
-        seen[2] += 1
-        undo(self)
-
-    monkeypatch.setattr(Embedding, "apply", checked_apply)
-    monkeypatch.setattr(Embedding, "undo", engine_undo)
-    return seen
+from workloads import gen_flip
 
 
 def two_wheels():
@@ -340,19 +277,23 @@ def test_a_part_refuses_an_unknown_id_and_a_disconnected_side(side, error):
     assert state(e) == before
 
 
-def test_every_step_of_a_corpus_slice(small_corpus, checked):
-    graphs = [g for g in small_corpus if g.n <= 70][:8]
+def test_every_step_of_a_corpus_slice(small_corpus, checked_applies):
+    # the first 6 graphs with n <= 70 after small_corpus[:12], which
+    # test_audit_in_place colors, and four gadgets; each split colors its
+    # smaller side as a part with a ledger of its own
+    graphs = [g for g in small_corpus[12:] if g.n <= 70][:6]
     graphs += [gadgets.two_triangles(), two_wheels(), gadgets.g_L2_11(), gadgets.g_L2_7_1()]
-    for g in graphs:
-        assert verify_coloring(g, color(g)).valid
-    assert checked[0] == checked[1] > 100 and checked[2] == 0
+    hooked = sum(map(audited_in_place, graphs), Counter())
+    assert checked_applies["split"] == hooked["parts"]
+    covered(checked_applies)
 
 
-def test_every_step_of_flip_graphs(checked):
-    for seed in (101000, 101001):
-        g = gen_flip(80, seed)
-        assert verify_coloring(g, color(g)).valid
-    assert checked[0] == checked[1] > 50 and checked[2] == 0
+def test_every_step_of_flip_graphs(checked_applies):
+    # the four flip graphs of size 80 of the engine golden; they fire
+    # L2.4-L2.8, whose added edges split faces
+    graphs = [gen_flip(FLIP_SIZES[0], seed) for seed in FLIP_SEEDS]
+    assert sum(map(audited_in_place, graphs), Counter())["parts"] == 0
+    covered(checked_applies, splits=False)  # no flip graph has a cut vertex
 
 
 def test_a_run_holds_no_undo_history(small_corpus):
@@ -517,44 +458,30 @@ def test_keeping_the_smaller_side_then_adding_an_edge():
     check_against_scratch(e)
 
 
-FAILED_APPLIES = pytest.mark.parametrize(
-    "build, kwargs, error",
-    [
-        # the edge goes and 1-6 is drawn before 1-7 finds no shared face
-        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 6), (1, 7)]), SurgeryNotPlanar),
-        (gadgets.cube, dict(delete_edges=[(1, 2)], add_edges=[(1, 7)]), SurgeryNotPlanar),
-        (gadgets.two_triangles, dict(delete_vertices=[1]), SurgeryDisconnects),
-        (lambda: gadgets.path(4), dict(delete_edges=[(2, 3)]), SurgeryDisconnects),
-        (lambda: gadgets.wheel(6), dict(delete_vertices=[1, 3, 5, 7]), SurgeryDisconnects),
-        (lambda: gadgets.cycle(4), dict(add_edges=[(1, 9)]), UnknownVertex),
-        (gadgets.cube, dict(add_edges=[(1, 7)]), SurgeryNotPlanar),  # no shared face
-        (lambda: gadgets.path(3), dict(delete_vertices=[2]), SurgeryDisconnects),
-        (lambda: gadgets.cycle(4), dict(delete_edges=[(1, 3)]), UnknownVertex),  # no such edge
-        (gadgets.octahedron, dict(add_edges=[(1, 1)]), SurgeryNotPlanar),  # a self-loop
-    ],
-)
+FAILED_APPLIES = pytest.mark.parametrize("build, kwargs, error", gadgets.FAILED_APPLIES)
+
+
+def check_a_failed_apply(e, kwargs, error):
+    # with a ledger attached, which never follows the failed apply
+    e.charges = LiveCharges(e)
+    before = state(e), ledger(e)
+    with pytest.raises(error):
+        e.apply(**kwargs)
+    assert (state(e), ledger(e)) == before
+    check_against_scratch(e)
+    agrees_with_audit(e)
 
 
 @FAILED_APPLIES
 def test_failed_apply_changes_nothing(build, kwargs, error):
-    e = Embedding(build())
-    before = state(e)
-    with pytest.raises(error):
-        e.apply(**kwargs)
-    assert state(e) == before
-    check_against_scratch(e)
+    check_a_failed_apply(Embedding(build()), kwargs, error)
 
 
 @FAILED_APPLIES
 def test_failed_apply_after_a_commit_changes_nothing(build, kwargs, error):
-    # the gadget's last apply committed (made final) the one before it; the
-    # rollback needs nothing of that history, and leaves the last in force
-    e = gadgets.embedding_with_an_apply_in_force(build())
-    before = state(e)
-    with pytest.raises(error):
-        e.apply(**kwargs)
-    assert state(e) == before
-    check_against_scratch(e)
+    # the gadget's last apply made the one before it final; the rollback
+    # needs nothing of that history, and leaves the last in force
+    check_a_failed_apply(gadgets.embedding_with_an_apply_in_force(build()), kwargs, error)
 
 
 def test_a_failed_apply_leaves_the_apply_before_it_in_force():

@@ -20,22 +20,14 @@ past every bench workload, where splits cut off more than a hub's leaves.
 """
 
 import hashlib
-import sys
-from pathlib import Path
 
 import pytest
 
 import gadgets
-from test_acceptance import hand_corpus
+from conftest import FLIP_SEEDS, FLIP_SIZES
 from twodist import RunTrace, color, colorer, gen_planar, write_coloring
 from twodist.reductions import Reduction
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
-
-FLIP_SIZES = (80, 140, 190, 250)
-FLIP_SEEDS = range(101000, 101004)
+from workloads import gen_flip
 
 # recorded when a chord drawn into a face that visits its endpoint twice
 # went to the visit where that endpoint lost the deleted centre, not the
@@ -52,7 +44,7 @@ LARGE_RUN_DIGESTS = {
 
 
 def test_intermediate_graphs_match_recorded_digest(corpus):
-    graphs = hand_corpus() + corpus[:100]
+    graphs = gadgets.hand_corpus() + corpus[:100]
     graphs += [gen_flip(n, seed) for n in FLIP_SIZES for seed in FLIP_SEEDS]
     digest = hashlib.sha256()
 

@@ -9,15 +9,10 @@ around), some flip triangulations, and the graphs with n = 0, 1 and 2.
 """
 
 import hashlib
-import sys
-from pathlib import Path
 
-from test_acceptance import hand_corpus
+import gadgets
 from twodist import PlanarGraph
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
+from workloads import gen_flip
 
 FLIP_SIZES = (30, 80, 150)
 FLIP_SEEDS = (7, 101000)
@@ -31,7 +26,7 @@ def mirror(g):
 
 
 def test_traced_faces_match_recorded_digest(corpus):
-    graphs = hand_corpus() + corpus[:200]
+    graphs = gadgets.hand_corpus() + corpus[:200]
     graphs += [mirror(g) for g in graphs]
     graphs += [gen_flip(n, seed) for n in FLIP_SIZES for seed in FLIP_SEEDS]
     graphs += [PlanarGraph([]), PlanarGraph([()]), PlanarGraph([(2,), (1,)])]

@@ -1,12 +1,14 @@
-"""The change record that ``Embedding.apply`` hands the live charge ledger,
-and what following it costs.
+"""The live charge ledger as it follows applies, and what following costs.
 
 ``LiveCharges.follow`` reads nothing of an apply but its ``Change``: the
 deleted ids, the faces popped and born, each survivor's lost neighbors
 and the edges drawn, each with the face it shrank.  So the record must
-say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says.
-The ledger writes nothing into the apply's undo log: an undo derives it
-afresh, so it may attach to an Embedding whose earlier apply it never saw.
+say exactly what a before/after diff of ``e.rot`` and ``e.fdeg`` says,
+and the ledger writes nothing into the apply's undo log: an undo derives
+it afresh, so it may attach to an Embedding whose earlier apply it never
+saw.  ``claims.checked_applies`` checks both after every apply, here on
+the hunter's runs, on colorings with no ledger attached and on stacked
+random applies the engine never makes.
 It keeps no R3-R14 state: its one per-vertex view, ``vertex_units(e)``,
 derives each vertex's units when read, its ``_after_r1_r2`` part moved by
 the one helper, ``_income``, that the audit's ``apply_rules`` runs for its
@@ -20,8 +22,17 @@ from collections import Counter
 import pytest
 
 import gadgets
-from test_audit_in_place import agrees_with_audit, audited_in_place
-from twodist import RunTrace, TwodistError, audit, color, discharge, gen_planar, hunt
+from claims import agrees_with_audit, covered
+from twodist import (
+    RunTrace,
+    TwodistError,
+    audit,
+    color,
+    discharge,
+    gen_planar,
+    hunt,
+    verify_coloring,
+)
 from twodist.classify import classify_vertex
 from twodist.discharge import LiveCharges, _after_r1_r2
 from twodist.planar import Embedding
@@ -44,33 +55,28 @@ def test_attaching_with_an_apply_in_force_then_undoing_it():
     agrees_with_audit(e)
 
 
-@pytest.fixture
-def unlogged(monkeypatch):
-    """Check that LiveCharges.follow leaves the apply's undo log as it
-    found it; returns the count of the calls checked."""
-    follow = LiveCharges.follow
-    seen = Counter()
-
-    def checked(self, e, change):
-        entries = len(change.log)
-        follow(self, e, change)
-        assert len(change.log) == entries
-        seen["follow"] += 1
-
-    monkeypatch.setattr(LiveCharges, "follow", checked)
-    return seen
-
-
-def test_the_hunters_ledger_writes_no_undo_entry(unlogged):
+def test_the_hunters_ledger_writes_no_undo_entry(checked_applies):
+    # the hunter attaches the ledgers itself and reads -8 from each; the
+    # check asserts that follow adds no entry to the undo log it is handed
     report = hunt(3, 80, 6, 1)
-    assert unlogged["follow"] > 100 and sum(report.audit_totals.values()) > 100
+    assert report.colorings_valid == 3 and list(report.audit_totals) == ["-8"]
+    assert report.audit_totals["-8"] > 100
+    covered(checked_applies)
+
+
+def test_the_change_record_matches_a_diff(checked_applies):
+    # the graphs hunt(3, 80, 6, 1) colors, with no ledger attached: the
+    # check reads each apply's Change from its undo frame all the same
+    for s in (1, 2, 3):
+        g = gen_planar(80, 6, s)
+        assert verify_coloring(g, color(g)).valid
+    covered(checked_applies, ledgers=False)
 
 
 def test_attaching_after_a_commit():
-    # the spoke's deletion commits (makes final) the rim deletion, so the
-    # ledger attaches to the graph both left, follows the next apply from
-    # there, and an undo of that brings back the graph without the rim
-    # vertex
+    # the spoke's deletion makes the rim deletion final, so the ledger
+    # attaches to the graph both left, follows the next apply from there,
+    # and an undo of that brings back the graph without the rim vertex
     e = Embedding(gadgets.wheel(8))
     e.apply(delete_vertices=[2])
     e.apply(delete_edges=[(1, 5)])
@@ -158,55 +164,11 @@ def test_losing_one_spoke_costs_the_same_at_any_hub_degree(k, calls):
     agrees_with_audit(e)
 
 
-@pytest.fixture
-def recorded(monkeypatch):
-    """Check the Change of every apply that a LiveCharges follows against a
-    diff of the vertex ids and face degrees before and after it; returns
-    counts of what was seen."""
-    apply, follow = Embedding.apply, LiveCharges.follow
-    changes = []
-    seen = Counter()
-
-    def kept_follow(self, e, change):
-        changes.append(change)
-        return follow(self, e, change)
-
-    def checked_apply(self, *args, **kwargs):
-        if self.charges is None:
-            return apply(self, *args, **kwargs)
-        ids, fdeg = set(self.rot), dict(self.fdeg)
-        apply(self, *args, **kwargs)
-        ch = changes.pop()
-        assert ch.dels == ids - self.rot.keys()
-        assert ch.born.keys() == self.fdeg.keys() - fdeg.keys()
-        seen["apply"] += 1
-        assert ch.popped == fdeg.keys() - self.fdeg.keys()
-        resized = dict(ch.links)  # each face with the last dart a link left on it
-        assert resized.keys() - ch.born.keys() == {
-            f for f, d in self.fdeg.items() if f in fdeg and fdeg[f] != d
-        }
-        for f, (x, y) in resized.items():
-            assert self.face[x][y] == f
-        for f, darts in ch.born.items():
-            if f in resized:
-                seen["born, then split"] += 1  # its birth darts are stale
-            else:
-                assert sorted(darts) == sorted(self.walk(darts[0]))
-
-    monkeypatch.setattr(LiveCharges, "follow", kept_follow)
-    monkeypatch.setattr(Embedding, "apply", checked_apply)
-    return seen
-
-
-def test_the_change_record_matches_a_diff(small_corpus, recorded):
-    assert sum(audited_in_place(g)["calls"] for g in small_corpus[:12]) > 100
-    assert recorded["apply"] > 100 and recorded["born, then split"]
-
-
-def test_stacked_random_applies_and_their_undos(unlogged):
+def test_stacked_random_applies_and_their_undos(checked_applies):
     # applies the engine never makes, four stacked on one graph, mixing
-    # deletions with drawn edges, some an edge deleted and drawn again; each
-    # is undone right after, then made again for the next to build on
+    # deletions with drawn edges, some an edge deleted and drawn again; the
+    # check undoes each right after, then makes it again for the next to
+    # build on
     rng = random.Random(5)
     redrawn = applied = 0
     for _ in range(60):
@@ -222,13 +184,8 @@ def test_stacked_random_applies_and_their_undos(unlogged):
             try:
                 e.apply(dels, cut, drawn)
             except TwodistError:
-                continue
-            finally:
                 agrees_with_audit(e)
+                continue
             applied += 1
             redrawn += bool(set(cut) & set(drawn))
-            e.undo()
-            agrees_with_audit(e)
-            e.apply(dels, cut, drawn)
-            agrees_with_audit(e)
-    assert applied > 60 and redrawn and unlogged["follow"]
+    assert applied > 60 and redrawn and checked_applies["followed"] == applied

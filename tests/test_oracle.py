@@ -1,13 +1,10 @@
 import hashlib
-import sys
-from pathlib import Path
 
 import pytest
 
 import bruteforce
 import gadgets
-from conftest import corpus_specs
-from test_engine_golden import FLIP_SEEDS, FLIP_SIZES
+from conftest import FLIP_SEEDS, FLIP_SIZES, corpus_specs
 from twodist import (
     PlanarGraph,
     RunTrace,
@@ -18,10 +15,7 @@ from twodist import (
 )
 from twodist.oracle import DEFAULT_NODE_BUDGET, greedy_square
 from twodist.planar import Embedding, distance_profile
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
+from workloads import gen_flip
 
 ZOO = [
     gadgets.cycle(5),

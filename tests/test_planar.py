@@ -311,17 +311,18 @@ class TestCutVertices:
         g = gadgets.path(3)
         assert is_cut_vertex(g, 2)
         assert not is_cut_vertex(g, 1)
+        assert bruteforce.cut_vertices(g) == {2}
         (first, _), (second, _) = parts(g, 2)
         assert first.n == 2 and second.n == 2
 
     def test_cycle_has_none(self):
         g = gadgets.cycle(5)
-        assert Embedding(g).cuts == set()
+        assert Embedding(g).cuts == set() == bruteforce.cut_vertices(g)
         assert not any(is_cut_vertex(g, v) for v in g.vertices())
 
     def test_two_triangles(self):
         g = gadgets.two_triangles()
-        assert Embedding(g).cuts == {1}
+        assert Embedding(g).cuts == {1} == bruteforce.cut_vertices(g)
         (first, first_ids), (second, second_ids) = parts(g, 1)
         for part in (first, second):
             assert part.n == 3 and part.m == 3
@@ -338,7 +339,7 @@ class TestCutVertices:
             ([(2,), (1, 3), (2,)], {2}),
         ):
             g = PlanarGraph(rotation)
-            assert Embedding(g).cuts == cuts
+            assert Embedding(g).cuts == cuts == bruteforce.cut_vertices(g)
             assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
 
     def test_not_a_cut_vertex(self):
@@ -352,6 +353,7 @@ class TestCutVertices:
         cuts = Embedding(g).cuts
         for v in g.vertices():
             assert (v in cuts) == is_cut_vertex(g, v)
+        assert cuts == bruteforce.cut_vertices(g)
 
     @settings(max_examples=25, deadline=None)
     @given(seeds)
@@ -360,6 +362,7 @@ class TestCutVertices:
         g = gen_planar(14 + seed % 60, min_delta=6, seed=seed)
         cuts = Embedding(g).cuts
         assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
+        assert cuts == bruteforce.cut_vertices(g)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -375,4 +378,4 @@ class TestCutVertices:
         assert len(g.faces) == (1 if n > 1 else 0)
         cuts = Embedding(g).cuts
         assert cuts == {v for v in g.vertices() if is_cut_vertex(g, v)}
-        assert cuts == {v for v in g.vertices() if g.degree(v) > 1}
+        assert cuts == {v for v in g.vertices() if g.degree(v) > 1} == bruteforce.cut_vertices(g)

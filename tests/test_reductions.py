@@ -28,33 +28,9 @@ from twodist import cli
 from twodist.cli import main
 from twodist.planar import distance_profile
 from twodist.reductions import MATCHER_ORDER, ProofGapReport, _Ctx, _m_L2_11
-from test_embedding import state
-from claims import check_step, walk
+from claims import check_step, state, walk
 
 seeds = st.integers(min_value=0, max_value=10**6)
-
-
-def dodecahedron_adj() -> dict[int, list[int]]:
-    """The dodecahedron's adjacency: outer ring 1..5, inner ring 16..20."""
-    adj = {v: [] for v in range(1, 21)}
-
-    def link(a, b):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    for i in range(5):
-        link(i + 1, (i + 1) % 5 + 1)          # outer ring
-        link(i + 16, (i + 1) % 5 + 16)        # inner ring
-        link(i + 1, i + 6)                    # outer spokes
-        link(i + 11, i + 16)                  # inner spokes
-        link(i + 6, i + 11)                   # zigzag down
-        link(i + 11, (i + 1) % 5 + 6)         # zigzag up
-    return adj
-
-
-def dodecahedron():
-    """3-regular, all pentagon faces: no catalog shape is present."""
-    return gadgets.tutte(dodecahedron_adj(), outer=[1, 2, 3, 4, 5])
 
 
 class TestEarlyMatchers:
@@ -122,52 +98,8 @@ class TestEarlyMatchers:
         assert find_reduction(Embedding(gadgets.wheel(6))).lemma == "L2.3.1"
 
 
-CONFIG_CASES = [
-    ("L2.4", lambda: gadgets.octahedron(), "L2.4", None),
-    ("L2.5.1", lambda: gadgets.wheel_minus_rim(4), "L2.5.1", ((2, 5),)),
-    ("L2.5.2", lambda: gadgets.g_L2_5_2(), "L2.5.2", ()),
-    ("L2.6.1", lambda: gadgets.g_L2_6(True), "L2.6.1", ((3, 5),)),
-    ("L2.6.1", lambda: gadgets.g_L2_6(False), "L2.6.1", ((2, 5), (3, 4))),
-    ("L2.6.2", lambda: gadgets.g_L2_6_special_violation(0, 6), "L2.6.2", ((3, 5),)),
-    ("L2.6.3", lambda: gadgets.g_L2_6(True, four_faces=2), "L2.6.3", ((3, 5),)),
-    ("L2.6.4", lambda: gadgets.g_L2_6(True, four_faces=1), "L2.6.4", ((3, 5),)),
-    ("L2.6.5", lambda: gadgets.g_L2_6_special_violation(1, 7), "L2.6.5", ((3, 5),)),
-    ("L2.7.1", lambda: gadgets.g_L2_7_1(), "L2.7.1", ((2, 4), (2, 5))),
-    ("L2.7.2", lambda: gadgets.g_L2_7_2(True), "L2.7.2", ((3, 4), (2, 5))),
-    ("L2.7.2", lambda: gadgets.g_L2_7_2(False), "L2.7.2", ((2, 4), (2, 5))),
-    (
-        "L2.7.2",
-        lambda: gadgets.g_L2_7_2(False, boost_first_pair=True),
-        "L2.7.2",
-        ((2, 5), (4, 5)),
-    ),
-    ("L2.8.1", lambda: gadgets.icosahedron(), "L2.8.1", ()),
-    ("L2.8.2", lambda: gadgets.g_L2_8({2: 5, 3: 7}, (4, 5)), "L2.8.2", ()),
-    ("L2.8.3", lambda: gadgets.g_L2_8({2: 6, 3: 6}, (4, 5)), "L2.8.3", ()),
-    ("L2.9.1", lambda: gadgets.g_L2_9_or_10(True), "L2.9.1", ((2, 6),)),
-    (
-        "L2.9.2",
-        lambda: gadgets.g_L2_9_or_10(True, boosts={3: 6, 4: 5}, apex_edge=(4, 5)),
-        "L2.9.2",
-        ((2, 6),),
-    ),
-    ("L2.9.3", lambda: gadgets.g_L2_9_3(), "L2.9.3", ((2, 6),)),
-    ("L2.10.1", lambda: gadgets.g_L2_9_or_10(False), "L2.10.1", ((2, 6),)),
-    (
-        "L2.10.2",
-        lambda: gadgets.g_L2_9_or_10(False, boosts={3: 7}, apex_edge=(4, 5)),
-        "L2.10.2",
-        ((2, 6),),
-    ),
-    ("L2.10.3", lambda: gadgets.g_L2_10_3(), "L2.10.3", ((2, 6),)),
-    ("L2.10.4", lambda: gadgets.g_L2_10_3(fans=2), "L2.10.4", ((2, 6),)),
-    ("L2.11", lambda: gadgets.g_L2_11(), "L2.11.case1", ()),
-    ("L2.11", lambda: gadgets.g_L2_11(delta7=True), "L2.11.case2", ((2, 5), (3, 5), (5, 7))),
-]
-
-
 class TestConfigurationCatalog:
-    @pytest.mark.parametrize("tag,build,lemma,adds", CONFIG_CASES)
+    @pytest.mark.parametrize("tag,build,lemma,adds", gadgets.CONFIG_CASES)
     def test_matcher_fires_and_applies_soundly(self, tag, build, lemma, adds):
         e = Embedding(build())
         r = match_case(tag, e)
@@ -240,7 +172,7 @@ class TestFindReduction:
     def test_dodecahedron_exhausts_catalog(self):
         # 3-regular with pentagon faces: every vertex is a 3-vertex whose
         # neighbors all have the maximum degree, with no 3- or 4-face
-        g = dodecahedron()
+        g = gadgets.dodecahedron()
         outcome = find_reduction(Embedding(g))
         assert isinstance(outcome, ProofGapReport)
         assert outcome.delta == 3  # far below the guarantee threshold
@@ -255,12 +187,12 @@ class TestFindReduction:
 
     def test_gap_report_carries_the_graph_in_dense_ids(self):
         # the Embedding of a PlanarGraph gives the graph itself back
-        g = dodecahedron()
+        g = gadgets.dodecahedron()
         assert find_reduction(Embedding(g)).graph == g
         # a dodecahedron on ids 2..21, with vertex 1 drawn in its inner
         # pentagon and joined to three corners, then deleted: an Embedding
         # whose ids have a gap
-        adj = {v + 1: [u + 1 for u in nbrs] for v, nbrs in dodecahedron_adj().items()}
+        adj = {v + 1: [u + 1 for u in nbrs] for v, nbrs in gadgets.dodecahedron_adj().items()}
         adj[1] = [17, 18, 20]
         for v in adj[1]:
             adj[v].append(1)

@@ -16,20 +16,14 @@ surgery would disconnect the graph.  The other 25 entries of
 """
 
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from twodist import RunTrace, color, gen_planar, reductions, verify_coloring
 from twodist.reductions import MATCHER_ORDER, RULES
-from claims import walk
-from test_catalog_rows import without
-
-sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import gen_flip  # noqa: E402
+from claims import walk, without
+from workloads import gen_flip
 
 
 def shuffled(p):

@@ -22,6 +22,8 @@ import pytest
 from twodist import color, gen_planar, hunt
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "twodist").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+CHECKED = {("Embedding", "apply"), ("Embedding", "undo"), ("LiveCharges", "follow")}
 
 
 def nodes(path: Path) -> list[ast.AST]:
@@ -77,3 +79,26 @@ def test_leaves_the_garbage_collector_as_it_found_it(run, enabled):
     finally:
         (gc.enable if was[0] else gc.disable)()
         gc.set_threshold(*was[1])
+
+
+def rebound(path: Path) -> set[tuple[str, str]]:
+    """Each (class, attribute) that one file rebinds, by an assignment or a
+    setattr call, the class named without its module."""
+    found = set()
+    for node in nodes(path):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add((ast.unparse(node.value), node.attr))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setattr"):
+            owner, name = node.args[:2]
+            found.add((ast.unparse(owner), getattr(name, "value", None)))
+    return {(owner.rpartition(".")[2], name) for owner, name in found}
+
+
+def test_only_claims_rebinds_the_methods_it_checks():
+    rebinding = {path.name: rebound(path) & CHECKED for path in TESTS}
+    assert {name: pairs for name, pairs in rebinding.items() if pairs} == {"claims.py": CHECKED}
+
+
+def test_no_test_module_imports_another():
+    imports = {path.name: absolute_imports(path) for path in TESTS}
+    assert {name for name, modules in imports.items() if any(m.startswith("test_") for m in modules)} == set()

@@ -294,10 +294,8 @@ class TestCli:
         assert "L2.4" in out and "proper=yes" in out
 
     def test_reduce_reports_a_gap_below_delta_6_and_exits_0(self, tmp_path, capsys):
-        from test_reductions import dodecahedron
-
         gfile = tmp_path / "g.graph"
-        gfile.write_text(write_graph(dodecahedron()))
+        gfile.write_text(write_graph(gadgets.dodecahedron()))
         assert main(["reduce", str(gfile)]) == 0
         assert capsys.readouterr().out == (
             "step 0: no rule fires (delta=3)\n"
